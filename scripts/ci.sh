@@ -86,4 +86,10 @@ python -m pytest -x -q -s \
     --benchmark-disable
 
 echo
+echo "== benchmark suite: the surfaces benchmarks/perf depends on =="
+# Not collected by tier-1 (testpaths = tests); run here so a refactor
+# that breaks the serving benchmark is caught before its paired runs.
+python -m pytest benchmarks/perf -q
+
+echo
 echo "ci.sh: all checks passed"

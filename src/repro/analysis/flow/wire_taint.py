@@ -18,8 +18,8 @@ before they reach the engine or the filesystem.  This pass proves it:
   carries a ``# taint: sanitizer`` comment.  A sanitizer's return
   value is clean.
 * **Sinks** — engine entry points (``search``/``search_many``/
-  ``search_shard``/``search_shard_batch``/``topk_search``/
-  ``add_table``/``remove_table``/``explain``), the persistent-index
+  ``search_shard_batch``/``topk_search``/``add_table``/
+  ``remove_table``/``explain``), the persistent-index
   loaders of :mod:`repro.core.kernel.storage`, and filesystem path
   arguments (``open``, ``np.memmap``).
 
@@ -83,7 +83,6 @@ SANITIZER_FUNCTIONS = {
 SINK_METHODS = {
     "search",
     "search_many",
-    "search_shard",
     "search_shard_batch",
     "topk_search",
     "add_table",

@@ -196,9 +196,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import signal
-
     from repro.serve import ServeConfig, ThetisServer
 
     graph = load_graph(args.graph)
@@ -226,29 +223,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         warm_on_start=not args.no_warm,
         prefilter_guardrail_every=args.guardrail_every,
     )
-
-    async def run() -> None:
-        server = ThetisServer(thetis, config)
-        await server.start()
-        print(f"serving {len(lake)} tables on "
-              f"http://{config.host}:{server.port} "
-              f"(method={args.method}, batch<= {config.max_batch_size}, "
-              f"queue<= {config.max_queue_depth})")
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except NotImplementedError:  # pragma: no cover (non-POSIX)
-                pass
-        try:
-            await stop.wait()
-        finally:
-            print("draining and shutting down ...", file=sys.stderr)
-            await server.shutdown()
-
-    asyncio.run(run())
-    return 0
+    banner = (
+        f"serving {len(lake)} tables on "
+        f"http://{config.host}:{{server.port}} "
+        f"(method={args.method}, batch<= {config.max_batch_size}, "
+        f"queue<= {config.max_queue_depth})"
+    )
+    return _run_node(banner, ThetisServer(thetis, config))
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -321,7 +302,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _run_node(start_banner: str, server: object) -> int:
-    """Run an asyncio cluster node until SIGINT/SIGTERM (serve idiom)."""
+    """Run an asyncio server or cluster node until SIGINT/SIGTERM."""
     import asyncio
     import signal
 

@@ -53,7 +53,6 @@ from repro.core.kernel import BatchStats
 from repro.core.parallel import merge_topk
 from repro.core.result import ResultSet, ScoredTable
 from repro.exceptions import (
-    BadRequestError,
     ClusterError,
     ClusterProtocolError,
     ProtocolError,
@@ -68,12 +67,7 @@ from repro.serve.batching import (
     DEFAULT_REQUEST_TIMEOUT,
     MicroBatcher,
 )
-from repro.serve.http import (
-    HttpRequest,
-    HttpResponse,
-    read_request,
-    split_path,
-)
+from repro.serve.http import HttpRequest, HttpResponse, HttpShell
 from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import SearchRequest, error_to_json, result_to_json
 
@@ -193,7 +187,16 @@ class ClusterCoordinator:
         self._topology_lock = asyncio.Lock()
         self._workers: Dict[str, _WorkerHandle] = {}
         self._epoch = 0
-        self._http_server: Optional[asyncio.AbstractServer] = None
+        self._http = HttpShell(
+            {
+                ("GET", "/healthz"): self._handle_healthz,
+                ("GET", "/readyz"): self._handle_readyz,
+                ("GET", "/metrics"): self._handle_metrics,
+                ("GET", "/cluster/status"): self._handle_status,
+                ("POST", "/search"): self._handle_search,
+            },
+            self.metrics,
+        )
         self._control_server: Optional[asyncio.AbstractServer] = None
         self._heartbeat_task: Optional["asyncio.Task[None]"] = None
         self._push_tasks: Set["asyncio.Task[None]"] = set()
@@ -205,9 +208,10 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     @property
     def port(self) -> int:
-        if self._http_server is None or not self._http_server.sockets:
+        port = self._http.port
+        if port is None:
             raise ClusterError("coordinator is not listening")
-        return self._http_server.sockets[0].getsockname()[1]
+        return port
 
     @property
     def control_port(self) -> int:
@@ -216,15 +220,13 @@ class ClusterCoordinator:
         return self._control_server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        if self._http_server is not None:
+        if self._http.port is not None:
             raise ClusterError("coordinator already started")
         self._started_at = time.monotonic()
         self._control_server = await asyncio.start_server(
             self._handle_control, self.config.host, self.config.control_port
         )
-        self._http_server = await asyncio.start_server(
-            self._handle_http, self.config.host, self.config.port
-        )
+        await self._http.start(self.config.host, self.config.port)
         loop = asyncio.get_running_loop()
         self._heartbeat_task = loop.create_task(
             self._heartbeat_loop(), name="thetis-cluster-heartbeat"
@@ -232,9 +234,9 @@ class ClusterCoordinator:
         await self.batcher.start()
 
     async def serve_forever(self) -> None:
-        if self._http_server is None:
+        if self._http.port is None:
             raise ClusterError("call start() first")
-        await self._http_server.serve_forever()
+        await self._http.serve_forever()
 
     async def shutdown(self) -> None:
         if self._shut_down:
@@ -247,14 +249,18 @@ class ClusterCoordinator:
             except asyncio.CancelledError:
                 pass
         # Drain before the worker links close so admitted queries still
-        # complete their scatter.
+        # complete their scatter; each is bounded by the request timeout.
+        await self._http.close(self.config.request_timeout)
         await self.batcher.stop(drain=True)
-        for server in (self._http_server, self._control_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
-        for task in list(self._push_tasks):
+        if self._control_server is not None:
+            self._control_server.close()
+            await self._control_server.wait_closed()
+        pushes = list(self._push_tasks)
+        for task in pushes:
             task.cancel()
+        # Awaited, not just cancelled: a task still pending when the
+        # loop closes is "destroyed but it is pending".
+        await asyncio.gather(*pushes, return_exceptions=True)
         async with self._topology_lock:
             handles = list(self._workers.values())
         for handle in handles:
@@ -458,95 +464,28 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     # HTTP front door
     # ------------------------------------------------------------------
-    async def _handle_http(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            while not self._shut_down:
-                try:
-                    request = await read_request(reader)
-                except BadRequestError as exc:
-                    response = HttpResponse(
-                        exc.status, error_to_json(str(exc), exc.status)
-                    )
-                    writer.write(response.encode(keep_alive=False))
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                response = await self._dispatch(request)
-                keep_alive = request.keep_alive and not self._shut_down
-                writer.write(response.encode(keep_alive=keep_alive))
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionResetError, BrokenPipeError,
-                asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+    async def _handle_healthz(self, request: HttpRequest) -> HttpResponse:
+        return HttpResponse(200, {
+            "status": "ok",
+            "uptime_seconds": time.monotonic() - self._started_at,
+        })
 
-    async def _dispatch(self, request: HttpRequest) -> HttpResponse:
-        segments = split_path(request.path)
-        endpoint = "/" + "/".join(segments) if segments else "/"
-        self.metrics.request_started()
-        start = time.perf_counter()
-        try:
-            response = await self._route(request, segments)
-        except Exception as exc:  # the handler itself must never leak
-            response = HttpResponse(
-                500, error_to_json(f"internal error: {exc}", 500)
-            )
-        elapsed = time.perf_counter() - start
-        self.metrics.request_finished(
-            endpoint, response.status,
-            elapsed if request.method == "POST" else None,
-        )
-        return response
-
-    async def _route(
-        self, request: HttpRequest, segments: Sequence[str]
-    ) -> HttpResponse:
-        if segments == ("healthz",):
-            if request.method != "GET":
-                return _method_not_allowed()
+    async def _handle_readyz(self, request: HttpRequest) -> HttpResponse:
+        table = await self._routing_table()
+        if len(table.live) >= self.config.min_workers:
             return HttpResponse(200, {
-                "status": "ok",
-                "uptime_seconds": time.monotonic() - self._started_at,
+                "status": "ready", "workers_live": len(table.live),
             })
-        if segments == ("readyz",):
-            if request.method != "GET":
-                return _method_not_allowed()
-            table = await self._routing_table()
-            if len(table.live) >= self.config.min_workers:
-                return HttpResponse(200, {
-                    "status": "ready", "workers_live": len(table.live),
-                })
-            return HttpResponse(503, error_to_json(
-                f"{len(table.live)}/{self.config.min_workers} workers live",
-                503,
-            ))
-        if segments == ("metrics",):
-            if request.method != "GET":
-                return _method_not_allowed()
-            return HttpResponse(200, await self._metrics_payload())
-        if segments == ("cluster", "status"):
-            if request.method != "GET":
-                return _method_not_allowed()
-            return HttpResponse(200, await self._status_payload())
-        if segments == ("search",):
-            if request.method != "POST":
-                return _method_not_allowed()
-            return await self._handle_search(request)
-        return HttpResponse(
-            404, error_to_json(f"no such endpoint: {request.path}", 404)
-        )
+        return HttpResponse(503, error_to_json(
+            f"{len(table.live)}/{self.config.min_workers} workers live",
+            503,
+        ))
+
+    async def _handle_metrics(self, request: HttpRequest) -> HttpResponse:
+        return HttpResponse(200, await self._metrics_payload())
+
+    async def _handle_status(self, request: HttpRequest) -> HttpResponse:
+        return HttpResponse(200, await self._status_payload())
 
     async def _metrics_payload(self) -> Dict[str, Any]:
         table = await self._routing_table()
@@ -839,6 +778,3 @@ class ClusterCoordinator:
         self._push_tasks.add(task)
         task.add_done_callback(self._push_tasks.discard)
 
-
-def _method_not_allowed() -> HttpResponse:
-    return HttpResponse(405, error_to_json("method not allowed", 405))

@@ -38,7 +38,6 @@ MSG_TYPES = (
     "leave",      # worker -> coordinator: retire from the ring
     "ping",       # coordinator -> worker: heartbeat + stats scrape
     "routing",    # coordinator -> worker: install a routing epoch
-    "search",     # coordinator -> worker: score one shard
     "search_batch",  # coordinator -> worker: score a query batch, one pass
     "adopt",      # coordinator -> worker: memmap a sealed segment dir
     "status",     # anyone -> worker: introspection

@@ -3,11 +3,11 @@
 A worker wraps a warm :class:`~repro.system.Thetis` and serves the
 length-prefixed JSON protocol of :mod:`repro.cluster.protocol` on a
 TCP port.  Its only scoring primitive is
-:meth:`~repro.system.Thetis.search_shard`: given a routing epoch, a
-liveness set, and its own id, the worker derives its shard of table
+:meth:`~repro.system.Thetis.search_shard_batch`: given a routing epoch,
+a liveness set, and its own id, the worker derives its shard of table
 ids from the consistent-hash ring (:mod:`repro.cluster.hashring`) —
 the same pure function the coordinator and every sibling compute — and
-returns the shard's top-k ``(score, table_id)`` partial.
+returns the shard's top-k ``(score, table_id)`` partial per query.
 
 Cold start memmaps, never compiles: pointing the worker's Thetis at a
 spilled segment directory (``index_dir=...`` /
@@ -35,7 +35,6 @@ from repro.cluster.protocol import (
     RoutingTable,
     expect_epoch,
     expect_segment_path,
-    expect_type,
     expect_worker_id,
     expect_worker_ids,
     read_frame,
@@ -249,13 +248,14 @@ class ClusterWorker:
 
     async def _dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
         try:
-            kind = expect_type(message)
+            # Compared, never forwarded: any type without a handler
+            # here (the coordinator's own, the retired single-query
+            # "search", garbage) gets the refusal below.
+            kind = message.get("type")
             if kind == "ping":
                 return await self._handle_ping()
             if kind == "routing":
                 return await self._handle_routing(message)
-            if kind == "search":
-                return await self._handle_search(message)
             if kind == "search_batch":
                 return await self._handle_search_batch(message)
             if kind == "adopt":
@@ -327,64 +327,6 @@ class ClusterWorker:
                 if key[0] in self._history
             }
             return {"ok": True, "epoch": self._routing.epoch}
-
-    async def _handle_search(
-        self, message: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        epoch = expect_epoch(message)
-        owner = expect_worker_id(message, "owner")
-        live = expect_worker_ids(message, "live")
-        prev_live = (
-            expect_worker_ids(message, "prev_live")
-            if message.get("prev_live") is not None else None
-        )
-        request = SearchRequest.from_json(
-            {
-                "tuples": message.get("tuples"),
-                "k": message.get("k", 10),
-                "method": message.get("method", "types"),
-                "votes": message.get("votes", 1),
-                "mode": message.get("mode", "exact"),
-                "task": message.get("task", "entity"),
-            },
-            mode="search",
-        )
-        query = request.query()
-        shard = await self._shard_for(epoch, live, owner, prev_live)
-        if shard:
-            loop = asyncio.get_running_loop()
-            results = await loop.run_in_executor(
-                self._executor,
-                functools.partial(
-                    self.thetis.search_shard,
-                    query,
-                    shard,
-                    k=request.k,
-                    method=request.method,
-                    votes=request.votes,
-                    mode=(
-                        "prefilter" if request.mode == "prefilter"
-                        else "exact"
-                    ),
-                    task=request.task,
-                ),
-            )
-            pairs = [[scored.score, scored.table_id] for scored in results]
-        else:
-            pairs = []
-        self._searches_total += 1
-        self._task_counts[request.task] = (
-            self._task_counts.get(request.task, 0) + 1
-        )
-        return {
-            "ok": True,
-            "type": "result",
-            "worker_id": self.config.worker_id,
-            "epoch": epoch,
-            "shard_size": len(shard),
-            "tables_total": len(self.thetis.lake),
-            "results": pairs,
-        }
 
     async def _handle_search_batch(
         self, message: Dict[str, Any]

@@ -1,7 +1,7 @@
 """The vectorized scoring engine: Algorithm 1 as array programs.
 
 :class:`VectorizedTableSearchEngine` keeps the scalar engine's entire
-contract — same constructor, same ``search`` / ``search_many`` /
+contract — same constructor, same ``search`` / ``search_batch`` /
 ``score_table`` semantics, same caches and profile — but replaces the
 per-cell Python hot loop with batched numpy passes over a compiled
 :class:`~repro.core.kernel.index.CorpusIndex`:
@@ -61,10 +61,15 @@ from repro.core.kernel.segments import (
 from repro.core.aggregation import QueryAggregation
 from repro.core.query import Query
 from repro.core.result import ResultSet, ScoredTable
-from repro.core.search import ScoringProfile, TableScore, TableSearchEngine
+from repro.core.search import (
+    ScoringProfile,
+    TableScore,
+    TableSearchEngine,
+    aligned_candidates,
+)
 from repro.core.topk import TopKEntry
 from repro.datalake.table import Table
-from repro.exceptions import IndexStorageError, SearchError
+from repro.exceptions import IndexStorageError
 
 #: Minimum gap between the best and second-best assignment total before
 #: the enumerated small-width assignment is trusted over the Hungarian
@@ -855,54 +860,6 @@ class VectorizedTableSearchEngine(TableSearchEngine):
             tuple_columns.append(column)
         return tuple_columns, any_signal
 
-    def _search_batch(self, query: Query) -> Optional[List[TableScore]]:
-        """Score the whole lake, one fused pass per (segment, tuple).
-
-        Returns ``None`` when the index cannot be made to mirror the
-        lake even after incremental reconciliation (the caller then
-        takes the per-table path, which copes table by table).
-        Otherwise returns exactly what per-table :meth:`score_table`
-        calls would, in lake order, with the same profile accounting.
-        Tombstoned copies inside segments are scored by the fused pass
-        but skipped at assembly (the owner map only resolves live
-        tables), so results and tie-breaks match a fresh full compile.
-        """
-        index = self.index()
-        lake_ids = [table.table_id for table in self.lake]
-        if not index.mirrors(lake_ids):
-            index = self._reconcile_index()
-            if not index.mirrors(lake_ids):
-                return None
-        profile = self.profile
-        start = time.perf_counter()
-        if not lake_ids:
-            return []
-        per_segment = [
-            self._segment_batch(segment, query, profile)
-            for segment in index.segments
-        ]
-        results: List[TableScore] = []
-        drop = self.drop_irrelevant
-        entities_in_table = self.mapping.entities_in_table
-        for table_id in lake_ids:
-            if drop and not entities_in_table(table_id):
-                continue
-            seg_index, position = index.locate_position(table_id)
-            tuple_columns, any_signal = per_segment[seg_index]
-            tuple_scores = [
-                float(column[position]) for column in tuple_columns
-            ]
-            score = self.query_aggregation.aggregate(tuple_scores)
-            relevant = bool(any_signal[position]) or not drop
-            if not relevant:
-                score = 0.0
-            results.append(
-                TableScore(table_id, score, tuple_scores, relevant)
-            )
-            profile.tables_scored += 1
-        profile.total_seconds += time.perf_counter() - start
-        return results
-
     def _candidate_bounds(
         self,
         segment: CorpusIndex,
@@ -1109,29 +1066,17 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         query: Query,
         k: Optional[int] = None,
         candidates: Optional[Iterable[str]] = None,
-    ):
-        """Batched whole-lake ranking (same results as the scalar loop).
+        profile: Optional[ScoringProfile] = None,
+    ) -> ResultSet:
+        """:meth:`search_batch` of one (same results as the scalar loop)."""
+        return self.search_batch(
+            [query], k=k, candidates=[candidates], profile=profile
+        )[0]
 
-        Candidate-restricted searches (the LSH prefilter path) go
-        through :meth:`search_candidates`, which fuses the restriction
-        into the batched kernel; lakes the index cannot mirror keep
-        the inherited per-table loop, which itself scores through the
-        kernel.
-        """
-        if candidates is not None:
-            return self.search_candidates(query, candidates, k=k)
-        outcomes = self._search_batch(query)
-        if outcomes is None:
-            return super().search(query, k=k)
-        scored = [
-            ScoredTable(outcome.score, outcome.table_id)
-            for outcome in outcomes
-            if outcome.relevant and outcome.score > 0.0
-        ]
-        results = ResultSet(scored)
-        if k is not None:
-            results = results.top(k)
-        return results
+    def record_dispatch(self, batch_stats, queries: int, unique: int) -> None:
+        """Tally one fused pass: ``unique`` jobs answer ``queries`` slots."""
+        if batch_stats is not None:
+            batch_stats.record_batched(queries, unique)
 
     def search_batch(
         self,
@@ -1184,18 +1129,7 @@ class VectorizedTableSearchEngine(TableSearchEngine):
             queries (``len(queries) - unique`` of them deduplicated).
         """
         queries = list(queries)
-        if candidates is None:
-            cand_lists: List[Optional[List[str]]] = [None] * len(queries)
-        else:
-            cand_lists = [
-                None if cands is None else list(cands)
-                for cands in candidates
-            ]
-        if len(cand_lists) != len(queries):
-            raise SearchError(
-                "candidates must align with queries: "
-                f"{len(cand_lists)} != {len(queries)}"
-            )
+        cand_lists = aligned_candidates(queries, candidates)
         if not queries:
             return []
         if profile is None:
@@ -1216,8 +1150,7 @@ class VectorizedTableSearchEngine(TableSearchEngine):
                 job_of[key] = slot
                 jobs.append((query, cands))
             fanout.append(slot)
-        if batch_stats is not None:
-            batch_stats.record_batched(len(queries), len(jobs))
+        self.record_dispatch(batch_stats, len(queries), len(jobs))
         if k is not None and k < 1:
             if stats is not None:
                 for _, cands in jobs:
@@ -1229,18 +1162,17 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         if not index.mirrors(lake_ids):
             index = self._reconcile_index()
             if not index.mirrors(lake_ids):
-                # The kernel cannot cover this lake; fall back to the
-                # sequential per-query path, which copes table by table.
-                looped: List[ResultSet] = []
-                for query, cands in jobs:
-                    if cands is None:
-                        looped.append(self.search(query, k=k))
-                    else:
-                        looped.append(
-                            self.search_candidates(
-                                query, cands, k=k, stats=stats
-                            )
-                        )
+                # The kernel cannot cover this lake; the inherited scalar
+                # loop (called by name: ``self.search`` would recurse)
+                # copes table by table through ``score_table``.
+                looped = TableSearchEngine.search_batch(
+                    self,
+                    [query for query, _ in jobs],
+                    k=k,
+                    candidates=[cands for _, cands in jobs],
+                    stats=stats,
+                    profile=profile,
+                )
                 return [looped[slot] for slot in fanout]
         start = time.perf_counter()
         drop = self.drop_irrelevant
@@ -1427,28 +1359,6 @@ class VectorizedTableSearchEngine(TableSearchEngine):
             job_results.append(result)
         profile.total_seconds += time.perf_counter() - start
         return [job_results[slot] for slot in fanout]
-
-    def search_many(
-        self,
-        queries: Dict[str, Query],
-        k: Optional[int] = None,
-        candidates: Optional[Dict[str, Iterable[str]]] = None,
-    ) -> Dict[str, ResultSet]:
-        """Batched :meth:`search_many`: one fused pass for the batch.
-
-        Same results as the inherited per-query loop (which
-        :meth:`search_batch` is bit-identical to), but the whole batch
-        rides one stacked kernel pass per segment.
-        """
-        ordered_ids = list(queries.keys())
-        batch = [queries[query_id] for query_id in ordered_ids]
-        restrictions: Optional[List[Optional[Iterable[str]]]] = None
-        if candidates is not None:
-            restrictions = [
-                candidates.get(query_id) for query_id in ordered_ids
-            ]
-        results = self.search_batch(batch, k=k, candidates=restrictions)
-        return dict(zip(ordered_ids, results))
 
     def score_table(
         self,

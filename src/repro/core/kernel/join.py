@@ -36,6 +36,7 @@ from repro.baselines.join_search import (
 from repro.core.kernel.engine import _concat_ranges
 from repro.core.query import Query
 from repro.core.result import ResultSet
+from repro.core.search import aligned_candidates
 from repro.datalake.lake import DataLake
 from repro.exceptions import ConfigurationError
 from repro.kg.graph import KnowledgeGraph
@@ -310,13 +311,7 @@ class VectorizedJoinSearchEngine:
         scored once.
         """
         queries = list(queries)
-        if candidates is None:
-            cand_lists: List[Optional[List[str]]] = [None] * len(queries)
-        else:
-            cand_lists = [
-                None if cands is None else list(cands)
-                for cands in candidates
-            ]
+        cand_lists = aligned_candidates(queries, candidates)
         if not queries:
             return []
         index = self.index()

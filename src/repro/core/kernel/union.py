@@ -38,6 +38,7 @@ from repro.core.kernel.engine import (
 from repro.core.kernel.index import _popcount
 from repro.core.query import Query
 from repro.core.result import ResultSet
+from repro.core.search import aligned_candidates
 from repro.datalake.lake import DataLake
 from repro.embeddings.store import EmbeddingStore
 from repro.exceptions import ConfigurationError
@@ -669,13 +670,7 @@ class VectorizedUnionSearchEngine:
         Identical ``(tuples, candidates)`` jobs are scored once.
         """
         queries = list(queries)
-        if candidates is None:
-            cand_lists: List[Optional[List[str]]] = [None] * len(queries)
-        else:
-            cand_lists = [
-                None if cands is None else list(cands)
-                for cands in candidates
-            ]
+        cand_lists = aligned_candidates(queries, candidates)
         if not queries:
             return []
         index = self.index()

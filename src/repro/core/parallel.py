@@ -47,11 +47,15 @@ import sys
 import tempfile
 import threading
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.query import Query
 from repro.core.result import ResultSet, ScoredTable
-from repro.core.search import ScoringProfile, TableSearchEngine
+from repro.core.search import (
+    ScoringProfile,
+    TableSearchEngine,
+    aligned_candidates,
+)
 from repro.exceptions import ConfigurationError, IndexStorageError
 
 #: Supported worker-pool backends.
@@ -105,44 +109,22 @@ def _init_process_worker(engine_pickle: bytes) -> None:
     _WORKER_ENGINE = pickle.loads(engine_pickle)
 
 
-def _score_shard(
-    engine: TableSearchEngine, query: Query, table_ids: List[str]
-) -> Tuple[List[Tuple[float, str]], ScoringProfile]:
-    """Score one shard of tables; return (score, id) pairs + profile."""
-    profile = ScoringProfile()
-    scored: List[Tuple[float, str]] = []
-    for table_id in table_ids:
-        outcome = engine.score_table(query, engine.lake.get(table_id), profile)
-        if outcome.relevant and outcome.score > 0.0:
-            scored.append((outcome.score, outcome.table_id))
-    return scored, profile
-
-
-def _score_shard_in_process(
-    query: Query, table_ids: List[str]
-) -> Tuple[List[Tuple[float, str]], ScoringProfile]:
-    assert _WORKER_ENGINE is not None, "process pool not initialized"
-    return _score_shard(_WORKER_ENGINE, query, table_ids)
-
-
 def _score_shard_batch(
     engine: TableSearchEngine,
     queries: List[Query],
     candidate_lists: List[List[str]],
     k: Optional[int],
 ) -> Tuple[List[List[Tuple[float, str]]], ScoringProfile]:
-    """Score one shard against a whole micro-batch in one fused pass.
+    """Score one shard against a whole batch in one ``search_batch``.
 
     Returns one ``(score, table_id)`` pair list per query (aligned with
-    ``queries``) plus the shard's private profile.  Only dispatched for
-    engines exposing ``search_batch`` (the vectorized kernel); each
-    query's pairs are exactly what per-query :func:`_score_shard` over
-    its shard-restricted candidates would produce, truncated to the
-    per-shard top-k (safe: shards are disjoint, so per-shard top-k
-    partials merge to the global top-k).
+    ``queries``) plus the shard's private profile.  Each query's pairs
+    are its shard-restricted ranking truncated to the per-shard top-k
+    (safe: shards are disjoint, so per-shard top-k partials merge to
+    the global top-k).
     """
     profile = ScoringProfile()
-    rankings = engine.search_batch(  # type: ignore[attr-defined]
+    rankings = engine.search_batch(
         queries, k=k, candidates=candidate_lists, profile=profile
     )
     pairs = [
@@ -368,83 +350,37 @@ class ParallelSearchEngine:
     ) -> ResultSet:
         """Rank (a subset of) the lake by SemRel — sequential-identical.
 
-        Same contract as :meth:`TableSearchEngine.search`; the ranking,
-        scores, and tie-breaks match the sequential engine bit for bit.
+        Same contract as :meth:`TableSearchEngine.search` (a
+        :meth:`search_batch` of one); the ranking, scores, and
+        tie-breaks match the sequential engine bit for bit.
         """
-        ids = self._candidate_ids(candidates)
-        shards = self._shards(ids)
-        if len(shards) <= 1:
-            # One shard: score in-process, skip dispatch overhead.
-            outcomes = [_score_shard(self.engine, query, ids)] if ids else []
-        elif self.backend == "thread":
-            pool = self._ensure_pool()
-            _widen_switch_interval()
-            try:
-                futures = [
-                    pool.submit(_score_shard, self.engine, query, shard)
-                    for shard in shards
-                ]
-                outcomes = [future.result() for future in futures]
-            finally:
-                _restore_switch_interval()
-        else:
-            pool = self._ensure_pool()
-            futures = [
-                pool.submit(_score_shard_in_process, query, shard)
-                for shard in shards
-            ]
-            outcomes = [future.result() for future in futures]
-        with self._lock:
-            for _, shard_profile in outcomes:
-                self.engine.profile.merge(shard_profile)
-        merged = merge_topk(
-            (shard_scored for shard_scored, _ in outcomes), k
-        )
-        return ResultSet(
-            ScoredTable(score, table_id) for score, table_id in merged
-        )
+        return self.search_batch([query], k=k, candidates=[candidates])[0]
 
-    def search_many(
+    def search_batch(
         self,
-        queries: Dict[str, Query],
+        queries: Sequence[Query],
         k: Optional[int] = None,
-        candidates: Optional[Dict[str, Iterable[str]]] = None,
+        candidates: Optional[Sequence[Optional[Iterable[str]]]] = None,
         batch_stats=None,
-    ) -> Dict[str, ResultSet]:
-        """Batch counterpart of :meth:`search` (same contract as the
-        sequential :meth:`TableSearchEngine.search_many`).
+    ) -> List[ResultSet]:
+        """Sharded :meth:`TableSearchEngine.search_batch` (same contract).
 
-        With a ``search_batch``-capable engine (the vectorized kernel)
-        the whole micro-batch is sharded once: the shard basis is the
-        ordered union of every query's candidate ids, each shard runs
-        *one* fused multi-query pass, and per-query partials merge with
-        :func:`merge_topk` — bit-identical to per-query :meth:`search`.
-        Engines without ``search_batch`` keep the per-query loop.
-        ``batch_stats`` (a :class:`~repro.core.kernel.batchstats.
-        BatchStats`) is told which path ran.
+        The whole batch is sharded once: the shard basis is the ordered
+        union of every query's candidate ids, each shard runs *one*
+        ``search_batch`` of the wrapped engine (a single fused
+        multi-query pass on the vectorized kernel), and per-query
+        partials merge with :func:`merge_topk` — bit-identical to
+        per-query sequential search.  ``batch_stats`` (a
+        :class:`~repro.core.kernel.batchstats.BatchStats`) is told how
+        the wrapped engine dispatches a batch.
         """
-        query_ids = list(queries.keys())
-        batch = getattr(self.engine, "search_batch", None)
-        if batch is None or not query_ids:
-            if batch_stats is not None and query_ids:
-                batch_stats.record_looped(len(query_ids))
-            results: Dict[str, ResultSet] = {}
-            for query_id, query in queries.items():
-                restriction = (
-                    candidates.get(query_id)
-                    if candidates is not None else None
-                )
-                results[query_id] = self.search(
-                    query, k=k, candidates=restriction
-                )
-            return results
-        query_list = [queries[query_id] for query_id in query_ids]
-        id_lists: List[List[str]] = []
-        for query_id in query_ids:
-            restriction = (
-                candidates.get(query_id) if candidates is not None else None
-            )
-            id_lists.append(self._candidate_ids(restriction))
+        query_list = list(queries)
+        restrictions = aligned_candidates(query_list, candidates)
+        if not query_list:
+            return []
+        id_lists = [
+            self._candidate_ids(restriction) for restriction in restrictions
+        ]
         id_sets = [set(ids) for ids in id_lists]
         # Shard basis: ordered union of every query's candidate ids, so
         # each shard is scored once for the whole batch; per-query
@@ -458,7 +394,9 @@ class ParallelSearchEngine:
                 (query.tuples, frozenset(id_set))
                 for query, id_set in zip(query_list, id_sets)
             })
-            batch_stats.record_batched(len(query_list), unique)
+            self.engine.record_dispatch(
+                batch_stats, len(query_list), unique
+            )
 
         def shard_candidates(shard: List[str]) -> List[List[str]]:
             return [
@@ -467,7 +405,7 @@ class ParallelSearchEngine:
             ]
 
         if len(shards) <= 1:
-            # One shard: one in-process fused pass, no dispatch.
+            # One shard: one in-process pass, no dispatch.
             outcomes = (
                 [_score_shard_batch(
                     self.engine, query_list, shard_candidates(basis), k
@@ -501,12 +439,12 @@ class ParallelSearchEngine:
         with self._lock:
             for _, shard_profile in outcomes:
                 self.engine.profile.merge(shard_profile)
-        results = {}
-        for position, query_id in enumerate(query_ids):
-            merged = merge_topk(
-                (pairs[position] for pairs, _ in outcomes), k
+        return [
+            ResultSet(
+                ScoredTable(score, table_id)
+                for score, table_id in merge_topk(
+                    (pairs[position] for pairs, _ in outcomes), k
+                )
             )
-            results[query_id] = ResultSet(
-                ScoredTable(score, table_id) for score, table_id in merged
-            )
-        return results
+            for position in range(len(query_list))
+        ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.aggregation import (
     QueryAggregation,
@@ -42,6 +42,7 @@ from repro.core.result import ResultSet, ScoredTable
 from repro.core.semrel import semrel_tuple_score
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
+from repro.exceptions import SearchError
 from repro.linking.mapping import EntityMapping
 from repro.similarity.base import EntitySimilarity
 from repro.similarity.informativeness import UniformInformativeness
@@ -121,6 +122,24 @@ class TableScore:
     score: float
     tuple_scores: List[float] = field(default_factory=list)
     relevant: bool = True
+
+
+def aligned_candidates(
+    queries: Sequence[Query],
+    candidates: Optional[Sequence[Optional[Iterable[str]]]],
+) -> List[Optional[List[str]]]:
+    """Materialize ``search_batch`` restrictions, one per query."""
+    if candidates is None:
+        return [None] * len(queries)
+    cand_lists = [
+        None if cands is None else list(cands) for cands in candidates
+    ]
+    if len(cand_lists) != len(queries):
+        raise SearchError(
+            "candidates must align with queries: "
+            f"{len(cand_lists)} != {len(queries)}"
+        )
+    return cand_lists
 
 
 class TableSearchEngine:
@@ -414,6 +433,7 @@ class TableSearchEngine:
         query: Query,
         k: Optional[int] = None,
         candidates: Optional[Iterable[str]] = None,
+        profile: Optional[ScoringProfile] = None,
     ) -> ResultSet:
         """Rank (a subset of) the lake by SemRel against ``query``.
 
@@ -430,6 +450,9 @@ class TableSearchEngine:
         candidates:
             Optional iterable of table ids to restrict scoring to — this
             is how the LSH prefilter plugs in.
+        profile:
+            Scoring profile to charge (defaults to the engine's own);
+            parallel shards pass their private merge-later profiles.
         """
         if candidates is None:
             tables: Iterable[Table] = self.lake
@@ -446,7 +469,7 @@ class TableSearchEngine:
                 table.table_id
             ):
                 continue
-            result = self.score_table(query, table)
+            result = self.score_table(query, table, profile)
             if result.relevant and result.score > 0.0:
                 scored.append(ScoredTable(result.score, result.table_id))
         results = ResultSet(scored)
@@ -454,49 +477,114 @@ class TableSearchEngine:
             results = results.top(k)
         return results
 
+    def search_candidates(
+        self,
+        query: Query,
+        candidates: Iterable[str],
+        k: int,
+        stats=None,
+    ) -> ResultSet:
+        """Early-terminating top-``k`` over an explicit candidate set.
+
+        The scalar form of the prefilter rescoring step: the
+        :func:`~repro.core.topk.topk_search` threshold algorithm, which
+        reports shortlist size, tables scored, and whether the cut-off
+        fired into ``stats``.
+        """
+        from repro.core.topk import topk_search
+
+        return topk_search(self, query, k, candidates=candidates, stats=stats)
+
+    def record_dispatch(self, batch_stats, queries: int, unique: int) -> None:
+        """Tally one :meth:`search_batch` dispatch of ``queries`` queries.
+
+        The scalar engine loops per query, so ``unique`` (the job count
+        after dedup, which a fused pass reports) is not recorded.
+        """
+        if batch_stats is not None:
+            batch_stats.record_looped(queries)
+
+    def search_batch(
+        self,
+        queries: Sequence[Query],
+        k: Optional[int] = None,
+        candidates: Optional[Sequence[Optional[Iterable[str]]]] = None,
+        stats=None,
+        profile: Optional[ScoringProfile] = None,
+        batch_stats=None,
+    ) -> List[ResultSet]:
+        """Rank the lake for every query of a batch, in request order.
+
+        The one search shape every engine answers.  The scalar engine
+        scores query by query over the shared similarity cache; identical
+        queries (same tuples, same canonical candidate list) share one
+        ranking — common under loadgen replay, and a ResultSet is
+        immutable so sharing by reference is safe.  Results are
+        identical to per-query :meth:`search` calls.
+
+        Parameters
+        ----------
+        queries:
+            The batch, in request order.
+        k:
+            Optional shared cut-off.
+        candidates:
+            Optional per-query candidate restrictions aligned with
+            ``queries`` (``None`` entries search the whole lake).
+        stats:
+            Optional :class:`~repro.core.kernel.prefilter.
+            PrefilterStats`; when given, candidate-restricted queries
+            go through :meth:`search_candidates` and record into it.
+        profile:
+            Scoring profile to charge (defaults to the engine's own).
+        batch_stats:
+            Optional :class:`~repro.core.kernel.batchstats.BatchStats`
+            told how the batch was dispatched.
+        """
+        queries = list(queries)
+        cand_lists = aligned_candidates(queries, candidates)
+        if not queries:
+            return []
+        self.record_dispatch(batch_stats, len(queries), len(queries))
+        memo: Dict[Tuple, ResultSet] = {}
+        rankings: List[ResultSet] = []
+        for query, cands in zip(queries, cand_lists):
+            key = (
+                query.tuples,
+                None if cands is None else tuple(dict.fromkeys(cands)),
+            )
+            ranking = memo.get(key)
+            if ranking is None:
+                if cands is not None and stats is not None:
+                    ranking = self.search_candidates(
+                        query, cands, k=k, stats=stats
+                    )
+                else:
+                    # The scalar loop by name: subclasses route their
+                    # own ``search`` through ``search_batch``.
+                    ranking = TableSearchEngine.search(
+                        self, query, k=k, candidates=cands, profile=profile
+                    )
+                memo[key] = ranking
+            rankings.append(ranking)
+        return rankings
+
     def search_many(
         self,
         queries: Dict[str, Query],
         k: Optional[int] = None,
         candidates: Optional[Dict[str, Iterable[str]]] = None,
     ) -> Dict[str, ResultSet]:
-        """Run a batch of queries over the shared similarity cache.
+        """:meth:`search_batch` keyed by query id.
 
-        Queries over the same corpus repeat most pairwise similarity
-        evaluations; the engine's persistent cache amortizes them both
-        within this batch and across separate calls (the
-        experiment-harness access pattern).  Results are identical to
-        per-query :meth:`search` calls.
-
-        Parameters
-        ----------
-        queries:
-            ``query_id -> Query``.
-        k:
-            Optional shared cut-off.
-        candidates:
-            Optional per-query candidate restriction keyed like
-            ``queries`` (missing keys search the whole lake).
+        ``candidates`` is an optional per-query restriction keyed like
+        ``queries`` (missing keys search the whole lake).
         """
-        results: Dict[str, ResultSet] = {}
-        # Identical queries (same tuples, same canonical candidate
-        # list) share one ranking: common under loadgen replay, and a
-        # ResultSet is immutable so sharing by reference is safe.
-        memo: Dict[Tuple, ResultSet] = {}
-        for query_id, query in queries.items():
-            restriction = (
-                candidates.get(query_id) if candidates is not None else None
-            )
-            if restriction is not None:
-                restriction = list(restriction)
-            key = (
-                query.tuples,
-                None if restriction is None
-                else tuple(dict.fromkeys(restriction)),
-            )
-            ranking = memo.get(key)
-            if ranking is None:
-                ranking = self.search(query, k=k, candidates=restriction)
-                memo[key] = ranking
-            results[query_id] = ranking
-        return results
+        query_ids = list(queries)
+        restrictions = None
+        if candidates is not None:
+            restrictions = [candidates.get(qid) for qid in query_ids]
+        rankings = self.search_batch(
+            [queries[qid] for qid in query_ids], k=k, candidates=restrictions
+        )
+        return dict(zip(query_ids, rankings))

@@ -7,16 +7,24 @@ directly on :mod:`asyncio` streams and keep the whole stack
 dependency-free.  Requests that violate the subset (chunked bodies,
 oversized headers) are rejected with the appropriate 4xx rather than
 guessed at.
+
+:class:`HttpShell` is the one front door built on that plumbing: the
+single-process server and the cluster coordinator both hand it a route
+table and get the listener, the keep-alive connection loop, graceful
+drain, and the metrics/500 envelope.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from repro.exceptions import BadRequestError, ProtocolError
+from repro.serve.metrics import ServerMetrics
+from repro.serve.protocol import error_to_json
 
 #: Hard limits keeping one client from exhausting server memory.
 MAX_HEADER_BYTES = 16 * 1024
@@ -160,3 +168,155 @@ def split_path(path: str) -> Tuple[str, ...]:
     """``/tables/T01?x=1`` -> ``("tables", "T01")`` (query string dropped)."""
     path = path.split("?", 1)[0]
     return tuple(segment for segment in path.split("/") if segment)
+
+
+#: ``/metrics`` label of every request whose path matches no route, so
+#: client-chosen URLs never become metric keys.
+UNMATCHED_ENDPOINT = "unmatched"
+
+Handler = Callable[[HttpRequest], Awaitable[HttpResponse]]
+
+
+class HttpShell:
+    """Listener, connection loop, envelope and route table of one service.
+
+    ``routes`` maps ``(method, path)`` to an async handler; a path
+    segment ``*`` matches any one segment.  A path no route matches
+    answers 404, a matched path without the request's method 405, and
+    a handler that raises 500 — the shell never leaks an exception.
+    Requests are counted in ``metrics`` under their route's literal
+    segments (``/tables/*`` counts as ``/tables``) or
+    :data:`UNMATCHED_ENDPOINT`, never under the client-supplied path;
+    non-``GET`` requests also feed the label's latency histogram.
+    """
+
+    def __init__(self, routes: Dict[Tuple[str, str], Handler],
+                 metrics: ServerMetrics):
+        self.metrics = metrics
+        # pattern segments -> (metrics label, method -> handler)
+        self._routes: Dict[
+            Tuple[str, ...], Tuple[str, Dict[str, Handler]]
+        ] = {}
+        for (method, path), handler in routes.items():
+            pattern = split_path(path)
+            label = "/" + "/".join(part for part in pattern if part != "*")
+            self._routes.setdefault(pattern, (label, {}))[1][method] = handler
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: Set["asyncio.Task[None]"] = set()
+        self._busy: Set["asyncio.Task[None]"] = set()
+        self._closing = False
+
+    @property
+    def port(self) -> Optional[int]:
+        """The bound port, or ``None`` while not listening."""
+        if self._server is None or not self._server.sockets:
+            return None
+        return self._server.sockets[0].getsockname()[1]
+
+    async def start(self, host: str, port: int) -> None:
+        self._server = await asyncio.start_server(
+            self._handle_connection, host, port
+        )
+
+    async def serve_forever(self) -> None:
+        assert self._server is not None, "call start() first"
+        await self._server.serve_forever()
+
+    async def close(self, drain_timeout: float) -> None:
+        """Stop accepting, then drain the open connections.
+
+        Idle keep-alive connections are parked in :func:`read_request`
+        with no request in progress — they are cancelled outright; only
+        connections with a request mid-flight get the drain window.
+        Every connection task is awaited, so none outlives the loop.
+        """
+        self._closing = True
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+        for task in list(self._connections - self._busy):
+            task.cancel()
+        if self._busy:
+            _done, pending = await asyncio.wait(
+                set(self._busy), timeout=drain_timeout
+            )
+            for task in pending:
+                task.cancel()
+        if self._connections:
+            await asyncio.wait(set(self._connections), timeout=1.0)
+
+    async def _handle_connection(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
+        try:
+            while not self._closing:
+                try:
+                    request = await read_request(reader)
+                except BadRequestError as exc:
+                    response = HttpResponse(
+                        exc.status, error_to_json(str(exc), exc.status)
+                    )
+                    writer.write(response.encode(keep_alive=False))
+                    await writer.drain()
+                    break
+                if request is None:
+                    break
+                self._busy.add(task)
+                try:
+                    response = await self._dispatch(request)
+                    keep_alive = request.keep_alive and not self._closing
+                    writer.write(response.encode(keep_alive=keep_alive))
+                    await writer.drain()
+                finally:
+                    self._busy.discard(task)
+                if not keep_alive:
+                    break
+        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
+            pass
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+
+    async def _dispatch(self, request: HttpRequest) -> HttpResponse:
+        segments = split_path(request.path)
+        endpoint = UNMATCHED_ENDPOINT
+        handlers: Optional[Dict[str, Handler]] = None
+        for pattern, route in self._routes.items():
+            if len(pattern) == len(segments) and all(
+                part in ("*", segment)
+                for part, segment in zip(pattern, segments)
+            ):
+                endpoint, handlers = route
+                break
+        self.metrics.request_started()
+        start = time.perf_counter()
+        if handlers is None:
+            response = HttpResponse(
+                404, error_to_json(f"no such endpoint: {request.path}", 404)
+            )
+        elif request.method not in handlers:
+            response = HttpResponse(
+                405, error_to_json("method not allowed", 405)
+            )
+        else:
+            try:
+                response = await handlers[request.method](request)
+            except Exception as exc:  # the handler itself must never leak
+                response = HttpResponse(
+                    500, error_to_json(f"internal error: {exc}", 500)
+                )
+        elapsed = time.perf_counter() - start
+        self.metrics.request_finished(
+            endpoint, response.status,
+            elapsed if request.method != "GET" else None,
+        )
+        return response

@@ -30,15 +30,15 @@ admitted queue, then close the engine (releasing worker pools).
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Set
+from typing import Any, List, Optional, Sequence
 
 from repro.core.query import Query
 from repro.exceptions import (
-    BadRequestError,
     DataLakeError,
     DuplicateTableError,
     ProtocolError,
@@ -58,7 +58,7 @@ from repro.serve.batching import (
 from repro.serve.http import (
     HttpRequest,
     HttpResponse,
-    read_request,
+    HttpShell,
     split_path,
 )
 from repro.serve.metrics import ServerMetrics
@@ -147,9 +147,23 @@ class ThetisServer:
             max_workers=max(1, self.config.batch_workers),
             thread_name_prefix="thetis-serve-batch",
         )
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Set["asyncio.Task[None]"] = set()
-        self._busy: Set["asyncio.Task[None]"] = set()
+        self._http = HttpShell(
+            {
+                ("GET", "/healthz"): self._handle_healthz,
+                ("GET", "/readyz"): self._handle_readyz,
+                ("GET", "/metrics"): self._handle_metrics,
+                ("POST", "/search"): functools.partial(
+                    self._handle_query, mode="search"
+                ),
+                ("POST", "/topk"): functools.partial(
+                    self._handle_query, mode="topk"
+                ),
+                ("POST", "/explain"): self._handle_explain,
+                ("POST", "/tables"): self._handle_add_table,
+                ("DELETE", "/tables/*"): self._handle_remove_table,
+            },
+            self.metrics,
+        )
         self._warmup_task: Optional["asyncio.Task[None]"] = None
         self._ready = threading.Event()
         self._started_at = 0.0
@@ -168,13 +182,14 @@ class ThetisServer:
     @property
     def port(self) -> int:
         """The bound port (useful with ``port=0`` for an ephemeral one)."""
-        if self._server is None or not self._server.sockets:
+        port = self._http.port
+        if port is None:
             raise ServeError("server is not listening")
-        return self._server.sockets[0].getsockname()[1]
+        return port
 
     async def start(self) -> None:
         """Bind, start the batcher, and kick off index warm-up."""
-        if self._server is not None:
+        if self._http.port is not None:
             raise ServeError("server already started")
         self._started_at = time.monotonic()
         await self.batcher.start()
@@ -185,9 +200,7 @@ class ThetisServer:
             )
         else:
             self._ready.set()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
+        await self._http.start(self.config.host, self.config.port)
 
     async def _warm_up(self) -> None:
         loop = asyncio.get_running_loop()
@@ -202,9 +215,9 @@ class ThetisServer:
 
     async def serve_forever(self) -> None:
         """Serve until cancelled (the CLI wraps this with signal handling)."""
-        if self._server is None:
+        if self._http.port is None:
             raise ServeError("call start() first")
-        await self._server.serve_forever()
+        await self._http.serve_forever()
 
     async def shutdown(self) -> None:
         """Graceful stop: quiesce, drain, release the engine.
@@ -220,149 +233,34 @@ class ThetisServer:
             return
         self._shut_down = True
         self._ready.clear()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self._http.close(self.config.drain_timeout)
         if self._warmup_task is not None:
             try:
                 await self._warmup_task
             except Exception:
                 pass
-        # Idle keep-alive connections are parked in read_request with no
-        # request in progress — cancel them outright; only connections
-        # with a request mid-flight get the drain window.
-        for task in list(self._connections - self._busy):
-            task.cancel()
-        if self._busy:
-            _done, pending = await asyncio.wait(
-                set(self._busy), timeout=self.config.drain_timeout
-            )
-            for task in pending:
-                task.cancel()
-        if self._connections:
-            await asyncio.wait(
-                set(self._connections), timeout=1.0
-            )
         await self.batcher.stop(drain=True)
         self._batch_executor.shutdown(wait=True)
         self.snapshots.close()
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Control plane
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        try:
-            while not self._shut_down:
-                try:
-                    request = await read_request(reader)
-                except BadRequestError as exc:
-                    response = HttpResponse(
-                        exc.status, error_to_json(str(exc), exc.status)
-                    )
-                    writer.write(response.encode(keep_alive=False))
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                if task is not None:
-                    self._busy.add(task)
-                try:
-                    response = await self._dispatch(request)
-                    keep_alive = request.keep_alive and not self._shut_down
-                    writer.write(response.encode(keep_alive=keep_alive))
-                    await writer.drain()
-                finally:
-                    if task is not None:
-                        self._busy.discard(task)
-                if not keep_alive:
-                    break
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+    async def _handle_healthz(self, request: HttpRequest) -> HttpResponse:
+        return HttpResponse(200, {
+            "status": "ok",
+            "uptime_seconds": time.monotonic() - self._started_at,
+        })
 
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    async def _dispatch(self, request: HttpRequest) -> HttpResponse:
-        segments = split_path(request.path)
-        endpoint = "/" + "/".join(segments[:1]) if segments else "/"
-        self.metrics.request_started()
-        start = time.perf_counter()
-        try:
-            response = await self._route(request, segments)
-        except Exception as exc:  # the handler itself must never leak
-            response = HttpResponse(
-                500, error_to_json(f"internal error: {exc}", 500)
-            )
-        elapsed = time.perf_counter() - start
-        self.metrics.request_finished(
-            endpoint, response.status,
-            elapsed if request.method == "POST" or endpoint == "/tables"
-            else None,
-        )
-        return response
-
-    async def _route(self, request: HttpRequest,
-                     segments: Sequence[str]) -> HttpResponse:
-        if segments == ("healthz",):
-            if request.method != "GET":
-                return self._method_not_allowed()
-            return HttpResponse(200, {
-                "status": "ok",
-                "uptime_seconds": time.monotonic() - self._started_at,
-            })
-        if segments == ("readyz",):
-            if request.method != "GET":
-                return self._method_not_allowed()
-            if self.ready:
-                return HttpResponse(200, {"status": "ready"})
-            return HttpResponse(
-                503, error_to_json("index warm-up in progress", 503)
-            )
-        if segments == ("metrics",):
-            if request.method != "GET":
-                return self._method_not_allowed()
-            return HttpResponse(200, self._metrics_payload())
-        if segments == ("search",):
-            if request.method != "POST":
-                return self._method_not_allowed()
-            return await self._handle_query(request, mode="search")
-        if segments == ("topk",):
-            if request.method != "POST":
-                return self._method_not_allowed()
-            return await self._handle_query(request, mode="topk")
-        if segments == ("explain",):
-            if request.method != "POST":
-                return self._method_not_allowed()
-            return await self._handle_explain(request)
-        if segments == ("tables",):
-            if request.method != "POST":
-                return self._method_not_allowed()
-            return await self._handle_add_table(request)
-        if len(segments) == 2 and segments[0] == "tables":
-            if request.method != "DELETE":
-                return self._method_not_allowed()
-            return await self._handle_remove_table(segments[1])
+    async def _handle_readyz(self, request: HttpRequest) -> HttpResponse:
+        if self.ready:
+            return HttpResponse(200, {"status": "ready"})
         return HttpResponse(
-            404, error_to_json(f"no such endpoint: {request.path}", 404)
+            503, error_to_json("index warm-up in progress", 503)
         )
 
-    @staticmethod
-    def _method_not_allowed() -> HttpResponse:
-        return HttpResponse(405, error_to_json("method not allowed", 405))
+    async def _handle_metrics(self, request: HttpRequest) -> HttpResponse:
+        return HttpResponse(200, self._metrics_payload())
 
     def _metrics_payload(self) -> dict:
         cache_stats = None
@@ -471,16 +369,7 @@ class ThetisServer:
                 task, mode, method, k, use_lsh, votes = key
                 self.metrics.note_task(task, len(indices))
                 try:
-                    if task != "entity":
-                        results = thetis.search_many(
-                            {str(i): jobs[i].query for i in indices},
-                            k=k, method=method, task=task,
-                        )
-                        for index in indices:
-                            outcomes[index] = _QueryOutcome(
-                                results[str(index)], snapshot.version
-                            )
-                    elif mode == "topk":
+                    if mode == "topk":
                         for index in indices:
                             outcomes[index] = _QueryOutcome(
                                 thetis.search_topk(
@@ -488,7 +377,8 @@ class ThetisServer:
                                 ),
                                 snapshot.version,
                             )
-                    elif mode == "prefilter":
+                        continue
+                    if mode == "prefilter":
                         for index in indices:
                             if self._guardrail_due():
                                 # Runs both rankings and records the
@@ -499,24 +389,16 @@ class ThetisServer:
                                     jobs[index].query, k=k,
                                     method=method, votes=votes,
                                 )
-                        results = thetis.search_many(
-                            {str(i): jobs[i].query for i in indices},
-                            k=k, method=method, mode="prefilter",
-                            votes=votes,
+                    results = thetis.search_many(
+                        {str(i): jobs[i].query for i in indices},
+                        k=k, method=method, use_lsh=use_lsh, votes=votes,
+                        mode="prefilter" if mode == "prefilter" else "exact",
+                        task=task,
+                    )
+                    for index in indices:
+                        outcomes[index] = _QueryOutcome(
+                            results[str(index)], snapshot.version
                         )
-                        for index in indices:
-                            outcomes[index] = _QueryOutcome(
-                                results[str(index)], snapshot.version
-                            )
-                    else:
-                        results = thetis.search_many(
-                            {str(i): jobs[i].query for i in indices},
-                            k=k, method=method, use_lsh=use_lsh, votes=votes,
-                        )
-                        for index in indices:
-                            outcomes[index] = _QueryOutcome(
-                                results[str(index)], snapshot.version
-                            )
                 except Exception as exc:
                     for index in indices:
                         if outcomes[index] is None:
@@ -594,10 +476,10 @@ class ThetisServer:
             "snapshot_version": self.snapshots.version,
         })
 
-    async def _handle_remove_table(self, raw_id: str) -> HttpResponse:
+    async def _handle_remove_table(self, request: HttpRequest) -> HttpResponse:
         loop = asyncio.get_running_loop()
         try:
-            table_id = parse_table_id(raw_id)
+            table_id = parse_table_id(split_path(request.path)[1])
             await loop.run_in_executor(
                 None,
                 lambda: self.snapshots.apply(

@@ -101,8 +101,18 @@ class Thetis:
 
     Notes
     -----
+    *Search entry points.*  :meth:`search` (one query),
+    :meth:`search_many` (a micro-batch, the serving layer's call) and
+    :meth:`search_shard_batch` (a micro-batch against one cluster
+    shard) are thin callers of one private path: resolve each query's
+    candidate restriction, pick the engine, make one ``search_batch``
+    call.  :meth:`search_topk` (the threshold algorithm) and
+    :meth:`prefilter_recall` (the serving recall guardrail) sit beside
+    it.
+
     *Thread safety.*  :meth:`search`, :meth:`search_many`,
-    :meth:`search_topk`, and :meth:`explain` are safe for concurrent
+    :meth:`search_shard_batch`, :meth:`search_topk`, and
+    :meth:`explain` are safe for concurrent
     reader threads: lazy engine/prefilter construction is serialized on
     an internal lock and the engines' shared caches are internally
     synchronized (see :class:`~repro.core.search.TableSearchEngine`).
@@ -172,8 +182,9 @@ class Thetis:
         # synchronized, and shared across snapshot generations by
         # seed_engines_from so /metrics survives copy-and-swap.
         self.prefilter_stats = PrefilterStats()
-        # Batched-vs-looped dispatch counters for search_many; same
-        # sharing discipline as prefilter_stats.
+        # Batched-vs-looped dispatch counters for search_many and
+        # search_shard_batch; same sharing discipline as
+        # prefilter_stats.
         self.batch_stats = BatchStats()
 
     # ------------------------------------------------------------------
@@ -345,7 +356,11 @@ class Thetis:
             return self.union_engine(method)
         return self.join_engine()
 
-    def _check_task(self, task: str, mode: str, use_lsh: bool = False) -> None:
+    def _check_request(self, mode: str, task: str, use_lsh: bool) -> None:
+        if mode not in SEARCH_MODES:
+            raise ConfigurationError(
+                f"unknown search mode {mode!r}: use one of {SEARCH_MODES}"
+            )
         if task not in SEARCH_TASKS:
             raise ConfigurationError(
                 f"unknown search task {task!r}: use one of {SEARCH_TASKS}"
@@ -585,55 +600,85 @@ class Thetis:
                 engine.informativeness = self.informativeness
 
     # ------------------------------------------------------------------
-    def _check_mode(self, mode: str) -> None:
-        if mode not in SEARCH_MODES:
-            raise ConfigurationError(
-                f"unknown search mode {mode!r}: use one of {SEARCH_MODES}"
-            )
-
-    def _prefilter_candidates(
+    # The one search path
+    # ------------------------------------------------------------------
+    def _restrictions(
         self,
-        query: Query,
+        queries: Sequence[Query],
         method: str,
+        use_lsh: bool,
         lsh_config: LSHConfig,
         votes: int,
-    ):
-        """Candidate generation + reduction accounting for one query."""
-        prefilter = self.prefilter(method, lsh_config)
-        candidates = prefilter.candidate_tables(query, votes=votes)
-        self.prefilter_stats.record_query(len(self.lake), len(candidates))
-        return candidates
+        mode: str,
+        task: str,
+        shard: Optional[Iterable[str]] = None,
+    ) -> List[Optional[List[str]]]:
+        """Validate the request; resolve each query's candidate restriction.
 
-    def _search_prefiltered(
+        Per query, one of: ``None`` (the whole lake), the shard, the
+        LSH shortlist, or the shortlist intersected with the shard in
+        shortlist order.  A shard is a deterministic subset of table
+        ids; the global candidate set is the disjoint union of the
+        per-shard intersections, so per-shard top-k partials merge to
+        the single-process top-k.  ``mode="prefilter"`` additionally
+        records each shortlist's reduction into :attr:`prefilter_stats`.
+        """
+        self._check_request(mode, task, use_lsh)
+        shard_ids = None if shard is None else list(shard)
+        if not queries or (mode != "prefilter" and not use_lsh):
+            return [shard_ids] * len(queries)
+        prefilter = self.prefilter(method, lsh_config)
+        members = None if shard_ids is None else set(shard_ids)
+        restrictions: List[Optional[List[str]]] = []
+        for query in queries:
+            shortlist = prefilter.candidate_tables(query, votes=votes)
+            if mode == "prefilter":
+                self.prefilter_stats.record_query(
+                    len(self.lake), len(shortlist)
+                )
+            if members is not None:
+                shortlist = [tid for tid in shortlist if tid in members]
+            restrictions.append(shortlist)
+        return restrictions
+
+    def _search_batch(
         self,
-        query: Query,
+        queries: List[Query],
         k: int,
         method: str,
+        use_lsh: bool,
         lsh_config: LSHConfig,
         votes: int,
-    ) -> ResultSet:
-        """The Section 6 pipeline: LSH shortlist, then fused rescoring.
+        mode: str,
+        task: str,
+        shard: Optional[Iterable[str]] = None,
+        batch_stats: Optional[BatchStats] = None,
+    ) -> List[ResultSet]:
+        """Every search: restrict candidates, pick the engine, one call.
 
-        Vectorized engines score the candidate set through
-        :meth:`~repro.core.kernel.engine.VectorizedTableSearchEngine.
-        search_candidates` (restricted batched passes + bound-ordered
-        early termination); scalar engines fall back to the
-        :func:`~repro.core.topk.topk_search` threshold algorithm over
-        the same candidate set.  Both record into
-        :attr:`prefilter_stats`.
+        A single query is a batch of one and a cluster shard is a
+        candidate restriction, so :meth:`search`, :meth:`search_many`
+        and :meth:`search_shard_batch` all end in the one
+        ``search_batch`` call below.  Per-table scores do not depend on
+        which other tables or queries ride the same pass, so every
+        caller sees the rankings sequential whole-lake search would
+        produce, bit for bit.
         """
-        from repro.core.topk import topk_search
-
-        candidates = self._prefilter_candidates(
-            query, method, lsh_config, votes
+        restrictions = self._restrictions(
+            queries, method, use_lsh, lsh_config, votes, mode, task, shard
         )
-        engine = self.engine(method)
-        fused = getattr(engine, "search_candidates", None)
-        if fused is not None:
-            return fused(query, candidates, k=k,
-                         stats=self.prefilter_stats)
-        return topk_search(engine, query, k, candidates=candidates,
-                           stats=self.prefilter_stats)
+        if task != "entity":
+            engine = self._task_engine(task, method)
+        elif mode == "exact" and self.workers > 1:
+            engine = self.parallel_engine(method)
+        else:
+            engine = self.engine(method)
+        # Only the entity engines take prefilter accounting.
+        extra = {"stats": self.prefilter_stats} if mode == "prefilter" else {}
+        return engine.search_batch(
+            queries, k=k, candidates=restrictions,
+            batch_stats=batch_stats, **extra,
+        )
 
     def search(
         self,
@@ -649,11 +694,10 @@ class Thetis:
         """Rank the lake's tables by SemRel against ``query``.
 
         ``mode="exact"`` (default) keeps the historical behavior:
-        every table is scored, optionally restricted by ``use_lsh``
-        through the plain candidate loop.  ``mode="prefilter"`` runs
-        the full Section 6 serving pipeline — LSH candidate
-        generation, fused kernel rescoring restricted to the
-        shortlist, and score-bound early termination — and records
+        every table is scored, optionally restricted by ``use_lsh``.
+        ``mode="prefilter"`` runs the full Section 6 serving pipeline —
+        LSH candidate generation, fused kernel rescoring restricted to
+        the shortlist, and score-bound early termination — and records
         reduction/shortlist counters into :attr:`prefilter_stats`
         (``use_lsh`` is implied and ignored).  With ``workers > 1``
         (constructor) exact scoring is sharded across the worker
@@ -666,23 +710,19 @@ class Thetis:
         exact-mode only.
         """
         self._check_open("search")
-        self._check_mode(mode)
-        self._check_task(task, mode, use_lsh)
-        if task != "entity":
-            return self._task_engine(task, method).search(query, k=k)
         if mode == "prefilter":
-            return self._search_prefiltered(
-                query, k, method, lsh_config, votes
+            # A lone prefiltered query takes the bound-ordered,
+            # early-terminating scan; a batch shares one pass and
+            # scores every shortlist in full.
+            (shortlist,) = self._restrictions(
+                [query], method, use_lsh, lsh_config, votes, mode, task
             )
-        candidates = None
-        if use_lsh:
-            prefilter = self.prefilter(method, lsh_config)
-            candidates = prefilter.candidate_tables(query, votes=votes)
-        if self.workers > 1:
-            return self.parallel_engine(method).search(
-                query, k=k, candidates=candidates
+            return self.engine(method).search_candidates(
+                query, shortlist, k=k, stats=self.prefilter_stats
             )
-        return self.engine(method).search(query, k=k, candidates=candidates)
+        return self._search_batch(
+            [query], k, method, use_lsh, lsh_config, votes, mode, task
+        )[0]
 
     def search_many(
         self,
@@ -705,135 +745,16 @@ class Thetis:
         ``mode="prefilter"`` generates each query's LSH shortlist,
         then scores all shortlists in the same fused pass (selections
         are unioned for the shared gather and masked per query).
-        Scalar engines keep the per-query loop; both outcomes are
-        tallied in :attr:`batch_stats`.  Non-entity ``task`` batches
-        ride the task engines' lane-stacked ``search_batch``.
+        Scalar engines loop per query; both outcomes are tallied in
+        :attr:`batch_stats`.  Non-entity ``task`` batches ride the task
+        engines' lane-stacked ``search_batch``.
         """
         self._check_open("search_many")
-        self._check_mode(mode)
-        self._check_task(task, mode, use_lsh)
-        query_ids = list(queries.keys())
-        if task != "entity":
-            rankings = self._task_engine(task, method).search_batch(
-                [queries[query_id] for query_id in query_ids],
-                k=k,
-                batch_stats=self.batch_stats,
-            )
-            return dict(zip(query_ids, rankings))
-        if mode == "prefilter":
-            candidate_lists = [
-                self._prefilter_candidates(
-                    queries[query_id], method, lsh_config, votes
-                )
-                for query_id in query_ids
-            ]
-            engine = self.engine(method)
-            batch = getattr(engine, "search_batch", None)
-            if batch is not None:
-                rankings = batch(
-                    [queries[query_id] for query_id in query_ids],
-                    k=k,
-                    candidates=candidate_lists,
-                    stats=self.prefilter_stats,
-                    batch_stats=self.batch_stats,
-                )
-                return dict(zip(query_ids, rankings))
-            from repro.core.topk import topk_search
-
-            self.batch_stats.record_looped(len(query_ids))
-            return {
-                query_id: topk_search(
-                    engine, queries[query_id], k,
-                    candidates=shortlist, stats=self.prefilter_stats,
-                )
-                for query_id, shortlist in zip(query_ids, candidate_lists)
-            }
-        candidates: Optional[Dict[str, Iterable[str]]] = None
-        if use_lsh:
-            prefilter = self.prefilter(method, lsh_config)
-            candidates = {
-                query_id: prefilter.candidate_tables(query, votes=votes)
-                for query_id, query in queries.items()
-            }
-        if self.workers > 1:
-            return self.parallel_engine(method).search_many(
-                queries, k=k, candidates=candidates,
-                batch_stats=self.batch_stats,
-            )
-        engine = self.engine(method)
-        batch = getattr(engine, "search_batch", None)
-        if batch is not None:
-            restrictions = None
-            if candidates is not None:
-                restrictions = [
-                    candidates.get(query_id) for query_id in query_ids
-                ]
-            rankings = batch(
-                [queries[query_id] for query_id in query_ids],
-                k=k,
-                candidates=restrictions,
-                batch_stats=self.batch_stats,
-            )
-            return dict(zip(query_ids, rankings))
-        self.batch_stats.record_looped(len(query_ids))
-        return engine.search_many(queries, k=k, candidates=candidates)
-
-    def search_shard(
-        self,
-        query: Query,
-        shard: Iterable[str],
-        k: int = 10,
-        method: str = "types",
-        lsh_config: LSHConfig = RECOMMENDED_CONFIG,
-        votes: int = 1,
-        mode: str = "exact",
-        task: str = "entity",
-    ) -> ResultSet:
-        """Score only the tables in ``shard``: one scatter-gather partial.
-
-        The primitive behind :mod:`repro.cluster` workers.  Each cluster
-        worker owns a deterministic subset of table ids; scoring that
-        subset here and merging per-shard partials with
-        :func:`~repro.core.parallel.merge_topk` reproduces the
-        single-process :meth:`search` ranking bit for bit, because
-        per-table scores do not depend on which other tables are scored
-        alongside them.
-
-        ``mode="exact"`` scores every shard table.  ``mode="prefilter"``
-        runs LSH candidate generation exactly as :meth:`search` would,
-        then intersects the shortlist with ``shard`` (preserving the
-        shortlist's order) before rescoring — the global candidate set
-        is the disjoint union of the per-shard intersections, so the
-        merged top-k equals the single-process prefiltered top-k.
-        """
-        self._check_open("search_shard")
-        self._check_mode(mode)
-        self._check_task(task, mode)
-        shard_ids = list(shard)
-        if task != "entity":
-            return self._task_engine(task, method).search(
-                query, k=k, candidates=shard_ids
-            )
-        if mode == "prefilter":
-            from repro.core.topk import topk_search
-
-            candidates = self._prefilter_candidates(
-                query, method, lsh_config, votes
-            )
-            members = set(shard_ids)
-            candidates = [tid for tid in candidates if tid in members]
-            engine = self.engine(method)
-            fused = getattr(engine, "search_candidates", None)
-            if fused is not None:
-                return fused(query, candidates, k=k,
-                             stats=self.prefilter_stats)
-            return topk_search(engine, query, k, candidates=candidates,
-                               stats=self.prefilter_stats)
-        if self.workers > 1:
-            return self.parallel_engine(method).search(
-                query, k=k, candidates=shard_ids
-            )
-        return self.engine(method).search(query, k=k, candidates=shard_ids)
+        rankings = self._search_batch(
+            list(queries.values()), k, method, use_lsh, lsh_config, votes,
+            mode, task, batch_stats=self.batch_stats,
+        )
+        return dict(zip(queries, rankings))
 
     def search_shard_batch(
         self,
@@ -848,69 +769,21 @@ class Thetis:
     ) -> List[ResultSet]:
         """Score a scattered micro-batch against one shard in one pass.
 
-        The batched analogue of :meth:`search_shard`, used by cluster
-        workers when the coordinator scatters a whole micro-batch:
-        every query's shard partial comes out of a single fused kernel
-        pass (:meth:`~repro.core.kernel.engine.
-        VectorizedTableSearchEngine.search_batch` with the shard as
-        each query's candidate set), bit-identical per query to
-        :meth:`search_shard`.  ``mode="prefilter"`` generates each
-        query's LSH shortlist, intersects it with ``shard`` preserving
-        shortlist order, and scores all intersections in the same
-        shared pass.  Scalar engines fall back to the per-query loop;
-        both outcomes are tallied in :attr:`batch_stats`.
+        The primitive behind :mod:`repro.cluster` workers.  Each worker
+        owns a deterministic subset of table ids; scoring that subset
+        here and merging per-shard partials with
+        :func:`~repro.core.parallel.merge_topk` reproduces the
+        single-process :meth:`search` ranking bit for bit, because
+        per-table scores do not depend on which other tables are scored
+        alongside them.  ``mode="prefilter"`` generates each query's
+        LSH shortlist exactly as :meth:`search` would and intersects it
+        with ``shard`` before rescoring.
         """
         self._check_open("search_shard_batch")
-        self._check_mode(mode)
-        self._check_task(task, mode)
-        shard_ids = list(shard)
-        batch_queries = list(queries)
-        if not batch_queries:
-            return []
-        if task != "entity":
-            return self._task_engine(task, method).search_batch(
-                batch_queries,
-                k=k,
-                candidates=[shard_ids] * len(batch_queries),
-                batch_stats=self.batch_stats,
-            )
-        engine = self.engine(method)
-        batch = getattr(engine, "search_batch", None)
-        if mode == "prefilter":
-            members = set(shard_ids)
-            candidate_lists = []
-            for query in batch_queries:
-                candidates = self._prefilter_candidates(
-                    query, method, lsh_config, votes
-                )
-                candidate_lists.append(
-                    [tid for tid in candidates if tid in members]
-                )
-            if batch is not None:
-                return batch(
-                    batch_queries, k=k, candidates=candidate_lists,
-                    stats=self.prefilter_stats,
-                    batch_stats=self.batch_stats,
-                )
-            from repro.core.topk import topk_search
-
-            self.batch_stats.record_looped(len(batch_queries))
-            return [
-                topk_search(engine, query, k, candidates=shortlist,
-                            stats=self.prefilter_stats)
-                for query, shortlist in zip(batch_queries, candidate_lists)
-            ]
-        if batch is not None:
-            return batch(
-                batch_queries, k=k,
-                candidates=[shard_ids] * len(batch_queries),
-                batch_stats=self.batch_stats,
-            )
-        self.batch_stats.record_looped(len(batch_queries))
-        return [
-            self.engine(method).search(query, k=k, candidates=shard_ids)
-            for query in batch_queries
-        ]
+        return self._search_batch(
+            list(queries), k, method, False, lsh_config, votes, mode, task,
+            shard=shard, batch_stats=self.batch_stats,
+        )
 
     def search_topk(self, query: Query, k: int = 10,
                     method: str = "types") -> ResultSet:

@@ -97,9 +97,12 @@ class TestFraming:
             encode_frame([1, 2, 3])  # type: ignore[arg-type]
 
     def test_expect_type(self):
-        assert expect_type({"type": "search"}) == "search"
+        assert expect_type({"type": "search_batch"}) == "search_batch"
         with pytest.raises(ClusterProtocolError):
             expect_type({"type": "gossip"})
+        with pytest.raises(ClusterProtocolError):
+            # The single-query frame retired with PR 13.
+            expect_type({"type": "search"})
         with pytest.raises(ClusterProtocolError):
             expect_type({})
 

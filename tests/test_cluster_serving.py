@@ -7,31 +7,39 @@ single-process :class:`~repro.system.Thetis`, in ``exact`` and
 ``prefilter`` mode alike, including while the fleet is degraded.
 """
 
+import asyncio
+import gc
 import http.client
 import json
+import logging
 import time
 
 import pytest
 
 from repro.benchgen import WT2015_PROFILE, build_benchmark
 from repro.cluster import ClusterConfig, ClusterHarness
+from repro.cluster.protocol import read_frame, write_frame
 from repro.system import Thetis
 
 K = 5
 
 
-def post_search(port, payload, timeout=30.0):
+def post_json(port, path, payload=None, timeout=30.0):
     connection = http.client.HTTPConnection("127.0.0.1", port,
                                             timeout=timeout)
     try:
         connection.request(
-            "POST", "/search", body=json.dumps(payload),
+            "POST", path, body=json.dumps(payload or {}),
             headers={"Content-Type": "application/json"},
         )
         response = connection.getresponse()
         return response.status, json.loads(response.read())
     finally:
         connection.close()
+
+
+def post_search(port, payload, timeout=30.0):
+    return post_json(port, "/search", payload, timeout)
 
 
 def get_json(port, path, timeout=30.0):
@@ -203,6 +211,84 @@ class TestEndpoints:
         assert cluster["scatters_total"] >= 1
         assert cluster["shard_requests_total"] >= 2
         assert body["requests_total"] >= 1
+
+
+    def test_bogus_paths_do_not_grow_metrics(self, fleet):
+        """Requests are labelled by matched route, never by the
+        client-supplied path: a scanner cannot grow /metrics."""
+        def blocks():
+            body = get_json(fleet.port, "/metrics")[1]
+            return set(body["requests"]), set(body["latency"])
+
+        assert post_json(fleet.port, "/scan/warm-up")[0] == 404
+        assert get_json(fleet.port, "/scan/warm-up")[0] == 404
+        blocks()  # the scrape itself is a counted request
+        before = blocks()
+        for index in range(200):
+            probe = post_json if index % 2 else get_json
+            assert probe(fleet.port, f"/scan/{index}/x{index}")[0] == 404
+        assert blocks() == before
+        assert not any("scan" in key for block in before for key in block)
+
+
+class TestWorkerWire:
+    def test_search_frame_is_refused_and_connection_survives(self, fleet):
+        """The single-query ``search`` frame is retired: a worker
+        refuses it without dropping the connection."""
+        async def talk():
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", fleet.worker_threads[0].port
+            )
+            try:
+                await write_frame(writer, {
+                    "type": "search", "epoch": 1, "owner": "worker-0",
+                    "live": ["worker-0"], "tuples": [["kg:a"]],
+                })
+                refused = await read_frame(reader)
+                await write_frame(writer, {"type": "ping"})
+                pong = await read_frame(reader)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return refused, pong
+
+        refused, pong = asyncio.run(talk())
+        assert refused["ok"] is False
+        assert "not served by workers" in refused["error"]
+        assert pong["ok"] is True and pong["type"] == "pong"
+
+
+class TestShutdown:
+    def test_fleet_stop_leaves_no_pending_task(self, cluster_bench, queries,
+                                               caplog):
+        """Start -> search -> stop with a keep-alive connection still
+        open: every coordinator task is awaited, none is destroyed
+        pending when its loop closes."""
+        config = ClusterConfig(heartbeat_interval=0.05)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            harness = ClusterHarness(
+                make_factory(cluster_bench), workers=2, config=config
+            ).start()
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", harness.port, timeout=30.0
+            )
+            try:
+                connection.request(
+                    "POST", "/search",
+                    body=json.dumps(payload_of(queries[0])),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                harness.stop()
+            finally:
+                connection.close()
+            gc.collect()  # Task.__del__ is what logs the message
+        assert not [
+            record.getMessage() for record in caplog.records
+            if "Task was destroyed" in record.getMessage()
+        ]
 
 
 class TestFailover:

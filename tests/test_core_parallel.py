@@ -75,7 +75,9 @@ class TestThreadBackendParity:
         queries = {f"q{i}": query for i, query in enumerate(QUERIES)}
         with ParallelSearchEngine(engine, workers=2) as parallel:
             sequential = engine.search_many(queries, k=5)
-            fanned = parallel.search_many(queries, k=5)
+            fanned = dict(zip(
+                queries, parallel.search_batch(list(queries.values()), k=5)
+            ))
             assert sequential.keys() == fanned.keys()
             for query_id in queries:
                 assert_identical(fanned[query_id], sequential[query_id])

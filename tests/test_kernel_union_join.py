@@ -25,6 +25,7 @@ from repro.core.kernel import (
     VectorizedJoinSearchEngine,
     VectorizedUnionSearchEngine,
 )
+from repro.core.parallel import merge_topk
 from repro.core.query import Query
 from repro.datalake import DataLake, Table
 from repro.exceptions import ConfigurationError, ProtocolError
@@ -465,7 +466,9 @@ class TestThetisTasks:
         with Thetis(sports_lake, sports_graph, sports_mapping) as thetis:
             for task in ("union", "join"):
                 query = random_query(rng)
-                sharded = thetis.search_shard(query, shard, k=12, task=task)
+                (sharded,) = thetis.search_shard_batch(
+                    [query], shard, k=12, task=task
+                )
                 full = thetis.search(query, k=12, task=task)
                 expected = [p for p in pairs(full) if p[0] in shard]
                 assert pairs(sharded) == expected
@@ -482,8 +485,51 @@ class TestThetisTasks:
                     queries, shard, k=12, task=task
                 )
                 for query, got in zip(queries, batched):
-                    want = thetis.search_shard(query, shard, k=12, task=task)
+                    (want,) = thetis.search_shard_batch(
+                        [query], shard, k=12, task=task
+                    )
                     assert pairs(got) == pairs(want)
+
+
+    @pytest.mark.parametrize("engine_kind", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("task,mode", [
+        ("entity", "exact"),
+        ("entity", "prefilter"),
+        ("union", "exact"),
+        ("join", "exact"),
+    ])
+    def test_one_query_one_batch_and_merged_shards_agree(
+        self, sports_lake, sports_graph, sports_mapping,
+        task, mode, engine_kind,
+    ):
+        """A single query is a batch of one and a shard is a candidate
+        restriction: all three routes give the same ids and scores."""
+        rng = random.Random(53)
+        table_ids = sports_lake.table_ids()
+        shards = [table_ids[i::3] for i in range(3)]
+        with Thetis(sports_lake, sports_graph, sports_mapping,
+                    engine_kind=engine_kind) as thetis:
+            for _ in range(6):
+                query = random_query(rng)
+                for k in (3, 12):
+                    single = thetis.search(query, k=k, mode=mode, task=task)
+                    many = thetis.search_many(
+                        {"q": query}, k=k, mode=mode, task=task
+                    )["q"]
+                    merged = merge_topk(
+                        [
+                            [(scored.score, scored.table_id) for scored in
+                             thetis.search_shard_batch(
+                                 [query], shard, k=k, mode=mode, task=task
+                             )[0]]
+                            for shard in shards
+                        ],
+                        k,
+                    )
+                    assert pairs(single) == pairs(many)
+                    assert pairs(single) == [
+                        (table_id, score) for score, table_id in merged
+                    ]
 
 
 # ----------------------------------------------------------------------

@@ -127,6 +127,28 @@ class TestControlPlane:
         assert status == 404
         assert "no such endpoint" in body["error"]
 
+    def test_bogus_paths_do_not_grow_metrics(self, server):
+        """Requests are labelled by matched route, never by the
+        client-supplied path: a scanner cannot grow /metrics."""
+        def blocks():
+            body = http_request(server.port, "GET", "/metrics")[1]
+            return set(body["requests"]), set(body["latency"])
+
+        for method in ("GET", "POST"):
+            status, _ = http_request(server.port, method, "/scan/warm-up",
+                                     payload={})
+            assert status == 404
+        blocks()  # the scrape itself is a counted request
+        before = blocks()
+        for index in range(200):
+            status, _ = http_request(
+                server.port, "POST" if index % 2 else "GET",
+                f"/scan{index}/x{index}", payload={},
+            )
+            assert status == 404
+        assert blocks() == before
+        assert not any("scan" in key for block in before for key in block)
+
     def test_wrong_method_405(self, server):
         status, _ = http_request(server.port, "GET", "/search")
         assert status == 405
