@@ -24,6 +24,13 @@ Two experiments over the Table 3 benchmark corpus:
     are recorded honestly rather than gated at a bar the baseline's
     own efficiency makes unreachable.
 
+* ``test_union_join_derive_speedup`` — the O(delta) mutation path:
+  one table's ``with_table`` + ``without_table`` on each compiled task
+  index against a cold ``compile_*_index`` of the whole lake.  Gate:
+  the derive pair is >= 20x cheaper than the compile (the bar the
+  entity index's single add is held to), and the derived index ranks
+  bit for bit like the cold one.
+
 * ``test_union_join_served_throughput`` — boots a real
   :class:`~repro.serve.server.ServerThread` and drives closed-loop
   load through ``POST /search`` with the ``task`` field set to
@@ -51,6 +58,8 @@ from repro.system import Thetis
 TOLERANCE = 1e-9
 REQUIRED_UNION_SPEEDUP = 5.0
 REQUIRED_JOIN_BATCH_SPEEDUP = 1.0
+REQUIRED_DERIVE_SPEEDUP = 20.0
+DERIVE_SAMPLES = 8
 K_SERVE = 10
 REPS = 3
 
@@ -242,6 +251,96 @@ def test_union_join_kernel_speedup(wt_bench, wt_thetis, benchmark):
                 f"regressed below "
                 f"{REQUIRED_JOIN_BATCH_SPEEDUP}x"
             )
+
+
+def test_union_join_derive_speedup(wt_bench, wt_thetis, benchmark):
+    queries = _queries(wt_bench)
+    lake, graph, mapping = wt_bench.lake, wt_bench.graph, wt_bench.mapping
+    store = wt_thetis.embeddings
+    samples = list(lake)[:DERIVE_SAMPLES]
+
+    variants = [
+        (
+            "union_types",
+            lambda: VectorizedUnionSearchEngine(lake, mapping, graph=graph),
+            lambda index, table: index.with_table(
+                table, mapping, graph=graph),
+        ),
+        (
+            "union_embeddings",
+            lambda: VectorizedUnionSearchEngine(
+                lake, mapping, store=store, column_encoder="embeddings"
+            ),
+            lambda index, table: index.with_table(
+                table, mapping, store=store),
+        ),
+        (
+            "join",
+            lambda: VectorizedJoinSearchEngine(lake, graph),
+            lambda index, table: index.with_table(table),
+        ),
+    ]
+
+    def run():
+        report = {}
+        for name, make_engine, with_table in variants:
+            cold = make_engine()
+            compile_seconds = _best_of(cold.prepare, reps=1)
+            compiled = cold.index()
+
+            def derive_all():
+                index = compiled
+                for table in samples:
+                    index = with_table(
+                        index.without_table(table.table_id), table
+                    )
+                return index
+
+            derive_seconds = _best_of(derive_all) / len(samples)
+            derived_engine = make_engine()
+            derived_engine.adopt_index(derive_all())
+            delta = _max_delta(
+                [cold.search(q, k=None) for q in queries],
+                [derived_engine.search(q, k=None) for q in queries],
+            )
+            report[name] = {
+                "compile_seconds": compile_seconds,
+                "derive_pair_seconds": derive_seconds,
+                "derive_speedup": compile_seconds / derive_seconds,
+                "index_bytes": compiled.nbytes(),
+                "max_score_delta": delta,
+            }
+        return report
+
+    report = benchmark.pedantic(run, rounds=1, iterations=1)
+
+    print_header(
+        f"Task-index derive vs cold compile ({len(lake)} tables, "
+        f"one without_table + with_table per sample)"
+    )
+    for name, row in report.items():
+        print(f"  {name}:")
+        print(f"    cold compile    {row['compile_seconds']*1e3:8.1f} ms")
+        print(f"    derive pair     {row['derive_pair_seconds']*1e3:8.2f} ms"
+              f"   -> {row['derive_speedup']:6.1f}x")
+        print(f"    index size      {row['index_bytes']/1e6:8.2f} MB")
+        print(f"    max score delta {row['max_score_delta']:.3e}")
+
+    _merge_report("derive", {
+        "corpus_tables": len(lake),
+        "required_derive_speedup": REQUIRED_DERIVE_SPEEDUP,
+        "variants": report,
+    })
+
+    for name, row in report.items():
+        assert row["max_score_delta"] == 0.0, (
+            f"{name}: derived index diverged from the cold compile "
+            f"({row['max_score_delta']:.3e})"
+        )
+        assert row["derive_speedup"] >= REQUIRED_DERIVE_SPEEDUP, (
+            f"{name}: derive is only {row['derive_speedup']:.1f}x cheaper "
+            f"than a cold compile (< {REQUIRED_DERIVE_SPEEDUP}x)"
+        )
 
 
 def _task_payloads(bench, k=K_SERVE):

@@ -38,12 +38,13 @@ from repro.core.query import Query
 from repro.core.result import ResultSet
 from repro.core.search import aligned_candidates
 from repro.datalake.lake import DataLake
+from repro.datalake.table import Table
 from repro.exceptions import ConfigurationError
 from repro.kg.graph import KnowledgeGraph
 
 
 class JoinCorpusIndex:
-    """Read-only interned value postings over the lake's columns.
+    """Immutable interned value postings over the lake's columns.
 
     Layout
     ------
@@ -55,7 +56,14 @@ class JoinCorpusIndex:
     ``table_ids[t]``    table id of position ``t``
 
     Columns whose value sets are empty still occupy a position (sizes
-    0, no postings) so column numbering matches the lake.
+    0, no postings) so column numbering matches the lake.  A table's
+    columns are contiguous and ``col_table`` is non-decreasing.
+
+    A posting is a function of one column's value set, so a mutation
+    never looks at another table: :meth:`with_table` and
+    :meth:`without_table` return a *new* index spliced from this one's
+    arrays (one memcpy each, all numpy), and this instance is never
+    written — a reader holding it keeps a consistent generation.
     """
 
     def __init__(
@@ -70,7 +78,7 @@ class JoinCorpusIndex:
     ):
         self.table_ids = table_ids
         self.ids_array = np.asarray(table_ids, dtype=np.str_)
-        self.position_of = {tid: t for t, tid in enumerate(table_ids)}
+        self.position_of = dict(zip(table_ids, range(len(table_ids))))
         self.col_table = col_table
         self.col_sizes = col_sizes
         self.vocab = vocab
@@ -96,27 +104,148 @@ class JoinCorpusIndex:
             + self.post_cols.nbytes
         )
 
+    # ------------------------------------------------------------------
+    # O(delta) derivation
+    # ------------------------------------------------------------------
+    def without_table(self, table_id: str) -> "JoinCorpusIndex":
+        """A new index without ``table_id``'s columns and postings.
+
+        Later columns are renumbered down and values whose posting
+        list emptied leave the vocabulary.  Unknown ids return
+        ``self``.
+        """
+        position = self.position_of.get(table_id)
+        if position is None:
+            return self
+        first = int(np.searchsorted(self.col_table, position, side="left"))
+        last = int(np.searchsorted(self.col_table, position, side="right"))
+        dropped = np.flatnonzero(
+            (self.post_cols >= first) & (self.post_cols < last)
+        )
+        post_cols = np.delete(self.post_cols, dropped)
+        post_cols[post_cols >= last] -= last - first
+        # The value id owning posting slot p is the last offset <= p.
+        dropped_values = (
+            np.searchsorted(self.post_offset, dropped, side="right") - 1
+        )
+        lengths = self.post_lengths - np.bincount(
+            dropped_values, minlength=len(self.vocab)
+        )
+        alive = lengths > 0
+        post_offset = np.zeros(int(alive.sum()) + 1, dtype=np.int64)
+        np.cumsum(lengths[alive], out=post_offset[1:])
+        return JoinCorpusIndex(
+            table_ids=(
+                self.table_ids[:position] + self.table_ids[position + 1:]
+            ),
+            col_table=np.concatenate(
+                [self.col_table[:first], self.col_table[last:] - 1]
+            ),
+            col_sizes=np.delete(self.col_sizes, slice(first, last)),
+            vocab=self.vocab[alive],
+            post_offset=post_offset,
+            post_cols=post_cols,
+            fold_numeric=self.fold_numeric,
+        )
+
+    def with_table(self, table: Table) -> "JoinCorpusIndex":
+        """A new index with ``table``'s columns appended last.
+
+        A table already present under the same id is cut out first, so
+        a re-add with different content replaces it.  The table's new
+        values are merged into the sorted vocabulary and its postings
+        inserted at the end of each value's CSR range.
+        """
+        base = self.without_table(table.table_id)
+        value_sets = _table_value_sets(table, self.fold_numeric)
+        first = base.num_columns
+        columns = np.arange(first, first + len(value_sets), dtype=np.int32)
+        col_sizes = np.asarray(
+            [len(values) for values in value_sets], dtype=np.int64
+        )
+        values = np.asarray(
+            [v for values in value_sets for v in values], dtype=np.str_
+        )
+        posting_cols = np.repeat(columns, col_sizes)
+        fresh = np.unique(values)
+        # A fixed-width unicode array silently truncates longer
+        # strings on insert; widen to the longest value first.
+        vocab = base.vocab.astype(
+            np.result_type(base.vocab, fresh), copy=False
+        )
+        slots, known = _lookup(vocab, fresh)
+        slots, fresh = slots[~known], fresh[~known]
+        vocab = np.insert(vocab, slots, fresh)
+        # Old posting counts laid out on the merged value ids; their
+        # running sum is, per value, where its old range ends in
+        # ``base.post_cols`` — the insertion point for its new postings
+        # (for a fresh value: the end of its predecessor's range).
+        lengths = np.zeros(len(vocab), dtype=np.int64)
+        is_fresh = np.zeros(len(vocab), dtype=bool)
+        is_fresh[slots + np.arange(len(fresh))] = True
+        lengths[~is_fresh] = base.post_lengths
+        old_end = np.cumsum(lengths)
+        value_ids = np.searchsorted(vocab, values)
+        order = np.lexsort((posting_cols, value_ids))
+        post_cols = np.insert(
+            base.post_cols, old_end[value_ids[order]], posting_cols[order]
+        )
+        lengths += np.bincount(value_ids, minlength=len(vocab))
+        post_offset = np.zeros(len(vocab) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=post_offset[1:])
+        return JoinCorpusIndex(
+            table_ids=base.table_ids + [table.table_id],
+            col_table=np.concatenate([
+                base.col_table,
+                np.full(len(value_sets), base.num_tables, dtype=np.int64),
+            ]),
+            col_sizes=np.concatenate([base.col_sizes, col_sizes]),
+            vocab=vocab,
+            post_offset=post_offset,
+            post_cols=post_cols,
+            fold_numeric=self.fold_numeric,
+        )
+
+
+def _table_value_sets(
+    table: Table, fold_numeric: bool
+) -> List[FrozenSet[str]]:
+    """One table's normalized value set per column.
+
+    The only per-table encoder: the cold :func:`compile_join_index`
+    and the derive path (:meth:`JoinCorpusIndex.with_table`) both call
+    it, so their postings agree by construction.
+    """
+    return [
+        frozenset(
+            v
+            for v in (
+                normalize_cell(cell, fold_numeric)
+                for cell in table.column(column)
+            )
+            if v is not None
+        )
+        for column in range(table.num_columns)
+    ]
+
 
 def compile_join_index(
     lake: DataLake, fold_numeric: bool = False
 ) -> JoinCorpusIndex:
-    """Intern every normalized cell value and build the CSR postings."""
+    """Cold build: intern every cell value and build the CSR postings.
+
+    Mutations never come back here — they derive the next generation
+    from the live one (:meth:`JoinCorpusIndex.with_table` /
+    :meth:`~JoinCorpusIndex.without_table`).
+    """
     table_ids: List[str] = []
     col_table: List[int] = []
     value_sets: List[FrozenSet[str]] = []
     for position, table in enumerate(lake):
         table_ids.append(table.table_id)
-        for column in range(table.num_columns):
-            values = frozenset(
-                v
-                for v in (
-                    normalize_cell(cell, fold_numeric)
-                    for cell in table.column(column)
-                )
-                if v is not None
-            )
-            col_table.append(position)
-            value_sets.append(values)
+        table_sets = _table_value_sets(table, fold_numeric)
+        col_table.extend([position] * len(table_sets))
+        value_sets.extend(table_sets)
     vocabulary = sorted(set().union(*value_sets)) if value_sets else []
     id_of = {value: i for i, value in enumerate(vocabulary)}
     col_sizes = np.asarray(
@@ -152,11 +281,20 @@ def _resolve_value_ids(
     """Map query values onto vocab ids, dropping out-of-vocab values."""
     if len(index.vocab) == 0 or len(values) == 0:
         return np.zeros(0, dtype=np.int64)
-    ids = np.searchsorted(index.vocab, values)
-    in_range = ids < len(index.vocab)
-    hits = np.zeros(len(values), dtype=bool)
-    hits[in_range] = index.vocab[ids[in_range]] == values[in_range]
+    ids, hits = _lookup(index.vocab, values)
     return ids[hits].astype(np.int64)
+
+
+def _lookup(
+    vocab: np.ndarray, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(slots, hits)``: each value's sorted slot in ``vocab`` and
+    whether the vocabulary holds it there."""
+    slots = np.searchsorted(vocab, values)
+    in_range = slots < len(vocab)
+    hits = np.zeros(len(values), dtype=bool)
+    hits[in_range] = vocab[slots[in_range]] == values[in_range]
+    return slots, hits
 
 
 class VectorizedJoinSearchEngine:
@@ -166,8 +304,9 @@ class VectorizedJoinSearchEngine:
     ``search``: identical scores (bit-exact — every score is the same
     int/int division) and ranking, plus ``candidates`` restriction for
     shard scatter and :meth:`search_batch` lane stacking.  The postings
-    index is built lazily, invalidated whole on mutation, and rebuilt
-    by :meth:`prepare` off the serve request path.
+    index is built lazily on first use and from then on derived per
+    mutation (:meth:`invalidate_table`); serve snapshot clones adopt
+    the live generation's instance by reference.
     """
 
     def __init__(
@@ -203,19 +342,43 @@ class VectorizedJoinSearchEngine:
                 compiled = self._compiled
         return compiled
 
-    def invalidate(self) -> None:
-        """Drop the compiled postings; the next search recompiles."""
-        with self._lock:
-            self._compiled = None
-
     def invalidate_table(self, table_id: str) -> None:
-        """Mutation hook: the interned vocabulary is corpus-global, so
-        the whole index is dropped and rebuilt off the request path."""
-        del table_id
-        self.invalidate()
+        """Apply one table's change to the postings in O(delta).
+
+        Mirrors the entity kernel's hook: a table (still) in the lake
+        has its values merged in, a table that left the lake has its
+        postings cut out; no other table's cells are re-read.  A
+        never-built index stays unbuilt (nothing to update).
+        """
+        with self._lock:
+            index = self._compiled
+            if index is None:
+                return
+            table = self.lake.find(table_id)
+            if table is not None:
+                index = index.with_table(table)
+            else:
+                index = index.without_table(table_id)
+            self._compiled = index
+
+    def export_index(self) -> Optional[JoinCorpusIndex]:
+        """The current index instance, or ``None`` when not yet built."""
+        # Intentionally racy read: instances are immutable; a stale
+        # reference is simply the previous (still valid) generation.
+        return self._compiled  # lint: disable=guarded-attr-outside-lock
+
+    def adopt_index(self, index: JoinCorpusIndex) -> None:
+        """Adopt another engine's index by reference.
+
+        Serving snapshot clones share the live generation's index this
+        way; it is never written, so the source keeps serving from it
+        while this engine derives its successor.
+        """
+        with self._lock:
+            self._compiled = index
 
     def prepare(self) -> None:
-        """Force the compile now (warm path / snapshot swap)."""
+        """Build the index now if it never was (server warm-up)."""
         self.index()
 
     def warm(self) -> None:
@@ -365,13 +528,7 @@ class VectorizedJoinSearchEngine:
             segment_of = np.repeat(
                 np.arange(len(value_arrays), dtype=np.int64), lengths
             )
-            ids = np.searchsorted(index.vocab, stacked)
-            in_range = ids < len(index.vocab)
-            hits = np.zeros(len(stacked), dtype=bool)
-            if len(index.vocab):
-                hits[in_range] = (
-                    index.vocab[ids[in_range]] == stacked[in_range]
-                )
+            ids, hits = _lookup(index.vocab, stacked)
             ids = ids[hits].astype(np.int64)
             hit_segments = segment_of[hits]
             positions = _concat_ranges(

@@ -40,6 +40,7 @@ from repro.core.query import Query
 from repro.core.result import ResultSet
 from repro.core.search import aligned_candidates
 from repro.datalake.lake import DataLake
+from repro.datalake.table import Table
 from repro.embeddings.store import EmbeddingStore
 from repro.exceptions import ConfigurationError
 from repro.kg.graph import KnowledgeGraph
@@ -84,7 +85,7 @@ def _wide_clash_mask(rows: int, options: int) -> np.ndarray:
 
 
 class UnionCorpusIndex:
-    """Read-only columnar encoding of every lake column.
+    """Immutable columnar encoding of every lake column.
 
     Layout (shared by both encoders)
     --------------------------------
@@ -103,6 +104,13 @@ class UnionCorpusIndex:
     float64 mean column embeddings (zero rows where a column has no
     linked entities), ``norms`` their L2 norms, ``valid`` the
     non-null mask — a query column scores the corpus with one matmul.
+
+    Every row is a function of its own table's links only, so a
+    mutation never looks at another table: :meth:`with_table` and
+    :meth:`without_table` return a *new* index whose arrays are spliced
+    from this one's (one memcpy of the per-column rows), and this
+    instance is never written — a reader holding it keeps a consistent
+    generation.
     """
 
     def __init__(
@@ -123,7 +131,7 @@ class UnionCorpusIndex:
         self.table_columns = table_columns
         self.col_offset = np.zeros(len(table_ids) + 1, dtype=np.int64)
         np.cumsum(table_columns, out=self.col_offset[1:])
-        self.position_of = {tid: t for t, tid in enumerate(table_ids)}
+        self.position_of = dict(zip(table_ids, range(len(table_ids))))
         self.bit_of = bit_of
         self.bitmaps = bitmaps
         self.sizes = sizes
@@ -147,57 +155,148 @@ class UnionCorpusIndex:
                 total += int(array.nbytes)
         return total
 
+    # ------------------------------------------------------------------
+    # O(delta) derivation
+    # ------------------------------------------------------------------
+    def without_table(self, table_id: str) -> "UnionCorpusIndex":
+        """A new index with ``table_id``'s columns cut out.
 
-def compile_union_index(
-    lake: DataLake,
-    mapping: EntityMapping,
-    graph: Optional[KnowledgeGraph] = None,
-    store: Optional[EmbeddingStore] = None,
-    column_encoder: str = "types",
-) -> UnionCorpusIndex:
-    """Encode every lake column once, in corpus order."""
-    table_ids: List[str] = []
-    widths: List[int] = []
-    type_sets: List[FrozenSet[str]] = []
-    vector_list: List[Optional[np.ndarray]] = []
-    for table in lake:
-        table_ids.append(table.table_id)
-        widths.append(table.num_columns)
-        for column in range(table.num_columns):
-            uris = mapping.entities_in_column(table.table_id, column)
-            if column_encoder == "types":
-                type_sets.append(dominant_types(graph, uris))
-            else:
-                vector_list.append(
-                    store.mean_vector(uris) if uris else None
-                )
-    table_columns = np.asarray(widths, dtype=np.int64)
-    if column_encoder == "types":
-        bit_of: Dict[str, int] = {}
-        for types in type_sets:
-            for name in sorted(types):
-                if name not in bit_of:
-                    bit_of[name] = len(bit_of)
-        words = max(1, (len(bit_of) + 63) // 64)
-        bitmaps = np.zeros((len(type_sets), words), dtype=np.uint64)
-        sizes = np.zeros(len(type_sets), dtype=np.int64)
-        for row, types in enumerate(type_sets):
-            sizes[row] = len(types)
-            for name in types:
-                bit = bit_of[name]
-                bitmaps[row, bit >> 6] |= np.uint64(1 << (bit & 63))
-        return UnionCorpusIndex(
-            column_encoder, table_ids, table_columns,
-            bit_of=bit_of, bitmaps=bitmaps, sizes=sizes,
+        Interned type bits are kept (a stale bit matches no row), so
+        ``bit_of`` is shared with this generation.  Unknown ids return
+        ``self``.
+        """
+        position = self.position_of.get(table_id)
+        if position is None:
+            return self
+        rows = slice(
+            int(self.col_offset[position]),
+            int(self.col_offset[position + 1]),
         )
-    dim = 1
-    for vector in vector_list:
-        if vector is not None:
-            dim = int(np.asarray(vector).shape[0])
-            break
+
+        def cut(array: Optional[np.ndarray]) -> Optional[np.ndarray]:
+            return None if array is None else np.delete(array, rows, axis=0)
+
+        return UnionCorpusIndex(
+            self.column_encoder,
+            self.table_ids[:position] + self.table_ids[position + 1:],
+            np.delete(self.table_columns, position),
+            bit_of=self.bit_of,
+            bitmaps=cut(self.bitmaps), sizes=cut(self.sizes),
+            vectors=cut(self.vectors), norms=cut(self.norms),
+            valid=cut(self.valid),
+        )
+
+    def with_table(
+        self,
+        table: Table,
+        mapping: EntityMapping,
+        graph: Optional[KnowledgeGraph] = None,
+        store: Optional[EmbeddingStore] = None,
+    ) -> "UnionCorpusIndex":
+        """A new index with ``table`` encoded and appended last.
+
+        A table already present under the same id is cut out first, so
+        a re-add with different content replaces it.  Corpus position
+        never reaches a score or a tie-break (rankings order by
+        ``(-score, table_id)``), so appending is ranking-equivalent to
+        the cold compile's lake order.
+        """
+        base = self.without_table(table.table_id)
+        encoded = _encode_table_columns(
+            table, mapping, graph, store, self.column_encoder
+        )
+        table_ids = base.table_ids + [table.table_id]
+        table_columns = np.append(
+            base.table_columns, np.int64(table.num_columns)
+        )
+        if self.column_encoder == "types":
+            bit_of = dict(base.bit_of)
+            _intern_types(bit_of, encoded)
+            bitmaps = base.bitmaps
+            words = max(bitmaps.shape[1], _words_for(bit_of))
+            if words > bitmaps.shape[1]:
+                bitmaps = np.pad(
+                    bitmaps, ((0, 0), (0, words - bitmaps.shape[1]))
+                )
+            rows, sizes = _pack_type_rows(encoded, bit_of, words)
+            return UnionCorpusIndex(
+                self.column_encoder, table_ids, table_columns,
+                bit_of=bit_of,
+                bitmaps=np.concatenate([bitmaps, rows]),
+                sizes=np.concatenate([base.sizes, sizes]),
+            )
+        vectors, norms, valid = _stack_vector_rows(
+            encoded, base.vectors.shape[1]
+        )
+        return UnionCorpusIndex(
+            self.column_encoder, table_ids, table_columns,
+            vectors=np.concatenate([base.vectors, vectors]),
+            norms=np.concatenate([base.norms, norms]),
+            valid=np.concatenate([base.valid, valid]),
+        )
+
+
+def _encode_table_columns(
+    table: Table,
+    mapping: EntityMapping,
+    graph: Optional[KnowledgeGraph],
+    store: Optional[EmbeddingStore],
+    column_encoder: str,
+) -> List:
+    """One table's per-column concepts: type sets or mean vectors.
+
+    The only per-table encoder: the cold :func:`compile_union_index`
+    and the derive path (:meth:`UnionCorpusIndex.with_table`) both call
+    it, so their rows agree by construction.  The table's linked cells
+    are grouped by column in one pass; within a column the URIs keep
+    the sorted-cell order ``store.mean_vector`` has always summed in.
+    """
+    by_column = mapping.entities_by_column(table.table_id)
+    encoded: List = []
+    for column in range(table.num_columns):
+        uris = by_column.get(column, ())
+        if column_encoder == "types":
+            encoded.append(dominant_types(graph, uris))
+        else:
+            encoded.append(store.mean_vector(uris) if uris else None)
+    return encoded
+
+
+def _intern_types(
+    bit_of: Dict[str, int], type_sets: Sequence[FrozenSet[str]]
+) -> None:
+    """Give every not-yet-seen type the next free bit, in place."""
+    for types in type_sets:
+        for name in sorted(types):
+            if name not in bit_of:
+                bit_of[name] = len(bit_of)
+
+
+def _words_for(bit_of: Dict[str, int]) -> int:
+    return max(1, (len(bit_of) + 63) // 64)
+
+
+def _pack_type_rows(
+    type_sets: Sequence[FrozenSet[str]], bit_of: Dict[str, int], words: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(bitmaps, sizes)`` rows for already-interned type sets."""
+    bitmaps = np.zeros((len(type_sets), words), dtype=np.uint64)
+    sizes = np.zeros(len(type_sets), dtype=np.int64)
+    for row, types in enumerate(type_sets):
+        sizes[row] = len(types)
+        for name in types:
+            bit = bit_of[name]
+            bitmaps[row, bit >> 6] |= np.uint64(1 << (bit & 63))
+    return bitmaps, sizes
+
+
+def _stack_vector_rows(
+    vector_list: Sequence[Optional[np.ndarray]], dim: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(vectors, norms, valid)`` rows for per-column mean vectors."""
     vectors = np.zeros((len(vector_list), dim), dtype=np.float64)
-    valid = np.zeros(len(vector_list), dtype=bool)
     norms = np.zeros(len(vector_list), dtype=np.float64)
+    valid = np.zeros(len(vector_list), dtype=bool)
     for row, vector in enumerate(vector_list):
         if vector is None:
             continue
@@ -206,6 +305,43 @@ def compile_union_index(
         # Per-row 1-D norm calls reproduce the scalar baseline's
         # sqrt(dot) bit-for-bit (axis-reductions may round differently).
         norms[row] = float(np.linalg.norm(vectors[row]))
+    return vectors, norms, valid
+
+
+def compile_union_index(
+    lake: DataLake,
+    mapping: EntityMapping,
+    graph: Optional[KnowledgeGraph] = None,
+    store: Optional[EmbeddingStore] = None,
+    column_encoder: str = "types",
+) -> UnionCorpusIndex:
+    """Cold build: encode every lake column once, in corpus order.
+
+    Mutations never come back here — they derive the next generation
+    from the live one (:meth:`UnionCorpusIndex.with_table` /
+    :meth:`~UnionCorpusIndex.without_table`).
+    """
+    table_ids: List[str] = []
+    widths: List[int] = []
+    encoded: List = []
+    for table in lake:
+        table_ids.append(table.table_id)
+        widths.append(table.num_columns)
+        encoded.extend(_encode_table_columns(
+            table, mapping, graph, store, column_encoder
+        ))
+    table_columns = np.asarray(widths, dtype=np.int64)
+    if column_encoder == "types":
+        bit_of: Dict[str, int] = {}
+        _intern_types(bit_of, encoded)
+        bitmaps, sizes = _pack_type_rows(
+            encoded, bit_of, _words_for(bit_of)
+        )
+        return UnionCorpusIndex(
+            column_encoder, table_ids, table_columns,
+            bit_of=bit_of, bitmaps=bitmaps, sizes=sizes,
+        )
+    vectors, norms, valid = _stack_vector_rows(encoded, store.dimensions)
     return UnionCorpusIndex(
         column_encoder, table_ids, table_columns,
         vectors=vectors, norms=norms, valid=valid,
@@ -439,9 +575,9 @@ class VectorizedUnionSearchEngine:
     ``search``: identical constructor validation, identical scores
     (<= 1e-9) and ranking, plus ``candidates`` restriction for shard
     scatter and :meth:`search_batch` lane stacking for the micro-batch
-    serve path.  The compiled index is built lazily, invalidated whole
-    on mutation, and rebuilt by :meth:`prepare` (serve snapshots call
-    it off the request path before the copy-and-swap).
+    serve path.  The compiled index is built lazily on first use and
+    from then on derived per mutation (:meth:`invalidate_table`); serve
+    snapshot clones adopt the live generation's instance by reference.
     """
 
     def __init__(
@@ -487,23 +623,45 @@ class VectorizedUnionSearchEngine:
                 compiled = self._compiled
         return compiled
 
-    def invalidate(self) -> None:
-        """Drop the compiled index; the next search recompiles."""
-        with self._lock:
-            self._compiled = None
-
     def invalidate_table(self, table_id: str) -> None:
-        """Mutation hook: the whole column-concept index is dropped.
+        """Apply one table's change to the index in O(delta).
 
-        Unlike the entity kernel's segmented index there is no
-        incremental form yet — the compile is one linear pass over the
-        lake, and serve snapshots rebuild it off the request path.
+        Mirrors the entity kernel's hook: a table (still) in the lake
+        is re-encoded and spliced in, a table that left the lake is cut
+        out; the other tables' rows are copied, never re-encoded.  A
+        never-built index stays unbuilt (nothing to update).
         """
-        del table_id
-        self.invalidate()
+        with self._lock:
+            index = self._compiled
+            if index is None:
+                return
+            table = self.lake.find(table_id)
+            if table is not None:
+                index = index.with_table(
+                    table, self.mapping, graph=self.graph, store=self.store
+                )
+            else:
+                index = index.without_table(table_id)
+            self._compiled = index
+
+    def export_index(self) -> Optional[UnionCorpusIndex]:
+        """The current index instance, or ``None`` when not yet built."""
+        # Intentionally racy read: instances are immutable; a stale
+        # reference is simply the previous (still valid) generation.
+        return self._compiled  # lint: disable=guarded-attr-outside-lock
+
+    def adopt_index(self, index: UnionCorpusIndex) -> None:
+        """Adopt another engine's index by reference.
+
+        Serving snapshot clones share the live generation's index this
+        way; it is never written, so the source keeps serving from it
+        while this engine derives its successor.
+        """
+        with self._lock:
+            self._compiled = index
 
     def prepare(self) -> None:
-        """Force the compile now (warm path / snapshot swap)."""
+        """Build the index now if it never was (server warm-up)."""
         self.index()
 
     def warm(self) -> None:

@@ -18,6 +18,12 @@ from repro.exceptions import LinkingError
 CellRef = Tuple[str, int, int]  # (table_id, row index, column index)
 
 
+def _copy_sets(source: Dict) -> Dict:
+    return defaultdict(
+        set, {key: set(members) for key, members in source.items()}
+    )
+
+
 class EntityMapping:
     """Bidirectional partial mapping between cells and KG entities."""
 
@@ -104,11 +110,18 @@ class EntityMapping:
 
     def entities_in_column(self, table_id: str, column: int) -> List[str]:
         """Return entity URIs linked in one column (with duplicates)."""
-        return [
-            self._cell_to_entity[ref]
-            for ref in sorted(self._table_cells.get(table_id, ()))
-            if ref[2] == column
-        ]
+        return self.entities_by_column(table_id).get(column, [])
+
+    def entities_by_column(self, table_id: str) -> Dict[int, List[str]]:
+        """Group a table's linked URIs by column in one pass.
+
+        Each column's list is in sorted-cell (row) order with
+        duplicates kept; columns without a linked cell are absent.
+        """
+        columns: Dict[int, List[str]] = {}
+        for ref in sorted(self._table_cells.get(table_id, ())):
+            columns.setdefault(ref[2], []).append(self._cell_to_entity[ref])
+        return columns
 
     # ------------------------------------------------------------------
     # Inverse direction (Phi^-1)
@@ -151,10 +164,17 @@ class EntityMapping:
         return ref in self._cell_to_entity
 
     def copy(self) -> "EntityMapping":
-        """Return a deep copy (used by coverage-degradation simulators)."""
+        """Return an independent copy (snapshot swaps, noise simulators).
+
+        The four containers are copied structurally: every cell here
+        already passed :meth:`link`'s checks, so replaying them would
+        only re-derive the same sets.
+        """
         clone = EntityMapping()
-        for (table_id, row, column), uri in self._cell_to_entity.items():
-            clone.link(table_id, row, column, uri)
+        clone._cell_to_entity = dict(self._cell_to_entity)
+        clone._entity_to_cells = _copy_sets(self._entity_to_cells)
+        clone._table_entities = _copy_sets(self._table_entities)
+        clone._table_cells = _copy_sets(self._table_cells)
         return clone
 
     def merge(self, other: "EntityMapping") -> None:

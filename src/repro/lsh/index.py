@@ -105,6 +105,17 @@ class LSHIndex:
         """Total number of non-empty buckets across bands."""
         return sum(len(band) for band in self._bands)
 
+    def copy(self) -> "LSHIndex":
+        """An independent index sharing the (immutable) signatures."""
+        clone = LSHIndex(self.config)
+        clone._signatures = dict(self._signatures)
+        for source, band in zip(self._bands, clone._bands):
+            band.update(
+                (bucket_key, list(keys))
+                for bucket_key, keys in source.items()
+            )
+        return clone
+
 
 class TablePrefilter:
     """LSEI-based search-space reduction for semantic table search.
@@ -180,6 +191,29 @@ class TablePrefilter:
             self._index.add(key, signature)
             self._postings[key] = {table_id}
 
+    def fork(self, mapping: EntityMapping) -> "TablePrefilter":
+        """An independent prefilter over ``mapping``, without a rebuild.
+
+        ``mapping`` must hold the links this prefilter was maintained
+        over (a snapshot clone's copy).  The scheme and the signatures
+        are immutable and shared; the bands, postings and indexed-table
+        set are copied, so :meth:`add_table` / :meth:`remove_table` on
+        the fork never disturb readers of this instance.  The scheme is
+        the one of the first build: a ``types`` scheme keeps the
+        ``frequent_types`` filter it was constructed with.
+        """
+        clone = TablePrefilter.__new__(TablePrefilter)
+        clone.scheme = self.scheme
+        clone.config = self.config
+        clone.mapping = mapping
+        clone.column_aggregation = self.column_aggregation
+        clone._index = self._index.copy()
+        clone._postings = {
+            key: set(tables) for key, tables in self._postings.items()
+        }
+        clone._indexed_tables = set(self._indexed_tables)
+        return clone
+
     # ------------------------------------------------------------------
     # Dynamic-lake maintenance
     # ------------------------------------------------------------------
@@ -195,10 +229,7 @@ class TablePrefilter:
             return
         self._indexed_tables.add(table_id)
         if self.column_aggregation:
-            groups: Dict[int, List[str]] = defaultdict(list)
-            for (tid, _row, column), uri in sorted(self.mapping.all_links()):
-                if tid == table_id:
-                    groups[column].append(uri)
+            groups = self.mapping.entities_by_column(table_id)
             for column, uris in groups.items():
                 key = f"{table_id}#{column}"
                 # Drop any previous generation of this key first: the

@@ -14,12 +14,14 @@ This gives the server three properties the dynamic-lake API of
 a failed mutation leaves the serving state untouched, and readers never
 block on writers (writers pay the copy).
 
-With the vectorized engine the copy is cheap: each clone seeds from the
-generation it replaces (:meth:`Thetis.seed_engines_from`), adopting its
-segmented corpus index by reference.  Applying the mutation then
-tombstones or appends a single segment, so the swap costs O(delta) in
-compiled state — unchanged segments are shared between generations, not
-recompiled and not copied.
+The copy is cheap: each clone seeds from the generation it replaces
+(:meth:`Thetis.seed_engines_from`), adopting the entity engine's
+segmented corpus index and the union and join indexes by reference and
+forking the LSEI prefilter.  Applying the mutation then tombstones or
+appends a single entity segment and derives the other indexes from one
+table's rows, so the swap costs O(delta) in compiled state for every
+task — nothing is recompiled, and no generation ever writes to arrays
+an older one still serves from.
 """
 
 from __future__ import annotations
@@ -176,8 +178,8 @@ class SnapshotManager:
             engine_kind=current.engine_kind,
         )
         # Hand the clone the warm state: materialized views, the shared
-        # similarity cache, and (vectorized) the segmented index itself.
-        # Unchanged segments are shared by reference, so the subsequent
+        # similarity cache, every compiled index (by reference: they
+        # are immutable) and a fork of the prefilter, so the subsequent
         # mutate + warm costs O(delta) instead of a corpus recompile.
         replacement.seed_engines_from(current)
         return replacement

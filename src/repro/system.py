@@ -164,10 +164,13 @@ class Thetis:
         self.cache_size = cache_size
         self.engine_kind = engine_kind
         self.index_dir = index_dir
-        self.informativeness = Informativeness.from_mapping(mapping, len(lake))
         # Serializes lazy engine/prefilter construction and lifecycle
         # transitions so concurrent reader threads are safe.
         self._lock = threading.RLock()
+        # Built on first use (see `informativeness`): a snapshot clone
+        # that is about to be mutated never pays for weights the
+        # mutation replaces.
+        self._informativeness: Optional[Informativeness] = None  # guarded-by: _lock
         self._engines: Dict[str, TableSearchEngine] = {}  # guarded-by: _lock
         self._parallel: Dict[str, ParallelSearchEngine] = {}  # guarded-by: _lock
         # Union/join task engines, keyed by ("union", encoder) or
@@ -202,6 +205,20 @@ class Thetis:
         # Intentionally racy read (see `closed`).
         if self._closed:  # lint: disable=guarded-attr-outside-lock
             raise ThetisClosedError(operation)
+
+    @property
+    def informativeness(self) -> Informativeness:
+        """The corpus's ``I(e)`` weights; replaced on every mutation."""
+        # Intentionally racy read (double-checked locking, see engine()).
+        weights = self._informativeness  # lint: disable=guarded-attr-outside-lock
+        if weights is None:
+            with self._lock:
+                if self._informativeness is None:
+                    self._informativeness = Informativeness.from_mapping(
+                        self.mapping, len(self.lake)
+                    )
+                weights = self._informativeness
+        return weights
 
     # ------------------------------------------------------------------
     def train_embeddings(self, **overrides) -> EmbeddingStore:
@@ -380,10 +397,12 @@ class Thetis:
         """Build ``method``'s engine and all per-table views eagerly.
 
         A serving layer calls this during start-up so its readiness
-        probe only flips once the first query would hit warm caches.
-        Also recompiles any already-constructed union/join task
-        engines, so a snapshot swap rebuilds their indexes off the
-        request path.  Returns the number of tables warmed.
+        probe only flips once the first query would hit warm caches,
+        and before every snapshot swap, where it runs any due segment
+        compaction off the request path.  Already-constructed
+        union/join task engines are prepared too; after a swap their
+        indexes were derived by the mutation, so that is a no-op.
+        Returns the number of tables warmed.
         """
         self._check_open("warm")
         warmed = self.engine(method).warm()
@@ -396,19 +415,38 @@ class Thetis:
     def seed_engines_from(self, other: "Thetis") -> int:
         """Seed this instance's engines from another's warm state.
 
-        For every method ``other`` has a built engine for, build the
-        matching engine here and hand it the source's materialized
-        views, shared similarity cache, and — on vectorized engines —
-        the compiled segmented index itself (immutable segments are
-        shared by reference, so the hand-off is O(1) per segment).
-        The serving layer's copy-and-swap update calls this on each
-        fresh clone so applying a mutation costs O(delta), not a
-        recompile of the whole corpus.  Returns the number of engines
-        seeded.
+        ``other`` must be over the same graph and embeddings and the
+        same lake and mapping *contents* (the serving layer's clone of
+        :meth:`snapshot_inputs`).  Every piece of compiled state the
+        source has built is handed over so that applying a mutation
+        here costs O(delta) for every task, and the next read finds
+        nothing left to rebuild:
+
+        * entity engines get the source's materialized views, shared
+          similarity cache, and — vectorized — the segmented index
+          (immutable segments, shared by reference);
+        * union/join task engines adopt the source's compiled index by
+          reference (immutable; the mutation derives its successor);
+        * each LSEI prefilter is forked onto this instance's mapping,
+          so the incremental ``add_table`` / ``remove_table``
+          maintenance runs here.  A fork keeps the scheme of the first
+          build, so the ``types`` scheme's ``frequent_types`` filter is
+          frozen across generations — what in-process
+          :meth:`add_table` has always done;
+        * the informativeness weights are carried until the mutation
+          refreshes them, and so is the label linker (a function of
+          the graph alone).
+
+        Returns the number of entity engines seeded.
         """
         self._check_open("seed_engines_from")
         with other._lock:
             sources = dict(other._engines)
+            task_sources = dict(other._task_engines)
+            prefilters = dict(other._prefilters)
+        with self._lock:
+            self._informativeness = other.informativeness
+        self._linker = other._linker
         seeded = 0
         for method, source in sources.items():
             try:
@@ -418,19 +456,23 @@ class Thetis:
                 continue
             engine.seed_views_from(source)
             seeded += 1
-        # Union/join task engines have no incremental index yet: the
-        # clone constructs matching (cold) engines so the warm() before
-        # the swap recompiles their indexes off the request path.
-        with other._lock:
-            task_keys = list(other._task_engines)
-        for key in task_keys:
+        for key, source in task_sources.items():
+            index = source.export_index()
             try:
-                if key[0] == "union":
-                    self.union_engine(key[1])
-                else:
-                    self.join_engine()
+                engine = (
+                    self.union_engine(key[1]) if key[0] == "union"
+                    else self.join_engine()
+                )
             except ConfigurationError:
                 continue
+            if index is not None:
+                engine.adopt_index(index)
+        forks = {
+            key: prefilter.fork(self.mapping)
+            for key, prefilter in prefilters.items()
+        }
+        with self._lock:
+            self._prefilters.update(forks)
         # Serving counters continue across the swap: both generations
         # record into the same (thread-safe) stats objects.
         self.prefilter_stats = other.prefilter_stats
@@ -592,10 +634,8 @@ class Thetis:
             self._refresh_informativeness()
 
     def _refresh_informativeness(self) -> None:
-        self.informativeness = Informativeness.from_mapping(
-            self.mapping, max(1, len(self.lake))
-        )
         with self._lock:
+            self._informativeness = None
             for engine in self._engines.values():
                 engine.informativeness = self.informativeness
 

@@ -301,6 +301,77 @@ class TestIncrementalCost:
         assert "added-1" in index and "T1" not in index
         thetis.close()
 
+    def test_snapshot_swaps_rebuild_no_index(self, monkeypatch):
+        """The same guarantee for every index a served mutation meets:
+        with the entity, union and join engines and the LSEI prefilter
+        live, three ``SnapshotManager.apply`` swaps (and the reads after
+        them) cold-compile nothing and build no prefilter — each new
+        generation derives its indexes from the live one."""
+        from repro.core.kernel import join as join_module
+        from repro.core.kernel import union as union_module
+        from repro.core.query import Query
+        from repro.kg.entity import Entity
+        from repro.kg.graph import KnowledgeGraph
+        from repro.lsh.index import TablePrefilter
+
+        rng = random.Random(19)
+        lake, mapping = make_lake(rng, num_tables=8)
+        graph = KnowledgeGraph()
+        for uri in ENTITIES:
+            graph.add_entity(Entity(uri, uri, frozenset({"TypeA", uri})))
+        query = Query.single(ENTITIES[0], ENTITIES[1])
+
+        def read_everything(thetis):
+            thetis.search(query, k=5)
+            thetis.search(query, k=5, mode="prefilter")
+            thetis.search(query, k=5, task="union")
+            thetis.search(query, k=5, task="join")
+
+        thetis = Thetis(lake, graph, mapping, engine_kind="vectorized")
+        read_everything(thetis)
+        manager = SnapshotManager(thetis, warm_method="types")
+
+        calls = []
+
+        def counted(owner, name, label):
+            original = getattr(owner, name)
+
+            def spy(*args, **kwargs):
+                calls.append(label)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+
+        counted(union_module, "compile_union_index", "union compile")
+        counted(join_module, "compile_join_index", "join compile")
+        counted(TablePrefilter, "_build", "prefilter build")
+        counted(TablePrefilter, "__init__", "prefilter constructed")
+        counted(CorpusIndex, "__init__", "entity segment compile")
+        try:
+            table = make_table(rng, "added-1")
+            mutations = [
+                lambda system: system.add_table(table),
+                lambda system: system.remove_table("T1"),
+                lambda system: system.remove_table("added-1"),
+            ]
+            for mutate in mutations:
+                manager.apply(mutate)
+                with manager.checkout() as snapshot:
+                    # Its first prefilter read included: the generation
+                    # holds a fork of the LSEI the mutation maintained.
+                    read_everything(snapshot.thetis)
+                    for task_engine in (
+                        snapshot.thetis.union_engine("types"),
+                        snapshot.thetis.join_engine(),
+                    ):
+                        assert sorted(task_engine.index().table_ids) == (
+                            sorted(snapshot.thetis.lake.table_ids())
+                        )
+            # Only the added table's one-table entity segment compiled.
+            assert calls == ["entity segment compile"], calls
+        finally:
+            manager.close()
+
     def test_similarity_cache_and_memos_survive_removal(self):
         """Satellite: remove_table drops nothing an alive table needs.
 

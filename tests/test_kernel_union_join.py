@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro.baselines import (
+    JOIN_MODES,
     JoinTableSearch,
     UnionTableSearch,
     normalize_cell,
@@ -29,6 +30,7 @@ from repro.core.parallel import merge_topk
 from repro.core.query import Query
 from repro.datalake import DataLake, Table
 from repro.exceptions import ConfigurationError, ProtocolError
+from repro.kg import Entity, KnowledgeGraph
 from repro.linking import LabelLinker
 from repro.serve import ServeConfig, ServerThread
 from repro.serve.protocol import SearchRequest
@@ -73,6 +75,17 @@ def make_random_lake(rng, tables=10):
         ]
         lake.add(Table(f"R{t:02d}", [f"c{i}" for i in range(width)], rows))
     return lake
+
+
+def make_long_label_graph(sports_graph, label):
+    """The sports entities plus ``kg:longname`` labelled ``label``."""
+    graph = KnowledgeGraph(sports_graph.taxonomy)
+    for entity in sports_graph.entities():
+        graph.add_entity(entity)
+    graph.add_entity(Entity(
+        "kg:longname", label, sports_graph.get("kg:player0").types
+    ))
+    return graph
 
 
 def pairs(results):
@@ -398,6 +411,79 @@ class TestMutationParity:
             served.remove_table("TNEW")
             assert pairs(served.search(query, task="union")) == before_union
             assert pairs(served.search(query, task="join")) == before_join
+
+    def test_derived_join_vocab_widens_for_a_longer_value(
+        self, sports_lake, sports_graph
+    ):
+        """Regression: ``vocab`` is a fixed-width unicode array, and
+        merging a longer value into it unwidened truncates the value
+        silently — after which lookups of it mis-resolve."""
+        lake = DataLake(iter(sports_lake))
+        engine = VectorizedJoinSearchEngine(lake, sports_graph)
+        compiled = engine.index()
+        longest = max(len(value) for value in compiled.vocab)
+        long_label = "Player 0" + " of the very long name" * 3
+        assert len(long_label) > longest
+        # The graph is session-shared: a private copy gets the entity
+        # whose label is the long cell value.
+        graph = make_long_label_graph(sports_graph, long_label)
+        lake.add(Table(
+            "TLONG", ["Player", "Team"],
+            [[long_label, "Team 0"], ["Player 1", "Team 1"]],
+        ))
+        engine.invalidate_table("TLONG")
+        derived = engine.index()
+        assert derived is not compiled
+        assert long_label.lower() in derived.vocab
+        for mode in JOIN_MODES:
+            fast = VectorizedJoinSearchEngine(lake, graph, mode=mode)
+            fast.adopt_index(derived)
+            fresh = VectorizedJoinSearchEngine(lake, graph, mode=mode)
+            scalar = JoinTableSearch(lake, mode=mode)
+            for query in (
+                Query([["kg:longname"]]),
+                Query([["kg:longname", "kg:team0"], ["kg:player1", "kg:team1"]]),
+            ):
+                ranking = fast.search(query)
+                assert "TLONG" in ranking.table_ids()
+                assert_same_ranking(ranking, fresh.search(query))
+                assert_same_ranking(
+                    ranking, scalar.search(query, graph, k=None)
+                )
+
+    def test_invalidate_replaces_a_table_in_place(
+        self, sports_lake, sports_graph, sports_mapping
+    ):
+        """One ``invalidate_table`` after swapping a table's content
+        under the same id re-encodes that table only, and both task
+        indexes then score like a cold compile."""
+        lake = DataLake(iter(sports_lake))
+        mapping = sports_mapping.copy()
+        union = VectorizedUnionSearchEngine(lake, mapping, graph=sports_graph)
+        join = VectorizedJoinSearchEngine(lake, sports_graph)
+        before = (union.index(), join.index())
+        replacement = Table(
+            "T03", ["Team", "note", "Player"],
+            [["Team 5", "swapped", "Player 30"], ["Team 6", None, "Player 31"]],
+        )
+        lake.remove("T03")
+        mapping.unlink_table("T03")
+        lake.add(replacement)
+        LabelLinker(sports_graph).link_table(replacement, mapping)
+        union.invalidate_table("T03")
+        join.invalidate_table("T03")
+        assert union.index() is not before[0]
+        assert join.index() is not before[1]
+        assert sorted(union.index().table_ids) == sorted(lake.table_ids())
+        cold_union = VectorizedUnionSearchEngine(
+            lake, mapping, graph=sports_graph
+        )
+        cold_join = VectorizedJoinSearchEngine(lake, sports_graph)
+        rng = random.Random(57)
+        for _ in range(8):
+            query = random_query(rng)
+            assert_same_ranking(union.search(query), cold_union.search(query))
+            assert_same_ranking(join.search(query), cold_join.search(query))
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,339 @@
+"""Stateful differential oracle for O(delta) mutation of every index.
+
+Two systems are mutated step by step — an in-process ``Thetis``
+(``add_table`` / ``remove_table``) and a ``SnapshotManager.apply`` chain
+(clone, seed from the live generation, mutate, swap) — and after every
+step each must rank like a ``Thetis`` built *cold* over the same lake
+and mapping:
+
+* union (``types`` and ``embeddings`` encoders) and join (containment
+  and jaccard): identical ids; bit-equal scores for types and join,
+  <= 1e-9 for embeddings;
+* ``mode=prefilter``: the ``apply`` chain equals the in-process chain
+  (both keep the ``frequent_types`` of their first build, so a cold
+  rebuild is not their reference) and never returns a removed table.
+
+A Hypothesis ``RuleBasedStateMachine`` explores random interleavings;
+``test_named_edge_cases`` walks the same harness through the cases a
+random walk may miss (a second bitmap word, a vocabulary value that
+empties, a table without links, the last table leaving).  The final
+test pins an ``EngineSnapshot`` across swaps and checks that the old
+generation's arrays are never written.
+"""
+
+import functools
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.core.kernel import VectorizedJoinSearchEngine
+from repro.core.query import Query
+from repro.datalake import DataLake, Table
+from repro.embeddings import train_rdf2vec
+from repro.kg import Entity
+from repro.linking import LabelLinker
+from repro.serve.snapshot import SnapshotManager
+from repro.system import Thetis
+
+from tests.conftest import make_sports_graph
+from tests.test_kernel_union_join import assert_same_ranking, pairs
+
+K = 64  # above any lake the harness builds: rankings are compared whole
+
+#: Columns of ``WIDE0`` (in the initial lake).  With the sports
+#: columns' 10 dominant types that is 60 interned bits: one word.
+WIDE0_TYPES = 50
+RARE_TYPES = 60
+
+
+@functools.lru_cache(maxsize=None)
+def world():
+    """Sports graph plus entities that each carry a type of their own."""
+    graph = make_sports_graph()
+    for i in range(RARE_TYPES):
+        graph.add_entity(
+            Entity(f"kg:rare{i}", f"Rare {i}", frozenset({f"Rare{i}"}))
+        )
+        graph.add_edge(f"kg:rare{i}", "near", f"kg:city{i % 4}")
+    store = train_rdf2vec(
+        graph, dimensions=8, epochs=1, walks_per_entity=4, seed=1
+    )
+    return graph, store
+
+
+def roster(table_id: str, version: int) -> Table:
+    shift = sum(map(ord, table_id)) + 7 * version
+    rows = [
+        [f"Player {(shift + r) % 32}", f"Team {(shift + r) % 8}",
+         f"City {(shift + r) % 4}", 2000 + r + version]
+        for r in range(2 + version % 3)
+    ]
+    return Table(table_id, ["Player", "Team", "City", "Year"], rows)
+
+
+def rare_columns(table_id: str, start: int, stop: int) -> Table:
+    names = [f"Rare {i}" for i in range(start, stop)]
+    return Table(table_id, [f"c{i}" for i in range(start, stop)], [names])
+
+
+def make_table(table_id: str, version: int) -> Table:
+    """The pool: what ``table_id`` holds in content ``version``."""
+    if table_id == "WIDE0":
+        return rare_columns(table_id, 0, WIDE0_TYPES)
+    if table_id == "WIDE1":
+        # Ten more dominant types: the 65th lands in a second word.
+        return rare_columns(table_id, WIDE0_TYPES, RARE_TYPES)
+    if table_id == "PLAIN":
+        # Nothing links; its text is in no other table, so removing it
+        # empties vocabulary values.
+        return Table(
+            table_id, ["note", "n"],
+            [[f"only in plain v{version}", version], ["plain text", 1.5]],
+        )
+    if table_id == "LONG":
+        # One cell longer than every value of the initial vocabulary.
+        return Table(
+            table_id, ["Player", "note"],
+            [[f"Player {version}", "a value far longer than " * 3]],
+        )
+    return roster(table_id, version)
+
+
+INITIAL_IDS = ("S0", "S1", "S2", "WIDE0")
+POOL_IDS = INITIAL_IDS + ("S3", "S4", "WIDE1", "PLAIN", "LONG")
+
+PREFILTER = ("prefilter",)
+
+QUERIES = (
+    Query.single("kg:player3"),
+    Query.single("kg:player9", "kg:team1", "kg:city1"),
+    Query([["kg:rare52", "kg:team2"], ["kg:rare3", "kg:team5"]]),
+    Query.single("kg:team0", "kg:rare55"),
+)
+
+
+class Harness:
+    """The two derived systems and the checks every step must pass."""
+
+    def __init__(self):
+        self.graph, self.store = world()
+        self.removed = set()
+        self.direct = self._build()
+        self.manager = SnapshotManager(self._build(), warm_method="types")
+        self.present = {tid: 0 for tid in INITIAL_IDS}
+        # Every engine and the prefilter live before the first mutation.
+        for thetis in (self.direct, self.manager.current.thetis):
+            self._search_everything(thetis, QUERIES[0])
+
+    def _build(self) -> Thetis:
+        lake = DataLake(make_table(tid, 0) for tid in INITIAL_IDS)
+        mapping = LabelLinker(self.graph, fuzzy=False).link_lake(lake)
+        return Thetis(
+            lake, self.graph, mapping,
+            embeddings=self.store, engine_kind="vectorized",
+        )
+
+    def _search_everything(self, thetis: Thetis, query: Query):
+        return {
+            ("union", "types"): thetis.search(
+                query, k=K, task="union", method="types"),
+            ("union", "embeddings"): thetis.search(
+                query, k=K, task="union", method="embeddings"),
+            ("join", "containment"): thetis.search(query, k=K, task="join"),
+            ("join", "jaccard"): self._jaccard(thetis, query),
+            PREFILTER: thetis.search(query, k=K, mode="prefilter"),
+        }
+
+    def _jaccard(self, thetis: Thetis, query: Query):
+        """Jaccard scoring over ``thetis``'s own join postings."""
+        engine = VectorizedJoinSearchEngine(
+            thetis.lake, self.graph, mode="jaccard"
+        )
+        engine.adopt_index(thetis.join_engine().index())
+        return engine.search(query, k=K)
+
+    # -- mutations, applied to both systems ----------------------------
+    def add(self, table_id: str, version: int) -> None:
+        assert table_id not in self.present
+        self.direct.add_table(make_table(table_id, version))
+        self.manager.apply(
+            lambda thetis: thetis.add_table(make_table(table_id, version))
+        )
+        self.present[table_id] = version
+        self.removed.discard(table_id)
+
+    def remove(self, table_id: str) -> None:
+        self.direct.remove_table(table_id)
+        self.manager.apply(lambda thetis: thetis.remove_table(table_id))
+        del self.present[table_id]
+        self.removed.add(table_id)
+
+    def readd(self, table_id: str) -> None:
+        """Same id, different content; one swap on the apply chain."""
+        version = self.present[table_id] + 1
+        self.direct.remove_table(table_id)
+        self.direct.add_table(make_table(table_id, version))
+
+        def replace(thetis: Thetis) -> None:
+            thetis.remove_table(table_id)
+            thetis.add_table(make_table(table_id, version))
+
+        self.manager.apply(replace)
+        self.present[table_id] = version
+
+    # -- the invariant -------------------------------------------------
+    def check(self, query: Query) -> None:
+        with self.manager.checkout() as snapshot:
+            served = snapshot.thetis
+            assert sorted(self.direct.lake.table_ids()) == sorted(self.present)
+            assert sorted(served.lake.table_ids()) == sorted(self.present)
+            lake, mapping = served.snapshot_inputs()
+            cold = Thetis(
+                lake, self.graph, mapping,
+                embeddings=self.store, engine_kind="vectorized",
+            )
+            expected = self._search_everything(cold, query)
+            direct = self._search_everything(self.direct, query)
+            swapped = self._search_everything(served, query)
+            cold.close()
+        for key in expected:
+            if key == PREFILTER:
+                continue
+            exact = key != ("union", "embeddings")
+            assert_same_ranking(direct[key], expected[key], exact)
+            assert_same_ranking(swapped[key], expected[key], exact)
+        assert_same_ranking(swapped[PREFILTER], direct[PREFILTER], exact=True)
+        assert self.removed.isdisjoint(
+            table_id for table_id, _ in pairs(swapped[PREFILTER])
+        )
+
+    def close(self) -> None:
+        self.direct.close()
+        self.manager.close()
+
+
+class MutationOracle(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.harness = Harness()
+
+    @rule(data=st.data(), version=st.integers(0, 3))
+    @precondition(lambda self: len(self.harness.present) < len(POOL_IDS))
+    def add(self, data, version):
+        absent = sorted(set(POOL_IDS) - set(self.harness.present))
+        self.harness.add(data.draw(st.sampled_from(absent)), version)
+
+    @rule(data=st.data())
+    @precondition(lambda self: self.harness.present)
+    def remove(self, data):
+        present = sorted(self.harness.present)
+        self.harness.remove(data.draw(st.sampled_from(present)))
+
+    @rule(data=st.data())
+    @precondition(lambda self: self.harness.present)
+    def readd_with_other_content(self, data):
+        present = sorted(self.harness.present)
+        self.harness.readd(data.draw(st.sampled_from(present)))
+
+    @rule(query=st.sampled_from(QUERIES))
+    def search(self, query):
+        self.harness.check(query)
+
+    @invariant()
+    def derived_state_ranks_like_a_cold_build(self):
+        self.harness.check(QUERIES[1])
+        self.harness.check(QUERIES[2])
+
+    def teardown(self):
+        self.harness.close()
+
+
+MutationOracle.TestCase.settings = settings(
+    max_examples=12, stateful_step_count=10, deadline=None
+)
+TestMutationOracle = MutationOracle.TestCase
+
+
+def test_named_edge_cases():
+    harness = Harness()
+    try:
+        def check_all():
+            for query in QUERIES:
+                harness.check(query)
+
+        union = harness.direct.union_engine("types")
+        assert union.index().bitmaps.shape[1] == 1
+        harness.add("WIDE1", 0)  # the 65th dominant type
+        assert union.index().bitmaps.shape[1] == 2
+        check_all()
+
+        join = harness.direct.join_engine()
+        harness.add("PLAIN", 0)  # no links at all
+        assert not harness.direct.mapping.entities_in_table("PLAIN")
+        assert "only in plain v0" in join.index().vocab
+        check_all()
+        harness.remove("PLAIN")  # its values leave the vocabulary
+        assert "only in plain v0" not in join.index().vocab
+        check_all()
+
+        width = join.index().vocab.dtype.itemsize
+        harness.add("LONG", 0)  # wider than the vocabulary's dtype
+        assert join.index().vocab.dtype.itemsize > width
+        check_all()
+        harness.readd("LONG")
+        harness.readd("S1")
+        check_all()
+
+        for table_id in sorted(harness.present):
+            harness.remove(table_id)  # ... down to the last table
+            check_all()
+        assert harness.direct.join_engine().index().num_tables == 0
+        harness.add("S3", 2)  # and back up from an empty lake
+        check_all()
+    finally:
+        harness.close()
+
+
+def test_held_snapshot_is_never_written():
+    """A reader pinned before ``apply`` keeps byte-identical state."""
+    harness = Harness()
+    try:
+        with harness.manager.checkout() as held:
+            thetis = held.thetis
+            union = thetis.union_engine("types").index()
+            join = thetis.join_engine().index()
+            prefilter = thetis.prefilter("types")
+
+            def state():
+                return (
+                    union.ids_array.tobytes(), union.bitmaps.tobytes(),
+                    union.sizes.tobytes(), dict(union.bit_of),
+                    join.ids_array.tobytes(), join.vocab.tobytes(),
+                    join.post_offset.tobytes(), join.post_cols.tobytes(),
+                    join.col_table.tobytes(), join.col_sizes.tobytes(),
+                    [
+                        sorted(prefilter.candidate_tables(query))
+                        for query in QUERIES
+                    ],
+                    len(thetis.mapping), thetis.lake.table_ids(),
+                )
+
+            before = state()
+            harness.add("WIDE1", 0)
+            harness.add("LONG", 1)
+            harness.remove("S0")
+            harness.readd("S1")
+            assert harness.manager.version == 4
+            assert state() == before
+            # The held generation still owns the very same objects.
+            assert thetis.union_engine("types").index() is union
+            assert thetis.join_engine().index() is join
+            assert thetis.prefilter("types") is prefilter
+    finally:
+        harness.close()

@@ -227,6 +227,46 @@ class TestSnapshotManager:
             manager.close()
 
 
+    def test_informativeness_is_computed_once_per_swap(
+            self, sports_lake, sports_graph, sports_mapping, monkeypatch):
+        """Regression: the clone's constructor computed the weights and
+        the mutation recomputed them before anything read the first."""
+        from repro.similarity.informativeness import Informativeness
+
+        manager = SnapshotManager(
+            fresh_thetis(sports_lake, sports_graph, sports_mapping),
+            warm_method="types",
+        )
+        calls = []
+        original = Informativeness.from_mapping.__func__
+
+        def counting(cls, mapping, num_tables):
+            calls.append(num_tables)
+            return original(cls, mapping, num_tables)
+
+        try:
+            with manager.checkout() as snapshot:
+                snapshot.thetis.search(QUERY, k=3)
+            monkeypatch.setattr(
+                Informativeness, "from_mapping", classmethod(counting)
+            )
+            manager.apply(
+                lambda thetis: thetis.add_table(extra_table(), link=True)
+            )
+            assert calls == [13]
+            manager.apply(lambda thetis: thetis.remove_table("TX"))
+            assert calls == [13, 12]
+            # A swap that mutates nothing carries the weights across.
+            weights = manager.current.thetis.informativeness
+            manager.apply(lambda thetis: None)
+            assert calls == [13, 12]
+            current = manager.current.thetis
+            assert current.informativeness is weights
+            assert current.engine("types").informativeness is weights
+        finally:
+            manager.close()
+
+
 class TestSwapUnderConcurrentReaders:
     def test_queries_never_fail_during_swaps(self, sports_lake,
                                              sports_graph,
