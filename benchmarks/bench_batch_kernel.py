@@ -1,19 +1,26 @@
-"""Multi-query batched kernel vs a per-query loop: speedup + parity.
+"""``search_batch`` on the kernel: dedup fan-out, pruned top-k scan.
 
-The serve micro-batcher hands whole batches to
-``VectorizedTableSearchEngine.search_batch``, which stacks every query
-tuple into one fused corpus pass per segment.  This bench replays a
-batch of 8 mixed-width queries both ways on a warm engine and reports:
+``VectorizedTableSearchEngine.search_batch`` answers identical queries
+of a batch once, a k-limited job by one bound-ordered,
+early-terminating scan, and a full-ranking job (``k=None``) by scoring
+all its candidates.  Two benches:
 
-* the *batched* speedup: one ``search_batch`` call vs the equivalent
-  ``search`` loop (headline gate: >= 2x at batch size 8);
-* the *dedup* speedup: the same batch with only 2 distinct queries,
-  showing the canonical-dedup fan-out scoring each job once;
-* the max per-table score delta between the two paths (the contract is
-  bit-identity, so the gate is exact equality, not a tolerance).
+``test_batch_dedup`` replays a batch of 8 mixed-width full-ranking
+queries on a warm engine, once with 8 distinct queries and once with
+only 2, and gates
 
-The report folds into ``BENCH_kernel.json`` under the ``batch`` key
-(scripts/ci.sh runs this with ``--quick``).
+* the rankings of one ``search_batch`` call at **exact** equality with
+  the equivalent ``search`` loop (the contract is bit-identity, not a
+  tolerance);
+* the canonical-dedup fan-out: scoring 2 jobs is not slower than 8.
+
+``test_exact_scan_speedup`` sends never-repeated five-tuple queries at
+``k=10`` and gates the scan at >= 2x the full pass truncated to ``k``,
+bit-identical rankings, and at most a quarter of the live tables
+scored.
+
+The reports fold into ``BENCH_kernel.json`` under the ``batch`` and
+``scan`` keys (scripts/ci.sh runs this with ``--quick``).
 """
 
 import time
@@ -29,12 +36,20 @@ from benchmarks.bench_kernel_speedup import (
     _queries,
 )
 from benchmarks.conftest import print_header
-from repro.core.kernel import BatchStats
+from repro.benchgen import QueryGenerator
+from repro.core.kernel import BatchStats, PrefilterStats
 
 BATCH_SIZE = 8
 ROUNDS = 5
-K = 10
-REQUIRED_BATCH_SPEEDUP = 2.0
+#: Full rankings: a k-limited repeat is a result-memo hit, which would
+#: leave the dedup nothing to save.
+K = None
+
+SCAN_K = 10
+SCAN_QUERIES = 24
+SCAN_SEED = 23
+REQUIRED_SCAN_SPEEDUP = 2.0
+MAX_SCORED_SHARE = 0.25
 
 
 def _batch_queries(bench):
@@ -43,14 +58,6 @@ def _batch_queries(bench):
     if len(queries) < BATCH_SIZE:
         pytest.skip(f"corpus provides only {len(queries)} queries")
     return queries[:BATCH_SIZE]
-
-
-def _timed_looped(engine, queries, rounds):
-    rankings = []
-    start = time.perf_counter()
-    for _ in range(rounds):
-        rankings = [engine.search(query, k=K) for query in queries]
-    return rankings, (time.perf_counter() - start) / rounds
 
 
 def _timed_batched(engine, queries, rounds, batch_stats=None):
@@ -63,20 +70,16 @@ def _timed_batched(engine, queries, rounds, batch_stats=None):
     return rankings, (time.perf_counter() - start) / rounds
 
 
-def test_batch_kernel_speedup(wt_bench, wt_thetis, benchmark):
+def test_batch_dedup(wt_bench, wt_thetis, benchmark):
     queries = _batch_queries(wt_bench)
 
     def run():
         engine = _build(VectorizedTableSearchEngine, wt_thetis, "types")
-        # Warm both paths: index compilation, similarity-row and
-        # assignment memos are steady-state serving costs, not part of
-        # the batched-vs-looped comparison.
+        # Warm: index compilation, similarity-row, column and
+        # assignment memos are steady-state costs of repeated
+        # full-ranking traffic, not part of the comparison.
         engine.search_batch(queries, k=K)
-        for query in queries:
-            engine.search(query, k=K)
-        looped_rankings, looped_seconds = _timed_looped(
-            engine, queries, ROUNDS
-        )
+        looped_rankings = [engine.search(query, k=K) for query in queries]
         stats = BatchStats()
         batched_rankings, batched_seconds = _timed_batched(
             engine, queries, ROUNDS, batch_stats=stats
@@ -89,11 +92,9 @@ def test_batch_kernel_speedup(wt_bench, wt_thetis, benchmark):
             "batch_size": BATCH_SIZE,
             "k": K,
             "rounds": ROUNDS,
-            "looped_seconds_per_batch": looped_seconds,
             "batched_seconds_per_batch": batched_seconds,
-            "batched_speedup": looped_seconds / batched_seconds,
             "dedup_seconds_per_batch": dedup_seconds,
-            "dedup_speedup": looped_seconds / dedup_seconds,
+            "dedup_speedup": batched_seconds / dedup_seconds,
             "queries_per_batched_pass":
                 stats.as_dict()["queries_per_batched_pass"],
             "max_score_delta": _max_delta(
@@ -111,13 +112,11 @@ def test_batch_kernel_speedup(wt_bench, wt_thetis, benchmark):
     report = benchmark.pedantic(run, rounds=1, iterations=1)
 
     print_header(
-        f"Batched scoring kernel vs per-query loop "
+        f"search_batch dedup fan-out "
         f"({len(wt_bench.lake)} tables, batch size {BATCH_SIZE})"
     )
-    print(f"  looped  {report['looped_seconds_per_batch'] * 1e3:8.2f}"
-          f" ms/batch")
     print(f"  batched {report['batched_seconds_per_batch'] * 1e3:8.2f}"
-          f" ms/batch   -> {report['batched_speedup']:5.2f}x")
+          f" ms/batch")
     print(f"  dedup   {report['dedup_seconds_per_batch'] * 1e3:8.2f}"
           f" ms/batch   -> {report['dedup_speedup']:5.2f}x"
           f"  (2 distinct of {BATCH_SIZE})")
@@ -126,16 +125,107 @@ def test_batch_kernel_speedup(wt_bench, wt_thetis, benchmark):
     _merge_report("batch", report)
     print(f"  report -> {REPORT_PATH} (batch)")
 
-    # The contract is bit-identity, not a tolerance: the batched pass
-    # is the same arithmetic in the same order.
+    # The contract is bit-identity, not a tolerance: a batched job is
+    # the same arithmetic in the same order.
     assert report["bit_identical"], (
         f"batched ranking diverged (max delta "
         f"{report['max_score_delta']:.3e})"
     )
-    assert report["batched_speedup"] >= REQUIRED_BATCH_SPEEDUP, (
-        f"batched speedup {report['batched_speedup']:.2f}x < "
-        f"{REQUIRED_BATCH_SPEEDUP}x at batch size {BATCH_SIZE}"
-    )
     # Dedup can only help: scoring 2 jobs must not be slower than 8.
     assert report["dedup_seconds_per_batch"] <= \
         report["batched_seconds_per_batch"] * 1.25
+
+
+def _fresh_five_tuple_queries(bench, count):
+    """``count`` five-tuple queries that repeat no tuple, ever.
+
+    The generator samples tuples with replacement, so a query is kept
+    only if its tuples are mutually distinct and unseen in every query
+    kept before it — the ``entity_fresh_5t`` stream of
+    ``benchmarks/perf``, in process.
+    """
+    pool = QueryGenerator(bench.world, seed=SCAN_SEED).generate(8 * count)
+    seen = set()
+    kept = []
+    for query in pool.five_tuple.values():
+        tuples = set(query.tuples)
+        if len(tuples) == len(query.tuples) and not tuples & seen:
+            seen |= tuples
+            kept.append(query)
+    if len(kept) < count:
+        pytest.skip(f"pool provides only {len(kept)} fresh queries")
+    return kept[:count]
+
+
+def test_exact_scan_speedup(wt_bench, wt_thetis, benchmark):
+    queries = _fresh_five_tuple_queries(wt_bench, 2 * SCAN_QUERIES)
+    lake_ids = wt_bench.lake.table_ids()
+
+    def run():
+        engine = _build(VectorizedTableSearchEngine, wt_thetis, "types")
+        engine.prepare()
+        # Disjoint halves, so neither path finds a tuple the other one
+        # memoized; the rankings compared below come from a third pass.
+        scan_set, full_set = queries[:SCAN_QUERIES], queries[SCAN_QUERIES:]
+        start = time.perf_counter()
+        for query in scan_set:
+            engine.search_batch([query], k=SCAN_K)
+        scan_seconds = (time.perf_counter() - start) / SCAN_QUERIES
+        start = time.perf_counter()
+        for query in full_set:
+            engine.search_batch([query], k=None)[0].top(SCAN_K)
+        full_seconds = (time.perf_counter() - start) / SCAN_QUERIES
+        # The whole lake as an explicit candidate list is the same scan
+        # with its counters exposed (and no result memo in the way).
+        stats = PrefilterStats()
+        scanned = engine.search_batch(
+            queries, k=SCAN_K, candidates=[lake_ids] * len(queries),
+            stats=stats,
+        )
+        truncated = [
+            ranking.top(SCAN_K)
+            for ranking in engine.search_batch(queries, k=None)
+        ]
+        counters = stats.as_dict()
+        return {
+            "k": SCAN_K,
+            "queries": SCAN_QUERIES,
+            "scan_seconds_per_query": scan_seconds,
+            "full_seconds_per_query": full_seconds,
+            "scan_speedup": full_seconds / scan_seconds,
+            "scored_share": (
+                counters["mean_shortlist"] * counters["scored_fraction"]
+                / len(lake_ids)
+            ),
+            "early_termination_rate": counters["early_termination_rate"],
+            "bit_identical": all(
+                [(s.score, s.table_id) for s in got]
+                == [(s.score, s.table_id) for s in want]
+                for got, want in zip(scanned, truncated)
+            ),
+        }
+
+    report = benchmark.pedantic(run, rounds=1, iterations=1)
+
+    print_header(
+        f"Pruned top-{SCAN_K} scan vs full pass "
+        f"({len(wt_bench.lake)} tables, fresh five-tuple queries)"
+    )
+    print(f"  full  {report['full_seconds_per_query'] * 1e3:8.2f} ms/query")
+    print(f"  scan  {report['scan_seconds_per_query'] * 1e3:8.2f} ms/query"
+          f"   -> {report['scan_speedup']:5.2f}x")
+    print(f"  scored share {report['scored_share']:.3f} of live tables, "
+          f"early termination {report['early_termination_rate']:.2f}")
+
+    _merge_report("scan", report)
+    print(f"  report -> {REPORT_PATH} (scan)")
+
+    assert report["bit_identical"], "scan ranking diverged from full pass"
+    assert report["scan_speedup"] >= REQUIRED_SCAN_SPEEDUP, (
+        f"scan speedup {report['scan_speedup']:.2f}x < "
+        f"{REQUIRED_SCAN_SPEEDUP}x at k={SCAN_K}"
+    )
+    assert report["scored_share"] <= MAX_SCORED_SHARE, (
+        f"scan scored {report['scored_share']:.2f} of the lake "
+        f"(> {MAX_SCORED_SHARE})"
+    )

@@ -43,7 +43,7 @@ python -m pytest -x -q -s \
     --benchmark-disable
 
 echo
-echo "== batch smoke: multi-query fused kernel parity + speedup =="
+echo "== batch smoke: search_batch dedup parity + pruned top-k scan speedup =="
 python -m pytest -x -q -s \
     "benchmarks/bench_batch_kernel.py" \
     --quick \

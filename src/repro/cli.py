@@ -566,10 +566,12 @@ def build_parser() -> argparse.ArgumentParser:
                        default="thread")
     serve.add_argument("--cache-size", type=int,
                        default=DEFAULT_SIMILARITY_CACHE_SIZE)
-    serve.add_argument("--engine", choices=ENGINE_KINDS, default="scalar",
+    serve.add_argument("--engine", choices=ENGINE_KINDS,
+                       default="vectorized",
                        help="scoring engine implementation (vectorized = "
                             "batched numpy kernel over a compiled corpus "
-                            "index)")
+                            "index; scalar = the per-cell reference, "
+                            "seconds per query on a large lake)")
     serve.add_argument("--max-batch", type=int, default=8,
                        help="queries coalesced per engine pass")
     serve.add_argument("--flush-interval", type=float, default=0.002,

@@ -16,6 +16,12 @@ per-cell Python hot loop with batched numpy passes over a compiled
    aggregations) is evaluated with numpy reductions over the table's
    id grid instead of nested Python loops.
 
+A search that carries a cut-off ``k`` does not score the lake: it is a
+bound-ordered, early-terminating scan (filter by a vectorized upper
+bound, verify by the exact kernel pass restricted to a chunk of
+tables) whose ranking is bit-identical to the full pass truncated to
+``k`` — see :meth:`VectorizedTableSearchEngine.search_batch`.
+
 Scores are parity-checked against the scalar engine to <= 1e-9 (bit
 equal for type similarity, BLAS-summation-order noise for cosine); the
 randomized suite in ``tests/test_core_kernel.py`` pins this across
@@ -37,7 +43,6 @@ workers either receive it pickled or, when the index is disk-backed
 
 from __future__ import annotations
 
-import heapq
 import math
 import threading
 import time
@@ -67,7 +72,6 @@ from repro.core.search import (
     TableSearchEngine,
     aligned_candidates,
 )
-from repro.core.topk import TopKEntry
 from repro.datalake.table import Table
 from repro.exceptions import IndexStorageError
 
@@ -90,10 +94,14 @@ MAX_ENUM_WIDTH = 3
 #: "score a few extra tables" instead of "drop a true top-k member".
 BOUND_SLACK = 1e-9
 
-#: Smallest shortlist chunk the early-terminating candidate search
-#: scores per fused pass — each pass re-reduces the global relevance
-#: matrix, so very small chunks would repeat that fixed cost.
+#: Smallest chunk the early-terminating scan scores per restricted
+#: pass — each pass re-reduces the global relevance matrix, so very
+#: small chunks would repeat that fixed cost.
 MIN_PRUNE_CHUNK = 32
+
+#: Similarities one bound gather may materialize (8 MB of float64);
+#: wider batches gather in blocks of whole tuples.
+BOUND_GATHER_CELLS = 1 << 20
 
 
 def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -295,12 +303,14 @@ class VectorizedTableSearchEngine(TableSearchEngine):
 
         Merges recompile from the live lake tables, so this belongs off
         the request path — :meth:`warm` (which serving snapshots run
-        before every swap) calls it for you.
+        before every swap) calls it for you.  The resulting instance's
+        table layout is built here too, not by its first search.
         """
         with self._index_lock:
             if self._index is None:
                 self._index = self._build_index()
             self._index = self._index.maybe_compacted(self.lake.get)
+            self._index.layout()
             return self._index.stats()
 
     def adopt_index(self, index: SegmentedCorpusIndex) -> None:
@@ -578,11 +588,11 @@ class VectorizedTableSearchEngine(TableSearchEngine):
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Fused scoring of one segment against a stack of query tuples.
 
-        The multi-query kernel primitive: every tuple of every query in
-        a micro-batch lands here *once*, stacked along a lane axis —
-        one similarity-row stack, one bincount over lane-offset bins
-        for all column-relevance matrices, and one shared gather /
-        ``reduceat`` pass over the concatenated per-lane row blocks.
+        The kernel primitive: the tuples of a query land here together,
+        stacked along a lane axis — one similarity-row stack, one
+        bincount over lane-offset bins for all column-relevance
+        matrices, and one shared gather / ``reduceat`` pass over the
+        concatenated per-lane row blocks.
         Returns one ``(column, signal)`` pair per input tuple: the
         per-segment-table tuple scores as a float64 column plus the
         per-table positive-coordinate flag.
@@ -607,11 +617,7 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         positions.  Selected positions are arithmetic-identical to the
         unrestricted pass: each table's nnz block is contiguous and
         selections are position-sorted, so every relevance bin
-        accumulates the same terms in the same IEEE order.  Because a
-        table's relevance bins only ever receive entries from its own
-        nnz block, this also holds for any *union* of per-query
-        selections — the batched candidate path unions selections for
-        the shared pass and masks per query at read time.
+        accumulates the same terms in the same IEEE order.
         """
         index = segment
         if not tuples:
@@ -834,40 +840,14 @@ class VectorizedTableSearchEngine(TableSearchEngine):
                 )
         return outputs
 
-    def _segment_batch(
-        self,
-        segment: CorpusIndex,
-        query: Query,
-        profile: ScoringProfile,
-        selection: Optional[np.ndarray] = None,
-    ) -> Tuple[List[np.ndarray], np.ndarray]:
-        """Fused scoring of one segment against every tuple of one query.
-
-        Thin wrapper over :meth:`_segment_tuples` — the single-query
-        and multi-query paths share one kernel implementation, so the
-        batched serve path is structurally bit-identical to sequential
-        :meth:`search`.  Returns ``(tuple_columns, any_signal)``: per
-        query tuple, the per-segment-table tuple scores as one float64
-        column, plus the OR-ed per-table relevance flag.
-        """
-        per_tuple = self._segment_tuples(
-            segment, query.tuples, profile, selection=selection
-        )
-        any_signal = np.zeros(len(segment.table_ids), dtype=bool)
-        tuple_columns: List[np.ndarray] = []
-        for column, signal in per_tuple:
-            any_signal |= signal
-            tuple_columns.append(column)
-        return tuple_columns, any_signal
-
     def _candidate_bounds(
         self,
         segment: CorpusIndex,
-        query: Query,
+        tuples: Sequence[Tuple[str, ...]],
         positions: np.ndarray,
         profile: ScoringProfile,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized SemRel upper bounds for selected segment tables.
+        """Vectorized SemRel upper bounds of segment tables, per tuple.
 
         The batched analogue of
         :func:`repro.core.topk.table_score_upper_bound`: per query
@@ -879,42 +859,70 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         value, so ``bound >= exact`` up to the reduction-order noise
         :data:`BOUND_SLACK` absorbs.
 
-        Returns ``(bounds, signal)`` aligned with ``positions``:
-        ``signal`` is whether any coordinate is positive — under
-        ``drop_irrelevant`` a signal-free table can never be relevant,
-        so it can be dropped before scoring.
+        ``positions`` (sorted) selects the tables.  A selection
+        covering most of the segment — every whole-lake job — reads
+        the nnz arrays as they lie and picks its tables afterwards,
+        instead of gathering the selected blocks one index at a time.
+        The tuples' similarity rows are stacked along one lane axis, so
+        a block of tuples costs one gather and one
+        ``maximum.reduceat``.
+
+        Returns ``(bounds, signals)``, both ``(len(tuples),
+        len(positions))``: ``signals`` is whether any coordinate is
+        positive — under ``drop_irrelevant`` a table that is
+        signal-free for every tuple of a query can never be relevant,
+        so it is dropped before scoring.
         """
-        index = segment
-        starts = index.nnz_toffset[positions]
-        lengths = index.nnz_toffset[positions + 1] - starts
-        entries = _concat_ranges(starts, lengths)
-        ids = index.nnz_gids[entries]
-        offsets = np.concatenate(([0], np.cumsum(lengths)))[:-1]
-        nonempty = np.flatnonzero(lengths > 0)
-        tuple_bounds: List[np.ndarray] = []
-        signal = np.zeros(len(positions), dtype=bool)
-        for query_tuple in query:
-            width = len(query_tuple)
-            sims = index.tuple_rows(query_tuple, profile)
-            best = np.zeros((width, len(positions)), dtype=np.float64)
-            if ids.size and nonempty.size:
-                best[:, nonempty] = np.maximum.reduceat(
-                    sims[:, ids], offsets[nonempty], axis=1
-                )
-            np.maximum(best, 0.0, out=best)
-            signal |= best.max(axis=0) > 0.0
-            weights = self._tuple_weights(query_tuple)
-            residual = 1.0 - np.minimum(best, 1.0)
-            distances = np.sqrt(weights @ (residual * residual))
-            tuple_bounds.append(1.0 / (distances + 1.0))
-        if not tuple_bounds:
-            return np.zeros(len(positions), dtype=np.float64), signal
-        stacked = np.stack(tuple_bounds, axis=0)
-        if self.query_aggregation is QueryAggregation.MAX:
-            bounds = stacked.max(axis=0)
+        whole = 2 * len(positions) >= len(segment.table_ids)
+        if whole:
+            lengths = np.diff(segment.nnz_toffset)
+            ids = segment.nnz_gids
         else:
-            bounds = stacked.mean(axis=0)
-        return bounds, signal
+            starts = segment.nnz_toffset[positions]
+            lengths = segment.nnz_toffset[positions + 1] - starts
+            ids = segment.nnz_gids[_concat_ranges(starts, lengths)]
+        nonempty = np.flatnonzero(lengths > 0)
+        offsets = (np.cumsum(lengths) - lengths)[nonempty]
+        bounds = np.empty((len(tuples), len(positions)), dtype=np.float64)
+        signals = np.empty((len(tuples), len(positions)), dtype=bool)
+        # Blocks of whole tuples, so one gather never materializes more
+        # than ~BOUND_GATHER_CELLS similarities however wide the batch.
+        lanes_per_block = max(1, BOUND_GATHER_CELLS // max(1, ids.size))
+        cursor = 0
+        while cursor < len(tuples):
+            first = cursor
+            lanes = len(tuples[cursor])
+            cursor += 1
+            while (
+                cursor < len(tuples)
+                and lanes + len(tuples[cursor]) <= lanes_per_block
+            ):
+                lanes += len(tuples[cursor])
+                cursor += 1
+            block = tuples[first:cursor]
+            best = np.zeros((lanes, lengths.size), dtype=np.float64)
+            if nonempty.size:
+                stack = np.concatenate([
+                    segment.tuple_rows(query_tuple, profile)
+                    for query_tuple in block
+                ])
+                best[:, nonempty] = np.maximum.reduceat(
+                    np.take(stack, ids, axis=1), offsets, axis=1
+                )
+                np.maximum(best, 0.0, out=best)
+            if whole:
+                best = best[:, positions]
+            lane = 0
+            for row, query_tuple in enumerate(block, start=first):
+                coordinates = best[lane:lane + len(query_tuple)]
+                lane += len(query_tuple)
+                residual = 1.0 - np.minimum(coordinates, 1.0)
+                distances = np.sqrt(
+                    self._tuple_weights(query_tuple) @ (residual * residual)
+                )
+                bounds[row] = 1.0 / (distances + 1.0)
+                signals[row] = coordinates.max(axis=0) > 0.0
+        return bounds, signals
 
     def search_candidates(
         self,
@@ -923,143 +931,18 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         k: Optional[int] = None,
         stats=None,
     ) -> ResultSet:
-        """Fused scoring of an explicit candidate set (prefilter path).
+        """:meth:`search_batch` of one over an explicit candidate set.
 
         Same results as the inherited ``search(query, k=k,
         candidates=candidates)`` — deduplication, lake membership, the
         drop-irrelevant rule, and the ``(-score, table_id)`` ranking
-        all match — but evaluated as restricted batched passes over
-        the candidates' nnz blocks instead of one per-table kernel
-        call each.  When ``k`` is given, shortlisted tables are scored
-        in descending bound order and the scan stops once no remaining
-        bound can displace the current k-th best score (the
-        :mod:`repro.core.topk` threshold algorithm, vectorized).
-
-        ``stats`` (a :class:`~repro.core.kernel.prefilter.
+        all match.  ``stats`` (a :class:`~repro.core.kernel.prefilter.
         PrefilterStats`) receives the shortlist size, the number of
         tables actually scored, and whether the cut-off fired.
         """
-        ordered = [
-            table_id
-            for table_id in dict.fromkeys(candidates)
-            if table_id in self.lake
-        ]
-        if k is not None and k < 1:
-            if stats is not None:
-                stats.record_scoring(0, 0, False)
-            return ResultSet([])
-        index = self.index()
-        lake_ids = [table.table_id for table in self.lake]
-        if not index.mirrors(lake_ids):
-            index = self._reconcile_index()
-            if not index.mirrors(lake_ids):
-                # The kernel cannot cover this lake; the inherited
-                # per-table loop copes table by table.
-                if stats is not None:
-                    stats.record_scoring(len(ordered), len(ordered), False)
-                return super().search(query, k=k, candidates=ordered)
-        drop = self.drop_irrelevant
-        if drop:
-            entities_in_table = self.mapping.entities_in_table
-            ordered = [
-                table_id for table_id in ordered
-                if entities_in_table(table_id)
-            ]
-        profile = self.profile
-        start = time.perf_counter()
-        # Group candidates by owning segment; position-sorted
-        # selections keep restricted reductions in corpus order.
-        by_segment: Dict[int, List[Tuple[int, str]]] = {}
-        for table_id in ordered:
-            seg_index, position = index.locate_position(table_id)
-            by_segment.setdefault(seg_index, []).append(
-                (position, table_id)
-            )
-        bound_of: Dict[str, float] = {}
-        signal_of: Dict[str, bool] = {}
-        for seg_index, members in by_segment.items():
-            members.sort()
-            positions = np.asarray(
-                [position for position, _ in members], dtype=np.int64
-            )
-            bounds, signal = self._candidate_bounds(
-                index.segments[seg_index], query, positions, profile
-            )
-            for (position, table_id), bound, has_signal in zip(
-                members, bounds.tolist(), signal.tolist()
-            ):
-                bound_of[table_id] = bound
-                signal_of[table_id] = bool(has_signal)
-        # Under drop_irrelevant a signal-free table is provably
-        # irrelevant (no entity similarity is positive), so the
-        # shortlist keeps signal-carrying candidates only.
-        if drop:
-            shortlist = [tid for tid in ordered if signal_of[tid]]
-        else:
-            shortlist = list(ordered)
-        shortlist.sort(key=lambda tid: (-bound_of[tid], tid))
-        chunk_size = (
-            len(shortlist) if k is None
-            else max(MIN_PRUNE_CHUNK, 2 * k)
-        )
-        results: List[ScoredTable] = []
-        heap: List[TopKEntry] = []
-        scored = 0
-        terminated = False
-        cursor = 0
-        while cursor < len(shortlist):
-            if (
-                k is not None
-                and len(heap) == k
-                and bound_of[shortlist[cursor]] + BOUND_SLACK
-                < heap[0].score
-            ):
-                terminated = True
-                break
-            chunk = shortlist[cursor:cursor + chunk_size]
-            cursor += len(chunk)
-            chunk_segments: Dict[int, List[int]] = {}
-            placement: Dict[str, Tuple[int, int]] = {}
-            for table_id in chunk:
-                seg_index, position = index.locate_position(table_id)
-                chunk_segments.setdefault(seg_index, []).append(position)
-                placement[table_id] = (seg_index, position)
-            outputs = {
-                seg_index: self._segment_batch(
-                    index.segments[seg_index],
-                    query,
-                    profile,
-                    selection=np.asarray(sorted(positions),
-                                         dtype=np.int64),
-                )
-                for seg_index, positions in chunk_segments.items()
-            }
-            for table_id in chunk:
-                seg_index, position = placement[table_id]
-                tuple_columns, any_signal = outputs[seg_index]
-                tuple_scores = [
-                    float(column[position]) for column in tuple_columns
-                ]
-                score = self.query_aggregation.aggregate(tuple_scores)
-                relevant = bool(any_signal[position]) or not drop
-                scored += 1
-                profile.tables_scored += 1
-                if not relevant or score <= 0.0:
-                    continue
-                results.append(ScoredTable(score, table_id))
-                if k is not None:
-                    entry = TopKEntry(score, table_id)
-                    if len(heap) < k:
-                        heapq.heappush(heap, entry)
-                    elif heap[0] < entry:
-                        heapq.heapreplace(heap, entry)
-        profile.total_seconds += time.perf_counter() - start
-        if stats is not None:
-            stats.record_scoring(len(shortlist), scored, terminated)
-        result_set = ResultSet(results)
-        if k is not None:
-            result_set = result_set.top(k)
-        return result_set
+        return self.search_batch(
+            [query], k=k, candidates=[candidates], stats=stats
+        )[0]
 
     def search(
         self,
@@ -1074,7 +957,7 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         )[0]
 
     def record_dispatch(self, batch_stats, queries: int, unique: int) -> None:
-        """Tally one fused pass: ``unique`` jobs answer ``queries`` slots."""
+        """Tally one batched call: ``unique`` jobs answer ``queries`` slots."""
         if batch_stats is not None:
             batch_stats.record_batched(queries, unique)
 
@@ -1087,23 +970,22 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         profile: Optional[ScoringProfile] = None,
         batch_stats=None,
     ) -> List[ResultSet]:
-        """Rank the lake for a whole micro-batch in one fused pass.
+        """Rank the lake for a whole micro-batch.
 
-        Every query tuple in the batch is stacked into a single kernel
-        pass per segment (:meth:`_segment_tuples`): one stacked
-        similarity matmul/popcount, one shared bincount and gather,
-        then per-query aggregation over the per-tuple score columns.
         Results are bit-identical per query to sequential
         :meth:`search` — same scores, same ``(-score, table_id)``
-        tie-breaks — in both exact mode (``candidates[i] is None``) and
-        prefilter mode (per-query candidate lists; their selections are
-        unioned for the shared pass and masked per query at read time,
-        which is arithmetic-identical because every table's relevance
-        bins only ever accumulate its own nnz block).
+        tie-breaks — whatever rides the same batch.  Identical queries
+        (same tuples, same canonical candidate list) are answered once
+        and fan the shared :class:`ResultSet` out to every duplicate
+        slot.
 
-        Identical queries (same tuples, same canonical candidate list)
-        are scored once and fan the shared :class:`ResultSet` out to
-        every duplicate slot.
+        With a cut-off ``k`` every job — whole lake, cluster shard or
+        LSH shortlist alike — is a result-memo hit or one
+        bound-ordered, early-terminating scan (:meth:`_scan_rankings`):
+        filter by upper bound, verify by exact score, stop when no
+        unscored table can enter the top ``k``.  ``k=None`` asks for
+        the full ranking, which has nothing to prune: every job scores
+        all its candidates (:meth:`_full_rankings`).
 
         Parameters
         ----------
@@ -1117,15 +999,17 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         stats:
             Optional :class:`~repro.core.kernel.prefilter.
             PrefilterStats` fed one scoring record per candidate-
-            restricted query (the batched pass scores the full
-            shortlist — no early termination — so ``scored ==
-            shortlisted`` and the cut-off never fires).
+            restricted job: the shortlist size (candidates that
+            survive the linkless / signal-free filter), how many of
+            them were scored exactly, and whether the bound cut-off
+            ended the scan early.  A full ranking (``k=None``) scores
+            its whole shortlist.
         profile:
             Scoring profile to charge (defaults to the engine's own);
             parallel shards pass their private merge-later profiles.
         batch_stats:
             Optional :class:`~repro.core.kernel.batchstats.BatchStats`
-            recording one batched kernel pass covering ``len(queries)``
+            recording one batched dispatch covering ``len(queries)``
             queries (``len(queries) - unique`` of them deduplicated).
         """
         queries = list(queries)
@@ -1135,9 +1019,9 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         if profile is None:
             profile = self.profile
         # Canonical dedup: identical (tuples, candidate list) jobs are
-        # scored once; fanout maps every input slot to its job.
+        # answered once; fanout maps every input slot to its job.
         job_of: Dict[Tuple, int] = {}
-        jobs: List[Tuple[Query, Optional[List[str]]]] = []
+        jobs: List[Tuple[Query, Optional[Tuple[str, ...]]]] = []
         fanout: List[int] = []
         for query, cands in zip(queries, cand_lists):
             key = (
@@ -1148,7 +1032,7 @@ class VectorizedTableSearchEngine(TableSearchEngine):
             if slot is None:
                 slot = len(jobs)
                 job_of[key] = slot
-                jobs.append((query, cands))
+                jobs.append((query, key[1]))
             fanout.append(slot)
         self.record_dispatch(batch_stats, len(queries), len(jobs))
         if k is not None and k < 1:
@@ -1164,201 +1048,268 @@ class VectorizedTableSearchEngine(TableSearchEngine):
             if not index.mirrors(lake_ids):
                 # The kernel cannot cover this lake; the inherited scalar
                 # loop (called by name: ``self.search`` would recurse)
-                # copes table by table through ``score_table``.
+                # copes table by table through ``score_table``, scoring
+                # every candidate in the lake.
+                if stats is not None:
+                    for _, cands in jobs:
+                        if cands is not None:
+                            size = sum(tid in self.lake for tid in cands)
+                            stats.record_scoring(size, size, False)
                 looped = TableSearchEngine.search_batch(
                     self,
                     [query for query, _ in jobs],
                     k=k,
                     candidates=[cands for _, cands in jobs],
-                    stats=stats,
                     profile=profile,
                 )
                 return [looped[slot] for slot in fanout]
         start = time.perf_counter()
-        drop = self.drop_irrelevant
-        entities_in_table = self.mapping.entities_in_table
-        # Per-job candidate orders: dedup + lake membership (the
-        # sequential contract), then the drop-irrelevant filter.
-        ordered_of: List[Optional[List[str]]] = []
-        for _, cands in jobs:
-            if cands is None:
-                ordered_of.append(None)
-                continue
-            ordered = [
-                table_id for table_id in dict.fromkeys(cands)
-                if table_id in self.lake
-            ]
-            if drop:
-                ordered = [
-                    table_id for table_id in ordered
-                    if entities_in_table(table_id)
-                ]
-            ordered_of.append(ordered)
-        # Dedup query tuples across jobs: each distinct tuple is one
-        # kernel lane regardless of how many queries carry it.
-        tuple_slot: Dict[Tuple[str, ...], int] = {}
-        unique_tuples: List[Tuple[str, ...]] = []
-        job_tuples: List[List[int]] = []
-        for query, _ in jobs:
-            indices: List[int] = []
-            for query_tuple in query.tuples:
-                slot = tuple_slot.get(query_tuple)
-                if slot is None:
-                    slot = len(unique_tuples)
-                    tuple_slot[query_tuple] = slot
-                    unique_tuples.append(query_tuple)
-                indices.append(slot)
-            job_tuples.append(indices)
-        whole_lake = any(ordered is None for ordered in ordered_of)
-        segments = index.segments
-        num_segments = len(segments)
-        if whole_lake:
-            selections: List[Optional[np.ndarray]] = [None] * num_segments
+        if k is None:
+            job_results = self._full_rankings(index, jobs, stats, profile)
         else:
-            per_seg_positions: List[set] = [set() for _ in range(num_segments)]
-            for ordered in ordered_of:
-                for table_id in ordered:
-                    seg_index, position = index.locate_position(table_id)
-                    per_seg_positions[seg_index].add(position)
-            selections = [
-                np.asarray(sorted(positions), dtype=np.int64)
-                if positions else None
-                for positions in per_seg_positions
-            ]
-        per_segment: List[Optional[List[Tuple[np.ndarray, np.ndarray]]]] = []
-        for seg_index, segment in enumerate(segments):
-            if not whole_lake and selections[seg_index] is None:
-                # No job reads this segment; skip its pass entirely.
-                per_segment.append(None)
-                continue
-            per_segment.append(
-                self._segment_tuples(
-                    segment, unique_tuples, profile,
-                    selection=selections[seg_index],
-                )
-            )
-        # Flatten per-segment columns into lake-wide arrays so per-job
-        # reads are single fancy-index gathers.
-        seg_sizes = [len(segment.table_ids) for segment in segments]
-        seg_base = np.concatenate(
-            ([0], np.cumsum(np.asarray(seg_sizes, dtype=np.int64)))
-        )
-        flat_total = int(seg_base[-1])
-        flat_columns: List[np.ndarray] = []
-        flat_signals: List[np.ndarray] = []
-        for t in range(len(unique_tuples)):
-            column = np.zeros(flat_total, dtype=np.float64)
-            signal = np.zeros(flat_total, dtype=bool)
-            for seg_index, outputs in enumerate(per_segment):
-                if outputs is None:
-                    continue
-                lo = int(seg_base[seg_index])
-                hi = int(seg_base[seg_index + 1])
-                column[lo:hi] = outputs[t][0]
-                signal[lo:hi] = outputs[t][1]
-            flat_columns.append(column)
-            flat_signals.append(signal)
-        flat_of: Dict[str, int] = {}
-
-        def flat_position(table_id: str) -> int:
-            position = flat_of.get(table_id)
-            if position is None:
-                seg_index, seg_position = index.locate_position(table_id)
-                position = int(seg_base[seg_index]) + seg_position
-                flat_of[table_id] = position
-            return position
-
-        assembled_ids: List[str] = []
-        assembled_positions: Optional[np.ndarray] = None
-        if whole_lake:
-            # The lake-order assembly skeleton is shared by every
-            # whole-lake job in the batch — built once, not per query.
-            positions: List[int] = []
-            for table_id in lake_ids:
-                if drop and not entities_in_table(table_id):
-                    continue
-                assembled_ids.append(table_id)
-                positions.append(flat_position(table_id))
-            assembled_positions = np.asarray(positions, dtype=np.int64)
-        assembled_ids_arr = (
-            np.asarray(assembled_ids) if assembled_ids else None
-        )
-        aggregation_max = self.query_aggregation is QueryAggregation.MAX
-        job_results: List[ResultSet] = []
-        for job_index in range(len(jobs)):
-            indices = job_tuples[job_index]
-            ordered = ordered_of[job_index]
-            if ordered is None:
-                ids_list = assembled_ids
-                positions = assembled_positions
-            else:
-                if not ordered:
-                    if stats is not None:
-                        stats.record_scoring(0, 0, False)
-                    job_results.append(ResultSet([]))
-                    continue
-                ids_list = ordered
-                positions = np.asarray(
-                    [flat_position(table_id) for table_id in ordered],
-                    dtype=np.int64,
-                )
-            # Per-query aggregation over the shared tuple columns, in
-            # the query's own tuple order — numpy elementwise max /
-            # zero-seeded sum match Python max() / sum() bit for bit.
-            if aggregation_max:
-                score = flat_columns[indices[0]][positions].copy()
-                for tuple_index in indices[1:]:
-                    np.maximum(
-                        score, flat_columns[tuple_index][positions],
-                        out=score,
-                    )
-            else:
-                score = np.zeros(len(ids_list), dtype=np.float64)
-                for tuple_index in indices:
-                    score += flat_columns[tuple_index][positions]
-                score /= len(indices)
-            if drop:
-                signal = np.zeros(len(ids_list), dtype=bool)
-                for tuple_index in indices:
-                    signal |= flat_signals[tuple_index][positions]
-                keep = signal & (score > 0.0)
-            else:
-                keep = score > 0.0
-            kept = np.flatnonzero(keep)
-            if k is not None and kept.size > k:
-                # Per-query top-k without materializing the full
-                # ranking: ascending lexsort on (-score, table_id) is
-                # exactly ResultSet's sort key — ids are unique and
-                # numpy's unicode comparison orders like Python's — so
-                # the first k entries equal ``ResultSet(all).top(k)``
-                # bit for bit.
-                if ordered is None and assembled_ids_arr is not None:
-                    kept_ids = assembled_ids_arr[kept]
-                else:
-                    kept_ids = np.asarray(ids_list)[kept]
-                kept_scores_arr = score[kept]
-                order = np.lexsort((kept_ids, -kept_scores_arr))[:k]
-                result = ResultSet(
-                    ScoredTable(
-                        float(kept_scores_arr[position]),
-                        str(kept_ids[position]),
-                    )
-                    for position in order
-                )
-            else:
-                kept_scores = score[kept].tolist()
-                result = ResultSet([
-                    ScoredTable(kept_scores[i], ids_list[int(position)])
-                    for i, position in enumerate(kept)
-                ])
-                if k is not None:
-                    result = result.top(k)
-            profile.tables_scored += len(ids_list)
-            if ordered is not None and stats is not None:
-                stats.record_scoring(len(ids_list), len(ids_list), False)
-            job_results.append(result)
+            job_results = self._scan_rankings(index, jobs, k, stats, profile)
         profile.total_seconds += time.perf_counter() - start
         return [job_results[slot] for slot in fanout]
+
+    def _aggregate_tuples(
+        self, columns: Sequence[np.ndarray]
+    ) -> np.ndarray:
+        """Combine a query's per-tuple score arrays, in tuple order.
+
+        numpy elementwise max / zero-seeded sum match Python's
+        ``max()`` / ``sum()`` bit for bit, so this is
+        ``query_aggregation.aggregate`` per table.
+        """
+        if self.query_aggregation is QueryAggregation.MAX:
+            score = columns[0].copy()
+            for column in columns[1:]:
+                np.maximum(score, column, out=score)
+            return score
+        score = np.zeros(len(columns[0]), dtype=np.float64)
+        for column in columns:
+            score += column
+        score /= len(columns)
+        return score
+
+    def _score_positions(
+        self,
+        index: SegmentedCorpusIndex,
+        query: Query,
+        positions: np.ndarray,
+        profile: ScoringProfile,
+        restricted: bool = True,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Exact scores of one query at sorted flat ``positions``.
+
+        One restricted :meth:`_segment_tuples` pass per owning segment
+        — arithmetic-identical to the unrestricted pass, as its
+        docstring proves.  ``restricted=False`` (a whole-lake full
+        ranking) runs the unrestricted pass instead, through the
+        segment's tuple-column and assignment memos.  Returns
+        ``(score, returnable)`` aligned with ``positions``;
+        ``returnable`` applies the positive-score and drop-irrelevant
+        rules.
+        """
+        layout = index.layout()
+        tuples = list(dict.fromkeys(query.tuples))
+        lanes = [tuples.index(query_tuple) for query_tuple in query.tuples]
+        score = np.empty(len(positions), dtype=np.float64)
+        signal = np.zeros(len(positions), dtype=bool)
+        for seg_index, lo, hi in layout.segment_slices(positions):
+            local = positions[lo:hi] - layout.seg_base[seg_index]
+            outputs = self._segment_tuples(
+                index.segments[seg_index], tuples, profile,
+                selection=local if restricted else None,
+            )
+            score[lo:hi] = self._aggregate_tuples(
+                [outputs[lane][0][local] for lane in lanes]
+            )
+            for _, tuple_signal in outputs:
+                signal[lo:hi] |= tuple_signal[local]
+        returnable = score > 0.0
+        if self.drop_irrelevant:
+            returnable &= signal
+        return score, returnable
+
+    def _scan_rankings(
+        self,
+        index: SegmentedCorpusIndex,
+        jobs: Sequence[Tuple[Query, Optional[Tuple[str, ...]]]],
+        k: int,
+        stats,
+        profile: ScoringProfile,
+    ) -> List[ResultSet]:
+        """Exact top-``k`` per job by a bound-ordered, pruned scan.
+
+        Filter-and-verify over Algorithm 1: :meth:`_candidate_bounds`
+        gives every candidate a cheap upper bound, candidates are
+        verified (scored exactly) in descending bound order, and the
+        scan stops once the k-th best exact score clears the next
+        bound, so a pruned table provably cannot enter the top ``k``.
+        The stop test is strict: a table that could only *tie* the k-th
+        score has a bound at least that high and is still scored, so
+        the id tie-break sees every contender.
+
+        Whole-lake jobs are answered from the index instance's result
+        memo when they repeat.  Jobs sharing a candidate list (every
+        whole-lake job; every job of a cluster shard) share one
+        lane-stacked bound pass per segment.
+        """
+        layout = index.layout()
+        drop = self.drop_irrelevant
+        token = (
+            self.informativeness,
+            self.row_aggregation,
+            self.tuple_semantics,
+            self.query_aggregation,
+            drop,
+        )
+        results: List[Optional[ResultSet]] = [None] * len(jobs)
+        groups: Dict[Optional[Tuple[str, ...]], List[int]] = {}
+        for slot, (query, cands) in enumerate(jobs):
+            if cands is None:
+                results[slot] = index.cached_result(query.tuples, k, token)
+            if results[slot] is None:
+                groups.setdefault(cands, []).append(slot)
+        for cands, slots in groups.items():
+            positions = layout.positions(cands, linked_only=drop)
+            tuples = list(dict.fromkeys(
+                query_tuple
+                for slot in slots
+                for query_tuple in jobs[slot][0].tuples
+            ))
+            bounds = np.empty((len(tuples), len(positions)), dtype=np.float64)
+            signals = np.empty((len(tuples), len(positions)), dtype=bool)
+            for seg_index, lo, hi in layout.segment_slices(positions):
+                bounds[:, lo:hi], signals[:, lo:hi] = self._candidate_bounds(
+                    index.segments[seg_index], tuples,
+                    positions[lo:hi] - layout.seg_base[seg_index], profile,
+                )
+            for slot in slots:
+                query = jobs[slot][0]
+                rows = [tuples.index(entry) for entry in query.tuples]
+                result, shortlisted, scored, terminated = self._scan(
+                    index, query, positions, bounds[rows], signals[rows],
+                    k, profile,
+                )
+                results[slot] = result
+                if cands is None:
+                    index.store_result(query.tuples, k, token, result)
+                elif stats is not None:
+                    stats.record_scoring(shortlisted, scored, terminated)
+        return results
+
+    def _scan(
+        self,
+        index: SegmentedCorpusIndex,
+        query: Query,
+        positions: np.ndarray,
+        bounds: np.ndarray,
+        signals: np.ndarray,
+        k: int,
+        profile: ScoringProfile,
+    ) -> Tuple[ResultSet, int, int, bool]:
+        """One job of :meth:`_scan_rankings`.
+
+        ``bounds`` / ``signals`` hold one row per tuple of the query,
+        aligned with the candidate ``positions``.  Returns the ranking
+        plus the ``(shortlisted, scored, terminated)`` triple
+        ``PrefilterStats`` records.
+        """
+        layout = index.layout()
+        id_rank = layout.id_rank
+        if self.query_aggregation is QueryAggregation.MAX:
+            bound = bounds.max(axis=0)
+        else:
+            bound = bounds.mean(axis=0)
+        if self.drop_irrelevant:
+            # Signal-free for every tuple: no entity similarity is
+            # positive, so the table is provably irrelevant.
+            shortlist = np.flatnonzero(signals.any(axis=0))
+            positions = positions[shortlist]
+            bound = bound[shortlist]
+        order = np.lexsort((id_rank[positions], -bound))
+        positions = positions[order]
+        bound = bound[order] + BOUND_SLACK
+        shortlisted = len(positions)
+        found_positions: List[np.ndarray] = []
+        found_scores: List[np.ndarray] = []
+        found = 0
+        kth = -np.inf
+        cursor = 0
+        # The chunk doubles, so a query whose bounds all tie costs
+        # O(log n) restricted passes, not n / chunk.
+        chunk_size = max(MIN_PRUNE_CHUNK, 2 * k)
+        while cursor < shortlisted and not bound[cursor] < kth:
+            # Never past the tables the current k-th score still
+            # admits: if it stands, the scan ends after this chunk.
+            admitted = int(np.count_nonzero(~(bound[cursor:] < kth)))
+            chunk = np.sort(
+                positions[cursor:cursor + min(chunk_size, admitted)]
+            )
+            cursor += len(chunk)
+            chunk_size *= 2
+            score, returnable = self._score_positions(
+                index, query, chunk, profile
+            )
+            found_positions.append(chunk[returnable])
+            found_scores.append(score[returnable])
+            found += len(found_scores[-1])
+            if found >= k:
+                kth = np.partition(
+                    np.concatenate(found_scores), found - k
+                )[found - k]
+        profile.tables_scored += cursor
+        if found:
+            found_at = np.concatenate(found_positions)
+            scores = np.concatenate(found_scores)
+            top = np.lexsort((id_rank[found_at], -scores))[:k]
+            result = ResultSet(
+                ScoredTable(score, layout.table_ids[position])
+                for score, position in zip(
+                    scores[top].tolist(), found_at[top].tolist()
+                )
+            )
+        else:
+            result = ResultSet([])
+        return result, shortlisted, cursor, cursor < shortlisted
+
+    def _full_rankings(
+        self,
+        index: SegmentedCorpusIndex,
+        jobs: Sequence[Tuple[Query, Optional[Tuple[str, ...]]]],
+        stats,
+        profile: ScoringProfile,
+    ) -> List[ResultSet]:
+        """Full rankings (``k=None``): each job scores all its candidates.
+
+        There is nothing to prune, and nothing to share between jobs
+        that the segments' tuple-column and assignment memos do not
+        already share, so this is a plain loop over
+        :meth:`_score_positions` — the reference the scan is checked
+        against.
+        """
+        layout = index.layout()
+        job_results: List[ResultSet] = []
+        for query, cands in jobs:
+            positions = layout.positions(
+                cands, linked_only=self.drop_irrelevant
+            )
+            score, returnable = self._score_positions(
+                index, query, positions, profile,
+                restricted=cands is not None,
+            )
+            job_results.append(ResultSet(
+                ScoredTable(value, layout.table_ids[position])
+                for value, position in zip(
+                    score[returnable].tolist(),
+                    positions[returnable].tolist(),
+                )
+            ))
+            profile.tables_scored += len(positions)
+            if cands is not None and stats is not None:
+                stats.record_scoring(len(positions), len(positions), False)
+        return job_results
 
     def score_table(
         self,

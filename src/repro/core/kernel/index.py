@@ -332,6 +332,16 @@ def compile_kernel(
     return ScalarLoopKernel(uris, id_of, sigma)
 
 
+def same_token(stored, token) -> bool:
+    """Whether a memo entry was computed under configuration ``token``.
+
+    A token's head is the informativeness object — replaced, never
+    mutated, on refresh — and is compared by identity; the rest (enum
+    and flag settings) by equality.
+    """
+    return stored[0] is token[0] and stored[1:] == token[1:]
+
+
 class CorpusIndex:
     """Read-only columnar compilation of (tables, mapping, sigma).
 
@@ -684,7 +694,7 @@ class CorpusIndex:
         if entry is None:
             return None
         stored_token, column, signal = entry
-        if stored_token[0] is not token[0] or stored_token[1:] != token[1:]:
+        if not same_token(stored_token, token):
             return None
         return column, signal
 

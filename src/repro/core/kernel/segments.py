@@ -38,22 +38,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    Any,
     Callable,
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
 )
 
-from repro.core.cache import CacheStats
+import numpy as np
+
+from repro.core.cache import CacheStats, LRUCache
 from repro.exceptions import ConfigurationError
 from repro.core.kernel.index import (
     DEFAULT_ROW_CACHE_SIZE,
     CorpusIndex,
     TableView,
+    same_token,
 )
 from repro.datalake.table import Table
 from repro.linking.mapping import EntityMapping
@@ -88,6 +93,67 @@ def _merge_cache_stats(parts: Sequence[CacheStats]) -> CacheStats:
         size=sum(p.size for p in parts),
         maxsize=sum(p.maxsize for p in parts),
     )
+
+
+@dataclass(frozen=True)
+class LakeLayout:
+    """One flat table axis over every segment of an index instance.
+
+    Flat position ``seg_base[s] + p`` names table ``p`` of segment
+    ``s`` (dead copies included, so a segment's score column drops in
+    by slice).  Everything here is a function of the immutable index
+    instance, so it is built once per instance, not once per batch:
+
+    * ``table_ids`` — the table id at every flat position;
+    * ``flat_of`` — live table id -> flat position;
+    * ``id_rank`` — each position's rank in ascending table-id order,
+      so the engine's ``(-score, table_id)`` ranking is one numeric
+      ``lexsort`` (live ids are unique, so rank order *is* id order);
+    * ``live`` — sorted flat positions of the live tables;
+    * ``has_links`` — per flat position, whether the table links at
+      least one entity inside its grid.  A linkless table has no
+      similarity signal, so under ``drop_irrelevant`` it can never be
+      returned.
+    """
+
+    seg_base: np.ndarray
+    table_ids: Tuple[str, ...]
+    flat_of: Dict[str, int]
+    id_rank: np.ndarray
+    live: np.ndarray
+    has_links: np.ndarray
+
+    def positions(
+        self, table_ids: Optional[Iterable[str]], linked_only: bool
+    ) -> np.ndarray:
+        """Sorted flat positions of a candidate restriction.
+
+        ``None`` is the whole lake; otherwise unknown ids and
+        duplicates drop out.  ``linked_only`` keeps linked tables only.
+        """
+        if table_ids is None:
+            found = self.live
+        else:
+            found = np.unique(np.fromiter(
+                (position for position in map(self.flat_of.get, table_ids)
+                 if position is not None),
+                dtype=np.int64,
+            ))
+        return found[self.has_links[found]] if linked_only else found
+
+    def segment_slices(
+        self, positions: np.ndarray
+    ) -> Iterator[Tuple[int, int, int]]:
+        """Split sorted flat ``positions`` by owning segment.
+
+        Yields ``(segment index, lo, hi)`` for every segment owning at
+        least one of them: ``positions[lo:hi]`` minus the segment's
+        base are its in-segment positions, still sorted.
+        """
+        cuts = np.searchsorted(positions, self.seg_base).tolist()
+        for seg_index in range(len(cuts) - 1):
+            if cuts[seg_index + 1] > cuts[seg_index]:
+                yield seg_index, cuts[seg_index], cuts[seg_index + 1]
 
 
 @dataclass(frozen=True)
@@ -161,6 +227,11 @@ class SegmentedCorpusIndex:
                 if table_id not in dead_set:
                     owner[table_id] = (seg_index, position)
         self._owner = owner
+        self._layout: Optional[LakeLayout] = None
+        # Finished top-k rankings of whole-lake queries (see
+        # cached_result).  Per instance, so a mutation — which always
+        # yields a new instance — starts from an empty memo.
+        self._results = LRUCache(max(1, row_cache_size // 8))
 
     # ------------------------------------------------------------------
     # Construction
@@ -406,6 +477,70 @@ class SegmentedCorpusIndex:
         """The live ``(segment index, position)`` of a table id."""
         return self._owner[table_id]
 
+    def layout(self) -> LakeLayout:
+        """The flat table axis of this instance, built on first use.
+
+        The unsynchronized memo is a benign race: the layout is a pure
+        function of the (immutable) instance.
+        """
+        layout = self._layout
+        if layout is None:
+            sizes = [len(segment.table_ids) for segment in self.segments]
+            seg_base = np.concatenate(
+                ([0], np.cumsum(np.asarray(sizes, dtype=np.int64)))
+            ).astype(np.int64)
+            bases = seg_base.tolist()
+            table_ids = tuple(
+                table_id
+                for segment in self.segments
+                for table_id in segment.table_ids
+            )
+            flat_of = {
+                table_id: bases[seg_index] + position
+                for table_id, (seg_index, position) in self._owner.items()
+            }
+            id_rank = np.empty(len(table_ids), dtype=np.int64)
+            id_rank[
+                sorted(range(len(table_ids)), key=table_ids.__getitem__)
+            ] = np.arange(len(table_ids), dtype=np.int64)
+            live = np.sort(np.fromiter(
+                flat_of.values(), dtype=np.int64, count=len(flat_of)
+            ))
+            has_links = (
+                np.concatenate([
+                    np.diff(segment.nnz_toffset) > 0
+                    for segment in self.segments
+                ])
+                if self.segments else np.zeros(0, dtype=bool)
+            )
+            for array in (seg_base, id_rank, live, has_links):
+                array.setflags(write=False)
+            layout = LakeLayout(
+                seg_base, table_ids, flat_of, id_rank, live, has_links
+            )
+            self._layout = layout
+        return layout
+
+    def cached_result(self, tuples, k: int, token) -> Optional[Any]:
+        """Memoized top-``k`` ranking of one whole-lake query.
+
+        A ranking is a pure function of the query's tuples, ``k``, the
+        (immutable) index instance and the engine configuration, which
+        ``token`` captures (see :func:`~repro.core.kernel.index.
+        same_token`).  Mutations need no invalidation:
+        :meth:`with_table`, :meth:`without_table`, :meth:`rebound` and a
+        merging compaction all return a new instance with an empty memo.
+        """
+        entry = self._results.get((tuples, k))
+        if entry is None:
+            return None
+        stored_token, result = entry
+        return result if same_token(stored_token, token) else None
+
+    def store_result(self, tuples, k: int, token, result) -> None:
+        """Memoize one whole-lake ranking (see cached_result)."""
+        self._results.put((tuples, k), (token, result))
+
     def locate(
         self, table_id: str
     ) -> Optional[Tuple[CorpusIndex, TableView]]:
@@ -453,6 +588,7 @@ class SegmentedCorpusIndex:
 
 __all__ = [
     "COMPACTION_FANOUT",
+    "LakeLayout",
     "MAX_SEGMENTS",
     "SegmentedCorpusIndex",
     "SegmentedIndexStats",

@@ -40,10 +40,10 @@ from repro.similarity.embedding import EmbeddingCosineSimilarity
 from repro.similarity.informativeness import Informativeness
 from repro.similarity.types import TypeJaccardSimilarity
 
-#: Retrieval modes accepted by :meth:`Thetis.search`: ``"exact"`` scores
+#: Retrieval modes accepted by :meth:`Thetis.search`: ``"exact"`` ranks
 #: the whole lake (bit-compatible with the historical default), while
-#: ``"prefilter"`` generates an LSH candidate set first and rescores
-#: only the shortlist (Section 6 + the fused kernel path).
+#: ``"prefilter"`` generates an LSH candidate set first and ranks only
+#: the shortlist (Section 6).
 SEARCH_MODES = ("exact", "prefilter")
 
 #: Search workloads accepted by :meth:`Thetis.search`: ``"entity"`` is
@@ -733,15 +733,20 @@ class Thetis:
     ) -> ResultSet:
         """Rank the lake's tables by SemRel against ``query``.
 
-        ``mode="exact"`` (default) keeps the historical behavior:
-        every table is scored, optionally restricted by ``use_lsh``.
-        ``mode="prefilter"`` runs the full Section 6 serving pipeline —
-        LSH candidate generation, fused kernel rescoring restricted to
-        the shortlist, and score-bound early termination — and records
-        reduction/shortlist counters into :attr:`prefilter_stats`
-        (``use_lsh`` is implied and ignored).  With ``workers > 1``
-        (constructor) exact scoring is sharded across the worker
-        pool — the ranking is identical either way.
+        A batch of one through the one search path
+        (:meth:`_search_batch`), whatever the mode.  ``mode="exact"``
+        (default) ranks the whole lake, optionally restricted by
+        ``use_lsh``.  ``mode="prefilter"`` runs the Section 6 serving
+        pipeline — LSH candidate generation, then the exact top ``k``
+        of the shortlist — and records reduction, shortlist and
+        pruning counters into :attr:`prefilter_stats` (``use_lsh`` is
+        implied and ignored).  The two modes differ in the candidate
+        set only: the vectorized engine answers both with the same
+        bound-ordered, early-terminating scan, the scalar engine scores
+        every exact-mode table and runs ``topk_search`` over a
+        shortlist.  With ``workers > 1`` (constructor) exact scoring is
+        sharded across the worker pool — the ranking is identical
+        either way.
 
         ``task`` selects the workload (:data:`SEARCH_TASKS`):
         ``"union"`` ranks by structural unionability, ``"join"`` by
@@ -750,16 +755,6 @@ class Thetis:
         exact-mode only.
         """
         self._check_open("search")
-        if mode == "prefilter":
-            # A lone prefiltered query takes the bound-ordered,
-            # early-terminating scan; a batch shares one pass and
-            # scores every shortlist in full.
-            (shortlist,) = self._restrictions(
-                [query], method, use_lsh, lsh_config, votes, mode, task
-            )
-            return self.engine(method).search_candidates(
-                query, shortlist, k=k, stats=self.prefilter_stats
-            )
         return self._search_batch(
             [query], k, method, use_lsh, lsh_config, votes, mode, task
         )[0]
@@ -778,16 +773,17 @@ class Thetis:
         """Run a batch of queries; identical to per-query :meth:`search`.
 
         This is the entry point the serving layer's micro-batcher uses:
-        the whole micro-batch rides one fused multi-query kernel pass
-        (:meth:`~repro.core.kernel.engine.VectorizedTableSearchEngine.
-        search_batch`) instead of looping query by query, while every
-        ranking stays bit-identical to a sequential :meth:`search`.
-        ``mode="prefilter"`` generates each query's LSH shortlist,
-        then scores all shortlists in the same fused pass (selections
-        are unioned for the shared gather and masked per query).
-        Scalar engines loop per query; both outcomes are tallied in
-        :attr:`batch_stats`.  Non-entity ``task`` batches ride the task
-        engines' lane-stacked ``search_batch``.
+        the whole micro-batch is one
+        :meth:`~repro.core.kernel.engine.VectorizedTableSearchEngine.
+        search_batch` call — duplicates answered once, every job a
+        result-memo hit or one pruned top-``k`` scan, jobs that share a
+        candidate list sharing the bound pass — while every ranking
+        stays bit-identical to a sequential :meth:`search`.
+        ``mode="prefilter"`` generates each query's LSH shortlist and
+        scans that instead of the lake.  Scalar engines loop per query;
+        both outcomes are tallied in :attr:`batch_stats`.  Non-entity
+        ``task`` batches ride the task engines' lane-stacked
+        ``search_batch``.
         """
         self._check_open("search_many")
         rankings = self._search_batch(

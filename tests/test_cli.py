@@ -45,6 +45,21 @@ class TestParser:
         assert args.timeout == pytest.approx(30.0)
         assert args.batch_workers == 1
         assert not args.no_warm
+        # The serving default is the kernel, as on `cluster worker`;
+        # the scalar reference stays selectable.
+        assert args.engine == "vectorized"
+
+    def test_serve_engine_choices(self):
+        base = ["serve", "--graph", "g", "--lake", "l", "--mapping", "m"]
+        for kind in ("scalar", "vectorized"):
+            args = build_parser().parse_args(base + ["--engine", kind])
+            assert args.engine == kind
+        worker = build_parser().parse_args([
+            "cluster", "worker", "--graph", "g", "--lake", "l",
+            "--mapping", "m", "--worker-id", "w0",
+            "--coordinator-host", "127.0.0.1", "--coordinator-port", "1",
+        ])
+        assert worker.engine == "vectorized"
 
     def test_serve_custom_knobs(self):
         args = build_parser().parse_args([

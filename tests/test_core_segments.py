@@ -214,6 +214,77 @@ class TestTombstones:
         assert index.stats().tombstones == 0
 
 
+class TestLakeLayout:
+    """The per-instance flat table axis the engine ranks over."""
+
+    def test_layout_spans_segments_and_skips_the_dead(self):
+        rng = random.Random(13)
+        # T3 has no rows and T5 no links: neither can carry a signal.
+        lake, mapping = make_lake(rng, num_tables=7)
+        sigma = make_sigma("types", rng)
+        index = SegmentedCorpusIndex.compile(
+            lake, mapping, sigma, segment_tables=3
+        )
+        # T1's first copy dies; its replacement is a fourth segment.
+        index = index.without_table("T4").with_table(lake.get("T1"))
+        layout = index.layout()
+        assert index.layout() is layout  # built once per instance
+        assert layout.seg_base.tolist() == [0, 3, 6, 7, 8]
+        assert layout.table_ids == (
+            "T0", "T1", "T2", "T3", "T4", "T5", "T6", "T1"
+        )
+        assert layout.live.tolist() == [0, 2, 3, 5, 6, 7]
+        assert layout.flat_of == {
+            "T0": 0, "T2": 2, "T3": 3, "T5": 5, "T6": 6, "T1": 7
+        }
+        assert layout.has_links.tolist() == [
+            True, True, True, False, True, False, True, True
+        ]
+        # Rank order is id order over the live tables.
+        by_rank = sorted(layout.live.tolist(), key=layout.id_rank.__getitem__)
+        assert [layout.table_ids[p] for p in by_rank] == sorted(index.live_table_ids())
+
+        # Restrictions: any order, ghosts and duplicates drop out, the
+        # dead T4 and (on request) the linkless T5 too.
+        wanted = ["T6", "ghost", "T1", "T5", "T4", "T6", "T0"]
+        assert layout.positions(wanted, False).tolist() == [0, 5, 6, 7]
+        assert layout.positions(wanted, True).tolist() == [0, 6, 7]
+        assert layout.positions(None, False) is layout.live
+        assert layout.positions(None, True).tolist() == [0, 2, 6, 7]
+        assert layout.positions([], True).tolist() == []
+        assert list(layout.segment_slices(layout.positions(wanted, False))) \
+            == [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 4)]
+        assert list(layout.segment_slices(layout.positions(["T2", "T0"], True))) \
+            == [(0, 0, 2)]
+
+    def test_mutators_return_instances_with_their_own_memo(self):
+        rng = random.Random(17)
+        lake, mapping = make_lake(rng, num_tables=5)
+        sigma = make_sigma("types", rng)
+        index = SegmentedCorpusIndex.compile(lake, mapping, sigma)
+        token = (object(), "max")
+        index.store_result((("kg:e1",),), 3, token, "ranking")
+        assert index.cached_result((("kg:e1",),), 3, token) == "ranking"
+        # k and the token are part of the key; the token's head is
+        # compared by identity.
+        assert index.cached_result((("kg:e1",),), 4, token) is None
+        assert index.cached_result(
+            (("kg:e1",),), 3, (object(), "max")) is None
+        assert index.cached_result(
+            (("kg:e1",),), 3, (token[0], "avg")) is None
+        for successor in (
+            index.without_table("T0"),
+            index.with_table(lake.get("T0")),
+            index.rebound(mapping, sigma),
+            index.without_table("T0").compacted(lake.get),
+        ):
+            assert successor is not index
+            assert successor.cached_result((("kg:e1",),), 3, token) is None
+        # No-ops return the receiver, memo and all.
+        assert index.without_table("nope") is index
+        assert index.maybe_compacted(lake.get) is index
+
+
 # ----------------------------------------------------------------------
 # O(delta): adds compile one table, segments are shared by reference
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Randomized bit-identity properties of the multi-query batched kernel.
 
-``VectorizedTableSearchEngine.search_batch`` fuses a whole micro-batch
-into one corpus pass per segment; the contract is that every query's
+``VectorizedTableSearchEngine.search_batch`` answers a whole
+micro-batch in one call; the contract is that every query's
 ranking is *bit-identical* (scores compared with ``==``, ties broken
 ``(-score, table_id)``) to what a sequential ``search`` /
 ``search_candidates`` call returns.  The properties here check that

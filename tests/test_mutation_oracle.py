@@ -9,6 +9,11 @@ and mapping:
 * union (``types`` and ``embeddings`` encoders) and join (containment
   and jaccard): identical ids; bit-equal scores for types and join,
   <= 1e-9 for embeddings;
+* the exact entity top-k (``k=2``, so the pruned scan and its result
+  memo are live, and the whole ranking): ids and scores bit-equal to
+  the *scalar* engine over that cold build — the same query is asked
+  after every step, so a result memo that outlived its index instance
+  would answer with the previous lake;
 * ``mode=prefilter``: the ``apply`` chain equals the in-process chain
   (both keep the ``frequent_types`` of their first build, so a cold
   rebuild is not their reference) and never returns a removed table.
@@ -148,6 +153,14 @@ class Harness:
             ("join", "containment"): thetis.search(query, k=K, task="join"),
             ("join", "jaccard"): self._jaccard(thetis, query),
             PREFILTER: thetis.search(query, k=K, mode="prefilter"),
+            **self._search_entity(thetis, query),
+        }
+
+    @staticmethod
+    def _search_entity(thetis: Thetis, query: Query):
+        return {
+            ("entity", "top2"): thetis.search(query, k=2),
+            ("entity", "all"): thetis.search(query, k=K),
         }
 
     def _jaccard(self, thetis: Thetis, query: Query):
@@ -199,6 +212,8 @@ class Harness:
                 embeddings=self.store, engine_kind="vectorized",
             )
             expected = self._search_everything(cold, query)
+            with Thetis(lake, self.graph, mapping) as scalar:
+                expected.update(self._search_entity(scalar, query))
             direct = self._search_everything(self.direct, query)
             swapped = self._search_everything(served, query)
             cold.close()
@@ -321,6 +336,7 @@ def test_held_snapshot_is_never_written():
                         sorted(prefilter.candidate_tables(query))
                         for query in QUERIES
                     ],
+                    [pairs(thetis.search(query, k=2)) for query in QUERIES],
                     len(thetis.mapping), thetis.lake.table_ids(),
                 )
 
@@ -331,6 +347,12 @@ def test_held_snapshot_is_never_written():
             harness.readd("S1")
             assert harness.manager.version == 4
             assert state() == before
+            # ... while the live generation answers from its own lake.
+            with harness.manager.checkout() as live:
+                assert [
+                    pairs(live.thetis.search(query, k=2))
+                    for query in QUERIES
+                ] != before[-3]
             # The held generation still owns the very same objects.
             assert thetis.union_engine("types").index() is union
             assert thetis.join_engine().index() is join

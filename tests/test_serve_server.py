@@ -269,6 +269,47 @@ class TestPrefilterServing:
         # No guardrail configured on the default server fixture.
         assert block["guardrail"]["checks"] == 0
 
+    def test_served_prefilter_traffic_reports_pruning(self):
+        """The pruning counters are live for served requests.
+
+        Served traffic is ``search_many`` -> ``search_batch``, which
+        used to record ``scored == shortlisted`` and never a cut-off
+        for every restricted job; only the 1-in-N guardrail samples
+        (a lone in-process ``search``) reached the pruned scan.
+        """
+        from repro.benchgen import WT2015_PROFILE, build_benchmark
+
+        bench = build_benchmark(
+            WT2015_PROFILE, num_tables=200, num_query_pairs=3, seed=29
+        )
+        served = Thetis(bench.lake, bench.graph, bench.mapping,
+                        engine_kind="vectorized")
+        handle = ServerThread(
+            served,
+            ServeConfig(port=0, max_batch_size=8, flush_interval=0.005),
+        )
+        handle.start().wait_ready()
+        try:
+            queries = list(bench.queries.all_queries().values())
+            for query in queries:
+                status, body = http_request(
+                    handle.port, "POST", "/search",
+                    {"tuples": [list(entry) for entry in query.tuples],
+                     "mode": "prefilter", "k": 3},
+                )
+                assert status == 200
+                assert len(body["results"]) == 3
+            _, metrics = http_request(handle.port, "GET", "/metrics")
+        finally:
+            handle.stop()
+        block = metrics["prefilter"]
+        assert block["guardrail"]["checks"] == 0  # no sampled path ran
+        assert block["scoring_calls"] == len(queries)
+        assert block["mean_shortlist"] > 32  # more than one chunk
+        assert block["early_termination_rate"] > 0.0
+        # scored <= shortlisted, and strictly fewer once a scan stops.
+        assert 0.0 < block["scored_fraction"] < 1.0
+
     def test_guardrail_sampling_records_recall(self, sports_lake,
                                                sports_graph, sports_mapping):
         served = build_served_thetis(sports_lake, sports_graph,
