@@ -11,13 +11,10 @@ Paper shape to reproduce:
 * 3 votes is at least as fast as 1 vote;
 * (30, 10) is the best or near-best configuration.
 
-Beyond the paper's table, ``test_table3_parallel_cache_speedup``
-measures the scaling layer this repo adds on top: sequential search
-with the seed's per-query similarity memo vs sharded parallel search
-over the persistent similarity cache at steady state (``--workers``
-selects the pool size).  On a multi-core box both sharding and caching
-contribute; on a single core the speedup is the cache amortization
-alone, so the assertion holds either way.
+Beyond the paper's table, ``test_table3_persistent_cache_speedup``
+measures the caching layer this repo adds on top: sequential search
+with the seed's per-query similarity memo vs sequential search over the
+persistent similarity cache at steady state.
 """
 
 import time
@@ -25,7 +22,6 @@ import time
 import pytest
 
 from benchmarks.conftest import print_header
-from repro.core import ParallelSearchEngine
 from repro.lsh import LSHConfig
 
 LSH_CONFIGS = (LSHConfig(32, 8), LSHConfig(128, 8), LSHConfig(30, 10))
@@ -93,16 +89,14 @@ def test_table3_runtime(wt_bench, wt_thetis, benchmark):
     assert speedup > 2.0
 
 
-def test_table3_parallel_cache_speedup(wt_bench, wt_thetis, request,
-                                       benchmark):
-    """Sequential cold cache vs sharded workers over a warm cache.
+def test_table3_persistent_cache_speedup(wt_bench, wt_thetis, benchmark):
+    """Sequential search: per-query memo vs the persistent warm cache.
 
     Uses the embeddings engine: cosine similarity is the expensive
     sigma (one numpy reduction per entity pair), so it is where the
     Section 7.3 similarity cost — and hence the cache's amortization —
     actually shows up in wall-clock time.
     """
-    workers = request.config.getoption("--workers")
     engine = wt_thetis.engine("embeddings")
     queries = (
         list(wt_bench.queries.one_tuple.values())
@@ -119,10 +113,10 @@ def test_table3_parallel_cache_speedup(wt_bench, wt_thetis, request,
             engine.search(query, k=10)
         return time.perf_counter() - start
 
-    def phase_parallel_persistent(parallel):
+    def phase_sequential_persistent():
         start = time.perf_counter()
         for query in queries:
-            parallel.search(query, k=10)
+            engine.search(query, k=10)
         return time.perf_counter() - start
 
     def run():
@@ -134,34 +128,29 @@ def test_table3_parallel_cache_speedup(wt_bench, wt_thetis, request,
         # back-to-back timings on a shared box flip on scheduler noise,
         # while minima of alternating reps compare best-case to
         # best-case.  Phase A clears the cache per query (seed
-        # behavior); phase B is the steady state of the new substrate —
-        # persistent cache, warmed by its own first pass, + sharded
-        # workers.
-        sequential_times, parallel_times = [], []
-        with ParallelSearchEngine(engine, workers=workers) as parallel:
-            for _ in range(3):
-                sequential_times.append(phase_sequential_percall())
-                # Phase A's per-query clears emptied the shared cache;
-                # re-warm so phase B measures steady state.
-                engine.similarity_cache.clear()
-                engine.similarity_cache.reset_stats()
-                engine.profile.reset()
-                phase_parallel_persistent(parallel)
-                parallel_times.append(phase_parallel_persistent(parallel))
+        # behavior); phase B is the steady state of the persistent
+        # cache, warmed by its own first pass.
+        percall_times, persistent_times = [], []
+        for _ in range(3):
+            percall_times.append(phase_sequential_percall())
+            # Phase A's per-query clears emptied the shared cache;
+            # re-warm so phase B measures steady state.
+            engine.similarity_cache.clear()
+            engine.similarity_cache.reset_stats()
+            engine.profile.reset()
+            phase_sequential_persistent()
+            persistent_times.append(phase_sequential_persistent())
 
-        sequential_percall = min(sequential_times)
-        parallel_persistent = min(parallel_times)
+        sequential_percall = min(percall_times)
+        sequential_persistent = min(persistent_times)
         stats = engine.cache_stats()["similarity"]
-        speedup = sequential_percall / parallel_persistent
-        print_header(
-            "Table 3 extension - parallel sharding + persistent cache"
-        )
+        speedup = sequential_percall / sequential_persistent
+        print_header("Table 3 extension - persistent similarity cache")
         print(f"  queries                          {len(queries)}")
-        print(f"  workers                          {workers}")
         print(f"  sequential, per-query memo       "
               f"{sequential_percall * 1000:8.1f} ms")
-        print(f"  parallel,   persistent cache     "
-              f"{parallel_persistent * 1000:8.1f} ms")
+        print(f"  sequential, persistent cache     "
+              f"{sequential_persistent * 1000:8.1f} ms")
         print(f"  speedup                          {speedup:8.2f}x")
         print(f"  similarity cache                 {stats.format_row()}")
         print(f"  profile hit rate                 "
@@ -169,8 +158,6 @@ def test_table3_parallel_cache_speedup(wt_bench, wt_thetis, request,
         return speedup, stats.hit_rate
 
     speedup, hit_rate = benchmark.pedantic(run, rounds=1, iterations=1)
-    # The persistent cache plus sharding must beat the seed's
-    # per-query-memo search; the cache alone guarantees this even on
-    # one core.
+    # The persistent cache must beat the seed's per-query-memo search.
     assert speedup > 1.0
     assert hit_rate > 0.5

@@ -41,10 +41,6 @@ QUICK_QUERY_PAIRS = 4
 
 def pytest_addoption(parser):
     parser.addoption(
-        "--workers", type=int, default=4,
-        help="worker count for the parallel-search benchmarks",
-    )
-    parser.addoption(
         "--quick", action="store_true",
         help="shrink benchmark corpora for a CI smoke run",
     )

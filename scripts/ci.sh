@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # CI gate: repro.analysis static checks, tier-1 tests, plus quick perf
-# smokes of the parallel/cache
-# layer, the vectorized scoring kernel (score parity + speedup floor),
-# and the online serving layer, so regressions in the scoring substrate
-# or the query service surface without running the full benchmark
-# harness.
+# smokes of the persistent similarity cache, the vectorized scoring
+# kernel (score parity + speedup floor), and the online serving layer,
+# so regressions in the scoring substrate or the query service surface
+# without running the full benchmark harness.
 #
-# Usage: scripts/ci.sh [workers]   (default: 2)
+# Usage: scripts/ci.sh [workers]   (lint --jobs; default: 2)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -29,10 +28,10 @@ echo "== tier-1 test suite =="
 python -m pytest -x -q
 
 echo
-echo "== perf smoke: parallel sharding + persistent cache (workers=$WORKERS) =="
+echo "== perf smoke: persistent similarity cache =="
 python -m pytest -x -q -s \
-    "benchmarks/bench_table3_runtime.py::test_table3_parallel_cache_speedup" \
-    --quick --workers "$WORKERS" \
+    "benchmarks/bench_table3_runtime.py::test_table3_persistent_cache_speedup" \
+    --quick \
     --benchmark-disable
 
 echo

@@ -18,8 +18,8 @@ before they reach the engine or the filesystem.  This pass proves it:
   carries a ``# taint: sanitizer`` comment.  A sanitizer's return
   value is clean.
 * **Sinks** — engine entry points (``search``/``search_many``/
-  ``search_shard_batch``/``topk_search``/``add_table``/
-  ``remove_table``/``explain``), the persistent-index
+  ``search_shard_batch``/``add_table``/``remove_table``/
+  ``explain``), the persistent-index
   loaders of :mod:`repro.core.kernel.storage`, and filesystem path
   arguments (``open``, ``np.memmap``).
 
@@ -84,7 +84,6 @@ SINK_METHODS = {
     "search",
     "search_many",
     "search_shard_batch",
-    "topk_search",
     "add_table",
     "remove_table",
     "explain",

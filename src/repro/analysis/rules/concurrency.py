@@ -1,7 +1,7 @@
 """Concurrency rules: lock discipline and asyncio hygiene.
 
 The system's thread-safety story rests on a handful of locks guarding
-mutable state (similarity caches, worker pools, serve snapshots and
+mutable state (similarity caches, engine indexes, serve snapshots and
 metrics).  These rules make that discipline machine-checked:
 
 ``guarded-attr-outside-lock``

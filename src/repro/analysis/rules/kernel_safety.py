@@ -1,7 +1,7 @@
 """Kernel-safety rules for the vectorized scoring substrate.
 
 The ``core/kernel`` arrays are compiled once, marked read-only, and
-shared across thread shards; parity with the scalar engine is promised
+shared across reader threads; parity with the scalar engine is promised
 to 1e-9.  Three classes of silent numpy behavior can break that without
 failing a single test loudly:
 

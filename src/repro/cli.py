@@ -162,8 +162,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     mapping = load_mapping(args.mapping)
     with Thetis(
         lake, graph, mapping,
-        workers=args.workers,
-        search_backend=args.backend,
         cache_size=args.cache_size,
         engine_kind=args.engine,
         index_dir=args.index,
@@ -203,8 +201,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     mapping = load_mapping(args.mapping)
     thetis = Thetis(
         lake, graph, mapping,
-        workers=args.workers,
-        search_backend=args.backend,
         cache_size=args.cache_size,
         engine_kind=args.engine,
         index_dir=args.index,
@@ -248,7 +244,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     query_set = load_queries(args.queries)
     thetis = Thetis(
         lake, graph, mapping,
-        workers=args.workers,
         cache_size=args.cache_size,
         engine_kind=args.engine,
     )
@@ -538,8 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--queries", required=True)
     bench.add_argument("--out", required=True, help="markdown report path")
     bench.add_argument("-k", type=int, default=10)
-    bench.add_argument("--workers", type=int, default=1,
-                       help="shard exact scoring across N workers")
     bench.add_argument("--cache-size", type=int,
                        default=DEFAULT_SIMILARITY_CACHE_SIZE,
                        help="similarity-cache entry bound")
@@ -560,10 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="types")
     serve.add_argument("--dimensions", type=int, default=32,
                        help="embedding width when --method embeddings")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="shard exact scoring across N workers")
-    serve.add_argument("--backend", choices=["thread", "process"],
-                       default="thread")
     serve.add_argument("--cache-size", type=int,
                        default=DEFAULT_SIMILARITY_CACHE_SIZE)
     serve.add_argument("--engine", choices=ENGINE_KINDS,
@@ -626,12 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "'prefilter' generates an LSH candidate set "
                              "and rescores only the shortlist with "
                              "bound-based early termination")
-    search.add_argument("--workers", type=int, default=1,
-                        help="shard exact scoring across N workers "
-                             "(1 = sequential)")
-    search.add_argument("--backend", choices=["thread", "process"],
-                        default="thread",
-                        help="worker-pool backend when --workers > 1")
     search.add_argument("--cache-size", type=int,
                         default=DEFAULT_SIMILARITY_CACHE_SIZE,
                         help="similarity-cache entry bound")

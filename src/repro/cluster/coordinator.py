@@ -189,7 +189,6 @@ class ClusterCoordinator:
         self._epoch = 0
         self._http = HttpShell(
             {
-                ("GET", "/healthz"): self._handle_healthz,
                 ("GET", "/readyz"): self._handle_readyz,
                 ("GET", "/metrics"): self._handle_metrics,
                 ("GET", "/cluster/status"): self._handle_status,
@@ -200,7 +199,6 @@ class ClusterCoordinator:
         self._control_server: Optional[asyncio.AbstractServer] = None
         self._heartbeat_task: Optional["asyncio.Task[None]"] = None
         self._push_tasks: Set["asyncio.Task[None]"] = set()
-        self._started_at = 0.0
         self._shut_down = False
 
     # ------------------------------------------------------------------
@@ -222,7 +220,6 @@ class ClusterCoordinator:
     async def start(self) -> None:
         if self._http.port is not None:
             raise ClusterError("coordinator already started")
-        self._started_at = time.monotonic()
         self._control_server = await asyncio.start_server(
             self._handle_control, self.config.host, self.config.control_port
         )
@@ -464,12 +461,6 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     # HTTP front door
     # ------------------------------------------------------------------
-    async def _handle_healthz(self, request: HttpRequest) -> HttpResponse:
-        return HttpResponse(200, {
-            "status": "ok",
-            "uptime_seconds": time.monotonic() - self._started_at,
-        })
-
     async def _handle_readyz(self, request: HttpRequest) -> HttpResponse:
         table = await self._routing_table()
         if len(table.live) >= self.config.min_workers:
@@ -513,7 +504,7 @@ class ClusterCoordinator:
             queue_depth=self.batcher.queue_depth,
             queue_limit=self.config.max_queue_depth,
             snapshot_version=table.epoch,
-            uptime_seconds=time.monotonic() - self._started_at,
+            uptime_seconds=self._http.uptime_seconds,
             cluster_stats=cluster,
             batch_stats=fleet_batch.as_dict(),
         )

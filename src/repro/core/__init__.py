@@ -39,8 +39,7 @@ from repro.core.relaxation import (
     drop_least_informative,
     split_tuples,
 )
-from repro.core.parallel import ParallelSearchEngine, merge_topk
-from repro.core.topk import table_score_upper_bound, topk_search
+from repro.core.parallel import merge_topk
 from repro.core.query import EntityTuple, Query
 from repro.core.result import ResultSet, ScoredTable
 from repro.core.search import ScoringProfile, TableScore, TableSearchEngine
@@ -58,7 +57,6 @@ __all__ = [
     "CorpusIndex",
     "ENGINE_KINDS",
     "engine_class",
-    "ParallelSearchEngine",
     "merge_topk",
     "LRUCache",
     "SimilarityCache",
@@ -85,8 +83,6 @@ __all__ = [
     "TableExplanation",
     "TupleExplanation",
     "EntityExplanation",
-    "topk_search",
-    "table_score_upper_bound",
     "reciprocal_rank_fusion",
     "comb_sum",
     "comb_mnz",

@@ -8,7 +8,7 @@ replacement:
 
 * :class:`LRUCache` — a generic bounded least-recently-used cache with
   hit/miss/eviction counters, safe under concurrent access (the
-  parallel engine's thread workers share one instance);
+  serving layer's batch threads share one instance);
 * :class:`SimilarityCache` — a bounded memo specialized for pairwise
   entity similarities, tuned for the read-dominated hot path: lock-free
   GIL-atomic reads, locked writes, insertion-order eviction.  When the
@@ -76,7 +76,7 @@ class LRUCache:
     """A bounded least-recently-used mapping with usage counters.
 
     All operations take an internal lock, so one instance may be shared
-    by the parallel engine's thread workers.  Lookups that miss and the
+    by concurrent reader threads.  Lookups that miss and the
     subsequent :meth:`put` are *not* one atomic unit — two threads may
     both compute a value for the same key — but the cache stays
     consistent and the duplicated work is benign for pure functions,
@@ -172,26 +172,6 @@ class LRUCache:
                 size=len(self._data),
                 maxsize=self._maxsize,
             )
-
-    # Locks are not picklable; process-backend workers receive a copy
-    # of the owning engine, so carry the entries and rebuild the lock.
-    def __getstate__(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "maxsize": self._maxsize,
-                "items": list(self._data.items()),
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-            }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self._maxsize = state["maxsize"]
-        self._data = OrderedDict(state["items"])
-        self._lock = threading.RLock()
-        self._hits = state["hits"]
-        self._misses = state["misses"]
-        self._evictions = state["evictions"]
 
 
 class SimilarityCache:
@@ -310,29 +290,6 @@ class SimilarityCache:
                 size=len(self._data),
                 maxsize=self._maxsize,
             )
-
-    # Locks are not picklable; drop and rebuild (see LRUCache).
-    def __getstate__(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "sigma": self.sigma,
-                "symmetric": self.symmetric,
-                "maxsize": self._maxsize,
-                "data": dict(self._data),
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-            }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.sigma = state["sigma"]
-        self.symmetric = state["symmetric"]
-        self._maxsize = state["maxsize"]
-        self._data = state["data"]
-        self._lock = threading.Lock()
-        self._hits = state["hits"]
-        self._misses = state["misses"]
-        self._evictions = state["evictions"]
 
 
 def format_cache_stats(stats: Dict[str, CacheStats]) -> str:

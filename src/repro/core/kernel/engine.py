@@ -34,11 +34,9 @@ mutations apply O(delta) — ``invalidate_table`` compiles one
 single-table segment (add/replace) or writes a tombstone (remove)
 instead of discarding the whole compilation, and size-tiered
 compaction merges small segments during :meth:`warm` — off the request
-path, where serving snapshots already run it before the swap.  Thread
-shards of the parallel engine share the index read-only; process
-workers either receive it pickled or, when the index is disk-backed
-(``index_dir`` or a pool spill), re-open it zero-copy via
-``np.memmap`` from :mod:`repro.core.kernel.storage`.
+path, where serving snapshots already run it before the swap.  A
+disk-backed index (``index_dir``) is opened zero-copy via ``np.memmap``
+from :mod:`repro.core.kernel.storage`.
 """
 
 from __future__ import annotations
@@ -163,9 +161,9 @@ class VectorizedTableSearchEngine(TableSearchEngine):
     Notes
     -----
     The scalar machinery stays fully functional underneath: ``explain``
-    and the top-k bound computation keep using the inherited pairwise
-    path (and its :class:`~repro.core.cache.SimilarityCache`), while
-    every ``score_table`` goes through the kernel.  A table missing
+    keeps using the inherited pairwise path (and its
+    :class:`~repro.core.cache.SimilarityCache`), while every
+    ``score_table`` goes through the kernel.  A table missing
     from the index (mutated lake without invalidation) triggers one
     incremental reconciliation, then falls back to the scalar path if
     still unknown, so the engine never answers wrong — only slower.
@@ -181,10 +179,6 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         self.index_dir = index_dir
         self._index_lock = threading.Lock()
         self._index: Optional[SegmentedCorpusIndex] = None  # guarded-by: _index_lock
-        # Directory a parallel process pool spilled the index to; while
-        # set, pickling drops the compiled arrays and workers re-open
-        # them zero-copy from disk.
-        self._spill_dir: Optional[str] = None  # guarded-by: _index_lock
         # Informativeness weights per query tuple; entries carry the
         # informativeness object they were computed from, so swapping
         # the weight function (Thetis does on lake mutations) never
@@ -214,14 +208,12 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         anything else (missing files, version/sigma mismatch, drift)
         falls back to a full compile rather than guessing.
         """
-        # _build_index only runs with _index_lock held (see callers).
-        source = self._spill_dir or self.index_dir  # lint: disable=guarded-attr-outside-lock
-        if source is not None:
+        if self.index_dir is not None:
             from repro.core.kernel.storage import load_index
 
             try:
                 loaded = load_index(
-                    source, self.sigma, self.mapping,
+                    self.index_dir, self.sigma, self.mapping,
                     row_cache_size=self.row_cache_size,
                 )
             except IndexStorageError:
@@ -236,35 +228,8 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         )
 
     def prepare(self) -> None:
-        """Compile the index eagerly.
-
-        The parallel engine calls this before pickling the engine into
-        a process pool, so every worker inherits the compiled arrays
-        instead of rebuilding them.
-        """
+        """Compile (or load) the index eagerly, off the request path."""
         self.index()
-
-    def spill_index(self, path: str) -> None:
-        """Persist the index to ``path`` and serve workers from disk.
-
-        The parallel process backend calls this before forking its
-        pool: afterwards :meth:`__getstate__` omits the compiled
-        arrays, and each worker's first :meth:`index` call re-opens the
-        spill directory as read-only memmaps — the workers then share
-        the arrays through the OS page cache instead of each holding a
-        pickled copy.
-        """
-        from repro.core.kernel.storage import save_index
-
-        index = self.index()
-        save_index(index, path)
-        with self._index_lock:
-            self._spill_dir = path
-
-    def clear_spill(self) -> None:
-        """Stop serving pickled copies from the spill directory."""
-        with self._index_lock:
-            self._spill_dir = None
 
     def _invalidate_index(self) -> None:
         with self._index_lock:
@@ -364,23 +329,6 @@ class VectorizedTableSearchEngine(TableSearchEngine):
             stats["kernel_rows"] = index.row_cache_stats()
             stats["kernel_tuples"] = index.tuple_cache_stats()
         return stats
-
-    # Locks are not picklable; process-pool workers rebuild it.  With a
-    # disk-backed index (index_dir or a pool spill) the compiled arrays
-    # are dropped from the pickle — workers re-open them zero-copy via
-    # memmap on first use; otherwise the index travels with the engine.
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_index_lock", None)
-        if state.get("_spill_dir") or state.get("index_dir"):
-            state["_index"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.index_dir = state.get("index_dir")
-        self._spill_dir = state.get("_spill_dir")
-        self._index_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Vectorized Algorithm 1
@@ -849,11 +797,9 @@ class VectorizedTableSearchEngine(TableSearchEngine):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized SemRel upper bounds of segment tables, per tuple.
 
-        The batched analogue of
-        :func:`repro.core.topk.table_score_upper_bound`: per query
-        entity, the best similarity any entity mentioned in the table
-        could provide (clamped at zero — an unassigned position scores
-        zero, never negative), pushed through the same
+        Per query entity, the best similarity any entity mentioned in
+        the table could provide (clamped at zero — an unassigned
+        position scores zero, never negative), pushed through the same
         residual-distance formula as the kernel.  Dropping the
         distinct-column and injectivity constraints only raises the
         value, so ``bound >= exact`` up to the reduction-order noise
@@ -949,12 +895,9 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         query: Query,
         k: Optional[int] = None,
         candidates: Optional[Iterable[str]] = None,
-        profile: Optional[ScoringProfile] = None,
     ) -> ResultSet:
         """:meth:`search_batch` of one (same results as the scalar loop)."""
-        return self.search_batch(
-            [query], k=k, candidates=[candidates], profile=profile
-        )[0]
+        return self.search_batch([query], k=k, candidates=[candidates])[0]
 
     def record_dispatch(self, batch_stats, queries: int, unique: int) -> None:
         """Tally one batched call: ``unique`` jobs answer ``queries`` slots."""
@@ -967,7 +910,6 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         k: Optional[int] = None,
         candidates: Optional[Sequence[Optional[Iterable[str]]]] = None,
         stats=None,
-        profile: Optional[ScoringProfile] = None,
         batch_stats=None,
     ) -> List[ResultSet]:
         """Rank the lake for a whole micro-batch.
@@ -1004,9 +946,6 @@ class VectorizedTableSearchEngine(TableSearchEngine):
             them were scored exactly, and whether the bound cut-off
             ended the scan early.  A full ranking (``k=None``) scores
             its whole shortlist.
-        profile:
-            Scoring profile to charge (defaults to the engine's own);
-            parallel shards pass their private merge-later profiles.
         batch_stats:
             Optional :class:`~repro.core.kernel.batchstats.BatchStats`
             recording one batched dispatch covering ``len(queries)``
@@ -1016,8 +955,7 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         cand_lists = aligned_candidates(queries, candidates)
         if not queries:
             return []
-        if profile is None:
-            profile = self.profile
+        profile = self.profile
         # Canonical dedup: identical (tuples, candidate list) jobs are
         # answered once; fanout maps every input slot to its job.
         job_of: Dict[Tuple, int] = {}
@@ -1050,17 +988,12 @@ class VectorizedTableSearchEngine(TableSearchEngine):
                 # loop (called by name: ``self.search`` would recurse)
                 # copes table by table through ``score_table``, scoring
                 # every candidate in the lake.
-                if stats is not None:
-                    for _, cands in jobs:
-                        if cands is not None:
-                            size = sum(tid in self.lake for tid in cands)
-                            stats.record_scoring(size, size, False)
                 looped = TableSearchEngine.search_batch(
                     self,
                     [query for query, _ in jobs],
                     k=k,
                     candidates=[cands for _, cands in jobs],
-                    profile=profile,
+                    stats=stats,
                 )
                 return [looped[slot] for slot in fanout]
         start = time.perf_counter()
@@ -1311,19 +1244,13 @@ class VectorizedTableSearchEngine(TableSearchEngine):
                 stats.record_scoring(len(positions), len(positions), False)
         return job_results
 
-    def score_table(
-        self,
-        query: Query,
-        table: Table,
-        profile: Optional[ScoringProfile] = None,
-    ) -> TableScore:
+    def score_table(self, query: Query, table: Table) -> TableScore:
         """Compute SemRel(Q, T) through the batched kernel.
 
         Same contract (and, to <= 1e-9, same scores) as the scalar
         :meth:`TableSearchEngine.score_table`.
         """
-        if profile is None:
-            profile = self.profile
+        profile = self.profile
         index = self.index()
         located = index.locate(table.table_id)
         if located is None:
@@ -1334,7 +1261,7 @@ class VectorizedTableSearchEngine(TableSearchEngine):
             index = self._reconcile_index()
             located = index.locate(table.table_id)
             if located is None:
-                return super().score_table(query, table, profile)
+                return super().score_table(query, table)
         segment, view = located
         start = time.perf_counter()
         row_agg_max = self.row_aggregation is RowAggregation.MAX

@@ -26,7 +26,7 @@ is one batched kernel pass instead of thousands of scalar calls:
 The index is immutable once compiled.  It is the *segment* unit of the
 incremental :class:`~repro.core.kernel.segments.SegmentedCorpusIndex`:
 dynamic lakes append small segments and tombstone old ones instead of
-recompiling, parallel shard workers share instances read-only, and
+recompiling, concurrent batches share instances read-only, and
 :mod:`repro.core.kernel.storage` persists the compiled arrays in an
 ``np.memmap``-loadable on-disk format (see :meth:`CorpusIndex.from_arrays`).
 """
@@ -346,8 +346,7 @@ class CorpusIndex:
     """Read-only columnar compilation of (tables, mapping, sigma).
 
     Build once, share freely: after construction the index is never
-    mutated, so parallel thread shards read it without locks and
-    process workers receive it pickled inside their engine copy.
+    mutated, so concurrent reader threads share it without locks.
     ``tables`` is any iterable of tables — a whole
     :class:`~repro.datalake.lake.DataLake` for a monolithic index, or a
     subset when the index serves as one *segment* of a

@@ -18,9 +18,8 @@ header validation: each array is a zero-copy ``view`` slice of the
 mapping, views materialize lazily
 (:meth:`~repro.core.kernel.index.CorpusIndex.from_arrays`), and pages
 are only faulted in as scoring touches them.  The same property lets
-``core/parallel.py``'s process backend share one on-disk index across
-workers through the OS page cache instead of pickling compiled arrays
-into every worker.
+the cluster workers of one machine share one on-disk index through the
+OS page cache.
 
 Saves are crash-safe and mmap-safe: both files are written to
 temporaries and ``os.replace``d into place (payload first, header

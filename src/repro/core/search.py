@@ -12,7 +12,7 @@ For every table the engine:
 
 Pairwise similarities are memoized in a persistent, bounded, thread-safe
 :class:`~repro.core.cache.SimilarityCache` that survives across
-``search()`` / ``search_many()`` / ``topk_search()`` calls, so repeated
+``search()`` / ``search_batch()`` / ``search_many()`` calls, so repeated
 queries over the same corpus amortize the dominant Section 7.3 cost.
 The engine also records a timing profile separating the column-mapping
 cost from total scoring cost (the Section 7.3 measurement).
@@ -84,14 +84,6 @@ class ScoringProfile:
         self.similarity_calls = 0
         self.similarity_misses = 0
 
-    def merge(self, other: "ScoringProfile") -> None:
-        """Accumulate another profile (per-shard profiles of a parallel run)."""
-        self.mapping_seconds += other.mapping_seconds
-        self.total_seconds += other.total_seconds
-        self.tables_scored += other.tables_scored
-        self.similarity_calls += other.similarity_calls
-        self.similarity_misses += other.similarity_misses
-
     @property
     def mapping_fraction(self) -> float:
         """Fraction of scoring time spent on the column mapping."""
@@ -145,6 +137,10 @@ def aligned_candidates(
 class TableSearchEngine:
     """Brute-force semantic table search over a semantic data lake.
 
+    Plain Algorithm 1: every candidate table is scored, whatever ``k``
+    — no bounds, no pruning.  That is what makes it the oracle the
+    vectorized kernel's pruned scan is checked against.
+
     Parameters
     ----------
     lake:
@@ -183,9 +179,7 @@ class TableSearchEngine:
     scoring itself is pure.  The shared :attr:`profile` is the one
     exception — its counters are accumulated without a lock, so under
     concurrent readers they are best-effort (they may undercount, never
-    corrupt).  Callers that need exact accounting pass a private
-    :class:`ScoringProfile` per thread and merge, as the parallel
-    engine does.  Mutations (``invalidate_table`` and friends) require
+    corrupt).  Mutations (``invalidate_table`` and friends) require
     external coordination — the serving layer swaps whole engine
     snapshots instead of mutating a live one.
     """
@@ -313,31 +307,18 @@ class TableSearchEngine:
     # ------------------------------------------------------------------
     # Similarity through the persistent cache
     # ------------------------------------------------------------------
-    def similarity(
-        self,
-        a: str,
-        b: str,
-        profile: Optional[ScoringProfile] = None,
-    ) -> float:
+    def similarity(self, a: str, b: str) -> float:
         """``sigma(a, b)`` through the persistent bounded cache.
 
-        ``profile`` receives the call/miss accounting; it defaults to
-        the engine's own profile.  Parallel shard workers pass their
-        private per-shard profile instead, keeping accumulation
-        race-free.
+        The call/miss accounting is charged to :attr:`profile`.
         """
-        return self.similarity_cache.similarity(
-            a, b, profile if profile is not None else self.profile
-        )
+        return self.similarity_cache.similarity(a, b, self.profile)
 
     # ------------------------------------------------------------------
     # Column mapping (Section 5.1)
     # ------------------------------------------------------------------
     def column_mapping(
-        self,
-        query_tuple: Tuple[str, ...],
-        table: Table,
-        profile: Optional[ScoringProfile] = None,
+        self, query_tuple: Tuple[str, ...], table: Table
     ) -> List[int]:
         """Return ``tau``: per query entity, the assigned column (-1 = none).
 
@@ -349,7 +330,7 @@ class TableSearchEngine:
         scores = [
             [
                 sum(
-                    count * self.similarity(query_entity, uri, profile)
+                    count * self.similarity(query_entity, uri)
                     for uri, count in counter.items()
                 )
                 for counter in counts
@@ -362,27 +343,16 @@ class TableSearchEngine:
     # ------------------------------------------------------------------
     # Scoring (Algorithm 1)
     # ------------------------------------------------------------------
-    def score_table(
-        self,
-        query: Query,
-        table: Table,
-        profile: Optional[ScoringProfile] = None,
-    ) -> TableScore:
-        """Compute SemRel(Q, T) with full per-tuple breakdown.
-
-        ``profile`` collects the timing/similarity accounting and
-        defaults to the engine's own; the parallel engine passes one
-        private profile per shard and merges them afterwards.
-        """
-        if profile is None:
-            profile = self.profile
+    def score_table(self, query: Query, table: Table) -> TableScore:
+        """Compute SemRel(Q, T) with full per-tuple breakdown."""
+        profile = self.profile
         start = time.perf_counter()
         grid = self._entity_grid(table)
         tuple_scores: List[float] = []
         any_signal = False
         for query_tuple in query:
             map_start = time.perf_counter()
-            assignment = self.column_mapping(query_tuple, table, profile)
+            assignment = self.column_mapping(query_tuple, table)
             profile.mapping_seconds += time.perf_counter() - map_start
             row_scores: List[List[float]] = []
             for row in grid:
@@ -394,7 +364,7 @@ class TableSearchEngine:
                         entity_scores.append(0.0)
                     else:
                         entity_scores.append(
-                            self.similarity(query_entity, target, profile)
+                            self.similarity(query_entity, target)
                         )
                 row_scores.append(entity_scores)
             if self.tuple_semantics is TupleSemantics.PER_ROW:
@@ -433,7 +403,6 @@ class TableSearchEngine:
         query: Query,
         k: Optional[int] = None,
         candidates: Optional[Iterable[str]] = None,
-        profile: Optional[ScoringProfile] = None,
     ) -> ResultSet:
         """Rank (a subset of) the lake by SemRel against ``query``.
 
@@ -450,9 +419,6 @@ class TableSearchEngine:
         candidates:
             Optional iterable of table ids to restrict scoring to — this
             is how the LSH prefilter plugs in.
-        profile:
-            Scoring profile to charge (defaults to the engine's own);
-            parallel shards pass their private merge-later profiles.
         """
         if candidates is None:
             tables: Iterable[Table] = self.lake
@@ -469,31 +435,13 @@ class TableSearchEngine:
                 table.table_id
             ):
                 continue
-            result = self.score_table(query, table, profile)
+            result = self.score_table(query, table)
             if result.relevant and result.score > 0.0:
                 scored.append(ScoredTable(result.score, result.table_id))
         results = ResultSet(scored)
         if k is not None:
             results = results.top(k)
         return results
-
-    def search_candidates(
-        self,
-        query: Query,
-        candidates: Iterable[str],
-        k: int,
-        stats=None,
-    ) -> ResultSet:
-        """Early-terminating top-``k`` over an explicit candidate set.
-
-        The scalar form of the prefilter rescoring step: the
-        :func:`~repro.core.topk.topk_search` threshold algorithm, which
-        reports shortlist size, tables scored, and whether the cut-off
-        fired into ``stats``.
-        """
-        from repro.core.topk import topk_search
-
-        return topk_search(self, query, k, candidates=candidates, stats=stats)
 
     def record_dispatch(self, batch_stats, queries: int, unique: int) -> None:
         """Tally one :meth:`search_batch` dispatch of ``queries`` queries.
@@ -510,7 +458,6 @@ class TableSearchEngine:
         k: Optional[int] = None,
         candidates: Optional[Sequence[Optional[Iterable[str]]]] = None,
         stats=None,
-        profile: Optional[ScoringProfile] = None,
         batch_stats=None,
     ) -> List[ResultSet]:
         """Rank the lake for every query of a batch, in request order.
@@ -533,10 +480,9 @@ class TableSearchEngine:
             ``queries`` (``None`` entries search the whole lake).
         stats:
             Optional :class:`~repro.core.kernel.prefilter.
-            PrefilterStats`; when given, candidate-restricted queries
-            go through :meth:`search_candidates` and record into it.
-        profile:
-            Scoring profile to charge (defaults to the engine's own).
+            PrefilterStats` fed one scoring record per candidate-
+            restricted query: every shortlisted table in the lake is
+            scored, and no cut-off ever fires.
         batch_stats:
             Optional :class:`~repro.core.kernel.batchstats.BatchStats`
             told how the batch was dispatched.
@@ -555,16 +501,14 @@ class TableSearchEngine:
             )
             ranking = memo.get(key)
             if ranking is None:
-                if cands is not None and stats is not None:
-                    ranking = self.search_candidates(
-                        query, cands, k=k, stats=stats
-                    )
-                else:
-                    # The scalar loop by name: subclasses route their
-                    # own ``search`` through ``search_batch``.
-                    ranking = TableSearchEngine.search(
-                        self, query, k=k, candidates=cands, profile=profile
-                    )
+                if key[1] is not None and stats is not None:
+                    size = sum(tid in self.lake for tid in key[1])
+                    stats.record_scoring(size, size, False)
+                # The scalar loop by name: subclasses route their own
+                # ``search`` through ``search_batch``.
+                ranking = TableSearchEngine.search(
+                    self, query, k=k, candidates=cands
+                )
                 memo[key] = ranking
             rankings.append(ranking)
         return rankings

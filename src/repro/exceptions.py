@@ -80,10 +80,9 @@ class IndexStorageError(ReproError):
 class ThetisClosedError(ReproError):
     """Raised when a closed :class:`~repro.system.Thetis` is used.
 
-    ``Thetis.close()`` releases the worker pools for good; a serving
-    layer that keeps references to retired engine snapshots must get a
-    clear error — not a crash on a dead pool — if a stray call slips
-    through after the swap.
+    ``Thetis.close()`` is terminal; a serving layer that keeps
+    references to retired engine snapshots must get a clear error if a
+    stray call slips through after the swap.
     """
 
     def __init__(self, operation: str = "operation"):

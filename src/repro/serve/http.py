@@ -11,7 +11,7 @@ guessed at.
 :class:`HttpShell` is the one front door built on that plumbing: the
 single-process server and the cluster coordinator both hand it a route
 table and get the listener, the keep-alive connection loop, graceful
-drain, and the metrics/500 envelope.
+drain, the metrics/500 envelope, and ``GET /healthz``.
 """
 
 from __future__ import annotations
@@ -188,6 +188,8 @@ class HttpShell:
     segments (``/tables/*`` counts as ``/tables``) or
     :data:`UNMATCHED_ENDPOINT`, never under the client-supplied path;
     non-``GET`` requests also feed the label's latency histogram.
+    The shell answers ``GET /healthz`` itself (liveness is a property
+    of the listener: 200 while the loop runs).
     """
 
     def __init__(self, routes: Dict[Tuple[str, str], Handler],
@@ -197,6 +199,7 @@ class HttpShell:
         self._routes: Dict[
             Tuple[str, ...], Tuple[str, Dict[str, Handler]]
         ] = {}
+        routes = {("GET", "/healthz"): self._handle_healthz, **routes}
         for (method, path), handler in routes.items():
             pattern = split_path(path)
             label = "/" + "/".join(part for part in pattern if part != "*")
@@ -205,6 +208,17 @@ class HttpShell:
         self._connections: Set["asyncio.Task[None]"] = set()
         self._busy: Set["asyncio.Task[None]"] = set()
         self._closing = False
+        self._started_at = 0.0
+
+    @property
+    def uptime_seconds(self) -> float:
+        """Seconds since :meth:`start`."""
+        return time.monotonic() - self._started_at
+
+    async def _handle_healthz(self, request: HttpRequest) -> HttpResponse:
+        return HttpResponse(200, {
+            "status": "ok", "uptime_seconds": self.uptime_seconds,
+        })
 
     @property
     def port(self) -> Optional[int]:
@@ -214,6 +228,7 @@ class HttpShell:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self, host: str, port: int) -> None:
+        self._started_at = time.monotonic()
         self._server = await asyncio.start_server(
             self._handle_connection, host, port
         )

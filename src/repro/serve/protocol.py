@@ -28,9 +28,10 @@ from repro.exceptions import EmptyQueryError, ProtocolError
 #: Search methods the service accepts.
 METHODS = ("types", "embeddings")
 
-#: Execution modes of a query request: full ranking, early-terminated
-#: top-k (Section 5.4's upper-bound pruning), or LSH candidate
-#: generation + fused rescoring (the Section 6 prefilter pipeline).
+#: Mode labels of a query request.  Two execute differently: exact
+#: ranking (``"search"``) and LSH candidate generation + rescoring
+#: (``"prefilter"``, the Section 6 pipeline).  ``"topk"`` is the label
+#: ``POST /topk`` replies carry; it executes as ``"search"``.
 MODES = ("search", "topk", "prefilter")
 
 #: Wire values of the optional ``mode`` body field on ``POST /search``;
@@ -154,9 +155,11 @@ def parse_table_id(value: Any, name: str = "table_id") -> str:
 class SearchRequest:
     """One parsed, validated query request.
 
-    ``mode`` selects the execution path: ``"search"`` ranks with the
-    (optionally LSH-prefiltered, optionally sharded) exact engine,
-    ``"topk"`` uses the early-terminating top-k search.
+    ``mode`` is echoed in the reply and selects the execution path:
+    ``"search"`` ranks with the (optionally LSH-restricted) exact
+    engine, ``"prefilter"`` rescores an LSH shortlist, and ``"topk"``
+    (``POST /topk``, kept for compatibility) is ``"search"`` under
+    another label.
     """
 
     tuples: Tuple[Tuple[str, ...], ...]
@@ -171,7 +174,7 @@ class SearchRequest:
     def from_json(cls, payload: Any, mode: str = "search") -> "SearchRequest":
         """Parse and validate a JSON payload; raises :class:`ProtocolError`.
 
-        ``mode`` is the endpoint's execution mode (``POST /topk`` passes
+        ``mode`` is the endpoint's mode label (``POST /topk`` passes
         ``"topk"``).  ``POST /search`` bodies may additionally carry a
         ``"mode"`` field choosing between ``"exact"`` (the default,
         mapped to plain ``"search"`` execution) and ``"prefilter"``
@@ -230,8 +233,12 @@ class SearchRequest:
         """Requests sharing this key may run in one ``search_many`` call.
 
         The task is part of the key: entity, union, and join queries
-        never share a batch — they dispatch to different engines.
+        never share a batch — they dispatch to different engines.  A
+        ``POST /topk`` request takes the key of the whole-lake exact
+        search it is (the endpoint never read ``use_lsh`` / ``votes``).
         """
+        if self.mode == "topk":
+            return (self.task, "search", self.method, self.k, False, 1)
         return (
             self.task, self.mode, self.method, self.k,
             self.use_lsh, self.votes,

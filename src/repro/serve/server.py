@@ -12,8 +12,8 @@ Control plane::
     GET  /readyz       readiness (200 only after index warm-up)
     GET  /metrics      counters, latency histograms, queue depth,
                        cache hit rates
-    POST /search       full ranking (optionally LSH-prefiltered)
-    POST /topk         early-terminating top-k search
+    POST /search       exact top-k (optionally LSH-prefiltered)
+    POST /topk         alias of /search exact mode
     POST /explain      per-table score explanation
     POST /tables       add + entity-link a table (snapshot swap)
     DELETE /tables/ID  remove a table (snapshot swap)
@@ -24,7 +24,7 @@ generation off the request path and swaps it in atomically; in-flight
 batches finish on the generation they started with.
 
 Shutdown is graceful by default: stop accepting connections, drain the
-admitted queue, then close the engine (releasing worker pools).
+admitted queue, then close the engine.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import asyncio
 import functools
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
@@ -149,7 +148,6 @@ class ThetisServer:
         )
         self._http = HttpShell(
             {
-                ("GET", "/healthz"): self._handle_healthz,
                 ("GET", "/readyz"): self._handle_readyz,
                 ("GET", "/metrics"): self._handle_metrics,
                 ("POST", "/search"): functools.partial(
@@ -166,7 +164,6 @@ class ThetisServer:
         )
         self._warmup_task: Optional["asyncio.Task[None]"] = None
         self._ready = threading.Event()
-        self._started_at = 0.0
         self._shut_down = False
         # Deterministic guardrail sampling across batch workers.
         self._guardrail_lock = threading.Lock()
@@ -191,7 +188,6 @@ class ThetisServer:
         """Bind, start the batcher, and kick off index warm-up."""
         if self._http.port is not None:
             raise ServeError("server already started")
-        self._started_at = time.monotonic()
         await self.batcher.start()
         loop = asyncio.get_running_loop()
         if self.config.warm_on_start:
@@ -226,8 +222,8 @@ class ThetisServer:
         2. wait (bounded) for open connections to finish their
            request/response cycles — their queued queries still run;
         3. drain the batcher;
-        4. close the snapshot manager, which drains and closes the
-           engine's worker pools via ``Thetis.close()``.
+        4. close the snapshot manager, which drains the current
+           generation and closes it via ``Thetis.close()``.
         """
         if self._shut_down:
             return
@@ -246,12 +242,6 @@ class ThetisServer:
     # ------------------------------------------------------------------
     # Control plane
     # ------------------------------------------------------------------
-    async def _handle_healthz(self, request: HttpRequest) -> HttpResponse:
-        return HttpResponse(200, {
-            "status": "ok",
-            "uptime_seconds": time.monotonic() - self._started_at,
-        })
-
     async def _handle_readyz(self, request: HttpRequest) -> HttpResponse:
         if self.ready:
             return HttpResponse(200, {"status": "ready"})
@@ -288,7 +278,7 @@ class ThetisServer:
             cache_stats=cache_stats,
             index_stats=index_stats,
             prefilter_stats=prefilter_stats,
-            uptime_seconds=time.monotonic() - self._started_at,
+            uptime_seconds=self._http.uptime_seconds,
             batch_stats=batch_stats,
         )
 
@@ -369,15 +359,6 @@ class ThetisServer:
                 task, mode, method, k, use_lsh, votes = key
                 self.metrics.note_task(task, len(indices))
                 try:
-                    if mode == "topk":
-                        for index in indices:
-                            outcomes[index] = _QueryOutcome(
-                                thetis.search_topk(
-                                    jobs[index].query, k=k, method=method
-                                ),
-                                snapshot.version,
-                            )
-                        continue
                     if mode == "prefilter":
                         for index in indices:
                             if self._guardrail_due():

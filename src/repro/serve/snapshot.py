@@ -6,8 +6,8 @@ a *new* :class:`~repro.system.Thetis` over copied lake/mapping
 containers off the request path, applies the mutation there, optionally
 re-warms it, and atomically swaps it in as the current snapshot.
 Queries check out the snapshot that is current when their batch starts
-and keep it alive by refcount; a retired snapshot is closed (worker
-pools released) only when its last in-flight query finishes.
+and keep it alive by refcount; a retired snapshot is closed only when
+its last in-flight query finishes.
 
 This gives the server three properties the dynamic-lake API of
 ``Thetis`` alone cannot: mutations are invisible to in-flight queries,
@@ -172,8 +172,6 @@ class SnapshotManager:
             embeddings=current.embeddings,
             row_aggregation=current.row_aggregation,
             query_aggregation=current.query_aggregation,
-            workers=current.workers,
-            search_backend=current.search_backend,
             cache_size=current.cache_size,
             engine_kind=current.engine_kind,
         )

@@ -19,7 +19,6 @@ from repro.core.kernel import (
     PrefilterStats,
     engine_class,
 )
-from repro.core.parallel import ParallelSearchEngine
 from repro.core.query import Query
 from repro.core.result import ResultSet
 from repro.core.search import TableSearchEngine
@@ -70,12 +69,6 @@ class Thetis:
     embeddings:
         Optional pre-trained entity embeddings; required for the
         ``"embeddings"`` method (train with :meth:`train_embeddings`).
-    workers:
-        When > 1, :meth:`search` shards candidate tables across this
-        many workers (see :class:`~repro.core.parallel.ParallelSearchEngine`);
-        rankings are identical to the sequential engine.
-    search_backend:
-        Worker-pool backend, ``"thread"`` (default) or ``"process"``.
     cache_size:
         Entry bound of each engine's persistent pairwise-similarity
         cache.
@@ -106,27 +99,27 @@ class Thetis:
     :meth:`search_shard_batch` (a micro-batch against one cluster
     shard) are thin callers of one private path: resolve each query's
     candidate restriction, pick the engine, make one ``search_batch``
-    call.  :meth:`search_topk` (the threshold algorithm) and
-    :meth:`prefilter_recall` (the serving recall guardrail) sit beside
-    it.
+    call.  :meth:`prefilter_recall` (the serving recall guardrail) is
+    two calls of :meth:`search`.  Nothing here goes parallel: a
+    process serves concurrent requests through the serving layer's
+    micro-batch (``--batch-workers``), and a lake too big for one
+    process is sharded across :mod:`repro.cluster` workers.
 
     *Thread safety.*  :meth:`search`, :meth:`search_many`,
-    :meth:`search_shard_batch`, :meth:`search_topk`, and
-    :meth:`explain` are safe for concurrent
-    reader threads: lazy engine/prefilter construction is serialized on
-    an internal lock and the engines' shared caches are internally
-    synchronized (see :class:`~repro.core.search.TableSearchEngine`).
+    :meth:`search_shard_batch`, and :meth:`explain` are safe for
+    concurrent reader threads: lazy engine/prefilter construction is
+    serialized on an internal lock and the engines' shared caches are
+    internally synchronized (see
+    :class:`~repro.core.search.TableSearchEngine`).
     The mutating calls (:meth:`add_table`, :meth:`remove_table`,
     :meth:`train_embeddings`) are *not* safe to interleave with
     readers — an online service should mutate a fresh copy and swap it
     in atomically, which is exactly what
     :class:`repro.serve.SnapshotManager` does.
 
-    *Lifecycle.*  :meth:`close` is idempotent and terminal: it releases
-    every worker pool and marks the instance closed; any subsequent
-    search or mutation raises
-    :class:`~repro.exceptions.ThetisClosedError` instead of crashing on
-    a dead pool.
+    *Lifecycle.*  :meth:`close` is idempotent and terminal: it marks
+    the instance closed, and any subsequent search or mutation raises
+    :class:`~repro.exceptions.ThetisClosedError`.
     """
 
     def __init__(
@@ -137,8 +130,6 @@ class Thetis:
         embeddings: Optional[EmbeddingStore] = None,
         row_aggregation: RowAggregation = RowAggregation.MAX,
         query_aggregation: QueryAggregation = QueryAggregation.MEAN,
-        workers: int = 1,
-        search_backend: str = "thread",
         cache_size: int = DEFAULT_SIMILARITY_CACHE_SIZE,
         engine_kind: str = "scalar",
         index_dir: Optional[str] = None,
@@ -159,8 +150,6 @@ class Thetis:
         self.embeddings = embeddings
         self.row_aggregation = row_aggregation
         self.query_aggregation = query_aggregation
-        self.workers = workers
-        self.search_backend = search_backend
         self.cache_size = cache_size
         self.engine_kind = engine_kind
         self.index_dir = index_dir
@@ -172,7 +161,6 @@ class Thetis:
         # mutation replaces.
         self._informativeness: Optional[Informativeness] = None  # guarded-by: _lock
         self._engines: Dict[str, TableSearchEngine] = {}  # guarded-by: _lock
-        self._parallel: Dict[str, ParallelSearchEngine] = {}  # guarded-by: _lock
         # Union/join task engines, keyed by ("union", encoder) or
         # ("join",); built lazily like _engines.
         self._task_engines: Dict[Tuple[str, ...], object] = {}  # guarded-by: _lock
@@ -231,10 +219,14 @@ class Thetis:
         config = RDF2VecConfig(**overrides)
         self.embeddings = RDF2VecTrainer(self.graph, config).train()
         with self._lock:
+            # Everything compiled over the old store goes with it.
             self._engines.pop("embeddings", None)
-            parallel = self._parallel.pop("embeddings", None)
-        if parallel is not None:
-            parallel.close()
+            self._task_engines.pop(("union", "embeddings"), None)
+            self._prefilters = {
+                key: prefilter
+                for key, prefilter in self._prefilters.items()
+                if key[0] != "embeddings"
+            }
         return self.embeddings
 
     # ------------------------------------------------------------------
@@ -280,28 +272,6 @@ class Thetis:
             )
             self._engines[method] = engine
             return engine
-
-    def parallel_engine(self, method: str = "types") -> ParallelSearchEngine:
-        """Return (and cache) the sharded parallel engine for ``method``.
-
-        Wraps :meth:`engine`'s exact engine with the configured
-        ``workers`` / ``search_backend``; rankings are identical.
-        """
-        # Intentionally racy read (double-checked locking, see engine()).
-        parallel = self._parallel.get(method)  # lint: disable=guarded-attr-outside-lock
-        if parallel is not None:
-            return parallel
-        with self._lock:
-            self._check_open("parallel_engine")
-            parallel = self._parallel.get(method)
-            if parallel is None:
-                parallel = ParallelSearchEngine(
-                    self.engine(method),
-                    workers=max(1, self.workers),
-                    backend=self.search_backend,
-                )
-                self._parallel[method] = parallel
-            return parallel
 
     def union_engine(self, method: str = "types"):
         """Return (and cache) the vectorized union engine for ``method``.
@@ -494,22 +464,13 @@ class Thetis:
         return stats() if stats is not None else None
 
     def close(self) -> None:
-        """Release every worker pool and mark the instance closed.
+        """Mark the instance closed.
 
-        Idempotent.  Call when done searching — a lingering process
-        pool otherwise trips ``concurrent.futures``' atexit hook at
-        interpreter shutdown, after the pool's pipes are already
-        closed.  After ``close()`` any search or mutation raises
-        :class:`~repro.exceptions.ThetisClosedError`.
+        Idempotent and terminal: after ``close()`` any search or
+        mutation raises :class:`~repro.exceptions.ThetisClosedError`.
         """
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
-            pools = list(self._parallel.values())
-            self._parallel.clear()
-        for parallel in pools:
-            parallel.close()
 
     def __enter__(self) -> "Thetis":
         return self
@@ -610,8 +571,6 @@ class Thetis:
                 engine.invalidate_table(table.table_id)
             for task_engine in self._task_engines.values():
                 task_engine.invalidate_table(table.table_id)
-            for parallel in self._parallel.values():
-                parallel.reset_workers()
             for prefilter in self._prefilters.values():
                 prefilter.add_table(table.table_id)
             self._refresh_informativeness()
@@ -627,8 +586,6 @@ class Thetis:
                 engine.invalidate_table(table_id)
             for task_engine in self._task_engines.values():
                 task_engine.invalidate_table(table_id)
-            for parallel in self._parallel.values():
-                parallel.reset_workers()
             for prefilter in self._prefilters.values():
                 prefilter.remove_table(table_id)
             self._refresh_informativeness()
@@ -709,8 +666,6 @@ class Thetis:
         )
         if task != "entity":
             engine = self._task_engine(task, method)
-        elif mode == "exact" and self.workers > 1:
-            engine = self.parallel_engine(method)
         else:
             engine = self.engine(method)
         # Only the entity engines take prefilter accounting.
@@ -743,10 +698,7 @@ class Thetis:
         implied and ignored).  The two modes differ in the candidate
         set only: the vectorized engine answers both with the same
         bound-ordered, early-terminating scan, the scalar engine scores
-        every exact-mode table and runs ``topk_search`` over a
-        shortlist.  With ``workers > 1`` (constructor) exact scoring is
-        sharded across the worker pool — the ranking is identical
-        either way.
+        every candidate.
 
         ``task`` selects the workload (:data:`SEARCH_TASKS`):
         ``"union"`` ranks by structural unionability, ``"join"`` by
@@ -820,19 +772,6 @@ class Thetis:
             list(queries), k, method, False, lsh_config, votes, mode, task,
             shard=shard, batch_stats=self.batch_stats,
         )
-
-    def search_topk(self, query: Query, k: int = 10,
-                    method: str = "types") -> ResultSet:
-        """Exact top-k search with early termination (upper bounds).
-
-        Produces the same ranking as :meth:`search` while skipping the
-        full scoring of tables whose score bound cannot reach the
-        top-k.
-        """
-        from repro.core.topk import topk_search
-
-        self._check_open("search_topk")
-        return topk_search(self.engine(method), query, k)
 
     def prefilter_recall(
         self,

@@ -65,14 +65,31 @@ class TestParser:
         args = build_parser().parse_args([
             "serve", "--graph", "g", "--lake", "l", "--mapping", "m",
             "--port", "0", "--max-batch", "16", "--queue-depth", "8",
-            "--timeout", "2.5", "--no-warm", "--workers", "4",
+            "--timeout", "2.5", "--no-warm", "--batch-workers", "4",
         ])
         assert args.port == 0
         assert args.max_batch == 16
         assert args.queue_depth == 8
         assert args.timeout == pytest.approx(2.5)
         assert args.no_warm
-        assert args.workers == 4
+        assert args.batch_workers == 4
+
+    @pytest.mark.parametrize("arguments", [
+        ["serve", "--workers", "2"],
+        ["serve", "--backend", "process"],
+        ["search", "--tuple", "kg:a", "--workers", "2"],
+        ["search", "--tuple", "kg:a", "--backend", "process"],
+        ["bench", "--queries", "q", "--out", "o", "--workers", "2"],
+    ])
+    def test_in_process_pool_flags_are_gone(self, arguments, capsys):
+        # The in-process worker pool is deleted, not deprecated: its
+        # flags fail loudly instead of being accepted and ignored.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                arguments + ["--graph", "g", "--lake", "l", "--mapping", "m"]
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestGenerate(object):

@@ -1,6 +1,5 @@
 """Tests for the bounded LRU caches and the persistent similarity memo."""
 
-import pickle
 import threading
 
 import pytest
@@ -90,16 +89,6 @@ class TestLRUCache:
         with pytest.raises(ConfigurationError):
             LRUCache(0)
 
-    def test_pickle_roundtrip_rebuilds_lock(self):
-        cache = LRUCache(4)
-        cache.put("a", 1)
-        cache.get("a")
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.get("a") == 1
-        assert clone.stats().hits == 2  # carried counter + new hit
-        clone.put("b", 2)               # the rebuilt lock works
-        assert len(clone) == 2
-
     def test_concurrent_access_stays_consistent(self):
         cache = LRUCache(64)
 
@@ -186,13 +175,11 @@ class TestEngineCaching:
         assert engine.profile.similarity_calls > cold_misses
 
     def test_cache_shared_by_search_many_and_topk(self, engine):
-        from repro.core import topk_search
-
         query = Query.single("kg:player1", "kg:team1")
         engine.search(query)
         misses = engine.profile.similarity_misses
         engine.search_many({"q": query})
-        topk_search(engine, query, 3)
+        engine.search(query, k=3)
         assert engine.profile.similarity_misses == misses
 
     def test_cache_stats_exposes_all_caches(self, engine):
@@ -266,15 +253,3 @@ class TestEngineCaching:
         assert engine.cache_stats()["similarity"].size > 0
         engine.invalidate_cache(include_similarities=True)
         assert engine.cache_stats()["similarity"].size == 0
-
-    def test_profile_merge(self):
-        base = ScoringProfile(mapping_seconds=1.0, total_seconds=2.0,
-                              tables_scored=3, similarity_calls=10,
-                              similarity_misses=4)
-        base.merge(ScoringProfile(mapping_seconds=0.5, total_seconds=1.0,
-                                  tables_scored=2, similarity_calls=5,
-                                  similarity_misses=1))
-        assert base.tables_scored == 5
-        assert base.similarity_calls == 15
-        assert base.similarity_misses == 5
-        assert base.total_seconds == pytest.approx(3.0)

@@ -18,7 +18,6 @@ The load-bearing properties:
 
 import json
 import os
-import pickle
 
 import numpy as np
 import pytest
@@ -35,7 +34,6 @@ from repro.core.kernel.storage import (
     HEADER_FILENAME,
     inspect_index,
 )
-from repro.core.parallel import ParallelSearchEngine
 from repro.datalake import Table
 from repro.exceptions import IndexStorageError
 from repro.linking import EntityMapping
@@ -653,49 +651,3 @@ class TestSnapshotSharing:
                 assert base_segment in index.segments
         finally:
             manager.close()
-
-
-# ----------------------------------------------------------------------
-# Process backend: one on-disk index shared zero-copy
-# ----------------------------------------------------------------------
-class TestProcessSpill:
-    def test_spilled_engine_pickles_without_index(self, tmp_path):
-        rng = random.Random(61)
-        lake, mapping = make_lake(rng, num_tables=6)
-        sigma = make_sigma("types", rng)
-        _, vector = engine_pair(lake, mapping, sigma)
-        queries = make_queries(rng)
-        expected = rankings_of(vector, queries)
-
-        vector.spill_index(str(tmp_path))
-        state = pickle.dumps(vector)
-        clone = pickle.loads(state)
-        # The pickle carried no compiled arrays; the clone lazily
-        # re-opens the spill directory as read-only memmaps.
-        assert clone._index is None
-        assert_ranking_parity(
-            rankings_of(clone, queries), expected, exact=True
-        )
-        assert clone.index().mirrors(lake.table_ids())
-        vector.clear_spill()
-
-    def test_process_pool_spills_and_cleans_up(self):
-        rng = random.Random(63)
-        lake, mapping = make_lake(rng, num_tables=6)
-        sigma = make_sigma("types", rng)
-        _, vector = engine_pair(lake, mapping, sigma)
-        queries = make_queries(rng)
-        sequential = rankings_of(vector, queries)
-
-        parallel = ParallelSearchEngine(vector, workers=2, backend="process")
-        try:
-            results = [
-                parallel.search(query, k=None) for query in queries
-            ]
-            spill_dir = parallel._spill_dir
-            assert spill_dir is not None and os.path.isdir(spill_dir)
-            assert_ranking_parity(results, sequential, exact=True)
-        finally:
-            parallel.close()
-        assert parallel._spill_dir is None
-        assert not os.path.isdir(spill_dir)

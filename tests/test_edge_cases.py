@@ -6,7 +6,7 @@ extremes — situations a production deployment meets on day one.
 
 import pytest
 
-from repro.core import Query, TableSearchEngine, topk_search
+from repro.core import Query, TableSearchEngine
 from repro.datalake import (
     DataLake,
     Table,
@@ -31,7 +31,7 @@ class TestEmptyAndTinyCorpora:
         engine = TableSearchEngine(
             DataLake(), EntityMapping(), TypeJaccardSimilarity(sports_graph)
         )
-        assert len(topk_search(engine, Query.single("kg:player0"), 5)) == 0
+        assert len(engine.search(Query.single("kg:player0"), k=5)) == 0
 
     def test_prefilter_on_empty_mapping(self, sports_graph):
         prefilter = TablePrefilter(

@@ -16,7 +16,6 @@ import pytest
 
 from repro import Query, Table, Thetis
 from repro.core.kernel import PrefilterStats
-from repro.core.topk import topk_search
 from repro.exceptions import ConfigurationError
 from repro.lsh import LSHConfig
 
@@ -113,21 +112,30 @@ class TestSearchCandidatesParity:
 
 
 # ----------------------------------------------------------------------
-class TestTopkSearchCandidates:
-    """The scalar fallback path: ``topk_search`` restricted to a set."""
+class TestScalarPrefilterIsBruteForce:
+    """Scalar ``mode="prefilter"``: plain Algorithm 1 over the shortlist."""
 
-    def test_matches_restricted_exact(self, sports_lake, sports_graph,
-                                      sports_mapping):
+    def test_matches_brute_force_over_shortlist(self, sports_lake,
+                                                sports_graph,
+                                                sports_mapping):
         thetis = Thetis(sports_lake, sports_graph, sports_mapping)
         engine = thetis.engine("types")
-        candidates = ["T00", "T05", "T09", "T11"]
-        stats = PrefilterStats()
+        prefilter = thetis.prefilter("types", CONFIG)
+        shortlisted = 0
         for query in QUERIES:
-            got = topk_search(engine, query, 3, candidates=candidates,
-                              stats=stats)
-            want = engine.search(query, k=3, candidates=candidates)
-            _assert_same_ranking(got, want)
-        assert stats.as_dict()["scoring_calls"] == len(QUERIES)
+            shortlist = prefilter.candidate_tables(query, votes=1)
+            shortlisted += len(shortlist)
+            got = thetis.search(query, k=3, mode="prefilter",
+                                lsh_config=CONFIG)
+            want = engine.search(query, candidates=shortlist).top(3)
+            assert [(s.table_id, s.score) for s in got] == \
+                [(s.table_id, s.score) for s in want]
+        block = thetis.prefilter_stats.as_dict()
+        assert block["scoring_calls"] == len(QUERIES)
+        # Every shortlisted table is scored; no cut-off ever fires.
+        assert block["mean_shortlist"] == shortlisted / len(QUERIES) > 0
+        assert block["scored_fraction"] == 1.0
+        assert block["early_termination_rate"] == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -138,6 +138,13 @@ class TestWireMode:
             {"tuples": [["kg:a"]], "mode": "prefilter"}
         )
         assert exact.batch_key() != pre.batch_key()
+        # POST /topk is exact search under another label: one key,
+        # whatever use_lsh / votes say (the endpoint never read them).
+        topk = SearchRequest.from_json(
+            {"tuples": [["kg:a"]], "use_lsh": True, "votes": 3},
+            mode="topk",
+        )
+        assert topk.batch_key() == exact.batch_key()
 
     def test_mode_echoed_in_response(self):
         req = SearchRequest.from_json(

@@ -78,13 +78,9 @@ def reference(sports_lake, sports_graph, sports_mapping):
     return Thetis(sports_lake, sports_graph, sports_mapping)
 
 
-def expected_results(reference, tuples, k=10, mode="search",
-                     method="types"):
+def expected_results(reference, tuples, k=10, method="types"):
     query = Query(tuple(tuple(t) for t in tuples))
-    if mode == "topk":
-        results = reference.search_topk(query, k=k, method=method)
-    else:
-        results = reference.search(query, k=k, method=method)
+    results = reference.search(query, k=k, method=method)
     return [
         {"rank": rank, "table_id": scored.table_id, "score": scored.score}
         for rank, scored in enumerate(results, start=1)
@@ -172,14 +168,57 @@ class TestSearchParity:
             assert body["results"] == expected_results(reference, tuples)
 
     def test_topk_bit_identical_to_direct(self, server, reference):
+        """POST /topk is POST /search exact mode under another label."""
         for tuples in QUERY_TUPLES[:2]:
+            payload = {"tuples": tuples, "k": 4}
             status, body = http_request(
-                server.port, "POST", "/topk", {"tuples": tuples, "k": 4}
+                server.port, "POST", "/topk", payload
             )
             assert status == 200
+            assert body["mode"] == "topk"
             assert body["results"] == expected_results(
-                reference, tuples, k=4, mode="topk"
+                reference, tuples, k=4
             )
+            _, searched = http_request(
+                server.port, "POST", "/search", payload
+            )
+            assert searched["mode"] == "search"
+            assert {**body, "mode": "search"} == searched
+
+    def test_topk_and_search_share_one_search_many_call(
+            self, sports_lake, sports_graph, sports_mapping):
+        """A concurrent /topk and /search with equal k are one batch key."""
+        handle = ServerThread(
+            build_served_thetis(sports_lake, sports_graph, sports_mapping),
+            # The batch flushes the moment it holds both requests.
+            ServeConfig(port=0, max_batch_size=2, flush_interval=5.0),
+        )
+        handle.start().wait_ready()
+        try:
+            statuses = {}
+
+            def client(path, tuples):
+                statuses[path] = http_request(
+                    handle.port, "POST", path, {"tuples": tuples, "k": 4}
+                )[0]
+
+            threads = [
+                threading.Thread(target=client, args=args)
+                for args in (("/topk", QUERY_TUPLES[0]),
+                             ("/search", QUERY_TUPLES[1]))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert statuses == {"/topk": 200, "/search": 200}
+            _, metrics = http_request(handle.port, "GET", "/metrics")
+        finally:
+            handle.stop()
+        assert metrics["batches_total"] == 1
+        # One search_many dispatch (the scalar engine loops) carried both.
+        assert metrics["batch"]["looped_passes"] == 1
+        assert metrics["batch"]["looped_queries"] == 2
 
     def test_concurrent_batched_queries_identical_to_sequential(
             self, server, reference):

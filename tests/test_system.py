@@ -40,6 +40,35 @@ class TestEngines:
         assert bare.embeddings is store
         assert bare.engine("embeddings") is not None
 
+    def test_retrain_drops_everything_built_over_the_old_store(
+            self, small_benchmark):
+        """After a retrain every embeddings answer — entity, union and
+        prefilter — equals a cold build over the new store."""
+        bench = small_benchmark
+        queries = list(bench.queries.one_tuple.values())[:3]
+        config = LSHConfig(32, 8)
+
+        def answers(system):
+            return [
+                [(s.table_id, s.score) for s in system.search(
+                    query, k=5, method="embeddings", **options)]
+                for query in queries
+                for options in (
+                    {},
+                    {"task": "union"},
+                    {"mode": "prefilter", "lsh_config": config},
+                )
+            ]
+
+        thetis = Thetis(bench.lake, bench.graph, bench.mapping)
+        thetis.train_embeddings(dimensions=8, epochs=1, seed=1)
+        stale = answers(thetis)  # builds all three over the first store
+        store = thetis.train_embeddings(dimensions=12, epochs=1, seed=9)
+        assert thetis.union_engine("embeddings").store is store
+        cold = Thetis(bench.lake, bench.graph, bench.mapping,
+                      embeddings=store)
+        assert answers(thetis) == answers(cold) != stale
+
 
 class TestSearch:
     def test_types_search_finds_exact_table(self, thetis):

@@ -5,7 +5,7 @@ Two contracts the serving layer builds on:
 * ``close()`` is idempotent and terminal — a second close is a no-op,
   and every operation on a closed instance raises a clear
   :class:`~repro.exceptions.ThetisClosedError` naming the operation;
-* ``search`` / ``search_topk`` / ``search_many`` are safe for
+* ``search`` / ``search_many`` are safe for
   concurrent reader threads over an unchanging lake, and concurrent
   results are identical to sequential ones.
 """
@@ -45,11 +45,10 @@ class TestCloseLifecycle:
         thetis.close()
         operations = [
             lambda: thetis.search(QUERIES[0]),
-            lambda: thetis.search_topk(QUERIES[0]),
             lambda: thetis.search_many({"q": QUERIES[0]}),
             lambda: thetis.explain(QUERIES[0], "T00"),
             lambda: thetis.engine("types"),
-            lambda: thetis.parallel_engine("types"),
+            lambda: thetis.union_engine("types"),
             lambda: thetis.warm(),
             lambda: thetis.train_embeddings(dimensions=4, epochs=1,
                                             walks_per_entity=1),
@@ -71,8 +70,7 @@ class TestCloseLifecycle:
 
     def test_close_before_any_engine_built(self, sports_lake,
                                            sports_graph, sports_mapping):
-        # Closing an instance that never lazily built an engine must
-        # not trip over missing worker pools.
+        # Closing an instance that never lazily built an engine works.
         instance = Thetis(sports_lake, sports_graph, sports_mapping)
         instance.close()
         assert instance.closed
@@ -116,9 +114,9 @@ class TestConcurrentReaders:
                     results = thetis.search(QUERIES[index], k=5)
                     got = [(s.table_id, s.score) for s in results]
                     assert got == expected[index]
-                    topk = thetis.search_topk(QUERIES[index], k=5)
-                    got_topk = [(s.table_id, s.score) for s in topk]
-                    assert got_topk == expected[index]
+                    many = thetis.search_many({"q": QUERIES[index]}, k=5)
+                    got_many = [(s.table_id, s.score) for s in many["q"]]
+                    assert got_many == expected[index]
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
