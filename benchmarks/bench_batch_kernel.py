@@ -75,9 +75,9 @@ def test_batch_dedup(wt_bench, wt_thetis, benchmark):
 
     def run():
         engine = _build(VectorizedTableSearchEngine, wt_thetis, "types")
-        # Warm: index compilation, similarity-row, column and
-        # assignment memos are steady-state costs of repeated
-        # full-ranking traffic, not part of the comparison.
+        # Warm: index compilation and the similarity-row memo are
+        # steady-state costs of repeated full-ranking traffic, not
+        # part of the comparison.
         engine.search_batch(queries, k=K)
         looped_rankings = [engine.search(query, k=K) for query in queries]
         stats = BatchStats()

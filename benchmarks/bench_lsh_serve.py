@@ -74,7 +74,7 @@ def _served_section(bench, queries):
     served = Thetis(lake, bench.graph, mapping, engine_kind="vectorized")
     handle = ServerThread(
         served,
-        ServeConfig(port=0, max_batch_size=8, flush_interval=0.002,
+        ServeConfig(port=0, max_batch_size=8,
                     prefilter_guardrail_every=2),
     )
     handle.start().wait_ready(timeout=300)

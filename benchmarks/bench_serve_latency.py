@@ -99,7 +99,7 @@ def test_serve_latency(wt_bench, benchmark, request):
 
     handle = ServerThread(
         served,
-        ServeConfig(port=0, max_batch_size=8, flush_interval=0.002),
+        ServeConfig(port=0, max_batch_size=8),
     )
     handle.start().wait_ready(timeout=300)
     try:
@@ -256,7 +256,7 @@ def test_serve_mutation_under_load(wt_bench, benchmark, request):
 
     handle = ServerThread(
         served,
-        ServeConfig(port=0, max_batch_size=8, flush_interval=0.002),
+        ServeConfig(port=0, max_batch_size=8),
     )
     handle.start().wait_ready(timeout=300)
     stop = threading.Event()

@@ -392,7 +392,7 @@ def test_union_join_served_throughput(wt_bench, benchmark, request):
 
     handle = ServerThread(
         served,
-        ServeConfig(port=0, max_batch_size=8, flush_interval=0.002),
+        ServeConfig(port=0, max_batch_size=8),
     )
     handle.start().wait_ready(timeout=300)
     try:

@@ -212,10 +212,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         default_method=args.method,
         max_batch_size=args.max_batch,
-        flush_interval=args.flush_interval,
         max_queue_depth=args.queue_depth,
         request_timeout=args.timeout,
-        batch_workers=args.batch_workers,
         warm_on_start=not args.no_warm,
         prefilter_guardrail_every=args.guardrail_every,
     )
@@ -563,14 +561,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "seconds per query on a large lake)")
     serve.add_argument("--max-batch", type=int, default=8,
                        help="queries coalesced per engine pass")
-    serve.add_argument("--flush-interval", type=float, default=0.002,
-                       help="micro-batch coalescing window (seconds)")
     serve.add_argument("--queue-depth", type=int, default=64,
                        help="admission bound; 503 beyond it")
     serve.add_argument("--timeout", type=float, default=30.0,
                        help="per-request deadline (seconds; 504 past it)")
-    serve.add_argument("--batch-workers", type=int, default=1,
-                       help="threads executing query batches")
     serve.add_argument("--no-warm", action="store_true",
                        help="skip index warm-up (readyz flips immediately)")
     serve.add_argument("--index", default=None, metavar="DIR",

@@ -61,7 +61,6 @@ from repro.exceptions import (
     ServerOverloadedError,
 )
 from repro.serve.batching import (
-    DEFAULT_FLUSH_INTERVAL,
     DEFAULT_MAX_BATCH_SIZE,
     DEFAULT_MAX_QUEUE_DEPTH,
     DEFAULT_REQUEST_TIMEOUT,
@@ -101,7 +100,6 @@ class ClusterConfig:
     #: queries fold into one batched scatter (a single fused kernel
     #: pass per shard) instead of one scatter per query.
     max_batch_size: int = DEFAULT_MAX_BATCH_SIZE
-    flush_interval: float = DEFAULT_FLUSH_INTERVAL
     max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH
     request_timeout: float = DEFAULT_REQUEST_TIMEOUT
 
@@ -178,7 +176,6 @@ class ClusterCoordinator:
         self.batcher = MicroBatcher(
             runner=self._run_search_batch,
             max_batch_size=self.config.max_batch_size,
-            flush_interval=self.config.flush_interval,
             max_queue_depth=self.config.max_queue_depth,
             request_timeout=self.config.request_timeout,
         )

@@ -41,7 +41,6 @@ from :mod:`repro.core.kernel.storage`.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -119,6 +118,24 @@ def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     )
     return np.repeat(starts, lengths) + within
 
+
+def weighted_distances(
+    coordinates: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Equation 2 for every row of an ``(n, width)`` coordinate matrix.
+
+    Accumulates ``weight * residual * residual`` into a zero vector in
+    tuple order — :func:`repro.core.semrel.weighted_distance`'s exact
+    operation order — so each row's distance is elementwise arithmetic:
+    bit-equal to the scalar Eq. 2 and independent of ``n``, unlike a
+    BLAS ``@`` whose per-row rounding can change with the matrix shape.
+    """
+    residual = 1.0 - np.minimum(coordinates, 1.0)
+    total = np.zeros(len(coordinates), dtype=np.float64)
+    for position, weight in enumerate(weights):
+        total += weight * residual[:, position] * residual[:, position]
+    return np.sqrt(total)
+
 #: ``(n, n, n)`` boolean masks marking option triples that repeat a real
 #: column, keyed by ``n = columns + 1`` — the last option index is the
 #: conflict-exempt null slot, so only repeats below it clash.  Shared by
@@ -184,6 +201,11 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         # the weight function (Thetis does on lake mutations) never
         # serves stale weights.
         self._tuple_weights_cache = LRUCache(256)
+        # The (index instance, lake version) last verified to mirror
+        # each other (see _mirrors_lake).
+        self._mirrored: Tuple[Optional[SegmentedCorpusIndex], int] = (
+            None, -1
+        )
 
     # ------------------------------------------------------------------
     # Index lifecycle
@@ -374,13 +396,17 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         return np.where(positive, best, -1)
 
     # ------------------------------------------------------------------
-    # Whole-lake batched search
+    # Batched scoring kernel
     # ------------------------------------------------------------------
-    def _enumerate_assignments(self, index, relevance, rows, selection):
+    def _enumerate_assignments(
+        self, col_offset, table_columns, relevance, rows, selection
+    ):
         """Exact column assignments by null-augmented enumeration.
 
-        For ``p = len(rows)`` positive query entities and tables
-        ``selection``, each entity's options are its *positive-relevance*
+        ``col_offset`` / ``table_columns`` lay the tables out along the
+        column axis of ``relevance``.  For ``p = len(rows)`` positive
+        query entities and tables ``selection`` of that layout, each
+        entity's options are its *positive-relevance*
         columns plus one conflict-exempt null slot worth ``0.0``
         (zero-relevance columns are demoted to ``-inf``: a zero column
         relevance means every cell similarity in that column is zero, so
@@ -400,11 +426,11 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         support, and non-support picks are score-free.  Tables failing
         the margin fall back to the solver.
         """
-        columns = index.table_columns[selection]
+        columns = table_columns[selection]
         cmax = int(columns.max())
         options = cmax + 1
-        gather = index.col_offset[selection][:, None] + np.arange(cmax)
-        np.minimum(gather, index.total_columns - 1, out=gather)
+        gather = col_offset[selection][:, None] + np.arange(cmax)
+        np.minimum(gather, relevance.shape[1] - 1, out=gather)
         valid = np.arange(cmax) < columns[:, None]
         real = relevance[rows][:, gather]
         blocks = np.concatenate(
@@ -450,23 +476,27 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         return np.where(chosen == cmax, -1, chosen), ok
 
     def _batched_assignments(
-        self, index, relevance: np.ndarray, width: int
+        self,
+        col_offset: np.ndarray,
+        table_columns: np.ndarray,
+        relevance: np.ndarray,
+        width: int,
     ) -> np.ndarray:
-        """Section 5.1 column assignments for *every* table at once.
+        """Section 5.1 column assignments for every laid-out table at once.
 
-        ``relevance`` is the ``(width, total_columns)`` global
-        column-relevance matrix.  Tables whose every query entity has
+        ``relevance`` is the ``(width, col_offset[-1])`` column-relevance
+        matrix of the tables ``col_offset`` / ``table_columns`` lay out
+        along its column axis.  Tables whose every query entity has
         zero relevance keep ``-1`` everywhere (provably score-equal to
         whatever the solver would pick).  Small widths go through the
         enumerated exact assignment grouped by positive-entity pattern;
         margin failures and wide tuples fall back to the scalar
         engine's Hungarian solver per table.
         """
-        num_tables = len(index.table_ids)
-        assignment = np.full((num_tables, width), -1, dtype=np.int64)
-        maxima = np.maximum.reduceat(
-            relevance, index.col_offset[:-1], axis=1
+        assignment = np.full(
+            (len(table_columns), width), -1, dtype=np.int64
         )
+        maxima = np.maximum.reduceat(relevance, col_offset[:-1], axis=1)
         positive = maxima > 0.0
         need = positive.any(axis=0)
         fallback: List[int] = []
@@ -482,7 +512,7 @@ class VectorizedTableSearchEngine(TableSearchEngine):
                 rows = np.flatnonzero((int(code) >> np.arange(width)) & 1)
                 selection = np.flatnonzero(codes == code)
                 chosen, ok = self._enumerate_assignments(
-                    index, relevance, rows, selection
+                    col_offset, table_columns, relevance, rows, selection
                 )
                 resolved = selection[ok]
                 assignment[resolved[:, None], rows[None, :]] = chosen[ok]
@@ -490,8 +520,8 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         else:
             fallback.extend(np.flatnonzero(need).tolist())
         for table_index in fallback:
-            start = index.col_offset[table_index]
-            stop = index.col_offset[table_index + 1]
+            start = col_offset[table_index]
+            stop = col_offset[table_index + 1]
             block = np.ascontiguousarray(relevance[:, start:stop])
             resolved = self._fast_assignment(block)
             if resolved is None:
@@ -527,6 +557,26 @@ class VectorizedTableSearchEngine(TableSearchEngine):
             self._index = index
             return index
 
+    def _mirrors_lake(self, index: SegmentedCorpusIndex) -> bool:
+        """Whether ``index`` holds exactly the lake's tables.
+
+        The check is O(lake), so a pass is remembered as the ``(index
+        instance, lake version)`` pair it held for: every
+        ``DataLake.add`` / ``remove`` bumps the version, so an unchanged
+        lake at an unchanged index is answered in O(1) and a lake
+        mutated behind the engine's back is still re-checked.  The
+        version is read before the ids, so a racing mutation can only
+        make the memo miss, never vouch for a state it did not check.
+        """
+        version = self.lake.version
+        mirrored_index, mirrored_version = self._mirrored
+        if mirrored_index is index and mirrored_version == version:
+            return True
+        if not index.mirrors([table.table_id for table in self.lake]):
+            return False
+        self._mirrored = (index, version)
+        return True
+
     def _segment_tuples(
         self,
         segment: CorpusIndex,
@@ -534,156 +584,86 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         profile: ScoringProfile,
         selection: Optional[np.ndarray] = None,
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Fused scoring of one segment against a stack of query tuples.
+        """Fused scoring of selected segment tables against query tuples.
 
         The kernel primitive: the tuples of a query land here together,
         stacked along a lane axis — one similarity-row stack, one
         bincount over lane-offset bins for all column-relevance
         matrices, and one shared gather / ``reduceat`` pass over the
         concatenated per-lane row blocks.
-        Returns one ``(column, signal)`` pair per input tuple: the
-        per-segment-table tuple scores as a float64 column plus the
-        per-table positive-coordinate flag.
 
-        Per-tuple outputs are bit-identical to the former one-query
-        pass (and hence to the scalar engine to <= 1e-9): ``bincount``
-        accumulates each bin in input encounter order and the row-major
-        ravel keeps every lane's nnz entries in their original order
-        inside their own bins; ``reduceat`` segments only ever span one
-        (lane, table, position) block, so concatenating blocks across
-        lanes changes no per-segment reduction; and the per-tuple
-        residual-distance tails are evaluated per lane slice, never
-        fused across tuples, so no summation order changes.
+        The pass works in a selection-local table and column space:
+        ``selection`` (sorted table positions; ``None`` is the whole
+        segment) has its tables' nnz triples gathered once and rebased
+        onto local column offsets, so the relevance bins, assignments,
+        gathers and tails are all sized by the selection, never by the
+        segment.  Returns one ``(column, signal)`` pair per input tuple,
+        aligned with ``selection``: the tuple score of every selected
+        table as a float64 column plus its positive-coordinate flag.
 
-        ``selection`` (sorted table positions) restricts the pass to a
-        candidate subset: only the selected tables' nnz blocks feed the
-        column-relevance reduction, which leaves every other table with
-        zero relevance and therefore no assignment, no gather rows, and
-        no signal.  The returned columns still span the whole segment —
-        positions outside ``selection`` hold unspecified filler (the
-        zero-coordinate score), so callers must only read selected
-        positions.  Selected positions are arithmetic-identical to the
-        unrestricted pass: each table's nnz block is contiguous and
-        selections are position-sorted, so every relevance bin
-        accumulates the same terms in the same IEEE order.
+        A table's outputs do not depend on which other tables ride the
+        pass (nor on the other tuples), so any selection is bit-identical
+        to the whole-segment pass at the tables it shares, and hence to
+        the scalar engine to <= 1e-9: ``bincount`` accumulates each bin
+        in input encounter order and every selected table's nnz block
+        keeps its compiled order; assignments are per table (the
+        enumeration's option order does not depend on the group's
+        widest table); ``reduceat`` segments only ever span one (lane,
+        table, position) block; and the residual-distance tails go
+        through :func:`weighted_distances`, elementwise per row, never
+        a shape-dependent BLAS product.
         """
-        index = segment
         if not tuples:
             return []
-        # Whole-segment per-tuple columns are memoized on the segment:
-        # scoring a tuple against an immutable segment is deterministic
-        # given the engine configuration, which the token captures (the
-        # informativeness object is swapped, never mutated, on corpus
-        # mutations, so identity comparison is exact).  A hit skips the
-        # full pass; a partial batch recurses on the misses only.
-        # Candidate-restricted passes bypass the memo — their columns
-        # hold selection-confined filler outside the shortlist.
-        column_token = (
-            self.informativeness,
-            self.row_aggregation,
-            self.tuple_semantics,
-        )
         if selection is None:
-            cached = [
-                index.cached_tuple_column(query_tuple, column_token)
-                for query_tuple in tuples
-            ]
-            if any(entry is not None for entry in cached):
-                for t, entry in enumerate(cached):
-                    if entry is not None:
-                        # Touch the similarity-row memo so cache and
-                        # profile accounting match a full pass.
-                        index.tuple_rows(tuples[t], profile)
-                missing = [
-                    t for t, entry in enumerate(cached) if entry is None
-                ]
-                if missing:
-                    computed = self._segment_tuples(
-                        index,
-                        [tuples[t] for t in missing],
-                        profile,
-                    )
-                    for t, entry in zip(missing, computed):
-                        cached[t] = entry
-                return cached
-        num_tables = len(index.table_ids)
-        total_columns = index.total_columns
-        table_rows = index.table_rows
-        total_rows = int(index.row_offset[-1])
+            selection = np.arange(len(segment.table_ids), dtype=np.int64)
         row_agg_max = self.row_aggregation is RowAggregation.MAX
         per_row_semantics = self.tuple_semantics is TupleSemantics.PER_ROW
-        if selection is None:
-            nnz_gcolumns = index.nnz_gcolumns
-            nnz_gids = index.nnz_gids
-            nnz_gcounts = index.nnz_gcounts
-        else:
-            starts = index.nnz_toffset[selection]
-            entries = _concat_ranges(
-                starts, index.nnz_toffset[selection + 1] - starts
-            )
-            nnz_gcolumns = index.nnz_gcolumns[entries]
-            nnz_gids = index.nnz_gids[entries]
-            nnz_gcounts = index.nnz_gcounts[entries]
+        table_rows = segment.table_rows[selection]
+        table_columns = segment.table_columns[selection]
+        col_offset = np.zeros(len(selection) + 1, dtype=np.int64)
+        np.cumsum(table_columns, out=col_offset[1:])
+        total_columns = int(col_offset[-1])
+        seg_col_offset = segment.col_offset[selection]
+        nnz_start = segment.nnz_toffset[selection]
+        nnz_lengths = segment.nnz_toffset[selection + 1] - nnz_start
+        entries = _concat_ranges(nnz_start, nnz_lengths)
+        nnz_ids = segment.nnz_gids[entries]
+        nnz_columns = segment.nnz_gcolumns[entries] + np.repeat(
+            col_offset[:-1] - seg_col_offset, nnz_lengths
+        )
         widths = [len(query_tuple) for query_tuple in tuples]
         lane_offset = np.concatenate(
             ([0], np.cumsum(np.asarray(widths, dtype=np.int64)))
         )
         stack = int(lane_offset[-1])
         sims_list = [
-            index.tuple_rows(query_tuple, profile) for query_tuple in tuples
+            segment.tuple_rows(query_tuple, profile) for query_tuple in tuples
         ]
         sims_stack = (
             sims_list[0] if len(sims_list) == 1
             else np.concatenate(sims_list, axis=0)
         )
         map_start = time.perf_counter()
-        # Whole-segment assignments are memoized per tuple on the
-        # (immutable) segment; only memo misses pay the relevance
-        # bincount and the per-table assignment solve.  Lanes never mix
-        # bins, so restricting the bincount to the miss lanes yields
-        # each miss lane's exact relevance row.  Candidate-restricted
-        # passes bypass the memo entirely: their relevance (and hence
-        # gather set) is intentionally confined to the selection.
-        if selection is None:
-            assignments: List[Optional[np.ndarray]] = [
-                index.cached_assignment(query_tuple)
-                for query_tuple in tuples
-            ]
+        if nnz_ids.size:
+            keys = nnz_columns + (np.arange(stack) * total_columns)[:, None]
+            relevance_stack = np.bincount(
+                keys.ravel(),
+                weights=(sims_stack[:, nnz_ids]
+                         * segment.nnz_gcounts[entries]).ravel(),
+                minlength=stack * total_columns,
+            ).reshape(stack, total_columns)
         else:
-            assignments = [None] * len(tuples)
-        misses = [
-            t for t in range(len(tuples)) if assignments[t] is None
+            relevance_stack = np.zeros(
+                (stack, total_columns), dtype=np.float64
+            )
+        assignments = [
+            self._batched_assignments(
+                col_offset, table_columns,
+                relevance_stack[lane_offset[t]:lane_offset[t + 1]], width,
+            )
+            for t, width in enumerate(widths)
         ]
-        if misses:
-            miss_lanes = np.concatenate([
-                np.arange(lane_offset[t], lane_offset[t + 1])
-                for t in misses
-            ])
-            miss_stack = int(miss_lanes.size)
-            if nnz_gids.size and miss_stack:
-                keys = (
-                    nnz_gcolumns
-                    + (np.arange(miss_stack) * total_columns)[:, None]
-                )
-                relevance_stack = np.bincount(
-                    keys.ravel(),
-                    weights=(sims_stack[miss_lanes][:, nnz_gids]
-                             * nnz_gcounts).ravel(),
-                    minlength=miss_stack * total_columns,
-                ).reshape(miss_stack, total_columns)
-            else:
-                relevance_stack = np.zeros(
-                    (miss_stack, total_columns), dtype=np.float64
-                )
-            row = 0
-            for t in misses:
-                assignment = self._batched_assignments(
-                    index, relevance_stack[row:row + widths[t]], widths[t]
-                )
-                row += widths[t]
-                assignments[t] = assignment
-                if selection is None:
-                    index.store_assignment(tuples[t], assignment)
         profile.mapping_seconds += time.perf_counter() - map_start
         # One gather serves every (tuple, table, assigned position):
         # the column-major flat_ids slice of each assigned column,
@@ -701,7 +681,7 @@ class VectorizedTableSearchEngine(TableSearchEngine):
             parts_pos.append(sel_pos)
             parts_lane.append(sel_pos + int(lane_offset[t]))
             parts_cols.append(
-                index.col_offset[sel_table] + assignment[sel_table, sel_pos]
+                seg_col_offset[sel_table] + assignment[sel_table, sel_pos]
             )
             sel_counts.append(int(sel_table.size))
         sel_table_all = np.concatenate(parts_table)
@@ -715,8 +695,8 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         need_max = per_row_semantics or row_agg_max
         if total:
             within = np.arange(total) - np.repeat(seg_starts, lengths)
-            ids = index.flat_ids[
-                np.repeat(index.col_start[global_cols], lengths) + within
+            ids = segment.flat_ids[
+                np.repeat(segment.col_start[global_cols], lengths) + within
             ]
             lanes = np.repeat(sel_lane_all, lengths)
             linked = ids >= 0
@@ -732,7 +712,11 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         sel_cuts = np.concatenate(
             ([0], np.cumsum(np.asarray(sel_counts, dtype=np.int64)))
         )
-        populated = np.flatnonzero(table_rows > 0)
+        num_tables = len(selection)
+        if per_row_semantics:
+            row_offset = np.zeros(num_tables + 1, dtype=np.int64)
+            np.cumsum(table_rows, out=row_offset[1:])
+            populated = np.flatnonzero(table_rows > 0)
         outputs: List[Tuple[np.ndarray, np.ndarray]] = []
         for t, query_tuple in enumerate(tuples):
             width = widths[t]
@@ -742,26 +726,24 @@ class VectorizedTableSearchEngine(TableSearchEngine):
             elem_hi = int(bounds[b - 1]) if b > a else elem_lo
             weights = self._tuple_weights(query_tuple)
             if per_row_semantics:
-                scores = np.zeros((total_rows, width), dtype=np.float64)
+                scores = np.zeros((int(row_offset[-1]), width),
+                                  dtype=np.float64)
                 signal = np.zeros(num_tables, dtype=bool)
                 if b > a:
                     sel_table_t = sel_table_all[a:b]
                     lengths_t = lengths[a:b]
                     scores[
-                        np.repeat(index.row_offset[sel_table_t], lengths_t)
+                        np.repeat(row_offset[sel_table_t], lengths_t)
                         + within[elem_lo:elem_hi],
                         lanes[elem_lo:elem_hi] - int(lane_offset[t]),
                     ] = gathered[elem_lo:elem_hi]
                     acc = np.zeros(num_tables, dtype=np.float64)
                     np.maximum.at(acc, sel_table_t, seg_max[a:b])
                     signal = acc > 0.0
-                residual = 1.0 - np.minimum(scores, 1.0)
-                per_row = 1.0 / (
-                    np.sqrt((residual * residual) @ weights) + 1.0
-                )
+                per_row = 1.0 / (weighted_distances(scores, weights) + 1.0)
                 column = np.zeros(num_tables, dtype=np.float64)
                 if populated.size:
-                    offsets = index.row_offset[populated]
+                    offsets = row_offset[populated]
                     if row_agg_max:
                         column[populated] = np.maximum.reduceat(
                             per_row, offsets
@@ -778,14 +760,10 @@ class VectorizedTableSearchEngine(TableSearchEngine):
                 values = seg_max[a:b] if row_agg_max else seg_avg[a:b]
                 coordinates[sel_table_all[a:b], sel_pos_all[a:b]] = values
             signal = coordinates.max(axis=1) > 0.0
-            residual = 1.0 - np.minimum(coordinates, 1.0)
-            distances = np.sqrt((residual * residual) @ weights)
-            outputs.append((1.0 / (distances + 1.0), signal))
-        if selection is None:
-            for query_tuple, (column, signal) in zip(tuples, outputs):
-                index.store_tuple_column(
-                    query_tuple, column_token, column, signal
-                )
+            outputs.append(
+                (1.0 / (weighted_distances(coordinates, weights) + 1.0),
+                 signal)
+            )
         return outputs
 
     def _candidate_bounds(
@@ -980,10 +958,9 @@ class VectorizedTableSearchEngine(TableSearchEngine):
                         stats.record_scoring(0, 0, False)
             return [ResultSet([]) for _ in fanout]
         index = self.index()
-        lake_ids = [table.table_id for table in self.lake]
-        if not index.mirrors(lake_ids):
+        if not self._mirrors_lake(index):
             index = self._reconcile_index()
-            if not index.mirrors(lake_ids):
+            if not self._mirrors_lake(index):
                 # The kernel cannot cover this lake; the inherited scalar
                 # loop (called by name: ``self.search`` would recurse)
                 # copes table by table through ``score_table``, scoring
@@ -1030,18 +1007,14 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         query: Query,
         positions: np.ndarray,
         profile: ScoringProfile,
-        restricted: bool = True,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Exact scores of one query at sorted flat ``positions``.
 
-        One restricted :meth:`_segment_tuples` pass per owning segment
-        — arithmetic-identical to the unrestricted pass, as its
-        docstring proves.  ``restricted=False`` (a whole-lake full
-        ranking) runs the unrestricted pass instead, through the
-        segment's tuple-column and assignment memos.  Returns
-        ``(score, returnable)`` aligned with ``positions``;
-        ``returnable`` applies the positive-score and drop-irrelevant
-        rules.
+        One :meth:`_segment_tuples` pass per owning segment, restricted
+        to the positions it owns — bit-identical per table whatever the
+        selection, as its docstring proves.  Returns ``(score,
+        returnable)`` aligned with ``positions``; ``returnable`` applies
+        the positive-score and drop-irrelevant rules.
         """
         layout = index.layout()
         tuples = list(dict.fromkeys(query.tuples))
@@ -1049,16 +1022,15 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         score = np.empty(len(positions), dtype=np.float64)
         signal = np.zeros(len(positions), dtype=bool)
         for seg_index, lo, hi in layout.segment_slices(positions):
-            local = positions[lo:hi] - layout.seg_base[seg_index]
             outputs = self._segment_tuples(
                 index.segments[seg_index], tuples, profile,
-                selection=local if restricted else None,
+                selection=positions[lo:hi] - layout.seg_base[seg_index],
             )
             score[lo:hi] = self._aggregate_tuples(
-                [outputs[lane][0][local] for lane in lanes]
+                [outputs[lane][0] for lane in lanes]
             )
             for _, tuple_signal in outputs:
-                signal[lo:hi] |= tuple_signal[local]
+                signal[lo:hi] |= tuple_signal
         returnable = score > 0.0
         if self.drop_irrelevant:
             returnable &= signal
@@ -1216,11 +1188,9 @@ class VectorizedTableSearchEngine(TableSearchEngine):
     ) -> List[ResultSet]:
         """Full rankings (``k=None``): each job scores all its candidates.
 
-        There is nothing to prune, and nothing to share between jobs
-        that the segments' tuple-column and assignment memos do not
-        already share, so this is a plain loop over
-        :meth:`_score_positions` — the reference the scan is checked
-        against.
+        There is nothing to prune, so this is a plain loop over
+        :meth:`_score_positions` with every candidate position — the
+        reference the scan is checked against.
         """
         layout = index.layout()
         job_results: List[ResultSet] = []
@@ -1229,8 +1199,7 @@ class VectorizedTableSearchEngine(TableSearchEngine):
                 cands, linked_only=self.drop_irrelevant
             )
             score, returnable = self._score_positions(
-                index, query, positions, profile,
-                restricted=cands is not None,
+                index, query, positions, profile
             )
             job_results.append(ResultSet(
                 ScoredTable(value, layout.table_ids[position])
@@ -1319,9 +1288,7 @@ class VectorizedTableSearchEngine(TableSearchEngine):
                 if num_rows:
                     if float(scores.max()) > 0.0:
                         any_signal = True
-                    residual = 1.0 - np.minimum(scores, 1.0)
-                    distances = np.sqrt((residual * residual) @ weights)
-                    per_row = 1.0 / (distances + 1.0)
+                    per_row = 1.0 / (weighted_distances(scores, weights) + 1.0)
                     tuple_scores.append(
                         float(per_row.max()) if row_agg_max
                         else float(per_row.sum() / num_rows)
@@ -1340,8 +1307,7 @@ class VectorizedTableSearchEngine(TableSearchEngine):
                 coordinates = np.zeros(width, dtype=np.float64)
             if float(coordinates.max()) > 0.0:
                 any_signal = True
-            residual = 1.0 - np.minimum(coordinates, 1.0)
-            distance = math.sqrt(float((residual * residual) @ weights))
+            distance = float(weighted_distances(coordinates[None], weights)[0])
             tuple_scores.append(1.0 / (distance + 1.0))
         score = self.query_aggregation.aggregate(tuple_scores)
         relevant = any_signal or not self.drop_irrelevant

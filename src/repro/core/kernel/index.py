@@ -332,16 +332,6 @@ def compile_kernel(
     return ScalarLoopKernel(uris, id_of, sigma)
 
 
-def same_token(stored, token) -> bool:
-    """Whether a memo entry was computed under configuration ``token``.
-
-    A token's head is the informativeness object — replaced, never
-    mutated, on refresh — and is compared by identity; the rest (enum
-    and flag settings) by equality.
-    """
-    return stored[0] is token[0] and stored[1:] == token[1:]
-
-
 class CorpusIndex:
     """Read-only columnar compilation of (tables, mapping, sigma).
 
@@ -386,17 +376,17 @@ class CorpusIndex:
         self.kernel = compile_kernel(sigma, self.uris, self.id_of)
         self._rows = LRUCache(row_cache_size)
         self._tuples = LRUCache(max(1, row_cache_size // 8))
-        self._assignments = LRUCache(max(1, row_cache_size // 8))
-        self._columns = LRUCache(max(1, row_cache_size // 8))
         self._compile_corpus([table for table, _ in grids])
 
     def _compile_corpus(self, tables) -> None:
         """Concatenate every view into corpus-wide arrays.
 
-        These power the engine's whole-lake batched ``search`` path: one
-        global column space (table ``t``'s column ``c`` is global column
-        ``col_offset[t] + c``) lets a single ``bincount`` build the
-        column-relevance matrices of *all* tables at once, and the
+        These power the engine's batched kernel: one global column
+        space (table ``t``'s column ``c`` is global column
+        ``col_offset[t] + c``) and per-table nnz blocks
+        (``nnz_toffset``) let a scoring pass gather any selection of
+        tables with a few fancy indexes and build all their
+        column-relevance matrices with one ``bincount``, and the
         column-major ``flat_ids``/``col_start`` pair lets one fancy
         index gather every assigned column of every table.  The global
         nnz triples keep each table's per-column order, so the fused
@@ -420,7 +410,6 @@ class CorpusIndex:
         self.row_offset = np.concatenate(
             ([0], np.cumsum(self.table_rows))
         ).astype(np.int64)
-        self.total_columns = int(self.col_offset[-1])
         # Column-major cell ids: global column g's entity ids live in
         # flat_ids[col_start[g] : col_start[g] + rows(table of g)].
         column_blocks: List[np.ndarray] = []
@@ -589,8 +578,6 @@ class CorpusIndex:
         index.kernel = kernel
         index._rows = LRUCache(row_cache_size)
         index._tuples = LRUCache(max(1, row_cache_size // 8))
-        index._assignments = LRUCache(max(1, row_cache_size // 8))
-        index._columns = LRUCache(max(1, row_cache_size // 8))
         index.table_ids = list(table_ids)
         index._table_pos = {
             table_id: position
@@ -601,7 +588,6 @@ class CorpusIndex:
         index.table_columns = arrays["table_columns"]
         index.col_offset = arrays["col_offset"]
         index.row_offset = arrays["row_offset"]
-        index.total_columns = int(index.col_offset[-1])
         index.flat_ids = arrays["flat_ids"]
         index.col_start = arrays["col_start"]
         index.nnz_gcolumns = arrays["nnz_gcolumns"]
@@ -655,56 +641,6 @@ class CorpusIndex:
         elif profile is not None:
             profile.similarity_calls += len(self.uris)
         return sims
-
-    def cached_assignment(self, query_tuple) -> Optional[np.ndarray]:
-        """Memoized whole-segment column assignment of one query tuple.
-
-        The engine's Section 5.1 assignment of a tuple against every
-        table of this (immutable) segment is a pure function of the
-        tuple, so repeated tuples — replayed queries, overlapping
-        micro-batches — skip the relevance bincount and the per-table
-        assignment solve entirely.  Only unrestricted (whole-segment)
-        assignments are stored or consulted: candidate-restricted
-        passes confine their relevance (and hence their gather set) to
-        the selection, which a whole-segment assignment would defeat.
-        """
-        return self._assignments.get(query_tuple)
-
-    def store_assignment(self, query_tuple, assignment: np.ndarray) -> None:
-        """Memoize a whole-segment assignment (see cached_assignment)."""
-        assignment.setflags(write=False)
-        self._assignments.put(query_tuple, assignment)
-
-    def cached_tuple_column(self, query_tuple, token):
-        """Memoized final ``(column, signal)`` of one tuple vs this segment.
-
-        The engine's complete per-tuple scoring of this (immutable)
-        segment — assignment, gather, residual tail — is deterministic
-        given the tuple and the engine configuration, so repeated
-        tuples skip the whole pass.  ``token`` captures that
-        configuration: ``(informativeness, row_aggregation,
-        tuple_semantics)``.  The informativeness object is replaced
-        (never mutated) on refresh and is compared by identity, so a
-        stale column can never be served after the weights change.
-        Only unrestricted (whole-segment) columns live here; see
-        :meth:`cached_assignment` for why restricted passes bypass it.
-        """
-        entry = self._columns.get(query_tuple)
-        if entry is None:
-            return None
-        stored_token, column, signal = entry
-        if not same_token(stored_token, token):
-            return None
-        return column, signal
-
-    def store_tuple_column(
-        self, query_tuple, token,
-        column: np.ndarray, signal: np.ndarray,
-    ) -> None:
-        """Memoize one tuple's column (see cached_tuple_column)."""
-        column.setflags(write=False)
-        signal.setflags(write=False)
-        self._columns.put(query_tuple, (token, column, signal))
 
     def row_cache_stats(self) -> CacheStats:
         """Hit/miss counters of the similarity-row memo."""

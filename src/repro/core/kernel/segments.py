@@ -58,7 +58,6 @@ from repro.core.kernel.index import (
     DEFAULT_ROW_CACHE_SIZE,
     CorpusIndex,
     TableView,
-    same_token,
 )
 from repro.datalake.table import Table
 from repro.linking.mapping import EntityMapping
@@ -526,16 +525,20 @@ class SegmentedCorpusIndex:
 
         A ranking is a pure function of the query's tuples, ``k``, the
         (immutable) index instance and the engine configuration, which
-        ``token`` captures (see :func:`~repro.core.kernel.index.
-        same_token`).  Mutations need no invalidation:
-        :meth:`with_table`, :meth:`without_table`, :meth:`rebound` and a
-        merging compaction all return a new instance with an empty memo.
+        ``token`` captures: its head, the informativeness object —
+        replaced, never mutated, on refresh — is compared by identity,
+        the rest (enum and flag settings) by equality.  Mutations need
+        no invalidation: :meth:`with_table`, :meth:`without_table`,
+        :meth:`rebound` and a merging compaction all return a new
+        instance with an empty memo.
         """
         entry = self._results.get((tuples, k))
         if entry is None:
             return None
-        stored_token, result = entry
-        return result if same_token(stored_token, token) else None
+        stored, result = entry
+        if stored[0] is token[0] and stored[1:] == token[1:]:
+            return result
+        return None
 
     def store_result(self, tuples, k: int, token, result) -> None:
         """Memoize one whole-lake ranking (see cached_result)."""

@@ -17,11 +17,14 @@ class DataLake:
     """An ordered, keyed collection of :class:`~repro.datalake.table.Table`.
 
     Iteration order is insertion order, which keeps experiments
-    deterministic.
+    deterministic.  ``version`` counts mutations (every :meth:`add` and
+    :meth:`remove`), so a reader can tell in O(1) that the table set
+    has not changed since it last looked.
     """
 
     def __init__(self, tables: Optional[Iterable[Table]] = None):
         self._tables: Dict[str, Table] = {}
+        self.version = 0
         if tables is not None:
             for table in tables:
                 self.add(table)
@@ -31,6 +34,7 @@ class DataLake:
         if table.table_id in self._tables:
             raise DuplicateTableError(table.table_id)
         self._tables[table.table_id] = table
+        self.version += 1
 
     def add_all(self, tables: Iterable[Table]) -> None:
         """Insert every table from ``tables``."""
@@ -51,9 +55,11 @@ class DataLake:
     def remove(self, table_id: str) -> Table:
         """Remove and return the table with ``table_id``."""
         try:
-            return self._tables.pop(table_id)
+            table = self._tables.pop(table_id)
         except KeyError:
             raise DataLakeError(f"no table with id {table_id!r}") from None
+        self.version += 1
+        return table
 
     def __contains__(self, table_id: str) -> bool:
         return table_id in self._tables

@@ -1,12 +1,13 @@
 """Micro-batching queue with admission control and per-request timeouts.
 
-Concurrent clients each submit one query; the batcher coalesces
-whatever is waiting (up to ``max_batch_size``, waiting at most
-``flush_interval`` for stragglers) and hands the batch to a runner that
-executes it against the warm engine in a worker thread.  Batching keeps
+Concurrent clients each submit one query; the batcher takes the first
+waiting item plus whatever else is queued one event-loop turn later (up
+to ``max_batch_size``) and hands the batch to a runner that executes it
+against the warm engine in a worker thread.  It never waits on a timer:
+a lone request is dispatched at once, and batches still form under load
+because arrivals queue while the previous batch runs.  Batching keeps
 the engine's similarity cache hot across neighbouring requests and
-bounds context-switching under load, while the coalescing window is
-short enough that a lone request barely notices it.
+bounds context-switching under load.
 
 Backpressure is explicit and fast: the admission queue is bounded, and
 a submit against a full queue raises
@@ -26,11 +27,8 @@ from typing import Any, Awaitable, Callable, List, Optional, Sequence
 from repro.exceptions import RequestTimeoutError, ServeError, \
     ServerOverloadedError
 
-#: Defaults tuned for an interactive service: a small coalescing window
-#: (2 ms) keeps single-client latency flat while a burst of concurrent
-#: clients still folds into few engine passes.
+#: Defaults tuned for an interactive service.
 DEFAULT_MAX_BATCH_SIZE = 8
-DEFAULT_FLUSH_INTERVAL = 0.002
 DEFAULT_MAX_QUEUE_DEPTH = 64
 DEFAULT_REQUEST_TIMEOUT = 30.0
 
@@ -73,8 +71,6 @@ class MicroBatcher:
         batch to a thread-pool executor so the event loop stays free.)
     max_batch_size:
         Hard cap on items per runner call.
-    flush_interval:
-        Seconds the batcher waits for more items after the first one.
     max_queue_depth:
         Admission bound; submissions beyond it fast-fail with
         :class:`ServerOverloadedError`.
@@ -87,19 +83,15 @@ class MicroBatcher:
         self,
         runner: BatchRunner,
         max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
-        flush_interval: float = DEFAULT_FLUSH_INTERVAL,
         max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
     ):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if flush_interval < 0:
-            raise ValueError("flush_interval must be >= 0")
         if max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
         self.runner = runner
         self.max_batch_size = max_batch_size
-        self.flush_interval = flush_interval
         self.max_queue_depth = max_queue_depth
         self.request_timeout = request_timeout
         self._queue: Optional["asyncio.Queue[Any]"] = None
@@ -196,30 +188,20 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     async def _collect_batch(self, first: Any) -> tuple:
-        """Gather up to ``max_batch_size`` items within the flush window.
+        """``first`` plus whatever is queued one loop turn later.
 
-        Returns ``(batch, saw_shutdown)``.
+        The single ``sleep(0)`` lets handlers already scheduled in this
+        loop iteration (a burst that arrived together) enqueue first;
+        nothing waits on a timer.  Returns ``(batch, saw_shutdown)``.
         """
         assert self._queue is not None
         batch = [first]
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.flush_interval
+        await asyncio.sleep(0)
         while len(batch) < self.max_batch_size:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                # Full window elapsed; take whatever is already queued
-                # without waiting further.
-                try:
-                    nxt = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-            else:
-                try:
-                    nxt = await asyncio.wait_for(
-                        self._queue.get(), remaining
-                    )
-                except asyncio.TimeoutError:
-                    break
+            try:
+                nxt = self._queue.get_nowait()
+            except asyncio.QueueEmpty:
+                break
             if nxt is _SHUTDOWN:
                 return batch, True
             batch.append(nxt)

@@ -48,7 +48,6 @@ from repro.exceptions import (
     ThetisClosedError,
 )
 from repro.serve.batching import (
-    DEFAULT_FLUSH_INTERVAL,
     DEFAULT_MAX_BATCH_SIZE,
     DEFAULT_MAX_QUEUE_DEPTH,
     DEFAULT_REQUEST_TIMEOUT,
@@ -83,15 +82,10 @@ class ServeConfig:
     default_method: str = "types"
     #: Queries coalesced per engine pass.
     max_batch_size: int = DEFAULT_MAX_BATCH_SIZE
-    #: Seconds the batcher waits for stragglers after the first query.
-    flush_interval: float = DEFAULT_FLUSH_INTERVAL
     #: Admission bound; beyond it requests fast-fail with 503.
     max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH
     #: Per-request deadline in seconds (504 past it).
     request_timeout: float = DEFAULT_REQUEST_TIMEOUT
-    #: Worker threads executing query batches (1 preserves strict
-    #: batch ordering; more overlap batches on multi-core machines).
-    batch_workers: int = 1
     #: Build engine + per-table views before flipping /readyz.
     warm_on_start: bool = True
     #: Re-warm a freshly built snapshot before swapping it in.
@@ -138,12 +132,13 @@ class ThetisServer:
         self.batcher = MicroBatcher(
             runner=self._run_batch,
             max_batch_size=self.config.max_batch_size,
-            flush_interval=self.config.flush_interval,
             max_queue_depth=self.config.max_queue_depth,
             request_timeout=self.config.request_timeout,
         )
+        # One batch runs at a time (the batcher awaits each before
+        # collecting the next), so one thread executes them all.
         self._batch_executor = ThreadPoolExecutor(
-            max_workers=max(1, self.config.batch_workers),
+            max_workers=1,
             thread_name_prefix="thetis-serve-batch",
         )
         self._http = HttpShell(
@@ -165,7 +160,7 @@ class ThetisServer:
         self._warmup_task: Optional["asyncio.Task[None]"] = None
         self._ready = threading.Event()
         self._shut_down = False
-        # Deterministic guardrail sampling across batch workers.
+        # Deterministic guardrail sampling.
         self._guardrail_lock = threading.Lock()
         self._guardrail_counter = 0  # guarded-by: _guardrail_lock
 

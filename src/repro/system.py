@@ -100,10 +100,10 @@ class Thetis:
     shard) are thin callers of one private path: resolve each query's
     candidate restriction, pick the engine, make one ``search_batch``
     call.  :meth:`prefilter_recall` (the serving recall guardrail) is
-    two calls of :meth:`search`.  Nothing here goes parallel: a
-    process serves concurrent requests through the serving layer's
-    micro-batch (``--batch-workers``), and a lake too big for one
-    process is sharded across :mod:`repro.cluster` workers.
+    two calls of :meth:`search`.  Nothing here goes parallel: within a
+    process, concurrent requests share the serving layer's micro-batch
+    (one engine pass per batch), and across processes a lake is
+    sharded over :mod:`repro.cluster` workers (``thetis cluster``).
 
     *Thread safety.*  :meth:`search`, :meth:`search_many`,
     :meth:`search_shard_batch`, and :meth:`explain` are safe for

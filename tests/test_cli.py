@@ -40,10 +40,8 @@ class TestParser:
         assert args.port == 8080
         assert args.method == "types"
         assert args.max_batch == 8
-        assert args.flush_interval == pytest.approx(0.002)
         assert args.queue_depth == 64
         assert args.timeout == pytest.approx(30.0)
-        assert args.batch_workers == 1
         assert not args.no_warm
         # The serving default is the kernel, as on `cluster worker`;
         # the scalar reference stays selectable.
@@ -65,14 +63,13 @@ class TestParser:
         args = build_parser().parse_args([
             "serve", "--graph", "g", "--lake", "l", "--mapping", "m",
             "--port", "0", "--max-batch", "16", "--queue-depth", "8",
-            "--timeout", "2.5", "--no-warm", "--batch-workers", "4",
+            "--timeout", "2.5", "--no-warm",
         ])
         assert args.port == 0
         assert args.max_batch == 16
         assert args.queue_depth == 8
         assert args.timeout == pytest.approx(2.5)
         assert args.no_warm
-        assert args.batch_workers == 4
 
     @pytest.mark.parametrize("arguments", [
         ["serve", "--workers", "2"],
@@ -87,6 +84,21 @@ class TestParser:
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(
                 arguments + ["--graph", "g", "--lake", "l", "--mapping", "m"]
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [
+        ["--batch-workers", "4"],
+        ["--flush-interval", "0.01"],
+    ])
+    def test_batching_knobs_are_gone(self, flag, capsys):
+        # One batch runs at a time and the batcher never waits on a
+        # timer, so neither knob has anything left to tune.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["serve", "--graph", "g", "--lake", "l", "--mapping", "m"]
+                + flag
             )
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from repro.core.aggregation import RowAggregation, TupleSemantics
 from repro.core.kernel import (
     ENGINE_KINDS,
     CorpusIndex,
+    SegmentedCorpusIndex,
     VectorizedTableSearchEngine,
     compile_kernel,
     engine_class,
@@ -457,6 +458,48 @@ class TestEngineLifecycle:
         b = vector.score_table(query, lake.get("T99"))
         assert abs(a.score - b.score) <= TOLERANCE
         assert "T99" in vector.index()
+
+    def test_lake_is_listed_once_per_mutation(self, monkeypatch):
+        """Searches over an unchanged lake skip the O(lake) mirror
+        check; a lake mutated behind the engine's back still
+        reconciles, because every add / remove bumps its version."""
+        rng = random.Random(89)
+        lake, mapping = make_lake(rng)
+        sigma = make_sigma("types", rng)
+        engine = VectorizedTableSearchEngine(lake, mapping, sigma)
+        checks = []
+        mirrors = SegmentedCorpusIndex.mirrors
+        monkeypatch.setattr(
+            SegmentedCorpusIndex, "mirrors",
+            lambda index, ids: checks.append(len(ids)) or mirrors(index, ids),
+        )
+        query = Query.single(ENTITIES[0], ENTITIES[1])
+        engine.search(query, k=3)
+        listed = len(checks)
+        for k in (3, 5, None):
+            engine.search(query, k=k)
+        assert len(checks) == listed
+
+        def assert_mirrored():
+            fresh = VectorizedTableSearchEngine(lake, mapping, sigma)
+            got = engine.search(query, k=None)
+            want = fresh.search(query, k=None)
+            assert [(s.table_id, s.score) for s in got] == [
+                (s.table_id, s.score) for s in want
+            ]
+
+        version = lake.version
+        lake.add(Table("T99", ["a"], [["x"], ["y"]]))
+        mapping.link("T99", 0, 0, ENTITIES[0])
+        mapping.link("T99", 1, 0, ENTITIES[1])
+        assert lake.version == version + 1
+        assert_mirrored()
+        assert "T99" in engine.index() and len(checks) > listed
+        lake.remove("T99")
+        mapping.unlink_table("T99")
+        assert lake.version == version + 2
+        assert_mirrored()
+        assert "T99" not in engine.index()
 
     def test_foreign_table_falls_back_to_scalar_path(self):
         rng = random.Random(83)

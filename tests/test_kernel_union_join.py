@@ -673,7 +673,7 @@ class TestServeRoundTrip:
         )
         handle = ServerThread(
             served,
-            ServeConfig(port=0, max_batch_size=8, flush_interval=0.005),
+            ServeConfig(port=0, max_batch_size=8),
         )
         handle.start().wait_ready()
         yield handle

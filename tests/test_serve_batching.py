@@ -2,9 +2,11 @@
 
 These drive :class:`~repro.serve.batching.MicroBatcher` directly with
 synthetic runners (no HTTP, no engine) so each property is isolated:
-batched outcomes align with submissions, a full queue fast-fails with
-503 semantics instead of hanging, deadlines expire into 504 semantics,
-and shutdown drains admitted work.
+a lone request is dispatched without waiting on a timer, arrivals
+during a batch coalesce into the next one, batched outcomes align with
+submissions, a full queue fast-fails with 503 semantics instead of
+hanging, deadlines expire into 504 semantics, and shutdown drains
+admitted work.
 """
 
 import asyncio
@@ -30,7 +32,7 @@ class TestBatchingCorrectness:
             async def runner(items):
                 return [item * 2 for item in items]
 
-            batcher = MicroBatcher(runner, flush_interval=0.001)
+            batcher = MicroBatcher(runner)
             await batcher.start()
             try:
                 assert await batcher.submit(21) == 42
@@ -49,9 +51,7 @@ class TestBatchingCorrectness:
                 sizes.append(len(items))
                 return [item + 100 for item in items]
 
-            batcher = MicroBatcher(
-                runner, max_batch_size=8, flush_interval=0.02
-            )
+            batcher = MicroBatcher(runner, max_batch_size=8)
             await batcher.start()
             try:
                 results = await asyncio.gather(
@@ -69,6 +69,63 @@ class TestBatchingCorrectness:
 
         run(body())
 
+    def test_lone_submit_dispatches_without_a_timer(self):
+        """A lone request reaches the runner within a few loop turns:
+        nothing waits for stragglers that cannot arrive."""
+        async def body():
+            seen = []
+
+            async def runner(items):
+                seen.extend(items)
+                return list(items)
+
+            batcher = MicroBatcher(runner)
+            await batcher.start()
+            try:
+                pending = asyncio.ensure_future(batcher.submit("lone"))
+                for _ in range(20):
+                    await asyncio.sleep(0)
+                assert seen == ["lone"]
+                assert await pending == "lone"
+            finally:
+                await batcher.stop()
+
+        run(body())
+
+    def test_arrivals_during_a_batch_coalesce_into_the_next(self):
+        """Load forms batches: whatever queues while a batch runs rides
+        the next one, capped at ``max_batch_size``."""
+        async def body():
+            gate = asyncio.Event()
+            batches = []
+
+            async def runner(items):
+                batches.append(list(items))
+                if len(batches) == 1:
+                    await gate.wait()
+                return list(items)
+
+            batcher = MicroBatcher(runner, max_batch_size=3)
+            await batcher.start()
+            try:
+                first = asyncio.ensure_future(batcher.submit(0))
+                while not batches:
+                    await asyncio.sleep(0)
+                rest = [
+                    asyncio.ensure_future(batcher.submit(i))
+                    for i in range(1, 6)
+                ]
+                while batcher.queue_depth < 5:
+                    await asyncio.sleep(0)
+                gate.set()
+                assert await first == 0
+                assert await asyncio.gather(*rest) == [1, 2, 3, 4, 5]
+            finally:
+                await batcher.stop()
+            assert batches == [[0], [1, 2, 3], [4, 5]]
+
+        run(body())
+
     def test_batch_size_cap_respected(self):
         async def body():
             sizes = []
@@ -77,9 +134,7 @@ class TestBatchingCorrectness:
                 sizes.append(len(items))
                 return list(items)
 
-            batcher = MicroBatcher(
-                runner, max_batch_size=3, flush_interval=0.02
-            )
+            batcher = MicroBatcher(runner, max_batch_size=3)
             await batcher.start()
             try:
                 await asyncio.gather(
@@ -100,9 +155,7 @@ class TestBatchingCorrectness:
                     for item in items
                 ]
 
-            batcher = MicroBatcher(
-                runner, max_batch_size=4, flush_interval=0.02
-            )
+            batcher = MicroBatcher(runner, max_batch_size=4)
             await batcher.start()
             try:
                 outcomes = await asyncio.gather(
@@ -123,7 +176,7 @@ class TestBatchingCorrectness:
             async def runner(items):
                 raise RuntimeError("engine exploded")
 
-            batcher = MicroBatcher(runner, flush_interval=0.001)
+            batcher = MicroBatcher(runner)
             await batcher.start()
             try:
                 with pytest.raises(RuntimeError, match="engine exploded"):
@@ -138,7 +191,7 @@ class TestBatchingCorrectness:
             async def runner(items):
                 return []  # wrong length
 
-            batcher = MicroBatcher(runner, flush_interval=0.001)
+            batcher = MicroBatcher(runner)
             await batcher.start()
             try:
                 with pytest.raises(ServeError, match="outcomes"):
@@ -161,8 +214,8 @@ class TestBackpressure:
                 return list(items)
 
             batcher = MicroBatcher(
-                runner, max_batch_size=1, flush_interval=0.0,
-                max_queue_depth=2, request_timeout=5.0,
+                runner, max_batch_size=1, max_queue_depth=2,
+                request_timeout=5.0,
             )
             await batcher.start()
             # First submission is picked up by the worker and blocks
@@ -193,10 +246,7 @@ class TestBackpressure:
                 await gate.wait()
                 return list(items)
 
-            batcher = MicroBatcher(
-                runner, max_batch_size=1, flush_interval=0.0,
-                max_queue_depth=1,
-            )
+            batcher = MicroBatcher(runner, max_batch_size=1, max_queue_depth=1)
             await batcher.start()
             inflight = asyncio.ensure_future(batcher.submit("a"))
             await asyncio.sleep(0.02)
@@ -236,9 +286,7 @@ class TestTimeouts:
                 await asyncio.sleep(0.5)
                 return list(items)
 
-            batcher = MicroBatcher(
-                runner, flush_interval=0.0, request_timeout=0.05
-            )
+            batcher = MicroBatcher(runner, request_timeout=0.05)
             await batcher.start()
             try:
                 with pytest.raises(RequestTimeoutError):
@@ -256,9 +304,7 @@ class TestTimeouts:
                 await asyncio.sleep(0.1)
                 return [item * 2 for item in items]
 
-            batcher = MicroBatcher(
-                runner, flush_interval=0.0, request_timeout=0.02
-            )
+            batcher = MicroBatcher(runner, request_timeout=0.02)
             await batcher.start()
             try:
                 with pytest.raises(RequestTimeoutError):
@@ -276,9 +322,7 @@ class TestTimeouts:
                 await asyncio.sleep(0.2)
                 return list(items)
 
-            batcher = MicroBatcher(
-                runner, flush_interval=0.0, request_timeout=10.0
-            )
+            batcher = MicroBatcher(runner, request_timeout=10.0)
             await batcher.start()
             try:
                 with pytest.raises(RequestTimeoutError):
@@ -296,9 +340,7 @@ class TestShutdown:
                 await asyncio.sleep(0.02)
                 return [item + 1 for item in items]
 
-            batcher = MicroBatcher(
-                runner, max_batch_size=4, flush_interval=0.005
-            )
+            batcher = MicroBatcher(runner, max_batch_size=4)
             await batcher.start()
             tasks = [
                 asyncio.ensure_future(batcher.submit(i))
@@ -319,10 +361,7 @@ class TestShutdown:
                 await gate.wait()
                 return list(items)
 
-            batcher = MicroBatcher(
-                runner, max_batch_size=1, flush_interval=0.0,
-                max_queue_depth=8,
-            )
+            batcher = MicroBatcher(runner, max_batch_size=1, max_queue_depth=8)
             await batcher.start()
             inflight = asyncio.ensure_future(batcher.submit("a"))
             await asyncio.sleep(0.02)
@@ -366,7 +405,5 @@ class TestValidation:
 
         with pytest.raises(ValueError):
             MicroBatcher(runner, max_batch_size=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(runner, flush_interval=-1.0)
         with pytest.raises(ValueError):
             MicroBatcher(runner, max_queue_depth=0)

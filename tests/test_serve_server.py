@@ -66,7 +66,7 @@ def server(sports_lake, sports_graph, sports_mapping):
     served = build_served_thetis(sports_lake, sports_graph, sports_mapping)
     handle = ServerThread(
         served,
-        ServeConfig(port=0, max_batch_size=8, flush_interval=0.005),
+        ServeConfig(port=0, max_batch_size=8),
     )
     handle.start().wait_ready()
     yield handle
@@ -187,14 +187,34 @@ class TestSearchParity:
 
     def test_topk_and_search_share_one_search_many_call(
             self, sports_lake, sports_graph, sports_mapping):
-        """A concurrent /topk and /search with equal k are one batch key."""
+        """A /topk and a /search with equal k, queued together, are one
+        batch key: they ride one search_many call."""
         handle = ServerThread(
             build_served_thetis(sports_lake, sports_graph, sports_mapping),
-            # The batch flushes the moment it holds both requests.
-            ServeConfig(port=0, max_batch_size=2, flush_interval=5.0),
+            ServeConfig(port=0, max_batch_size=2),
         )
         handle.start().wait_ready()
+        batcher = handle.server.batcher
+        serve_batch = batcher.runner
+        held, release = threading.Event(), threading.Event()
+        hold = object()
+
+        async def runner(items):
+            if items != [hold]:
+                return await serve_batch(items)
+            # Hold the batch thread busy; this batch is not a search.
+            held.set()
+            await asyncio.get_running_loop().run_in_executor(
+                handle.server._batch_executor, release.wait
+            )
+            return [None]
+
+        batcher.runner = runner
+        holding = asyncio.run_coroutine_threadsafe(
+            batcher.submit(hold), handle._loop
+        )
         try:
+            assert held.wait(30.0)
             statuses = {}
 
             def client(path, tuples):
@@ -209,11 +229,17 @@ class TestSearchParity:
             ]
             for thread in threads:
                 thread.start()
+            deadline = time.monotonic() + 30.0
+            while batcher.queue_depth < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            release.set()
+            holding.result(30.0)
             for thread in threads:
                 thread.join(timeout=30.0)
             assert statuses == {"/topk": 200, "/search": 200}
             _, metrics = http_request(handle.port, "GET", "/metrics")
         finally:
+            release.set()
             handle.stop()
         assert metrics["batches_total"] == 1
         # One search_many dispatch (the scalar engine loops) carried both.
@@ -325,7 +351,7 @@ class TestPrefilterServing:
                         engine_kind="vectorized")
         handle = ServerThread(
             served,
-            ServeConfig(port=0, max_batch_size=8, flush_interval=0.005),
+            ServeConfig(port=0, max_batch_size=8),
         )
         handle.start().wait_ready()
         try:
@@ -355,7 +381,7 @@ class TestPrefilterServing:
                                      sports_mapping)
         handle = ServerThread(
             served,
-            ServeConfig(port=0, max_batch_size=8, flush_interval=0.005,
+            ServeConfig(port=0, max_batch_size=8,
                         prefilter_guardrail_every=2),
         )
         handle.start().wait_ready()
@@ -436,7 +462,7 @@ class TestOverload:
         handle = _slowed(
             ServerThread(
                 served,
-                ServeConfig(port=0, max_batch_size=1, flush_interval=0.0,
+                ServeConfig(port=0, max_batch_size=1,
                             max_queue_depth=1, request_timeout=30.0),
             ),
             delay=0.25,
@@ -491,8 +517,7 @@ class TestTimeout:
         handle = _slowed(
             ServerThread(
                 served,
-                ServeConfig(port=0, flush_interval=0.0,
-                            request_timeout=0.05),
+                ServeConfig(port=0, request_timeout=0.05),
             ),
             delay=0.5,
         )
