@@ -10,8 +10,8 @@ held-out half of the queries.
 import pytest
 
 from benchmarks.conftest import print_header
+from benchmarks.fusion import LogisticFusion, comb_mnz, reciprocal_rank_fusion
 from repro.baselines import text_query_from_labels
-from repro.core import LogisticFusion, comb_mnz, reciprocal_rank_fusion
 from repro.eval import recall_at_k, summarize
 
 K = 100

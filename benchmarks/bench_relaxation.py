@@ -4,13 +4,13 @@ Section 7.2 diagnoses the 5-tuple recall drop as over-specialization;
 the conclusion promises improvements for that case.  This bench
 measures the diagnosis (5-tuple recall < 1-tuple recall for the exact
 engine) and evaluates both relaxation strategies of
-``repro.core.relaxation`` against it.
+``benchmarks.relaxation`` against it.
 """
 
 import pytest
 
 from benchmarks.conftest import print_header
-from repro.core import RelaxingSearcher
+from benchmarks.relaxation import RelaxingSearcher
 from repro.eval import recall_at_k, summarize
 
 K = 100

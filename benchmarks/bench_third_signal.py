@@ -14,8 +14,8 @@ from half the corpus erodes the signal further.
 import pytest
 
 from benchmarks.conftest import print_header
+from benchmarks.fusion import LogisticFusion, reciprocal_rank_fusion
 from repro.baselines import MetadataKeywordSearch, text_query_from_labels
-from repro.core import LogisticFusion, reciprocal_rank_fusion
 from repro.datalake import DataLake, Table
 from repro.eval import recall_at_k, summarize
 

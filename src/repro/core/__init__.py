@@ -20,12 +20,6 @@ from repro.core.explain import (
     TupleExplanation,
     explain_table,
 )
-from repro.core.fusion import (
-    LogisticFusion,
-    comb_mnz,
-    comb_sum,
-    reciprocal_rank_fusion,
-)
 from repro.core.kernel import (
     ENGINE_KINDS,
     CorpusIndex,
@@ -33,12 +27,6 @@ from repro.core.kernel import (
     engine_class,
 )
 from repro.core.mappings import MappingKind, RelevantMapping, best_mapping
-from repro.core.relaxation import (
-    RelaxationOutcome,
-    RelaxingSearcher,
-    drop_least_informative,
-    split_tuples,
-)
 from repro.core.parallel import merge_topk
 from repro.core.query import EntityTuple, Query
 from repro.core.result import ResultSet, ScoredTable
@@ -83,12 +71,4 @@ __all__ = [
     "TableExplanation",
     "TupleExplanation",
     "EntityExplanation",
-    "reciprocal_rank_fusion",
-    "comb_sum",
-    "comb_mnz",
-    "LogisticFusion",
-    "RelaxingSearcher",
-    "RelaxationOutcome",
-    "drop_least_informative",
-    "split_tuples",
 ]

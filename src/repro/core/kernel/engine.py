@@ -55,7 +55,11 @@ from repro.core.cache import (
     CacheStats,
     LRUCache,
 )
-from repro.core.kernel.index import DEFAULT_ROW_CACHE_SIZE, CorpusIndex
+from repro.core.kernel.index import (
+    DEFAULT_ROW_CACHE_SIZE,
+    CorpusIndex,
+    EntityPostings,
+)
 from repro.core.kernel.segments import (
     SegmentedCorpusIndex,
     SegmentedIndexStats,
@@ -85,10 +89,11 @@ MAX_ENUM_WIDTH = 3
 
 #: Slack added to a vectorized upper bound before the early-termination
 #: cut-off compares it against the k-th best exact score.  The bound's
-#: reductions (``np.max`` / ``np.mean`` over tuples, BLAS dot products)
-#: may sum in a different order than the kernel's exact pass, so strict
-#: FP dominance can miss by rounding noise; the slack converts that into
-#: "score a few extra tables" instead of "drop a true top-k member".
+#: reductions (``np.max`` / ``np.mean`` over tuples, the lane sums of
+#: :func:`lane_bounds`) may sum in a different order than the kernel's
+#: exact pass, so strict FP dominance can miss by rounding noise; the
+#: slack converts that into "score a few extra tables" instead of "drop
+#: a true top-k member".
 BOUND_SLACK = 1e-9
 
 #: Smallest chunk the early-terminating scan scores per restricted
@@ -96,9 +101,11 @@ BOUND_SLACK = 1e-9
 #: small chunks would repeat that fixed cost.
 MIN_PRUNE_CHUNK = 32
 
-#: Similarities one bound gather may materialize (8 MB of float64);
-#: wider batches gather in blocks of whole tuples.
-BOUND_GATHER_CELLS = 1 << 20
+#: Most similar entities per query entity whose postings the first bound
+#: pass follows (``m`` of the threshold algorithm); every other table
+#: gets the ``(m + 1)``-th similarity as its ceiling.  The scan doubles
+#: it for the tables left whenever a chunk does not end the scan.
+BOUND_TOP_M = 4
 
 
 def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -117,6 +124,45 @@ def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         ends - lengths, lengths
     )
     return np.repeat(starts, lengths) + within
+
+
+def _holds_any(postings: EntityPostings, chosen: np.ndarray) -> np.ndarray:
+    """Per table, whether it mentions any entity the ``chosen`` mask sets.
+
+    Counts postings on whichever side of the mask is smaller: the
+    chosen entities' own postings, or the others' — a table holds a
+    chosen entity iff fewer than all its distinct entities are
+    unchosen.  Either way at most half the postings are read.
+    """
+    if chosen.all():
+        return postings.distinct > 0
+    lengths = np.diff(postings.offsets)
+    direct = 2 * int(lengths[chosen].sum()) <= len(postings.tables)
+    ids = np.flatnonzero(chosen if direct else ~chosen)
+    counts = np.bincount(
+        postings.tables[_concat_ranges(postings.offsets[ids], lengths[ids])],
+        minlength=len(postings.distinct),
+    )
+    return counts > 0 if direct else counts < postings.distinct
+
+
+def lane_bounds(
+    coordinates: np.ndarray, weights: np.ndarray, widths: Sequence[int]
+) -> np.ndarray:
+    """Equation 2's ``1 / (distance + 1)`` for lane-stacked tuples.
+
+    ``coordinates`` is ``(lanes, n)``: consecutive blocks of
+    ``widths[t]`` lanes belong to tuple ``t``, each lane weighted by
+    its entry of ``weights``.  Returns ``(len(widths), n)``.  Lanes
+    accumulate one by one, so a column's value does not depend on
+    ``n`` or on the other columns.
+    """
+    residual = 1.0 - np.minimum(coordinates, 1.0)
+    terms = weights[:, None] * residual * residual
+    squared = np.zeros((len(widths), coordinates.shape[1]), dtype=np.float64)
+    for lane, row in enumerate(np.repeat(np.arange(len(widths)), widths)):
+        squared[row] += terms[lane]
+    return 1.0 / (np.sqrt(squared) + 1.0)
 
 
 def weighted_distances(
@@ -291,13 +337,16 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         Merges recompile from the live lake tables, so this belongs off
         the request path — :meth:`warm` (which serving snapshots run
         before every swap) calls it for you.  The resulting instance's
-        table layout is built here too, not by its first search.
+        table layout and its segments' postings are built here too, not
+        by its first search.
         """
         with self._index_lock:
             if self._index is None:
                 self._index = self._build_index()
             self._index = self._index.maybe_compacted(self.lake.get)
             self._index.layout()
+            for segment in self._index.segments:
+                segment.postings()
             return self._index.stats()
 
     def adopt_index(self, index: SegmentedCorpusIndex) -> None:
@@ -772,80 +821,98 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         tuples: Sequence[Tuple[str, ...]],
         positions: np.ndarray,
         profile: ScoringProfile,
+        top_m: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized SemRel upper bounds of segment tables, per tuple.
+        """Postings-driven SemRel upper bounds of segment tables, per tuple.
 
-        Per query entity, the best similarity any entity mentioned in
-        the table could provide (clamped at zero — an unassigned
-        position scores zero, never negative), pushed through the same
-        residual-distance formula as the kernel.  Dropping the
+        A table's coordinate for a query entity (a *lane*) bounds the
+        best similarity any entity mentioned in it could provide,
+        clamped at zero (an unassigned position scores zero, never
+        negative).  The coordinates go through Equation 2's residual
+        distance (:func:`lane_bounds`).  Dropping the
         distinct-column and injectivity constraints only raises the
         value, so ``bound >= exact`` up to the reduction-order noise
         :data:`BOUND_SLACK` absorbs.
 
-        ``positions`` (sorted) selects the tables.  A selection
-        covering most of the segment — every whole-lake job — reads
-        the nnz arrays as they lie and picks its tables afterwards,
-        instead of gathering the selected blocks one index at a time.
-        The tuples' similarity rows are stacked along one lane axis, so
-        a block of tuples costs one gather and one
-        ``maximum.reduceat``.
+        The maximum is taken the threshold-algorithm way over the
+        segment's entity -> tables postings.  Each lane's ``top_m``
+        most similar entities (default :data:`BOUND_TOP_M`) scatter
+        their similarities onto the tables on their postings.  Every
+        other table gets the lane's *ceiling*: its ``(m + 1)``-th
+        similarity, clamped at zero, which no entity outside the top m
+        exceeds.  So a coordinate is ``max(dense maximum, ceiling)``:
+        exactly the dense maximum on every table the top-m postings
+        touch, and an upper bound on the rest.  The cost is O(lanes x
+        (entities + postings of the top m)) instead of O(lanes x nnz);
+        ``top_m >= entities`` is the dense maximum itself.
 
-        Returns ``(bounds, signals)``, both ``(len(tuples),
-        len(positions))``: ``signals`` is whether any coordinate is
-        positive — under ``drop_irrelevant`` a table that is
+        ``positions`` (sorted) selects the tables.  Returns ``(bounds,
+        signals)``, both ``(len(tuples), len(positions))``.
+        ``signals`` is whether any coordinate of the dense maximum is
+        positive, exactly: under ``drop_irrelevant`` a table that is
         signal-free for every tuple of a query can never be relevant,
-        so it is dropped before scoring.
+        so it is dropped before scoring.  A lane whose ceiling is zero
+        has every positive entity in its top m, so the touched tables
+        decide.  For the other lanes, see :func:`_holds_any`.
         """
-        whole = 2 * len(positions) >= len(segment.table_ids)
-        if whole:
-            lengths = np.diff(segment.nnz_toffset)
-            ids = segment.nnz_gids
+        postings = segment.postings()
+        num_entities = segment.num_entities
+        stack = np.concatenate([
+            segment.tuple_rows(query_tuple, profile) for query_tuple in tuples
+        ])
+        lanes = np.arange(len(stack))
+        m = min(BOUND_TOP_M if top_m is None else top_m, num_entities)
+        if m < num_entities:
+            order = np.argpartition(-stack, m, axis=1)
+            head = order[:, :m]
+            ceiling = np.maximum(stack[lanes, order[:, m]], 0.0)
         else:
-            starts = segment.nnz_toffset[positions]
-            lengths = segment.nnz_toffset[positions + 1] - starts
-            ids = segment.nnz_gids[_concat_ranges(starts, lengths)]
-        nonempty = np.flatnonzero(lengths > 0)
-        offsets = (np.cumsum(lengths) - lengths)[nonempty]
-        bounds = np.empty((len(tuples), len(positions)), dtype=np.float64)
-        signals = np.empty((len(tuples), len(positions)), dtype=bool)
-        # Blocks of whole tuples, so one gather never materializes more
-        # than ~BOUND_GATHER_CELLS similarities however wide the batch.
-        lanes_per_block = max(1, BOUND_GATHER_CELLS // max(1, ids.size))
-        cursor = 0
-        while cursor < len(tuples):
-            first = cursor
-            lanes = len(tuples[cursor])
-            cursor += 1
-            while (
-                cursor < len(tuples)
-                and lanes + len(tuples[cursor]) <= lanes_per_block
-            ):
-                lanes += len(tuples[cursor])
-                cursor += 1
-            block = tuples[first:cursor]
-            best = np.zeros((lanes, lengths.size), dtype=np.float64)
-            if nonempty.size:
-                stack = np.concatenate([
-                    segment.tuple_rows(query_tuple, profile)
-                    for query_tuple in block
-                ])
-                best[:, nonempty] = np.maximum.reduceat(
-                    np.take(stack, ids, axis=1), offsets, axis=1
-                )
-                np.maximum(best, 0.0, out=best)
-            if whole:
-                best = best[:, positions]
-            lane = 0
-            for row, query_tuple in enumerate(block, start=first):
-                coordinates = best[lane:lane + len(query_tuple)]
-                lane += len(query_tuple)
-                residual = 1.0 - np.minimum(coordinates, 1.0)
-                distances = np.sqrt(
-                    self._tuple_weights(query_tuple) @ (residual * residual)
-                )
-                bounds[row] = 1.0 / (distances + 1.0)
-                signals[row] = coordinates.max(axis=0) > 0.0
+            head = np.broadcast_to(np.arange(num_entities), stack.shape)
+            ceiling = np.zeros(len(stack), dtype=np.float64)
+        starts = postings.offsets[head]
+        lengths = (postings.offsets[head + 1] - starts).ravel()
+        hit_lanes = np.repeat(np.repeat(lanes, m), lengths)
+        hit_values = np.repeat(stack[lanes[:, None], head].ravel(), lengths)
+        # Hits on unselected tables drop out; the selected ones are
+        # numbered by their index into ``positions``.
+        slot = np.full(len(segment.table_ids), -1, dtype=np.int64)
+        slot[positions] = np.arange(len(positions))
+        hit_slots = slot[
+            postings.tables[_concat_ranges(starts.ravel(), lengths)]
+        ]
+        kept = hit_slots >= 0
+        hit_slots = hit_slots[kept]
+        marked = np.zeros(len(positions), dtype=bool)
+        marked[hit_slots] = True
+        touched = np.flatnonzero(marked)
+        columns = len(touched) + 1
+        # One column per touched table, and a last one standing for
+        # every untouched table: all lanes at their ceilings.
+        coordinates = np.repeat(ceiling, columns)
+        np.maximum.at(
+            coordinates,
+            hit_lanes[kept] * columns + (np.cumsum(marked) - 1)[hit_slots],
+            hit_values[kept],
+        )
+        coordinates = coordinates.reshape(len(stack), columns)
+        widths = [len(query_tuple) for query_tuple in tuples]
+        column_bounds = lane_bounds(coordinates, np.concatenate([
+            self._tuple_weights(query_tuple) for query_tuple in tuples
+        ]), widths)
+        bounds = np.repeat(column_bounds[:, -1:], len(positions), axis=1)
+        bounds[:, touched] = column_bounds[:, :-1]
+        signals = np.zeros((len(tuples), len(positions)), dtype=bool)
+        lane = 0
+        for row, width in enumerate(widths):
+            block = slice(lane, lane + width)
+            lane += width
+            exact = ceiling[block] == 0.0
+            signals[row, touched] = (
+                coordinates[block, :-1][exact] > 0.0
+            ).any(axis=0)
+            if not exact.all():
+                positive = (stack[block][~exact] > 0.0).any(axis=0)
+                signals[row] |= _holds_any(postings, positive)[positions]
         return bounds, signals
 
     def search_candidates(
@@ -1083,13 +1150,9 @@ class VectorizedTableSearchEngine(TableSearchEngine):
                 for slot in slots
                 for query_tuple in jobs[slot][0].tuples
             ))
-            bounds = np.empty((len(tuples), len(positions)), dtype=np.float64)
-            signals = np.empty((len(tuples), len(positions)), dtype=bool)
-            for seg_index, lo, hi in layout.segment_slices(positions):
-                bounds[:, lo:hi], signals[:, lo:hi] = self._candidate_bounds(
-                    index.segments[seg_index], tuples,
-                    positions[lo:hi] - layout.seg_base[seg_index], profile,
-                )
+            bounds, signals = self._lake_bounds(
+                index, tuples, positions, profile
+            )
             for slot in slots:
                 query = jobs[slot][0]
                 rows = [tuples.index(entry) for entry in query.tuples]
@@ -1104,6 +1167,32 @@ class VectorizedTableSearchEngine(TableSearchEngine):
                     stats.record_scoring(shortlisted, scored, terminated)
         return results
 
+    def _lake_bounds(
+        self,
+        index: SegmentedCorpusIndex,
+        tuples: Sequence[Tuple[str, ...]],
+        positions: np.ndarray,
+        profile: ScoringProfile,
+        top_m: Optional[int] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`_candidate_bounds` at sorted flat ``positions``."""
+        layout = index.layout()
+        bounds = np.empty((len(tuples), len(positions)), dtype=np.float64)
+        signals = np.empty((len(tuples), len(positions)), dtype=bool)
+        for seg_index, lo, hi in layout.segment_slices(positions):
+            bounds[:, lo:hi], signals[:, lo:hi] = self._candidate_bounds(
+                index.segments[seg_index], tuples,
+                positions[lo:hi] - layout.seg_base[seg_index], profile,
+                top_m=top_m,
+            )
+        return bounds, signals
+
+    def _job_bound(self, bounds: np.ndarray) -> np.ndarray:
+        """A query's bound per table from its per-tuple bound rows."""
+        if self.query_aggregation is QueryAggregation.MAX:
+            return bounds.max(axis=0)
+        return bounds.mean(axis=0)
+
     def _scan(
         self,
         index: SegmentedCorpusIndex,
@@ -1117,16 +1206,19 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         """One job of :meth:`_scan_rankings`.
 
         ``bounds`` / ``signals`` hold one row per tuple of the query,
-        aligned with the candidate ``positions``.  Returns the ranking
-        plus the ``(shortlisted, scored, terminated)`` triple
-        ``PrefilterStats`` records.
+        aligned with the candidate ``positions``, from a
+        :data:`BOUND_TOP_M` bound pass.  Whenever a chunk leaves the
+        scan going, the tables left are re-bounded with twice the top m
+        before the next chunk: a ceiling the k-th score has not cleared
+        drops, and the threshold algorithm reads deeper postings only
+        for the queries that need them.  Every pass gives valid upper
+        bounds, so the stop test and the ranking do not depend on m.
+        Returns the ranking plus the ``(shortlisted, scored,
+        terminated)`` triple ``PrefilterStats`` records.
         """
         layout = index.layout()
         id_rank = layout.id_rank
-        if self.query_aggregation is QueryAggregation.MAX:
-            bound = bounds.max(axis=0)
-        else:
-            bound = bounds.mean(axis=0)
+        bound = self._job_bound(bounds)
         if self.drop_irrelevant:
             # Signal-free for every tuple: no entity similarity is
             # positive, so the table is provably irrelevant.
@@ -1145,7 +1237,25 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         # The chunk doubles, so a query whose bounds all tie costs
         # O(log n) restricted passes, not n / chunk.
         chunk_size = max(MIN_PRUNE_CHUNK, 2 * k)
+        top_m = BOUND_TOP_M
+        widest = max(
+            (segment.num_entities for segment in index.segments), default=0
+        )
+        tuples = list(dict.fromkeys(query.tuples))
+        rows = [tuples.index(query_tuple) for query_tuple in query.tuples]
         while cursor < shortlisted and not bound[cursor] < kth:
+            if cursor and top_m < widest:
+                # The scan goes on: lower the ceilings of what is left.
+                top_m *= 2
+                rest = np.sort(positions[cursor:])
+                refined = self._job_bound(self._lake_bounds(
+                    index, tuples, rest, profile, top_m=top_m
+                )[0][rows])
+                order = np.lexsort((id_rank[rest], -refined))
+                positions[cursor:] = rest[order]
+                bound[cursor:] = refined[order] + BOUND_SLACK
+                if bound[cursor] < kth:
+                    break
             # Never past the tables the current k-th score still
             # admits: if it stands, the scan ends after this chunk.
             admitted = int(np.count_nonzero(~(bound[cursor:] < kth)))

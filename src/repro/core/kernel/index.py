@@ -96,6 +96,21 @@ class TableView:
     nnz_counts: np.ndarray   # (nnz,) float64
 
 
+@dataclass(frozen=True)
+class EntityPostings:
+    """Entity -> distinct tables CSR of one segment (all read-only).
+
+    Entity ``e`` occurs in tables ``tables[offsets[e]:offsets[e + 1]]``
+    (ascending, each once however many cells or columns mention it),
+    and table ``t`` holds ``distinct[t]`` distinct entities — the
+    posting count of table ``t`` over all entities.
+    """
+
+    offsets: np.ndarray   # (entities + 1,) int64
+    tables: np.ndarray    # (distinct (table, entity) pairs,) int32
+    distinct: np.ndarray  # (tables,) int64
+
+
 class SimilarityKernel:
     """Batched form of one ``sigma``: query entity vs all corpus entities.
 
@@ -371,6 +386,7 @@ class CorpusIndex:
             uri: index for index, uri in enumerate(self.uris)
         }
         self._views: Dict[str, TableView] = {}
+        self._postings: Optional[EntityPostings] = None
         for table, grid in grids:
             self._views[table.table_id] = self._compile_table(table, grid)
         self.kernel = compile_kernel(sigma, self.uris, self.id_of)
@@ -555,6 +571,43 @@ class CorpusIndex:
             nnz_counts=self.nnz_gcounts[low:high],
         )
 
+    def postings(self) -> EntityPostings:
+        """The segment's entity -> tables postings, built on first use.
+
+        Derived from ``nnz_gids`` / ``nnz_toffset`` alone, like the lazy
+        views, so compiled, single-table and memmap-loaded segments all
+        get it and the on-disk format does not change.  nnz is keyed by
+        (column, entity); the sort deduplicates it to (table, entity)
+        pairs.  The unsynchronized memo is :meth:`view`'s benign race.
+        """
+        postings = self._postings
+        if postings is None:
+            num_tables = max(1, len(self.table_ids))
+            table_of = np.repeat(
+                np.arange(len(self.table_ids), dtype=np.int64),
+                np.diff(self.nnz_toffset),
+            )
+            # Sort + adjacent-difference dedup: a plain sort is ~50x
+            # faster than ``np.unique`` on these keys.
+            pairs = np.sort(
+                self.nnz_gids.astype(np.int64) * num_tables + table_of
+            )
+            first = np.ones(len(pairs), dtype=bool)
+            first[1:] = pairs[1:] != pairs[:-1]
+            pairs = pairs[first]
+            tables = (pairs % num_tables).astype(np.int32)
+            offsets = np.zeros(self.num_entities + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(pairs // num_tables, minlength=self.num_entities),
+                out=offsets[1:],
+            )
+            distinct = np.bincount(tables, minlength=len(self.table_ids))
+            for array in (offsets, tables, distinct):
+                array.setflags(write=False)
+            postings = EntityPostings(offsets, tables, distinct)
+            self._postings = postings
+        return postings
+
     @classmethod
     def from_arrays(
         cls,
@@ -584,6 +637,7 @@ class CorpusIndex:
             for position, table_id in enumerate(index.table_ids)
         }
         index._views = {}
+        index._postings = None
         index.table_rows = arrays["table_rows"]
         index.table_columns = arrays["table_columns"]
         index.col_offset = arrays["col_offset"]

@@ -4,7 +4,6 @@ from repro.lsh.config import PAPER_CONFIGS, RECOMMENDED_CONFIG, LSHConfig
 from repro.lsh.hyperplane import HyperplaneHasher
 from repro.lsh.index import LSHIndex, TablePrefilter
 from repro.lsh.minhash import MinHasher, TypeShingler, pair_shingles
-from repro.lsh.multiprobe import MultiProbePrefilter, probe_band_keys
 from repro.lsh.tuning import LSHTuner, TuningOutcome
 from repro.lsh.schemes import (
     DEFAULT_TYPE_FILTER_THRESHOLD,
@@ -25,8 +24,6 @@ __all__ = [
     "LSHIndex",
     "TablePrefilter",
     "LSHTuner",
-    "MultiProbePrefilter",
-    "probe_band_keys",
     "TuningOutcome",
     "SignatureScheme",
     "TypeSignatureScheme",

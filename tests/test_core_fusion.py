@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.core import (
+from benchmarks.fusion import (
     LogisticFusion,
-    ResultSet,
-    ScoredTable,
     comb_mnz,
     comb_sum,
     reciprocal_rank_fusion,
 )
+from repro.core import ResultSet, ScoredTable
 from repro.exceptions import ConfigurationError
 
 

@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.core import (
-    Query,
+from benchmarks.relaxation import (
     RelaxingSearcher,
-    TableSearchEngine,
     drop_least_informative,
     split_tuples,
 )
+from repro.core import Query, TableSearchEngine
 from repro.exceptions import ConfigurationError
 from repro.similarity import Informativeness, TypeJaccardSimilarity
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core import Query
 from repro.exceptions import ConfigurationError
 from repro.lsh import EmbeddingSignatureScheme, LSHConfig, TablePrefilter
-from repro.lsh.multiprobe import MultiProbePrefilter, probe_band_keys
+from benchmarks.multiprobe import MultiProbePrefilter, probe_band_keys
 
 
 class TestProbeSequence:
