@@ -56,10 +56,6 @@ python -m pytest -x -q -s \
     --benchmark-disable
 
 echo
-echo "== serve smoke: HTTP service end-to-end on an ephemeral port =="
-python scripts/serve_smoke.py
-
-echo
 echo "== serve perf smoke: throughput + latency percentiles =="
 python -m pytest -x -q -s \
     "benchmarks/bench_serve_latency.py" \

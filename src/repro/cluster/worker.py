@@ -77,7 +77,7 @@ class WorkerConfig:
     advertise_host: Optional[str] = None
     #: Engine warmed at start-up and used for shard scoring.
     method: str = "types"
-    #: Build the engine and per-table views before accepting shards.
+    #: Warm the engine (see ``Thetis.warm``) before accepting shards.
     warm_on_start: bool = True
     #: Executor threads scoring shards (1 keeps shard passes ordered).
     search_workers: int = 1

@@ -26,7 +26,6 @@ from repro.core.kernel.index import (
     DEFAULT_ROW_CACHE_SIZE,
     CorpusIndex,
     SimilarityKernel,
-    TableView,
     compile_kernel,
 )
 from repro.core.kernel.join import (
@@ -61,7 +60,6 @@ __all__ = [
     "SegmentedCorpusIndex",
     "SegmentedIndexStats",
     "SimilarityKernel",
-    "TableView",
     "UNION_ENCODERS",
     "UnionCorpusIndex",
     "VectorizedJoinSearchEngine",

@@ -223,13 +223,13 @@ class VectorizedTableSearchEngine(TableSearchEngine):
 
     Notes
     -----
-    The scalar machinery stays fully functional underneath: ``explain``
-    keeps using the inherited pairwise path (and its
-    :class:`~repro.core.cache.SimilarityCache`), while every
-    ``score_table`` goes through the kernel.  A table missing
-    from the index (mutated lake without invalidation) triggers one
-    incremental reconciliation, then falls back to the scalar path if
-    still unknown, so the engine never answers wrong — only slower.
+    Every score — ``search``, ``search_batch`` and ``score_table`` —
+    comes from one kernel pass, :meth:`_segment_tuples`.  The inherited
+    scalar machinery is reached only by ``explain``, which re-runs the
+    pairwise path (and its :class:`~repro.core.cache.SimilarityCache`)
+    for the one table it explains.  A lake mutated without
+    invalidation is reconciled into the index incrementally before the
+    next search or ``score_table`` reads it.
     """
 
     #: Engine selector name (the ``--engine`` CLI value).
@@ -382,14 +382,16 @@ class VectorizedTableSearchEngine(TableSearchEngine):
                 self.adopt_index(index)
 
     def warm(self, table_ids: Optional[Iterable[str]] = None) -> int:
-        """Build/compact the index, then materialize scalar-path views.
+        """Build (or load) and compact the index; returns its table count.
 
         A serving snapshot calls this before the swap, so both the
         O(delta) segment update triggered by a table add/remove and any
-        due compaction happen off the request path.
+        due compaction happen off the request path.  No scalar view is
+        built: the kernel reads none, and ``explain`` builds the one of
+        the table it explains.  The index always covers the whole lake,
+        so ``table_ids`` does not narrow it.
         """
-        self.compact()
-        return super().warm(table_ids)
+        return self.compact().live_tables
 
     def cache_stats(self) -> Dict[str, CacheStats]:
         stats = super().cache_stats()
@@ -1026,20 +1028,9 @@ class VectorizedTableSearchEngine(TableSearchEngine):
             return [ResultSet([]) for _ in fanout]
         index = self.index()
         if not self._mirrors_lake(index):
+            # The lake changed behind the engine's back; the reconciled
+            # index holds exactly the tables it listed.
             index = self._reconcile_index()
-            if not self._mirrors_lake(index):
-                # The kernel cannot cover this lake; the inherited scalar
-                # loop (called by name: ``self.search`` would recurse)
-                # copes table by table through ``score_table``, scoring
-                # every candidate in the lake.
-                looped = TableSearchEngine.search_batch(
-                    self,
-                    [query for query, _ in jobs],
-                    k=k,
-                    candidates=[cands for _, cands in jobs],
-                    stats=stats,
-                )
-                return [looped[slot] for slot in fanout]
         start = time.perf_counter()
         if k is None:
             job_results = self._full_rankings(index, jobs, stats, profile)
@@ -1068,6 +1059,31 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         score /= len(columns)
         return score
 
+    def _query_columns(
+        self,
+        segment: CorpusIndex,
+        query: Query,
+        selection: np.ndarray,
+        profile: ScoringProfile,
+    ) -> Tuple[List[np.ndarray], np.ndarray]:
+        """One :meth:`_segment_tuples` pass over a query's distinct tuples.
+
+        Returns the per-tuple score columns in query order (repeated
+        tuples repeat their column) and whether any tuple has a
+        positive coordinate, both aligned with ``selection``.
+        """
+        tuples = list(dict.fromkeys(query.tuples))
+        outputs = self._segment_tuples(
+            segment, tuples, profile, selection=selection
+        )
+        columns = [
+            outputs[tuples.index(query_tuple)][0]
+            for query_tuple in query.tuples
+        ]
+        return columns, np.logical_or.reduce(
+            [signal for _, signal in outputs]
+        )
+
     def _score_positions(
         self,
         index: SegmentedCorpusIndex,
@@ -1077,27 +1093,22 @@ class VectorizedTableSearchEngine(TableSearchEngine):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Exact scores of one query at sorted flat ``positions``.
 
-        One :meth:`_segment_tuples` pass per owning segment, restricted
+        One :meth:`_query_columns` pass per owning segment, restricted
         to the positions it owns — bit-identical per table whatever the
-        selection, as its docstring proves.  Returns ``(score,
-        returnable)`` aligned with ``positions``; ``returnable`` applies
-        the positive-score and drop-irrelevant rules.
+        selection, as :meth:`_segment_tuples` proves.  Returns
+        ``(score, returnable)`` aligned with ``positions``;
+        ``returnable`` applies the positive-score and drop-irrelevant
+        rules.
         """
         layout = index.layout()
-        tuples = list(dict.fromkeys(query.tuples))
-        lanes = [tuples.index(query_tuple) for query_tuple in query.tuples]
         score = np.empty(len(positions), dtype=np.float64)
-        signal = np.zeros(len(positions), dtype=bool)
+        signal = np.empty(len(positions), dtype=bool)
         for seg_index, lo, hi in layout.segment_slices(positions):
-            outputs = self._segment_tuples(
-                index.segments[seg_index], tuples, profile,
-                selection=positions[lo:hi] - layout.seg_base[seg_index],
+            columns, signal[lo:hi] = self._query_columns(
+                index.segments[seg_index], query,
+                positions[lo:hi] - layout.seg_base[seg_index], profile,
             )
-            score[lo:hi] = self._aggregate_tuples(
-                [outputs[lane][0] for lane in lanes]
-            )
-            for _, tuple_signal in outputs:
-                signal[lo:hi] |= tuple_signal
+            score[lo:hi] = self._aggregate_tuples(columns)
         returnable = score > 0.0
         if self.drop_irrelevant:
             returnable &= signal
@@ -1324,108 +1335,40 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         return job_results
 
     def score_table(self, query: Query, table: Table) -> TableScore:
-        """Compute SemRel(Q, T) through the batched kernel.
+        """SemRel(Q, T) by the kernel pass every search uses.
 
-        Same contract (and, to <= 1e-9, same scores) as the scalar
-        :meth:`TableSearchEngine.score_table`.
+        One :meth:`_segment_tuples` pass selecting just ``table``, so
+        the score is bit-identical to the one :meth:`search` gives it.
+        A table the index does not hold triggers one reconciliation
+        with the lake; a table still unknown after it (one outside the
+        lake) is compiled into a throwaway single-table segment, the
+        compile :meth:`SegmentedCorpusIndex.with_table` performs when
+        the table joins the lake.
         """
         profile = self.profile
-        index = self.index()
-        located = index.locate(table.table_id)
-        if located is None:
-            # The lake gained this table without an invalidation; one
-            # incremental reconciliation picks it up, and anything
-            # still unknown (a table outside the lake entirely) scores
-            # through the scalar path.
-            index = self._reconcile_index()
-            located = index.locate(table.table_id)
-            if located is None:
-                return super().score_table(query, table)
-        segment, view = located
         start = time.perf_counter()
-        row_agg_max = self.row_aggregation is RowAggregation.MAX
-        per_row_semantics = self.tuple_semantics is TupleSemantics.PER_ROW
-        num_rows = view.num_rows
-        tuple_scores: List[float] = []
-        any_signal = False
-        for query_tuple in query:
-            width = len(query_tuple)
-            columns = view.num_columns
-            sims = segment.tuple_rows(query_tuple, profile)
-            # --- column mapping (Section 5.1): one fused bincount
-            # builds the whole relevance matrix the scalar engine
-            # assembles cell by cell.  Offsetting each tuple position
-            # into its own bin range keeps one bincount for all
-            # positions; within a bin the raveled row-major order
-            # preserves the per-column nnz order, so every sum
-            # accumulates in the scalar engine's IEEE order.
-            map_start = time.perf_counter()
-            if view.nnz_ids.size:
-                keys = (
-                    view.nnz_columns
-                    + (np.arange(width) * columns)[:, None]
-                )
-                relevance = np.bincount(
-                    keys.ravel(),
-                    weights=(sims[:, view.nnz_ids]
-                             * view.nnz_counts).ravel(),
-                    minlength=width * columns,
-                ).reshape(width, columns)
-            else:
-                relevance = np.zeros((width, columns), dtype=np.float64)
-            assignment = self._fast_assignment(relevance)
-            if assignment is None:
-                assignment, _ = max_assignment(relevance)
-                assignment = np.asarray(assignment)
-            profile.mapping_seconds += time.perf_counter() - map_start
-            # --- row scores: gather every assigned column's entity ids
-            # through its query entity's similarity row in one fancy
-            # index.
-            scores = np.zeros((num_rows, width), dtype=np.float64)
-            if num_rows:
-                active = np.flatnonzero(assignment >= 0)
-                if active.size:
-                    ids = view.ids[:, assignment[active]]
-                    linked = ids >= 0
-                    gathered = sims[
-                        active[None, :], np.where(linked, ids, 0)
-                    ]
-                    scores[:, active] = np.where(linked, gathered, 0.0)
-            weights = self._tuple_weights(query_tuple)
-            if per_row_semantics:
-                # Equation 1: every row is its own tuple-to-tuple
-                # SemRel, then rows aggregate.
-                if num_rows:
-                    if float(scores.max()) > 0.0:
-                        any_signal = True
-                    per_row = 1.0 / (weighted_distances(scores, weights) + 1.0)
-                    tuple_scores.append(
-                        float(per_row.max()) if row_agg_max
-                        else float(per_row.sum() / num_rows)
-                    )
-                else:
-                    tuple_scores.append(0.0)
-                continue
-            # Algorithm 1 line 13-14: aggregate per entity, then one
-            # weighted distance from the ideal point.
-            if num_rows:
-                coordinates = (
-                    scores.max(axis=0) if row_agg_max
-                    else scores.sum(axis=0) / num_rows
-                )
-            else:
-                coordinates = np.zeros(width, dtype=np.float64)
-            if float(coordinates.max()) > 0.0:
-                any_signal = True
-            distance = float(weighted_distances(coordinates[None], weights)[0])
-            tuple_scores.append(1.0 / (distance + 1.0))
-        score = self.query_aggregation.aggregate(tuple_scores)
-        relevant = any_signal or not self.drop_irrelevant
+        index = self.index()
+        if table.table_id not in index:
+            index = self._reconcile_index()
+        if table.table_id in index:
+            seg_index, position = index.locate_position(table.table_id)
+            segment = index.segments[seg_index]
+        else:
+            segment = CorpusIndex([table], self.mapping, self.sigma)
+            position = 0
+        columns, signal = self._query_columns(
+            segment, query, np.array([position], dtype=np.int64), profile
+        )
+        score = float(self._aggregate_tuples(columns)[0])
+        relevant = bool(signal[0]) or not self.drop_irrelevant
         if not relevant:
             score = 0.0
         profile.total_seconds += time.perf_counter() - start
         profile.tables_scored += 1
-        return TableScore(table.table_id, score, tuple_scores, relevant)
+        return TableScore(
+            table.table_id, score,
+            [float(column[0]) for column in columns], relevant,
+        )
 
 
 #: Engine-kind registry used by the system facade and the CLI.

@@ -8,11 +8,11 @@ is one batched kernel pass instead of thousands of scalar calls:
 
 * every entity URI linked anywhere in the lake is interned to a dense
   ``int32`` id (sorted-URI order, so ids are deterministic);
-* every table becomes a columnar view: an ``(rows, columns)`` id grid
-  with ``-1`` marking unlinked/null cells, plus a flattened per-column
-  entity-multiset (``nnz`` triples of column / entity id / count) that
-  turns the Section 5.1 column-relevance matrix into one ``bincount``
-  reduction per query entity;
+* every table's cells land in corpus-wide arrays: a column-major id
+  block with ``-1`` marking unlinked/null cells, plus a flattened
+  per-column entity multiset (``nnz`` triples of column / entity id /
+  count) that turns the Section 5.1 column-relevance matrix into one
+  ``bincount`` reduction per query entity;
 * the similarity ``sigma`` is compiled into a :class:`SimilarityKernel`
   that evaluates one query entity against *all* corpus entities at
   once — type sets packed into ``uint64`` bitmap rows answer the
@@ -34,7 +34,9 @@ recompiling, concurrent batches share instances read-only, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple,
+)
 
 import numpy as np
 
@@ -72,28 +74,6 @@ else:  # pragma: no cover - numpy < 2.0 fallback
             .reshape(shape + (8,))
             .sum(axis=-1, dtype=np.uint64)
         )
-
-
-@dataclass(frozen=True)
-class TableView:
-    """One table compiled to columnar arrays (all read-only).
-
-    ``ids[r, c]`` is the interned entity id of the linked cell (``-1``
-    where the cell is null/unlinked).  The ``nnz_*`` triples flatten the
-    per-column entity multiset: entry ``t`` says column ``nnz_columns[t]``
-    contains entity ``nnz_ids[t]`` exactly ``nnz_counts[t]`` times.  The
-    triples preserve the scalar engine's counter insertion order per
-    column, so batched reductions accumulate in the same IEEE order as
-    the scalar sums they replace.
-    """
-
-    table_id: str
-    num_rows: int
-    num_columns: int
-    ids: np.ndarray          # (rows, columns) int32
-    nnz_columns: np.ndarray  # (nnz,) int64
-    nnz_ids: np.ndarray      # (nnz,) int32
-    nnz_counts: np.ndarray   # (nnz,) float64
 
 
 @dataclass(frozen=True)
@@ -385,17 +365,14 @@ class CorpusIndex:
         self.id_of: Dict[str, int] = {
             uri: index for index, uri in enumerate(self.uris)
         }
-        self._views: Dict[str, TableView] = {}
         self._postings: Optional[EntityPostings] = None
-        for table, grid in grids:
-            self._views[table.table_id] = self._compile_table(table, grid)
         self.kernel = compile_kernel(sigma, self.uris, self.id_of)
         self._rows = LRUCache(row_cache_size)
         self._tuples = LRUCache(max(1, row_cache_size // 8))
-        self._compile_corpus([table for table, _ in grids])
+        self._compile_corpus(grids)
 
-    def _compile_corpus(self, tables) -> None:
-        """Concatenate every view into corpus-wide arrays.
+    def _compile_corpus(self, grids) -> None:
+        """Compile ``(table, grid)`` pairs into corpus-wide arrays.
 
         These power the engine's batched kernel: one global column
         space (table ``t``'s column ``c`` is global column
@@ -404,21 +381,20 @@ class CorpusIndex:
         tables with a few fancy indexes and build all their
         column-relevance matrices with one ``bincount``, and the
         column-major ``flat_ids``/``col_start`` pair lets one fancy
-        index gather every assigned column of every table.  The global
-        nnz triples keep each table's per-column order, so the fused
-        reduction still accumulates in the scalar engine's IEEE order.
+        index gather every assigned column of every table.  The nnz
+        triples keep each table's per-column order, so the fused
+        reduction accumulates in the scalar engine's IEEE order.
         """
-        self.table_ids: List[str] = [table.table_id for table in tables]
+        self.table_ids: List[str] = [table.table_id for table, _ in grids]
         self._table_pos: Dict[str, int] = {
             table_id: position
             for position, table_id in enumerate(self.table_ids)
         }
-        views = [self._views[table_id] for table_id in self.table_ids]
         self.table_rows = np.array(
-            [view.num_rows for view in views], dtype=np.int64
+            [table.num_rows for table, _ in grids], dtype=np.int64
         )
         self.table_columns = np.array(
-            [view.num_columns for view in views], dtype=np.int64
+            [table.num_columns for table, _ in grids], dtype=np.int64
         )
         self.col_offset = np.concatenate(
             ([0], np.cumsum(self.table_columns))
@@ -428,40 +404,21 @@ class CorpusIndex:
         ).astype(np.int64)
         # Column-major cell ids: global column g's entity ids live in
         # flat_ids[col_start[g] : col_start[g] + rows(table of g)].
-        column_blocks: List[np.ndarray] = []
-        lengths: List[np.ndarray] = []
-        for view in views:
-            if view.num_rows:
-                column_blocks.append(view.ids.ravel(order="F"))
-            lengths.append(
-                np.full(view.num_columns, view.num_rows, dtype=np.int64)
-            )
-        self.flat_ids = (
-            np.concatenate(column_blocks) if column_blocks
-            else np.zeros(0, dtype=np.int32)
-        )
         self.col_start = np.concatenate(
-            ([0], np.cumsum(np.concatenate(lengths)))
-        ).astype(np.int64) if lengths else np.zeros(1, dtype=np.int64)
-        self.nnz_gcolumns = np.concatenate(
-            [view.nnz_columns + self.col_offset[index]
-             for index, view in enumerate(views)]
-        ).astype(np.int64) if views else np.zeros(0, dtype=np.int64)
-        self.nnz_gids = np.concatenate(
-            [view.nnz_ids for view in views]
-        ).astype(np.int32) if views else np.zeros(0, dtype=np.int32)
-        self.nnz_gcounts = np.concatenate(
-            [view.nnz_counts for view in views]
-        ) if views else np.zeros(0, dtype=np.float64)
-        # Per-table nnz boundaries: table t's global nnz triples live in
-        # [nnz_toffset[t], nnz_toffset[t + 1]).  The storage layer uses
-        # this to rebuild per-table views from the global arrays alone.
-        self.nnz_toffset = np.concatenate(
-            ([0], np.cumsum(
-                np.asarray([view.nnz_ids.size for view in views],
-                           dtype=np.int64)
-            ))
+            ([0], np.cumsum(np.repeat(self.table_rows, self.table_columns)))
         ).astype(np.int64)
+        flat_ids: List[int] = []
+        nnz: Tuple[List[int], List[int], List[int]] = ([], [], [])
+        # Table t's nnz triples live in [nnz_toffset[t], nnz_toffset[t+1]).
+        nnz_toffset = [0]
+        for (table, grid), first_column in zip(grids, self.col_offset):
+            self._compile_table(table, grid, int(first_column), flat_ids, nnz)
+            nnz_toffset.append(len(nnz[0]))
+        self.flat_ids = np.asarray(flat_ids, dtype=np.int32)
+        self.nnz_gcolumns = np.asarray(nnz[0], dtype=np.int64)
+        self.nnz_gids = np.asarray(nnz[1], dtype=np.int32)
+        self.nnz_gcounts = np.asarray(nnz[2], dtype=np.float64)
+        self.nnz_toffset = np.asarray(nnz_toffset, dtype=np.int64)
         for array in (
             self.table_rows, self.table_columns, self.col_offset,
             self.row_offset, self.flat_ids, self.col_start,
@@ -470,43 +427,32 @@ class CorpusIndex:
         ):
             array.setflags(write=False)
 
-    def _compile_table(self, table, grid) -> TableView:
-        ids = np.full(
-            (table.num_rows, table.num_columns), -1, dtype=np.int32
-        )
-        # Counter insertion order must match the scalar engine's
-        # _column_entity_counts (rows top-down, columns left-right) so
-        # the bincount reduction adds terms in the same order as the
-        # scalar sum and the column-relevance matrix stays bit-equal.
-        counters: List[Dict[int, int]] = [
-            {} for _ in range(table.num_columns)
-        ]
+    def _compile_table(self, table, grid, first_column, flat_ids, nnz) -> None:
+        """Append one table's cells and column multisets to the corpus.
+
+        ``flat_ids`` gets the id grid column by column (``-1`` marks a
+        null or unlinked cell).  ``nnz`` gets one (global column, entity
+        id, count) triple per distinct entity of each column, in
+        first-occurrence order down the column: the scalar engine's
+        ``_column_entity_counts`` insertion order, so the ``bincount``
+        reduction adds terms in the scalar sum's order and the
+        column-relevance matrix stays bit-equal.
+        """
         id_of = self.id_of
-        for row_index, row in enumerate(grid):
-            for column, uri in enumerate(row):
+        nnz_columns, nnz_ids, nnz_counts = nnz
+        for column in range(table.num_columns):
+            counter: Dict[int, int] = {}
+            for row in grid:
+                uri = row[column]
                 if uri is None:
+                    flat_ids.append(-1)
                     continue
                 entity_id = id_of[uri]
-                ids[row_index, column] = entity_id
-                counter = counters[column]
+                flat_ids.append(entity_id)
                 counter[entity_id] = counter.get(entity_id, 0) + 1
-        nnz_columns: List[int] = []
-        nnz_ids: List[int] = []
-        nnz_counts: List[int] = []
-        for column, counter in enumerate(counters):
-            for entity_id, count in counter.items():
-                nnz_columns.append(column)
-                nnz_ids.append(entity_id)
-                nnz_counts.append(count)
-        return TableView(
-            table_id=table.table_id,
-            num_rows=table.num_rows,
-            num_columns=table.num_columns,
-            ids=ids,
-            nnz_columns=np.asarray(nnz_columns, dtype=np.int64),
-            nnz_ids=np.asarray(nnz_ids, dtype=np.int32),
-            nnz_counts=np.asarray(nnz_counts, dtype=np.float64),
-        )
+            nnz_columns.extend([first_column + column] * len(counter))
+            nnz_ids.extend(counter)
+            nnz_counts.extend(counter.values())
 
     # ------------------------------------------------------------------
     @property
@@ -520,65 +466,15 @@ class CorpusIndex:
     def __contains__(self, table_id: str) -> bool:
         return table_id in self._table_pos
 
-    def view(self, table_id: str) -> Optional[TableView]:
-        """The compiled view of one table (``None`` when unknown).
-
-        Compiled indexes hold every view eagerly; memmap-loaded ones
-        (:meth:`from_arrays`) materialize views lazily from the global
-        arrays, so a cold start touches only the pages it scores.  The
-        unsynchronized memo insert is a benign race: materialization is
-        deterministic and dict assignment is atomic.
-        """
-        view = self._views.get(table_id)
-        if view is None:
-            position = self._table_pos.get(table_id)
-            if position is None:
-                return None
-            view = self._materialize_view(position)
-            self._views[table_id] = view
-        return view
-
-    def _materialize_view(self, position: int) -> TableView:
-        """Rebuild one :class:`TableView` from the corpus-wide arrays.
-
-        The id grid is recovered as the transpose of the table's
-        column-major ``flat_ids`` block (a zero-copy view even over a
-        memmap), and the nnz triples as the ``nnz_toffset`` slice of the
-        global triples with the column offset subtracted.
-        """
-        num_rows = int(self.table_rows[position])
-        num_columns = int(self.table_columns[position])
-        first_column = int(self.col_offset[position])
-        start = int(self.col_start[first_column])
-        ids = (
-            self.flat_ids[start:start + num_rows * num_columns]
-            .reshape(num_columns, num_rows)
-            .T
-        )
-        low = int(self.nnz_toffset[position])
-        high = int(self.nnz_toffset[position + 1])
-        nnz_columns = np.subtract(
-            self.nnz_gcolumns[low:high], np.int64(first_column),
-            dtype=np.int64,
-        )
-        return TableView(
-            table_id=self.table_ids[position],
-            num_rows=num_rows,
-            num_columns=num_columns,
-            ids=ids,
-            nnz_columns=nnz_columns,
-            nnz_ids=self.nnz_gids[low:high],
-            nnz_counts=self.nnz_gcounts[low:high],
-        )
-
     def postings(self) -> EntityPostings:
         """The segment's entity -> tables postings, built on first use.
 
-        Derived from ``nnz_gids`` / ``nnz_toffset`` alone, like the lazy
-        views, so compiled, single-table and memmap-loaded segments all
-        get it and the on-disk format does not change.  nnz is keyed by
-        (column, entity); the sort deduplicates it to (table, entity)
-        pairs.  The unsynchronized memo is :meth:`view`'s benign race.
+        Derived from ``nnz_gids`` / ``nnz_toffset`` alone, so compiled,
+        single-table and memmap-loaded segments all get it and the
+        on-disk format does not change.  nnz is keyed by (column,
+        entity); the sort deduplicates it to (table, entity) pairs.  The
+        unsynchronized memo insert is a benign race: the postings are
+        deterministic and attribute assignment is atomic.
         """
         postings = self._postings
         if postings is None:
@@ -636,7 +532,6 @@ class CorpusIndex:
             table_id: position
             for position, table_id in enumerate(index.table_ids)
         }
-        index._views = {}
         index._postings = None
         index.table_rows = arrays["table_rows"]
         index.table_columns = arrays["table_columns"]

@@ -54,11 +54,7 @@ import numpy as np
 
 from repro.core.cache import CacheStats, LRUCache
 from repro.exceptions import ConfigurationError
-from repro.core.kernel.index import (
-    DEFAULT_ROW_CACHE_SIZE,
-    CorpusIndex,
-    TableView,
-)
+from repro.core.kernel.index import DEFAULT_ROW_CACHE_SIZE, CorpusIndex
 from repro.datalake.table import Table
 from repro.linking.mapping import EntityMapping
 from repro.similarity.base import EntitySimilarity
@@ -543,19 +539,6 @@ class SegmentedCorpusIndex:
     def store_result(self, tuples, k: int, token, result) -> None:
         """Memoize one whole-lake ranking (see cached_result)."""
         self._results.put((tuples, k), (token, result))
-
-    def locate(
-        self, table_id: str
-    ) -> Optional[Tuple[CorpusIndex, TableView]]:
-        """The owning segment and compiled view (``None`` if not live)."""
-        entry = self._owner.get(table_id)
-        if entry is None:
-            return None
-        segment = self.segments[entry[0]]
-        view = segment.view(table_id)
-        if view is None:  # pragma: no cover - guarded by the invariant
-            return None
-        return segment, view
 
     @property
     def num_entities(self) -> int:

@@ -86,7 +86,7 @@ class ServeConfig:
     max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH
     #: Per-request deadline in seconds (504 past it).
     request_timeout: float = DEFAULT_REQUEST_TIMEOUT
-    #: Build engine + per-table views before flipping /readyz.
+    #: Warm the engine (see ``Thetis.warm``) before flipping /readyz.
     warm_on_start: bool = True
     #: Re-warm a freshly built snapshot before swapping it in.
     warm_on_swap: bool = True

@@ -95,7 +95,7 @@ class SnapshotManager:
         it when the snapshot is superseded or the manager shuts down).
     warm_method:
         When set, every freshly built snapshot is warmed for this
-        method (engine + per-table views) *before* the swap, so the
+        method (``Thetis.warm``) *before* the swap, so the
         first query after an update does not pay cold-start costs.
     on_swap:
         Optional callback ``(new_version) -> None`` fired after each

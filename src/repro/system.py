@@ -364,15 +364,17 @@ class Thetis:
         return self.engine(method).cache_stats()
 
     def warm(self, method: str = "types") -> int:
-        """Build ``method``'s engine and all per-table views eagerly.
+        """Build ``method``'s engine and its scoring state eagerly.
 
-        A serving layer calls this during start-up so its readiness
+        The vectorized engine compiles (or loads) and compacts its
+        index; the scalar engine materializes its per-table views.  A
+        serving layer calls this during start-up so its readiness
         probe only flips once the first query would hit warm caches,
         and before every snapshot swap, where it runs any due segment
         compaction off the request path.  Already-constructed
         union/join task engines are prepared too; after a swap their
         indexes were derived by the mutation, so that is a no-op.
-        Returns the number of tables warmed.
+        Returns the number of tables warmed (the lake size).
         """
         self._check_open("warm")
         warmed = self.engine(method).warm()

@@ -13,7 +13,11 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.aggregation import RowAggregation, TupleSemantics
+from repro.core.aggregation import (
+    QueryAggregation,
+    RowAggregation,
+    TupleSemantics,
+)
 from repro.core.kernel import (
     ENGINE_KINDS,
     CorpusIndex,
@@ -136,6 +140,29 @@ def engine_pair(lake, mapping, sigma, **kwargs):
     scalar = TableSearchEngine(lake, mapping, sigma, **kwargs)
     vector = VectorizedTableSearchEngine(lake, mapping, sigma, **kwargs)
     return scalar, vector
+
+
+def table_cells(index, table_id):
+    """One compiled table read off a segment's corpus arrays.
+
+    Returns its ``(rows, columns)`` id grid (the transpose of its
+    column-major ``flat_ids`` block) and its nnz triples (the
+    ``nnz_toffset`` slice) with table-local column numbers.
+    """
+    position = index.table_ids.index(table_id)
+    rows = int(index.table_rows[position])
+    columns = int(index.table_columns[position])
+    first = int(index.col_offset[position])
+    start = int(index.col_start[first])
+    ids = index.flat_ids[start:start + rows * columns].reshape(columns, rows).T
+    low = int(index.nnz_toffset[position])
+    high = int(index.nnz_toffset[position + 1])
+    return (
+        ids,
+        index.nnz_gcolumns[low:high] - first,
+        index.nnz_gids[low:high],
+        index.nnz_gcounts[low:high],
+    )
 
 
 def assert_score_parity(scalar, vector, queries, lake):
@@ -277,6 +304,57 @@ class TestScoreParity:
         assert list(vector.search(query)) == list(scalar.search(query)) == []
 
 
+class TestOneScorePerTable:
+    """``score_table`` and ``search`` are one kernel: the same number.
+
+    Bit for bit, not within a tolerance: a table's score must not
+    depend on whether it was scored alone or ranked with the lake.
+    """
+
+    @pytest.mark.parametrize("sigma_kind", ["types", "embeddings"])
+    @pytest.mark.parametrize("row_agg", list(RowAggregation))
+    @pytest.mark.parametrize("semantics", list(TupleSemantics))
+    @pytest.mark.parametrize("query_agg", list(QueryAggregation))
+    def test_score_table_is_the_search_score(
+        self, sigma_kind, row_agg, semantics, query_agg
+    ):
+        settings = dict(
+            row_aggregation=row_agg,
+            tuple_semantics=semantics,
+            query_aggregation=query_agg,
+        )
+        for seed in range(8):
+            rng = random.Random(seed)
+            lake, mapping = make_lake(rng, num_tables=10)
+            engine = VectorizedTableSearchEngine(
+                lake, mapping, make_sigma(sigma_kind, rng), **settings
+            )
+            for query in make_queries(rng):
+                for scored in engine.search(query, k=None):
+                    single = engine.score_table(
+                        query, lake.get(scored.table_id)
+                    )
+                    assert single.score == scored.score, (
+                        seed, query, scored.table_id
+                    )
+
+            # A foreign table scores now exactly as it will once the
+            # lake holds it.
+            query = Query([rng.sample(ENTITIES, 3)])
+            foreign = Table("GHOST", ["a", "b"], [["x", "y"], ["z", None]])
+            mapping.link("GHOST", 0, 0, query.tuples[0][0])
+            mapping.link("GHOST", 0, 1, rng.choice(ENTITIES))
+            mapping.link("GHOST", 1, 0, rng.choice(ENTITIES))
+            before = engine.score_table(query, foreign)
+            assert "GHOST" not in engine.index()
+            lake.add(foreign)
+            engine.invalidate_table("GHOST")
+            ranked = {
+                s.table_id: s.score for s in engine.search(query, k=None)
+            }
+            assert before.score == ranked["GHOST"], seed
+
+
 # ----------------------------------------------------------------------
 # The compiled index and its kernels
 # ----------------------------------------------------------------------
@@ -289,36 +367,37 @@ class TestCorpusIndex:
         assert index.num_entities == len(index.uris)
         assert len(index) == len(lake)
         assert "T0" in index and "nope" not in index
-        assert index.view("nope") is None
-        view = index.view("T0")
+        assert "nope" not in index.table_ids
+        ids, _, _, _ = table_cells(index, "T0")
         table = lake.get("T0")
-        assert view.ids.shape == (table.num_rows, table.num_columns)
+        assert ids.shape == (table.num_rows, table.num_columns)
         # Every non-negative id round-trips through the interning.
         for r in range(table.num_rows):
             for c in range(table.num_columns):
                 uri = mapping.entity_at("T0", r, c)
                 if uri is None:
-                    assert view.ids[r, c] == -1
+                    assert ids[r, c] == -1
                 else:
-                    assert index.uris[view.ids[r, c]] == uri
+                    assert index.uris[ids[r, c]] == uri
 
     def test_nnz_multiset_matches_mapping(self):
         rng = random.Random(43)
         lake, mapping = make_lake(rng)
         index = CorpusIndex(lake, mapping, ExactMatchSimilarity())
         for table in lake:
-            view = index.view(table.table_id)
+            _, nnz_columns, nnz_ids, nnz_counts = table_cells(
+                index, table.table_id
+            )
             for column in range(table.num_columns):
                 expected = {}
                 for uri in mapping.entities_in_column(
                     table.table_id, column
                 ):
                     expected[uri] = expected.get(uri, 0) + 1
-                mask = view.nnz_columns == column
+                mask = nnz_columns == column
                 got = {
                     index.uris[i]: c
-                    for i, c in zip(view.nnz_ids[mask],
-                                    view.nnz_counts[mask])
+                    for i, c in zip(nnz_ids[mask], nnz_counts[mask])
                 }
                 assert got == expected
 
@@ -448,7 +527,8 @@ class TestEngineLifecycle:
         scalar, vector = engine_pair(lake, mapping, sigma)
         vector.prepare()
         # Mutate the lake behind the engine's back: the next score of
-        # the unknown table must rebuild the index once and agree.
+        # the unknown table reconciles the index once (the table gets a
+        # single-table segment), scores through the kernel and agrees.
         lake.add(Table("T99", ["a"], [["x"], ["y"]]))
         mapping.link("T99", 0, 0, ENTITIES[0])
         mapping.link("T99", 1, 0, ENTITIES[1])
@@ -507,8 +587,8 @@ class TestEngineLifecycle:
         sigma = make_sigma("types", rng)
         scalar, vector = engine_pair(lake, mapping, sigma)
         # A table that is not in the lake at all: the vectorized engine
-        # rebuilds once, still misses it, and answers via the scalar
-        # path — never wrongly, only slower.
+        # reconciles once, still misses it, and scores it through the
+        # kernel over a throwaway single-table segment.
         foreign = Table("GHOST", ["a"], [["x"]])
         mapping.link("GHOST", 0, 0, ENTITIES[2])
         scalar.invalidate_cache()
@@ -599,6 +679,39 @@ class TestThetisIntegration:
             assert "TSNAP" not in manager.current.thetis.engine(
                 "types"
             ).index()
+        finally:
+            manager.close()
+
+    def test_vectorized_warm_builds_no_scalar_views(
+        self, sports_lake, sports_graph, sports_mapping
+    ):
+        reference = Thetis(sports_lake, sports_graph, sports_mapping)
+        lake, mapping = reference.snapshot_inputs()
+        thetis = Thetis(lake, sports_graph, mapping, engine_kind="vectorized")
+        manager = SnapshotManager(thetis, warm_method="types")
+
+        def assert_index_only(system):
+            stats = system.cache_stats("types")
+            assert stats["grids"].size == stats["column_counts"].size == 0
+            engine = system.engine("types")
+            assert engine.index_stats().live_tables == len(system.lake)
+            index = engine.export_index()
+            assert index.maybe_compacted(system.lake.get) is index
+
+        try:
+            assert thetis.warm("types") == len(lake)
+            assert_index_only(thetis)
+            manager.apply(lambda t: t.add_table(Table(
+                "TWARM", ["Player", "Team"], [["Player 0", "Team 0"]],
+            )))
+            current = manager.current.thetis
+            assert_index_only(current)
+            # explain is the one scalar-path reader left: it builds the
+            # view of the table it explains and agrees with the oracle.
+            query = Query.single("kg:player0", "kg:team0")
+            got = current.explain(query, "T00").score
+            assert abs(got - reference.explain(query, "T00").score) \
+                <= TOLERANCE
         finally:
             manager.close()
 

@@ -167,7 +167,8 @@ class TestTombstones:
         assert removed.stats().tombstones == 1
         assert removed.stats().live_tables == len(lake) - 1
         assert "T1" not in removed.live_table_ids()
-        assert removed.locate("T1") is None
+        with pytest.raises(KeyError):
+            removed.locate_position("T1")
 
         # Tombstoning an unknown id is a no-op returning self.
         assert removed.without_table("nope") is removed
@@ -178,9 +179,9 @@ class TestTombstones:
         assert readded.segments[0] is base_segment
         assert len(readded.segments) == 2
         assert readded.stats().tombstones == 1  # the dead copy remains
-        segment, view = readded.locate("T1")
-        assert segment is readded.segments[-1]
-        assert view.table_id == "T1"
+        seg_index, position = readded.locate_position("T1")
+        assert readded.segments[seg_index] is readded.segments[-1]
+        assert readded.segments[seg_index].table_ids[position] == "T1"
 
     def test_removed_table_never_scores(self):
         rng = random.Random(7)

@@ -274,8 +274,9 @@ def test_postings_are_the_distinct_tables_of_each_entity():
     ]
     for tables in posted:
         assert np.all(np.diff(tables) > 0)
-    for position, table_id in enumerate(segment.table_ids):
-        entities = set(segment.view(table_id).nnz_ids.tolist())
+    for position in range(len(segment.table_ids)):
+        low, high = segment.nnz_toffset[position:position + 2]
+        entities = set(segment.nnz_gids[low:high].tolist())
         assert postings.distinct[position] == len(entities)
         for entity, tables in enumerate(posted):
             assert (position in tables) == (entity in entities)
