@@ -63,10 +63,6 @@ python -m pytest -x -q -s \
     --benchmark-disable
 
 echo
-echo "== cluster smoke: scatter-gather fleet + kill-a-worker fail-over =="
-python scripts/cluster_smoke.py
-
-echo
 echo "== prefilter smoke: candidate reduction + recall gate =="
 python -m pytest -x -q -s \
     "benchmarks/bench_lsh_serve.py" \

@@ -1,9 +1,9 @@
 """Thread harnesses running cluster nodes in-process.
 
 Mirrors :class:`repro.serve.server.ServerThread`: each node gets its
-own event-loop thread with a synchronous start/stop surface, so tests,
-the CI smoke script, and benchmarks can stand up a whole fleet — N
-workers plus a coordinator on ephemeral ports — inside one process and
+own event-loop thread with a synchronous start/stop surface, so tests
+and benchmarks can stand up a whole fleet — N workers plus a
+coordinator on ephemeral ports — inside one process and
 drive it over real sockets.  The production deployment runs the same
 classes as separate processes via ``thetis cluster worker|serve``;
 nothing in the protocol knows the difference.

@@ -200,6 +200,7 @@ class SegmentedCorpusIndex:
         sigma: EntitySimilarity,
         row_cache_size: int = DEFAULT_ROW_CACHE_SIZE,
         compactions: int = 0,
+        owner: Optional[Dict[str, Tuple[int, int]]] = None,
     ):
         self.segments: Tuple[CorpusIndex, ...] = tuple(segments)
         self.dead: Tuple[FrozenSet[str], ...] = tuple(
@@ -214,13 +215,16 @@ class SegmentedCorpusIndex:
         self.sigma = sigma
         self.row_cache_size = row_cache_size
         self.compactions = compactions
-        owner: Dict[str, Tuple[int, int]] = {}
-        for seg_index, (segment, dead_set) in enumerate(
-            zip(self.segments, self.dead)
-        ):
-            for position, table_id in enumerate(segment.table_ids):
-                if table_id not in dead_set:
-                    owner[table_id] = (seg_index, position)
+        # Live table id -> (segment index, position), in scan order.  A
+        # successor passes the map it derived from its parent's.
+        if owner is None:
+            owner = {}
+            for seg_index, (segment, dead_set) in enumerate(
+                zip(self.segments, self.dead)
+            ):
+                for position, table_id in enumerate(segment.table_ids):
+                    if table_id not in dead_set:
+                        owner[table_id] = (seg_index, position)
         self._owner = owner
         self._layout: Optional[LakeLayout] = None
         # Finished top-k rankings of whole-lake queries (see
@@ -272,20 +276,39 @@ class SegmentedCorpusIndex:
         segments: Sequence[CorpusIndex],
         dead: Sequence[FrozenSet[str]],
         compactions: int,
+        owner: Optional[Dict[str, Tuple[int, int]]] = None,
     ) -> "SegmentedCorpusIndex":
-        """Successor instance; drops segments with no live table left."""
+        """Successor instance; drops segments with no live table left.
+
+        ``owner``, when given, is the successor's owner map laid out
+        over ``segments`` (the caller's own copy); the live tables of
+        segments after a dropped one are renumbered in it.
+        """
         kept = [
-            (segment, frozenset(dead_set))
+            len(dead_set) < len(segment.table_ids)
             for segment, dead_set in zip(segments, dead)
-            if len(dead_set) < len(segment.table_ids)
         ]
+        if owner is not None:
+            shift = 0
+            for seg_index, (segment, dead_set, keep) in enumerate(
+                zip(segments, dead, kept)
+            ):
+                if not keep:
+                    shift += 1
+                    continue
+                if not shift:
+                    continue
+                for position, table_id in enumerate(segment.table_ids):
+                    if table_id not in dead_set:
+                        owner[table_id] = (seg_index - shift, position)
         return SegmentedCorpusIndex(
-            [pair[0] for pair in kept],
-            [pair[1] for pair in kept],
+            [segment for segment, keep in zip(segments, kept) if keep],
+            [dead_set for dead_set, keep in zip(dead, kept) if keep],
             self.mapping,
             self.sigma,
             row_cache_size=self.row_cache_size,
             compactions=compactions,
+            owner=owner,
         )
 
     def rebound(
@@ -306,6 +329,7 @@ class SegmentedCorpusIndex:
             sigma,
             row_cache_size=self.row_cache_size,
             compactions=self.compactions,
+            owner=self._owner,
         )
 
     # ------------------------------------------------------------------
@@ -320,27 +344,32 @@ class SegmentedCorpusIndex:
         """
         table_id = table.table_id
         dead = list(self.dead)
-        previous = self._owner.get(table_id)
+        owner = dict(self._owner)
+        previous = owner.pop(table_id, None)
         if previous is not None:
             dead[previous[0]] = dead[previous[0]] | {table_id}
         segment = CorpusIndex(
             [table], self.mapping, self.sigma,
             row_cache_size=self.row_cache_size,
         )
+        owner[table_id] = (len(self.segments), 0)
         return self._replace(
             list(self.segments) + [segment],
             dead + [frozenset()],
             self.compactions,
+            owner,
         )
 
     def without_table(self, table_id: str) -> "SegmentedCorpusIndex":
-        """Tombstone one table — O(1), no array is recompiled."""
+        """Tombstone one table; no array is recompiled."""
         previous = self._owner.get(table_id)
         if previous is None:
             return self
         dead = list(self.dead)
         dead[previous[0]] = dead[previous[0]] | {table_id}
-        return self._replace(list(self.segments), dead, self.compactions)
+        owner = dict(self._owner)
+        del owner[table_id]
+        return self._replace(list(self.segments), dead, self.compactions, owner)
 
     # ------------------------------------------------------------------
     # Compaction

@@ -23,6 +23,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.query import Query
+from repro.cow import CopyOnWriteDict
 from repro.exceptions import ConfigurationError
 from repro.linking.mapping import EntityMapping
 from repro.lsh.config import LSHConfig
@@ -36,8 +37,8 @@ class LSHIndex:
 
     def __init__(self, config: LSHConfig):
         self.config = config
-        self._bands: List[Dict[BucketKey, List[str]]] = [
-            defaultdict(list) for _ in range(config.num_bands)
+        self._bands: List[CopyOnWriteDict] = [
+            CopyOnWriteDict(list) for _ in range(config.num_bands)
         ]
         self._signatures: Dict[str, np.ndarray] = {}
 
@@ -65,7 +66,7 @@ class LSHIndex:
             return
         self._signatures[key] = signature
         for band, bucket_key in enumerate(self._band_keys(signature)):
-            self._bands[band][bucket_key].append(key)
+            self._bands[band].writable(bucket_key).append(key)
 
     def remove(self, key: str) -> None:
         """Drop ``key``'s signature and bucket memberships.
@@ -76,16 +77,15 @@ class LSHIndex:
         signature = self._signatures.pop(key, None)
         if signature is None:
             return
-        for band, bucket_key in enumerate(self._band_keys(signature)):
-            bucket = self._bands[band].get(bucket_key)
-            if bucket is None:
+        for buckets, bucket_key in zip(
+            self._bands, self._band_keys(signature)
+        ):
+            if key not in buckets.get(bucket_key, ()):
                 continue
-            try:
-                bucket.remove(key)
-            except ValueError:
-                pass
+            bucket = buckets.writable(bucket_key)
+            bucket.remove(key)
             if not bucket:
-                del self._bands[band][bucket_key]
+                buckets.drop(bucket_key)
 
     def lookup_signature(self, signature: np.ndarray) -> List[List[str]]:
         """Return, per band, the co-bucketed keys for ``signature``."""
@@ -106,14 +106,15 @@ class LSHIndex:
         return sum(len(band) for band in self._bands)
 
     def copy(self) -> "LSHIndex":
-        """An independent index sharing the (immutable) signatures."""
-        clone = LSHIndex(self.config)
+        """An independent index, copy-on-write.
+
+        The (immutable) signatures are shared; so is every bucket,
+        until one side writes to it.
+        """
+        clone = LSHIndex.__new__(LSHIndex)
+        clone.config = self.config
+        clone._bands = [band.fork() for band in self._bands]
         clone._signatures = dict(self._signatures)
-        for source, band in zip(self._bands, clone._bands):
-            band.update(
-                (bucket_key, list(keys))
-                for bucket_key, keys in source.items()
-            )
         return clone
 
 
@@ -151,7 +152,7 @@ class TablePrefilter:
         self.mapping = mapping
         self.column_aggregation = column_aggregation
         self._index = LSHIndex(config)
-        self._postings: Dict[str, Set[str]] = {}
+        self._postings = CopyOnWriteDict(set)
         self._indexed_tables: Set[str] = set()
         self._build()
 
@@ -163,10 +164,9 @@ class TablePrefilter:
             self._build_per_entity()
 
     def _build_per_entity(self) -> None:
-        for uri in sorted(self.mapping.all_entities()):
-            tables = self.mapping.tables_with_entity(uri)
-            if not tables:
-                continue
+        entity_tables = self.mapping.entity_tables()
+        for uri in sorted(entity_tables):
+            tables = entity_tables[uri]
             # Track every linked table so the filter can degrade to a
             # no-op (rather than an empty search space) when entities
             # cannot be hashed at all.
@@ -175,7 +175,7 @@ class TablePrefilter:
             if signature is None:
                 continue
             self._index.add(uri, signature)
-            self._postings[uri] = set(tables)
+            self._postings.writable(uri).update(tables)
 
     def _build_column_aggregated(self) -> None:
         # Group linked cells by (table, column).
@@ -189,17 +189,19 @@ class TablePrefilter:
                 continue
             key = f"{table_id}#{column}"
             self._index.add(key, signature)
-            self._postings[key] = {table_id}
+            self._postings.writable(key).add(table_id)
 
     def fork(self, mapping: EntityMapping) -> "TablePrefilter":
         """An independent prefilter over ``mapping``, without a rebuild.
 
         ``mapping`` must hold the links this prefilter was maintained
         over (a snapshot clone's copy).  The scheme and the signatures
-        are immutable and shared; the bands, postings and indexed-table
-        set are copied, so :meth:`add_table` / :meth:`remove_table` on
-        the fork never disturb readers of this instance.  The scheme is
-        the one of the first build: a ``types`` scheme keeps the
+        are immutable and shared.  The bands and postings are
+        copy-on-write: the fork shares every bucket and posting set
+        until one side writes to it, so :meth:`add_table` /
+        :meth:`remove_table` on the fork copy only what they change and
+        never disturb readers of this instance.  The scheme is the one
+        of the first build: a ``types`` scheme keeps the
         ``frequent_types`` filter it was constructed with.
         """
         clone = TablePrefilter.__new__(TablePrefilter)
@@ -208,9 +210,7 @@ class TablePrefilter:
         clone.mapping = mapping
         clone.column_aggregation = self.column_aggregation
         clone._index = self._index.copy()
-        clone._postings = {
-            key: set(tables) for key, tables in self._postings.items()
-        }
+        clone._postings = self._postings.fork()
         clone._indexed_tables = set(self._indexed_tables)
         return clone
 
@@ -237,26 +237,27 @@ class TablePrefilter:
                 # group's signature must always reflect the *current*
                 # mapping contents.
                 self._index.remove(key)
+                self._postings.drop(key)
                 signature = self.scheme.group_signature(uris)
                 if signature is None:
-                    self._postings.pop(key, None)
                     continue
                 self._index.add(key, signature)
-                self._postings[key] = {table_id}
+                self._postings.writable(key).add(table_id)
             return
         for uri in sorted(entities):
-            posting = self._postings.get(uri)
-            if posting is not None:
-                posting.add(table_id)
-                continue
-            signature = self.scheme.entity_signature(uri)
-            if signature is None:
-                continue
-            self._index.add(uri, signature)
-            self._postings[uri] = {table_id}
+            if uri not in self._postings:
+                signature = self.scheme.entity_signature(uri)
+                if signature is None:
+                    continue
+                self._index.add(uri, signature)
+            self._postings.writable(uri).add(table_id)
 
     def remove_table(self, table_id: str) -> None:
-        """Drop a table from every posting list.
+        """Drop a table from the posting lists of its keys.
+
+        Call it *before* the mapping unlinks the table: the table's
+        keys are read from its current links, so the cost is the
+        table's key count, not the index size.
 
         In per-entity mode, entity signatures stay in the bucket
         structure (they are shared with other tables and depend only on
@@ -273,16 +274,14 @@ class TablePrefilter:
         """
         self._indexed_tables.discard(table_id)
         if self.column_aggregation:
-            stale = [
-                key for key in self._postings
-                if key.startswith(f"{table_id}#")
-            ]
-            for key in stale:
-                del self._postings[key]
+            for column in self.mapping.entities_by_column(table_id):
+                key = f"{table_id}#{column}"
+                self._postings.drop(key)
                 self._index.remove(key)
             return
-        for posting in self._postings.values():
-            posting.discard(table_id)
+        for uri in self.mapping.entities_in_table(table_id):
+            if table_id in self._postings.get(uri, ()):
+                self._postings.writable(uri).discard(table_id)
 
     # ------------------------------------------------------------------
     @property
@@ -445,10 +444,10 @@ class TablePrefilter:
         prefilter._index = LSHIndex(config)
         for key, values in payload.get("signatures", {}).items():
             prefilter._index.add(key, np.asarray(values, dtype=np.int64))
-        prefilter._postings = {
-            key: set(tables)
+        prefilter._postings = CopyOnWriteDict(set, (
+            (key, set(tables))
             for key, tables in payload.get("postings", {}).items()
-        }
+        ))
         prefilter._indexed_tables = set(payload.get("indexed_tables", ()))
         return prefilter
 

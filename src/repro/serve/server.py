@@ -476,8 +476,8 @@ class ThetisServer:
 class ServerThread:
     """Run a :class:`ThetisServer` on a dedicated event-loop thread.
 
-    The synchronous harness the tests, the CI smoke script, and the
-    latency benchmark all share::
+    The synchronous harness the tests and the latency benchmark
+    share::
 
         handle = ServerThread(thetis, ServeConfig(port=0)).start()
         handle.wait_ready()

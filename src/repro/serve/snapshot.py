@@ -14,14 +14,18 @@ This gives the server three properties the dynamic-lake API of
 a failed mutation leaves the serving state untouched, and readers never
 block on writers (writers pay the copy).
 
-The copy is cheap: each clone seeds from the generation it replaces
-(:meth:`Thetis.seed_engines_from`), adopting the entity engine's
-segmented corpus index and the union and join indexes by reference and
-forking the LSEI prefilter.  Applying the mutation then tombstones or
-appends a single entity segment and derives the other indexes from one
-table's rows, so the swap costs O(delta) in compiled state for every
-task — nothing is recompiled, and no generation ever writes to arrays
-an older one still serves from.
+The copy is cheap: the mapping is copied copy-on-write, and each clone
+seeds from the generation it replaces (:meth:`Thetis.seed_engines_from`),
+adopting the entity engine's segmented corpus index and the union and
+join indexes by reference and forking the LSEI prefilter, also
+copy-on-write.  Applying the mutation then tombstones or appends a
+single entity segment, derives the other indexes from one table's rows,
+copies only the mapping and LSEI containers that table touches, and
+refreshes the informativeness weights from table frequencies the
+mapping keeps current.  What still grows with the lake: dict-header
+copies, the O(entities) weight refresh, and the union and join derives'
+array copies.  Nothing is recompiled, and no generation
+ever writes to state an older one still serves from.
 """
 
 from __future__ import annotations

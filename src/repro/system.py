@@ -399,12 +399,12 @@ class Thetis:
           (immutable segments, shared by reference);
         * union/join task engines adopt the source's compiled index by
           reference (immutable; the mutation derives its successor);
-        * each LSEI prefilter is forked onto this instance's mapping,
-          so the incremental ``add_table`` / ``remove_table``
-          maintenance runs here.  A fork keeps the scheme of the first
-          build, so the ``types`` scheme's ``frequent_types`` filter is
-          frozen across generations — what in-process
-          :meth:`add_table` has always done;
+        * each LSEI prefilter is forked (copy-on-write) onto this
+          instance's mapping, so the incremental ``add_table`` /
+          ``remove_table`` maintenance runs here.  A fork keeps the
+          scheme of the first build, so the ``types`` scheme's
+          ``frequent_types`` filter is frozen across generations —
+          what in-process :meth:`add_table` has always done;
         * the informativeness weights are carried until the mutation
           refreshes them, and so is the label linker (a function of
           the graph alone).
@@ -530,11 +530,13 @@ class Thetis:
 
     # ------------------------------------------------------------------
     def snapshot_inputs(self) -> Tuple[DataLake, EntityMapping]:
-        """Deep-enough copies of the mutable inputs for a new instance.
+        """Independent copies of the mutable inputs for a new instance.
 
-        Tables are immutable-by-convention and shared; the lake and
-        mapping containers are copied, so mutating the copy never
-        disturbs searches running against this instance.  This is the
+        Tables are immutable-by-convention and shared; the lake is a
+        new container and the mapping a copy-on-write copy (see
+        :meth:`EntityMapping.copy`), so mutating the copy never
+        disturbs searches running against this instance, and the copy
+        costs dict copies rather than one set per link.  This is the
         building block of the serving layer's copy-and-swap updates.
         """
         return DataLake(iter(self.lake)), self.mapping.copy()
@@ -582,14 +584,16 @@ class Thetis:
         """Remove a table and every trace of it from the search stack."""
         self._check_open("remove_table")
         self.lake.remove(table_id)
-        self.mapping.unlink_table(table_id)
         with self._lock:
+            # The prefilters read the table's keys from its links, so
+            # they go before the mapping forgets them.
+            for prefilter in self._prefilters.values():
+                prefilter.remove_table(table_id)
+            self.mapping.unlink_table(table_id)
             for engine in self._engines.values():
                 engine.invalidate_table(table_id)
             for task_engine in self._task_engines.values():
                 task_engine.invalidate_table(table_id)
-            for prefilter in self._prefilters.values():
-                prefilter.remove_table(table_id)
             self._refresh_informativeness()
 
     def _refresh_informativeness(self) -> None:

@@ -19,6 +19,7 @@ import pytest
 from repro.benchgen import WT2015_PROFILE, build_benchmark
 from repro.cluster import ClusterConfig, ClusterHarness
 from repro.cluster.protocol import read_frame, write_frame
+from repro.core.kernel import SegmentedCorpusIndex, save_index
 from repro.system import Thetis
 
 K = 5
@@ -89,11 +90,11 @@ def queries(cluster_bench):
     return list(cluster_bench.queries.all_queries().values())[:4]
 
 
-def make_factory(bench):
+def make_factory(bench, index_dir=None):
     def factory(index):
         return Thetis(
             bench.lake, bench.graph, bench.mapping,
-            engine_kind="vectorized",
+            engine_kind="vectorized", index_dir=index_dir,
         )
 
     return factory
@@ -107,9 +108,18 @@ def payload_of(query, mode=None, k=K):
 
 
 @pytest.fixture(scope="module")
-def fleet(cluster_bench):
+def fleet(cluster_bench, reference, tmp_path_factory):
+    """Two workers that cold-start by memmapping one spilled index."""
+    index_dir = tmp_path_factory.mktemp("spilled-index")
+    save_index(
+        SegmentedCorpusIndex.compile(
+            cluster_bench.lake, cluster_bench.mapping,
+            reference.engine("types").sigma, segment_tables=16,
+        ),
+        index_dir,
+    )
     config = ClusterConfig(heartbeat_interval=0.2, dead_after=2)
-    with ClusterHarness(make_factory(cluster_bench), workers=2,
+    with ClusterHarness(make_factory(cluster_bench, index_dir), workers=2,
                         config=config) as harness:
         yield harness
 
@@ -330,6 +340,14 @@ class TestFailover:
             _, doc = get_json(harness.port, "/cluster/status")
             states = {w["worker_id"]: w["state"] for w in doc["workers"]}
             assert states["worker-0"] == "dead"
+            cluster = get_json(harness.port, "/metrics")[1]["cluster"]
+            assert cluster["workers_live"] == 2
+            assert cluster["shard_failures_total"] >= 1
+            assert cluster["hedged_retries_total"] >= 1
+            assert cluster["degraded_total"] >= 1
+            port = harness.port
+        with pytest.raises(OSError):
+            get_json(port, "/healthz", timeout=5.0)
 
     def test_live_rebalance_add_worker(self, cluster_bench, reference,
                                        queries):

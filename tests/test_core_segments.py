@@ -212,6 +212,36 @@ class TestTombstones:
         assert len(index.segments) == 1
         assert index.stats().tombstones == 0
 
+    def test_derived_owner_map_equals_a_fresh_walk(self):
+        """Successors derive the owner map, renumbering past a dropped segment."""
+        rng = random.Random(13)
+        lake, mapping = make_lake(rng, num_tables=6)
+        sigma = make_sigma("types", rng)
+        index = SegmentedCorpusIndex.compile(
+            lake, mapping, sigma, segment_tables=2
+        )
+        steps = [
+            lambda ix: ix.without_table("T0"),
+            lambda ix: ix.with_table(lake.get("T3")),  # replace in place
+            lambda ix: ix.without_table("T1"),  # segment 0 leaves
+            lambda ix: ix.with_table(make_table(rng, "N1")),
+            lambda ix: ix.without_table("T2"),  # the old segment 1 leaves
+            lambda ix: ix.rebound(mapping, sigma),
+        ]
+        for step in steps:
+            index = step(index)
+            walked = SegmentedCorpusIndex(
+                index.segments, index.dead, mapping, sigma
+            )
+            assert [
+                (table_id, index.locate_position(table_id))
+                for table_id in index.live_table_ids()
+            ] == [
+                (table_id, walked.locate_position(table_id))
+                for table_id in walked.live_table_ids()
+            ]
+        assert len(index.segments) == 3
+
 
 class TestLakeLayout:
     """The per-instance flat table axis the engine ranks over."""

@@ -16,14 +16,19 @@ and mapping:
   would answer with the previous lake;
 * ``mode=prefilter``: the ``apply`` chain equals the in-process chain
   (both keep the ``frequent_types`` of their first build, so a cold
-  rebuild is not their reference) and never returns a removed table.
+  rebuild is not their reference) and never returns a removed table;
+* the informativeness weights of every new generation equal, bit for
+  bit, ``Informativeness.from_mapping`` over a mapping loaded cold from
+  its links, and the generation each ``apply`` retires keeps its
+  mapping, weights and prefilter candidates unchanged.
 
 A Hypothesis ``RuleBasedStateMachine`` explores random interleavings;
 ``test_named_edge_cases`` walks the same harness through the cases a
 random walk may miss (a second bitmap word, a vocabulary value that
-empties, a table without links, the last table leaving).  The final
+empties, a table without links, the last table leaving).  The next
 test pins an ``EngineSnapshot`` across swaps and checks that the old
-generation's arrays are never written.
+generation's arrays are never written; the last counts the mapping
+calls of a served swap, none of which may walk every link.
 """
 
 import functools
@@ -37,13 +42,16 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.benchgen import WT2015_PROFILE, build_benchmark
 from repro.core.kernel import VectorizedJoinSearchEngine
 from repro.core.query import Query
 from repro.datalake import DataLake, Table
 from repro.embeddings import train_rdf2vec
 from repro.kg import Entity
-from repro.linking import LabelLinker
+from repro.linking import EntityMapping, LabelLinker
+from repro.linking.io import mapping_from_dict, mapping_to_dict
 from repro.serve.snapshot import SnapshotManager
+from repro.similarity.informativeness import Informativeness
 from repro.system import Thetis
 
 from tests.conftest import make_sports_graph
@@ -171,11 +179,37 @@ class Harness:
         engine.adopt_index(thetis.join_engine().index())
         return engine.search(query, k=K)
 
+    def _weights(self, informativeness) -> dict:
+        return {
+            uri: informativeness.weight(uri) for uri in self.graph.uris()
+        }, len(informativeness)
+
+    def _generation(self, thetis: Thetis):
+        """What a reader of ``thetis`` sees of its mapping and weights."""
+        prefilter = thetis.prefilter("types")
+        return (
+            sorted(thetis.mapping.all_links()),
+            self._weights(thetis.informativeness),
+            [sorted(prefilter.candidate_tables(query)) for query in QUERIES],
+        )
+
+    def _apply(self, mutate) -> None:
+        """One swap, with the retired generation pinned like a reader."""
+        with self.manager.checkout() as held:
+            before = self._generation(held.thetis)
+            self.manager.apply(mutate)
+            assert self._generation(held.thetis) == before
+        served = self.manager.current.thetis
+        cold = mapping_from_dict(mapping_to_dict(served.mapping))
+        assert self._weights(served.informativeness) == self._weights(
+            Informativeness.from_mapping(cold, len(served.lake))
+        )
+
     # -- mutations, applied to both systems ----------------------------
     def add(self, table_id: str, version: int) -> None:
         assert table_id not in self.present
         self.direct.add_table(make_table(table_id, version))
-        self.manager.apply(
+        self._apply(
             lambda thetis: thetis.add_table(make_table(table_id, version))
         )
         self.present[table_id] = version
@@ -183,7 +217,7 @@ class Harness:
 
     def remove(self, table_id: str) -> None:
         self.direct.remove_table(table_id)
-        self.manager.apply(lambda thetis: thetis.remove_table(table_id))
+        self._apply(lambda thetis: thetis.remove_table(table_id))
         del self.present[table_id]
         self.removed.add(table_id)
 
@@ -197,7 +231,7 @@ class Harness:
             thetis.remove_table(table_id)
             thetis.add_table(make_table(table_id, version))
 
-        self.manager.apply(replace)
+        self._apply(replace)
         self.present[table_id] = version
 
     # -- the invariant -------------------------------------------------
@@ -359,3 +393,44 @@ def test_held_snapshot_is_never_written():
             assert thetis.prefilter("types") is prefilter
     finally:
         harness.close()
+
+
+def test_served_swap_walks_no_link(monkeypatch):
+    """A swap costs the mutated table, not a pass over every link.
+
+    Every generation is warm (entity index, both prefilter modes, union,
+    join, weights) before counting starts; then an add and a remove run
+    through ``SnapshotManager.apply`` on a 300-table lake.
+    """
+    bench = build_benchmark(
+        WT2015_PROFILE, num_tables=300, num_query_pairs=1, seed=3
+    )
+    thetis = Thetis(
+        bench.lake, bench.graph, bench.mapping, engine_kind="vectorized"
+    )
+    query = next(iter(bench.queries.one_tuple.values()))
+    thetis.search(query, k=5, mode="prefilter")
+    thetis.prefilter("types", column_aggregation=True)
+    thetis.search(query, k=5, task="union")
+    thetis.search(query, k=5, task="join")
+    manager = SnapshotManager(thetis, warm_method="types")
+    calls = []
+    for name in ("all_links", "tables_with_entity", "entity_tables",
+                 "cells_of"):
+        original = getattr(EntityMapping, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(EntityMapping, name, counted)
+    try:
+        source = bench.lake.get(bench.lake.table_ids()[0])
+        clone = Table("swap-probe", source.attributes, source.rows)
+        links = manager.apply(lambda system: system.add_table(clone))
+        assert links > 0
+        manager.apply(lambda system: system.remove_table("swap-probe"))
+        assert calls == []
+        assert manager.version == 2
+    finally:
+        manager.close()
