@@ -13,6 +13,11 @@ Two experiments over the Table 3 benchmark corpus:
   - union x {types, embeddings}: >= 5x sequential speedup — the
     scalar union baseline runs a pure-Python Hungarian assignment per
     table, which the kernel replaces with corpus-wide enumeration;
+  - union x {types, embeddings}: the ``k=10`` scan (filter by a
+    per-table bound, verify by the exact assignment, stop early) equals
+    the full ranking truncated to ``k``, ids and scores bit for bit,
+    and at full scale verifies at most ``MAX_UNION_VERIFIED_SHARE`` of
+    the lake's tables per query (``--quick`` records the share only);
   - join x {containment, jaccard}: >= 1x batched speedup (a
     no-regression floor).  The scalar join baseline is already
     sublinear — a dict-postings probe touching only candidate
@@ -48,6 +53,7 @@ import time
 from benchmarks.conftest import print_header
 from repro.baselines import JoinTableSearch, UnionTableSearch
 from repro.core.kernel import (
+    PrefilterStats,
     VectorizedJoinSearchEngine,
     VectorizedUnionSearchEngine,
 )
@@ -59,6 +65,7 @@ TOLERANCE = 1e-9
 REQUIRED_UNION_SPEEDUP = 5.0
 REQUIRED_JOIN_BATCH_SPEEDUP = 1.0
 REQUIRED_DERIVE_SPEEDUP = 20.0
+MAX_UNION_VERIFIED_SHARE = 0.25
 DERIVE_SAMPLES = 8
 K_SERVE = 10
 REPS = 3
@@ -116,7 +123,26 @@ def _merge_report(key, payload):
     print(f"  report -> {REPORT_PATH} (union_join.{key})")
 
 
-def test_union_join_kernel_speedup(wt_bench, wt_thetis, benchmark):
+def _scan_report(vector, queries, full_rankings, tables):
+    """Scan-vs-full bit equality and the share of the lake verified."""
+    stats = PrefilterStats()
+    bit_equal = all(
+        [(s.table_id, s.score) for s in
+         vector.search_batch([query], k=K_SERVE, stats=stats)[0]]
+        == [(s.table_id, s.score) for s in full][:K_SERVE]
+        for query, full in zip(queries, full_rankings)
+    )
+    summary = stats.as_dict()
+    return {
+        "scan_bit_equal": bit_equal,
+        "scan_verified_share": (
+            summary["scored_fraction"] * summary["mean_shortlist"] / tables
+        ),
+    }
+
+
+def test_union_join_kernel_speedup(wt_bench, wt_thetis, benchmark, request):
+    quick = request.config.getoption("--quick")
     queries = _queries(wt_bench)
     lake, graph, mapping = wt_bench.lake, wt_bench.graph, wt_bench.mapping
     store = wt_thetis.embeddings
@@ -205,6 +231,10 @@ def test_union_join_kernel_speedup(wt_bench, wt_thetis, benchmark):
                 "batch_speedup": scalar_seconds / batch_seconds,
                 "max_score_delta": delta,
             }
+            if not scalar_join:
+                report[name].update(_scan_report(
+                    vector, queries, vector_rankings, len(lake)
+                ))
         return report
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -225,6 +255,10 @@ def test_union_join_kernel_speedup(wt_bench, wt_thetis, benchmark):
         print(f"    vec batch       {row['vectorized_batch_seconds']*1e3:8.1f} ms"
               f"   -> {row['batch_speedup']:6.1f}x")
         print(f"    max score delta {row['max_score_delta']:.3e}")
+        if "scan_verified_share" in row:
+            print(f"    scan verified   {row['scan_verified_share']:8.3f}"
+                  f" of the lake per query, bit-equal to the full "
+                  f"ranking: {row['scan_bit_equal']}")
 
     _merge_report("kernel", {
         "corpus_tables": len(wt_bench.lake),
@@ -233,6 +267,7 @@ def test_union_join_kernel_speedup(wt_bench, wt_thetis, benchmark):
         "tolerance": TOLERANCE,
         "required_union_speedup": REQUIRED_UNION_SPEEDUP,
         "required_join_batch_speedup": REQUIRED_JOIN_BATCH_SPEEDUP,
+        "max_union_verified_share": MAX_UNION_VERIFIED_SHARE,
         "variants": report,
     })
 
@@ -245,6 +280,17 @@ def test_union_join_kernel_speedup(wt_bench, wt_thetis, benchmark):
                 f"{name}: speedup {row['sequential_speedup']:.1f}x < "
                 f"{REQUIRED_UNION_SPEEDUP}x"
             )
+            assert row["scan_bit_equal"], (
+                f"{name}: the top-k scan diverged from the full ranking"
+            )
+            if not quick:
+                assert (
+                    row["scan_verified_share"] <= MAX_UNION_VERIFIED_SHARE
+                ), (
+                    f"{name}: the scan verified "
+                    f"{row['scan_verified_share']:.3f} of the lake "
+                    f"(> {MAX_UNION_VERIFIED_SHARE})"
+                )
         else:
             assert row["batch_speedup"] >= REQUIRED_JOIN_BATCH_SPEEDUP, (
                 f"{name}: batched speedup {row['batch_speedup']:.1f}x "

@@ -20,7 +20,8 @@ A search that carries a cut-off ``k`` does not score the lake: it is a
 bound-ordered, early-terminating scan (filter by a vectorized upper
 bound, verify by the exact kernel pass restricted to a chunk of
 tables) whose ranking is bit-identical to the full pass truncated to
-``k`` — see :meth:`VectorizedTableSearchEngine.search_batch`.
+``k`` — see :meth:`VectorizedTableSearchEngine.search_batch`.  The
+scan loop, :func:`pruned_topk`, is shared with the union kernel.
 
 Scores are parity-checked against the scalar engine to <= 1e-9 (bit
 equal for type similarity, BLAS-summation-order noise for cosine); the
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -181,6 +182,84 @@ def weighted_distances(
     for position, weight in enumerate(weights):
         total += weight * residual[:, position] * residual[:, position]
     return np.sqrt(total)
+
+
+def pruned_topk(
+    positions: np.ndarray,
+    bound: np.ndarray,
+    id_rank: np.ndarray,
+    k: int,
+    verify: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    refine: Optional[Callable[[np.ndarray], Optional[np.ndarray]]] = None,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Exact top-``k`` by a bound-ordered, early-terminating scan.
+
+    Filter-and-verify, shared by the entity and union kernels:
+    ``bound[i]`` is an upper bound on the exact score of candidate
+    ``positions[i]``, and
+    ``id_rank`` (indexed by position) orders positions by table id.
+    Candidates are verified in ``(-bound, id rank)`` order, a
+    position-sorted chunk at a time — ``verify(chunk)`` returns the
+    chunk's exact ``(score, returnable)`` — and the scan stops once the
+    k-th best exact score clears the next bound (plus
+    :data:`BOUND_SLACK`), so a pruned table provably cannot enter the
+    top ``k``.  The stop test is strict: a table that could only *tie*
+    the k-th score is still verified, so the id tie-break sees every
+    contender.  The chunk starts at ``max(MIN_PRUNE_CHUNK, 2k)`` and
+    doubles, so a query whose bounds all tie costs O(log n) verify
+    passes, and never runs past the tables the current k-th score still
+    admits.
+
+    ``refine(rest)``, when given, is called before every chunk but the
+    first with the sorted positions left; it returns tighter valid
+    bounds for them, or ``None`` when it has none.
+
+    Returns ``(top_positions, top_scores, verified)``: the winners in
+    ``(-score, id rank)`` order and how many candidates were verified.
+    """
+    order = np.lexsort((id_rank[positions], -bound))
+    positions = positions[order]
+    bound = bound[order] + BOUND_SLACK
+    found_positions: List[np.ndarray] = []
+    found_scores: List[np.ndarray] = []
+    found = 0
+    kth = -np.inf
+    cursor = 0
+    chunk_size = max(MIN_PRUNE_CHUNK, 2 * k)
+    while cursor < len(positions) and not bound[cursor] < kth:
+        if cursor and refine is not None:
+            rest = np.sort(positions[cursor:])
+            refined = refine(rest)
+            if refined is not None:
+                order = np.lexsort((id_rank[rest], -refined))
+                positions[cursor:] = rest[order]
+                bound[cursor:] = refined[order] + BOUND_SLACK
+                if bound[cursor] < kth:
+                    break
+        # Never past the tables the current k-th score still admits:
+        # if it stands, the scan ends after this chunk.
+        admitted = int(np.count_nonzero(~(bound[cursor:] < kth)))
+        chunk = np.sort(positions[cursor:cursor + min(chunk_size, admitted)])
+        cursor += len(chunk)
+        chunk_size *= 2
+        score, returnable = verify(chunk)
+        found_positions.append(chunk[returnable])
+        found_scores.append(score[returnable])
+        found += len(found_scores[-1])
+        if found >= k:
+            kth = np.partition(
+                np.concatenate(found_scores), found - k
+            )[found - k]
+    if not found:
+        return (
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64),
+            cursor,
+        )
+    found_at = np.concatenate(found_positions)
+    scores = np.concatenate(found_scores)
+    top = np.lexsort((id_rank[found_at], -scores))[:k]
+    return found_at[top], scores[top], cursor
+
 
 #: ``(n, n, n)`` boolean masks marking option triples that repeat a real
 #: column, keyed by ``n = columns + 1`` — the last option index is the
@@ -1214,7 +1293,7 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         k: int,
         profile: ScoringProfile,
     ) -> Tuple[ResultSet, int, int, bool]:
-        """One job of :meth:`_scan_rankings`.
+        """One job of :meth:`_scan_rankings`, by :func:`pruned_topk`.
 
         ``bounds`` / ``signals`` hold one row per tuple of the query,
         aligned with the candidate ``positions``, from a
@@ -1228,7 +1307,6 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         terminated)`` triple ``PrefilterStats`` records.
         """
         layout = index.layout()
-        id_rank = layout.id_rank
         bound = self._job_bound(bounds)
         if self.drop_irrelevant:
             # Signal-free for every tuple: no entity similarity is
@@ -1236,69 +1314,35 @@ class VectorizedTableSearchEngine(TableSearchEngine):
             shortlist = np.flatnonzero(signals.any(axis=0))
             positions = positions[shortlist]
             bound = bound[shortlist]
-        order = np.lexsort((id_rank[positions], -bound))
-        positions = positions[order]
-        bound = bound[order] + BOUND_SLACK
-        shortlisted = len(positions)
-        found_positions: List[np.ndarray] = []
-        found_scores: List[np.ndarray] = []
-        found = 0
-        kth = -np.inf
-        cursor = 0
-        # The chunk doubles, so a query whose bounds all tie costs
-        # O(log n) restricted passes, not n / chunk.
-        chunk_size = max(MIN_PRUNE_CHUNK, 2 * k)
         top_m = BOUND_TOP_M
         widest = max(
             (segment.num_entities for segment in index.segments), default=0
         )
         tuples = list(dict.fromkeys(query.tuples))
         rows = [tuples.index(query_tuple) for query_tuple in query.tuples]
-        while cursor < shortlisted and not bound[cursor] < kth:
-            if cursor and top_m < widest:
-                # The scan goes on: lower the ceilings of what is left.
-                top_m *= 2
-                rest = np.sort(positions[cursor:])
-                refined = self._job_bound(self._lake_bounds(
-                    index, tuples, rest, profile, top_m=top_m
-                )[0][rows])
-                order = np.lexsort((id_rank[rest], -refined))
-                positions[cursor:] = rest[order]
-                bound[cursor:] = refined[order] + BOUND_SLACK
-                if bound[cursor] < kth:
-                    break
-            # Never past the tables the current k-th score still
-            # admits: if it stands, the scan ends after this chunk.
-            admitted = int(np.count_nonzero(~(bound[cursor:] < kth)))
-            chunk = np.sort(
-                positions[cursor:cursor + min(chunk_size, admitted)]
-            )
-            cursor += len(chunk)
-            chunk_size *= 2
-            score, returnable = self._score_positions(
-                index, query, chunk, profile
-            )
-            found_positions.append(chunk[returnable])
-            found_scores.append(score[returnable])
-            found += len(found_scores[-1])
-            if found >= k:
-                kth = np.partition(
-                    np.concatenate(found_scores), found - k
-                )[found - k]
-        profile.tables_scored += cursor
-        if found:
-            found_at = np.concatenate(found_positions)
-            scores = np.concatenate(found_scores)
-            top = np.lexsort((id_rank[found_at], -scores))[:k]
-            result = ResultSet(
-                ScoredTable(score, layout.table_ids[position])
-                for score, position in zip(
-                    scores[top].tolist(), found_at[top].tolist()
-                )
-            )
-        else:
-            result = ResultSet([])
-        return result, shortlisted, cursor, cursor < shortlisted
+
+        def verify(chunk: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            return self._score_positions(index, query, chunk, profile)
+
+        def refine(rest: np.ndarray) -> Optional[np.ndarray]:
+            # The scan goes on: lower the ceilings of what is left.
+            nonlocal top_m
+            if top_m >= widest:
+                return None
+            top_m *= 2
+            return self._job_bound(self._lake_bounds(
+                index, tuples, rest, profile, top_m=top_m
+            )[0][rows])
+
+        top, scores, scored = pruned_topk(
+            positions, bound, layout.id_rank, k, verify, refine
+        )
+        profile.tables_scored += scored
+        result = ResultSet(
+            ScoredTable(score, layout.table_ids[position])
+            for score, position in zip(scores.tolist(), top.tolist())
+        )
+        return result, len(positions), scored, scored < len(positions)
 
     def _full_rankings(
         self,

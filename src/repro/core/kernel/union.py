@@ -12,7 +12,12 @@ lake* per query with one popcount Jaccard pass (types) or one matmul
 cosine pass (embeddings), followed by a vectorized column assignment:
 exact enumerated assignment for tables with at most ``MAX_ENUM_ROWS``
 positively-scoring query columns (with the :data:`ASSIGNMENT_MARGIN`
-near-tie check), Hungarian fallback otherwise.
+near-tie check), Hungarian fallback otherwise.  A search with a cut-off
+``k`` solves the assignment only for the tables it must: a
+bound-ordered, early-terminating scan (the entity kernel's
+:func:`~repro.core.kernel.engine.pruned_topk`) whose bound is each
+table's best column per query row, so its ranking is the full pass
+truncated to ``k``, bit for bit.
 
 Parity contract: scores match the scalar baseline to <= 1e-9 and the
 ranking is identical including ``(-score, table_id)`` tie-breaks.  For
@@ -34,10 +39,11 @@ from repro.core.assignment import max_assignment
 from repro.core.kernel.engine import (
     ASSIGNMENT_MARGIN,
     _concat_ranges,
+    pruned_topk,
 )
 from repro.core.kernel.index import _popcount
 from repro.core.query import Query
-from repro.core.result import ResultSet
+from repro.core.result import ResultSet, ScoredTable
 from repro.core.search import aligned_candidates
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
@@ -90,6 +96,9 @@ class UnionCorpusIndex:
     Layout (shared by both encoders)
     --------------------------------
     ``table_ids[t]``      table id of corpus position ``t``
+    ``id_rank[t]``        rank of ``table_ids[t]`` in ascending id
+                          order, so the ``(-score, table_id)`` ranking
+                          is one numeric ``lexsort``
     ``table_columns[t]``  column count of table ``t`` (int64)
     ``col_offset``        ``len == num_tables + 1`` prefix sums; table
                           ``t`` owns global columns
@@ -108,9 +117,9 @@ class UnionCorpusIndex:
     Every row is a function of its own table's links only, so a
     mutation never looks at another table: :meth:`with_table` and
     :meth:`without_table` return a *new* index whose arrays are spliced
-    from this one's (one memcpy of the per-column rows), and this
-    instance is never written — a reader holding it keeps a consistent
-    generation.
+    from this one's (one memcpy of the per-column rows, and the id rank
+    shifted around the one id that moved), and this instance is never
+    written — a reader holding it keeps a consistent generation.
     """
 
     def __init__(
@@ -124,10 +133,18 @@ class UnionCorpusIndex:
         vectors: Optional[np.ndarray] = None,
         norms: Optional[np.ndarray] = None,
         valid: Optional[np.ndarray] = None,
+        id_rank: Optional[np.ndarray] = None,
     ):
         self.column_encoder = column_encoder
         self.table_ids = table_ids
-        self.ids_array = np.asarray(table_ids, dtype=np.str_)
+        if id_rank is None:
+            # Cold build only: derived generations pass theirs in.
+            id_rank = np.empty(len(table_ids), dtype=np.int64)
+            id_rank[
+                sorted(range(len(table_ids)), key=table_ids.__getitem__)
+            ] = np.arange(len(table_ids), dtype=np.int64)
+        id_rank.setflags(write=False)
+        self.id_rank = id_rank
         self.table_columns = table_columns
         self.col_offset = np.zeros(len(table_ids) + 1, dtype=np.int64)
         np.cumsum(table_columns, out=self.col_offset[1:])
@@ -176,6 +193,8 @@ class UnionCorpusIndex:
         def cut(array: Optional[np.ndarray]) -> Optional[np.ndarray]:
             return None if array is None else np.delete(array, rows, axis=0)
 
+        id_rank = np.delete(self.id_rank, position)
+        id_rank -= id_rank > self.id_rank[position]
         return UnionCorpusIndex(
             self.column_encoder,
             self.table_ids[:position] + self.table_ids[position + 1:],
@@ -183,7 +202,7 @@ class UnionCorpusIndex:
             bit_of=self.bit_of,
             bitmaps=cut(self.bitmaps), sizes=cut(self.sizes),
             vectors=cut(self.vectors), norms=cut(self.norms),
-            valid=cut(self.valid),
+            valid=cut(self.valid), id_rank=id_rank,
         )
 
     def with_table(
@@ -209,6 +228,10 @@ class UnionCorpusIndex:
         table_columns = np.append(
             base.table_columns, np.int64(table.num_columns)
         )
+        # The new id's rank is the count of smaller ids (one O(n)
+        # comparison pass, no sort); every rank from it on moves up one.
+        rank = sum(map(table.table_id.__gt__, base.table_ids))
+        id_rank = np.append(base.id_rank + (base.id_rank >= rank), rank)
         if self.column_encoder == "types":
             bit_of = dict(base.bit_of)
             _intern_types(bit_of, encoded)
@@ -224,6 +247,7 @@ class UnionCorpusIndex:
                 bit_of=bit_of,
                 bitmaps=np.concatenate([bitmaps, rows]),
                 sizes=np.concatenate([base.sizes, sizes]),
+                id_rank=id_rank,
             )
         vectors, norms, valid = _stack_vector_rows(
             encoded, base.vectors.shape[1]
@@ -233,6 +257,7 @@ class UnionCorpusIndex:
             vectors=np.concatenate([base.vectors, vectors]),
             norms=np.concatenate([base.norms, norms]),
             valid=np.concatenate([base.valid, valid]),
+            id_rank=id_rank,
         )
 
 
@@ -359,6 +384,24 @@ def _pack_query_types(
     return bits, len(types)
 
 
+def _row_maxima(
+    relevance: np.ndarray,
+    table_columns: np.ndarray,
+    col_offset: np.ndarray,
+) -> np.ndarray:
+    """``(query_width, num_tables)`` best relevance per query row per table.
+
+    Summed over the rows this bounds any one-to-one assignment's total
+    (each row takes at most its best column); 0.0 for a table without
+    columns.
+    """
+    starts = np.minimum(col_offset[:-1], int(relevance.shape[1]) - 1)
+    maxima = np.maximum.reduceat(relevance, starts, axis=1)
+    # reduceat yields a neighbor's value for empty segments; mask them.
+    maxima[:, table_columns == 0] = 0.0
+    return maxima
+
+
 def _assignment_totals(
     relevance: np.ndarray,
     table_columns: np.ndarray,
@@ -388,10 +431,7 @@ def _assignment_totals(
     if width == 0 or num_tables == 0 or total_columns == 0:
         return totals
     starts = np.minimum(col_offset[:-1], total_columns - 1)
-    maxima = np.maximum.reduceat(relevance, starts, axis=1)
-    # reduceat yields a neighbor's value for empty segments; mask them.
-    maxima[:, table_columns == 0] = 0.0
-    positive = maxima > 0.0
+    positive = _row_maxima(relevance, table_columns, col_offset) > 0.0
     need = positive.any(axis=0)
     if not bool(need.any()):
         return totals
@@ -737,7 +777,7 @@ class VectorizedUnionSearchEngine:
         np.maximum(relevance, 0.0, out=relevance)
         return relevance
 
-    def _score_lake(
+    def _rank(
         self,
         index: UnionCorpusIndex,
         relevance: np.ndarray,
@@ -745,32 +785,77 @@ class VectorizedUnionSearchEngine:
         positions: Optional[np.ndarray],
         table_columns: np.ndarray,
         col_offset: np.ndarray,
-        k: Optional[int] = None,
+        k: Optional[int],
+        stats=None,
     ) -> ResultSet:
-        totals = _assignment_totals(relevance, table_columns, col_offset)
-        normalizer = np.maximum(np.int64(width), table_columns)
+        """One job's ranking over a (sub-)layout of the index.
+
+        ``positions`` maps the layout's tables to index positions
+        (``None``: the layout is the whole index).  ``k=None`` solves
+        the assignment for every table — the reference the scan is
+        checked against.  With a cut-off the job is a
+        :func:`~repro.core.kernel.engine.pruned_topk` scan: a table's
+        row maxima, summed over the query rows and divided by the same
+        normalizer, bound any one-to-one assignment's score, and a
+        verify chunk runs :func:`_assignment_totals` on its own tables'
+        columns — bit-identical per table, because each table's
+        enumeration lane and solver fallback are its own.
+        """
         # Elementwise float64 / int64 is the same IEEE division the
         # scalar baseline's per-table ``total / normalizer`` performs.
-        scores = totals / normalizer
-        ids = (
-            index.ids_array if positions is None
-            else index.ids_array[positions]
+        normalizer = np.maximum(np.int64(width), table_columns)
+        if k is None:
+            scores = _assignment_totals(
+                relevance, table_columns, col_offset
+            ) / normalizer
+            top = np.flatnonzero(scores > 0.0)
+            scores = scores[top]
+        else:
+            bound = _row_maxima(
+                relevance, table_columns, col_offset
+            ).sum(axis=0) / normalizer
+            # A zero bound means no positive relevance: the table
+            # scores exactly 0.0 and is never returned.
+            shortlist = np.flatnonzero(bound > 0.0)
+
+            def verify(chunk: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+                widths = table_columns[chunk]
+                offset = np.zeros(len(chunk) + 1, dtype=np.int64)
+                np.cumsum(widths, out=offset[1:])
+                score = _assignment_totals(
+                    relevance[:, _concat_ranges(col_offset[chunk], widths)],
+                    widths, offset,
+                ) / normalizer[chunk]
+                return score, score > 0.0
+
+            top, scores, verified = pruned_topk(
+                shortlist, bound[shortlist],
+                index.id_rank if positions is None
+                else index.id_rank[positions],
+                k, verify,
+            )
+            if stats is not None:
+                stats.record_scoring(
+                    len(shortlist), verified, verified < len(shortlist)
+                )
+        if positions is not None:
+            top = positions[top]
+        table_ids = index.table_ids
+        return ResultSet(
+            ScoredTable(score, table_ids[position])
+            for score, position in zip(scores.tolist(), top.tolist())
         )
-        return ResultSet.from_arrays(scores, ids, k)
 
     def _selection_layout(
         self,
         index: UnionCorpusIndex,
-        candidates: Optional[Iterable[str]],
+        candidates: Iterable[str],
     ):
         """Resolve a candidate restriction to a contiguous sub-layout.
 
         Returns ``(positions, column_selection, table_columns,
-        col_offset)`` — ``positions`` / ``column_selection`` are None
-        for the full-corpus fast path.
+        col_offset)``.
         """
-        if candidates is None:
-            return None, None, index.table_columns, index.col_offset
         positions = np.asarray(
             sorted(
                 {
@@ -796,44 +881,36 @@ class VectorizedUnionSearchEngine:
         candidates: Optional[Iterable[str]] = None,
     ) -> ResultSet:
         """Rank tables by unionability; parity with the scalar baseline."""
-        index = self.index()
-        encoded = self._encode_query(query)
-        if not encoded or index.num_tables == 0:
-            return ResultSet([])
-        positions, column_selection, table_columns, col_offset = (
-            self._selection_layout(index, candidates)
-        )
-        if len(table_columns) == 0:
-            return ResultSet([])
-        relevance = self._relevance(index, encoded, column_selection)
-        return self._score_lake(
-            index, relevance, len(encoded), positions,
-            table_columns, col_offset, k,
-        )
+        return self.search_batch([query], k=k, candidates=[candidates])[0]
 
     def search_batch(
         self,
         queries: Sequence[Query],
         k: Optional[int] = None,
         candidates: Optional[Sequence[Optional[Iterable[str]]]] = None,
+        stats=None,
         batch_stats=None,
     ) -> List[ResultSet]:
-        """Score a micro-batch with one stacked relevance pass.
+        """Score a micro-batch, one stacked relevance pass per restriction.
 
-        All distinct queries' columns are stacked into a single
-        relevance computation (one matmul / one popcount sweep per
-        stacked column) and the per-table assignment runs on each
-        query's row slice — bit-identical to sequential :meth:`search`
-        because each query's rows are untouched by the stacking.
-        Identical ``(tuples, candidates)`` jobs are scored once.
+        Jobs sharing a candidate restriction (every whole-lake job;
+        every job of a cluster shard) stack their query columns into a
+        single relevance computation — one matmul / one popcount sweep
+        per stacked column — and each job ranks its own row slice
+        (:meth:`_rank`), bit-identical to sequential :meth:`search`
+        because a query's rows are untouched by the stacking.
+        Identical ``(tuples, candidates)`` jobs are scored once.  With
+        a cut-off ``k`` every job is an early-terminating scan, and
+        ``stats`` (a :class:`~repro.core.kernel.prefilter.
+        PrefilterStats`), when given, receives one ``(shortlisted,
+        verified, terminated)`` record per scanned job.
         """
         queries = list(queries)
         cand_lists = aligned_candidates(queries, candidates)
         if not queries:
             return []
-        index = self.index()
         job_of: Dict[Tuple, int] = {}
-        jobs: List[Tuple[Query, Optional[List[str]]]] = []
+        jobs: List[Tuple[Query, Optional[Tuple[str, ...]]]] = []
         fanout: List[int] = []
         for query, cands in zip(queries, cand_lists):
             key = (
@@ -844,44 +921,41 @@ class VectorizedUnionSearchEngine:
             if slot is None:
                 slot = len(jobs)
                 job_of[key] = slot
-                jobs.append((query, cands))
+                jobs.append((query, key[1]))
             fanout.append(slot)
         if batch_stats is not None:
             batch_stats.record_batched(len(queries), len(jobs))
-        # Lane-stack the full-corpus jobs: one shared relevance pass.
-        encoded_of: List[Sequence] = [
-            self._encode_query(query) for query, _ in jobs
-        ]
-        shared_rows: List = []
-        row_slice: List[Optional[Tuple[int, int]]] = []
-        for (_, cands), encoded in zip(jobs, encoded_of):
-            if cands is None and encoded:
-                row_slice.append(
-                    (len(shared_rows), len(shared_rows) + len(encoded))
+        resolved = [ResultSet([]) for _ in jobs]
+        if k is not None and k < 1:
+            return [resolved[slot] for slot in fanout]
+        index = self.index()
+        groups: Dict[Optional[Tuple[str, ...]], List[Tuple[int, List]]] = {}
+        for slot, (query, cands) in enumerate(jobs):
+            encoded = self._encode_query(query)
+            if encoded and index.num_tables:
+                groups.setdefault(cands, []).append((slot, encoded))
+        for cands, members in groups.items():
+            if cands is None:
+                positions = column_selection = None
+                table_columns, col_offset = (
+                    index.table_columns, index.col_offset
                 )
-                shared_rows.extend(encoded)
             else:
-                row_slice.append(None)
-        shared = (
-            self._relevance(index, shared_rows)
-            if shared_rows and index.num_tables
-            else None
-        )
-        resolved: List[ResultSet] = []
-        for (query, cands), encoded, rows in zip(
-            jobs, encoded_of, row_slice
-        ):
-            if not encoded or index.num_tables == 0:
-                resolved.append(ResultSet([]))
-                continue
-            if rows is not None:
-                relevance = shared[rows[0]:rows[1]]
-                resolved.append(self._score_lake(
-                    index, relevance, len(encoded), None,
-                    index.table_columns, index.col_offset, k,
-                ))
-            else:
-                resolved.append(
-                    self.search(query, k=k, candidates=cands)
+                positions, column_selection, table_columns, col_offset = (
+                    self._selection_layout(index, cands)
                 )
+                if not len(positions):
+                    continue
+            relevance = self._relevance(
+                index,
+                [column for _, encoded in members for column in encoded],
+                column_selection,
+            )
+            row = 0
+            for slot, encoded in members:
+                resolved[slot] = self._rank(
+                    index, relevance[row:row + len(encoded)], len(encoded),
+                    positions, table_columns, col_offset, k, stats,
+                )
+                row += len(encoded)
         return [resolved[slot] for slot in fanout]

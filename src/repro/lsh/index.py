@@ -306,13 +306,17 @@ class TablePrefilter:
         threshold meaningful; on signature-diverse corpora the two
         schemes order tables the same way.)
         """
-        keys: set = set()
-        for bucket in self._index.lookup_signature(signature):
-            keys.update(bucket)
         votes: Counter = Counter()
-        for key in keys:
+        for key in self._co_bucketed_keys(signature):
             votes.update(self._postings.get(key, ()))
         return votes
+
+    def _co_bucketed_keys(self, signature: np.ndarray) -> Set[str]:
+        """Distinct keys sharing a bucket with ``signature`` in any band."""
+        keys: Set[str] = set()
+        for bucket in self._index.lookup_signature(signature):
+            keys.update(bucket)
+        return keys
 
     def candidate_tables(
         self,
@@ -357,6 +361,15 @@ class TablePrefilter:
             return set(self._indexed_tables)
         candidates: Set[str] = set()
         for signature in usable:
+            if votes == 1:
+                # One vote is membership: a C-level union of the
+                # co-bucketed keys' postings, nothing to count.
+                postings = self._postings
+                candidates.update(*(
+                    postings.get(key, ())
+                    for key in self._co_bucketed_keys(signature)
+                ))
+                continue
             table_votes = self._table_votes_for_signature(signature)
             candidates.update(
                 table_id

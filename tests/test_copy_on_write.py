@@ -134,13 +134,13 @@ def candidates(prefilter):
     return [sorted(prefilter.candidate_tables(query)) for query in QUERIES]
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    initial=st.lists(table_links, min_size=len(TABLES), max_size=len(TABLES)),
-    ops=prefilter_ops,
-    column_aggregation=st.booleans(),
-)
-def test_prefilter_forks_are_isolated(initial, ops, column_aggregation):
+def walk(initial, ops, column_aggregation):
+    """Run ``ops`` over prefilter generations, yielding after each.
+
+    Yields ``(generations, touched, before)``: every generation so far,
+    the one the op wrote to (``None`` after the build and after a fork)
+    and every generation's candidates before the op.
+    """
     mapping = EntityMapping()
     for table_id, links in zip(TABLES, initial):
         for row, column, uri in links:
@@ -149,12 +149,14 @@ def test_prefilter_forks_are_isolated(initial, ops, column_aggregation):
     generations = [TablePrefilter(
         SCHEME, CONFIG, mapping, column_aggregation=column_aggregation
     )]
+    yield generations, None, []
     for op in ops:
         index = op[1] % len(generations)
         prefilter = generations[index]
         before = [candidates(other) for other in generations]
         if op[0] == "fork":
             generations.append(prefilter.fork(prefilter.mapping.copy()))
+            yield generations, None, before
             continue
         table_id = op[2]
         # Thetis's order: the prefilter reads the table's keys before the
@@ -166,6 +168,24 @@ def test_prefilter_forks_are_isolated(initial, ops, column_aggregation):
                 if prefilter.mapping.entity_at(table_id, row, column) is None:
                     prefilter.mapping.link(table_id, row, column, uri)
             prefilter.add_table(table_id)
+        yield generations, prefilter, before
+
+
+generation_walks = dict(
+    initial=st.lists(table_links, min_size=len(TABLES), max_size=len(TABLES)),
+    ops=prefilter_ops,
+    column_aggregation=st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**generation_walks)
+def test_prefilter_forks_are_isolated(initial, ops, column_aggregation):
+    for generations, prefilter, before in walk(
+        initial, ops, column_aggregation
+    ):
+        if prefilter is None:
+            continue
         for other, seen in zip(generations, before):
             if other is not prefilter:
                 assert candidates(other) == seen
@@ -178,3 +198,39 @@ def test_prefilter_forks_are_isolated(initial, ops, column_aggregation):
         # maintained per-entity index keeps its entity signatures.
         if fresh.num_indexed_keys():
             assert candidates(prefilter) == candidates(fresh)
+
+
+def counted_shortlist(prefilter, query, aggregate_query):
+    """The vote-counting shortlist at one vote: every table voted for."""
+    if aggregate_query:
+        uris = TablePrefilter._query_uris(query)
+        signatures = [prefilter.scheme.group_signature(uris)]
+    else:
+        signatures = [
+            prefilter.scheme.entity_signature(uri)
+            for uri in sorted(query.entities())
+        ]
+    usable = [signature for signature in signatures if signature is not None]
+    if not prefilter.num_indexed_keys() or not usable:
+        return prefilter.indexed_tables
+    return {
+        table_id
+        for signature in usable
+        for table_id, count in prefilter._table_votes_for_signature(
+            signature
+        ).items()
+        if count >= 1
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(**generation_walks, aggregate_query=st.booleans())
+def test_one_vote_set_union_equals_the_counted_shortlist(
+    initial, ops, column_aggregation, aggregate_query
+):
+    for generations, _, _ in walk(initial, ops, column_aggregation):
+        for prefilter in generations:
+            for query in QUERIES:
+                assert prefilter.candidate_tables(
+                    query, votes=1, aggregate_query=aggregate_query
+                ) == counted_shortlist(prefilter, query, aggregate_query)

@@ -361,7 +361,8 @@ def test_held_snapshot_is_never_written():
 
             def state():
                 return (
-                    union.ids_array.tobytes(), union.bitmaps.tobytes(),
+                    tuple(union.table_ids), union.id_rank.tobytes(),
+                    union.bitmaps.tobytes(),
                     union.sizes.tobytes(), dict(union.bit_of),
                     join.ids_array.tobytes(), join.vocab.tobytes(),
                     join.post_offset.tobytes(), join.post_cols.tobytes(),
