@@ -13,7 +13,11 @@ once no remaining candidate can enter the top-k.  Reports — and gates
 * **quality**: recall@10 of the prefiltered ranking against the exact
   one must stay at or above ``MIN_RECALL`` (at vote threshold 1 the
   shortlist provably contains every nonzero-score table, so recall is
-  1.0 by construction — the gate guards the termination logic).
+  1.0 by construction — the gate guards the termination logic);
+* **cost**: the prefiltered pass may take at most
+  ``MAX_PREFILTER_OVER_EXACT`` times the exact pass over the same
+  queries — a filter that costs more than the exact scan it is meant
+  to shortcut is a losing path.
 
 A short served section drives the same pipeline through a real
 ``ServerThread`` with ``{"mode": "prefilter"}`` bodies and scrapes the
@@ -41,6 +45,7 @@ K = 10
 #: Quality/efficiency gates (quick and full mode alike).
 MIN_REDUCTION_FACTOR = 5.0
 MIN_RECALL = 0.95
+MAX_PREFILTER_OVER_EXACT = 1.5
 
 REPORT_PATH = "BENCH_serve.json"
 
@@ -208,6 +213,10 @@ def test_lsh_serve_pipeline(wt_bench, benchmark):
 
     _merge_report(block)
 
+    assert prefilter_seconds <= MAX_PREFILTER_OVER_EXACT * exact_seconds, (
+        f"prefiltered reads cost {1 / speedup:.2f}x the exact ones "
+        f"(> {MAX_PREFILTER_OVER_EXACT}x)"
+    )
     # The two gates the pipeline must deliver simultaneously.
     assert scored_factor >= MIN_REDUCTION_FACTOR, (
         f"prefilter pipeline scored too much of the lake: "

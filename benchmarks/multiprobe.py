@@ -84,8 +84,9 @@ class MultiProbePrefilter:
             for probe in probe_band_keys(band, self.max_flips):
                 keys.update(bucket_dict.get(probe, ()))
         votes: Counter = Counter()
+        ids_of = self.prefilter.ordinals.ids_of
         for key in keys:
-            votes.update(self.prefilter._postings.get(key, ()))
+            votes.update(ids_of(self.prefilter._postings.get(key, ())))
         return votes
 
     def candidate_tables(self, query: Query, votes: int = 1) -> Set[str]:

@@ -30,6 +30,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.cluster.hashring import DEFAULT_VNODES, HashRing
 from repro.cluster.protocol import (
     RoutingTable,
@@ -56,9 +58,10 @@ from repro.system import Thetis
 #: flips to E+1; a handful of generations is plenty of overlap.
 ROUTING_HISTORY = 8
 
-#: Memoized shard lists per (epoch, live, owner, prev_live).  Shards
-#: are recomputed only when liveness actually changes, so steady-state
-#: traffic computes each partition once.
+#: Memoized shards per (epoch, live, owner, prev_live), as table ids and
+#: as the lake's sorted table ordinals.  Shards are recomputed only when
+#: liveness actually changes, so steady-state traffic computes each
+#: partition (and converts it to ordinals) once.
 SHARD_CACHE_LIMIT = 64
 
 
@@ -106,7 +109,7 @@ class ClusterWorker:
         self._routing: Optional[RoutingTable] = None
         self._history: Dict[int, RoutingTable] = {}
         self._rings: Dict[int, HashRing] = {}
-        self._shards: Dict[Tuple, List[str]] = {}
+        self._shards: Dict[Tuple, Tuple[List[str], np.ndarray]] = {}
         self._writers: Set[asyncio.StreamWriter] = set()
         self._started_at = 0.0
         self._searches_total = 0
@@ -368,7 +371,7 @@ class ClusterWorker:
         ]
         queries = [request.query() for request in requests]
         first = requests[0]
-        shard = await self._shard_for(epoch, live, owner, prev_live)
+        shard, ordinals = await self._shard_for(epoch, live, owner, prev_live)
         if shard:
             loop = asyncio.get_running_loop()
             rankings = await loop.run_in_executor(
@@ -376,7 +379,7 @@ class ClusterWorker:
                 functools.partial(
                     self.thetis.search_shard_batch,
                     queries,
-                    shard,
+                    ordinals if first.task == "entity" else shard,
                     k=first.k,
                     method=first.method,
                     votes=first.votes,
@@ -459,7 +462,7 @@ class ClusterWorker:
         live: Tuple[str, ...],
         owner: str,
         prev_live: Optional[Tuple[str, ...]],
-    ) -> List[str]:
+    ) -> Tuple[List[str], np.ndarray]:
         async with self._state_lock:
             table = self._history.get(epoch)
             if table is None:
@@ -484,5 +487,6 @@ class ClusterWorker:
                 shard = ring.shard_delta(owner, table_ids, live, prev_live)
             if len(self._shards) >= SHARD_CACHE_LIMIT:
                 self._shards.clear()
-            self._shards[key] = shard
-            return shard
+            entry = (shard, self.thetis.lake.ordinals.lookup(shard))
+            self._shards[key] = entry
+            return entry

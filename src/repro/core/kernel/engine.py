@@ -368,10 +368,13 @@ class VectorizedTableSearchEngine(TableSearchEngine):
             if loaded is not None and loaded.mirrors(
                 [table.table_id for table in self.lake]
             ):
-                return loaded
+                return loaded.rebound(
+                    self.mapping, self.sigma, self.lake.ordinals
+                )
         return SegmentedCorpusIndex.compile(
             self.lake, self.mapping, self.sigma,
             row_cache_size=self.row_cache_size,
+            ordinals=self.lake.ordinals,
         )
 
     def prepare(self) -> None:
@@ -405,10 +408,22 @@ class VectorizedTableSearchEngine(TableSearchEngine):
                 return
             table = self.lake.find(table_id)
             if table is not None:
-                index = index.with_table(table)
+                successor = index.with_table(table)
             else:
-                index = index.without_table(table_id)
-            self._index = index
+                successor = index.without_table(table_id)
+            self._index = successor
+            # One lake mutation since a verified mirror, and it was this
+            # table: the successor mirrors the lake too.  The sizes
+            # pin it down — one add grows both by one only if the added
+            # table is the one applied, one remove shrinks both only if
+            # the removed table is.
+            version = self.lake.version
+            mirrored_index, mirrored_version = self._mirrored
+            if (mirrored_index is index
+                    and version == mirrored_version + 1
+                    and len(successor) == len(self.lake)
+                    and (table_id in successor) == (table is not None)):
+                self._mirrored = (successor, version)
 
     def compact(self) -> SegmentedIndexStats:
         """Run the size-tiered compaction policy; returns fresh stats.
@@ -422,7 +437,13 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         with self._index_lock:
             if self._index is None:
                 self._index = self._build_index()
-            self._index = self._index.maybe_compacted(self.lake.get)
+            index = self._index
+            self._index = index.maybe_compacted(self.lake.get)
+            # Compaction keeps the live table set: a verified mirror
+            # still holds for the compacted instance.
+            mirrored_index, version = self._mirrored
+            if mirrored_index is index and version == self.lake.version:
+                self._mirrored = (self._index, version)
             self._index.layout()
             for segment in self._index.segments:
                 segment.postings()
@@ -435,10 +456,14 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         segment with the generation they replace; the subsequent
         mutation then costs O(delta).  The adopted instance is never
         mutated (the segmented index is functional), so sharing is safe
-        while the source engine keeps serving queries.
+        while the source engine keeps serving queries.  The lake's
+        table id space is bound too, which keeps the index's layout
+        whenever the source's lake shares it (a :meth:`DataLake.copy`).
         """
         with self._index_lock:
-            self._index = index.rebound(self.mapping, self.sigma)
+            self._index = index.rebound(
+                self.mapping, self.sigma, self.lake.ordinals
+            )
 
     def export_index(self) -> Optional[SegmentedCorpusIndex]:
         """The current index instance, or ``None`` when not yet built."""
@@ -453,12 +478,22 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         return index.stats() if index is not None else None
 
     def seed_views_from(self, source: TableSearchEngine) -> None:
-        """Share the source's caches *and* its compiled index."""
+        """Share the source's caches *and* its compiled index.
+
+        The source's verified mirror travels too: the clone's lake holds
+        the source lake's tables (the :meth:`~repro.system.Thetis.
+        seed_engines_from` contract), so if the source had checked its
+        index against its lake as it stands, the adopted index mirrors
+        this lake and the first read lists nothing.
+        """
         super().seed_views_from(source)
         if isinstance(source, VectorizedTableSearchEngine):
             index = source.export_index()
             if index is not None:
                 self.adopt_index(index)
+                mirrored_index, version = source._mirrored
+                if mirrored_index is index and version == source.lake.version:
+                    self._mirrored = (self.export_index(), self.lake.version)
 
     def warm(self, table_ids: Optional[Iterable[str]] = None) -> int:
         """Build (or load) and compact the index; returns its table count.
@@ -1063,7 +1098,10 @@ class VectorizedTableSearchEngine(TableSearchEngine):
             Optional shared cut-off.
         candidates:
             Optional per-query candidate restrictions aligned with
-            ``queries`` (``None`` entries search the whole lake).
+            ``queries`` (``None`` entries search the whole lake): table
+            ids, or a sorted array of distinct table ordinals of the
+            lake's :class:`~repro.datalake.lake.TableOrdinals` (what
+            ``Thetis`` passes).  Ids are converted once, here.
         stats:
             Optional :class:`~repro.core.kernel.prefilter.
             PrefilterStats` fed one scoring record per candidate-
@@ -1082,21 +1120,22 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         if not queries:
             return []
         profile = self.profile
-        # Canonical dedup: identical (tuples, candidate list) jobs are
-        # answered once; fanout maps every input slot to its job.
+        # Canonical dedup: identical (tuples, candidate set) jobs are
+        # answered once; fanout maps every input slot to its job.  A
+        # candidate set is sorted distinct ordinals, so its bytes are
+        # its key.
         job_of: Dict[Tuple, int] = {}
-        jobs: List[Tuple[Query, Optional[Tuple[str, ...]]]] = []
+        jobs: List[Tuple[Query, Optional[np.ndarray]]] = []
         fanout: List[int] = []
         for query, cands in zip(queries, cand_lists):
-            key = (
-                query.tuples,
-                None if cands is None else tuple(dict.fromkeys(cands)),
-            )
+            if cands is not None and not isinstance(cands, np.ndarray):
+                cands = self.lake.ordinals.lookup(cands)
+            key = (query.tuples, None if cands is None else cands.tobytes())
             slot = job_of.get(key)
             if slot is None:
                 slot = len(jobs)
                 job_of[key] = slot
-                jobs.append((query, key[1]))
+                jobs.append((query, cands))
             fanout.append(slot)
         self.record_dispatch(batch_stats, len(queries), len(jobs))
         if k is not None and k < 1:
@@ -1196,7 +1235,7 @@ class VectorizedTableSearchEngine(TableSearchEngine):
     def _scan_rankings(
         self,
         index: SegmentedCorpusIndex,
-        jobs: Sequence[Tuple[Query, Optional[Tuple[str, ...]]]],
+        jobs: Sequence[Tuple[Query, Optional[np.ndarray]]],
         k: int,
         stats,
         profile: ScoringProfile,
@@ -1227,13 +1266,15 @@ class VectorizedTableSearchEngine(TableSearchEngine):
             drop,
         )
         results: List[Optional[ResultSet]] = [None] * len(jobs)
-        groups: Dict[Optional[Tuple[str, ...]], List[int]] = {}
+        groups: Dict[Optional[bytes], List[int]] = {}
         for slot, (query, cands) in enumerate(jobs):
             if cands is None:
                 results[slot] = index.cached_result(query.tuples, k, token)
             if results[slot] is None:
-                groups.setdefault(cands, []).append(slot)
-        for cands, slots in groups.items():
+                group = None if cands is None else cands.tobytes()
+                groups.setdefault(group, []).append(slot)
+        for slots in groups.values():
+            cands = jobs[slots[0]][1]
             positions = layout.positions(cands, linked_only=drop)
             tuples = list(dict.fromkeys(
                 query_tuple
@@ -1347,7 +1388,7 @@ class VectorizedTableSearchEngine(TableSearchEngine):
     def _full_rankings(
         self,
         index: SegmentedCorpusIndex,
-        jobs: Sequence[Tuple[Query, Optional[Tuple[str, ...]]]],
+        jobs: Sequence[Tuple[Query, Optional[np.ndarray]]],
         stats,
         profile: ScoringProfile,
     ) -> List[ResultSet]:

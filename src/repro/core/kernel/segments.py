@@ -55,6 +55,7 @@ import numpy as np
 from repro.core.cache import CacheStats, LRUCache
 from repro.exceptions import ConfigurationError
 from repro.core.kernel.index import DEFAULT_ROW_CACHE_SIZE, CorpusIndex
+from repro.datalake.lake import TableOrdinals
 from repro.datalake.table import Table
 from repro.linking.mapping import EntityMapping
 from repro.similarity.base import EntitySimilarity
@@ -90,6 +91,14 @@ def _merge_cache_stats(parts: Sequence[CacheStats]) -> CacheStats:
     )
 
 
+def _segment_bases(segments: Sequence[CorpusIndex]) -> np.ndarray:
+    """Each segment's first flat position, plus the total at the end."""
+    sizes = [len(segment.table_ids) for segment in segments]
+    return np.concatenate(
+        ([0], np.cumsum(np.asarray(sizes, dtype=np.int64)))
+    ).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class LakeLayout:
     """One flat table axis over every segment of an index instance.
@@ -97,10 +106,13 @@ class LakeLayout:
     Flat position ``seg_base[s] + p`` names table ``p`` of segment
     ``s`` (dead copies included, so a segment's score column drops in
     by slice).  Everything here is a function of the immutable index
-    instance, so it is built once per instance, not once per batch:
+    instance, so it is built once per instance, not once per batch —
+    and a successor derives it from its parent's (:meth:`successor`):
 
     * ``table_ids`` — the table id at every flat position;
-    * ``flat_of`` — live table id -> flat position;
+    * ``flat_of`` — table ordinal (the lake's
+      :class:`~repro.datalake.lake.TableOrdinals`) -> flat position of
+      its live copy, ``-1`` for none;
     * ``id_rank`` — each position's rank in ascending table-id order,
       so the engine's ``(-score, table_id)`` ranking is one numeric
       ``lexsort`` (live ids are unique, so rank order *is* id order);
@@ -113,27 +125,125 @@ class LakeLayout:
 
     seg_base: np.ndarray
     table_ids: Tuple[str, ...]
-    flat_of: Dict[str, int]
+    flat_of: np.ndarray
     id_rank: np.ndarray
     live: np.ndarray
     has_links: np.ndarray
 
+    @classmethod
+    def build(
+        cls,
+        segments: Sequence[CorpusIndex],
+        owner: Dict[str, Tuple[int, int]],
+        ordinals: TableOrdinals,
+    ) -> "LakeLayout":
+        """The layout of ``segments`` from scratch (one string sort)."""
+        seg_base = _segment_bases(segments)
+        bases = seg_base.tolist()
+        table_ids = tuple(
+            table_id for segment in segments for table_id in segment.table_ids
+        )
+        live_ordinals = ordinals.intern_all(owner)
+        live = np.fromiter(
+            (bases[seg_index] + position
+             for seg_index, position in owner.values()),
+            dtype=np.int64, count=len(owner),
+        )
+        flat_of = np.full(len(ordinals), -1, dtype=np.int64)
+        flat_of[live_ordinals] = live
+        id_rank = np.empty(len(table_ids), dtype=np.int64)
+        id_rank[
+            sorted(range(len(table_ids)), key=table_ids.__getitem__)
+        ] = np.arange(len(table_ids), dtype=np.int64)
+        has_links = (
+            np.concatenate([
+                np.diff(segment.nnz_toffset) > 0 for segment in segments
+            ])
+            if segments else np.zeros(0, dtype=bool)
+        )
+        return cls._sealed(
+            seg_base, table_ids, flat_of, id_rank, np.sort(live), has_links
+        )
+
+    @classmethod
+    def _sealed(cls, seg_base, table_ids, flat_of, id_rank, live,
+                has_links) -> "LakeLayout":
+        for array in (seg_base, flat_of, id_rank, live, has_links):
+            array.setflags(write=False)
+        return cls(seg_base, table_ids, flat_of, id_rank, live, has_links)
+
+    def successor(
+        self,
+        segments: Sequence[CorpusIndex],
+        retired: Optional[int],
+        dropped: Optional[int],
+        appended: Optional[Tuple[str, int]],
+    ) -> "LakeLayout":
+        """The layout after one table mutation, without a string sort.
+
+        ``retired`` is the ordinal whose live copy was tombstoned (or
+        ``None``); ``dropped`` the index of the segment that left with
+        it (or ``None``); ``appended`` the ``(table id, ordinal)`` of a
+        single-table segment added last (or ``None``).  ``segments`` are
+        the successor's.  Dropping a segment cuts its flat range and
+        renumbers what follows; an appended id's rank is the count of
+        smaller ids (one O(n) comparison pass) and every rank from it on
+        moves up one.  Ranks stay a permutation of the flat positions
+        in id order.
+        """
+        table_ids = self.table_ids
+        flat_of = self.flat_of.copy()
+        id_rank = self.id_rank
+        live = self.live
+        has_links = self.has_links
+        if retired is not None:
+            live = live[live != flat_of[retired]]
+            flat_of[retired] = -1
+        if dropped is not None:
+            lo, hi = self.seg_base[dropped], self.seg_base[dropped + 1]
+            cut = np.sort(id_rank[lo:hi])
+            table_ids = table_ids[:lo] + table_ids[hi:]
+            id_rank = np.delete(id_rank, np.s_[lo:hi])
+            id_rank = id_rank - np.searchsorted(cut, id_rank)
+            has_links = np.delete(has_links, np.s_[lo:hi])
+            live = live - (live >= hi) * (hi - lo)
+            flat_of -= (flat_of >= hi) * (hi - lo)
+        if appended is not None:
+            table_id, ordinal = appended
+            position = len(table_ids)
+            rank = sum(map(table_id.__gt__, table_ids))
+            table_ids = table_ids + (table_id,)
+            id_rank = np.append(id_rank + (id_rank >= rank), rank)
+            has_links = np.append(
+                has_links, np.diff(segments[-1].nnz_toffset) > 0
+            )
+            live = np.append(live, position)
+            if ordinal >= len(flat_of):
+                flat_of = np.pad(
+                    flat_of, (0, ordinal + 1 - len(flat_of)),
+                    constant_values=-1,
+                )
+            flat_of[ordinal] = position
+        return self._sealed(
+            _segment_bases(segments), table_ids, flat_of, id_rank, live,
+            has_links,
+        )
+
     def positions(
-        self, table_ids: Optional[Iterable[str]], linked_only: bool
+        self, ordinals: Optional[np.ndarray], linked_only: bool
     ) -> np.ndarray:
         """Sorted flat positions of a candidate restriction.
 
-        ``None`` is the whole lake; otherwise unknown ids and
-        duplicates drop out.  ``linked_only`` keeps linked tables only.
+        ``None`` is the whole lake; otherwise ``ordinals`` (distinct
+        table ordinals) select the live tables among them, and any
+        without a live copy drop out.  ``linked_only`` keeps linked
+        tables only.
         """
-        if table_ids is None:
+        if ordinals is None:
             found = self.live
         else:
-            found = np.unique(np.fromiter(
-                (position for position in map(self.flat_of.get, table_ids)
-                 if position is not None),
-                dtype=np.int64,
-            ))
+            found = self.flat_of[ordinals[ordinals < len(self.flat_of)]]
+            found = np.sort(found[found >= 0])
         return found[self.has_links[found]] if linked_only else found
 
     def segment_slices(
@@ -201,6 +311,8 @@ class SegmentedCorpusIndex:
         row_cache_size: int = DEFAULT_ROW_CACHE_SIZE,
         compactions: int = 0,
         owner: Optional[Dict[str, Tuple[int, int]]] = None,
+        ordinals: Optional[TableOrdinals] = None,
+        layout: Optional[LakeLayout] = None,
     ):
         self.segments: Tuple[CorpusIndex, ...] = tuple(segments)
         self.dead: Tuple[FrozenSet[str], ...] = tuple(
@@ -226,7 +338,11 @@ class SegmentedCorpusIndex:
                     if table_id not in dead_set:
                         owner[table_id] = (seg_index, position)
         self._owner = owner
-        self._layout: Optional[LakeLayout] = None
+        # The table id space of the layout's ordinals; a successor
+        # passes its parent's, and the layout it derived from the
+        # parent's (see _replace).
+        self.ordinals = TableOrdinals() if ordinals is None else ordinals
+        self._layout = layout
         # Finished top-k rankings of whole-lake queries (see
         # cached_result).  Per instance, so a mutation — which always
         # yields a new instance — starts from an empty memo.
@@ -243,6 +359,7 @@ class SegmentedCorpusIndex:
         sigma: EntitySimilarity,
         row_cache_size: int = DEFAULT_ROW_CACHE_SIZE,
         segment_tables: int = 0,
+        ordinals: Optional[TableOrdinals] = None,
     ) -> "SegmentedCorpusIndex":
         """Compile tables from scratch into a fresh segmented index.
 
@@ -250,6 +367,8 @@ class SegmentedCorpusIndex:
         segments of that many tables (useful to exercise multi-segment
         behavior or bound per-segment compile cost); the default is one
         monolithic segment, which compaction maintains thereafter.
+        ``ordinals`` is the table id space of the layout (an engine
+        passes its lake's; a private one by default).
         """
         table_list = list(tables)
         if segment_tables > 0:
@@ -269,6 +388,7 @@ class SegmentedCorpusIndex:
             mapping,
             sigma,
             row_cache_size=row_cache_size,
+            ordinals=ordinals,
         )
 
     def _replace(
@@ -277,12 +397,19 @@ class SegmentedCorpusIndex:
         dead: Sequence[FrozenSet[str]],
         compactions: int,
         owner: Optional[Dict[str, Tuple[int, int]]] = None,
+        retired: Optional[str] = None,
+        appended: Optional[str] = None,
     ) -> "SegmentedCorpusIndex":
         """Successor instance; drops segments with no live table left.
 
         ``owner``, when given, is the successor's owner map laid out
         over ``segments`` (the caller's own copy); the live tables of
-        segments after a dropped one are renumbered in it.
+        segments after a dropped one are renumbered in it.  A one-table
+        mutation names the id whose live copy it ``retired`` and the id
+        of the single-table segment it ``appended`` last; the successor
+        then derives its layout from this instance's, if built
+        (:meth:`LakeLayout.successor`).  Anything else leaves the
+        successor to build its own on first use.
         """
         kept = [
             len(dead_set) < len(segment.table_ids)
@@ -301,18 +428,36 @@ class SegmentedCorpusIndex:
                 for position, table_id in enumerate(segment.table_ids):
                     if table_id not in dead_set:
                         owner[table_id] = (seg_index - shift, position)
+        successors = [
+            segment for segment, keep in zip(segments, kept) if keep
+        ]
+        layout = None
+        mutated = retired is not None or appended is not None
+        if self._layout is not None and mutated and kept.count(False) <= 1:
+            intern = self.ordinals.intern
+            layout = self._layout.successor(
+                successors,
+                None if retired is None else intern(retired),
+                kept.index(False) if not all(kept) else None,
+                None if appended is None else (appended, intern(appended)),
+            )
         return SegmentedCorpusIndex(
-            [segment for segment, keep in zip(segments, kept) if keep],
+            successors,
             [dead_set for dead_set, keep in zip(dead, kept) if keep],
             self.mapping,
             self.sigma,
             row_cache_size=self.row_cache_size,
             compactions=compactions,
             owner=owner,
+            ordinals=self.ordinals,
+            layout=layout,
         )
 
     def rebound(
-        self, mapping: EntityMapping, sigma: EntitySimilarity
+        self,
+        mapping: EntityMapping,
+        sigma: EntitySimilarity,
+        ordinals: Optional[TableOrdinals] = None,
     ) -> "SegmentedCorpusIndex":
         """The same segments bound to another (mapping, sigma) pair.
 
@@ -321,7 +466,11 @@ class SegmentedCorpusIndex:
         incremental compiles read the clone's links, not the retired
         generation's.  Segment contents are shared untouched (the copy
         preserves link content, so they remain valid verbatim).
+        ``ordinals`` rebinds the table id space too (default: keep
+        this one); the layout is carried over unless it changes.
         """
+        if ordinals is None:
+            ordinals = self.ordinals
         return SegmentedCorpusIndex(
             self.segments,
             self.dead,
@@ -330,6 +479,8 @@ class SegmentedCorpusIndex:
             row_cache_size=self.row_cache_size,
             compactions=self.compactions,
             owner=self._owner,
+            ordinals=ordinals,
+            layout=self._layout if ordinals is self.ordinals else None,
         )
 
     # ------------------------------------------------------------------
@@ -358,6 +509,8 @@ class SegmentedCorpusIndex:
             dead + [frozenset()],
             self.compactions,
             owner,
+            retired=None if previous is None else table_id,
+            appended=table_id,
         )
 
     def without_table(self, table_id: str) -> "SegmentedCorpusIndex":
@@ -369,7 +522,10 @@ class SegmentedCorpusIndex:
         dead[previous[0]] = dead[previous[0]] | {table_id}
         owner = dict(self._owner)
         del owner[table_id]
-        return self._replace(list(self.segments), dead, self.compactions, owner)
+        return self._replace(
+            list(self.segments), dead, self.compactions, owner,
+            retired=table_id,
+        )
 
     # ------------------------------------------------------------------
     # Compaction
@@ -502,45 +658,17 @@ class SegmentedCorpusIndex:
         return self._owner[table_id]
 
     def layout(self) -> LakeLayout:
-        """The flat table axis of this instance, built on first use.
+        """The flat table axis of this instance.
 
-        The unsynchronized memo is a benign race: the layout is a pure
-        function of the (immutable) instance.
+        Derived by the mutation that made the instance when its parent
+        had one, else built here on first use.  The unsynchronized memo
+        is a benign race: the layout is a pure function of the
+        (immutable) instance.
         """
         layout = self._layout
         if layout is None:
-            sizes = [len(segment.table_ids) for segment in self.segments]
-            seg_base = np.concatenate(
-                ([0], np.cumsum(np.asarray(sizes, dtype=np.int64)))
-            ).astype(np.int64)
-            bases = seg_base.tolist()
-            table_ids = tuple(
-                table_id
-                for segment in self.segments
-                for table_id in segment.table_ids
-            )
-            flat_of = {
-                table_id: bases[seg_index] + position
-                for table_id, (seg_index, position) in self._owner.items()
-            }
-            id_rank = np.empty(len(table_ids), dtype=np.int64)
-            id_rank[
-                sorted(range(len(table_ids)), key=table_ids.__getitem__)
-            ] = np.arange(len(table_ids), dtype=np.int64)
-            live = np.sort(np.fromiter(
-                flat_of.values(), dtype=np.int64, count=len(flat_of)
-            ))
-            has_links = (
-                np.concatenate([
-                    np.diff(segment.nnz_toffset) > 0
-                    for segment in self.segments
-                ])
-                if self.segments else np.zeros(0, dtype=bool)
-            )
-            for array in (seg_base, id_rank, live, has_links):
-                array.setflags(write=False)
-            layout = LakeLayout(
-                seg_base, table_ids, flat_of, id_rank, live, has_links
+            layout = LakeLayout.build(
+                self.segments, self._owner, self.ordinals
             )
             self._layout = layout
         return layout

@@ -24,6 +24,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.aggregation import (
     QueryAggregation,
     RowAggregation,
@@ -118,13 +120,19 @@ class TableScore:
 
 def aligned_candidates(
     queries: Sequence[Query],
-    candidates: Optional[Sequence[Optional[Iterable[str]]]],
-) -> List[Optional[List[str]]]:
-    """Materialize ``search_batch`` restrictions, one per query."""
+    candidates: Optional[Sequence[Optional[Iterable]]],
+) -> List[Optional[Sequence]]:
+    """Materialize ``search_batch`` restrictions, one per query.
+
+    An id iterable becomes a list; an array of table ordinals is kept
+    as it is, for the engine to read.
+    """
     if candidates is None:
         return [None] * len(queries)
     cand_lists = [
-        None if cands is None else list(cands) for cands in candidates
+        cands if cands is None or isinstance(cands, np.ndarray)
+        else list(cands)
+        for cands in candidates
     ]
     if len(cand_lists) != len(queries):
         raise SearchError(
@@ -477,7 +485,8 @@ class TableSearchEngine:
             Optional shared cut-off.
         candidates:
             Optional per-query candidate restrictions aligned with
-            ``queries`` (``None`` entries search the whole lake).
+            ``queries`` (``None`` entries search the whole lake): table
+            ids, or an array of the lake's table ordinals.
         stats:
             Optional :class:`~repro.core.kernel.prefilter.
             PrefilterStats` fed one scoring record per candidate-
@@ -495,6 +504,8 @@ class TableSearchEngine:
         memo: Dict[Tuple, ResultSet] = {}
         rankings: List[ResultSet] = []
         for query, cands in zip(queries, cand_lists):
+            if isinstance(cands, np.ndarray):
+                cands = self.lake.ordinals.ids_of(cands)
             key = (
                 query.tuples,
                 None if cands is None else tuple(dict.fromkeys(cands)),

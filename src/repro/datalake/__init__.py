@@ -10,7 +10,7 @@ from repro.datalake.io import (
     save_lake_csv_dir,
     save_table_csv,
 )
-from repro.datalake.lake import DataLake
+from repro.datalake.lake import DataLake, TableOrdinals
 from repro.datalake.profiling import (
     ColumnKind,
     ColumnProfile,
@@ -25,6 +25,7 @@ __all__ = [
     "Table",
     "CellValue",
     "DataLake",
+    "TableOrdinals",
     "CorpusStatistics",
     "corpus_statistics",
     "save_table_csv",

@@ -198,6 +198,14 @@ class EntityMapping:
         """
         return self._frequency.get(uri, 0)
 
+    def table_frequencies(self) -> Dict[str, int]:
+        """Every linked entity's table frequency, as a new dict.
+
+        One C-level dict copy, so a caller may keep it while this
+        mapping changes.
+        """
+        return dict(self._frequency)
+
     def all_entities(self) -> Iterator[str]:
         """Iterate over every linked entity URI."""
         return iter(self._frequency)

@@ -13,6 +13,14 @@ Two indexing granularities exist:
   mention it;
 * column-aggregated mode — every (table, column) group is indexed under
   the scheme's group signature, postings = that table (Section 6.2).
+
+Postings hold table *ordinals* (:class:`~repro.datalake.lake.
+TableOrdinals`), each key's as one int array, and the distinct tables
+posted by a bucket's keys are kept per bucket (counted, so a mutation
+updates them in place of a recount), so a one-vote shortlist is one
+concatenation and one mask over a few int arrays
+(:meth:`TablePrefilter.candidate_ordinals`); table ids appear only at
+the id-returning :meth:`TablePrefilter.candidate_tables`.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import numpy as np
 
 from repro.core.query import Query
 from repro.cow import CopyOnWriteDict
+from repro.datalake.lake import TableOrdinals
 from repro.exceptions import ConfigurationError
 from repro.linking.mapping import EntityMapping
 from repro.lsh.config import LSHConfig
@@ -55,8 +64,9 @@ class LSHIndex:
                 f"signature width {signature.shape[0]} does not match "
                 f"config {self.config}"
             )
+        values = signature.tolist()
         return [
-            tuple(int(v) for v in signature[band * size : (band + 1) * size])
+            tuple(values[band * size : (band + 1) * size])
             for band in range(self.config.num_bands)
         ]
 
@@ -118,6 +128,18 @@ class LSHIndex:
         return clone
 
 
+#: The postings of a key nothing links (read-only, shared).
+_NO_TABLES = np.zeros(0, dtype=np.int64)
+_NO_TABLES.setflags(write=False)
+
+
+def _frozen(ordinals: np.ndarray) -> np.ndarray:
+    """``ordinals`` as a read-only int64 posting array."""
+    posting = np.asarray(ordinals, dtype=np.int64)
+    posting.setflags(write=False)
+    return posting
+
+
 class TablePrefilter:
     """LSEI-based search-space reduction for semantic table search.
 
@@ -133,6 +155,21 @@ class TablePrefilter:
     column_aggregation:
         When true, index one aggregated signature per (table, column)
         entity group instead of one per entity (Section 6.2).
+    ordinals:
+        The table id space postings are kept in (``Thetis`` passes its
+        lake's, so a shortlist indexes the kernel's table layout
+        directly); a private one by default.
+
+    Notes
+    -----
+    Each key's postings are one read-only array of table ordinals,
+    replaced (never written) when a table joins or leaves the key, so a
+    :meth:`fork` shares every posting array until one side replaces it.
+    The distinct ordinals a bucket's keys post, with how many of its
+    keys post each, are memoized per ``(band, bucket)`` on first read;
+    a write replaces the entries of the memoized buckets it touches
+    with recounted arrays, so a fork, which copies the memo dict,
+    shares every other entry.
     """
 
     def __init__(
@@ -141,6 +178,7 @@ class TablePrefilter:
         config: LSHConfig,
         mapping: EntityMapping,
         column_aggregation: bool = False,
+        ordinals: Optional[TableOrdinals] = None,
     ):
         if scheme.num_vectors != config.num_vectors:
             raise ConfigurationError(
@@ -151,9 +189,13 @@ class TablePrefilter:
         self.config = config
         self.mapping = mapping
         self.column_aggregation = column_aggregation
+        self.ordinals = TableOrdinals() if ordinals is None else ordinals
         self._index = LSHIndex(config)
-        self._postings = CopyOnWriteDict(set)
-        self._indexed_tables: Set[str] = set()
+        self._postings: Dict[str, np.ndarray] = {}
+        self._indexed_tables: Set[int] = set()
+        self._buckets: Dict[
+            Tuple[int, BucketKey], Tuple[np.ndarray, np.ndarray]
+        ] = {}
         self._build()
 
     # ------------------------------------------------------------------
@@ -166,16 +208,16 @@ class TablePrefilter:
     def _build_per_entity(self) -> None:
         entity_tables = self.mapping.entity_tables()
         for uri in sorted(entity_tables):
-            tables = entity_tables[uri]
+            tables = self.ordinals.intern_all(entity_tables[uri])
             # Track every linked table so the filter can degrade to a
             # no-op (rather than an empty search space) when entities
             # cannot be hashed at all.
-            self._indexed_tables.update(tables)
+            self._indexed_tables.update(tables.tolist())
             signature = self.scheme.entity_signature(uri)
             if signature is None:
                 continue
             self._index.add(uri, signature)
-            self._postings.writable(uri).update(tables)
+            self._postings[uri] = _frozen(tables)
 
     def _build_column_aggregated(self) -> None:
         # Group linked cells by (table, column).
@@ -183,22 +225,22 @@ class TablePrefilter:
         for (table_id, _row, column), uri in sorted(self.mapping.all_links()):
             groups[(table_id, column)].append(uri)
         for (table_id, column), uris in groups.items():
-            self._indexed_tables.add(table_id)
+            ordinal = self.ordinals.intern(table_id)
+            self._indexed_tables.add(ordinal)
             signature = self.scheme.group_signature(uris)
             if signature is None:
                 continue
             key = f"{table_id}#{column}"
             self._index.add(key, signature)
-            self._postings.writable(key).add(table_id)
+            self._postings[key] = _frozen([ordinal])
 
     def fork(self, mapping: EntityMapping) -> "TablePrefilter":
         """An independent prefilter over ``mapping``, without a rebuild.
 
         ``mapping`` must hold the links this prefilter was maintained
-        over (a snapshot clone's copy).  The scheme and the signatures
-        are immutable and shared.  The bands and postings are
-        copy-on-write: the fork shares every bucket and posting set
-        until one side writes to it, so :meth:`add_table` /
+        over (a snapshot clone's copy).  The scheme, the signatures,
+        the ordinal space and every posting array are immutable and
+        shared; the bands are copy-on-write, so :meth:`add_table` /
         :meth:`remove_table` on the fork copy only what they change and
         never disturb readers of this instance.  The scheme is the one
         of the first build: a ``types`` scheme keeps the
@@ -209,14 +251,48 @@ class TablePrefilter:
         clone.config = self.config
         clone.mapping = mapping
         clone.column_aggregation = self.column_aggregation
+        clone.ordinals = self.ordinals
         clone._index = self._index.copy()
-        clone._postings = self._postings.fork()
+        clone._postings = dict(self._postings)
         clone._indexed_tables = set(self._indexed_tables)
+        clone._buckets = dict(self._buckets)
         return clone
 
     # ------------------------------------------------------------------
     # Dynamic-lake maintenance
     # ------------------------------------------------------------------
+    def _recount(self, keys: Iterable[str], ordinal: int, step: int) -> None:
+        """``keys`` gained (``step=1``) or lost (``-1``) ``ordinal``.
+
+        Moves the count of ``ordinal`` in every memoized bucket holding
+        one of ``keys`` — once per key there — and keeps the bucket's
+        distinct ordinals in step: a count reaching zero drops the
+        ordinal, a new one is appended.  The arrays are replaced, never
+        written.  Call it while the keys are still in their buckets.
+        """
+        touched = Counter(
+            bucket
+            for key in keys
+            for bucket in enumerate(
+                self._index._band_keys(self._index._signatures[key])
+            )
+        )
+        for bucket, times in touched.items():
+            entry = self._buckets.get(bucket)
+            if entry is None:
+                continue
+            tables, counts = entry
+            match = tables == ordinal
+            if match.any():
+                counts = counts + match * (step * times)
+                if step < 0:
+                    kept = counts > 0
+                    tables, counts = tables[kept], counts[kept]
+            else:
+                tables = np.append(tables, ordinal)
+                counts = np.append(counts, step * times)
+            self._buckets[bucket] = (tables, counts)
+
     def add_table(self, table_id: str) -> None:
         """Index a table that was linked into the mapping after build.
 
@@ -227,7 +303,8 @@ class TablePrefilter:
         entities = self.mapping.entities_in_table(table_id)
         if not entities:
             return
-        self._indexed_tables.add(table_id)
+        ordinal = self.ordinals.intern(table_id)
+        self._indexed_tables.add(ordinal)
         if self.column_aggregation:
             groups = self.mapping.entities_by_column(table_id)
             for column, uris in groups.items():
@@ -236,21 +313,30 @@ class TablePrefilter:
                 # index ignores duplicate adds, and a (table, column)
                 # group's signature must always reflect the *current*
                 # mapping contents.
+                if key in self._postings:
+                    self._recount([key], ordinal, -1)
                 self._index.remove(key)
-                self._postings.drop(key)
+                self._postings.pop(key, None)
                 signature = self.scheme.group_signature(uris)
                 if signature is None:
                     continue
                 self._index.add(key, signature)
-                self._postings.writable(key).add(table_id)
+                self._postings[key] = _frozen([ordinal])
+                self._recount([key], ordinal, 1)
             return
+        gained = []
         for uri in sorted(entities):
-            if uri not in self._postings:
+            posting = self._postings.get(uri)
+            if posting is None:
                 signature = self.scheme.entity_signature(uri)
                 if signature is None:
                     continue
                 self._index.add(uri, signature)
-            self._postings.writable(uri).add(table_id)
+                posting = _NO_TABLES
+            if not (posting == ordinal).any():
+                self._postings[uri] = _frozen(np.append(posting, ordinal))
+                gained.append(uri)
+        self._recount(gained, ordinal, 1)
 
     def remove_table(self, table_id: str) -> None:
         """Drop a table from the posting lists of its keys.
@@ -272,29 +358,41 @@ class TablePrefilter:
         a later re-add of the same table id silently reuse the stale
         signatures instead of re-hashing its current columns.
         """
-        self._indexed_tables.discard(table_id)
+        ordinal = self.ordinals.intern(table_id)
+        self._indexed_tables.discard(ordinal)
         if self.column_aggregation:
-            for column in self.mapping.entities_by_column(table_id):
-                key = f"{table_id}#{column}"
-                self._postings.drop(key)
+            keys = [
+                f"{table_id}#{column}"
+                for column in self.mapping.entities_by_column(table_id)
+            ]
+            keys = [key for key in keys if key in self._postings]
+            self._recount(keys, ordinal, -1)
+            for key in keys:
+                self._postings.pop(key)
                 self._index.remove(key)
             return
+        lost = []
         for uri in self.mapping.entities_in_table(table_id):
-            if table_id in self._postings.get(uri, ()):
-                self._postings.writable(uri).discard(table_id)
+            posting = self._postings.get(uri)
+            if posting is not None:
+                kept = posting[posting != ordinal]
+                if len(kept) < len(posting):
+                    self._postings[uri] = _frozen(kept)
+                    lost.append(uri)
+        self._recount(lost, ordinal, -1)
 
     # ------------------------------------------------------------------
     @property
     def indexed_tables(self) -> FrozenSet[str]:
         """Tables reachable through at least one indexed key."""
-        return frozenset(self._indexed_tables)
+        return frozenset(self.ordinals.ids_of(list(self._indexed_tables)))
 
     def num_indexed_keys(self) -> int:
         """Number of indexed signatures (entities or column groups)."""
         return len(self._index)
 
-    def _table_votes_for_signature(self, signature: np.ndarray) -> Counter:
-        """Table votes from one signature lookup.
+    def _table_votes(self, signature: np.ndarray) -> np.ndarray:
+        """Table votes from one signature lookup, indexed by ordinal.
 
         Each *distinct* co-bucketed key contributes all its posted
         tables once, so a table's vote count is the number of similar
@@ -306,10 +404,35 @@ class TablePrefilter:
         threshold meaningful; on signature-diverse corpora the two
         schemes order tables the same way.)
         """
-        votes: Counter = Counter()
-        for key in self._co_bucketed_keys(signature):
-            votes.update(self._postings.get(key, ()))
-        return votes
+        parts = [
+            self._postings.get(key, _NO_TABLES)
+            for key in self._co_bucketed_keys(signature)
+        ]
+        return np.bincount(
+            np.concatenate(parts) if parts else _NO_TABLES,
+            minlength=len(self.ordinals),
+        )
+
+    def _bucket_tables(self, band: int, bucket_key: BucketKey) -> np.ndarray:
+        """The distinct ordinals the keys of one bucket post, memoized.
+
+        The unsynchronized memo is a benign race: a racing reader
+        computes the same arrays from the same (unwritten) state.
+        """
+        entry = self._buckets.get((band, bucket_key))
+        if entry is None:
+            postings = self._postings
+            parts = [
+                postings.get(key, _NO_TABLES)
+                for key in self._index._bands[band].get(bucket_key, ())
+            ]
+            tables, counts = np.unique(
+                np.concatenate(parts) if parts else _NO_TABLES,
+                return_counts=True,
+            )
+            entry = (tables, counts)
+            self._buckets[(band, bucket_key)] = entry
+        return entry[0]
 
     def _co_bucketed_keys(self, signature: np.ndarray) -> Set[str]:
         """Distinct keys sharing a bucket with ``signature`` in any band."""
@@ -317,6 +440,54 @@ class TablePrefilter:
         for bucket in self._index.lookup_signature(signature):
             keys.update(bucket)
         return keys
+
+    def candidate_ordinals(
+        self,
+        query: Query,
+        votes: int = 1,
+        aggregate_query: bool = False,
+    ) -> np.ndarray:
+        """The reduced table set for ``query`` as sorted table ordinals.
+
+        The int form of :meth:`candidate_tables` (same parameters, same
+        set): one vote is membership, so the memoized hits of the
+        signatures' buckets are concatenated and marked once;
+        ``votes > 1`` keeps, per signature, the tables whose
+        ``bincount`` over its distinct co-bucketed keys reaches the
+        threshold.
+        Entities that cannot be hashed (untyped / unembedded) contribute
+        no candidates; if *no* query entity is hashable the filter
+        returns every indexed table rather than an empty search space.
+        """
+        if votes < 1:
+            raise ConfigurationError("votes must be >= 1")
+        if aggregate_query:
+            lookups = [self.scheme.group_signature(self._query_uris(query))]
+        else:
+            lookups = [
+                self.scheme.entity_signature(uri)
+                for uri in sorted(query.entities())
+            ]
+        usable = [signature for signature in lookups if signature is not None]
+        if not len(self._index) or not usable:
+            # Nothing to look up with: filtering is a no-op.
+            return np.array(sorted(self._indexed_tables), dtype=np.int64)
+        if votes == 1:
+            hits = np.concatenate([
+                self._bucket_tables(band, bucket_key)
+                for signature in usable
+                for band, bucket_key in enumerate(
+                    self._index._band_keys(signature)
+                )
+            ])
+        else:
+            hits = np.concatenate([
+                np.flatnonzero(self._table_votes(signature) >= votes)
+                for signature in usable
+            ])
+        marked = np.zeros(len(self.ordinals), dtype=bool)
+        marked[hits] = True
+        return np.flatnonzero(marked)
 
     def candidate_tables(
         self,
@@ -337,46 +508,12 @@ class TablePrefilter:
             Treat the whole query as a single aggregated signature
             (the 1-tuple reduction of Section 6.2).
 
-        Notes
-        -----
-        Entities that cannot be hashed (untyped / unembedded) contribute
-        no candidates; if *no* query entity is hashable the filter
-        returns every indexed table rather than silently returning an
-        empty search space.
+        The table ids of :meth:`candidate_ordinals`, which the serving
+        path consumes directly.
         """
-        if votes < 1:
-            raise ConfigurationError("votes must be >= 1")
-        if len(self._index) == 0:
-            # Degenerate corpus (nothing hashable): filtering is a no-op.
-            return set(self._indexed_tables)
-        lookups: List[Optional[np.ndarray]] = []
-        if aggregate_query:
-            uris = self._query_uris(query)
-            lookups.append(self.scheme.group_signature(uris))
-        else:
-            for uri in sorted(query.entities()):
-                lookups.append(self.scheme.entity_signature(uri))
-        usable = [sig for sig in lookups if sig is not None]
-        if not usable:
-            return set(self._indexed_tables)
-        candidates: Set[str] = set()
-        for signature in usable:
-            if votes == 1:
-                # One vote is membership: a C-level union of the
-                # co-bucketed keys' postings, nothing to count.
-                postings = self._postings
-                candidates.update(*(
-                    postings.get(key, ())
-                    for key in self._co_bucketed_keys(signature)
-                ))
-                continue
-            table_votes = self._table_votes_for_signature(signature)
-            candidates.update(
-                table_id
-                for table_id, count in table_votes.items()
-                if count >= votes
-            )
-        return candidates
+        return set(self.ordinals.ids_of(
+            self.candidate_ordinals(query, votes, aggregate_query)
+        ))
 
     @staticmethod
     def _query_uris(query: Query) -> List[str]:
@@ -405,7 +542,9 @@ class TablePrefilter:
         The signature scheme itself is not serialized (it references
         the KG or the embedding store); pass an equivalent scheme to
         :meth:`from_dict` so query-side signatures keep matching.
+        Postings are written as table ids, not ordinals.
         """
+        ids_of = self.ordinals.ids_of
         return {
             "version": 1,
             "config": {
@@ -418,9 +557,10 @@ class TablePrefilter:
                 for key, signature in self._index._signatures.items()
             },
             "postings": {
-                key: sorted(tables) for key, tables in self._postings.items()
+                key: sorted(ids_of(tables))
+                for key, tables in self._postings.items()
             },
-            "indexed_tables": sorted(self._indexed_tables),
+            "indexed_tables": sorted(ids_of(list(self._indexed_tables))),
         }
 
     def save(self, path) -> None:
@@ -454,14 +594,19 @@ class TablePrefilter:
         prefilter.column_aggregation = payload.get(
             "column_aggregation", False
         )
+        prefilter.ordinals = TableOrdinals()
         prefilter._index = LSHIndex(config)
         for key, values in payload.get("signatures", {}).items():
             prefilter._index.add(key, np.asarray(values, dtype=np.int64))
-        prefilter._postings = CopyOnWriteDict(set, (
-            (key, set(tables))
+        intern_all = prefilter.ordinals.intern_all
+        prefilter._postings = {
+            key: _frozen(intern_all(tables))
             for key, tables in payload.get("postings", {}).items()
-        ))
-        prefilter._indexed_tables = set(payload.get("indexed_tables", ()))
+        }
+        prefilter._indexed_tables = set(
+            intern_all(payload.get("indexed_tables", ())).tolist()
+        )
+        prefilter._buckets = {}
         return prefilter
 
     @classmethod

@@ -30,32 +30,38 @@ class Informativeness:
 
     def __init__(self, table_frequencies: Mapping[str, int], num_tables: int):
         self.num_tables = max(1, int(num_tables))
+        self._frequencies: Dict[str, int] = dict(table_frequencies)
+        self._log_norm = math.log(1.0 + self.num_tables)
+        # I(e), computed the first time it is asked for: a generation
+        # pays for the query entities it serves, not for every entity.
         self._weights: Dict[str, float] = {}
-        log_norm = math.log(1.0 + self.num_tables)
-        for uri, frequency in table_frequencies.items():
-            df = max(1, min(int(frequency), self.num_tables))
-            self._weights[uri] = math.log(1.0 + self.num_tables / df) / log_norm
 
     @classmethod
     def from_mapping(cls, mapping: EntityMapping, num_tables: int) -> "Informativeness":
         """Build weights from an entity mapping over a corpus of tables."""
-        frequencies = {
-            uri: mapping.table_frequency(uri) for uri in mapping.all_entities()
-        }
-        return cls(frequencies, num_tables)
+        return cls(mapping.table_frequencies(), num_tables)
 
     def weight(self, uri: str) -> float:
         """Return ``I(uri)`` (1.0 for unseen entities)."""
-        return self._weights.get(uri, 1.0)
+        weight = self._weights.get(uri)
+        if weight is None:
+            frequency = self._frequencies.get(uri)
+            if frequency is None:
+                return 1.0
+            df = max(1, min(int(frequency), self.num_tables))
+            weight = math.log(1.0 + self.num_tables / df) / self._log_norm
+            # A racing reader computes the same float; either store wins.
+            self._weights[uri] = weight
+        return weight
 
     def __call__(self, uri: str) -> float:
         return self.weight(uri)
 
     def __contains__(self, uri: str) -> bool:
-        return uri in self._weights
+        return uri in self._frequencies
 
     def __len__(self) -> int:
-        return len(self._weights)
+        return len(self._frequencies)
 
 
 class UniformInformativeness:

@@ -9,7 +9,9 @@ tuples with or without LSH prefiltering.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.aggregation import QueryAggregation, RowAggregation
 from repro.core.cache import DEFAULT_SIMILARITY_CACHE_SIZE, CacheStats
@@ -35,6 +37,7 @@ from repro.lsh.schemes import (
     TypeSignatureScheme,
     frequent_types,
 )
+from repro.similarity.base import EntitySimilarity
 from repro.similarity.embedding import EmbeddingCosineSimilarity
 from repro.similarity.informativeness import Informativeness
 from repro.similarity.types import TypeJaccardSimilarity
@@ -53,6 +56,11 @@ SEARCH_MODES = ("exact", "prefilter")
 #: (scalar-baseline parity <= 1e-9) and are served through the same
 #: micro-batch, snapshot, and cluster scatter paths as ``"entity"``.
 SEARCH_TASKS = ("entity", "union", "join")
+
+#: A candidate restriction: table ids, or a sorted array of distinct
+#: table ordinals of the lake's :class:`~repro.datalake.lake.
+#: TableOrdinals`.
+Shard = Union[Iterable[str], np.ndarray]
 
 
 class Thetis:
@@ -232,6 +240,16 @@ class Thetis:
     # ------------------------------------------------------------------
     def engine(self, method: str = "types") -> TableSearchEngine:
         """Return (and cache) the exact search engine for ``method``."""
+        return self._engine(method)
+
+    def _engine(
+        self, method: str, sigma: Optional[EntitySimilarity] = None
+    ) -> TableSearchEngine:
+        """:meth:`engine`; a missing engine is built over ``sigma`` if given.
+
+        A snapshot clone passes its source's similarity object: sigma is
+        a function of the shared graph or embeddings alone.
+        """
         # Intentionally racy read (double-checked locking): dict reads
         # are GIL-atomic and the locked path below re-checks.
         engine = self._engines.get(method)  # lint: disable=guarded-attr-outside-lock
@@ -242,18 +260,19 @@ class Thetis:
             engine = self._engines.get(method)
             if engine is not None:
                 return engine
-            if method == "types":
-                sigma = TypeJaccardSimilarity(self.graph)
-            elif method == "embeddings":
-                if self.embeddings is None:
-                    raise ConfigurationError(
-                        "no embeddings attached; call train_embeddings() or "
-                        "pass an EmbeddingStore"
-                    )
-                sigma = EmbeddingCosineSimilarity(self.embeddings)
-            else:
+            if method not in ("types", "embeddings"):
                 raise ConfigurationError(
                     f"unknown method {method!r}: use 'types' or 'embeddings'"
+                )
+            if method == "embeddings" and self.embeddings is None:
+                raise ConfigurationError(
+                    "no embeddings attached; call train_embeddings() or "
+                    "pass an EmbeddingStore"
+                )
+            if sigma is None:
+                sigma = (
+                    TypeJaccardSimilarity(self.graph) if method == "types"
+                    else EmbeddingCosineSimilarity(self.embeddings)
                 )
             extra = {}
             if self.index_dir is not None:
@@ -394,9 +413,11 @@ class Thetis:
         here costs O(delta) for every task, and the next read finds
         nothing left to rebuild:
 
-        * entity engines get the source's materialized views, shared
-          similarity cache, and — vectorized — the segmented index
-          (immutable segments, shared by reference);
+        * entity engines get the source's similarity object, its
+          materialized views, shared similarity cache, and —
+          vectorized — the segmented index (immutable segments, shared
+          by reference) with its table layout and the verified
+          index/lake mirror;
         * union/join task engines adopt the source's compiled index by
           reference (immutable; the mutation derives its successor);
         * each LSEI prefilter is forked (copy-on-write) onto this
@@ -404,7 +425,12 @@ class Thetis:
           ``remove_table`` maintenance runs here.  A fork keeps the
           scheme of the first build, so the ``types`` scheme's
           ``frequent_types`` filter is frozen across generations —
-          what in-process :meth:`add_table` has always done;
+          what in-process :meth:`add_table` has always done.  Its
+          postings are table ordinals, so it is forked only when this
+          lake shares the source lake's ordinal space (a
+          :meth:`~repro.datalake.lake.DataLake.copy`, as
+          :meth:`snapshot_inputs` makes), and otherwise rebuilt on
+          first use;
         * the informativeness weights are carried until the mutation
           refreshes them, and so is the label linker (a function of
           the graph alone).
@@ -422,7 +448,7 @@ class Thetis:
         seeded = 0
         for method, source in sources.items():
             try:
-                engine = self.engine(method)
+                engine = self._engine(method, source.sigma)
             except ConfigurationError:
                 # e.g. the clone has no embeddings attached (yet).
                 continue
@@ -442,6 +468,7 @@ class Thetis:
         forks = {
             key: prefilter.fork(self.mapping)
             for key, prefilter in prefilters.items()
+            if prefilter.ordinals is self.lake.ordinals
         }
         with self._lock:
             self._prefilters.update(forks)
@@ -523,7 +550,9 @@ class Thetis:
                 f"unknown method {method!r}: use 'types' or 'embeddings'"
             )
         prefilter = TablePrefilter(
-            scheme, config, self.mapping, column_aggregation=column_aggregation
+            scheme, config, self.mapping,
+            column_aggregation=column_aggregation,
+            ordinals=self.lake.ordinals,
         )
         self._prefilters[key] = prefilter
         return prefilter
@@ -533,13 +562,14 @@ class Thetis:
         """Independent copies of the mutable inputs for a new instance.
 
         Tables are immutable-by-convention and shared; the lake is a
-        new container and the mapping a copy-on-write copy (see
-        :meth:`EntityMapping.copy`), so mutating the copy never
+        dict copy sharing this lake's table ordinal space (see
+        :meth:`DataLake.copy`) and the mapping a copy-on-write copy
+        (see :meth:`EntityMapping.copy`), so mutating the copy never
         disturbs searches running against this instance, and the copy
         costs dict copies rather than one set per link.  This is the
         building block of the serving layer's copy-and-swap updates.
         """
-        return DataLake(iter(self.lake)), self.mapping.copy()
+        return self.lake.copy(), self.mapping.copy()
 
     # ------------------------------------------------------------------
     # Dynamic data lake support
@@ -614,33 +644,47 @@ class Thetis:
         votes: int,
         mode: str,
         task: str,
-        shard: Optional[Iterable[str]] = None,
-    ) -> List[Optional[List[str]]]:
+        shard: Optional[Shard] = None,
+    ) -> List[Optional[Shard]]:
         """Validate the request; resolve each query's candidate restriction.
 
         Per query, one of: ``None`` (the whole lake), the shard, the
-        LSH shortlist, or the shortlist intersected with the shard in
-        shortlist order.  A shard is a deterministic subset of table
-        ids; the global candidate set is the disjoint union of the
-        per-shard intersections, so per-shard top-k partials merge to
-        the single-process top-k.  ``mode="prefilter"`` additionally
+        LSH shortlist, or the shortlist intersected with the shard.  A
+        shard is a deterministic subset of the lake's tables, given as
+        table ids or as sorted table ordinals; the global candidate set
+        is the disjoint union of the per-shard intersections, so
+        per-shard top-k partials merge to the single-process top-k.
+
+        Entity restrictions are sorted arrays of the lake's table
+        ordinals (:class:`~repro.datalake.lake.TableOrdinals`): the
+        shortlist is :meth:`TablePrefilter.candidate_ordinals`, so no
+        table id is touched on the way to the kernel.  Union and join
+        restrictions are id lists.  ``mode="prefilter"`` additionally
         records each shortlist's reduction into :attr:`prefilter_stats`.
         """
         self._check_request(mode, task, use_lsh)
-        shard_ids = None if shard is None else list(shard)
+        ordinals = self.lake.ordinals
+        if shard is not None:
+            if task != "entity":
+                if isinstance(shard, np.ndarray):
+                    shard = ordinals.ids_of(shard)
+                shard = list(shard)
+            elif not isinstance(shard, np.ndarray):
+                shard = ordinals.lookup(shard)
         if not queries or (mode != "prefilter" and not use_lsh):
-            return [shard_ids] * len(queries)
+            return [shard] * len(queries)
         prefilter = self.prefilter(method, lsh_config)
-        members = None if shard_ids is None else set(shard_ids)
-        restrictions: List[Optional[List[str]]] = []
+        restrictions: List[Optional[Shard]] = []
         for query in queries:
-            shortlist = prefilter.candidate_tables(query, votes=votes)
+            shortlist = prefilter.candidate_ordinals(query, votes=votes)
             if mode == "prefilter":
                 self.prefilter_stats.record_query(
                     len(self.lake), len(shortlist)
                 )
-            if members is not None:
-                shortlist = [tid for tid in shortlist if tid in members]
+            if shard is not None:
+                shortlist = np.intersect1d(
+                    shortlist, shard, assume_unique=True
+                )
             restrictions.append(shortlist)
         return restrictions
 
@@ -654,7 +698,7 @@ class Thetis:
         votes: int,
         mode: str,
         task: str,
-        shard: Optional[Iterable[str]] = None,
+        shard: Optional[Shard] = None,
         batch_stats: Optional[BatchStats] = None,
     ) -> List[ResultSet]:
         """Every search: restrict candidates, pick the engine, one call.
@@ -753,7 +797,7 @@ class Thetis:
     def search_shard_batch(
         self,
         queries: Sequence[Query],
-        shard: Iterable[str],
+        shard: Shard,
         k: int = 10,
         method: str = "types",
         lsh_config: LSHConfig = RECOMMENDED_CONFIG,
@@ -771,7 +815,9 @@ class Thetis:
         per-table scores do not depend on which other tables are scored
         alongside them.  ``mode="prefilter"`` generates each query's
         LSH shortlist exactly as :meth:`search` would and intersects it
-        with ``shard`` before rescoring.
+        with ``shard`` before rescoring.  ``shard`` is table ids or their
+        sorted ordinals (``lake.ordinals.lookup(ids)``, which a worker
+        computes once per routing epoch).
         """
         self._check_open("search_shard_batch")
         return self._search_batch(

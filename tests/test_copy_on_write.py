@@ -11,9 +11,14 @@ containers until one side writes.  Two properties pin that down:
   ``remove_table`` (in the order ``Thetis`` runs them against its
   mapping), every generation's ``candidate_tables`` equal a fresh build
   over that generation's mapping, and a write to one generation leaves
-  every other one's candidates unchanged.
+  every other one's candidates unchanged; the int shortlist the kernel
+  reads (``candidate_ordinals``) maps back to the id shortlist counted
+  from the mapping.
 """
 
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,8 +205,13 @@ def test_prefilter_forks_are_isolated(initial, ops, column_aggregation):
             assert candidates(prefilter) == candidates(fresh)
 
 
-def counted_shortlist(prefilter, query, aggregate_query):
-    """The vote-counting shortlist at one vote: every table voted for."""
+def counted_shortlist(prefilter, query, aggregate_query, votes=1):
+    """The shortlist by counting table ids, independent of the postings.
+
+    A key's tables come from the mapping (per-entity mode) or from the
+    ``table#column`` key itself (column-aggregated mode), so this is the
+    string-keyed reference the int postings must reproduce.
+    """
     if aggregate_query:
         uris = TablePrefilter._query_uris(query)
         signatures = [prefilter.scheme.group_signature(uris)]
@@ -213,14 +223,18 @@ def counted_shortlist(prefilter, query, aggregate_query):
     usable = [signature for signature in signatures if signature is not None]
     if not prefilter.num_indexed_keys() or not usable:
         return prefilter.indexed_tables
-    return {
-        table_id
-        for signature in usable
-        for table_id, count in prefilter._table_votes_for_signature(
-            signature
-        ).items()
-        if count >= 1
-    }
+    shortlist = set()
+    for signature in usable:
+        counts = Counter()
+        for key in prefilter._co_bucketed_keys(signature):
+            if prefilter.column_aggregation:
+                counts[key.rsplit("#", 1)[0]] += 1
+            else:
+                counts.update(prefilter.mapping.tables_with_entity(key))
+        shortlist |= {
+            table_id for table_id, count in counts.items() if count >= votes
+        }
+    return shortlist
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,3 +248,35 @@ def test_one_vote_set_union_equals_the_counted_shortlist(
                 assert prefilter.candidate_tables(
                     query, votes=1, aggregate_query=aggregate_query
                 ) == counted_shortlist(prefilter, query, aggregate_query)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    **generation_walks,
+    aggregate_query=st.booleans(),
+    votes=st.sampled_from([1, 2, 3]),
+)
+def test_int_shortlist_maps_back_to_the_candidate_ids(
+    initial, ops, column_aggregation, aggregate_query, votes
+):
+    """The ordinal shortlist the kernel reads is the id shortlist.
+
+    Sorted distinct int64 ordinals, which the shared ordinal space maps
+    back to exactly the counted id set — across forks, adds, removes
+    and re-adds, for both LSEI modes and vote thresholds 1 to 3.
+    """
+    for generations, _, _ in walk(initial, ops, column_aggregation):
+        for prefilter in generations:
+            assert prefilter.ordinals is generations[0].ordinals
+            for query in QUERIES:
+                shortlist = prefilter.candidate_ordinals(
+                    query, votes=votes, aggregate_query=aggregate_query
+                )
+                assert shortlist.dtype == np.int64
+                assert np.all(np.diff(shortlist) > 0)
+                assert set(prefilter.ordinals.ids_of(shortlist)) \
+                    == counted_shortlist(
+                        prefilter, query, aggregate_query, votes
+                    ) == prefilter.candidate_tables(
+                        query, votes=votes, aggregate_query=aggregate_query
+                    )

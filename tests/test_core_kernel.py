@@ -581,6 +581,45 @@ class TestEngineLifecycle:
         assert_mirrored()
         assert "T99" not in engine.index()
 
+    def test_mirror_advances_only_for_the_mutated_table(self, monkeypatch):
+        """``invalidate_table`` carries a verified mirror across exactly
+        the one lake change it applies; invalidating some other table
+        after a change behind the engine's back still reconciles."""
+        rng = random.Random(97)
+        lake, mapping = make_lake(rng)
+        sigma = make_sigma("types", rng)
+        engine = VectorizedTableSearchEngine(lake, mapping, sigma)
+        checks = []
+        mirrors = SegmentedCorpusIndex.mirrors
+        monkeypatch.setattr(
+            SegmentedCorpusIndex, "mirrors",
+            lambda index, ids: checks.append(len(ids)) or mirrors(index, ids),
+        )
+        query = Query.single(ENTITIES[0], ENTITIES[1])
+        engine.search(query, k=3)
+        listed = len(checks)
+        # Applied: the add and its invalidation keep the mirror.
+        lake.add(Table("T98", ["a"], [["x"]]))
+        mapping.link("T98", 0, 0, ENTITIES[0])
+        engine.invalidate_table("T98")
+        engine.compact()
+        engine.search(query, k=3)
+        assert len(checks) == listed
+        # Not applied: T99 joins behind the engine's back while T0 is
+        # the table invalidated, so the next search lists and finds T99.
+        lake.add(Table("T99", ["a"], [["x"]]))
+        mapping.link("T99", 0, 0, ENTITIES[0])
+        engine.invalidate_table("T0")
+        got = engine.search(query, k=None)
+        assert len(checks) > listed
+        want = VectorizedTableSearchEngine(lake, mapping, sigma).search(
+            query, k=None
+        )
+        assert [(s.table_id, s.score) for s in got] == [
+            (s.table_id, s.score) for s in want
+        ]
+        assert "T99" in got.table_ids()
+
     def test_foreign_table_falls_back_to_scalar_path(self):
         rng = random.Random(83)
         lake, mapping = make_lake(rng)

@@ -213,13 +213,15 @@ class TestTombstones:
         assert index.stats().tombstones == 0
 
     def test_derived_owner_map_equals_a_fresh_walk(self):
-        """Successors derive the owner map, renumbering past a dropped segment."""
+        """Successors derive the owner map and the layout, renumbering
+        past a dropped segment."""
         rng = random.Random(13)
         lake, mapping = make_lake(rng, num_tables=6)
         sigma = make_sigma("types", rng)
         index = SegmentedCorpusIndex.compile(
             lake, mapping, sigma, segment_tables=2
         )
+        index.layout()
         steps = [
             lambda ix: ix.without_table("T0"),
             lambda ix: ix.with_table(lake.get("T3")),  # replace in place
@@ -240,7 +242,70 @@ class TestTombstones:
                 (table_id, walked.locate_position(table_id))
                 for table_id in walked.live_table_ids()
             ]
+            # Every successor derived its layout from its parent's.
+            assert index._layout is not None
+            assert_layout_is_fresh(index)
         assert len(index.segments) == 3
+
+    @pytest.mark.parametrize("seed", [2, 7, 19, 23])
+    def test_derived_layout_equals_a_fresh_build(self, seed):
+        """Random add / remove / re-add / compaction: every derived
+        layout equals the one a fresh build lays out."""
+        rng = random.Random(seed)
+        lake, mapping = make_lake(rng, num_tables=8)
+        sigma = make_sigma("types", rng)
+        index = SegmentedCorpusIndex.compile(
+            lake, mapping, sigma, segment_tables=3
+        )
+        index.layout()
+        removed = []
+        derived = 0
+        for step in range(40):
+            action = rng.choice(["add", "add", "remove", "readd", "compact"])
+            if action == "add":
+                table = make_table(rng, f"N{step}")
+                lake.add(table)
+                link_table(rng, mapping, table)
+                index = index.with_table(table)
+            elif action == "remove" and len(lake) > 2:
+                victim = rng.choice(lake.table_ids())
+                lake.remove(victim)
+                mapping.unlink_table(victim)
+                removed.append(victim)
+                index = index.without_table(victim)
+            elif action == "readd" and removed:
+                table_id = removed.pop(rng.randrange(len(removed)))
+                table = make_table(rng, table_id)
+                lake.add(table)
+                link_table(rng, mapping, table)
+                index = index.with_table(table)
+            elif action == "compact":
+                index = index.maybe_compacted(lake.get)
+            derived += index._layout is not None
+            assert_layout_is_fresh(index)
+        assert derived > 20
+
+
+def assert_layout_is_fresh(index):
+    """``index.layout()`` equals a from-scratch build over its segments."""
+    from repro.core.kernel.segments import LakeLayout
+
+    layout = index.layout()
+    fresh = LakeLayout.build(index.segments, index._owner, index.ordinals)
+    assert layout.table_ids == fresh.table_ids
+    assert layout.seg_base.tolist() == fresh.seg_base.tolist()
+    assert layout.live.tolist() == fresh.live.tolist()
+    assert layout.has_links.tolist() == fresh.has_links.tolist()
+    # The ordinal map agrees wherever either has room; beyond, no table.
+    width = max(len(layout.flat_of), len(fresh.flat_of))
+    pad = [np.pad(flat_of, (0, width - len(flat_of)), constant_values=-1)
+           for flat_of in (layout.flat_of, fresh.flat_of)]
+    assert pad[0].tolist() == pad[1].tolist()
+    # Ranks are a permutation, and id order over the live positions.
+    assert sorted(layout.id_rank.tolist()) == list(range(len(layout.table_ids)))
+    by_rank = sorted(layout.live.tolist(), key=layout.id_rank.__getitem__)
+    fresh_by_rank = sorted(fresh.live.tolist(), key=fresh.id_rank.__getitem__)
+    assert by_rank == fresh_by_rank
 
 
 class TestLakeLayout:
@@ -263,9 +328,13 @@ class TestLakeLayout:
             "T0", "T1", "T2", "T3", "T4", "T5", "T6", "T1"
         )
         assert layout.live.tolist() == [0, 2, 3, 5, 6, 7]
-        assert layout.flat_of == {
-            "T0": 0, "T2": 2, "T3": 3, "T5": 5, "T6": 6, "T1": 7
-        }
+        # flat_of maps the ordinal of each live id to its live copy.
+        ordinals = index.ordinals
+        live_ids = ["T0", "T1", "T2", "T3", "T5", "T6"]
+        assert layout.flat_of[
+            ordinals.intern_all(live_ids)
+        ].tolist() == [0, 7, 2, 3, 5, 6]
+        assert np.count_nonzero(layout.flat_of >= 0) == len(live_ids)
         assert layout.has_links.tolist() == [
             True, True, True, False, True, False, True, True
         ]
@@ -273,17 +342,24 @@ class TestLakeLayout:
         by_rank = sorted(layout.live.tolist(), key=layout.id_rank.__getitem__)
         assert [layout.table_ids[p] for p in by_rank] == sorted(index.live_table_ids())
 
-        # Restrictions: any order, ghosts and duplicates drop out, the
-        # dead T4 and (on request) the linkless T5 too.
+        # Restrictions are table ordinals: ghosts (no ordinal) drop out
+        # at the lookup, the dead T4 and (on request) the linkless T5 in
+        # the layout.
+        def positions(ids, linked_only):
+            return layout.positions(ordinals.lookup(ids), linked_only)
+
         wanted = ["T6", "ghost", "T1", "T5", "T4", "T6", "T0"]
-        assert layout.positions(wanted, False).tolist() == [0, 5, 6, 7]
-        assert layout.positions(wanted, True).tolist() == [0, 6, 7]
+        assert positions(wanted, False).tolist() == [0, 5, 6, 7]
+        assert positions(wanted, True).tolist() == [0, 6, 7]
         assert layout.positions(None, False) is layout.live
         assert layout.positions(None, True).tolist() == [0, 2, 6, 7]
-        assert layout.positions([], True).tolist() == []
-        assert list(layout.segment_slices(layout.positions(wanted, False))) \
+        assert positions([], True).tolist() == []
+        # An ordinal past the layout's table space holds no table.
+        beyond = np.array([len(layout.flat_of)], dtype=np.int64)
+        assert layout.positions(beyond, False).tolist() == []
+        assert list(layout.segment_slices(positions(wanted, False))) \
             == [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 4)]
-        assert list(layout.segment_slices(layout.positions(["T2", "T0"], True))) \
+        assert list(layout.segment_slices(positions(["T2", "T0"], True))) \
             == [(0, 0, 2)]
 
     def test_mutators_return_instances_with_their_own_memo(self):

@@ -248,8 +248,9 @@ class TestPrefilterLifecycle:
         )
         # And the behavioral consequence: a city query now votes for
         # T00 through the re-hashed column group.
-        votes = prefilter._table_votes_for_signature(new_signature)
-        assert votes["T00"] >= 1
+        votes = prefilter._table_votes(new_signature)
+        (ordinal,) = prefilter.ordinals.lookup(["T00"])
+        assert votes[ordinal] >= 1
 
     def test_remove_missing_table_is_noop(self, sports_graph,
                                           sports_mapping):

@@ -312,3 +312,134 @@ class TestSwapUnderConcurrentReaders:
                     assert f"TZ{index}" in snapshot.thetis.lake
         finally:
             manager.close()
+
+
+class TestSwapCarriesState:
+    """A served swap carries forward what the mutation leaves unchanged.
+
+    One add, one remove and the reads after them (exact and prefilter)
+    must not redo whole-lake work: no ``O(lake)`` mirror listing, no
+    new type similarity, no weight for an entity nobody asked about, no
+    layout rebuilt with a string sort, and no candidate restriction
+    handed to the layout as table-id strings.
+    """
+
+    @staticmethod
+    def served(sports_lake, sports_graph, sports_mapping):
+        reference = Thetis(sports_lake, sports_graph, sports_mapping)
+        lake, mapping = reference.snapshot_inputs()
+        manager = SnapshotManager(
+            Thetis(lake, sports_graph, mapping, engine_kind="vectorized"),
+            warm_method="types",
+        )
+        manager.current.thetis.warm("types")
+        return manager
+
+    @staticmethod
+    def read(manager):
+        with manager.checkout() as snapshot:
+            thetis = snapshot.thetis
+            return [
+                [(s.table_id, s.score) for s in results]
+                for results in (
+                    thetis.search_many({"q": QUERY}, k=5)["q"],
+                    thetis.search_many(
+                        {"q": QUERY}, k=5, mode="prefilter"
+                    )["q"],
+                )
+            ]
+
+    @staticmethod
+    def reference(manager):
+        """The scalar oracle over a fresh copy of the current generation."""
+        thetis = manager.current.thetis
+        fresh = Thetis(thetis.lake.copy(), thetis.graph,
+                       thetis.mapping.copy(), engine_kind="scalar")
+        return [
+            [(s.table_id, s.score) for s in results]
+            for results in (
+                fresh.search(QUERY, k=5),
+                fresh.search(QUERY, k=5, mode="prefilter"),
+            )
+        ]
+
+    def mutate_and_read(self, manager):
+        manager.apply(lambda thetis: thetis.add_table(extra_table(), link=True))
+        added = self.read(manager)
+        manager.apply(lambda thetis: thetis.remove_table("TX"))
+        return added, self.read(manager)
+
+    def test_served_mutations_and_reads_never_list_the_lake(
+            self, sports_lake, sports_graph, sports_mapping, monkeypatch):
+        from repro.core.kernel.segments import SegmentedCorpusIndex
+
+        manager = self.served(sports_lake, sports_graph, sports_mapping)
+        listed = []
+        mirrors = SegmentedCorpusIndex.mirrors
+        monkeypatch.setattr(
+            SegmentedCorpusIndex, "mirrors",
+            lambda index, ids: listed.append(len(ids)) or mirrors(index, ids),
+        )
+        try:
+            self.read(manager)  # the first generation checks its lake once
+            listed.clear()
+            manager.apply(
+                lambda thetis: thetis.add_table(extra_table(), link=True)
+            )
+            added = self.read(manager)
+            assert added == self.reference(manager)
+            manager.apply(lambda thetis: thetis.remove_table("TX"))
+            removed = self.read(manager)
+            assert removed == self.reference(manager)
+            assert listed == []
+            # A lake changed behind the engine's back is still listed.
+            thetis = manager.current.thetis
+            thetis.lake.add(extra_table("TY"))
+            thetis.search(QUERY, k=5)
+            assert listed == [len(thetis.lake)]
+        finally:
+            manager.close()
+
+    def test_served_swap_does_no_whole_lake_work(
+            self, sports_lake, sports_graph, sports_mapping, monkeypatch):
+        from repro.core.kernel.segments import LakeLayout
+        from repro.similarity.types import TypeJaccardSimilarity
+
+        manager = self.served(sports_lake, sports_graph, sports_mapping)
+        self.read(manager)
+        similarities = []
+        builds = []
+        restrictions = []
+        original_init = TypeJaccardSimilarity.__init__
+        original_build = LakeLayout.build.__func__
+        original_positions = LakeLayout.positions
+
+        def counting_init(sigma, *args, **kwargs):
+            similarities.append(sigma)
+            original_init(sigma, *args, **kwargs)
+
+        def counting_build(cls, *args):
+            builds.append(args)
+            return original_build(cls, *args)
+
+        def recording_positions(layout, ordinals, linked_only):
+            restrictions.append(ordinals)
+            return original_positions(layout, ordinals, linked_only)
+
+        monkeypatch.setattr(TypeJaccardSimilarity, "__init__", counting_init)
+        monkeypatch.setattr(LakeLayout, "build", classmethod(counting_build))
+        monkeypatch.setattr(LakeLayout, "positions", recording_positions)
+        try:
+            self.mutate_and_read(manager)
+            assert similarities == []
+            assert builds == []
+            assert restrictions and all(
+                ordinals is None or ordinals.dtype.kind == "i"
+                for ordinals in restrictions
+            )
+            # Weights exist only for the entities that were read.
+            weights = manager.current.thetis.informativeness
+            assert set(weights._weights) <= set(QUERY.entities())
+            assert len(weights) > len(QUERY.entities())
+        finally:
+            manager.close()
