@@ -17,13 +17,20 @@ only 2, and gates
 ``test_exact_scan_speedup`` sends never-repeated five-tuple queries at
 ``k=10`` and gates the scan at >= 2x the full pass truncated to ``k``,
 bit-identical rankings, and at most a quarter of the live tables
-scored.
+scored.  It prints both sides of that ratio (the full pass runs the
+same verify kernel, so it speeds up too) and, from a cold engine
+replaying the scan queries, the per-query split of the scan: the bound
+pass, and the verify pass as relevance (selection gather,
+``bincount``, column maxima), assignment and Eq. 2 tail.  The split
+is recorded, not gated.
 
 The reports fold into ``BENCH_kernel.json`` under the ``batch`` and
 ``scan`` keys (scripts/ci.sh runs this with ``--quick``).
 """
 
 import time
+from collections import defaultdict
+from unittest import mock
 
 import pytest
 
@@ -38,6 +45,7 @@ from benchmarks.bench_kernel_speedup import (
 from benchmarks.conftest import print_header
 from repro.benchgen import QueryGenerator
 from repro.core.kernel import BatchStats, PrefilterStats
+from repro.core.kernel import engine as engine_module
 
 BATCH_SIZE = 8
 ROUNDS = 5
@@ -157,6 +165,45 @@ def _fresh_five_tuple_queries(bench, count):
     return kept[:count]
 
 
+def _timer(spent, stage, function):
+    """``function``, adding its wall seconds to ``spent[stage]``."""
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            spent[stage] += time.perf_counter() - start
+    return timed
+
+
+def _scan_split(engine, queries):
+    """Per-query milliseconds of the scan's stages, on a cold engine.
+
+    The bound pass is ``_lake_bounds``; the verify pass is
+    ``_segment_tuples``, of which assignment is ``_assign_pairs``, the
+    tail is ``weighted_distances``, and relevance is the rest.
+    """
+    spent = defaultdict(float)
+    with mock.patch.object(
+        engine_module, "_assign_pairs",
+        _timer(spent, "assignment", engine_module._assign_pairs),
+    ), mock.patch.object(
+        engine_module, "weighted_distances",
+        _timer(spent, "tail", engine_module.weighted_distances),
+    ):
+        for stage, name in (("bound", "_lake_bounds"),
+                            ("verify", "_segment_tuples")):
+            setattr(engine, name, _timer(spent, stage, getattr(engine, name)))
+        for query in queries:
+            engine.search_batch([query], k=SCAN_K)
+    split = {stage: 1e3 * spent[stage] / len(queries)
+             for stage in ("bound", "verify", "assignment", "tail")}
+    split["relevance"] = (
+        split["verify"] - split["assignment"] - split["tail"]
+    )
+    return split
+
+
 def test_exact_scan_speedup(wt_bench, wt_thetis, benchmark):
     queries = _fresh_five_tuple_queries(wt_bench, 2 * SCAN_QUERIES)
     lake_ids = wt_bench.lake.table_ids()
@@ -187,6 +234,9 @@ def test_exact_scan_speedup(wt_bench, wt_thetis, benchmark):
             for ranking in engine.search_batch(queries, k=None)
         ]
         counters = stats.as_dict()
+        split_engine = _build(VectorizedTableSearchEngine, wt_thetis, "types")
+        split_engine.prepare()
+        split = _scan_split(split_engine, scan_set)
         return {
             "k": SCAN_K,
             "queries": SCAN_QUERIES,
@@ -198,6 +248,7 @@ def test_exact_scan_speedup(wt_bench, wt_thetis, benchmark):
                 / len(lake_ids)
             ),
             "early_termination_rate": counters["early_termination_rate"],
+            "split_ms_per_query": split,
             "bit_identical": all(
                 [(s.score, s.table_id) for s in got]
                 == [(s.score, s.table_id) for s in want]
@@ -216,6 +267,11 @@ def test_exact_scan_speedup(wt_bench, wt_thetis, benchmark):
           f"   -> {report['scan_speedup']:5.2f}x")
     print(f"  scored share {report['scored_share']:.3f} of live tables, "
           f"early termination {report['early_termination_rate']:.2f}")
+    split = report["split_ms_per_query"]
+    print(f"  scan split, ms/query: bound {split['bound']:.2f}, verify "
+          f"{split['verify']:.2f} (relevance {split['relevance']:.2f}, "
+          f"assignment {split['assignment']:.2f}, "
+          f"tail {split['tail']:.2f})")
 
     _merge_report("scan", report)
     print(f"  report -> {REPORT_PATH} (scan)")

@@ -27,9 +27,9 @@ import threading
 import time
 
 from benchmarks.conftest import print_header
+from benchmarks.serve_loadgen import LoadGenerator
 from repro import Thetis
 from repro.cluster import ClusterConfig, ClusterHarness
-from repro.serve import LoadGenerator
 from repro.serve.metrics import percentile_of
 
 #: Closed-loop request volume per fleet size (full / --quick).

@@ -21,8 +21,9 @@ import threading
 import time
 
 from benchmarks.conftest import print_header
+from benchmarks.serve_loadgen import LoadGenerator
 from repro import Thetis
-from repro.serve import LoadGenerator, ServeConfig, ServerThread
+from repro.serve import ServeConfig, ServerThread
 from repro.serve.metrics import percentile_of
 
 #: Closed-loop request volume (full / --quick).

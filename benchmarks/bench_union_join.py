@@ -51,6 +51,7 @@ import json
 import time
 
 from benchmarks.conftest import print_header
+from benchmarks.serve_loadgen import LoadGenerator
 from repro.baselines import JoinTableSearch, UnionTableSearch
 from repro.core.kernel import (
     PrefilterStats,
@@ -58,7 +59,7 @@ from repro.core.kernel import (
     VectorizedUnionSearchEngine,
 )
 from repro.core.query import Query
-from repro.serve import LoadGenerator, ServeConfig, ServerThread
+from repro.serve import ServeConfig, ServerThread
 from repro.system import Thetis
 
 TOLERANCE = 1e-9

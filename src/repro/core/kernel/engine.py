@@ -11,10 +11,12 @@ per-cell Python hot loop with batched numpy passes over a compiled
    type Jaccard);
 2. the Section 5.1 column-relevance matrix is one ``bincount``
    reduction per query entity over the table's flattened column
-   multiset, then solved by the same Hungarian implementation;
+   multiset, then assigned — a unique-best shortcut, exact enumeration
+   for small tuples, the same Hungarian implementation for the rest;
 3. per-row SemRel (Equations 2-3, both tuple semantics and both
-   aggregations) is evaluated with numpy reductions over the table's
-   id grid instead of nested Python loops.
+   aggregations) is evaluated with numpy reductions — over the
+   relevance pass's own gather under ``MAX``, over the table's id grid
+   otherwise — instead of nested Python loops.
 
 A search that carries a cut-off ``k`` does not score the lake: it is a
 bound-ordered, early-terminating scan (filter by a vectorized upper
@@ -97,9 +99,12 @@ MAX_ENUM_WIDTH = 3
 #: a true top-k member".
 BOUND_SLACK = 1e-9
 
-#: Smallest chunk the early-terminating scan scores per restricted
-#: pass — each pass re-reduces the global relevance matrix, so very
-#: small chunks would repeat that fixed cost.
+#: Smallest chunk the early-terminating scan verifies per pass.  The
+#: pass is sized by its chunk, but a call has a fixed cost: for a fresh
+#: 5-tuple query on the 2000-table WT2015 lake (2-vCPU x86_64 box), 1
+#: table costs 0.7 ms and 32 random tables 2.0 ms (1.4 and 2.9 ms with
+#: the per-tuple pass the lane-stacked one replaced), so very small
+#: chunks would repeat that fixed cost.
 MIN_PRUNE_CHUNK = 32
 
 #: Most similar entities per query entity whose postings the first bound
@@ -147,6 +152,20 @@ def _holds_any(postings: EntityPostings, chosen: np.ndarray) -> np.ndarray:
     return counts > 0 if direct else counts < postings.distinct
 
 
+def _lane_pad(values: np.ndarray, widths: Sequence[int]) -> np.ndarray:
+    """Lane-stacked ``values`` as a zero-padded ``(tuples, widest, ...)``.
+
+    Tuple ``t`` owns the next ``widths[t]`` rows of ``values``.
+    """
+    if min(widths) == max(widths):  # no padding: a view
+        return values.reshape((len(widths), widths[0]) + values.shape[1:])
+    widths = np.asarray(widths, dtype=np.int64)
+    valid = np.arange(widths.max()) < widths[:, None]
+    padded = np.zeros(valid.shape + values.shape[1:], dtype=values.dtype)
+    padded[valid] = values
+    return padded
+
+
 def lane_bounds(
     coordinates: np.ndarray, weights: np.ndarray, widths: Sequence[int]
 ) -> np.ndarray:
@@ -154,33 +173,40 @@ def lane_bounds(
 
     ``coordinates`` is ``(lanes, n)``: consecutive blocks of
     ``widths[t]`` lanes belong to tuple ``t``, each lane weighted by
-    its entry of ``weights``.  Returns ``(len(widths), n)``.  Lanes
-    accumulate one by one, so a column's value does not depend on
-    ``n`` or on the other columns.
+    its entry of ``weights``.  Returns ``(len(widths), n)``.  Every
+    tuple adds its lanes' terms in lane order, one tuple position at a
+    time over the zero-padded ``(tuples, widest, n)`` stack (a padded
+    ``+0.0`` changes no bit), so a column's value does not depend on
+    ``n``, on the other columns or on the other tuples.
     """
     residual = 1.0 - np.minimum(coordinates, 1.0)
-    terms = weights[:, None] * residual * residual
+    terms = _lane_pad(weights[:, None] * residual * residual, widths)
     squared = np.zeros((len(widths), coordinates.shape[1]), dtype=np.float64)
-    for lane, row in enumerate(np.repeat(np.arange(len(widths)), widths)):
-        squared[row] += terms[lane]
+    for position in range(terms.shape[1]):
+        squared += terms[:, position]
     return 1.0 / (np.sqrt(squared) + 1.0)
 
 
 def weighted_distances(
     coordinates: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Equation 2 for every row of an ``(n, width)`` coordinate matrix.
+    """Equation 2 along the last axis of a coordinate array.
 
-    Accumulates ``weight * residual * residual`` into a zero vector in
-    tuple order — :func:`repro.core.semrel.weighted_distance`'s exact
-    operation order — so each row's distance is elementwise arithmetic:
-    bit-equal to the scalar Eq. 2 and independent of ``n``, unlike a
-    BLAS ``@`` whose per-row rounding can change with the matrix shape.
+    ``(n, width)`` coordinates take ``(width,)`` weights; a tuple stack
+    ``(tuples, n, width)`` takes ``(tuples, width)``.  Accumulates
+    ``weight * residual * residual`` into zeros in tuple order —
+    :func:`repro.core.semrel.weighted_distance`'s exact operation order
+    — so each distance is elementwise: bit-equal to the scalar Eq. 2
+    and independent of ``n``, unlike a BLAS ``@``.  A zero-weight
+    padded position adds ``+0.0``, which changes no bit.
     """
     residual = 1.0 - np.minimum(coordinates, 1.0)
-    total = np.zeros(len(coordinates), dtype=np.float64)
-    for position, weight in enumerate(weights):
-        total += weight * residual[:, position] * residual[:, position]
+    total = np.zeros(coordinates.shape[:-1], dtype=np.float64)
+    for position, weight in enumerate(np.moveaxis(weights, -1, 0)):
+        total += (
+            weight[..., None] * residual[..., position]
+            * residual[..., position]
+        )
     return np.sqrt(total)
 
 
@@ -280,6 +306,164 @@ def _clash_mask(options: int) -> np.ndarray:
         )
         _CLASH_MASKS[options] = mask
     return mask
+
+
+def _enumerate_assignments(
+    relevance: np.ndarray,
+    col_offset: np.ndarray,
+    table_columns: np.ndarray,
+    lanes: np.ndarray,
+    tables: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact column assignments by null-augmented enumeration.
+
+    ``col_offset`` / ``table_columns`` lay the tables out along the
+    column axis of the lane-stacked ``relevance``.  Pair ``i`` assigns
+    the ``p`` positive-relevance lanes ``lanes[i]`` (rows of
+    ``relevance``, in tuple position order) to columns of table
+    ``tables[i]``.  Each lane's options are its *positive-relevance*
+    columns plus one conflict-exempt null slot worth ``0.0``
+    (zero-relevance columns are demoted to ``-inf``: a zero column
+    relevance means every cell similarity in that column is zero, so
+    taking such a column, the null slot, or the solver's padding all
+    produce identical downstream scores).  The ``(columns + 1) ** p``
+    tensor of totals therefore enumerates exactly one cell per distinct
+    *positive support* — the set of (lane, column) picks that actually
+    contribute — and its maximum equals the Hungarian optimum for any
+    ``columns``-vs-``width`` shape.
+
+    Returns ``(chosen, ok)``: the option per lane (the null slot
+    decodes to ``-1``), and whether the optimum cleared
+    :data:`ASSIGNMENT_MARGIN` over the runner-up.  A margin-clearing
+    optimum is provably what the solver's answer scores to: every other
+    positive support loses by more than either method's float rounding,
+    so the solver's assignment shares the optimum's support, and
+    non-support picks are score-free.  Pairs failing the margin fall
+    back to the solver.  A pair's answer does not depend on the other
+    pairs: the widest table only appends ``-inf`` options before the
+    null slot, which moves no total and no first maximum.
+    """
+    p = lanes.shape[1]
+    columns = table_columns[tables]
+    cmax = int(columns.max())
+    options = cmax + 1
+    gather = col_offset[tables][:, None] + np.arange(cmax)
+    np.minimum(gather, relevance.shape[1] - 1, out=gather)
+    valid = np.arange(cmax) < columns[:, None]
+    real = relevance[lanes.T[:, :, None], gather[None, :, :]]
+    blocks = np.concatenate(
+        [
+            np.where(valid[None, :, :] & (real > 0.0), real, -np.inf),
+            np.zeros((p, len(tables), 1), dtype=np.float64),
+        ],
+        axis=2,
+    )
+    size = len(tables)
+    if p == 1:
+        flat = blocks[0]
+    elif p == 2:
+        flat = blocks[0][:, :, None] + blocks[1][:, None, :]
+        diagonal = np.arange(cmax)
+        flat[:, diagonal, diagonal] = -np.inf
+        flat = flat.reshape(size, -1)
+    else:
+        totals = (
+            blocks[0][:, :, None, None]
+            + blocks[1][:, None, :, None]
+            + blocks[2][:, None, None, :]
+        )
+        totals[:, _clash_mask(options)] = -np.inf
+        flat = totals.reshape(size, -1)
+    best = flat.argmax(axis=1)
+    # Runner-up via masking the winner (cheaper than a partition).
+    # The all-null cell keeps the optimum finite, so the margin is
+    # +inf against a -inf runner-up, never NaN.
+    pairs = np.arange(size)
+    best_totals = flat[pairs, best]
+    flat[pairs, best] = -np.inf
+    ok = best_totals - flat.max(axis=1) >= ASSIGNMENT_MARGIN
+    chosen = np.stack(
+        np.unravel_index(best, (options,) * p), axis=1
+    ).astype(np.int64)
+    return np.where(chosen == cmax, -1, chosen), ok
+
+
+def _assign_pairs(
+    relevance: np.ndarray,
+    col_offset: np.ndarray,
+    table_columns: np.ndarray,
+    lanes: np.ndarray,
+    valid: np.ndarray,
+) -> np.ndarray:
+    """Section 5.1 column assignment of every (tuple, table) pair at once.
+
+    ``relevance`` is the lane-stacked ``(lanes, columns)`` column
+    relevance of the tables ``col_offset`` / ``table_columns`` lay out;
+    ``lanes`` / ``valid`` (both ``(tuples, widest)``) give each tuple
+    position's lane.  Returns ``(tuples, tables, widest)`` columns,
+    local to each table, with ``-1`` for no column and for padding.
+
+    One ``maximum.reduceat`` over the whole stack gives each lane its
+    best column per table, with its tie count.  A pair whose positive
+    lanes each have a strictly unique best column, pairwise distinct,
+    takes those columns (a lane with no positive relevance takes
+    ``-1``).  This is exactly where the full per-pair path —
+    enumeration, then on a margin miss this greedy rule, then the
+    solver — ends:
+
+    * the best columns reach the sum of the lanes' maxima, and every
+      other option is no greater at each lane, so by the monotonicity
+      of rounded addition no cell of the enumeration out-totals them.
+      An enumeration whose winner clears :data:`ASSIGNMENT_MARGIN`
+      strictly beats every other cell, so the winner is this cell;
+    * an enumeration that misses the margin, and every tuple wider
+      than :data:`MAX_ENUM_WIDTH`, reaches the greedy rule before the
+      solver, and the rule returns these columns.
+
+    Every other pair of a tuple up to :data:`MAX_ENUM_WIDTH` wide is
+    enumerated, one :func:`_enumerate_assignments` call per count of
+    positive lanes across all tuples; margin failures and wider tuples
+    go to :func:`~repro.core.assignment.max_assignment` per pair.
+    """
+    starts = col_offset[:-1]
+    maxima = np.maximum.reduceat(relevance, starts, axis=1)
+    tie = relevance == np.repeat(maxima, table_columns, axis=1)
+    ties = np.add.reduceat(tie, starts, axis=1, dtype=np.int64)
+    # The best column's local index, wherever it is the only tie.
+    local = np.arange(relevance.shape[1]) - np.repeat(starts, table_columns)
+    best = np.add.reduceat(tie * local, starts, axis=1)
+    positive = np.swapaxes(maxima[lanes] > 0.0, 1, 2) & valid[:, None, :]
+    assignment = np.where(positive, np.swapaxes(best[lanes], 1, 2), -1)
+    # A lane without a positive best gets its own negative key, so only
+    # two positive lanes sharing a column compare equal.
+    keys = np.sort(
+        np.where(positive, assignment, -1 - np.arange(lanes.shape[1])),
+        axis=2,
+    )
+    unique = ~(
+        (positive & (np.swapaxes(ties[lanes], 1, 2) > 1)).any(axis=2)
+        | (keys[:, :, 1:] == keys[:, :, :-1]).any(axis=2)
+    )
+    widths = valid.sum(axis=1)
+    small = (widths <= MAX_ENUM_WIDTH)[:, None]
+    counts = positive.sum(axis=2)
+    fallback = [np.nonzero(~unique & ~small)]
+    for p in range(1, MAX_ENUM_WIDTH + 1):
+        tt, jj = np.nonzero(~unique & small & (counts == p))
+        if tt.size:
+            rows = np.nonzero(positive[tt, jj])[1].reshape(-1, p)
+            chosen, ok = _enumerate_assignments(
+                relevance, col_offset, table_columns,
+                lanes[tt[:, None], rows], jj,
+            )
+            assignment[tt[ok][:, None], jj[ok][:, None], rows[ok]] = chosen[ok]
+            fallback.append((tt[~ok], jj[~ok]))
+    for tt, jj in fallback:
+        for t, j in zip(tt.tolist(), jj.tolist()):
+            rows = lanes[t, :widths[t]]
+            block = relevance[rows, starts[j]:col_offset[j + 1]]
+            assignment[t, j, :len(rows)] = max_assignment(block)[0]
+    return assignment
 
 
 class VectorizedTableSearchEngine(TableSearchEngine):
@@ -533,168 +717,9 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         )
         return weights
 
-    @staticmethod
-    def _fast_assignment(relevance: np.ndarray) -> Optional[np.ndarray]:
-        """Greedy column assignment when it is provably solver-equal.
-
-        When every positive-relevance query entity has a *strictly*
-        unique best column and those columns are pairwise distinct, the
-        sum of row maxima is attainable and every optimal assignment
-        must realize it, so the Hungarian solver's answer produces the
-        same downstream scores as the greedy one.  Zero-relevance
-        entities map to ``-1``: whatever real column the solver would
-        hand them contributes only zero similarities (a zero
-        column-relevance bounds every cell similarity in that column at
-        zero), so the scores are identical there too.  Any tie or
-        column conflict returns ``None`` and the caller falls back to
-        the exact solver.
-        """
-        maxima = relevance.max(axis=1)
-        best = relevance.argmax(axis=1)
-        positive = maxima > 0.0
-        active = best[positive]
-        if len(set(active.tolist())) != active.size:
-            return None
-        ties = (relevance == maxima[:, None]).sum(axis=1)
-        if np.any(ties[positive] > 1):
-            return None
-        return np.where(positive, best, -1)
-
     # ------------------------------------------------------------------
     # Batched scoring kernel
     # ------------------------------------------------------------------
-    def _enumerate_assignments(
-        self, col_offset, table_columns, relevance, rows, selection
-    ):
-        """Exact column assignments by null-augmented enumeration.
-
-        ``col_offset`` / ``table_columns`` lay the tables out along the
-        column axis of ``relevance``.  For ``p = len(rows)`` positive
-        query entities and tables ``selection`` of that layout, each
-        entity's options are its *positive-relevance*
-        columns plus one conflict-exempt null slot worth ``0.0``
-        (zero-relevance columns are demoted to ``-inf``: a zero column
-        relevance means every cell similarity in that column is zero, so
-        taking such a column, the null slot, or the solver's padding all
-        produce identical downstream scores).  The ``(columns + 1) ** p``
-        tensor of totals therefore enumerates exactly one cell per
-        distinct *positive support* — the set of (entity, column) picks
-        that actually contribute — and its maximum equals the Hungarian
-        optimum for any ``columns``-vs-``width`` shape.
-
-        Returns ``(chosen, ok)``: the option per row (the null slot
-        decodes to ``-1``), and whether the optimum cleared
-        :data:`ASSIGNMENT_MARGIN` over the runner-up.  A margin-clearing
-        optimum is provably what the solver's answer scores to: every
-        other positive support loses by more than either method's float
-        rounding, so the solver's assignment shares the optimum's
-        support, and non-support picks are score-free.  Tables failing
-        the margin fall back to the solver.
-        """
-        columns = table_columns[selection]
-        cmax = int(columns.max())
-        options = cmax + 1
-        gather = col_offset[selection][:, None] + np.arange(cmax)
-        np.minimum(gather, relevance.shape[1] - 1, out=gather)
-        valid = np.arange(cmax) < columns[:, None]
-        real = relevance[rows][:, gather]
-        blocks = np.concatenate(
-            [
-                np.where(valid[None, :, :] & (real > 0.0), real, -np.inf),
-                np.zeros((len(rows), len(selection), 1), dtype=np.float64),
-            ],
-            axis=2,
-        )
-        size = len(selection)
-        if len(rows) == 1:
-            flat = blocks[0]
-        elif len(rows) == 2:
-            flat = blocks[0][:, :, None] + blocks[1][:, None, :]
-            diagonal = np.arange(cmax)
-            flat[:, diagonal, diagonal] = -np.inf
-            flat = flat.reshape(size, -1)
-        else:
-            totals = (
-                blocks[0][:, :, None, None]
-                + blocks[1][:, None, :, None]
-                + blocks[2][:, None, None, :]
-            )
-            totals[:, _clash_mask(options)] = -np.inf
-            flat = totals.reshape(size, -1)
-        best = flat.argmax(axis=1)
-        # Runner-up via masking the winner (cheaper than a partition).
-        # The all-null cell keeps the optimum finite, so the margin is
-        # +inf against a -inf runner-up, never NaN.
-        lanes = np.arange(size)
-        best_totals = flat[lanes, best]
-        flat[lanes, best] = -np.inf
-        ok = best_totals - flat.max(axis=1) >= ASSIGNMENT_MARGIN
-        if len(rows) == 1:
-            chosen = best[:, None]
-        elif len(rows) == 2:
-            chosen = np.stack(np.divmod(best, options), axis=1)
-        else:
-            chosen = np.stack(
-                np.unravel_index(best, (options, options, options)), axis=1
-            )
-        chosen = chosen.astype(np.int64)
-        return np.where(chosen == cmax, -1, chosen), ok
-
-    def _batched_assignments(
-        self,
-        col_offset: np.ndarray,
-        table_columns: np.ndarray,
-        relevance: np.ndarray,
-        width: int,
-    ) -> np.ndarray:
-        """Section 5.1 column assignments for every laid-out table at once.
-
-        ``relevance`` is the ``(width, col_offset[-1])`` column-relevance
-        matrix of the tables ``col_offset`` / ``table_columns`` lay out
-        along its column axis.  Tables whose every query entity has
-        zero relevance keep ``-1`` everywhere (provably score-equal to
-        whatever the solver would pick).  Small widths go through the
-        enumerated exact assignment grouped by positive-entity pattern;
-        margin failures and wide tuples fall back to the scalar
-        engine's Hungarian solver per table.
-        """
-        assignment = np.full(
-            (len(table_columns), width), -1, dtype=np.int64
-        )
-        maxima = np.maximum.reduceat(relevance, col_offset[:-1], axis=1)
-        positive = maxima > 0.0
-        need = positive.any(axis=0)
-        fallback: List[int] = []
-        if width <= MAX_ENUM_WIDTH:
-            codes = (
-                positive
-                * (1 << np.arange(width, dtype=np.int64))[:, None]
-            ).sum(axis=0)
-            codes = np.where(need, codes, 0)
-            for code in np.unique(codes):
-                if code == 0:
-                    continue
-                rows = np.flatnonzero((int(code) >> np.arange(width)) & 1)
-                selection = np.flatnonzero(codes == code)
-                chosen, ok = self._enumerate_assignments(
-                    col_offset, table_columns, relevance, rows, selection
-                )
-                resolved = selection[ok]
-                assignment[resolved[:, None], rows[None, :]] = chosen[ok]
-                fallback.extend(selection[~ok].tolist())
-        else:
-            fallback.extend(np.flatnonzero(need).tolist())
-        for table_index in fallback:
-            start = col_offset[table_index]
-            stop = col_offset[table_index + 1]
-            block = np.ascontiguousarray(relevance[:, start:stop])
-            resolved = self._fast_assignment(block)
-            if resolved is None:
-                resolved, _ = max_assignment(block)
-                resolved = np.asarray(resolved)
-            assignment[table_index] = resolved
-        return assignment
-
     def _reconcile_index(self) -> SegmentedCorpusIndex:
         """Diff the index's live tables against the lake, apply O(delta).
 
@@ -751,32 +776,36 @@ class VectorizedTableSearchEngine(TableSearchEngine):
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Fused scoring of selected segment tables against query tuples.
 
-        The kernel primitive: the tuples of a query land here together,
-        stacked along a lane axis — one similarity-row stack, one
-        bincount over lane-offset bins for all column-relevance
-        matrices, and one shared gather / ``reduceat`` pass over the
-        concatenated per-lane row blocks.
+        The kernel primitive.  A *lane* is one query entity of one
+        tuple; a query's lanes are stacked along one axis and every
+        stage runs once over all of them: one similarity-row stack, one
+        ``bincount`` over lane-offset bins for all column relevances,
+        one assignment pass over every (tuple, table) pair
+        (:func:`_assign_pairs`), and one Eq. 2 tail over zero-padded
+        ``(tuples, tables, widest)`` coordinates.  Under
+        ``RowAggregation.MAX`` with per-entity semantics no cell is
+        gathered again: a lane's coordinate is the ``maximum.reduceat``
+        of the ``bincount``'s own ``sims[:, nnz]`` gather over the
+        column's (contiguous) nnz block, floored at ``0.0`` when the
+        nnz counts show an unlinked or null cell — a maximum is exact
+        in any order, so it is the maximum down the column's rows.
+        ``AVG`` and ``PER_ROW`` gather the assigned columns' cells from
+        ``flat_ids``, since their sums keep row order.
 
-        The pass works in a selection-local table and column space:
         ``selection`` (sorted table positions; ``None`` is the whole
         segment) has its tables' nnz triples gathered once and rebased
-        onto local column offsets, so the relevance bins, assignments,
-        gathers and tails are all sized by the selection, never by the
-        segment.  Returns one ``(column, signal)`` pair per input tuple,
-        aligned with ``selection``: the tuple score of every selected
-        table as a float64 column plus its positive-coordinate flag.
-
-        A table's outputs do not depend on which other tables ride the
-        pass (nor on the other tuples), so any selection is bit-identical
-        to the whole-segment pass at the tables it shares, and hence to
-        the scalar engine to <= 1e-9: ``bincount`` accumulates each bin
-        in input encounter order and every selected table's nnz block
-        keeps its compiled order; assignments are per table (the
-        enumeration's option order does not depend on the group's
-        widest table); ``reduceat`` segments only ever span one (lane,
-        table, position) block; and the residual-distance tails go
-        through :func:`weighted_distances`, elementwise per row, never
-        a shape-dependent BLAS product.
+        onto local column offsets, so every array of the pass is sized
+        by the selection, never by the segment.  Returns one ``(column,
+        signal)`` pair per input tuple, aligned with ``selection``: the
+        tuple score of every selected table plus its positive-coordinate
+        flag.  A table's outputs depend neither on which other tables
+        ride the pass nor on the other tuples, so any selection is
+        bit-identical to the whole-segment pass, and to the scalar
+        engine to <= 1e-9: ``bincount`` accumulates each bin in input
+        order over compiled-order nnz blocks; assignments are per pair;
+        ``reduceat`` segments span one column or one (lane, table,
+        position) block; and the tail is :func:`weighted_distances`,
+        elementwise, never a shape-dependent BLAS product.
         """
         if not tuples:
             return []
@@ -793,143 +822,113 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         nnz_start = segment.nnz_toffset[selection]
         nnz_lengths = segment.nnz_toffset[selection + 1] - nnz_start
         entries = _concat_ranges(nnz_start, nnz_lengths)
-        nnz_ids = segment.nnz_gids[entries]
+        nnz_counts = segment.nnz_gcounts[entries]
         nnz_columns = segment.nnz_gcolumns[entries] + np.repeat(
             col_offset[:-1] - seg_col_offset, nnz_lengths
         )
         widths = [len(query_tuple) for query_tuple in tuples]
-        lane_offset = np.concatenate(
-            ([0], np.cumsum(np.asarray(widths, dtype=np.int64)))
-        )
-        stack = int(lane_offset[-1])
-        sims_list = [
+        stack = sum(widths)
+        # (tuples, widest): each tuple position's lane (0 at padding).
+        lanes = _lane_pad(np.arange(stack), widths)
+        valid = _lane_pad(np.ones(stack, dtype=bool), widths)
+        sims_stack = np.concatenate([
             segment.tuple_rows(query_tuple, profile) for query_tuple in tuples
-        ]
-        sims_stack = (
-            sims_list[0] if len(sims_list) == 1
-            else np.concatenate(sims_list, axis=0)
-        )
+        ])
         map_start = time.perf_counter()
-        if nnz_ids.size:
-            keys = nnz_columns + (np.arange(stack) * total_columns)[:, None]
-            relevance_stack = np.bincount(
-                keys.ravel(),
-                weights=(sims_stack[:, nnz_ids]
-                         * segment.nnz_gcounts[entries]).ravel(),
-                minlength=stack * total_columns,
-            ).reshape(stack, total_columns)
-        else:
-            relevance_stack = np.zeros(
-                (stack, total_columns), dtype=np.float64
-            )
-        assignments = [
-            self._batched_assignments(
-                col_offset, table_columns,
-                relevance_stack[lane_offset[t]:lane_offset[t + 1]], width,
-            )
-            for t, width in enumerate(widths)
-        ]
-        profile.mapping_seconds += time.perf_counter() - map_start
-        # One gather serves every (tuple, table, assigned position):
-        # the column-major flat_ids slice of each assigned column,
-        # pushed through its lane's similarity row.  Per-tuple blocks
-        # stay contiguous so the tails below slice them back out.
-        parts_table: List[np.ndarray] = []
-        parts_pos: List[np.ndarray] = []
-        parts_lane: List[np.ndarray] = []
-        parts_cols: List[np.ndarray] = []
-        sel_counts: List[int] = []
-        for t, assignment in enumerate(assignments):
-            active = (assignment >= 0) & (table_rows > 0)[:, None]
-            sel_table, sel_pos = np.nonzero(active)
-            parts_table.append(sel_table)
-            parts_pos.append(sel_pos)
-            parts_lane.append(sel_pos + int(lane_offset[t]))
-            parts_cols.append(
-                seg_col_offset[sel_table] + assignment[sel_table, sel_pos]
-            )
-            sel_counts.append(int(sel_table.size))
-        sel_table_all = np.concatenate(parts_table)
-        sel_pos_all = np.concatenate(parts_pos)
-        sel_lane_all = np.concatenate(parts_lane)
-        global_cols = np.concatenate(parts_cols)
-        lengths = table_rows[sel_table_all]
-        bounds = np.cumsum(lengths)
-        total = int(bounds[-1]) if lengths.size else 0
-        seg_starts = bounds - lengths
-        need_max = per_row_semantics or row_agg_max
-        if total:
-            within = np.arange(total) - np.repeat(seg_starts, lengths)
-            ids = segment.flat_ids[
-                np.repeat(segment.col_start[global_cols], lengths) + within
-            ]
-            lanes = np.repeat(sel_lane_all, lengths)
-            linked = ids >= 0
-            gathered = np.where(
-                linked,
-                sims_stack[lanes, np.where(linked, ids, 0)],
-                0.0,
-            )
-            if need_max:
-                seg_max = np.maximum.reduceat(gathered, seg_starts)
-            if not per_row_semantics and not row_agg_max:
-                seg_avg = np.add.reduceat(gathered, seg_starts) / lengths
-        sel_cuts = np.concatenate(
-            ([0], np.cumsum(np.asarray(sel_counts, dtype=np.int64)))
+        lane_sims = sims_stack[:, segment.nnz_gids[entries]]
+        keys = nnz_columns + (np.arange(stack) * total_columns)[:, None]
+        # (An empty bincount comes back as ints.)
+        relevance = np.bincount(
+            keys.ravel(), weights=(lane_sims * nnz_counts).ravel(),
+            minlength=stack * total_columns,
+        ).astype(np.float64, copy=False).reshape(stack, total_columns)
+        assignment = _assign_pairs(
+            relevance, col_offset, table_columns, lanes, valid
         )
-        num_tables = len(selection)
-        if per_row_semantics:
-            row_offset = np.zeros(num_tables + 1, dtype=np.int64)
-            np.cumsum(table_rows, out=row_offset[1:])
-            populated = np.flatnonzero(table_rows > 0)
-        outputs: List[Tuple[np.ndarray, np.ndarray]] = []
-        for t, query_tuple in enumerate(tuples):
-            width = widths[t]
-            a = int(sel_cuts[t])
-            b = int(sel_cuts[t + 1])
-            elem_lo = int(bounds[a - 1]) if a > 0 else 0
-            elem_hi = int(bounds[b - 1]) if b > a else elem_lo
-            weights = self._tuple_weights(query_tuple)
-            if per_row_semantics:
-                scores = np.zeros((int(row_offset[-1]), width),
-                                  dtype=np.float64)
-                signal = np.zeros(num_tables, dtype=bool)
-                if b > a:
-                    sel_table_t = sel_table_all[a:b]
-                    lengths_t = lengths[a:b]
-                    scores[
-                        np.repeat(row_offset[sel_table_t], lengths_t)
-                        + within[elem_lo:elem_hi],
-                        lanes[elem_lo:elem_hi] - int(lane_offset[t]),
-                    ] = gathered[elem_lo:elem_hi]
-                    acc = np.zeros(num_tables, dtype=np.float64)
-                    np.maximum.at(acc, sel_table_t, seg_max[a:b])
-                    signal = acc > 0.0
-                per_row = 1.0 / (weighted_distances(scores, weights) + 1.0)
-                column = np.zeros(num_tables, dtype=np.float64)
-                if populated.size:
-                    offsets = row_offset[populated]
-                    if row_agg_max:
-                        column[populated] = np.maximum.reduceat(
-                            per_row, offsets
-                        )
-                    else:
-                        column[populated] = (
-                            np.add.reduceat(per_row, offsets)
-                            / table_rows[populated]
-                        )
-                outputs.append((column, signal))
-                continue
-            coordinates = np.zeros((num_tables, width), dtype=np.float64)
-            if b > a:
-                values = seg_max[a:b] if row_agg_max else seg_avg[a:b]
-                coordinates[sel_table_all[a:b], sel_pos_all[a:b]] = values
-            signal = coordinates.max(axis=1) > 0.0
-            outputs.append(
-                (1.0 / (weighted_distances(coordinates, weights) + 1.0),
-                 signal)
+        profile.mapping_seconds += time.perf_counter() - map_start
+        # (tuples, tables, widest): assigned positions of tables with rows.
+        active = (assignment >= 0) & (table_rows > 0)[:, None]
+        weights = _lane_pad(np.concatenate([
+            self._tuple_weights(query_tuple) for query_tuple in tuples
+        ]), widths)
+        if row_agg_max and not per_row_semantics:
+            column_nnz = np.bincount(nnz_columns, minlength=total_columns)
+            filled = np.flatnonzero(column_nnz)
+            column_max = np.zeros((stack, total_columns), dtype=np.float64)
+            if filled.size:
+                column_max[:, filled] = np.maximum.reduceat(
+                    lane_sims, (np.cumsum(column_nnz) - column_nnz)[filled],
+                    axis=1,
+                )
+            unlinked = np.bincount(
+                nnz_columns, weights=nnz_counts, minlength=total_columns
+            ) < np.repeat(table_rows, table_columns)
+            column_max[:, unlinked] = np.maximum(column_max[:, unlinked], 0.0)
+            coordinates = np.where(active, column_max[
+                lanes[:, None, :], col_offset[:-1, None] + assignment
+            ], 0.0)
+            columns = 1.0 / (weighted_distances(coordinates, weights) + 1.0)
+            return list(zip(columns, coordinates.max(axis=2) > 0.0))
+        # One gather serves every (tuple, table, assigned position): the
+        # column-major flat_ids slice of each assigned column, pushed
+        # through its lane's similarity row, in (tuple, table, position)
+        # order.
+        tuple_at, table_at, position_at = np.nonzero(active)
+        lengths = table_rows[table_at]
+        seg_starts = np.cumsum(lengths) - lengths
+        within = np.arange(int(lengths.sum())) - np.repeat(seg_starts, lengths)
+        ids = segment.flat_ids[np.repeat(segment.col_start[
+            seg_col_offset[table_at]
+            + assignment[tuple_at, table_at, position_at]
+        ], lengths) + within]
+        linked = ids >= 0
+        gathered = np.where(linked, sims_stack[
+            np.repeat(lanes[tuple_at, position_at], lengths),
+            np.where(linked, ids, 0),
+        ], 0.0)
+        if not per_row_semantics:
+            coordinates = np.zeros(assignment.shape, dtype=np.float64)
+            if lengths.size:
+                coordinates[tuple_at, table_at, position_at] = (
+                    np.add.reduceat(gathered, seg_starts) / lengths
+                )
+            columns = 1.0 / (weighted_distances(coordinates, weights) + 1.0)
+            return list(zip(columns, coordinates.max(axis=2) > 0.0))
+        row_offset = np.zeros(len(selection) + 1, dtype=np.int64)
+        np.cumsum(table_rows, out=row_offset[1:])
+        total_rows = int(row_offset[-1])
+        scores = np.zeros(
+            (len(tuples), total_rows, lanes.shape[1]), dtype=np.float64
+        )
+        peak = np.zeros(active.shape[:2], dtype=np.float64)
+        if lengths.size:
+            scores[
+                np.repeat(tuple_at, lengths),
+                np.repeat(row_offset[table_at], lengths) + within,
+                np.repeat(position_at, lengths),
+            ] = gathered
+            np.maximum.at(
+                peak, (tuple_at, table_at),
+                np.maximum.reduceat(gathered, seg_starts),
             )
-        return outputs
+        per_row = (1.0 / (weighted_distances(scores, weights) + 1.0)).ravel()
+        columns = np.zeros(active.shape[:2], dtype=np.float64)
+        populated = np.flatnonzero(table_rows > 0)
+        if populated.size:
+            # Flattened, so each (tuple, table) row block is a segment
+            # of one 1-D reduceat, summed in 1-D order; zero-row tables
+            # add no rows.
+            starts = (
+                np.arange(len(tuples))[:, None] * total_rows
+                + row_offset[populated]
+            ).ravel()
+            if row_agg_max:
+                reduced = np.maximum.reduceat(per_row, starts)
+            else:
+                reduced = np.add.reduceat(per_row, starts)
+                reduced /= np.tile(table_rows[populated], len(tuples))
+            columns[:, populated] = reduced.reshape(len(tuples), -1)
+        return list(zip(columns, peak > 0.0))
 
     def _candidate_bounds(
         self,
@@ -1017,18 +1016,17 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         ]), widths)
         bounds = np.repeat(column_bounds[:, -1:], len(positions), axis=1)
         bounds[:, touched] = column_bounds[:, :-1]
+        # Per tuple, an OR over its lanes: a zero-padded stack's ``any``.
+        exact = ceiling == 0.0
         signals = np.zeros((len(tuples), len(positions)), dtype=bool)
-        lane = 0
-        for row, width in enumerate(widths):
-            block = slice(lane, lane + width)
-            lane += width
-            exact = ceiling[block] == 0.0
-            signals[row, touched] = (
-                coordinates[block, :-1][exact] > 0.0
-            ).any(axis=0)
-            if not exact.all():
-                positive = (stack[block][~exact] > 0.0).any(axis=0)
-                signals[row] |= _holds_any(postings, positive)[positions]
+        signals[:, touched] = _lane_pad(
+            (coordinates[:, :-1] > 0.0) & exact[:, None], widths
+        ).any(axis=1)
+        inexact = _lane_pad((stack > 0.0) & ~exact[:, None], widths)
+        for row in np.flatnonzero(_lane_pad(~exact, widths).any(axis=1)):
+            signals[row] |= _holds_any(
+                postings, inexact[row].any(axis=0)
+            )[positions]
         return bounds, signals
 
     def search_candidates(

@@ -13,15 +13,15 @@ service (stdlib-only — no framework dependencies):
   snapshots with copy-and-swap lake updates; in-flight queries finish
   on the generation they started with;
 * :class:`~repro.serve.metrics.ServerMetrics` — counters, latency
-  histograms, queue depth, cache hit rates for ``/metrics``;
-* :class:`~repro.serve.loadgen.LoadGenerator` — closed-/open-loop load
-  generation reporting throughput and p50/p95/p99 latency.
+  histograms, queue depth, cache hit rates for ``/metrics``.
+
+The closed-/open-loop load generator the serving benches drive lives
+beside them, in ``benchmarks/serve_loadgen.py``.
 
 See ``docs/serving.md`` for the wire format and tuning guide.
 """
 
 from repro.serve.batching import MicroBatcher
-from repro.serve.loadgen import LoadGenerator, LoadReport
 from repro.serve.metrics import LatencyHistogram, ServerMetrics
 from repro.serve.protocol import (
     ExplainRequest,
@@ -47,6 +47,4 @@ __all__ = [
     "TableUpsertRequest",
     "result_to_json",
     "error_to_json",
-    "LoadGenerator",
-    "LoadReport",
 ]

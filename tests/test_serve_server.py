@@ -17,8 +17,9 @@ import time
 
 import pytest
 
+from benchmarks.serve_loadgen import LoadGenerator
 from repro import Query, Thetis
-from repro.serve import LoadGenerator, ServeConfig, ServerThread
+from repro.serve import ServeConfig, ServerThread
 
 
 # ----------------------------------------------------------------------
