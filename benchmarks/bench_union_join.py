@@ -30,11 +30,17 @@ Two experiments over the Table 3 benchmark corpus:
     own efficiency makes unreachable.
 
 * ``test_union_join_derive_speedup`` — the O(delta) mutation path:
-  one table's ``with_table`` + ``without_table`` on each compiled task
-  index against a cold ``compile_*_index`` of the whole lake.  Gate:
-  the derive pair is >= 20x cheaper than the compile (the bar the
-  entity index's single add is held to), and the derived index ranks
-  bit for bit like the cold one.
+  one table's ``without_table`` + ``with_table`` on each task's
+  segmented index (a tombstone and a one-table segment) against a cold
+  compile of the whole lake.  Gate: the derive pair is >= 20x cheaper
+  than the compile (the bar the entity index's single add is held to),
+  and the derived index ranks bit for bit like the cold one.
+
+* ``test_union_join_segment_costs`` — records, without a time gate,
+  the derive pair at the smallest and largest ``bench_bound_scaling``
+  lake sizes, and the union / join read cost over one segment against
+  seven (one big, three of four tables, three of one table, as a lake
+  looks between compactions), checking the two rank alike.
 
 * ``test_union_join_served_throughput`` — boots a real
   :class:`~repro.serve.server.ServerThread` and drives closed-loop
@@ -44,17 +50,20 @@ Two experiments over the Table 3 benchmark corpus:
   latency percentiles.
 
 Results land in ``BENCH_serve.json`` under ``"union_join"``
-(scripts/ci.sh runs both with ``--quick``).
+(scripts/ci.sh runs them all with ``--quick``).
 """
 
 import json
 import time
 
-from benchmarks.conftest import print_header
+from benchmarks.bench_bound_scaling import QUICK_SIZES, SIZES
+from benchmarks.conftest import SEED, print_header
 from benchmarks.serve_loadgen import LoadGenerator
 from repro.baselines import JoinTableSearch, UnionTableSearch
+from repro.benchgen import WT2015_PROFILE, build_benchmark
 from repro.core.kernel import (
     PrefilterStats,
+    SegmentedCorpusIndex,
     VectorizedJoinSearchEngine,
     VectorizedUnionSearchEngine,
 )
@@ -300,6 +309,22 @@ def test_union_join_kernel_speedup(wt_bench, wt_thetis, benchmark, request):
             )
 
 
+def _index_bytes(index):
+    return sum(segment.nbytes() for segment in index.segments)
+
+
+def _derive_pair_seconds(index, samples):
+    """Per-sample cost of tombstoning a table and re-adding it."""
+
+    def derive_all():
+        derived = index
+        for table in samples:
+            derived = derived.without_table(table.table_id).with_table(table)
+        return derived
+
+    return _best_of(derive_all) / len(samples), derive_all()
+
+
 def test_union_join_derive_speedup(wt_bench, wt_thetis, benchmark):
     queries = _queries(wt_bench)
     lake, graph, mapping = wt_bench.lake, wt_bench.graph, wt_bench.mapping
@@ -310,42 +335,25 @@ def test_union_join_derive_speedup(wt_bench, wt_thetis, benchmark):
         (
             "union_types",
             lambda: VectorizedUnionSearchEngine(lake, mapping, graph=graph),
-            lambda index, table: index.with_table(
-                table, mapping, graph=graph),
         ),
         (
             "union_embeddings",
             lambda: VectorizedUnionSearchEngine(
                 lake, mapping, store=store, column_encoder="embeddings"
             ),
-            lambda index, table: index.with_table(
-                table, mapping, store=store),
         ),
-        (
-            "join",
-            lambda: VectorizedJoinSearchEngine(lake, graph),
-            lambda index, table: index.with_table(table),
-        ),
+        ("join", lambda: VectorizedJoinSearchEngine(lake, graph)),
     ]
 
     def run():
         report = {}
-        for name, make_engine, with_table in variants:
+        for name, make_engine in variants:
             cold = make_engine()
             compile_seconds = _best_of(cold.prepare, reps=1)
             compiled = cold.index()
-
-            def derive_all():
-                index = compiled
-                for table in samples:
-                    index = with_table(
-                        index.without_table(table.table_id), table
-                    )
-                return index
-
-            derive_seconds = _best_of(derive_all) / len(samples)
+            derive_seconds, derived = _derive_pair_seconds(compiled, samples)
             derived_engine = make_engine()
-            derived_engine.adopt_index(derive_all())
+            derived_engine.adopt_index(derived)
             delta = _max_delta(
                 [cold.search(q, k=None) for q in queries],
                 [derived_engine.search(q, k=None) for q in queries],
@@ -354,7 +362,7 @@ def test_union_join_derive_speedup(wt_bench, wt_thetis, benchmark):
                 "compile_seconds": compile_seconds,
                 "derive_pair_seconds": derive_seconds,
                 "derive_speedup": compile_seconds / derive_seconds,
-                "index_bytes": compiled.nbytes(),
+                "index_bytes": _index_bytes(compiled),
                 "max_score_delta": delta,
             }
         return report
@@ -388,6 +396,80 @@ def test_union_join_derive_speedup(wt_bench, wt_thetis, benchmark):
             f"{name}: derive is only {row['derive_speedup']:.1f}x cheaper "
             f"than a cold compile (< {REQUIRED_DERIVE_SPEEDUP}x)"
         )
+
+
+def _seven_segments(engine):
+    """The engine's lake as one big segment, three of four tables and
+    three of one table."""
+    tables = list(engine.lake)
+    chunks = [tables[:-15]] + [
+        tables[start:start + 4] for start in range(-15, -3, 4)
+    ] + [[table] for table in tables[-3:]]
+    segments = [engine._compile_segment(chunk) for chunk in chunks]
+    return SegmentedCorpusIndex(
+        segments, [frozenset()] * len(segments),
+        ordinals=engine.lake.ordinals,
+        compile_segment=engine._compile_segment,
+    )
+
+
+def _read_ms(engine, queries):
+    """Per-query ms of a ``k=10`` read, min over ``REPS`` passes."""
+    engine.search_batch(queries[:4], k=K_SERVE)
+    return _best_of(lambda: [
+        engine.search(query, k=K_SERVE) for query in queries
+    ]) / len(queries) * 1e3
+
+
+def test_union_join_segment_costs(request, benchmark):
+    quick = request.config.getoption("--quick")
+    sizes = QUICK_SIZES if quick else SIZES
+    sizes = (sizes[0], sizes[-1])
+
+    def run():
+        report = {}
+        for tables in sizes:
+            bench = build_benchmark(
+                WT2015_PROFILE, num_tables=tables, num_query_pairs=8,
+                seed=SEED,
+            )
+            queries = _queries(bench)
+            samples = list(bench.lake)[:DERIVE_SAMPLES]
+            engines = {
+                "union": VectorizedUnionSearchEngine(
+                    bench.lake, bench.mapping, graph=bench.graph
+                ),
+                "join": VectorizedJoinSearchEngine(bench.lake, bench.graph),
+            }
+            for name, engine in engines.items():
+                engine.prepare()
+                derive_seconds, _ = _derive_pair_seconds(
+                    engine.index(), samples
+                )
+                one = _read_ms(engine, queries)
+                whole = [engine.search(q, k=K_SERVE) for q in queries]
+                engine.adopt_index(_seven_segments(engine))
+                seven = _read_ms(engine, queries)
+                assert [
+                    [(s.table_id, s.score) for s in engine.search(q, k=K_SERVE)]
+                    for q in queries
+                ] == [[(s.table_id, s.score) for s in r] for r in whole]
+                report[f"{name}_{tables}"] = {
+                    "tables": tables,
+                    "derive_pair_ms": derive_seconds * 1e3,
+                    "read_ms_1_segment": one,
+                    "read_ms_7_segments": seven,
+                }
+        return report
+
+    report = benchmark.pedantic(run, rounds=1, iterations=1)
+
+    print_header("Union/join segment costs (types, containment; k=10)")
+    for name, row in report.items():
+        print(f"  {name}: derive pair {row['derive_pair_ms']:6.2f} ms   "
+              f"read {row['read_ms_1_segment']:6.3f} ms (1 segment)  "
+              f"{row['read_ms_7_segments']:6.3f} ms (7 segments)")
+    _merge_report("segments", report)
 
 
 def _task_payloads(bench, k=K_SERVE):

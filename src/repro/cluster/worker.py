@@ -379,7 +379,7 @@ class ClusterWorker:
                 functools.partial(
                     self.thetis.search_shard_batch,
                     queries,
-                    ordinals if first.task == "entity" else shard,
+                    ordinals,
                     k=first.k,
                     method=first.method,
                     votes=first.votes,

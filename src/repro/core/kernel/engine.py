@@ -44,7 +44,6 @@ from :mod:`repro.core.kernel.storage`.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -65,7 +64,7 @@ from repro.core.kernel.index import (
 )
 from repro.core.kernel.segments import (
     SegmentedCorpusIndex,
-    SegmentedIndexStats,
+    SegmentedEngine,
 )
 from repro.core.aggregation import QueryAggregation
 from repro.core.query import Query
@@ -74,7 +73,6 @@ from repro.core.search import (
     ScoringProfile,
     TableScore,
     TableSearchEngine,
-    aligned_candidates,
 )
 from repro.datalake.table import Table
 from repro.exceptions import IndexStorageError
@@ -466,7 +464,7 @@ def _assign_pairs(
     return assignment
 
 
-class VectorizedTableSearchEngine(TableSearchEngine):
+class VectorizedTableSearchEngine(SegmentedEngine, TableSearchEngine):
     """Drop-in :class:`~repro.core.search.TableSearchEngine` with a
     batched scoring kernel.
 
@@ -500,11 +498,10 @@ class VectorizedTableSearchEngine(TableSearchEngine):
 
     def __init__(self, *args, row_cache_size: int = DEFAULT_ROW_CACHE_SIZE,
                  index_dir: Optional[str] = None, **kwargs):
-        super().__init__(*args, **kwargs)
+        TableSearchEngine.__init__(self, *args, **kwargs)
+        SegmentedEngine.__init__(self)
         self.row_cache_size = row_cache_size
         self.index_dir = index_dir
-        self._index_lock = threading.Lock()
-        self._index: Optional[SegmentedCorpusIndex] = None  # guarded-by: _index_lock
         # Informativeness weights per query tuple; entries carry the
         # informativeness object they were computed from, so swapping
         # the weight function (Thetis does on lake mutations) never
@@ -517,27 +514,21 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         )
 
     # ------------------------------------------------------------------
-    # Index lifecycle
+    # Index lifecycle (SegmentedEngine, plus the disk index and mirror)
     # ------------------------------------------------------------------
-    def index(self) -> SegmentedCorpusIndex:
-        """The segmented corpus index, built (or loaded) on first use."""
-        # Intentionally racy read (double-checked build): a segmented
-        # index instance is immutable, so the fast path skips the lock.
-        index = self._index  # lint: disable=guarded-attr-outside-lock
-        if index is None:
-            with self._index_lock:
-                if self._index is None:
-                    self._index = self._build_index()
-                index = self._index
-        return index
+    def _compile_segment(self, tables: Sequence[Table]) -> CorpusIndex:
+        return CorpusIndex(
+            tables, self.mapping, self.sigma,
+            row_cache_size=self.row_cache_size,
+        )
 
     def _build_index(self) -> SegmentedCorpusIndex:
         """Load from disk when possible, else compile from the lake.
 
-        Only called with :attr:`_index_lock` held.  A disk index is
-        adopted only when its live table set matches the lake exactly;
-        anything else (missing files, version/sigma mismatch, drift)
-        falls back to a full compile rather than guessing.
+        Only called with the index lock held.  A disk index is adopted
+        only when its live table set matches the lake exactly; anything
+        else (missing files, version/sigma mismatch, drift) falls back
+        to a full compile rather than guessing.
         """
         if self.index_dir is not None:
             from repro.core.kernel.storage import load_index
@@ -553,17 +544,14 @@ class VectorizedTableSearchEngine(TableSearchEngine):
                 [table.table_id for table in self.lake]
             ):
                 return loaded.rebound(
-                    self.mapping, self.sigma, self.lake.ordinals
+                    ordinals=self.lake.ordinals,
+                    compile_segment=self._compile_segment,
                 )
         return SegmentedCorpusIndex.compile(
             self.lake, self.mapping, self.sigma,
             row_cache_size=self.row_cache_size,
             ordinals=self.lake.ordinals,
         )
-
-    def prepare(self) -> None:
-        """Compile (or load) the index eagerly, off the request path."""
-        self.index()
 
     def _invalidate_index(self) -> None:
         with self._index_lock:
@@ -575,91 +563,46 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         self._invalidate_index()
 
     def invalidate_table(self, table_id: str) -> None:
-        """Apply one table's change to the index in O(delta).
+        """Drop the table's scalar views, then apply it to the index.
 
         If the table is (still) in the lake its old segment entry is
         tombstoned and a fresh single-table segment is compiled; if it
         left the lake only a tombstone is written.  The untouched
         segments — arrays, kernels, and warm similarity-row memos — are
-        shared by reference into the successor index, so a mutation no
-        longer costs a full O(lake) recompile on the next search.  A
-        never-built index stays unbuilt (nothing to update).
+        shared by reference into the successor index.
         """
-        super().invalidate_table(table_id)
-        with self._index_lock:
-            index = self._index
-            if index is None:
-                return
-            table = self.lake.find(table_id)
-            if table is not None:
-                successor = index.with_table(table)
-            else:
-                successor = index.without_table(table_id)
-            self._index = successor
-            # One lake mutation since a verified mirror, and it was this
-            # table: the successor mirrors the lake too.  The sizes
-            # pin it down — one add grows both by one only if the added
-            # table is the one applied, one remove shrinks both only if
-            # the removed table is.
-            version = self.lake.version
-            mirrored_index, mirrored_version = self._mirrored
-            if (mirrored_index is index
-                    and version == mirrored_version + 1
-                    and len(successor) == len(self.lake)
-                    and (table_id in successor) == (table is not None)):
+        TableSearchEngine.invalidate_table(self, table_id)
+        SegmentedEngine.invalidate_table(self, table_id)
+
+    def _derived(
+        self,
+        parent: SegmentedCorpusIndex,
+        successor: SegmentedCorpusIndex,
+        table_id: Optional[str] = None,
+    ) -> None:
+        """Carry a verified index/lake mirror over to ``successor``.
+
+        Compaction keeps the live table set, so a mirror of the lake as
+        it stands still holds (and the compacted instance's segments
+        build their postings here, off the request path).  After one
+        table's change, a mirror one lake version back still holds if
+        that mutation was this table: the sizes pin it down — one add
+        grows both by one only if the added table is the one applied,
+        one remove shrinks both only if the removed table is.
+        """
+        version = self.lake.version
+        mirrored_index, mirrored_version = self._mirrored
+        if table_id is None:
+            if mirrored_index is parent and mirrored_version == version:
                 self._mirrored = (successor, version)
-
-    def compact(self) -> SegmentedIndexStats:
-        """Run the size-tiered compaction policy; returns fresh stats.
-
-        Merges recompile from the live lake tables, so this belongs off
-        the request path — :meth:`warm` (which serving snapshots run
-        before every swap) calls it for you.  The resulting instance's
-        table layout and its segments' postings are built here too, not
-        by its first search.
-        """
-        with self._index_lock:
-            if self._index is None:
-                self._index = self._build_index()
-            index = self._index
-            self._index = index.maybe_compacted(self.lake.get)
-            # Compaction keeps the live table set: a verified mirror
-            # still holds for the compacted instance.
-            mirrored_index, version = self._mirrored
-            if mirrored_index is index and version == self.lake.version:
-                self._mirrored = (self._index, version)
-            self._index.layout()
-            for segment in self._index.segments:
+            for segment in successor.segments:
                 segment.postings()
-            return self._index.stats()
-
-    def adopt_index(self, index: SegmentedCorpusIndex) -> None:
-        """Adopt another engine's index, rebinding mapping and sigma.
-
-        Serving snapshot clones use this to share every unchanged
-        segment with the generation they replace; the subsequent
-        mutation then costs O(delta).  The adopted instance is never
-        mutated (the segmented index is functional), so sharing is safe
-        while the source engine keeps serving queries.  The lake's
-        table id space is bound too, which keeps the index's layout
-        whenever the source's lake shares it (a :meth:`DataLake.copy`).
-        """
-        with self._index_lock:
-            self._index = index.rebound(
-                self.mapping, self.sigma, self.lake.ordinals
-            )
-
-    def export_index(self) -> Optional[SegmentedCorpusIndex]:
-        """The current index instance, or ``None`` when not yet built."""
-        # Intentionally racy read: instances are immutable; a stale
-        # reference is simply the previous (still valid) generation.
-        return self._index  # lint: disable=guarded-attr-outside-lock
-
-    def index_stats(self) -> Optional[SegmentedIndexStats]:
-        """Segment/tombstone/compaction counters (``None`` when cold)."""
-        # Intentionally racy read (see export_index).
-        index = self._index  # lint: disable=guarded-attr-outside-lock
-        return index.stats() if index is not None else None
+        elif (mirrored_index is parent
+                and version == mirrored_version + 1
+                and len(successor) == len(self.lake)
+                and (table_id in successor)
+                == (self.lake.find(table_id) is not None)):
+            self._mirrored = (successor, version)
 
     def seed_views_from(self, source: TableSearchEngine) -> None:
         """Share the source's caches *and* its compiled index.
@@ -670,7 +613,7 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         index against its lake as it stands, the adopted index mirrors
         this lake and the first read lists nothing.
         """
-        super().seed_views_from(source)
+        TableSearchEngine.seed_views_from(self, source)
         if isinstance(source, VectorizedTableSearchEngine):
             index = source.export_index()
             if index is not None:
@@ -679,23 +622,11 @@ class VectorizedTableSearchEngine(TableSearchEngine):
                 if mirrored_index is index and version == source.lake.version:
                     self._mirrored = (self.export_index(), self.lake.version)
 
-    def warm(self, table_ids: Optional[Iterable[str]] = None) -> int:
-        """Build (or load) and compact the index; returns its table count.
-
-        A serving snapshot calls this before the swap, so both the
-        O(delta) segment update triggered by a table add/remove and any
-        due compaction happen off the request path.  No scalar view is
-        built: the kernel reads none, and ``explain`` builds the one of
-        the table it explains.  The index always covers the whole lake,
-        so ``table_ids`` does not narrow it.
-        """
-        return self.compact().live_tables
-
     def cache_stats(self) -> Dict[str, CacheStats]:
         stats = super().cache_stats()
-        # Intentionally racy read: stats reporting must not serialize
-        # against an in-flight index build; None just means "cold".
-        index = self._index  # lint: disable=guarded-attr-outside-lock
+        # Stats reporting must not serialize against an in-flight index
+        # build; None just means "cold".
+        index = self.export_index()
         if index is not None:
             stats["kernel_rows"] = index.row_cache_stats()
             stats["kernel_tuples"] = index.tuple_cache_stats()
@@ -1058,11 +989,6 @@ class VectorizedTableSearchEngine(TableSearchEngine):
         """:meth:`search_batch` of one (same results as the scalar loop)."""
         return self.search_batch([query], k=k, candidates=[candidates])[0]
 
-    def record_dispatch(self, batch_stats, queries: int, unique: int) -> None:
-        """Tally one batched call: ``unique`` jobs answer ``queries`` slots."""
-        if batch_stats is not None:
-            batch_stats.record_batched(queries, unique)
-
     def search_batch(
         self,
         queries: Sequence[Query],
@@ -1113,29 +1039,10 @@ class VectorizedTableSearchEngine(TableSearchEngine):
             recording one batched dispatch covering ``len(queries)``
             queries (``len(queries) - unique`` of them deduplicated).
         """
-        queries = list(queries)
-        cand_lists = aligned_candidates(queries, candidates)
-        if not queries:
+        jobs, fanout = self._jobs(queries, candidates, batch_stats)
+        if not jobs:
             return []
         profile = self.profile
-        # Canonical dedup: identical (tuples, candidate set) jobs are
-        # answered once; fanout maps every input slot to its job.  A
-        # candidate set is sorted distinct ordinals, so its bytes are
-        # its key.
-        job_of: Dict[Tuple, int] = {}
-        jobs: List[Tuple[Query, Optional[np.ndarray]]] = []
-        fanout: List[int] = []
-        for query, cands in zip(queries, cand_lists):
-            if cands is not None and not isinstance(cands, np.ndarray):
-                cands = self.lake.ordinals.lookup(cands)
-            key = (query.tuples, None if cands is None else cands.tobytes())
-            slot = job_of.get(key)
-            if slot is None:
-                slot = len(jobs)
-                job_of[key] = slot
-                jobs.append((query, cands))
-            fanout.append(slot)
-        self.record_dispatch(batch_stats, len(queries), len(jobs))
         if k is not None and k < 1:
             if stats is not None:
                 for _, cands in jobs:

@@ -460,6 +460,11 @@ class CorpusIndex:
         """Distinct linked entities across the corpus."""
         return len(self.uris)
 
+    @property
+    def has_links(self) -> np.ndarray:
+        """Per table, whether it links an entity inside its grid."""
+        return np.diff(self.nnz_toffset) > 0
+
     def __len__(self) -> int:
         return len(self.table_ids)
 

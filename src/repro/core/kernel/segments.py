@@ -1,12 +1,17 @@
 """Segmented corpus index: O(delta) mutations over immutable segments.
 
-The monolithic :class:`~repro.core.kernel.index.CorpusIndex` compiles
-the whole lake, so every ``add_table`` / ``remove_table`` used to pay a
-full O(lake) recompile before the next query.  This module applies the
-Lucene playbook instead: the corpus is a sequence of immutable compiled
-*segments* (each one a small ``CorpusIndex`` over a subset of tables,
-with its own URI interning, columnar grids, type bitmaps, and stacked
-embeddings) plus per-segment *tombstone* sets:
+A monolithic compiled index covers the whole lake, so every
+``add_table`` / ``remove_table`` would pay a full O(lake) recompile
+before the next query.  This module applies the Lucene playbook
+instead: the corpus is a sequence of immutable compiled *segments* plus
+per-segment *tombstone* sets.  One container serves all three tasks; a
+segment *kind* is whatever one compile callable (``tables -> segment``)
+returns — a :class:`~repro.core.kernel.index.CorpusIndex` for entity
+search (its own URI interning, columnar grids, type bitmaps, stacked
+embeddings), a :class:`~repro.core.kernel.union.UnionCorpusIndex` or a
+:class:`~repro.core.kernel.join.JoinCorpusIndex` — as long as it has
+``table_ids`` and a per-table ``has_links`` flag array, which is all the
+container and :class:`LakeLayout` read:
 
 * adding a table compiles a single-table segment — O(table);
 * removing a table writes a tombstone — O(1), no array is touched;
@@ -24,6 +29,8 @@ previous generation's index, and the one mutated table costs one
 single-table compile while every other segment (arrays, kernels, warm
 similarity-row memos) is shared, not copied.  Readers therefore never
 need a lock: an engine publishes a new index by swapping one reference.
+:class:`SegmentedEngine` is that engine-side lifecycle, written once for
+the entity, union and join engines.
 
 Scoring parity with a monolithic recompile is exact: a table's score
 depends only on its own columnar block and on ``sigma`` rows restricted
@@ -36,7 +43,10 @@ this with a randomized add/remove/compact property test.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import (
     Any,
     Callable,
@@ -55,6 +65,7 @@ import numpy as np
 from repro.core.cache import CacheStats, LRUCache
 from repro.exceptions import ConfigurationError
 from repro.core.kernel.index import DEFAULT_ROW_CACHE_SIZE, CorpusIndex
+from repro.core.search import aligned_candidates
 from repro.datalake.lake import TableOrdinals
 from repro.datalake.table import Table
 from repro.linking.mapping import EntityMapping
@@ -91,7 +102,7 @@ def _merge_cache_stats(parts: Sequence[CacheStats]) -> CacheStats:
     )
 
 
-def _segment_bases(segments: Sequence[CorpusIndex]) -> np.ndarray:
+def _segment_bases(segments: Sequence[Any]) -> np.ndarray:
     """Each segment's first flat position, plus the total at the end."""
     sizes = [len(segment.table_ids) for segment in segments]
     return np.concatenate(
@@ -117,10 +128,11 @@ class LakeLayout:
       so the engine's ``(-score, table_id)`` ranking is one numeric
       ``lexsort`` (live ids are unique, so rank order *is* id order);
     * ``live`` — sorted flat positions of the live tables;
-    * ``has_links`` — per flat position, whether the table links at
-      least one entity inside its grid.  A linkless table has no
-      similarity signal, so under ``drop_irrelevant`` it can never be
-      returned.
+    * ``has_links`` — per flat position, the owning segment's
+      ``has_links`` flag: for an entity segment, whether the table
+      links at least one entity inside its grid.  A linkless table has
+      no similarity signal, so under ``drop_irrelevant`` it can never
+      be returned.
     """
 
     seg_base: np.ndarray
@@ -133,7 +145,7 @@ class LakeLayout:
     @classmethod
     def build(
         cls,
-        segments: Sequence[CorpusIndex],
+        segments: Sequence[Any],
         owner: Dict[str, Tuple[int, int]],
         ordinals: TableOrdinals,
     ) -> "LakeLayout":
@@ -156,9 +168,7 @@ class LakeLayout:
             sorted(range(len(table_ids)), key=table_ids.__getitem__)
         ] = np.arange(len(table_ids), dtype=np.int64)
         has_links = (
-            np.concatenate([
-                np.diff(segment.nnz_toffset) > 0 for segment in segments
-            ])
+            np.concatenate([segment.has_links for segment in segments])
             if segments else np.zeros(0, dtype=bool)
         )
         return cls._sealed(
@@ -174,7 +184,7 @@ class LakeLayout:
 
     def successor(
         self,
-        segments: Sequence[CorpusIndex],
+        segments: Sequence[Any],
         retired: Optional[int],
         dropped: Optional[int],
         appended: Optional[Tuple[str, int]],
@@ -214,9 +224,7 @@ class LakeLayout:
             rank = sum(map(table_id.__gt__, table_ids))
             table_ids = table_ids + (table_id,)
             id_rank = np.append(id_rank + (id_rank >= rank), rank)
-            has_links = np.append(
-                has_links, np.diff(segments[-1].nnz_toffset) > 0
-            )
+            has_links = np.append(has_links, segments[-1].has_links)
             live = np.append(live, position)
             if ordinal >= len(flat_of):
                 flat_of = np.pad(
@@ -227,6 +235,32 @@ class LakeLayout:
         return self._sealed(
             _segment_bases(segments), table_ids, flat_of, id_rank, live,
             has_links,
+        )
+
+    def merged(
+        self, segments: Sequence[Any], source: np.ndarray
+    ) -> "LakeLayout":
+        """The layout after a compaction, without a string sort.
+
+        ``source[i]`` is the flat position, in this layout, of the table
+        copy at the successor's flat position ``i`` (``segments`` are
+        the successor's).  Compaction keeps every live copy and drops
+        dead ones only, so the ranks close up over the dropped
+        positions.
+        """
+        moved = np.full(len(self.table_ids), -1, dtype=np.int64)
+        moved[source] = np.arange(len(source), dtype=np.int64)
+        cut = np.sort(self.id_rank[moved < 0])
+        id_rank = self.id_rank[source]
+        id_rank = id_rank - np.searchsorted(cut, id_rank)
+        flat_of = self.flat_of.copy()
+        alive = flat_of >= 0
+        flat_of[alive] = moved[flat_of[alive]]
+        return self._sealed(
+            _segment_bases(segments),
+            tuple(map(self.table_ids.__getitem__, source.tolist())),
+            flat_of, id_rank, np.sort(moved[self.live]),
+            np.concatenate([segment.has_links for segment in segments]),
         )
 
     def positions(
@@ -287,6 +321,18 @@ class SegmentedIndexStats:
         }
 
 
+def _entity_segments(
+    mapping: EntityMapping,
+    sigma: EntitySimilarity,
+    row_cache_size: int = DEFAULT_ROW_CACHE_SIZE,
+) -> Callable[[Sequence[Table]], CorpusIndex]:
+    """The entity segment kind: ``tables -> CorpusIndex``."""
+    return partial(
+        CorpusIndex, mapping=mapping, sigma=sigma,
+        row_cache_size=row_cache_size,
+    )
+
+
 class SegmentedCorpusIndex:
     """An immutable sequence of compiled segments plus tombstones.
 
@@ -300,21 +346,27 @@ class SegmentedCorpusIndex:
     one ``(segment, position)``: :meth:`with_table` tombstones any
     previous copy before appending, and compaction folds only live
     tables into merged segments.
+
+    ``compile_segment`` (``tables -> segment``) is the segment kind:
+    every single-table segment and every compaction merge comes from
+    it.  Without one, ``mapping`` and ``sigma`` make an entity index
+    (:func:`_entity_segments`).
     """
 
     def __init__(
         self,
-        segments: Iterable[CorpusIndex],
+        segments: Iterable[Any],
         dead: Iterable[FrozenSet[str]],
-        mapping: EntityMapping,
-        sigma: EntitySimilarity,
+        mapping: Optional[EntityMapping] = None,
+        sigma: Optional[EntitySimilarity] = None,
         row_cache_size: int = DEFAULT_ROW_CACHE_SIZE,
         compactions: int = 0,
         owner: Optional[Dict[str, Tuple[int, int]]] = None,
         ordinals: Optional[TableOrdinals] = None,
         layout: Optional[LakeLayout] = None,
+        compile_segment: Optional[Callable[[Sequence[Table]], Any]] = None,
     ):
-        self.segments: Tuple[CorpusIndex, ...] = tuple(segments)
+        self.segments: Tuple[Any, ...] = tuple(segments)
         self.dead: Tuple[FrozenSet[str], ...] = tuple(
             frozenset(dead_set) for dead_set in dead
         )
@@ -323,12 +375,14 @@ class SegmentedCorpusIndex:
                 "segments and tombstone sets must align: "
                 f"{len(self.segments)} != {len(self.dead)}"
             )
-        self.mapping = mapping
-        self.sigma = sigma
+        if compile_segment is None:
+            compile_segment = _entity_segments(mapping, sigma, row_cache_size)
+        self.compile_segment = compile_segment
         self.row_cache_size = row_cache_size
         self.compactions = compactions
-        # Live table id -> (segment index, position), in scan order.  A
-        # successor passes the map it derived from its parent's.
+        # Live table id -> (segment index, position), in scan order (the
+        # merge in _merged relies on it).  A successor passes the map it
+        # derived from its parent's.
         if owner is None:
             owner = {}
             for seg_index, (segment, dead_set) in enumerate(
@@ -352,14 +406,13 @@ class SegmentedCorpusIndex:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def compile(
+    def build(
         cls,
         tables: Iterable[Table],
-        mapping: EntityMapping,
-        sigma: EntitySimilarity,
-        row_cache_size: int = DEFAULT_ROW_CACHE_SIZE,
+        compile_segment: Callable[[Sequence[Table]], Any],
         segment_tables: int = 0,
         ordinals: Optional[TableOrdinals] = None,
+        row_cache_size: int = DEFAULT_ROW_CACHE_SIZE,
     ) -> "SegmentedCorpusIndex":
         """Compile tables from scratch into a fresh segmented index.
 
@@ -378,27 +431,41 @@ class SegmentedCorpusIndex:
             ]
         else:
             chunks = [table_list] if table_list else []
-        segments = [
-            CorpusIndex(chunk, mapping, sigma, row_cache_size=row_cache_size)
-            for chunk in chunks
-        ]
+        segments = [compile_segment(chunk) for chunk in chunks]
         return cls(
             segments,
             [frozenset()] * len(segments),
-            mapping,
-            sigma,
             row_cache_size=row_cache_size,
             ordinals=ordinals,
+            compile_segment=compile_segment,
+        )
+
+    @classmethod
+    def compile(
+        cls,
+        tables: Iterable[Table],
+        mapping: EntityMapping,
+        sigma: EntitySimilarity,
+        row_cache_size: int = DEFAULT_ROW_CACHE_SIZE,
+        segment_tables: int = 0,
+        ordinals: Optional[TableOrdinals] = None,
+    ) -> "SegmentedCorpusIndex":
+        """:meth:`build` of an entity index over ``(mapping, sigma)``."""
+        return cls.build(
+            tables, _entity_segments(mapping, sigma, row_cache_size),
+            segment_tables=segment_tables, ordinals=ordinals,
+            row_cache_size=row_cache_size,
         )
 
     def _replace(
         self,
-        segments: Sequence[CorpusIndex],
+        segments: Sequence[Any],
         dead: Sequence[FrozenSet[str]],
         compactions: int,
         owner: Optional[Dict[str, Tuple[int, int]]] = None,
         retired: Optional[str] = None,
         appended: Optional[str] = None,
+        source: Optional[np.ndarray] = None,
     ) -> "SegmentedCorpusIndex":
         """Successor instance; drops segments with no live table left.
 
@@ -406,10 +473,12 @@ class SegmentedCorpusIndex:
         over ``segments`` (the caller's own copy); the live tables of
         segments after a dropped one are renumbered in it.  A one-table
         mutation names the id whose live copy it ``retired`` and the id
-        of the single-table segment it ``appended`` last; the successor
-        then derives its layout from this instance's, if built
-        (:meth:`LakeLayout.successor`).  Anything else leaves the
-        successor to build its own on first use.
+        of the single-table segment it ``appended`` last; a compaction
+        passes the ``source`` map of :meth:`LakeLayout.merged`.  The
+        successor then derives its layout from this instance's, if
+        built (:meth:`LakeLayout.successor` / :meth:`~LakeLayout.
+        merged`).  Anything else leaves the successor to build its own
+        on first use.
         """
         kept = [
             len(dead_set) < len(segment.table_ids)
@@ -433,7 +502,9 @@ class SegmentedCorpusIndex:
         ]
         layout = None
         mutated = retired is not None or appended is not None
-        if self._layout is not None and mutated and kept.count(False) <= 1:
+        if self._layout is not None and source is not None:
+            layout = self._layout.merged(successors, source)
+        elif self._layout is not None and mutated and kept.count(False) <= 1:
             intern = self.ordinals.intern
             layout = self._layout.successor(
                 successors,
@@ -444,43 +515,48 @@ class SegmentedCorpusIndex:
         return SegmentedCorpusIndex(
             successors,
             [dead_set for dead_set, keep in zip(dead, kept) if keep],
-            self.mapping,
-            self.sigma,
             row_cache_size=self.row_cache_size,
             compactions=compactions,
             owner=owner,
             ordinals=self.ordinals,
             layout=layout,
+            compile_segment=self.compile_segment,
         )
 
     def rebound(
         self,
-        mapping: EntityMapping,
-        sigma: EntitySimilarity,
+        mapping: Optional[EntityMapping] = None,
+        sigma: Optional[EntitySimilarity] = None,
         ordinals: Optional[TableOrdinals] = None,
+        compile_segment: Optional[Callable[[Sequence[Table]], Any]] = None,
     ) -> "SegmentedCorpusIndex":
-        """The same segments bound to another (mapping, sigma) pair.
+        """The same segments bound to another compile callable.
 
         A serving snapshot clone owns a *copied* mapping; adopting the
         previous generation's index must rebind it so that future
         incremental compiles read the clone's links, not the retired
         generation's.  Segment contents are shared untouched (the copy
-        preserves link content, so they remain valid verbatim).
-        ``ordinals`` rebinds the table id space too (default: keep
-        this one); the layout is carried over unless it changes.
+        preserves link content, so they remain valid verbatim).  The
+        callable is ``compile_segment``, or the entity kind over
+        ``(mapping, sigma)``.  ``ordinals`` rebinds the table id space
+        too (default: keep this one); the layout is carried over unless
+        it changes.
         """
         if ordinals is None:
             ordinals = self.ordinals
+        if compile_segment is None:
+            compile_segment = _entity_segments(
+                mapping, sigma, self.row_cache_size
+            )
         return SegmentedCorpusIndex(
             self.segments,
             self.dead,
-            mapping,
-            sigma,
             row_cache_size=self.row_cache_size,
             compactions=self.compactions,
             owner=self._owner,
             ordinals=ordinals,
             layout=self._layout if ordinals is self.ordinals else None,
+            compile_segment=compile_segment,
         )
 
     # ------------------------------------------------------------------
@@ -495,14 +571,13 @@ class SegmentedCorpusIndex:
         """
         table_id = table.table_id
         dead = list(self.dead)
-        owner = dict(self._owner)
+        # dict.copy() clones the hash table even when earlier removals
+        # left holes in it; dict(...) would re-insert every entry.
+        owner = self._owner.copy()
         previous = owner.pop(table_id, None)
         if previous is not None:
             dead[previous[0]] = dead[previous[0]] | {table_id}
-        segment = CorpusIndex(
-            [table], self.mapping, self.sigma,
-            row_cache_size=self.row_cache_size,
-        )
+        segment = self.compile_segment([table])
         owner[table_id] = (len(self.segments), 0)
         return self._replace(
             list(self.segments) + [segment],
@@ -520,7 +595,7 @@ class SegmentedCorpusIndex:
             return self
         dead = list(self.dead)
         dead[previous[0]] = dead[previous[0]] | {table_id}
-        owner = dict(self._owner)
+        owner = self._owner.copy()
         del owner[table_id]
         return self._replace(
             list(self.segments), dead, self.compactions, owner,
@@ -581,16 +656,20 @@ class SegmentedCorpusIndex:
         Merged segments take the slot of their group's first member, so
         segment order stays stable for unrelated segments.
         """
-        replacements: Dict[int, Optional[CorpusIndex]] = {}
+        # Flat positions in this layout, when built, of every table a
+        # merged segment takes over (see LakeLayout.merged).
+        bases = None if self._layout is None else self._layout.seg_base
+        replacements: Dict[int, Tuple[Any, List[int]]] = {}
         consumed: Dict[int, int] = {}
         compactions = self.compactions
         for members in groups:
             tables: List[Table] = []
+            origins: List[int] = []
             resolved = True
             for seg_index in members:
                 segment = self.segments[seg_index]
                 dead_set = self.dead[seg_index]
-                for table_id in segment.table_ids:
+                for position, table_id in enumerate(segment.table_ids):
                     if table_id in dead_set:
                         continue
                     table = resolve(table_id)
@@ -598,39 +677,56 @@ class SegmentedCorpusIndex:
                         resolved = False
                         break
                     tables.append(table)
+                    if bases is not None:
+                        origins.append(int(bases[seg_index]) + position)
                 if not resolved:
                     break
             if not resolved:
                 continue
-            merged = (
-                CorpusIndex(
-                    tables, self.mapping, self.sigma,
-                    row_cache_size=self.row_cache_size,
-                )
-                if tables else None
-            )
-            replacements[members[0]] = merged
+            merged = self.compile_segment(tables) if tables else None
+            replacements[members[0]] = (merged, origins)
             for seg_index in members:
                 consumed[seg_index] = members[0]
             compactions += 1
         if not consumed:
             return self
-        segments: List[CorpusIndex] = []
+        segments: List[Any] = []
         dead: List[FrozenSet[str]] = []
+        sources: List[np.ndarray] = []
         for seg_index, (segment, dead_set) in enumerate(
             zip(self.segments, self.dead)
         ):
             if seg_index in replacements:
-                merged = replacements[seg_index]
+                merged, origins = replacements[seg_index]
                 if merged is not None:
                     segments.append(merged)
                     dead.append(frozenset())
-            elif seg_index in consumed:
-                continue
-            else:
+                    sources.append(np.asarray(origins, dtype=np.int64))
+            elif seg_index not in consumed:
                 segments.append(segment)
                 dead.append(dead_set)
-        return self._replace(segments, dead, compactions)
+                if bases is not None:
+                    sources.append(np.arange(
+                        bases[seg_index], bases[seg_index + 1],
+                        dtype=np.int64,
+                    ))
+        # The owner map is in scan order: the live tables of the
+        # segments before the first merged slot lead it, unchanged.
+        first = min(consumed)
+        owner = dict(islice(self._owner.items(), sum(
+            len(segment.table_ids) - len(dead_set)
+            for segment, dead_set in zip(self.segments[:first], self.dead)
+        )))
+        for seg_index in range(first, len(segments)):
+            for position, table_id in enumerate(segments[seg_index].table_ids):
+                if table_id not in dead[seg_index]:
+                    owner[table_id] = (seg_index, position)
+        return self._replace(
+            segments, dead, compactions, owner,
+            source=None if bases is None else np.concatenate(
+                sources or [np.zeros(0, dtype=np.int64)]
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Read API
@@ -704,8 +800,11 @@ class SegmentedCorpusIndex:
         An entity linked in several segments is counted once per
         segment (each segment interns its own URI delta); after full
         compaction this equals the monolithic distinct-entity count.
+        Union and join segments intern no entity.
         """
-        return sum(segment.num_entities for segment in self.segments)
+        return sum(
+            getattr(segment, "num_entities", 0) for segment in self.segments
+        )
 
     def stats(self) -> SegmentedIndexStats:
         return SegmentedIndexStats(
@@ -729,10 +828,178 @@ class SegmentedCorpusIndex:
         )
 
 
+class SegmentedEngine:
+    """The index lifecycle of every vectorized engine.
+
+    The entity, union and join engines differ in their segment kind
+    (:meth:`_compile_segment`) and in how they score; this is the rest:
+
+    * :meth:`index` — built on first use under a lock, then read
+      lock-free (an index instance is immutable);
+    * :meth:`invalidate_table` — a table in the lake gets a one-table
+      segment (tombstoning any older copy), a table that left it a
+      tombstone; every other segment is shared;
+    * :meth:`export_index` / :meth:`adopt_index` — a snapshot clone
+      takes the live generation's index by reference, rebound to its
+      own compile callable (its own mapping) and table id space;
+    * :meth:`compact` / :meth:`warm` — size-tiered compaction, off the
+      request path.
+
+    A subclass sets ``lake`` and calls ``SegmentedEngine.__init__``.
+    """
+
+    def __init__(self) -> None:
+        self._index_lock = threading.RLock()
+        self._index: Optional[SegmentedCorpusIndex] = None  # guarded-by: _index_lock
+
+    def _compile_segment(self, tables: Sequence[Table]) -> Any:
+        """One segment of this engine's kind over ``tables``."""
+        raise NotImplementedError
+
+    def _build_index(self) -> SegmentedCorpusIndex:
+        """The whole lake's index; called with the lock held."""
+        return SegmentedCorpusIndex.build(
+            self.lake, self._compile_segment, ordinals=self.lake.ordinals
+        )
+
+    def _derived(
+        self,
+        parent: SegmentedCorpusIndex,
+        successor: SegmentedCorpusIndex,
+        table_id: Optional[str] = None,
+    ) -> None:
+        """Hook: ``successor`` replaced ``parent`` by one table's change
+        (``table_id``) or by compaction (``None``); lock held."""
+
+    def index(self) -> SegmentedCorpusIndex:
+        """The segmented index, built on first use."""
+        # Intentionally racy read (double-checked build): an index
+        # instance is immutable, so the fast path skips the lock.
+        index = self._index  # lint: disable=guarded-attr-outside-lock
+        if index is None:
+            with self._index_lock:
+                if self._index is None:
+                    self._index = self._build_index()
+                index = self._index
+        return index
+
+    def prepare(self) -> None:
+        """Build the index now if it never was (server warm-up)."""
+        self.index()
+
+    def invalidate_table(self, table_id: str) -> None:
+        """Apply one table's change to the index in O(delta).
+
+        A never-built index stays unbuilt (nothing to update).
+        """
+        with self._index_lock:
+            parent = self._index
+            if parent is None:
+                return
+            table = self.lake.find(table_id)
+            self._index = (
+                parent.without_table(table_id) if table is None
+                else parent.with_table(table)
+            )
+            self._derived(parent, self._index, table_id)
+
+    def compact(self) -> SegmentedIndexStats:
+        """Run the size-tiered compaction policy; returns fresh stats.
+
+        Merges recompile from the live lake tables, so this belongs off
+        the request path — :meth:`warm` (which serving snapshots run
+        before every swap) calls it.  The resulting instance's table
+        layout is built here too, not by its first search.
+        """
+        with self._index_lock:
+            if self._index is None:
+                self._index = self._build_index()
+            parent = self._index
+            self._index = parent.maybe_compacted(self.lake.get)
+            self._derived(parent, self._index)
+            self._index.layout()
+            return self._index.stats()
+
+    def warm(self, table_ids: Optional[Iterable[str]] = None) -> int:
+        """Build and compact the index; returns its table count.
+
+        The index always covers the whole lake, so ``table_ids`` does
+        not narrow it.
+        """
+        return self.compact().live_tables
+
+    def adopt_index(self, index: SegmentedCorpusIndex) -> None:
+        """Adopt another engine's index by reference.
+
+        The adopted instance is never mutated, so the source keeps
+        serving from it while this engine derives its successor.  It is
+        rebound to this engine's compile callable, so future compiles
+        read this engine's mapping, and to its lake's table id space,
+        which keeps the index's layout whenever the source's lake
+        shares it (a :meth:`DataLake.copy`).
+        """
+        with self._index_lock:
+            self._index = index.rebound(
+                ordinals=self.lake.ordinals,
+                compile_segment=self._compile_segment,
+            )
+
+    def export_index(self) -> Optional[SegmentedCorpusIndex]:
+        """The current index instance, or ``None`` when not yet built."""
+        # Intentionally racy read: instances are immutable; a stale
+        # reference is simply the previous (still valid) generation.
+        return self._index  # lint: disable=guarded-attr-outside-lock
+
+    def index_stats(self) -> Optional[SegmentedIndexStats]:
+        """Segment/tombstone/compaction counters (``None`` when cold)."""
+        index = self.export_index()
+        return index.stats() if index is not None else None
+
+    def seed_views_from(self, source: Any) -> None:
+        """Adopt the source engine's index, if it built one."""
+        index = source.export_index()
+        if index is not None:
+            self.adopt_index(index)
+
+    def _jobs(
+        self,
+        queries: Sequence[Any],
+        candidates: Optional[Sequence[Optional[Any]]],
+        batch_stats=None,
+    ) -> Tuple[List[Tuple[Any, Optional[np.ndarray]]], List[int]]:
+        """Deduplicate a micro-batch into ``(jobs, fanout)``.
+
+        A job is ``(query, candidates)`` with the candidates as a sorted
+        array of distinct table ordinals of the lake (ids are converted
+        once, here) or ``None`` for the whole lake; identical jobs are
+        answered once, and ``fanout`` maps every input slot to its job.
+        ``batch_stats`` records the dispatch.
+        """
+        queries = list(queries)
+        job_of: Dict[Tuple, int] = {}
+        jobs: List[Tuple[Any, Optional[np.ndarray]]] = []
+        fanout: List[int] = []
+        cand_lists = aligned_candidates(queries, candidates)
+        for query, cands in zip(queries, cand_lists):
+            if cands is not None and not isinstance(cands, np.ndarray):
+                cands = self.lake.ordinals.lookup(cands)
+            key = (query.tuples, None if cands is None else cands.tobytes())
+            slot = job_of.get(key)
+            if slot is None:
+                slot = len(jobs)
+                job_of[key] = slot
+                jobs.append((query, cands))
+            fanout.append(slot)
+        if batch_stats is not None and queries:
+            batch_stats.record_batched(len(queries), len(jobs))
+        return jobs, fanout
+
+
 __all__ = [
     "COMPACTION_FANOUT",
     "LakeLayout",
     "MAX_SEGMENTS",
     "SegmentedCorpusIndex",
+    "SegmentedEngine",
     "SegmentedIndexStats",
 ]

@@ -1,36 +1,40 @@
-"""Vectorized union search: a compiled column-concept index + engine.
+"""Vectorized union search: compiled column-concept segments + engine.
 
 The scalar :class:`~repro.baselines.union_search.UnionTableSearch`
 scores one table at a time: re-encode the query columns, build a dense
 query-column x table-column similarity matrix in Python lists, and run
-the Hungarian solver per table.  This module compiles the lake once
-into a :class:`UnionCorpusIndex` — per-column dominant-type bitmaps for
-the SANTOS-like ``types`` encoder, stacked mean column embeddings for
-the Starmie-like ``embeddings`` encoder, plus the same table->column
-``reduceat`` layout the entity kernel uses — and scores the *whole
-lake* per query with one popcount Jaccard pass (types) or one matmul
-cosine pass (embeddings), followed by a vectorized column assignment:
-exact enumerated assignment for tables with at most ``MAX_ENUM_ROWS``
-positively-scoring query columns (with the :data:`ASSIGNMENT_MARGIN`
-near-tie check), Hungarian fallback otherwise.  A search with a cut-off
-``k`` solves the assignment only for the tables it must: a
-bound-ordered, early-terminating scan (the entity kernel's
-:func:`~repro.core.kernel.engine.pruned_topk`) whose bound is each
-table's best column per query row, so its ranking is the full pass
-truncated to ``k``, bit for bit.
+the Hungarian solver per table.  This module compiles tables into
+:class:`UnionCorpusIndex` segments — per-column dominant-type bitmaps
+for the SANTOS-like ``types`` encoder, stacked mean column embeddings
+for the Starmie-like ``embeddings`` encoder, plus the same
+table->column ``reduceat`` layout the entity kernel uses — held by the
+one segment container every task shares
+(:class:`~repro.core.kernel.segments.SegmentedCorpusIndex`).  A read
+scores every candidate column with one popcount Jaccard pass (types) or
+one ``einsum`` cosine pass (embeddings) per segment, lays the results
+on one flat column axis, and follows with a vectorized column
+assignment: exact enumerated assignment for tables with at most
+``MAX_ENUM_ROWS`` positively-scoring query columns (with the
+:data:`ASSIGNMENT_MARGIN` near-tie check), Hungarian fallback
+otherwise.  A search with a cut-off ``k`` solves the assignment only
+for the tables it must: a bound-ordered, early-terminating scan (the
+entity kernel's :func:`~repro.core.kernel.engine.pruned_topk`) whose
+bound is each table's best column per query row, so its ranking is the
+full pass truncated to ``k``, bit for bit.
 
 Parity contract: scores match the scalar baseline to <= 1e-9 and the
 ranking is identical including ``(-score, table_id)`` tie-breaks.  For
 the ``types`` encoder every operation is integer popcount arithmetic
 followed by one int/int division, so scores are bit-identical; for
-``embeddings`` the BLAS matmul may round the last bits differently
-from the scalar dot product (~1e-16, far inside the budget).
+``embeddings`` the ``einsum`` dot product may round the last bits
+differently from the scalar one (~1e-16, far inside the budget), but
+each column's score is computed alone, so it does not depend on the
+segment layout or on what else rides the batch.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,9 +46,13 @@ from repro.core.kernel.engine import (
     pruned_topk,
 )
 from repro.core.kernel.index import _popcount
+from repro.core.kernel.segments import (
+    LakeLayout,
+    SegmentedCorpusIndex,
+    SegmentedEngine,
+)
 from repro.core.query import Query
 from repro.core.result import ResultSet, ScoredTable
-from repro.core.search import aligned_candidates
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
 from repro.embeddings.store import EmbeddingStore
@@ -91,35 +99,31 @@ def _wide_clash_mask(rows: int, options: int) -> np.ndarray:
 
 
 class UnionCorpusIndex:
-    """Immutable columnar encoding of every lake column.
+    """One immutable segment: a columnar encoding of its tables' columns.
 
     Layout (shared by both encoders)
     --------------------------------
-    ``table_ids[t]``      table id of corpus position ``t``
-    ``id_rank[t]``        rank of ``table_ids[t]`` in ascending id
-                          order, so the ``(-score, table_id)`` ranking
-                          is one numeric ``lexsort``
+    ``table_ids[t]``      table id of segment position ``t``
     ``table_columns[t]``  column count of table ``t`` (int64)
     ``col_offset``        ``len == num_tables + 1`` prefix sums; table
-                          ``t`` owns global columns
+                          ``t`` owns segment columns
                           ``[col_offset[t], col_offset[t+1])``
 
     ``types`` encoder: ``bitmaps`` is ``(total_columns, words)`` uint64
-    with one bit per interned dominant type, ``sizes`` the per-column
-    type-set cardinality — a query column scores the whole corpus with
-    one ``popcount(bitmaps & query_bits)`` pass.
+    with one bit per dominant type interned by this segment
+    (``bit_of``), ``sizes`` the per-column type-set cardinality — a
+    stack of query columns scores the segment with one
+    ``popcount(bitmaps & query_bits)`` pass.
 
     ``embeddings`` encoder: ``vectors`` is ``(total_columns, dim)``
     float64 mean column embeddings (zero rows where a column has no
     linked entities), ``norms`` their L2 norms, ``valid`` the
-    non-null mask — a query column scores the corpus with one matmul.
+    non-null mask — a stack of query columns scores the segment with
+    one ``einsum``.
 
-    Every row is a function of its own table's links only, so a
-    mutation never looks at another table: :meth:`with_table` and
-    :meth:`without_table` return a *new* index whose arrays are spliced
-    from this one's (one memcpy of the per-column rows, and the id rank
-    shifted around the one id that moved), and this instance is never
-    written — a reader holding it keeps a consistent generation.
+    Every row is a function of its own table's links only, so a segment
+    never needs another table: a mutation compiles a one-table segment
+    and the container shares the rest.
     """
 
     def __init__(
@@ -133,22 +137,12 @@ class UnionCorpusIndex:
         vectors: Optional[np.ndarray] = None,
         norms: Optional[np.ndarray] = None,
         valid: Optional[np.ndarray] = None,
-        id_rank: Optional[np.ndarray] = None,
     ):
         self.column_encoder = column_encoder
         self.table_ids = table_ids
-        if id_rank is None:
-            # Cold build only: derived generations pass theirs in.
-            id_rank = np.empty(len(table_ids), dtype=np.int64)
-            id_rank[
-                sorted(range(len(table_ids)), key=table_ids.__getitem__)
-            ] = np.arange(len(table_ids), dtype=np.int64)
-        id_rank.setflags(write=False)
-        self.id_rank = id_rank
         self.table_columns = table_columns
         self.col_offset = np.zeros(len(table_ids) + 1, dtype=np.int64)
         np.cumsum(table_columns, out=self.col_offset[1:])
-        self.position_of = dict(zip(table_ids, range(len(table_ids))))
         self.bit_of = bit_of
         self.bitmaps = bitmaps
         self.sizes = sizes
@@ -164,6 +158,15 @@ class UnionCorpusIndex:
     def total_columns(self) -> int:
         return int(self.col_offset[-1])
 
+    @property
+    def has_links(self) -> np.ndarray:
+        """Per table, whether any column has a concept to score."""
+        encoded = self.sizes > 0 if self.bitmaps is not None else self.valid
+        owner = np.repeat(
+            np.arange(self.num_tables, dtype=np.int64), self.table_columns
+        )
+        return np.bincount(owner[encoded], minlength=self.num_tables) > 0
+
     def nbytes(self) -> int:
         total = 0
         for array in (self.bitmaps, self.sizes, self.vectors,
@@ -172,150 +175,57 @@ class UnionCorpusIndex:
                 total += int(array.nbytes)
         return total
 
-    # ------------------------------------------------------------------
-    # O(delta) derivation
-    # ------------------------------------------------------------------
-    def without_table(self, table_id: str) -> "UnionCorpusIndex":
-        """A new index with ``table_id``'s columns cut out.
+    def relevance(self, query) -> np.ndarray:
+        """Dense ``(query rows, columns)`` similarity to a query stack.
 
-        Interned type bits are kept (a stale bit matches no row), so
-        ``bit_of`` is shared with this generation.  Unknown ids return
-        ``self``.
+        ``query`` is a query-column stack — the type sets themselves
+        (each segment maps them to its own bits), or ``(vectors, norms,
+        valid)`` rows (:func:`_vector_rows`).  Each cell is a function
+        of its query row and its column alone.
         """
-        position = self.position_of.get(table_id)
-        if position is None:
-            return self
-        rows = slice(
-            int(self.col_offset[position]),
-            int(self.col_offset[position + 1]),
-        )
-
-        def cut(array: Optional[np.ndarray]) -> Optional[np.ndarray]:
-            return None if array is None else np.delete(array, rows, axis=0)
-
-        id_rank = np.delete(self.id_rank, position)
-        id_rank -= id_rank > self.id_rank[position]
-        return UnionCorpusIndex(
-            self.column_encoder,
-            self.table_ids[:position] + self.table_ids[position + 1:],
-            np.delete(self.table_columns, position),
-            bit_of=self.bit_of,
-            bitmaps=cut(self.bitmaps), sizes=cut(self.sizes),
-            vectors=cut(self.vectors), norms=cut(self.norms),
-            valid=cut(self.valid), id_rank=id_rank,
-        )
-
-    def with_table(
-        self,
-        table: Table,
-        mapping: EntityMapping,
-        graph: Optional[KnowledgeGraph] = None,
-        store: Optional[EmbeddingStore] = None,
-    ) -> "UnionCorpusIndex":
-        """A new index with ``table`` encoded and appended last.
-
-        A table already present under the same id is cut out first, so
-        a re-add with different content replaces it.  Corpus position
-        never reaches a score or a tie-break (rankings order by
-        ``(-score, table_id)``), so appending is ranking-equivalent to
-        the cold compile's lake order.
-        """
-        base = self.without_table(table.table_id)
-        encoded = _encode_table_columns(
-            table, mapping, graph, store, self.column_encoder
-        )
-        table_ids = base.table_ids + [table.table_id]
-        table_columns = np.append(
-            base.table_columns, np.int64(table.num_columns)
-        )
-        # The new id's rank is the count of smaller ids (one O(n)
-        # comparison pass, no sort); every rank from it on moves up one.
-        rank = sum(map(table.table_id.__gt__, base.table_ids))
-        id_rank = np.append(base.id_rank + (base.id_rank >= rank), rank)
-        if self.column_encoder == "types":
-            bit_of = dict(base.bit_of)
-            _intern_types(bit_of, encoded)
-            bitmaps = base.bitmaps
-            words = max(bitmaps.shape[1], _words_for(bit_of))
-            if words > bitmaps.shape[1]:
-                bitmaps = np.pad(
-                    bitmaps, ((0, 0), (0, words - bitmaps.shape[1]))
-                )
-            rows, sizes = _pack_type_rows(encoded, bit_of, words)
-            return UnionCorpusIndex(
-                self.column_encoder, table_ids, table_columns,
-                bit_of=bit_of,
-                bitmaps=np.concatenate([bitmaps, rows]),
-                sizes=np.concatenate([base.sizes, sizes]),
-                id_rank=id_rank,
+        if self.bitmaps is not None:
+            # The query's types in this segment's bit space; a type no
+            # column of the segment has matches nothing.
+            bits = np.zeros(
+                (len(query), self.bitmaps.shape[1]), dtype=np.uint64
             )
-        vectors, norms, valid = _stack_vector_rows(
-            encoded, base.vectors.shape[1]
+            for row, types in enumerate(query):
+                for name in types:
+                    bit = self.bit_of.get(name)
+                    if bit is not None:
+                        bits[row, bit >> 6] |= np.uint64(1 << (bit & 63))
+            # One popcount pass per word some query row sets.  Counts
+            # are small integers, exact in float64, so the Jaccard below
+            # is the same int/int division as the scalar baseline's.  An
+            # empty query column intersects nothing; sizing it 1 keeps
+            # its union positive, so it scores 0.0 everywhere.
+            intersection = np.zeros(
+                (len(query), len(self.sizes)), dtype=np.float64
+            )
+            for word in np.flatnonzero(bits.any(axis=0)).tolist():
+                intersection += _popcount(
+                    self.bitmaps[:, word] & bits[:, word, None]
+                )
+            query_sizes = np.array(
+                [max(len(types), 1) for types in query], dtype=np.float64
+            )
+            return intersection / (
+                query_sizes[:, None] + self.sizes[None, :] - intersection
+            )
+        stacked, query_norms, query_valid = query
+        dots = np.einsum("rd,cd->rc", stacked, self.vectors)
+        denominator = query_norms[:, None] * self.norms[None, :]
+        usable = (
+            query_valid[:, None] & self.valid[None, :]
+            & (denominator != 0.0)
         )
-        return UnionCorpusIndex(
-            self.column_encoder, table_ids, table_columns,
-            vectors=np.concatenate([base.vectors, vectors]),
-            norms=np.concatenate([base.norms, norms]),
-            valid=np.concatenate([base.valid, valid]),
-            id_rank=id_rank,
-        )
+        relevance = np.zeros_like(dots)
+        np.divide(dots, denominator, out=relevance, where=usable)
+        np.maximum(relevance, 0.0, out=relevance)
+        return relevance
 
 
-def _encode_table_columns(
-    table: Table,
-    mapping: EntityMapping,
-    graph: Optional[KnowledgeGraph],
-    store: Optional[EmbeddingStore],
-    column_encoder: str,
-) -> List:
-    """One table's per-column concepts: type sets or mean vectors.
-
-    The only per-table encoder: the cold :func:`compile_union_index`
-    and the derive path (:meth:`UnionCorpusIndex.with_table`) both call
-    it, so their rows agree by construction.  The table's linked cells
-    are grouped by column in one pass; within a column the URIs keep
-    the sorted-cell order ``store.mean_vector`` has always summed in.
-    """
-    by_column = mapping.entities_by_column(table.table_id)
-    encoded: List = []
-    for column in range(table.num_columns):
-        uris = by_column.get(column, ())
-        if column_encoder == "types":
-            encoded.append(dominant_types(graph, uris))
-        else:
-            encoded.append(store.mean_vector(uris) if uris else None)
-    return encoded
-
-
-def _intern_types(
-    bit_of: Dict[str, int], type_sets: Sequence[FrozenSet[str]]
-) -> None:
-    """Give every not-yet-seen type the next free bit, in place."""
-    for types in type_sets:
-        for name in sorted(types):
-            if name not in bit_of:
-                bit_of[name] = len(bit_of)
-
-
-def _words_for(bit_of: Dict[str, int]) -> int:
-    return max(1, (len(bit_of) + 63) // 64)
-
-
-def _pack_type_rows(
-    type_sets: Sequence[FrozenSet[str]], bit_of: Dict[str, int], words: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(bitmaps, sizes)`` rows for already-interned type sets."""
-    bitmaps = np.zeros((len(type_sets), words), dtype=np.uint64)
-    sizes = np.zeros(len(type_sets), dtype=np.int64)
-    for row, types in enumerate(type_sets):
-        sizes[row] = len(types)
-        for name in types:
-            bit = bit_of[name]
-            bitmaps[row, bit >> 6] |= np.uint64(1 << (bit & 63))
-    return bitmaps, sizes
-
-
-def _stack_vector_rows(
+def _vector_rows(
     vector_list: Sequence[Optional[np.ndarray]], dim: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(vectors, norms, valid)`` rows for per-column mean vectors."""
@@ -334,17 +244,18 @@ def _stack_vector_rows(
 
 
 def compile_union_index(
-    lake: DataLake,
+    lake: Iterable[Table],
     mapping: EntityMapping,
     graph: Optional[KnowledgeGraph] = None,
     store: Optional[EmbeddingStore] = None,
     column_encoder: str = "types",
 ) -> UnionCorpusIndex:
-    """Cold build: encode every lake column once, in corpus order.
+    """Encode every column of ``lake``'s tables, in order: one segment.
 
-    Mutations never come back here — they derive the next generation
-    from the live one (:meth:`UnionCorpusIndex.with_table` /
-    :meth:`~UnionCorpusIndex.without_table`).
+    The table's linked cells are grouped by column in one pass; within
+    a column the URIs keep the sorted-cell order ``store.mean_vector``
+    has always summed in.  Types are interned in first-seen order,
+    sorted within a column.
     """
     table_ids: List[str] = []
     widths: List[int] = []
@@ -352,36 +263,37 @@ def compile_union_index(
     for table in lake:
         table_ids.append(table.table_id)
         widths.append(table.num_columns)
-        encoded.extend(_encode_table_columns(
-            table, mapping, graph, store, column_encoder
-        ))
+        by_column = mapping.entities_by_column(table.table_id)
+        for column in range(table.num_columns):
+            uris = by_column.get(column, ())
+            if column_encoder == "types":
+                encoded.append(dominant_types(graph, uris))
+            else:
+                encoded.append(store.mean_vector(uris) if uris else None)
     table_columns = np.asarray(widths, dtype=np.int64)
-    if column_encoder == "types":
-        bit_of: Dict[str, int] = {}
-        _intern_types(bit_of, encoded)
-        bitmaps, sizes = _pack_type_rows(
-            encoded, bit_of, _words_for(bit_of)
-        )
+    if column_encoder != "types":
+        vectors, norms, valid = _vector_rows(encoded, store.dimensions)
         return UnionCorpusIndex(
             column_encoder, table_ids, table_columns,
-            bit_of=bit_of, bitmaps=bitmaps, sizes=sizes,
+            vectors=vectors, norms=norms, valid=valid,
         )
-    vectors, norms, valid = _stack_vector_rows(encoded, store.dimensions)
+    bit_of: Dict[str, int] = {}
+    for types in encoded:
+        for name in sorted(types):
+            bit_of.setdefault(name, len(bit_of))
+    bitmaps = np.zeros(
+        (len(encoded), max(1, (len(bit_of) + 63) // 64)), dtype=np.uint64
+    )
+    sizes = np.zeros(len(encoded), dtype=np.int64)
+    for row, types in enumerate(encoded):
+        sizes[row] = len(types)
+        for name in types:
+            bit = bit_of[name]
+            bitmaps[row, bit >> 6] |= np.uint64(1 << (bit & 63))
     return UnionCorpusIndex(
         column_encoder, table_ids, table_columns,
-        vectors=vectors, norms=norms, valid=valid,
+        bit_of=bit_of, bitmaps=bitmaps, sizes=sizes,
     )
-
-
-def _pack_query_types(
-    index: UnionCorpusIndex, types: FrozenSet[str]
-) -> Tuple[np.ndarray, int]:
-    bits = np.zeros(index.bitmaps.shape[1], dtype=np.uint64)
-    for name in types:
-        bit = index.bit_of.get(name)
-        if bit is not None:
-            bits[bit >> 6] |= np.uint64(1 << (bit & 63))
-    return bits, len(types)
 
 
 def _row_maxima(
@@ -608,16 +520,17 @@ def _enumerate_totals(
     return best_totals, trusted
 
 
-class VectorizedUnionSearchEngine:
+class VectorizedUnionSearchEngine(SegmentedEngine):
     """Whole-lake union scoring with scalar-baseline parity.
 
     Drop-in for :class:`~repro.baselines.union_search.UnionTableSearch`
     ``search``: identical constructor validation, identical scores
     (<= 1e-9) and ranking, plus ``candidates`` restriction for shard
     scatter and :meth:`search_batch` lane stacking for the micro-batch
-    serve path.  The compiled index is built lazily on first use and
-    from then on derived per mutation (:meth:`invalidate_table`); serve
-    snapshot clones adopt the live generation's instance by reference.
+    serve path.  The index is a
+    :class:`~repro.core.kernel.segments.SegmentedCorpusIndex` of
+    :class:`UnionCorpusIndex` segments with the
+    :class:`~repro.core.kernel.segments.SegmentedEngine` lifecycle.
     """
 
     def __init__(
@@ -636,76 +549,18 @@ class VectorizedUnionSearchEngine:
             raise ConfigurationError("types encoder requires a graph")
         if column_encoder == "embeddings" and store is None:
             raise ConfigurationError("embeddings encoder requires a store")
+        super().__init__()
         self.lake = lake
         self.mapping = mapping
         self.graph = graph
         self.store = store
         self.column_encoder = column_encoder
-        self._lock = threading.RLock()
-        self._compiled: Optional[UnionCorpusIndex] = None  # guarded-by: _lock
 
-    # ------------------------------------------------------------------
-    # Index lifecycle
-    # ------------------------------------------------------------------
-    def index(self) -> UnionCorpusIndex:
-        # Double-checked build: racy first read, build under the lock.
-        compiled = self._compiled  # lint: disable=guarded-attr-outside-lock
-        if compiled is None:
-            with self._lock:
-                if self._compiled is None:
-                    self._compiled = compile_union_index(
-                        self.lake,
-                        self.mapping,
-                        graph=self.graph,
-                        store=self.store,
-                        column_encoder=self.column_encoder,
-                    )
-                compiled = self._compiled
-        return compiled
-
-    def invalidate_table(self, table_id: str) -> None:
-        """Apply one table's change to the index in O(delta).
-
-        Mirrors the entity kernel's hook: a table (still) in the lake
-        is re-encoded and spliced in, a table that left the lake is cut
-        out; the other tables' rows are copied, never re-encoded.  A
-        never-built index stays unbuilt (nothing to update).
-        """
-        with self._lock:
-            index = self._compiled
-            if index is None:
-                return
-            table = self.lake.find(table_id)
-            if table is not None:
-                index = index.with_table(
-                    table, self.mapping, graph=self.graph, store=self.store
-                )
-            else:
-                index = index.without_table(table_id)
-            self._compiled = index
-
-    def export_index(self) -> Optional[UnionCorpusIndex]:
-        """The current index instance, or ``None`` when not yet built."""
-        # Intentionally racy read: instances are immutable; a stale
-        # reference is simply the previous (still valid) generation.
-        return self._compiled  # lint: disable=guarded-attr-outside-lock
-
-    def adopt_index(self, index: UnionCorpusIndex) -> None:
-        """Adopt another engine's index by reference.
-
-        Serving snapshot clones share the live generation's index this
-        way; it is never written, so the source keeps serving from it
-        while this engine derives its successor.
-        """
-        with self._lock:
-            self._compiled = index
-
-    def prepare(self) -> None:
-        """Build the index now if it never was (server warm-up)."""
-        self.index()
-
-    def warm(self) -> None:
-        self.prepare()
+    def _compile_segment(self, tables: Sequence[Table]) -> UnionCorpusIndex:
+        return compile_union_index(
+            tables, self.mapping, graph=self.graph, store=self.store,
+            column_encoder=self.column_encoder,
+        )
 
     # ------------------------------------------------------------------
     # Scoring
@@ -717,162 +572,88 @@ class VectorizedUnionSearchEngine:
         return [self.store.mean_vector(column) for column in columns]
 
     def _relevance(
-        self,
-        index: UnionCorpusIndex,
-        encoded_columns: Sequence,
-        column_selection: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Dense (num_encoded, num_selected_columns) similarity matrix."""
-        if index.column_encoder == "types":
-            bitmaps = index.bitmaps
-            sizes = index.sizes
-            if column_selection is not None:
-                bitmaps = bitmaps[column_selection]
-                sizes = sizes[column_selection]
-            relevance = np.zeros(
-                (len(encoded_columns), bitmaps.shape[0]), dtype=np.float64
-            )
-            for row, types in enumerate(encoded_columns):
-                if not types:
-                    continue
-                bits, query_size = _pack_query_types(index, types)
-                intersection = (
-                    _popcount(bitmaps & bits[None, :])
-                    .sum(axis=1)
-                    .astype(np.int64)
-                )
-                union = query_size + sizes - intersection
-                np.divide(
-                    intersection,
-                    union,
-                    out=relevance[row],
-                    where=intersection > 0,
-                    casting="unsafe",
-                )
-            return relevance
-        vectors = index.vectors
-        norms = index.norms
-        valid = index.valid
-        if column_selection is not None:
-            vectors = vectors[column_selection]
-            norms = norms[column_selection]
-            valid = valid[column_selection]
-        width = len(encoded_columns)
-        stacked = np.zeros((width, vectors.shape[1]), dtype=np.float64)
-        query_norms = np.zeros(width, dtype=np.float64)
-        query_valid = np.zeros(width, dtype=bool)
-        for row, vector in enumerate(encoded_columns):
-            if vector is None:
-                continue
-            stacked[row] = np.asarray(vector, dtype=np.float64)
-            query_norms[row] = float(np.linalg.norm(stacked[row]))
-            query_valid[row] = True
-        dots = stacked @ vectors.T
-        denominator = query_norms[:, None] * norms[None, :]
-        usable = (
-            query_valid[:, None] & valid[None, :] & (denominator != 0.0)
+        self, index: SegmentedCorpusIndex, encoded_columns: Sequence
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Relevance of stacked query columns to every indexed column.
+
+        One pass per segment, concatenated onto one flat column axis in
+        flat table order (tombstoned copies included: a read ranks the
+        positions it is given).  Returns ``(relevance, table_columns)``,
+        the latter the column count at every flat position.
+        """
+        if self.column_encoder == "types":
+            query = list(encoded_columns)
+        else:
+            query = _vector_rows(encoded_columns, self.store.dimensions)
+        segments = index.segments
+        if len(segments) == 1:
+            return segments[0].relevance(query), segments[0].table_columns
+        return (
+            np.concatenate(
+                [segment.relevance(query) for segment in segments], axis=1
+            ),
+            np.concatenate([segment.table_columns for segment in segments]),
         )
-        relevance = np.zeros_like(dots)
-        np.divide(dots, denominator, out=relevance, where=usable)
-        np.maximum(relevance, 0.0, out=relevance)
-        return relevance
 
     def _rank(
         self,
-        index: UnionCorpusIndex,
+        layout: LakeLayout,
         relevance: np.ndarray,
         width: int,
-        positions: Optional[np.ndarray],
+        positions: np.ndarray,
         table_columns: np.ndarray,
         col_offset: np.ndarray,
         k: Optional[int],
         stats=None,
     ) -> ResultSet:
-        """One job's ranking over a (sub-)layout of the index.
+        """One job's ranking of the tables at flat ``positions``.
 
-        ``positions`` maps the layout's tables to index positions
-        (``None``: the layout is the whole index).  ``k=None`` solves
-        the assignment for every table — the reference the scan is
+        ``relevance`` holds every flat position's columns on one axis
+        (``col_offset``).  A verify pass runs :func:`_assignment_totals`
+        on its own tables' columns — bit-identical per table, because
+        each table's enumeration lane and solver fallback are its own.
+        ``k=None`` verifies every position — the reference the scan is
         checked against.  With a cut-off the job is a
         :func:`~repro.core.kernel.engine.pruned_topk` scan: a table's
         row maxima, summed over the query rows and divided by the same
-        normalizer, bound any one-to-one assignment's score, and a
-        verify chunk runs :func:`_assignment_totals` on its own tables'
-        columns — bit-identical per table, because each table's
-        enumeration lane and solver fallback are its own.
+        normalizer, bound any one-to-one assignment's score.
         """
         # Elementwise float64 / int64 is the same IEEE division the
         # scalar baseline's per-table ``total / normalizer`` performs.
         normalizer = np.maximum(np.int64(width), table_columns)
+
+        def verify(chunk: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            widths = table_columns[chunk]
+            offset = np.zeros(len(chunk) + 1, dtype=np.int64)
+            np.cumsum(widths, out=offset[1:])
+            score = _assignment_totals(
+                relevance[:, _concat_ranges(col_offset[chunk], widths)],
+                widths, offset,
+            ) / normalizer[chunk]
+            return score, score > 0.0
+
         if k is None:
-            scores = _assignment_totals(
-                relevance, table_columns, col_offset
-            ) / normalizer
-            top = np.flatnonzero(scores > 0.0)
-            scores = scores[top]
+            scores, returnable = verify(positions)
+            top, scores = positions[returnable], scores[returnable]
         else:
             bound = _row_maxima(
                 relevance, table_columns, col_offset
             ).sum(axis=0) / normalizer
             # A zero bound means no positive relevance: the table
             # scores exactly 0.0 and is never returned.
-            shortlist = np.flatnonzero(bound > 0.0)
-
-            def verify(chunk: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-                widths = table_columns[chunk]
-                offset = np.zeros(len(chunk) + 1, dtype=np.int64)
-                np.cumsum(widths, out=offset[1:])
-                score = _assignment_totals(
-                    relevance[:, _concat_ranges(col_offset[chunk], widths)],
-                    widths, offset,
-                ) / normalizer[chunk]
-                return score, score > 0.0
-
+            shortlist = positions[bound[positions] > 0.0]
             top, scores, verified = pruned_topk(
-                shortlist, bound[shortlist],
-                index.id_rank if positions is None
-                else index.id_rank[positions],
-                k, verify,
+                shortlist, bound[shortlist], layout.id_rank, k, verify
             )
             if stats is not None:
                 stats.record_scoring(
                     len(shortlist), verified, verified < len(shortlist)
                 )
-        if positions is not None:
-            top = positions[top]
-        table_ids = index.table_ids
+        table_ids = layout.table_ids
         return ResultSet(
             ScoredTable(score, table_ids[position])
             for score, position in zip(scores.tolist(), top.tolist())
         )
-
-    def _selection_layout(
-        self,
-        index: UnionCorpusIndex,
-        candidates: Iterable[str],
-    ):
-        """Resolve a candidate restriction to a contiguous sub-layout.
-
-        Returns ``(positions, column_selection, table_columns,
-        col_offset)``.
-        """
-        positions = np.asarray(
-            sorted(
-                {
-                    index.position_of[table_id]
-                    for table_id in candidates
-                    if table_id in index.position_of
-                }
-            ),
-            dtype=np.int64,
-        )
-        table_columns = index.table_columns[positions]
-        col_offset = np.zeros(len(positions) + 1, dtype=np.int64)
-        np.cumsum(table_columns, out=col_offset[1:])
-        column_selection = _concat_ranges(
-            index.col_offset[positions], table_columns
-        )
-        return positions, column_selection, table_columns, col_offset
 
     def search(
         self,
@@ -891,71 +672,45 @@ class VectorizedUnionSearchEngine:
         stats=None,
         batch_stats=None,
     ) -> List[ResultSet]:
-        """Score a micro-batch, one stacked relevance pass per restriction.
+        """Score a micro-batch with one stacked relevance pass.
 
-        Jobs sharing a candidate restriction (every whole-lake job;
-        every job of a cluster shard) stack their query columns into a
-        single relevance computation — one matmul / one popcount sweep
-        per stacked column — and each job ranks its own row slice
+        Every job stacks its query columns into a single relevance
+        computation — one popcount sweep or ``einsum`` per segment —
+        and ranks its own row slice at its own candidate positions
         (:meth:`_rank`), bit-identical to sequential :meth:`search`
         because a query's rows are untouched by the stacking.
-        Identical ``(tuples, candidates)`` jobs are scored once.  With
-        a cut-off ``k`` every job is an early-terminating scan, and
-        ``stats`` (a :class:`~repro.core.kernel.prefilter.
-        PrefilterStats`), when given, receives one ``(shortlisted,
-        verified, terminated)`` record per scanned job.
+        Identical ``(tuples, candidates)`` jobs are scored once.
+        ``candidates`` entries are table ids or sorted table ordinals
+        of the lake.  With a cut-off ``k`` every job is an
+        early-terminating scan, and ``stats`` (a
+        :class:`~repro.core.kernel.prefilter.PrefilterStats`), when
+        given, receives one ``(shortlisted, verified, terminated)``
+        record per scanned job.
         """
-        queries = list(queries)
-        cand_lists = aligned_candidates(queries, candidates)
-        if not queries:
-            return []
-        job_of: Dict[Tuple, int] = {}
-        jobs: List[Tuple[Query, Optional[Tuple[str, ...]]]] = []
-        fanout: List[int] = []
-        for query, cands in zip(queries, cand_lists):
-            key = (
-                query.tuples,
-                None if cands is None else tuple(dict.fromkeys(cands)),
-            )
-            slot = job_of.get(key)
-            if slot is None:
-                slot = len(jobs)
-                job_of[key] = slot
-                jobs.append((query, key[1]))
-            fanout.append(slot)
-        if batch_stats is not None:
-            batch_stats.record_batched(len(queries), len(jobs))
+        jobs, fanout = self._jobs(queries, candidates, batch_stats)
         resolved = [ResultSet([]) for _ in jobs]
-        if k is not None and k < 1:
+        encoded = [self._encode_query(query) for query, _ in jobs]
+        if (k is not None and k < 1) or not any(encoded):
             return [resolved[slot] for slot in fanout]
         index = self.index()
-        groups: Dict[Optional[Tuple[str, ...]], List[Tuple[int, List]]] = {}
-        for slot, (query, cands) in enumerate(jobs):
-            encoded = self._encode_query(query)
-            if encoded and index.num_tables:
-                groups.setdefault(cands, []).append((slot, encoded))
-        for cands, members in groups.items():
-            if cands is None:
-                positions = column_selection = None
-                table_columns, col_offset = (
-                    index.table_columns, index.col_offset
-                )
-            else:
-                positions, column_selection, table_columns, col_offset = (
-                    self._selection_layout(index, cands)
-                )
-                if not len(positions):
-                    continue
-            relevance = self._relevance(
-                index,
-                [column for _, encoded in members for column in encoded],
-                column_selection,
-            )
-            row = 0
-            for slot, encoded in members:
+        if not len(index):
+            return [resolved[slot] for slot in fanout]
+        layout = index.layout()
+        relevance, table_columns = self._relevance(
+            index, [column for columns in encoded for column in columns]
+        )
+        if not relevance.shape[1]:
+            return [resolved[slot] for slot in fanout]
+        col_offset = np.zeros(len(table_columns) + 1, dtype=np.int64)
+        np.cumsum(table_columns, out=col_offset[1:])
+        row = 0
+        for slot, (_, cands) in enumerate(jobs):
+            width = len(encoded[slot])
+            positions = layout.positions(cands, linked_only=False)
+            if width and len(positions):
                 resolved[slot] = self._rank(
-                    index, relevance[row:row + len(encoded)], len(encoded),
-                    positions, table_columns, col_offset, k, stats,
+                    layout, relevance[row:row + width], width, positions,
+                    table_columns, col_offset, k, stats,
                 )
-                row += len(encoded)
+            row += width
         return [resolved[slot] for slot in fanout]

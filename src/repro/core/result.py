@@ -49,28 +49,32 @@ class ResultSet:
     def from_arrays(
         cls,
         scores: np.ndarray,
-        table_ids: np.ndarray,
+        table_ids: Sequence[str],
+        id_rank: np.ndarray,
         k: Optional[int] = None,
     ) -> "ResultSet":
         """Rank positive entries of parallel arrays, numpy-side.
 
-        ``scores[i]`` pairs with ``table_ids[i]``; non-positive scores
-        are dropped, matching every engine's "no overlap, no result"
-        contract.  Sorting by ``(-score, table_id)`` with ``lexsort``
-        reproduces the constructor's Python sort exactly, and with
+        ``scores[i]`` pairs with ``table_ids[i]``, whose rank in
+        ascending id order is ``id_rank[i]`` (ids with a positive score
+        are distinct); non-positive scores are dropped, matching every
+        engine's "no overlap, no result" contract.  Sorting by
+        ``(-score, id rank)`` with ``lexsort`` reproduces the
+        constructor's ``(-score, table_id)`` sort exactly, and with
         ``k`` only the winners are materialized as
         :class:`ScoredTable` objects — bit-identical to building the
         full set and calling :meth:`top`, without the per-loser object
         and comparison cost.
         """
         hits = np.nonzero(scores > 0.0)[0]
-        order = np.lexsort((table_ids[hits], -scores[hits]))
+        order = np.lexsort((id_rank[hits], -scores[hits]))
         if k is not None:
             order = order[: max(0, k)]
-        winners = hits[order]
         return cls(
-            ScoredTable(float(scores[i]), str(table_ids[i]))
-            for i in winners
+            ScoredTable(score, table_ids[i])
+            for score, i in zip(
+                scores[hits[order]].tolist(), hits[order].tolist()
+            )
         )
 
     # ------------------------------------------------------------------

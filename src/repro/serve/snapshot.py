@@ -16,16 +16,15 @@ block on writers (writers pay the copy).
 
 The copy is cheap: the mapping is copied copy-on-write, and each clone
 seeds from the generation it replaces (:meth:`Thetis.seed_engines_from`),
-adopting the entity engine's segmented corpus index and the union and
-join indexes by reference and forking the LSEI prefilter, also
-copy-on-write.  Applying the mutation then tombstones or appends a
-single entity segment, derives the other indexes from one table's rows,
-copies only the mapping and LSEI containers that table touches, and
-refreshes the informativeness weights from table frequencies the
-mapping keeps current.  What still grows with the lake: dict-header
-copies, the O(entities) weight refresh, and the union and join derives'
-array copies.  Nothing is recompiled, and no generation
-ever writes to state an older one still serves from.
+adopting every engine's segmented index — entity, union and join — by
+reference and forking the LSEI prefilter, also copy-on-write.  Applying
+the mutation then tombstones a table or appends its single-table
+segment to each index, copies only the mapping and LSEI containers that
+table touches, and refreshes the informativeness weights from table
+frequencies the mapping keeps current.  What still grows with the lake:
+dict-header copies and the O(entities) weight refresh.  Nothing is
+recompiled, and no generation ever writes to state an older one still
+serves from.
 """
 
 from __future__ import annotations

@@ -168,10 +168,9 @@ class Thetis:
         # that is about to be mutated never pays for weights the
         # mutation replaces.
         self._informativeness: Optional[Informativeness] = None  # guarded-by: _lock
-        self._engines: Dict[str, TableSearchEngine] = {}  # guarded-by: _lock
-        # Union/join task engines, keyed by ("union", encoder) or
-        # ("join",); built lazily like _engines.
-        self._task_engines: Dict[Tuple[str, ...], object] = {}  # guarded-by: _lock
+        # Every engine, keyed by (task, method); built lazily.  Join has
+        # no method: its key is ("join", None).
+        self._engines: Dict[Tuple[str, Optional[str]], object] = {}  # guarded-by: _lock
         self._prefilters: Dict[
             Tuple[str, LSHConfig, bool], TablePrefilter
         ] = {}  # guarded-by: _lock
@@ -228,8 +227,8 @@ class Thetis:
         self.embeddings = RDF2VecTrainer(self.graph, config).train()
         with self._lock:
             # Everything compiled over the old store goes with it.
-            self._engines.pop("embeddings", None)
-            self._task_engines.pop(("union", "embeddings"), None)
+            self._engines.pop(("entity", "embeddings"), None)
+            self._engines.pop(("union", "embeddings"), None)
             self._prefilters = {
                 key: prefilter
                 for key, prefilter in self._prefilters.items()
@@ -240,57 +239,7 @@ class Thetis:
     # ------------------------------------------------------------------
     def engine(self, method: str = "types") -> TableSearchEngine:
         """Return (and cache) the exact search engine for ``method``."""
-        return self._engine(method)
-
-    def _engine(
-        self, method: str, sigma: Optional[EntitySimilarity] = None
-    ) -> TableSearchEngine:
-        """:meth:`engine`; a missing engine is built over ``sigma`` if given.
-
-        A snapshot clone passes its source's similarity object: sigma is
-        a function of the shared graph or embeddings alone.
-        """
-        # Intentionally racy read (double-checked locking): dict reads
-        # are GIL-atomic and the locked path below re-checks.
-        engine = self._engines.get(method)  # lint: disable=guarded-attr-outside-lock
-        if engine is not None:
-            return engine
-        with self._lock:
-            self._check_open("engine")
-            engine = self._engines.get(method)
-            if engine is not None:
-                return engine
-            if method not in ("types", "embeddings"):
-                raise ConfigurationError(
-                    f"unknown method {method!r}: use 'types' or 'embeddings'"
-                )
-            if method == "embeddings" and self.embeddings is None:
-                raise ConfigurationError(
-                    "no embeddings attached; call train_embeddings() or "
-                    "pass an EmbeddingStore"
-                )
-            if sigma is None:
-                sigma = (
-                    TypeJaccardSimilarity(self.graph) if method == "types"
-                    else EmbeddingCosineSimilarity(self.embeddings)
-                )
-            extra = {}
-            if self.index_dir is not None:
-                # Constructor validation pinned index_dir to the
-                # vectorized kind, whose engines accept the keyword.
-                extra["index_dir"] = self.index_dir
-            engine = engine_class(self.engine_kind)(
-                self.lake,
-                self.mapping,
-                sigma,
-                informativeness=self.informativeness,
-                row_aggregation=self.row_aggregation,
-                query_aggregation=self.query_aggregation,
-                cache_size=self.cache_size,
-                **extra,
-            )
-            self._engines[method] = engine
-            return engine
+        return self._engine("entity", method)
 
     def union_engine(self, method: str = "types"):
         """Return (and cache) the vectorized union engine for ``method``.
@@ -300,67 +249,83 @@ class Thetis:
         ``"embeddings"`` the Starmie-like mean column embedding
         (requires an attached :class:`EmbeddingStore`).
         """
-        from repro.core.kernel.union import VectorizedUnionSearchEngine
-
-        key = ("union", method)
-        # Intentionally racy read (double-checked locking, see engine()).
-        cached = self._task_engines.get(key)  # lint: disable=guarded-attr-outside-lock
-        if cached is not None:
-            return cached
-        with self._lock:
-            self._check_open("union_engine")
-            cached = self._task_engines.get(key)
-            if cached is not None:
-                return cached
-            if method == "embeddings":
-                if self.embeddings is None:
-                    raise ConfigurationError(
-                        "no embeddings attached; call train_embeddings() "
-                        "or pass an EmbeddingStore"
-                    )
-                engine = VectorizedUnionSearchEngine(
-                    self.lake, self.mapping,
-                    store=self.embeddings, column_encoder="embeddings",
-                )
-            elif method == "types":
-                engine = VectorizedUnionSearchEngine(
-                    self.lake, self.mapping,
-                    graph=self.graph, column_encoder="types",
-                )
-            else:
-                raise ConfigurationError(
-                    f"unknown method {method!r}: use 'types' or 'embeddings'"
-                )
-            self._task_engines[key] = engine
-            return engine
+        return self._engine("union", method)
 
     def join_engine(self):
-        """Return (and cache) the vectorized join engine.
+        """Return (and cache) the vectorized join engine (no method)."""
+        return self._engine("join", None)
 
-        Joinability is a syntactic value-overlap signal; the ``method``
-        dimension of the entity/union tasks does not apply.
+    def _engine(
+        self,
+        task: str,
+        method: Optional[str],
+        sigma: Optional[EntitySimilarity] = None,
+    ):
+        """The engine serving ``(task, method)``, built on first use.
+
+        A missing entity engine is built over ``sigma`` if given: a
+        snapshot clone passes its source's similarity object, which is
+        a function of the shared graph or embeddings alone.
         """
-        from repro.core.kernel.join import VectorizedJoinSearchEngine
-
-        key = ("join",)
-        # Intentionally racy read (double-checked locking, see engine()).
-        cached = self._task_engines.get(key)  # lint: disable=guarded-attr-outside-lock
-        if cached is not None:
-            return cached
+        key = (task, None if task == "join" else method)
+        # Intentionally racy read (double-checked locking): dict reads
+        # are GIL-atomic and the locked path below re-checks.
+        engine = self._engines.get(key)  # lint: disable=guarded-attr-outside-lock
+        if engine is not None:
+            return engine
         with self._lock:
-            self._check_open("join_engine")
-            cached = self._task_engines.get(key)
-            if cached is not None:
-                return cached
-            engine = VectorizedJoinSearchEngine(self.lake, self.graph)
-            self._task_engines[key] = engine
+            self._check_open("engine")
+            engine = self._engines.get(key)
+            if engine is None:
+                engine = self._build_engine(task, method, sigma)
+                self._engines[key] = engine
             return engine
 
-    def _task_engine(self, task: str, method: str):
-        """The engine serving a non-entity ``task``."""
+    def _build_engine(
+        self,
+        task: str,
+        method: Optional[str],
+        sigma: Optional[EntitySimilarity],
+    ):
+        from repro.core.kernel.join import VectorizedJoinSearchEngine
+        from repro.core.kernel.union import VectorizedUnionSearchEngine
+
+        if task == "join":
+            return VectorizedJoinSearchEngine(self.lake, self.graph)
+        if method not in ("types", "embeddings"):
+            raise ConfigurationError(
+                f"unknown method {method!r}: use 'types' or 'embeddings'"
+            )
+        if method == "embeddings" and self.embeddings is None:
+            raise ConfigurationError(
+                "no embeddings attached; call train_embeddings() or "
+                "pass an EmbeddingStore"
+            )
         if task == "union":
-            return self.union_engine(method)
-        return self.join_engine()
+            return VectorizedUnionSearchEngine(
+                self.lake, self.mapping, graph=self.graph,
+                store=self.embeddings, column_encoder=method,
+            )
+        if sigma is None:
+            sigma = (
+                TypeJaccardSimilarity(self.graph) if method == "types"
+                else EmbeddingCosineSimilarity(self.embeddings)
+            )
+        extra = {}
+        if self.index_dir is not None:
+            # Constructor validation pinned index_dir to the
+            # vectorized kind, whose engines accept the keyword.
+            extra["index_dir"] = self.index_dir
+        return engine_class(self.engine_kind)(
+            self.lake,
+            self.mapping,
+            sigma,
+            informativeness=self.informativeness,
+            row_aggregation=self.row_aggregation,
+            query_aggregation=self.query_aggregation,
+            cache_size=self.cache_size,
+            **extra,
+        )
 
     def _check_request(self, mode: str, task: str, use_lsh: bool) -> None:
         if mode not in SEARCH_MODES:
@@ -390,17 +355,19 @@ class Thetis:
         serving layer calls this during start-up so its readiness
         probe only flips once the first query would hit warm caches,
         and before every snapshot swap, where it runs any due segment
-        compaction off the request path.  Already-constructed
-        union/join task engines are prepared too; after a swap their
-        indexes were derived by the mutation, so that is a no-op.
-        Returns the number of tables warmed (the lake size).
+        compaction off the request path.  Already-constructed union and
+        join engines are built and compacted too.  Returns the number of
+        tables warmed (the lake size).
         """
         self._check_open("warm")
         warmed = self.engine(method).warm()
         with self._lock:
-            task_engines = list(self._task_engines.values())
+            task_engines = [
+                engine for (task, _), engine in self._engines.items()
+                if task != "entity"
+            ]
         for task_engine in task_engines:
-            task_engine.prepare()
+            task_engine.warm()
         return warmed
 
     def seed_engines_from(self, other: "Thetis") -> int:
@@ -413,13 +380,12 @@ class Thetis:
         here costs O(delta) for every task, and the next read finds
         nothing left to rebuild:
 
-        * entity engines get the source's similarity object, its
-          materialized views, shared similarity cache, and —
-          vectorized — the segmented index (immutable segments, shared
-          by reference) with its table layout and the verified
-          index/lake mirror;
-        * union/join task engines adopt the source's compiled index by
-          reference (immutable; the mutation derives its successor);
+        * every engine adopts the source's segmented index (immutable
+          segments, shared by reference) with its table layout; the
+          mutation derives its successor.  Entity engines also get the
+          source's similarity object, its materialized views, shared
+          similarity cache and — vectorized — the verified index/lake
+          mirror;
         * each LSEI prefilter is forked (copy-on-write) onto this
           instance's mapping, so the incremental ``add_table`` /
           ``remove_table`` maintenance runs here.  A fork keeps the
@@ -435,36 +401,26 @@ class Thetis:
           refreshes them, and so is the label linker (a function of
           the graph alone).
 
-        Returns the number of entity engines seeded.
+        Returns the number of engines seeded.
         """
         self._check_open("seed_engines_from")
         with other._lock:
             sources = dict(other._engines)
-            task_sources = dict(other._task_engines)
             prefilters = dict(other._prefilters)
         with self._lock:
             self._informativeness = other.informativeness
         self._linker = other._linker
         seeded = 0
-        for method, source in sources.items():
+        for (task, method), source in sources.items():
             try:
-                engine = self._engine(method, source.sigma)
+                engine = self._engine(
+                    task, method, getattr(source, "sigma", None)
+                )
             except ConfigurationError:
                 # e.g. the clone has no embeddings attached (yet).
                 continue
             engine.seed_views_from(source)
             seeded += 1
-        for key, source in task_sources.items():
-            index = source.export_index()
-            try:
-                engine = (
-                    self.union_engine(key[1]) if key[0] == "union"
-                    else self.join_engine()
-                )
-            except ConfigurationError:
-                continue
-            if index is not None:
-                engine.adopt_index(index)
         forks = {
             key: prefilter.fork(self.mapping)
             for key, prefilter in prefilters.items()
@@ -486,7 +442,7 @@ class Thetis:
         ``None`` for scalar engines, unbuilt engines, or a cold index.
         """
         with self._lock:
-            engine = self._engines.get(method)
+            engine = self._engines.get(("entity", method))
         if engine is None:
             return None
         stats = getattr(engine, "index_stats", None)
@@ -603,8 +559,6 @@ class Thetis:
         with self._lock:
             for engine in self._engines.values():
                 engine.invalidate_table(table.table_id)
-            for task_engine in self._task_engines.values():
-                task_engine.invalidate_table(table.table_id)
             for prefilter in self._prefilters.values():
                 prefilter.add_table(table.table_id)
             self._refresh_informativeness()
@@ -622,15 +576,14 @@ class Thetis:
             self.mapping.unlink_table(table_id)
             for engine in self._engines.values():
                 engine.invalidate_table(table_id)
-            for task_engine in self._task_engines.values():
-                task_engine.invalidate_table(table_id)
             self._refresh_informativeness()
 
     def _refresh_informativeness(self) -> None:
         with self._lock:
             self._informativeness = None
-            for engine in self._engines.values():
-                engine.informativeness = self.informativeness
+            for (task, _), engine in self._engines.items():
+                if task == "entity":
+                    engine.informativeness = self.informativeness
 
     # ------------------------------------------------------------------
     # The one search path
@@ -655,22 +608,16 @@ class Thetis:
         is the disjoint union of the per-shard intersections, so
         per-shard top-k partials merge to the single-process top-k.
 
-        Entity restrictions are sorted arrays of the lake's table
-        ordinals (:class:`~repro.datalake.lake.TableOrdinals`): the
-        shortlist is :meth:`TablePrefilter.candidate_ordinals`, so no
-        table id is touched on the way to the kernel.  Union and join
-        restrictions are id lists.  ``mode="prefilter"`` additionally
-        records each shortlist's reduction into :attr:`prefilter_stats`.
+        Restrictions are sorted arrays of the lake's table ordinals
+        (:class:`~repro.datalake.lake.TableOrdinals`) for every task:
+        the shortlist is :meth:`TablePrefilter.candidate_ordinals`, so
+        no table id is touched on the way to the kernel.
+        ``mode="prefilter"`` additionally records each shortlist's
+        reduction into :attr:`prefilter_stats`.
         """
         self._check_request(mode, task, use_lsh)
-        ordinals = self.lake.ordinals
-        if shard is not None:
-            if task != "entity":
-                if isinstance(shard, np.ndarray):
-                    shard = ordinals.ids_of(shard)
-                shard = list(shard)
-            elif not isinstance(shard, np.ndarray):
-                shard = ordinals.lookup(shard)
+        if shard is not None and not isinstance(shard, np.ndarray):
+            shard = self.lake.ordinals.lookup(shard)
         if not queries or (mode != "prefilter" and not use_lsh):
             return [shard] * len(queries)
         prefilter = self.prefilter(method, lsh_config)
@@ -714,10 +661,7 @@ class Thetis:
         restrictions = self._restrictions(
             queries, method, use_lsh, lsh_config, votes, mode, task, shard
         )
-        if task != "entity":
-            engine = self._task_engine(task, method)
-        else:
-            engine = self.engine(method)
+        engine = self._engine(task, method)
         # Only the entity engines take prefilter accounting.
         extra = {"stats": self.prefilter_stats} if mode == "prefilter" else {}
         return engine.search_batch(

@@ -283,6 +283,12 @@ class TestTombstones:
                 index = index.maybe_compacted(lake.get)
             derived += index._layout is not None
             assert_layout_is_fresh(index)
+            # The owner map, merges included, is a fresh walk's, in
+            # scan order.
+            walked = SegmentedCorpusIndex(
+                index.segments, index.dead, mapping, sigma
+            )
+            assert list(index._owner.items()) == list(walked._owner.items())
         assert derived > 20
 
 
@@ -481,8 +487,9 @@ class TestIncrementalCost:
         """The same guarantee for every index a served mutation meets:
         with the entity, union and join engines and the LSEI prefilter
         live, three ``SnapshotManager.apply`` swaps (and the reads after
-        them) cold-compile nothing and build no prefilter — each new
-        generation derives its indexes from the live one."""
+        them) build no prefilter and compile one table per task at most,
+        never the whole lake — each new generation derives its indexes
+        from the live one."""
         from repro.core.kernel import join as join_module
         from repro.core.kernel import union as union_module
         from repro.core.query import Query
@@ -518,8 +525,17 @@ class TestIncrementalCost:
 
             monkeypatch.setattr(owner, name, spy)
 
-        counted(union_module, "compile_union_index", "union compile")
-        counted(join_module, "compile_join_index", "join compile")
+        def sized(owner, name, label):
+            original = getattr(owner, name)
+
+            def spy(tables, *args, **kwargs):
+                calls.append(f"{label} of {len(tables)}")
+                return original(tables, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+
+        sized(union_module, "compile_union_index", "union compile")
+        sized(join_module, "compile_join_index", "join compile")
         counted(TablePrefilter, "_build", "prefilter build")
         counted(TablePrefilter, "__init__", "prefilter constructed")
         counted(CorpusIndex, "__init__", "entity segment compile")
@@ -540,11 +556,15 @@ class TestIncrementalCost:
                         snapshot.thetis.union_engine("types"),
                         snapshot.thetis.join_engine(),
                     ):
-                        assert sorted(task_engine.index().table_ids) == (
-                            sorted(snapshot.thetis.lake.table_ids())
-                        )
-            # Only the added table's one-table entity segment compiled.
-            assert calls == ["entity segment compile"], calls
+                        assert sorted(
+                            task_engine.index().live_table_ids()
+                        ) == sorted(snapshot.thetis.lake.table_ids())
+            # Only the added table's one-table segments compiled.
+            assert calls == [
+                "entity segment compile",
+                "union compile of 1",
+                "join compile of 1",
+            ], calls
         finally:
             manager.close()
 

@@ -290,8 +290,8 @@ class TestJoinParity:
         folded = VectorizedJoinSearchEngine(
             lake, sports_graph, fold_numeric=True
         )
-        assert strict.index().vocab.tolist() == ["1.0", "2.0"]
-        assert folded.index().vocab.tolist() == ["1", "2"]
+        assert strict.index().segments[0].vocab.tolist() == ["1.0", "2.0"]
+        assert folded.index().segments[0].vocab.tolist() == ["1", "2"]
         assert len(strict.search(query)) == 0
         assert len(folded.search(query)) == 0
 
@@ -421,7 +421,7 @@ class TestMutationParity:
         lake = DataLake(iter(sports_lake))
         engine = VectorizedJoinSearchEngine(lake, sports_graph)
         compiled = engine.index()
-        longest = max(len(value) for value in compiled.vocab)
+        longest = max(len(value) for value in compiled.segments[0].vocab)
         long_label = "Player 0" + " of the very long name" * 3
         assert len(long_label) > longest
         # The graph is session-shared: a private copy gets the entity
@@ -434,7 +434,7 @@ class TestMutationParity:
         engine.invalidate_table("TLONG")
         derived = engine.index()
         assert derived is not compiled
-        assert long_label.lower() in derived.vocab
+        assert long_label.lower() in derived.segments[-1].vocab
         for mode in JOIN_MODES:
             fast = VectorizedJoinSearchEngine(lake, graph, mode=mode)
             fast.adopt_index(derived)
@@ -474,7 +474,9 @@ class TestMutationParity:
         join.invalidate_table("T03")
         assert union.index() is not before[0]
         assert join.index() is not before[1]
-        assert sorted(union.index().table_ids) == sorted(lake.table_ids())
+        assert sorted(union.index().live_table_ids()) == sorted(
+            lake.table_ids()
+        )
         cold_union = VectorizedUnionSearchEngine(
             lake, mapping, graph=sports_graph
         )

@@ -317,23 +317,33 @@ def test_named_edge_cases():
                 harness.check(query)
 
         union = harness.direct.union_engine("types")
-        assert union.index().bitmaps.shape[1] == 1
+        assert union.index().segments[0].bitmaps.shape[1] == 1
         harness.add("WIDE1", 0)  # the 65th dominant type
-        assert union.index().bitmaps.shape[1] == 2
+        # Its own segment interns its ten types; a merge of every
+        # segment interns all 70 types: a second bitmap word.
+        union.adopt_index(
+            union.index().compacted(harness.direct.lake.get)
+        )
+        assert union.index().segments[0].bitmaps.shape[1] == 2
         check_all()
 
         join = harness.direct.join_engine()
         harness.add("PLAIN", 0)  # no links at all
         assert not harness.direct.mapping.entities_in_table("PLAIN")
-        assert "only in plain v0" in join.index().vocab
+        assert "only in plain v0" in join.index().segments[-1].vocab
         check_all()
         harness.remove("PLAIN")  # its values leave the vocabulary
-        assert "only in plain v0" not in join.index().vocab
+        assert not any(
+            "only in plain v0" in segment.vocab
+            for segment in join.index().segments
+        )
         check_all()
 
-        width = join.index().vocab.dtype.itemsize
+        width = max(
+            segment.vocab.dtype.itemsize for segment in join.index().segments
+        )
         harness.add("LONG", 0)  # wider than the vocabulary's dtype
-        assert join.index().vocab.dtype.itemsize > width
+        assert join.index().segments[-1].vocab.dtype.itemsize > width
         check_all()
         harness.readd("LONG")
         harness.readd("S1")
@@ -342,7 +352,7 @@ def test_named_edge_cases():
         for table_id in sorted(harness.present):
             harness.remove(table_id)  # ... down to the last table
             check_all()
-        assert harness.direct.join_engine().index().num_tables == 0
+        assert len(harness.direct.join_engine().index()) == 0
         harness.add("S3", 2)  # and back up from an empty lake
         check_all()
     finally:
@@ -359,14 +369,35 @@ def test_held_snapshot_is_never_written():
             join = thetis.join_engine().index()
             prefilter = thetis.prefilter("types")
 
+            def layout_state(index):
+                layout = index.layout()
+                return (
+                    layout.table_ids, layout.id_rank.tobytes(),
+                    layout.flat_of.tobytes(), layout.live.tobytes(),
+                )
+
             def state():
                 return (
-                    tuple(union.table_ids), union.id_rank.tobytes(),
-                    union.bitmaps.tobytes(),
-                    union.sizes.tobytes(), dict(union.bit_of),
-                    join.ids_array.tobytes(), join.vocab.tobytes(),
-                    join.post_offset.tobytes(), join.post_cols.tobytes(),
-                    join.col_table.tobytes(), join.col_sizes.tobytes(),
+                    layout_state(union), layout_state(join),
+                    [
+                        (
+                            tuple(segment.table_ids),
+                            segment.bitmaps.tobytes(),
+                            segment.sizes.tobytes(), dict(segment.bit_of),
+                        )
+                        for segment in union.segments
+                    ],
+                    [
+                        (
+                            tuple(segment.table_ids),
+                            segment.vocab.tobytes(),
+                            segment.post_offset.tobytes(),
+                            segment.post_cols.tobytes(),
+                            segment.col_table.tobytes(),
+                            segment.col_sizes.tobytes(),
+                        )
+                        for segment in join.segments
+                    ],
                     [
                         sorted(prefilter.candidate_tables(query))
                         for query in QUERIES

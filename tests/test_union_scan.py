@@ -99,9 +99,12 @@ def test_scan_equals_the_full_ranking_truncated(
     engine = make_engine(lake, mapping, encoder)
     if derived:
         derive(engine, lake, mapping, rng)
-    index = engine.index()
-    assert sorted(index.table_ids) == sorted(lake.table_ids())
-    assert index.id_rank.tolist() == cold_id_rank(index.table_ids).tolist()
+    layout = engine.index().layout()
+    live_ids = [layout.table_ids[position] for position in layout.live]
+    assert sorted(live_ids) == sorted(lake.table_ids())
+    assert cold_id_rank(layout.id_rank[layout.live].tolist()).tolist() == (
+        cold_id_rank(live_ids).tolist()
+    )
     queries = [random_query(rng) for _ in kinds]
     cands = [restriction(rng, kind, lake.table_ids()) for kind in kinds]
     # A lane-stacked batch, against the same batch's full pass ...
