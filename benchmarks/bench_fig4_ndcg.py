@@ -37,7 +37,7 @@ def _systems(bench, thetis, bm25):
             label = f"{tag}{config}"
             systems[label] = (
                 lambda q, k, m=method, c=config: thetis.search(
-                    q, k=k, method=m, use_lsh=True, lsh_config=c
+                    q, k=k, method=m, mode="prefilter", lsh_config=c
                 )
             )
     union = UnionTableSearch(

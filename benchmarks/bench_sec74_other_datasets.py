@@ -76,7 +76,7 @@ def test_sec74_gittables_runtime(git_bench, benchmark):
                 reductions.append(
                     prefilter.reduction(len(git_bench.lake), candidates)
                 )
-                thetis.search(query, k=K, use_lsh=True,
+                thetis.search(query, k=K, mode="prefilter",
                               lsh_config=RECOMMENDED_CONFIG, votes=3)
             elapsed = (time.perf_counter() - start) / len(queries)
             reduction = sum(reductions) / len(reductions)

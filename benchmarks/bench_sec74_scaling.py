@@ -42,7 +42,7 @@ def test_sec74_scaling(wt_bench, benchmark):
                 reductions.append(
                     prefilter.reduction(len(lake), candidates)
                 )
-                thetis.search(query, k=10, use_lsh=True,
+                thetis.search(query, k=10, mode="prefilter",
                               lsh_config=RECOMMENDED_CONFIG, votes=3)
             elapsed = (time.perf_counter() - start) / len(queries)
             reduction = sum(reductions) / len(reductions)

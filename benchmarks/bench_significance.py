@@ -41,7 +41,7 @@ def test_significance_of_headline_claims(wt_bench, wt_thetis, wt_bm25,
             gains = wt_ground_truths[qid].gains
             stst = wt_thetis.search(query, k=100)
             control = exact_engine.search(query, k=100)
-            lsh = wt_thetis.search(query, k=10, use_lsh=True,
+            lsh = wt_thetis.search(query, k=10, mode="prefilter",
                                    lsh_config=RECOMMENDED_CONFIG, votes=3)
             keyword = wt_bm25.search(
                 text_query_from_labels(query, wt_bench.graph), k=100

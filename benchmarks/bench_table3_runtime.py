@@ -34,7 +34,7 @@ def _mean_runtime(thetis, queries, method, config=None, votes=1):
         if config is None:
             thetis.search(query, k=10, method=method)
         else:
-            thetis.search(query, k=10, method=method, use_lsh=True,
+            thetis.search(query, k=10, method=method, mode="prefilter",
                           lsh_config=config, votes=votes)
         total += time.perf_counter() - start
     return total / len(queries)

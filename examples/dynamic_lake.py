@@ -36,7 +36,7 @@ def main() -> None:
     labels = [bench.graph.get(uri).label for uri in (player, team)]
     print(f"Standing query: {labels}\n")
 
-    before = thetis.search(query, k=3, use_lsh=True)
+    before = thetis.search(query, k=3, mode="prefilter")
     print("Results before ingestion:")
     for scored in before:
         print(f"  {scored.table_id:<20} {scored.score:.3f}")
@@ -53,7 +53,7 @@ def main() -> None:
     print(f"\nIngested {new_table.table_id!r}: {links} cells "
           "auto-linked, LSH index updated incrementally")
 
-    after = thetis.search(query, k=3, use_lsh=True)
+    after = thetis.search(query, k=3, mode="prefilter")
     print("Results after ingestion:")
     for scored in after:
         print(f"  {scored.table_id:<20} {scored.score:.3f}")
@@ -66,7 +66,7 @@ def main() -> None:
 
     # --- Retire the table ---------------------------------------------
     thetis.remove_table("ingested-scouting-report")
-    final = thetis.search(query, k=3, use_lsh=True)
+    final = thetis.search(query, k=3, mode="prefilter")
     print("\nResults after retiring the table:")
     for scored in final:
         print(f"  {scored.table_id:<20} {scored.score:.3f}")

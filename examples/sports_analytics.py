@@ -69,7 +69,7 @@ def main() -> None:
     candidates = prefilter.candidate_tables(query, votes=1)
     reduction = prefilter.reduction(len(bench.lake), candidates)
     start = time.perf_counter()
-    lsh_results = thetis.search(query, k=10, use_lsh=True,
+    lsh_results = thetis.search(query, k=10, mode="prefilter",
                                 lsh_config=RECOMMENDED_CONFIG)
     lsh_seconds = time.perf_counter() - start
     agree = len(set(lsh_results.table_ids(10))

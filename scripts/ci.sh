@@ -5,82 +5,97 @@
 # so regressions in the scoring substrate or the query service surface
 # without running the full benchmark harness.
 #
+# Every stage runs even when an earlier one fails; the script prints
+# which stages failed and exits non-zero if any did.
+#
 # Usage: scripts/ci.sh [workers]   (lint --jobs; default: 2)
 
-set -euo pipefail
+set -uo pipefail
 cd "$(dirname "$0")/.."
 
 WORKERS="${1:-2}"
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== lint: repro.analysis static checks (syntax + flow passes) =="
-LINT_START=$SECONDS
-python -m repro.analysis src/repro --format json --fail-on warning \
-    --jobs "$WORKERS"
-echo "lint wall-time: $((SECONDS - LINT_START))s"
+FAILED=()
 
-echo
-echo "== lint self-check: injected violations must fail the stage =="
-python scripts/lint_selfcheck.py
+# stage TITLE COMMAND...: run one stage, remembering it if it fails.
+stage() {
+    local title="$1"
+    shift
+    echo
+    echo "== $title =="
+    if ! "$@"; then
+        FAILED+=("$title")
+    fi
+}
 
-echo
-echo "== tier-1 test suite =="
-python -m pytest -x -q
+lint() {
+    local start=$SECONDS
+    python -m repro.analysis src/repro --format json --fail-on warning \
+        --jobs "$WORKERS" || return 1
+    echo "lint wall-time: $((SECONDS - start))s"
+}
 
-echo
-echo "== perf smoke: persistent similarity cache =="
-python -m pytest -x -q -s \
+stage "lint: repro.analysis static checks (syntax + flow passes)" lint
+
+stage "lint self-check: injected violations must fail the stage" \
+    python scripts/lint_selfcheck.py
+
+stage "tier-1 test suite" python -m pytest -x -q
+
+stage "perf smoke: persistent similarity cache" \
+    python -m pytest -x -q -s \
     "benchmarks/bench_table3_runtime.py::test_table3_persistent_cache_speedup" \
     --quick \
     --benchmark-disable
 
-echo
-echo "== kernel smoke: vectorized-vs-scalar parity + speedup =="
-python -m pytest -x -q -s \
+stage "kernel smoke: vectorized-vs-scalar parity + speedup" \
+    python -m pytest -x -q -s \
     "benchmarks/bench_kernel_speedup.py" \
     --quick \
     --benchmark-disable
 
-echo
-echo "== batch smoke: search_batch dedup parity + pruned top-k scan speedup =="
-python -m pytest -x -q -s \
+stage "batch smoke: search_batch dedup parity + pruned top-k scan speedup" \
+    python -m pytest -x -q -s \
     "benchmarks/bench_batch_kernel.py" \
     --quick \
     --benchmark-disable
 
-echo
-echo "== index smoke: O(delta) updates + memmap cold start =="
-python -m pytest -x -q -s \
+stage "index smoke: O(delta) updates + memmap cold start" \
+    python -m pytest -x -q -s \
     "benchmarks/bench_kernel_speedup.py::test_incremental_index_speedup" \
     --incremental --quick \
     --benchmark-disable
 
-echo
-echo "== serve perf smoke: throughput + latency percentiles =="
-python -m pytest -x -q -s \
+stage "serve perf smoke: throughput + latency percentiles" \
+    python -m pytest -x -q -s \
     "benchmarks/bench_serve_latency.py" \
     --quick \
     --benchmark-disable
 
-echo
-echo "== prefilter smoke: candidate reduction + recall gate =="
-python -m pytest -x -q -s \
+stage "prefilter smoke: candidate reduction + recall gate" \
+    python -m pytest -x -q -s \
     "benchmarks/bench_lsh_serve.py" \
     --quick \
     --benchmark-disable
 
-echo
-echo "== union/join smoke: task kernels parity + speedup + served tasks =="
-python -m pytest -x -q -s \
+stage "union/join smoke: task kernels parity + speedup + served tasks" \
+    python -m pytest -x -q -s \
     "benchmarks/bench_union_join.py" \
     --quick \
     --benchmark-disable
 
-echo
-echo "== benchmark suite: the surfaces benchmarks/perf depends on =="
 # Not collected by tier-1 (testpaths = tests); run here so a refactor
 # that breaks the serving benchmark is caught before its paired runs.
-python -m pytest benchmarks/perf -q
+stage "benchmark suite: the surfaces benchmarks/perf depends on" \
+    python -m pytest benchmarks/perf -q
 
 echo
+if [ "${#FAILED[@]}" -gt 0 ]; then
+    echo "ci.sh: ${#FAILED[@]} stage(s) failed:"
+    for title in "${FAILED[@]}"; do
+        echo "  - $title"
+    done
+    exit 1
+fi
 echo "ci.sh: all checks passed"

@@ -172,8 +172,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
             )
         query = _parse_tuples(args.tuple)
         results = thetis.search(
-            query, k=args.k, method=args.method, use_lsh=args.lsh,
-            votes=args.votes, mode=args.mode, task=args.task,
+            query, k=args.k, method=args.method, votes=args.votes,
+            mode=args.mode, task=args.task,
         )
         for rank, scored in enumerate(results, start=1):
             caption = lake.get(scored.table_id).metadata.get("caption", "")
@@ -259,8 +259,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     reports = runner.run_all(
         {
             "STST": lambda q, k: thetis.search(q, k=k),
-            "STST+LSH": lambda q, k: thetis.search(q, k=k, use_lsh=True,
-                                                   votes=3),
+            "STST+LSH": lambda q, k: thetis.search(
+                q, k=k, mode="prefilter", votes=3
+            ),
             "BM25": lambda q, k: bm25.search(
                 text_query_from_labels(q, graph), k=k
             ),
@@ -593,8 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="types")
     search.add_argument("--dimensions", type=int, default=32,
                         help="embedding width when --method embeddings")
-    search.add_argument("--lsh", action="store_true",
-                        help="enable LSH prefiltering")
     search.add_argument("--votes", type=int, default=1)
     search.add_argument("--task", choices=["entity", "union", "join"],
                         default="entity",

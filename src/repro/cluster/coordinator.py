@@ -68,7 +68,9 @@ from repro.serve.batching import (
 )
 from repro.serve.http import HttpRequest, HttpResponse, HttpShell
 from repro.serve.metrics import ServerMetrics
-from repro.serve.protocol import SearchRequest, error_to_json, result_to_json
+from repro.serve.protocol import (
+    SearchPlan, SearchRequest, error_to_json, result_to_json,
+)
 
 
 @dataclass
@@ -556,7 +558,7 @@ class ClusterCoordinator:
     ) -> List[Any]:
         """Execute one coalesced micro-batch of ``/search`` requests.
 
-        Jobs sharing ``(task, mode, method, k, use_lsh, votes)`` ride one
+        Jobs sharing a :class:`~repro.serve.protocol.SearchPlan` ride one
         batched scatter: a single ``search_batch`` frame per shard, so
         every worker scores its whole shard for all queries of the
         group in one fused kernel pass.  Outcomes are per-request
@@ -566,10 +568,10 @@ class ClusterCoordinator:
         groups: Dict[Any, List[int]] = {}
         for index, parsed in enumerate(jobs):
             groups.setdefault(parsed.batch_key(), []).append(index)
-        for indices in groups.values():
+        for plan, indices in groups.items():
             group = [jobs[position] for position in indices]
             try:
-                responses = await self._scatter_group(group)
+                responses = await self._scatter_group(plan, group)
             except Exception as exc:  # keep neighbours' outcomes intact
                 responses = [
                     HttpResponse(
@@ -583,17 +585,17 @@ class ClusterCoordinator:
         return outcomes
 
     async def _scatter_group(
-        self, group: List[SearchRequest]
+        self, plan: SearchPlan, group: List[SearchRequest]
     ) -> List[HttpResponse]:
-        """One batched scatter for a group of same-shaped queries.
+        """One batched scatter for a group of queries sharing ``plan``.
 
-        Every live worker receives the whole query batch and answers
-        one top-k partial per query from its shard; per-query partials
-        are merged with :func:`merge_topk`, so each query's ranking is
-        bit-identical to a solo scatter of that query.
+        Every live worker receives the whole query batch and the plan,
+        and answers one top-k partial per query from its shard;
+        per-query partials are merged with :func:`merge_topk`, so each
+        query's ranking is bit-identical to a solo scatter of that
+        query.
         """
-        first = group[0]
-        self.metrics.note_task(first.task, len(group))
+        self.metrics.note_task(plan.task, len(group))
         async with self._topology_lock:
             epoch = self._epoch
             live = tuple(
@@ -612,7 +614,6 @@ class ClusterCoordinator:
                 )
                 for _ in group
             ]
-        wire_mode = "prefilter" if first.mode == "prefilter" else "exact"
         base = {
             "type": "search_batch",
             "epoch": epoch,
@@ -620,15 +621,10 @@ class ClusterCoordinator:
                 [list(entry) for entry in parsed.tuples]
                 for parsed in group
             ],
-            "k": first.k,
-            "method": first.method,
-            "votes": first.votes,
-            "mode": wire_mode,
-            "task": first.task,
+            "live": list(live),
+            **plan._asdict(),
         }
-        replies = await self._scatter(
-            links, dict(base, live=list(live)), live
-        )
+        replies = await self._scatter(links, base, live)
         partials: List[List[List[Tuple[float, str]]]] = [
             [] for _ in group
         ]

@@ -50,7 +50,7 @@ from repro.exceptions import (
     ServeError,
     StaleEpochError,
 )
-from repro.serve.protocol import SearchRequest
+from repro.serve.protocol import SearchPlan, SearchRequest
 from repro.system import Thetis
 
 #: Routing epochs a worker keeps resolvable.  In-flight requests built
@@ -82,8 +82,6 @@ class WorkerConfig:
     method: str = "types"
     #: Warm the engine (see ``Thetis.warm``) before accepting shards.
     warm_on_start: bool = True
-    #: Executor threads scoring shards (1 keeps shard passes ordered).
-    search_workers: int = 1
     #: Registration retry budget (the coordinator may bind later).
     register_attempts: int = 20
     register_backoff: float = 0.25
@@ -98,8 +96,9 @@ class ClusterWorker:
         self.thetis = thetis
         self.config = config
         self._server: Optional[asyncio.AbstractServer] = None
+        # One thread keeps shard passes ordered.
         self._executor = ThreadPoolExecutor(
-            max_workers=max(1, config.search_workers),
+            max_workers=1,
             thread_name_prefix=f"thetis-shard-{config.worker_id}",
         )
         # Routing state; touched only from the event loop, serialized
@@ -337,11 +336,11 @@ class ClusterWorker:
         """Score a whole coordinator micro-batch in one shard pass.
 
         The frame carries a ``queries`` list (each entry the ``tuples``
-        payload of one query) plus the shared ``k``/``method``/``votes``/
-        ``mode``; the shard is derived once and every query is scored in
-        a single fused kernel pass via ``search_shard_batch``.  The
-        reply's ``results`` holds one score/table-id pair list per
-        query, in request order.
+        payload of one query) plus the shared
+        :class:`~repro.serve.protocol.SearchPlan` fields; the shard is
+        derived once and every query is scored in a single fused kernel
+        pass via ``search_shard_batch``.  The reply's ``results`` holds
+        one score/table-id pair list per query, in request order.
         """
         epoch = expect_epoch(message)
         owner = expect_worker_id(message, "owner")
@@ -355,22 +354,16 @@ class ClusterWorker:
             raise ClusterProtocolError(
                 "'queries' must be a non-empty list of tuple lists"
             )
+        fields = {
+            name: message[name]
+            for name in SearchPlan._fields if name in message
+        }
         requests = [
-            SearchRequest.from_json(
-                {
-                    "tuples": entry,
-                    "k": message.get("k", 10),
-                    "method": message.get("method", "types"),
-                    "votes": message.get("votes", 1),
-                    "mode": message.get("mode", "exact"),
-                    "task": message.get("task", "entity"),
-                },
-                mode="search",
-            )
+            SearchRequest.from_json(dict(fields, tuples=entry))
             for entry in raw_queries
         ]
         queries = [request.query() for request in requests]
-        first = requests[0]
+        plan = requests[0].batch_key()
         shard, ordinals = await self._shard_for(epoch, live, owner, prev_live)
         if shard:
             loop = asyncio.get_running_loop()
@@ -378,16 +371,7 @@ class ClusterWorker:
                 self._executor,
                 functools.partial(
                     self.thetis.search_shard_batch,
-                    queries,
-                    ordinals,
-                    k=first.k,
-                    method=first.method,
-                    votes=first.votes,
-                    mode=(
-                        "prefilter" if first.mode == "prefilter"
-                        else "exact"
-                    ),
-                    task=first.task,
+                    queries, ordinals, **plan._asdict(),
                 ),
             )
             per_query = [
@@ -397,8 +381,8 @@ class ClusterWorker:
         else:
             per_query = [[] for _ in queries]
         self._searches_total += len(queries)
-        self._task_counts[first.task] = (
-            self._task_counts.get(first.task, 0) + len(queries)
+        self._task_counts[plan.task] = (
+            self._task_counts.get(plan.task, 0) + len(queries)
         )
         return {
             "ok": True,

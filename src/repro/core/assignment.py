@@ -11,13 +11,24 @@ suite but the library never depends on scipy at runtime for this path.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import SearchError
 
 _INF = float("inf")
+
+#: Upper bound on the cells of one enumerated option tensor (float64:
+#: ~32 MB).  The vectorized kernels chunk their lanes to stay inside it.
+ENUM_BUDGET = 4_000_000
+
+#: Per-lane enumeration ceiling: beyond this many option-tensor cells a
+#: single :func:`max_assignment` call on the lane's block is cheaper
+#: than its slice of the tensor, so the lane goes to the solver.
+MAX_ENUM_ELEMENTS = 262_144
+
+_NO_LANES = np.empty(0, dtype=np.int64)
 
 
 def _solve_min(cost: np.ndarray) -> List[int]:
@@ -108,6 +119,46 @@ def max_assignment(scores: Sequence[Sequence[float]]) -> Tuple[List[int], float]
             result.append(column)
             total += float(matrix[row, column])
     return result, total
+
+
+def enumeration_chunks(
+    elements: np.ndarray,
+) -> Tuple[np.ndarray, List[Union[slice, np.ndarray]]]:
+    """Gate and chunk the lanes of an exhaustive assignment enumeration.
+
+    ``elements[i]`` is the option-tensor cell count of lane ``i`` (one
+    assignment problem).  Returns ``(solver, chunks)``: the positions
+    of lanes over :data:`MAX_ENUM_ELEMENTS`, which go to
+    :func:`max_assignment`, and indexes covering every other lane, one
+    enumeration call each.  A call pads its tensor to its widest lane,
+    so lanes that do not fit :data:`ENUM_BUDGET` in one call are sorted
+    by size and each chunk ends where its lane count times its widest
+    member would pass the budget (monotone once sorted: the first
+    failure ends the chunk).  When every lane fits one call, that call
+    is ``slice(None)``, all lanes in order.  A lane's answer must not
+    depend on its chunk-mates.
+    """
+    widest = elements.max(initial=0.0)
+    if widest <= MAX_ENUM_ELEMENTS and len(elements) * widest <= ENUM_BUDGET:
+        return _NO_LANES, [slice(None)] if len(elements) else []
+    enumerable = elements <= MAX_ENUM_ELEMENTS
+    solver = np.nonzero(~enumerable)[0]
+    selection = np.nonzero(enumerable)[0]
+    order = np.argsort(elements[selection], kind="stable")
+    selection = selection[order]
+    sizes = elements[selection]
+    chunks: List[np.ndarray] = []
+    cursor = 0
+    while cursor < len(selection):
+        remaining = sizes[cursor:]
+        fits = np.arange(1, len(remaining) + 1) * remaining <= ENUM_BUDGET
+        step = (
+            len(remaining) if bool(fits.all())
+            else max(1, int(np.argmin(fits)))
+        )
+        chunks.append(selection[cursor:cursor + step])
+        cursor += step
+    return solver, chunks
 
 
 def assignment_score(scores: Sequence[Sequence[float]]) -> float:

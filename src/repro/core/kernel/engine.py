@@ -50,7 +50,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.aggregation import RowAggregation, TupleSemantics
-from repro.core.assignment import max_assignment
+from repro.core.assignment import enumeration_chunks, max_assignment
 from repro.core.cache import (
     DEFAULT_SIMILARITY_CACHE_SIZE,
     DEFAULT_VIEW_CACHE_SIZE,
@@ -420,8 +420,11 @@ def _assign_pairs(
 
     Every other pair of a tuple up to :data:`MAX_ENUM_WIDTH` wide is
     enumerated, one :func:`_enumerate_assignments` call per count of
-    positive lanes across all tuples; margin failures and wider tuples
-    go to :func:`~repro.core.assignment.max_assignment` per pair.
+    positive lanes and :func:`~repro.core.assignment.enumeration_chunks`
+    chunk; margin failures, pairs over the per-pair element ceiling and
+    wider tuples go to :func:`~repro.core.assignment.max_assignment`
+    per pair.  A pair over the ceiling is scored as the enumeration
+    would: a margin-clearing optimum is the solver's answer.
     """
     starts = col_offset[:-1]
     maxima = np.maximum.reduceat(relevance, starts, axis=1)
@@ -447,9 +450,15 @@ def _assign_pairs(
     counts = positive.sum(axis=2)
     fallback = [np.nonzero(~unique & ~small)]
     for p in range(1, MAX_ENUM_WIDTH + 1):
-        tt, jj = np.nonzero(~unique & small & (counts == p))
-        if tt.size:
-            rows = np.nonzero(positive[tt, jj])[1].reshape(-1, p)
+        pt, pj = np.nonzero(~unique & small & (counts == p))
+        if not pt.size:
+            continue
+        prows = np.nonzero(positive[pt, pj])[1].reshape(-1, p)
+        # Each pair's tensor is padded to the call's widest table.
+        solver, chunks = enumeration_chunks((table_columns[pj] + 1.0) ** p)
+        fallback.append((pt[solver], pj[solver]))
+        for chunk in chunks:
+            tt, jj, rows = pt[chunk], pj[chunk], prows[chunk]
             chosen, ok = _enumerate_assignments(
                 relevance, col_offset, table_columns,
                 lanes[tt[:, None], rows], jj,

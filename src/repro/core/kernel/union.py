@@ -39,7 +39,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.union_search import _query_columns, dominant_types
-from repro.core.assignment import max_assignment
+from repro.core.assignment import enumeration_chunks, max_assignment
 from repro.core.kernel.engine import (
     ASSIGNMENT_MARGIN,
     _concat_ranges,
@@ -66,15 +66,6 @@ UNION_ENCODERS = ("types", "embeddings")
 #: many positively-scoring query rows; beyond it (or past the element
 #: budget) tables fall back to the scalar Hungarian solver.
 MAX_ENUM_ROWS = 5
-
-#: Upper bound on enumerated option-tensor elements per chunk
-#: (float64: ~32 MB).  Groups are chunked to stay inside it.
-ENUM_BUDGET = 4_000_000
-
-#: Per-table enumeration ceiling: beyond this many option-tensor cells
-#: a single Hungarian call on the table's block is cheaper than its
-#: slice of the tensor, so the table falls back to the solver.
-MAX_ENUM_ELEMENTS = 262_144
 
 #: Conflict masks for the n-dimensional enumeration, keyed by
 #: (rows, options): True where two non-null dimensions picked the same
@@ -378,43 +369,15 @@ def _assignment_totals(
                 pos_any.astype(np.int64), starts
             )
             pos_counts[table_columns == 0] = 0
-            # Gate per table: one wide table must not drag the whole
-            # group to the solver, and past MAX_ENUM_ELEMENTS cells a
-            # single Hungarian call is cheaper than the tensor.
-            lane_elements = (
+            # Gate per table, so one wide table does not drag the whole
+            # group to the solver; chunk the rest to the element budget.
+            solver, chunks = enumeration_chunks(
                 (pos_counts[selection] + 1).astype(np.float64)
                 ** len(rows)
             )
-            enumerable = lane_elements <= MAX_ENUM_ELEMENTS
-            fallback.extend(int(t) for t in selection[~enumerable])
-            selection = selection[enumerable]
-            if not len(selection):
-                continue
-            # Sort by positive-column count so each chunk's tensor is
-            # padded to a near-uniform option count, then chunk to keep
-            # one tensor inside the element budget.  A chunk's tensor
-            # is padded to its *widest* member, so the fit test
-            # multiplies the running lane count by that member's
-            # element count (monotone in both once sorted: first
-            # failure ends the chunk).
-            order = np.argsort(
-                pos_counts[selection], kind="stable"
-            )
-            selection = selection[order]
-            lane_elements = lane_elements[enumerable][order]
-            cursor = 0
-            while cursor < len(selection):
-                remaining = lane_elements[cursor:]
-                fits = (
-                    np.arange(1, len(remaining) + 1) * remaining
-                    <= ENUM_BUDGET
-                )
-                step = (
-                    len(remaining) if bool(fits.all())
-                    else max(1, int(np.argmin(fits)))
-                )
-                chunk = selection[cursor:cursor + step]
-                cursor += step
+            fallback.extend(int(t) for t in selection[solver])
+            for chunk in chunks:
+                chunk = selection[chunk]
                 enum_totals, trusted = _enumerate_totals(
                     relevance, table_columns, col_offset, rows, chunk
                 )

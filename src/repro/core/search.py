@@ -12,7 +12,7 @@ For every table the engine:
 
 Pairwise similarities are memoized in a persistent, bounded, thread-safe
 :class:`~repro.core.cache.SimilarityCache` that survives across
-``search()`` / ``search_batch()`` / ``search_many()`` calls, so repeated
+``search()`` / ``search_batch()`` calls, so repeated
 queries over the same corpus amortize the dominant Section 7.3 cost.
 The engine also records a timing profile separating the column-mapping
 cost from total scoring cost (the Section 7.3 measurement).
@@ -180,7 +180,7 @@ class TableSearchEngine:
 
     Notes
     -----
-    *Thread safety.*  :meth:`search`, :meth:`search_many`,
+    *Thread safety.*  :meth:`search`, :meth:`search_batch`,
     :meth:`score_table`, and :meth:`warm` are safe for concurrent
     reader threads over an unchanging lake/mapping: every shared cache
     (similarity, grids, column counters) is internally synchronized and
@@ -523,23 +523,3 @@ class TableSearchEngine:
                 memo[key] = ranking
             rankings.append(ranking)
         return rankings
-
-    def search_many(
-        self,
-        queries: Dict[str, Query],
-        k: Optional[int] = None,
-        candidates: Optional[Dict[str, Iterable[str]]] = None,
-    ) -> Dict[str, ResultSet]:
-        """:meth:`search_batch` keyed by query id.
-
-        ``candidates`` is an optional per-query restriction keyed like
-        ``queries`` (missing keys search the whole lake).
-        """
-        query_ids = list(queries)
-        restrictions = None
-        if candidates is not None:
-            restrictions = [candidates.get(qid) for qid in query_ids]
-        rankings = self.search_batch(
-            [queries[qid] for qid in query_ids], k=k, candidates=restrictions
-        )
-        return dict(zip(query_ids, rankings))

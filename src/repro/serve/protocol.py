@@ -4,7 +4,7 @@ The wire format is plain JSON over HTTP.  A search request looks like::
 
     POST /search
     {"tuples": [["kg:player0", "kg:team0"]],
-     "k": 10, "method": "types", "use_lsh": false, "votes": 1}
+     "k": 10, "method": "types", "mode": "exact", "task": "entity"}
 
 and its response::
 
@@ -19,29 +19,21 @@ to HTTP 400 — a malformed request must never reach the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.query import Query
 from repro.core.result import ResultSet
 from repro.exceptions import EmptyQueryError, ProtocolError
+from repro.system import SEARCH_MODES, SEARCH_TASKS
 
 #: Search methods the service accepts.
 METHODS = ("types", "embeddings")
 
-#: Mode labels of a query request.  Two execute differently: exact
-#: ranking (``"search"``) and LSH candidate generation + rescoring
-#: (``"prefilter"``, the Section 6 pipeline).  ``"topk"`` is the label
-#: ``POST /topk`` replies carry; it executes as ``"search"``.
-MODES = ("search", "topk", "prefilter")
-
-#: Wire values of the optional ``mode`` body field on ``POST /search``;
-#: ``"exact"`` maps to the endpoint's plain ``"search"`` execution.
-WIRE_MODES = ("exact", "prefilter")
-
-#: Search workloads accepted on ``POST /search``: the paper's
-#: entity-tuple ranking (default), SANTOS-like union search, and
-#: D3L/JOSIE-like join search — all served by vectorized kernels.
-TASKS = ("entity", "union", "join")
+#: Mode labels a reply carries, mapped to the :data:`~repro.system.
+#: SEARCH_MODES` value they execute as: exact ranking (``"search"``,
+#: and ``"topk"``, the label of ``POST /topk`` replies) or LSH
+#: candidate generation + rescoring (``"prefilter"``, Section 6).
+MODES = {"search": "exact", "topk": "exact", "prefilter": "prefilter"}
 
 #: Upper bound on ``k`` accepted over the wire: a page of results, not
 #: a corpus dump — unbounded ``k`` would let one client monopolize a
@@ -151,22 +143,36 @@ def parse_table_id(value: Any, name: str = "table_id") -> str:
     return value
 
 
+class SearchPlan(NamedTuple):
+    """How a request executes, in :meth:`Thetis.search_many`'s terms.
+
+    The server spreads it into ``search_many``, the coordinator into
+    its ``search_batch`` frame, and the worker into
+    ``search_shard_batch``; requests sharing a plan share one engine
+    pass.
+    """
+
+    task: str
+    mode: str
+    method: str
+    k: int
+    votes: int
+
+
 @dataclass(frozen=True)
 class SearchRequest:
     """One parsed, validated query request.
 
-    ``mode`` is echoed in the reply and selects the execution path:
-    ``"search"`` ranks with the (optionally LSH-restricted) exact
-    engine, ``"prefilter"`` rescores an LSH shortlist, and ``"topk"``
-    (``POST /topk``, kept for compatibility) is ``"search"`` under
-    another label.
+    ``mode`` is the label echoed in the reply (see :data:`MODES`):
+    ``"search"`` ranks the whole lake exactly, ``"prefilter"`` rescores
+    an LSH shortlist, and ``"topk"`` (``POST /topk``, kept for
+    compatibility) is ``"search"`` under another label.
     """
 
     tuples: Tuple[Tuple[str, ...], ...]
     k: int = 10
     method: str = "types"
     mode: str = "search"
-    use_lsh: bool = False
     votes: int = 1
     task: str = "entity"
 
@@ -176,48 +182,42 @@ class SearchRequest:
 
         ``mode`` is the endpoint's mode label (``POST /topk`` passes
         ``"topk"``).  ``POST /search`` bodies may additionally carry a
-        ``"mode"`` field choosing between ``"exact"`` (the default,
-        mapped to plain ``"search"`` execution) and ``"prefilter"``
-        (LSH candidate generation + fused rescoring), and a ``"task"``
-        field routing the query to the entity, union, or join engine;
-        both fields are rejected on other endpoints, where the path
-        already fixes the execution.
+        ``"mode"`` field, one of :data:`~repro.system.SEARCH_MODES`
+        (``"exact"``, the default, keeps the ``"search"`` label), and a
+        ``"task"`` field routing the query to the entity, union, or
+        join engine; both fields are rejected on other endpoints, where
+        the path already fixes the execution.  ``votes`` is the LSH
+        vote threshold of ``"prefilter"``; exact search ignores it.
         """
         payload = _expect_mapping(payload)
         _check_fields(
-            payload,
-            ("tuples", "k", "method", "use_lsh", "votes", "mode", "task"),
+            payload, ("tuples", "k", "method", "votes", "mode", "task")
         )
         if payload.get("mode") is not None:
             if mode != "search":
                 raise ProtocolError(
                     "'mode' is only accepted on POST /search"
                 )
-            wire_mode = _parse_choice(
-                payload, "mode", "exact", WIRE_MODES
-            )
-            mode = "search" if wire_mode == "exact" else "prefilter"
+            wire_mode = _parse_choice(payload, "mode", "exact", SEARCH_MODES)
+            if wire_mode == "prefilter":
+                mode = wire_mode
         task = "entity"
         if payload.get("task") is not None:
             if mode not in ("search", "prefilter"):
                 raise ProtocolError(
                     "'task' is only accepted on POST /search"
                 )
-            task = _parse_choice(payload, "task", "entity", TASKS)
-        if task != "entity" and (
-            mode == "prefilter" or _parse_bool(payload, "use_lsh", False)
-        ):
+            task = _parse_choice(payload, "task", "entity", SEARCH_TASKS)
+        if task != "entity" and mode == "prefilter":
             raise ProtocolError(
                 "LSH prefiltering applies to the entity task only: "
-                f"task {task!r} cannot combine with mode='prefilter' "
-                "or use_lsh"
+                f"task {task!r} cannot combine with mode='prefilter'"
             )
         return cls(
             tuples=_parse_tuples(payload),
             k=_parse_int(payload, "k", 10, 1, MAX_K),
             method=_parse_choice(payload, "method", "types", METHODS),
             mode=mode if mode in MODES else "search",
-            use_lsh=_parse_bool(payload, "use_lsh", False),
             votes=_parse_int(payload, "votes", 1, 1, 64),
             task=task,
         )
@@ -229,20 +229,18 @@ class SearchRequest:
         except EmptyQueryError as exc:
             raise ProtocolError(str(exc)) from exc
 
-    def batch_key(self) -> Tuple[str, str, str, int, bool, int]:
-        """Requests sharing this key may run in one ``search_many`` call.
+    def batch_key(self) -> SearchPlan:
+        """The request's :class:`SearchPlan`, its micro-batch key.
 
         The task is part of the key: entity, union, and join queries
-        never share a batch — they dispatch to different engines.  A
-        ``POST /topk`` request takes the key of the whole-lake exact
-        search it is (the endpoint never read ``use_lsh`` / ``votes``).
+        never share a batch — they dispatch to different engines.
+        ``votes`` reads 1 under exact search, which never uses it, so
+        a ``POST /topk`` request and an exact ``POST /search`` with the
+        same ``k`` share one pass.
         """
-        if self.mode == "topk":
-            return (self.task, "search", self.method, self.k, False, 1)
-        return (
-            self.task, self.mode, self.method, self.k,
-            self.use_lsh, self.votes,
-        )
+        mode = MODES[self.mode]
+        votes = self.votes if mode == "prefilter" else 1
+        return SearchPlan(self.task, mode, self.method, self.k, votes)
 
 
 @dataclass(frozen=True)

@@ -329,7 +329,7 @@ class ThetisServer:
     def _run_batch_sync(self, jobs: List[_QueryJob]) -> List[Any]:
         """Execute one coalesced batch against the pinned snapshot.
 
-        Jobs sharing ``(task, mode, method, k, use_lsh, votes)`` run
+        Jobs sharing a :class:`~repro.serve.protocol.SearchPlan` run
         through one ``search_many`` pass — with a vectorized engine
         that is a single fused multi-query kernel pass over the corpus,
         in both exact and prefilter mode; rankings are bit-identical to
@@ -350,11 +350,10 @@ class ThetisServer:
             groups: dict = {}
             for index, job in enumerate(jobs):
                 groups.setdefault(job.request.batch_key(), []).append(index)
-            for key, indices in groups.items():
-                task, mode, method, k, use_lsh, votes = key
-                self.metrics.note_task(task, len(indices))
+            for plan, indices in groups.items():
+                self.metrics.note_task(plan.task, len(indices))
                 try:
-                    if mode == "prefilter":
+                    if plan.mode == "prefilter":
                         for index in indices:
                             if self._guardrail_due():
                                 # Runs both rankings and records the
@@ -362,14 +361,12 @@ class ThetisServer:
                                 # the prefiltered one (the guardrail
                                 # observes, it does not rewrite).
                                 thetis.prefilter_recall(
-                                    jobs[index].query, k=k,
-                                    method=method, votes=votes,
+                                    jobs[index].query, k=plan.k,
+                                    method=plan.method, votes=plan.votes,
                                 )
                     results = thetis.search_many(
                         {str(i): jobs[i].query for i in indices},
-                        k=k, method=method, use_lsh=use_lsh, votes=votes,
-                        mode="prefilter" if mode == "prefilter" else "exact",
-                        task=task,
+                        **plan._asdict(),
                     )
                     for index in indices:
                         outcomes[index] = _QueryOutcome(

@@ -327,7 +327,7 @@ class Thetis:
             **extra,
         )
 
-    def _check_request(self, mode: str, task: str, use_lsh: bool) -> None:
+    def _check_request(self, mode: str, task: str) -> None:
         if mode not in SEARCH_MODES:
             raise ConfigurationError(
                 f"unknown search mode {mode!r}: use one of {SEARCH_MODES}"
@@ -336,11 +336,10 @@ class Thetis:
             raise ConfigurationError(
                 f"unknown search task {task!r}: use one of {SEARCH_TASKS}"
             )
-        if task != "entity" and (mode == "prefilter" or use_lsh):
+        if task != "entity" and mode == "prefilter":
             raise ConfigurationError(
                 "LSH prefiltering applies to the entity task only: "
-                f"task {task!r} cannot combine with mode='prefilter' "
-                "or use_lsh"
+                f"task {task!r} cannot combine with mode='prefilter'"
             )
 
     def cache_stats(self, method: str = "types") -> Dict[str, CacheStats]:
@@ -592,7 +591,6 @@ class Thetis:
         self,
         queries: Sequence[Query],
         method: str,
-        use_lsh: bool,
         lsh_config: LSHConfig,
         votes: int,
         mode: str,
@@ -611,23 +609,20 @@ class Thetis:
         Restrictions are sorted arrays of the lake's table ordinals
         (:class:`~repro.datalake.lake.TableOrdinals`) for every task:
         the shortlist is :meth:`TablePrefilter.candidate_ordinals`, so
-        no table id is touched on the way to the kernel.
-        ``mode="prefilter"`` additionally records each shortlist's
+        no table id is touched on the way to the kernel.  Only
+        ``mode="prefilter"`` builds shortlists, recording each one's
         reduction into :attr:`prefilter_stats`.
         """
-        self._check_request(mode, task, use_lsh)
+        self._check_request(mode, task)
         if shard is not None and not isinstance(shard, np.ndarray):
             shard = self.lake.ordinals.lookup(shard)
-        if not queries or (mode != "prefilter" and not use_lsh):
+        if not queries or mode != "prefilter":
             return [shard] * len(queries)
         prefilter = self.prefilter(method, lsh_config)
         restrictions: List[Optional[Shard]] = []
         for query in queries:
             shortlist = prefilter.candidate_ordinals(query, votes=votes)
-            if mode == "prefilter":
-                self.prefilter_stats.record_query(
-                    len(self.lake), len(shortlist)
-                )
+            self.prefilter_stats.record_query(len(self.lake), len(shortlist))
             if shard is not None:
                 shortlist = np.intersect1d(
                     shortlist, shard, assume_unique=True
@@ -640,7 +635,6 @@ class Thetis:
         queries: List[Query],
         k: int,
         method: str,
-        use_lsh: bool,
         lsh_config: LSHConfig,
         votes: int,
         mode: str,
@@ -659,7 +653,7 @@ class Thetis:
         produce, bit for bit.
         """
         restrictions = self._restrictions(
-            queries, method, use_lsh, lsh_config, votes, mode, task, shard
+            queries, method, lsh_config, votes, mode, task, shard
         )
         engine = self._engine(task, method)
         # Only the entity engines take prefilter accounting.
@@ -674,7 +668,6 @@ class Thetis:
         query: Query,
         k: int = 10,
         method: str = "types",
-        use_lsh: bool = False,
         lsh_config: LSHConfig = RECOMMENDED_CONFIG,
         votes: int = 1,
         mode: str = "exact",
@@ -684,15 +677,15 @@ class Thetis:
 
         A batch of one through the one search path
         (:meth:`_search_batch`), whatever the mode.  ``mode="exact"``
-        (default) ranks the whole lake, optionally restricted by
-        ``use_lsh``.  ``mode="prefilter"`` runs the Section 6 serving
-        pipeline — LSH candidate generation, then the exact top ``k``
-        of the shortlist — and records reduction, shortlist and
-        pruning counters into :attr:`prefilter_stats` (``use_lsh`` is
-        implied and ignored).  The two modes differ in the candidate
-        set only: the vectorized engine answers both with the same
-        bound-ordered, early-terminating scan, the scalar engine scores
-        every candidate.
+        (default) ranks the whole lake and ignores ``votes``.
+        ``mode="prefilter"`` runs the Section 6 serving pipeline — LSH
+        candidate generation under ``lsh_config`` and ``votes``, then
+        the exact top ``k`` of the shortlist — and records reduction,
+        shortlist and pruning counters into :attr:`prefilter_stats`.
+        The two modes differ in the candidate set only: the vectorized
+        engine answers both with the same bound-ordered,
+        early-terminating scan, the scalar engine scores every
+        candidate.
 
         ``task`` selects the workload (:data:`SEARCH_TASKS`):
         ``"union"`` ranks by structural unionability, ``"join"`` by
@@ -702,7 +695,7 @@ class Thetis:
         """
         self._check_open("search")
         return self._search_batch(
-            [query], k, method, use_lsh, lsh_config, votes, mode, task
+            [query], k, method, lsh_config, votes, mode, task
         )[0]
 
     def search_many(
@@ -710,7 +703,6 @@ class Thetis:
         queries: Dict[str, Query],
         k: int = 10,
         method: str = "types",
-        use_lsh: bool = False,
         lsh_config: LSHConfig = RECOMMENDED_CONFIG,
         votes: int = 1,
         mode: str = "exact",
@@ -733,8 +725,8 @@ class Thetis:
         """
         self._check_open("search_many")
         rankings = self._search_batch(
-            list(queries.values()), k, method, use_lsh, lsh_config, votes,
-            mode, task, batch_stats=self.batch_stats,
+            list(queries.values()), k, method, lsh_config, votes, mode,
+            task, batch_stats=self.batch_stats,
         )
         return dict(zip(queries, rankings))
 
@@ -765,7 +757,7 @@ class Thetis:
         """
         self._check_open("search_shard_batch")
         return self._search_batch(
-            list(queries), k, method, False, lsh_config, votes, mode, task,
+            list(queries), k, method, lsh_config, votes, mode, task,
             shard=shard, batch_stats=self.batch_stats,
         )
 

@@ -22,7 +22,9 @@ class TestSearchMany:
             "b": Query.single("kg:player9"),
             "c": Query([("kg:player1",), ("kg:city2",)]),
         }
-        batched = engine.search_many(queries, k=5)
+        batched = dict(zip(
+            queries, engine.search_batch(list(queries.values()), k=5)
+        ))
         for query_id, query in queries.items():
             individual = engine.search(query, k=5)
             assert batched[query_id].table_ids() == individual.table_ids()
@@ -36,14 +38,15 @@ class TestSearchMany:
             "restricted": Query.single("kg:player0"),
             "free": Query.single("kg:player0"),
         }
-        results = engine.search_many(
-            queries, k=10, candidates={"restricted": ["T01", "T02"]}
+        restricted, free = engine.search_batch(
+            [queries["restricted"], queries["free"]], k=10,
+            candidates=[["T01", "T02"], None],
         )
-        assert set(results["restricted"].table_ids()) <= {"T01", "T02"}
-        assert len(results["free"]) == 10
+        assert set(restricted.table_ids()) <= {"T01", "T02"}
+        assert len(free) == 10
 
     def test_empty_batch(self, engine):
-        assert engine.search_many({}) == {}
+        assert engine.search_batch([]) == []
 
 
 class TestCsvDirExport:

@@ -174,7 +174,7 @@ class TestSearch:
             "--lake", str(corpus_dir / "lake.json"),
             "--mapping", str(corpus_dir / "mapping.json"),
             "--tuple", ",".join(entities),
-            "-k", "2", "--lsh", "--explain",
+            "-k", "2", "--mode", "prefilter", "--explain",
         ])
         assert code == 0
         out = capsys.readouterr().out

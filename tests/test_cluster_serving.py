@@ -187,6 +187,74 @@ class TestParity:
         assert status == 404
 
 
+class TestTopologyParity:
+    """One body, one ranking: in process, one server, and a fleet.
+
+    Every valid ``(mode, votes, task)`` plan over a 200-table lake, sent
+    as the same ``/search`` body to a :class:`ServerThread` and to a
+    two-worker fleet, must rank exactly as in-process
+    :meth:`Thetis.search` does.  The retired ``use_lsh`` field is a 400
+    everywhere it used to parse.
+    """
+
+    PLANS = [
+        (mode, votes, task)
+        for mode in ("exact", "prefilter")
+        for votes in (1, 3)
+        for task in (("entity", "union", "join") if mode == "exact"
+                     else ("entity",))
+    ]
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        return build_benchmark(
+            WT2015_PROFILE, num_tables=200, num_query_pairs=6, seed=7
+        )
+
+    @pytest.fixture(scope="class")
+    def topologies(self, bench):
+        from repro.serve import ServeConfig, ServerThread
+
+        factory = make_factory(bench)
+        with factory(0) as local, ClusterHarness(factory, workers=2) as fleet:
+            server = ServerThread(factory(0), ServeConfig(port=0))
+            server.start().wait_ready()
+            try:
+                yield local, server, fleet
+            finally:
+                server.stop()
+
+    def test_every_plan_ranks_alike_on_every_topology(self, bench,
+                                                      topologies):
+        local, server, fleet = topologies
+        queries = list(bench.queries.all_queries().values())
+        assert len(queries) == 12
+        for mode, votes, task in self.PLANS:
+            for query in queries:
+                expected = [
+                    (s.score, s.table_id)
+                    for s in local.search(
+                        query, k=10, mode=mode, votes=votes, task=task
+                    )
+                ]
+                body = dict(payload_of(query, mode=mode, k=10),
+                            votes=votes, task=task)
+                for port in (server.port, fleet.port):
+                    status, reply = post_search(port, body)
+                    assert status == 200, reply
+                    assert ranking(reply) == expected, (mode, votes, task)
+
+    def test_use_lsh_is_rejected(self, bench, topologies):
+        _, server, fleet = topologies
+        query = next(iter(bench.queries.all_queries().values()))
+        body = dict(payload_of(query, k=10), use_lsh=True, votes=3)
+        for port, path in ((server.port, "/search"), (server.port, "/topk"),
+                           (fleet.port, "/search")):
+            status, reply = post_json(port, path, body)
+            assert status == 400
+            assert "unknown request fields: use_lsh" in reply["error"]
+
+
 class TestEndpoints:
     def test_healthz(self, fleet):
         status, body = get_json(fleet.port, "/healthz")

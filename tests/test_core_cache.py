@@ -178,7 +178,7 @@ class TestEngineCaching:
         query = Query.single("kg:player1", "kg:team1")
         engine.search(query)
         misses = engine.profile.similarity_misses
-        engine.search_many({"q": query})
+        engine.search_batch([query])
         engine.search(query, k=3)
         assert engine.profile.similarity_misses == misses
 

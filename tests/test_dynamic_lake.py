@@ -68,7 +68,7 @@ class TestThetisAddTable:
         thetis.add_table(_new_table())
         candidates = prefilter.candidate_tables(query)
         assert "T99" in candidates
-        results = thetis.search(query, k=1, use_lsh=True,
+        results = thetis.search(query, k=1, mode="prefilter",
                                 lsh_config=LSHConfig(32, 8))
         assert results.table_ids()[0] == "T99"
 

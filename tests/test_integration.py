@@ -51,7 +51,7 @@ class TestSearchQuality:
         for qid, query in small_benchmark.queries.one_tuple.items():
             truth = small_benchmark.ground_truth(qid)
             exact = thetis.search(query, k=10)
-            approx = thetis.search(query, k=10, use_lsh=True,
+            approx = thetis.search(query, k=10, mode="prefilter",
                                    lsh_config=RECOMMENDED_CONFIG)
             exact_scores.append(
                 ndcg_at_k(exact.table_ids(10), truth.gains, 10)

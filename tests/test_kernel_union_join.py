@@ -518,7 +518,7 @@ class TestThetisTasks:
         query = Query([["kg:player0"]])
         with Thetis(sports_lake, sports_graph, sports_mapping) as thetis:
             with pytest.raises(ConfigurationError):
-                thetis.search(query, task="union", use_lsh=True)
+                thetis.search(query, task="union", mode="prefilter")
             with pytest.raises(ConfigurationError):
                 thetis.search(query, task="join", mode="prefilter")
 
@@ -654,7 +654,7 @@ class TestProtocol:
             )
         with pytest.raises(ProtocolError):
             SearchRequest.from_json(
-                {"tuples": [["kg:a"]], "task": "join", "use_lsh": True}
+                {"tuples": [["kg:a"]], "task": "join", "mode": "prefilter"}
             )
 
     def test_unknown_task_rejected(self):

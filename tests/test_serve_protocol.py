@@ -8,6 +8,7 @@ from repro.serve.protocol import (
     MAX_K,
     MAX_TUPLES,
     ExplainRequest,
+    SearchPlan,
     SearchRequest,
     TableUpsertRequest,
     error_to_json,
@@ -22,20 +23,33 @@ class TestSearchRequest:
         assert req.k == 10
         assert req.method == "types"
         assert req.mode == "search"
-        assert not req.use_lsh
+        assert req.batch_key().mode == "exact"
         assert req.votes == 1
 
     def test_all_fields(self):
         req = SearchRequest.from_json(
             {"tuples": [["kg:a"], ["kg:b", "kg:c"]], "k": 3,
-             "method": "embeddings", "use_lsh": True, "votes": 3},
+             "method": "embeddings", "votes": 3},
             mode="topk",
         )
         assert req.k == 3
         assert req.method == "embeddings"
         assert req.mode == "topk"
-        assert req.use_lsh
         assert req.votes == 3
+        pre = SearchRequest.from_json(
+            {"tuples": [["kg:a"]], "k": 3, "method": "embeddings",
+             "mode": "prefilter", "votes": 3, "task": "entity"}
+        )
+        assert pre.batch_key() == SearchPlan(
+            "entity", "prefilter", "embeddings", 3, 3
+        )
+
+    def test_use_lsh_is_an_unknown_field(self):
+        for mode in ("search", "topk"):
+            with pytest.raises(ProtocolError, match="unknown request fields"):
+                SearchRequest.from_json(
+                    {"tuples": [["kg:a"]], "use_lsh": True}, mode=mode
+                )
 
     def test_non_object_body(self):
         with pytest.raises(ProtocolError):
@@ -139,9 +153,9 @@ class TestWireMode:
         )
         assert exact.batch_key() != pre.batch_key()
         # POST /topk is exact search under another label: one key,
-        # whatever use_lsh / votes say (the endpoint never read them).
+        # whatever votes says (exact search never reads it).
         topk = SearchRequest.from_json(
-            {"tuples": [["kg:a"]], "use_lsh": True, "votes": 3},
+            {"tuples": [["kg:a"]], "votes": 3},
             mode="topk",
         )
         assert topk.batch_key() == exact.batch_key()

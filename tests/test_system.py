@@ -87,7 +87,7 @@ class TestSearch:
     def test_lsh_search_preserves_top_results(self, thetis):
         query = Query.single("kg:player0", "kg:team0", "kg:city0")
         exact = thetis.search(query, k=3)
-        approx = thetis.search(query, k=3, use_lsh=True,
+        approx = thetis.search(query, k=3, mode="prefilter",
                                lsh_config=LSHConfig(32, 8))
         assert exact.table_ids()[0] == approx.table_ids()[0]
 
