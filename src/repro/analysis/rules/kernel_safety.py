@@ -2,8 +2,9 @@
 
 The ``core/kernel`` arrays are compiled once, marked read-only, and
 shared across reader threads; parity with the scalar engine is promised
-to 1e-9.  Three classes of silent numpy behavior can break that without
-failing a single test loudly:
+to 1e-9.  Four classes of silent numpy behavior can break that without
+failing a single test loudly.  The first three rules also run on
+``core/assignment.py``, whose enumeration both kernels run:
 
 ``missing-dtype``
     ``np.zeros/ones/empty/full`` without an explicit ``dtype=`` pick
@@ -76,7 +77,18 @@ def _dtype_of_keyword(node: ast.Call) -> Optional[str]:
     return None
 
 
-class MissingDtypeRule(Rule):
+class _KernelCodeRule(Rule):
+    """A rule over ``core/kernel`` and the assignment module."""
+
+    scope = ("kernel",)
+
+    def applies(self, source: SourceFile) -> bool:
+        return super().applies(source) or (
+            source.parts()[-2:] == ("core", "assignment.py")
+        )
+
+
+class MissingDtypeRule(_KernelCodeRule):
     """Require explicit ``dtype=`` on kernel array allocations."""
 
     id = "missing-dtype"
@@ -85,7 +97,6 @@ class MissingDtypeRule(Rule):
         "a numpy allocation in the kernel has no explicit dtype=, "
         "inheriting platform-dependent defaults"
     )
-    scope = ("kernel",)
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
         aliases = import_aliases(source.tree)
@@ -106,7 +117,7 @@ class MissingDtypeRule(Rule):
             )
 
 
-class NpArrayCopyRule(Rule):
+class NpArrayCopyRule(_KernelCodeRule):
     """Prefer ``np.asarray`` over ``np.array`` on existing arrays."""
 
     id = "np-array-copy"
@@ -115,7 +126,6 @@ class NpArrayCopyRule(Rule):
         "np.array(...) over an existing array always copies; use "
         "np.asarray or pass copy= explicitly"
     )
-    scope = ("kernel",)
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
         aliases = import_aliases(source.tree)
@@ -180,7 +190,7 @@ class MemmapExplicitRule(Rule):
             )
 
 
-class FloatDtypeMixRule(Rule):
+class FloatDtypeMixRule(_KernelCodeRule):
     """Flag arithmetic mixing float32 and float64 locals."""
 
     id = "float-dtype-mix"
@@ -189,7 +199,6 @@ class FloatDtypeMixRule(Rule):
         "arithmetic between float32 and float64 locals silently "
         "upcasts, invalidating precision assumptions"
     )
-    scope = ("kernel",)
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
         aliases = import_aliases(source.tree)

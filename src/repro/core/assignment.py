@@ -11,13 +11,20 @@ suite but the library never depends on scipy at runtime for this path.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import SearchError
 
 _INF = float("inf")
+
+#: Minimum gap between the best and second-best enumerated total before
+#: the enumerated assignment is trusted over the Hungarian solver.
+#: Well above the ~1e-13 rounding the solver's potentials can
+#: accumulate, so a margin-clearing optimum is provably the solver's
+#: answer too; anything closer falls back to the exact solver.
+ASSIGNMENT_MARGIN = 1e-9
 
 #: Upper bound on the cells of one enumerated option tensor (float64:
 #: ~32 MB).  The vectorized kernels chunk their lanes to stay inside it.
@@ -108,7 +115,9 @@ def max_assignment(scores: Sequence[Sequence[float]]) -> Tuple[List[int], float]
         return [-1] * k, 0.0
     padded = matrix
     if k > n:
-        padded = np.concatenate([matrix, np.zeros((k, k - n))], axis=1)
+        padded = np.concatenate(
+            [matrix, np.zeros((k, k - n), dtype=np.float64)], axis=1
+        )
     assignment = _solve_min(-padded)
     total = 0.0
     result: List[int] = []
@@ -159,6 +168,104 @@ def enumeration_chunks(
         chunks.append(selection[cursor:cursor + step])
         cursor += step
     return solver, chunks
+
+
+#: ``(options,) * lanes`` boolean masks, keyed by ``(lanes, options)``:
+#: True where two lanes pick the same real column (the last option is
+#: the conflict-exempt null slot).  Bounded: cleared when full.
+_CLASHES: Dict[Tuple[int, int], np.ndarray] = {}
+
+
+def _clashes(lanes: int, options: int) -> np.ndarray:
+    mask = _CLASHES.get((lanes, options))
+    if mask is None:
+        if len(_CLASHES) >= 32:
+            _CLASHES.clear()
+        picks = np.indices((options,) * lanes)
+        mask = np.zeros((options,) * lanes, dtype=bool)
+        for i in range(lanes):
+            for j in range(i + 1, lanes):
+                mask |= (picks[i] == picks[j]) & (picks[i] != options - 1)
+        _CLASHES[(lanes, options)] = mask
+    return mask
+
+
+def enumerate_assignments(
+    relevance: np.ndarray,
+    col_offset: np.ndarray,
+    table_columns: np.ndarray,
+    lanes: np.ndarray,
+    tables: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact column assignments by null-augmented enumeration.
+
+    ``col_offset`` / ``table_columns`` lay the tables out along the
+    column axis of ``relevance``.  Pair ``i`` assigns the ``p`` rows
+    ``lanes[i]`` of ``relevance`` (in row order) to distinct columns
+    of table ``tables[i]``.  Each lane's options are the table's
+    *positive* columns (positive for some lane of the pair) plus one
+    conflict-exempt null slot worth ``0.0``; a lane's non-positive
+    entries are ``-inf``.  A zero relevance adds nothing the solver's
+    padding would not, so the ``(positive columns + 1) ** p`` tensor of
+    totals, summed in row order as the solver's caller sums its picks,
+    holds one cell per distinct positive support, and its maximum is
+    the Hungarian optimum.
+
+    Returns ``(chosen, optimum, unique, settled)`` per pair: the first
+    optimal cell's column per lane (``-1`` = null slot), its total,
+    whether it clears :data:`ASSIGNMENT_MARGIN` over every other cell
+    (then the solver's columns score to it), and whether every total
+    within the margin equals it bitwise (then the solver's *total* is
+    it, whichever optimum the solver takes; always true for one lane,
+    whose optimum is a plain max).  ``unique`` implies ``settled``.  A
+    pair's outputs do not depend on the other pairs: a wider table only
+    appends ``-inf`` options before the null slot.
+    """
+    size, p = lanes.shape
+    columns = table_columns[tables]
+    cmax = int(columns.max(initial=0))
+    gather = col_offset[tables][:, None] + np.arange(cmax)
+    np.minimum(gather, relevance.shape[1] - 1, out=gather)
+    real = relevance[lanes.T[:, :, None], gather[None, :, :]]
+    positive = (np.arange(cmax) < columns[:, None]) & (real > 0.0)
+    real = np.where(positive, real, -np.inf)
+    # Compact each pair to its positive columns, in column order.
+    support = positive.any(axis=0)
+    width = int(support.sum(axis=1).max(initial=0))
+    order = np.argsort(~support, axis=1, kind="stable")[:, :width]
+    blocks = np.concatenate(
+        [
+            np.take_along_axis(real, order[None, :, :], axis=2),
+            np.zeros((p, size, 1), dtype=np.float64),
+        ],
+        axis=2,
+    )
+    options = width + 1
+    totals = blocks[0].reshape((size, options) + (1,) * (p - 1))
+    for lane in range(1, p):
+        shape = [size] + [1] * p
+        shape[1 + lane] = options
+        totals = totals + blocks[lane].reshape(shape)
+    if p > 1:
+        totals[:, _clashes(p, options)] = -np.inf
+    flat = totals.reshape(size, -1)
+    best = flat.argmax(axis=1)
+    pairs = np.arange(size)
+    optimum = flat[pairs, best]
+    if p == 1:
+        settled = np.ones(size, dtype=bool)
+    else:
+        near = flat >= (optimum - ASSIGNMENT_MARGIN)[:, None]
+        settled = np.where(near, flat, np.inf).min(axis=1) == optimum
+    # The runner-up, by masking the winner.  The all-null cell keeps
+    # the optimum finite, so the gap is +inf, never NaN.
+    flat[pairs, best] = -np.inf
+    unique = settled & (optimum - flat.max(axis=1) >= ASSIGNMENT_MARGIN)
+    picks = np.stack(np.unravel_index(best, (options,) * p), axis=1)
+    slots = np.concatenate(
+        [order, np.full((size, 1), -1, dtype=np.int64)], axis=1
+    )
+    return np.take_along_axis(slots, picks, axis=1), optimum, unique, settled
 
 
 def assignment_score(scores: Sequence[Sequence[float]]) -> float:

@@ -50,7 +50,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.aggregation import RowAggregation, TupleSemantics
-from repro.core.assignment import enumeration_chunks, max_assignment
+from repro.core.assignment import (
+    enumerate_assignments,
+    enumeration_chunks,
+    max_assignment,
+)
 from repro.core.cache import (
     DEFAULT_SIMILARITY_CACHE_SIZE,
     DEFAULT_VIEW_CACHE_SIZE,
@@ -77,15 +81,9 @@ from repro.core.search import (
 from repro.datalake.table import Table
 from repro.exceptions import IndexStorageError
 
-#: Minimum gap between the best and second-best assignment total before
-#: the enumerated small-width assignment is trusted over the Hungarian
-#: solver.  Well above the ~1e-13 rounding the solver's potentials can
-#: accumulate, so a margin-clearing optimum is provably the solver's
-#: answer too; anything closer falls back to the exact solver.
-ASSIGNMENT_MARGIN = 1e-9
-
 #: Widths the batched search solves by exhaustive enumeration (the
-#: tensor has ``columns ** width`` cells; beyond 3 the solver wins).
+#: tensor has up to ``(columns + 1) ** width`` cells; beyond 3 the
+#: solver wins).
 MAX_ENUM_WIDTH = 3
 
 #: Slack added to a vectorized upper bound before the early-termination
@@ -285,107 +283,6 @@ def pruned_topk(
     return found_at[top], scores[top], cursor
 
 
-#: ``(n, n, n)`` boolean masks marking option triples that repeat a real
-#: column, keyed by ``n = columns + 1`` — the last option index is the
-#: conflict-exempt null slot, so only repeats below it clash.  Shared by
-#: every width-3 enumeration.
-_CLASH_MASKS: Dict[int, np.ndarray] = {}
-
-
-def _clash_mask(options: int) -> np.ndarray:
-    mask = _CLASH_MASKS.get(options)
-    if mask is None:
-        null = options - 1
-        i, j, k = np.ix_(*[np.arange(options)] * 3)
-        mask = (
-            ((i == j) & (i != null))
-            | ((i == k) & (i != null))
-            | ((j == k) & (j != null))
-        )
-        _CLASH_MASKS[options] = mask
-    return mask
-
-
-def _enumerate_assignments(
-    relevance: np.ndarray,
-    col_offset: np.ndarray,
-    table_columns: np.ndarray,
-    lanes: np.ndarray,
-    tables: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact column assignments by null-augmented enumeration.
-
-    ``col_offset`` / ``table_columns`` lay the tables out along the
-    column axis of the lane-stacked ``relevance``.  Pair ``i`` assigns
-    the ``p`` positive-relevance lanes ``lanes[i]`` (rows of
-    ``relevance``, in tuple position order) to columns of table
-    ``tables[i]``.  Each lane's options are its *positive-relevance*
-    columns plus one conflict-exempt null slot worth ``0.0``
-    (zero-relevance columns are demoted to ``-inf``: a zero column
-    relevance means every cell similarity in that column is zero, so
-    taking such a column, the null slot, or the solver's padding all
-    produce identical downstream scores).  The ``(columns + 1) ** p``
-    tensor of totals therefore enumerates exactly one cell per distinct
-    *positive support* — the set of (lane, column) picks that actually
-    contribute — and its maximum equals the Hungarian optimum for any
-    ``columns``-vs-``width`` shape.
-
-    Returns ``(chosen, ok)``: the option per lane (the null slot
-    decodes to ``-1``), and whether the optimum cleared
-    :data:`ASSIGNMENT_MARGIN` over the runner-up.  A margin-clearing
-    optimum is provably what the solver's answer scores to: every other
-    positive support loses by more than either method's float rounding,
-    so the solver's assignment shares the optimum's support, and
-    non-support picks are score-free.  Pairs failing the margin fall
-    back to the solver.  A pair's answer does not depend on the other
-    pairs: the widest table only appends ``-inf`` options before the
-    null slot, which moves no total and no first maximum.
-    """
-    p = lanes.shape[1]
-    columns = table_columns[tables]
-    cmax = int(columns.max())
-    options = cmax + 1
-    gather = col_offset[tables][:, None] + np.arange(cmax)
-    np.minimum(gather, relevance.shape[1] - 1, out=gather)
-    valid = np.arange(cmax) < columns[:, None]
-    real = relevance[lanes.T[:, :, None], gather[None, :, :]]
-    blocks = np.concatenate(
-        [
-            np.where(valid[None, :, :] & (real > 0.0), real, -np.inf),
-            np.zeros((p, len(tables), 1), dtype=np.float64),
-        ],
-        axis=2,
-    )
-    size = len(tables)
-    if p == 1:
-        flat = blocks[0]
-    elif p == 2:
-        flat = blocks[0][:, :, None] + blocks[1][:, None, :]
-        diagonal = np.arange(cmax)
-        flat[:, diagonal, diagonal] = -np.inf
-        flat = flat.reshape(size, -1)
-    else:
-        totals = (
-            blocks[0][:, :, None, None]
-            + blocks[1][:, None, :, None]
-            + blocks[2][:, None, None, :]
-        )
-        totals[:, _clash_mask(options)] = -np.inf
-        flat = totals.reshape(size, -1)
-    best = flat.argmax(axis=1)
-    # Runner-up via masking the winner (cheaper than a partition).
-    # The all-null cell keeps the optimum finite, so the margin is
-    # +inf against a -inf runner-up, never NaN.
-    pairs = np.arange(size)
-    best_totals = flat[pairs, best]
-    flat[pairs, best] = -np.inf
-    ok = best_totals - flat.max(axis=1) >= ASSIGNMENT_MARGIN
-    chosen = np.stack(
-        np.unravel_index(best, (options,) * p), axis=1
-    ).astype(np.int64)
-    return np.where(chosen == cmax, -1, chosen), ok
-
-
 def _assign_pairs(
     relevance: np.ndarray,
     col_offset: np.ndarray,
@@ -412,19 +309,22 @@ def _assign_pairs(
     * the best columns reach the sum of the lanes' maxima, and every
       other option is no greater at each lane, so by the monotonicity
       of rounded addition no cell of the enumeration out-totals them.
-      An enumeration whose winner clears :data:`ASSIGNMENT_MARGIN`
-      strictly beats every other cell, so the winner is this cell;
+      An enumeration whose winner is ``unique`` (clears
+      :data:`~repro.core.assignment.ASSIGNMENT_MARGIN`) strictly beats
+      every other cell, so the winner is this cell;
     * an enumeration that misses the margin, and every tuple wider
       than :data:`MAX_ENUM_WIDTH`, reaches the greedy rule before the
       solver, and the rule returns these columns.
 
     Every other pair of a tuple up to :data:`MAX_ENUM_WIDTH` wide is
-    enumerated, one :func:`_enumerate_assignments` call per count of
-    positive lanes and :func:`~repro.core.assignment.enumeration_chunks`
-    chunk; margin failures, pairs over the per-pair element ceiling and
-    wider tuples go to :func:`~repro.core.assignment.max_assignment`
-    per pair.  A pair over the ceiling is scored as the enumeration
-    would: a margin-clearing optimum is the solver's answer.
+    enumerated, one :func:`~repro.core.assignment.enumerate_assignments`
+    call per count of positive lanes and
+    :func:`~repro.core.assignment.enumeration_chunks` chunk (gated on
+    the table's full column count).  Pairs whose winner is not
+    ``unique``, pairs over the per-pair element ceiling and wider
+    tuples go to :func:`~repro.core.assignment.max_assignment` per
+    pair.  A pair over the ceiling is scored as the enumeration would:
+    a margin-clearing optimum is the solver's answer.
     """
     starts = col_offset[:-1]
     maxima = np.maximum.reduceat(relevance, starts, axis=1)
@@ -454,12 +354,12 @@ def _assign_pairs(
         if not pt.size:
             continue
         prows = np.nonzero(positive[pt, pj])[1].reshape(-1, p)
-        # Each pair's tensor is padded to the call's widest table.
+        # The compacted tensor is no larger than the full table's.
         solver, chunks = enumeration_chunks((table_columns[pj] + 1.0) ** p)
         fallback.append((pt[solver], pj[solver]))
         for chunk in chunks:
             tt, jj, rows = pt[chunk], pj[chunk], prows[chunk]
-            chosen, ok = _enumerate_assignments(
+            chosen, _, ok, _ = enumerate_assignments(
                 relevance, col_offset, table_columns,
                 lanes[tt[:, None], rows], jj,
             )

@@ -14,13 +14,14 @@ scores every candidate column with one popcount Jaccard pass (types) or
 one ``einsum`` cosine pass (embeddings) per segment, lays the results
 on one flat column axis, and follows with a vectorized column
 assignment: exact enumerated assignment for tables with at most
-``MAX_ENUM_ROWS`` positively-scoring query columns (with the
-:data:`ASSIGNMENT_MARGIN` near-tie check), Hungarian fallback
-otherwise.  A search with a cut-off ``k`` solves the assignment only
-for the tables it must: a bound-ordered, early-terminating scan (the
-entity kernel's :func:`~repro.core.kernel.engine.pruned_topk`) whose
-bound is each table's best column per query row, so its ranking is the
-full pass truncated to ``k``, bit for bit.
+``MAX_ENUM_ROWS`` positively-scoring query columns (the shared
+:func:`~repro.core.assignment.enumerate_assignments`, trusted where its
+near-optimal totals agree bitwise), Hungarian fallback otherwise.  A
+search with a cut-off ``k`` solves the assignment only for the tables
+it must: a bound-ordered, early-terminating scan (the entity kernel's
+:func:`~repro.core.kernel.engine.pruned_topk`) whose bound is each
+table's best column per query row, so its ranking is the full pass
+truncated to ``k``, bit for bit.
 
 Parity contract: scores match the scalar baseline to <= 1e-9 and the
 ranking is identical including ``(-score, table_id)`` tie-breaks.  For
@@ -39,12 +40,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.union_search import _query_columns, dominant_types
-from repro.core.assignment import enumeration_chunks, max_assignment
-from repro.core.kernel.engine import (
-    ASSIGNMENT_MARGIN,
-    _concat_ranges,
-    pruned_topk,
+from repro.core.assignment import (
+    enumerate_assignments,
+    enumeration_chunks,
+    max_assignment,
 )
+from repro.core.kernel.engine import _concat_ranges, pruned_topk
 from repro.core.kernel.index import _popcount
 from repro.core.kernel.segments import (
     LakeLayout,
@@ -62,31 +63,10 @@ from repro.linking.mapping import EntityMapping
 
 UNION_ENCODERS = ("types", "embeddings")
 
-#: Exhaustive assignment enumeration covers groups with at most this
+#: Exhaustive assignment enumeration covers tables with at most this
 #: many positively-scoring query rows; beyond it (or past the element
 #: budget) tables fall back to the scalar Hungarian solver.
 MAX_ENUM_ROWS = 5
-
-#: Conflict masks for the n-dimensional enumeration, keyed by
-#: (rows, options): True where two non-null dimensions picked the same
-#: real column.
-_WIDE_CLASH_MASKS: Dict[Tuple[int, int], np.ndarray] = {}
-
-
-def _wide_clash_mask(rows: int, options: int) -> np.ndarray:
-    key = (rows, options)
-    mask = _WIDE_CLASH_MASKS.get(key)
-    if mask is None:
-        if len(_WIDE_CLASH_MASKS) >= 32:
-            _WIDE_CLASH_MASKS.clear()
-        grids = np.indices((options,) * rows)
-        null = options - 1
-        mask = np.zeros((options,) * rows, dtype=bool)
-        for i in range(rows):
-            for j in range(i + 1, rows):
-                mask |= (grids[i] == grids[j]) & (grids[i] != null)
-        _WIDE_CLASH_MASKS[key] = mask
-    return mask
 
 
 class UnionCorpusIndex:
@@ -315,16 +295,20 @@ def _assignment_totals(
     ``relevance`` is the dense (query_width, total_columns) similarity
     matrix over a contiguous table->column layout.  Tables whose columns
     are all non-positive total exactly 0.0 (their optimal assignment
-    sums zeros).  The remaining tables are grouped by which query rows
-    have positive entries; groups with at most MAX_ENUM_ROWS positive
-    rows — regardless of the full query width — are solved by
-    exhaustive enumeration over a null-augmented option tensor; a table
-    whose near-optimal totals (within ASSIGNMENT_MARGIN of the
-    optimum) are not all bitwise equal — where enumeration and the
-    Hungarian solver could pick equal-total assignments with different
-    rounding — falls back to :func:`max_assignment` on its block, the
-    very code path the scalar baseline runs.  Skipping non-positive query rows is exact because
-    the scalar accumulator adds their 0.0 contribution in row order and
+    sums zeros).  The remaining tables are grouped by how many query
+    rows score positive on them; a table with at most MAX_ENUM_ROWS
+    positive rows — regardless of the full query width — is enumerated
+    over those rows by
+    :func:`~repro.core.assignment.enumerate_assignments` (gated on its
+    positive-column count).  A table whose optimum is not ``settled``
+    — near-optimal totals within ASSIGNMENT_MARGIN that are not all
+    bitwise equal, where enumeration and the Hungarian solver could
+    pick equal-total assignments with different rounding — falls back
+    to :func:`max_assignment` on its block, the very code path the
+    scalar baseline runs.  ``settled`` rather than ``unique``: the
+    total is all this reads, and exact ties on type Jaccard scores are
+    common.  Skipping non-positive query rows is exact because the
+    scalar accumulator adds their 0.0 contribution in row order and
     ``x + 0.0 == x`` for every non-negative score.
     """
     width = int(relevance.shape[0])
@@ -333,154 +317,38 @@ def _assignment_totals(
     total_columns = int(relevance.shape[1])
     if width == 0 or num_tables == 0 or total_columns == 0:
         return totals
-    starts = np.minimum(col_offset[:-1], total_columns - 1)
     positive = _row_maxima(relevance, table_columns, col_offset) > 0.0
-    need = positive.any(axis=0)
-    if not bool(need.any()):
-        return totals
-    fallback: List[int] = []
-    if width <= 62:  # int64 bit codes; wider queries all fall back
-        weights = (
-            np.int64(1) << np.arange(width, dtype=np.int64)
+    counts = positive.sum(axis=0)
+    # reduceat needs int (bool add is OR), and empty segments echo a
+    # neighbour — zero them.
+    starts = np.minimum(col_offset[:-1], total_columns - 1)
+    positive_columns = np.add.reduceat(
+        (relevance > 0.0).any(axis=0).astype(np.int64), starts
+    )
+    positive_columns[table_columns == 0] = 0
+    fallback = [np.nonzero(counts > MAX_ENUM_ROWS)[0]]
+    for p in range(1, MAX_ENUM_ROWS + 1):
+        selection = np.nonzero(counts == p)[0]
+        if not selection.size:
+            continue
+        rows = np.nonzero(positive[:, selection].T)[1].reshape(-1, p)
+        solver, chunks = enumeration_chunks(
+            (positive_columns[selection] + 1.0) ** p
         )
-        codes = positive.T.astype(np.int64) @ weights
-        codes = np.where(need, codes, 0)
-        for code in np.unique(codes):
-            if code == 0:
-                continue
-            selection = np.nonzero(codes == code)[0]
-            rows = np.nonzero(
-                (int(code) >> np.arange(width, dtype=np.int64)) & 1
-            )[0]
-            # Enumeration keys on the *positive* row count of the
-            # group, not the full query width: a wide query still
-            # enumerates every table where at most MAX_ENUM_ROWS query
-            # columns score positive (the zero rows add exact 0.0 in
-            # the scalar accumulator, so skipping them is bit-exact).
-            if len(rows) > MAX_ENUM_ROWS:
-                fallback.extend(int(t) for t in selection)
-                continue
-            # The enumeration compacts each table to its positively-
-            # scoring columns, so size gates key on that count, not the
-            # table width.  reduceat needs int (bool add is OR), and
-            # empty segments echo a neighbour — zero them.
-            pos_any = (relevance[rows] > 0.0).any(axis=0)
-            pos_counts = np.add.reduceat(
-                pos_any.astype(np.int64), starts
+        fallback.append(selection[solver])
+        for chunk in chunks:
+            tables = selection[chunk]
+            _, optimum, _, settled = enumerate_assignments(
+                relevance, col_offset, table_columns, rows[chunk], tables
             )
-            pos_counts[table_columns == 0] = 0
-            # Gate per table, so one wide table does not drag the whole
-            # group to the solver; chunk the rest to the element budget.
-            solver, chunks = enumeration_chunks(
-                (pos_counts[selection] + 1).astype(np.float64)
-                ** len(rows)
-            )
-            fallback.extend(int(t) for t in selection[solver])
-            for chunk in chunks:
-                chunk = selection[chunk]
-                enum_totals, trusted = _enumerate_totals(
-                    relevance, table_columns, col_offset, rows, chunk
-                )
-                totals[chunk] = np.where(trusted, enum_totals, 0.0)
-                if not bool(trusted.all()):
-                    fallback.extend(int(t) for t in chunk[~trusted])
-    else:
-        fallback = [int(t) for t in np.nonzero(need)[0]]
-    for position in fallback:
+            totals[tables[settled]] = optimum[settled]
+            fallback.append(tables[~settled])
+    for position in np.concatenate(fallback).tolist():
         start = int(col_offset[position])
         stop = int(col_offset[position + 1])
         _, total = max_assignment(relevance[:, start:stop])
         totals[position] = total
     return totals
-
-
-def _enumerate_totals(
-    relevance: np.ndarray,
-    table_columns: np.ndarray,
-    col_offset: np.ndarray,
-    rows: np.ndarray,
-    selection: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Exhaustive assignment totals for every selected table at once.
-
-    Mirrors the entity kernel's enumeration: per table, each positive
-    query row picks one option among the table's positively-scoring
-    columns plus a conflict-exempt null slot worth +0.0, non-positive
-    entries are demoted to ``-inf``, and repeated *real* columns are
-    masked out.  Returns ``(totals, trusted)`` where ``trusted`` marks
-    lanes whose near-optimal totals (within ASSIGNMENT_MARGIN) are all
-    bitwise equal to the optimum.
-    """
-    columns = table_columns[selection]
-    cmax = int(columns.max())
-    total_columns = int(relevance.shape[1])
-    gather = (
-        col_offset[selection][:, None]
-        + np.arange(cmax, dtype=np.int64)[None, :]
-    )
-    np.minimum(gather, total_columns - 1, out=gather)
-    valid = np.arange(cmax, dtype=np.int64)[None, :] < columns[:, None]
-    real = relevance[rows][:, gather]
-    positive = valid[None, :, :] & (real > 0.0)
-    # Compact each lane to its positively-scoring columns: non-positive
-    # cells are ``-inf`` below either way (the optimum never takes
-    # them; "unassigned" is the null slot), so only positive columns
-    # need option slots and the tensor shrinks from (table columns)^d
-    # to (positive columns)^d.  The stable argsort keeps original
-    # column order, so equal compact indices still mean equal real
-    # columns for the clash mask.
-    lane_positive = positive.any(axis=0)
-    counts = lane_positive.sum(axis=1)
-    pmax = int(counts.max())
-    order = np.argsort(~lane_positive, axis=1, kind="stable")[:, :pmax]
-    real = np.take_along_axis(real, order[None, :, :], axis=2)
-    positive = np.take_along_axis(positive, order[None, :, :], axis=2)
-    keep = np.arange(pmax, dtype=np.int64)[None, :] < counts[:, None]
-    options = pmax + 1
-    blocks = np.concatenate(
-        [
-            np.where(positive & keep[None, :, :], real, -np.inf),
-            np.zeros(
-                (len(rows), len(selection), 1), dtype=np.float64
-            ),
-        ],
-        axis=2,
-    )
-    lanes = np.arange(len(selection))
-    depth = len(rows)
-    if depth == 1:
-        # A single positive row: the optimum is a plain max, no float
-        # additions are involved, so ties cannot change the total —
-        # every lane is trusted without the runner-up margin check.
-        best = blocks[0].max(axis=1)
-        return best, np.ones(len(selection), dtype=bool)
-    # Build the (lanes, options, ..., options) total tensor one row at
-    # a time — the additions happen in increasing row order, exactly
-    # the order the scalar accumulator sums its chosen cells.
-    accumulated = blocks[0].reshape(
-        (len(selection), options) + (1,) * (depth - 1)
-    )
-    for position in range(1, depth):
-        shape = [len(selection)] + [1] * depth
-        shape[1 + position] = options
-        accumulated = accumulated + blocks[position].reshape(shape)
-    accumulated[:, _wide_clash_mask(depth, options)] = -np.inf
-    flat = accumulated.reshape(len(selection), -1)
-    best = flat.argmax(axis=1)
-    best_totals = flat[lanes, best]
-    # Trust a lane when every near-optimal total (within the margin of
-    # the winner) is bitwise equal to the winner.  The scalar solver's
-    # chosen assignment is mathematically optimal, so its row-order sum
-    # is one of these near-optimal floats — if they are all the same
-    # float, the solver's total is that float no matter which tied
-    # assignment it picks.  A margin-clearing unique optimum is the
-    # degenerate case (near set == {winner}).  Exact ties on type
-    # Jaccard scores are common, so this keeps tied tables off the
-    # per-table solver fallback.
-    near = flat >= (best_totals - ASSIGNMENT_MARGIN)[:, None]
-    min_near = np.where(near, flat, np.inf).min(axis=1)
-    trusted = min_near == best_totals
-    return best_totals, trusted
 
 
 class VectorizedUnionSearchEngine(SegmentedEngine):

@@ -513,6 +513,28 @@ def test_float_dtype_mix_pragma_suppresses(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# core/assignment.py: the enumeration both kernels run
+# ----------------------------------------------------------------------
+SHARED_TENSOR_CODE = """\
+    import numpy as np
+
+    def pad(k, n, existing):
+        padding = np.zeros((k, k - n))
+        copied = np.array(existing)
+        low = np.zeros(3, dtype=np.float32)
+        high = np.zeros(3, dtype=np.float64)
+        return padding, copied, low + high
+    """
+
+
+def test_kernel_safety_covers_the_assignment_module(tmp_path):
+    rules = ["missing-dtype", "np-array-copy", "float-dtype-mix"]
+    findings = lint(tmp_path, "core/assignment.py", SHARED_TENSOR_CODE, rules)
+    assert sorted(rule_ids(findings)) == sorted(rules)
+    assert lint(tmp_path, "core/search.py", SHARED_TENSOR_CODE, rules) == []
+
+
+# ----------------------------------------------------------------------
 # memmap-explicit  (scoped to kernel/)
 # ----------------------------------------------------------------------
 def test_memmap_explicit_flags_missing_keywords(tmp_path):

@@ -1,4 +1,6 @@
-"""Tests for the Hungarian assignment solver, verified against scipy."""
+"""Tests for the Hungarian assignment solver, verified against scipy,
+and for the enumeration both vectorized kernels run, verified against
+the solver."""
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from scipy.optimize import linear_sum_assignment
 
 from repro.core import assignment_score, max_assignment
 from repro.core.assignment import (
+    ASSIGNMENT_MARGIN,
     ENUM_BUDGET,
     MAX_ENUM_ELEMENTS,
+    enumerate_assignments,
     enumeration_chunks,
 )
 from repro.exceptions import SearchError
@@ -106,3 +110,66 @@ def test_enumeration_chunks_gate_and_budget(columns):
     assert sorted(covered.tolist()) == lanes.tolist()
     for chunk in chunks:
         assert len(lanes[chunk]) * elements[chunk].max() <= ENUM_BUDGET
+
+
+def tie_heavy_relevance(rng, lanes, columns):
+    """Non-negative relevance (a union kernel's is clipped at 0.0) thick
+    with exact ties, near-ties below the margin and margin-sized gaps."""
+    base = rng.choice([0.0, 0.25, 1 / 3, 0.5, 0.7], size=(lanes, columns))
+    nudge = rng.choice(
+        [0.0, 0.0, 5e-13, -5e-13, ASSIGNMENT_MARGIN, -ASSIGNMENT_MARGIN],
+        size=(lanes, columns),
+    )
+    return np.where(base > 0.0, base + nudge, 0.0)
+
+
+def row_order_total(relevance, lanes, columns, start):
+    """The chosen cells summed in row order, the null slot adding 0.0."""
+    total = 0.0
+    for lane, column in zip(lanes.tolist(), columns.tolist()):
+        total += float(relevance[lane, start + column]) if column >= 0 else 0.0
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 5),
+    columns=st.lists(st.integers(0, 5), min_size=1, max_size=6),
+)
+def test_enumeration_agrees_with_the_solver(seed, p, columns):
+    rng = np.random.default_rng(seed)
+    # The last table is the widest: every other pair also rides a batch
+    # with a wider table than its own.
+    table_columns = np.asarray(columns + [6], dtype=np.int64)
+    col_offset = np.concatenate(([0], np.cumsum(table_columns)))
+    relevance = tie_heavy_relevance(rng, 6, int(col_offset[-1]))
+    for table in np.flatnonzero(rng.random(len(columns)) < 0.25):
+        relevance[:, col_offset[table]:col_offset[table + 1]] = 0.0
+    tables = np.arange(len(table_columns))
+    lanes = np.stack([
+        np.sort(rng.choice(6, size=p, replace=False)) for _ in tables
+    ])
+    batched = enumerate_assignments(
+        relevance, col_offset, table_columns, lanes, tables
+    )
+    chosen, optimum, unique, settled = batched
+    assert not (unique & ~settled).any()
+    for i, table in enumerate(tables.tolist()):
+        start = int(col_offset[table])
+        block = relevance[lanes[i], start:col_offset[table + 1]]
+        if settled[i]:
+            assert max_assignment(block)[1].hex() == optimum[i].hex()
+        if unique[i]:
+            real = chosen[i][chosen[i] >= 0]
+            assert len(set(real.tolist())) == real.size
+            assert (
+                row_order_total(relevance, lanes[i], chosen[i], start).hex()
+                == optimum[i].hex()
+            )
+        alone = enumerate_assignments(
+            relevance, col_offset, table_columns,
+            lanes[i:i + 1], tables[i:i + 1],
+        )
+        for whole, single in zip(batched, alone):
+            assert whole[i:i + 1].tobytes() == single.tobytes()

@@ -12,7 +12,9 @@ request field.
 """
 
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -22,10 +24,12 @@ from repro.baselines import (
     normalize_cell,
     query_value_sets,
 )
+from repro.core.assignment import max_assignment
 from repro.core.kernel import (
     VectorizedJoinSearchEngine,
     VectorizedUnionSearchEngine,
 )
+from repro.core.kernel import union as union_module
 from repro.core.parallel import merge_topk
 from repro.core.query import Query
 from repro.datalake import DataLake, Table
@@ -244,6 +248,47 @@ class TestUnionParity:
             VectorizedUnionSearchEngine(
                 sports_lake, sports_mapping, column_encoder="embeddings"
             )
+
+
+# ----------------------------------------------------------------------
+# Union's tie-trust rule: a table is enumerated when its near-optimal
+# totals agree bitwise, even without a unique winner
+# ----------------------------------------------------------------------
+def union_totals_and_solver_calls(relevance):
+    """``_assignment_totals`` of one table, and the solver blocks it ran."""
+    relevance = np.asarray(relevance, dtype=np.float64)
+    columns = relevance.shape[1]
+    calls = []
+
+    def counting(block):
+        calls.append(np.array(block).tolist())
+        return max_assignment(block)
+
+    with mock.patch.object(union_module, "max_assignment", counting):
+        totals = union_module._assignment_totals(
+            relevance, np.array([columns]), np.array([0, columns])
+        )
+    return totals, calls
+
+
+class TestUnionTieTrust:
+    def test_bitwise_equal_optima_skip_the_solver(self):
+        # Both optima, (0, 1) and (1, 0), total exactly 1.0.
+        totals, calls = union_totals_and_solver_calls(
+            [[0.5, 0.5], [0.5, 0.5]]
+        )
+        assert calls == []
+        assert totals.tolist() == [1.0]
+
+    def test_optima_apart_in_the_last_bits_reach_the_solver(self):
+        # 0.1 + 0.2 and 0.15 + 0.15 are both 0.3, but round apart by
+        # one ulp: well inside ASSIGNMENT_MARGIN, so only the solver
+        # knows which float the scalar baseline sums.
+        relevance = [[0.1, 0.15], [0.15, 0.2]]
+        assert 0.1 + 0.2 != 0.15 + 0.15
+        totals, calls = union_totals_and_solver_calls(relevance)
+        assert calls == [relevance]
+        assert totals.tolist() == [max_assignment(relevance)[1]]
 
 
 # ----------------------------------------------------------------------

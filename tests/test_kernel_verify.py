@@ -29,17 +29,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregation import RowAggregation, TupleSemantics
-from repro.core.assignment import max_assignment
+from repro.core.assignment import (
+    ASSIGNMENT_MARGIN,
+    enumerate_assignments,
+    max_assignment,
+)
 from repro.core.kernel import VectorizedTableSearchEngine
 from repro.core.kernel import engine as engine_module
-from repro.core.kernel.engine import (
-    ASSIGNMENT_MARGIN,
-    MAX_ENUM_WIDTH,
-    _assign_pairs,
-    _clash_mask,
-    _concat_ranges,
-    _enumerate_assignments,
-)
+from repro.core.kernel.engine import _assign_pairs, _concat_ranges
 from repro.core.query import Query
 from repro.core.search import ScoringProfile
 from repro.datalake import DataLake, Table
@@ -105,7 +102,13 @@ def enumerate_pattern(col_offset, table_columns, relevance, rows, selection):
             + blocks[1][:, None, :, None]
             + blocks[2][:, None, None, :]
         )
-        totals[:, _clash_mask(options)] = -np.inf
+        i, j, k = np.ix_(*[np.arange(options)] * 3)
+        clash = (
+            ((i == j) & (i != cmax))
+            | ((i == k) & (i != cmax))
+            | ((j == k) & (j != cmax))
+        )
+        totals[:, clash] = -np.inf
         flat = totals.reshape(size, -1)
     best = flat.argmax(axis=1)
     lanes = np.arange(size)
@@ -131,7 +134,7 @@ def tuple_assignments(col_offset, table_columns, relevance, width):
     positive = maxima > 0.0
     need = positive.any(axis=0)
     fallback = []
-    if width <= MAX_ENUM_WIDTH:
+    if width <= 3:
         codes = (
             positive * (1 << np.arange(width, dtype=np.int64))[:, None]
         ).sum(axis=0)
@@ -375,7 +378,7 @@ def test_unique_best_pair_whose_margin_fails():
     # 5e-13: the enumeration misses the margin, the shortcut does not
     # need it.
     relevance = np.array([[0.5, 0.5 - 5e-13], [0.0, 0.0]])
-    _, ok = _enumerate_assignments(
+    _, _, ok, _ = enumerate_assignments(
         relevance, np.array([0, 2]), np.array([2]),
         np.array([[0]]), np.array([0]),
     )
