@@ -30,7 +30,8 @@ def test_scale_trend(wt_bench, benchmark):
                 WT2015_PROFILE, num_tables=size, num_query_pairs=8,
                 seed=SEED + 7, world=wt_bench.world,
             )
-            thetis = Thetis(bench.lake, bench.graph, bench.mapping)
+            thetis = Thetis(bench.lake, bench.graph, bench.mapping,
+                            engine_kind="scalar")
             bm25 = BM25TableSearch(bench.lake)
             bm25_recalls, stst_recalls = [], []
             for qid, query in bench.queries.five_tuple.items():

@@ -72,7 +72,8 @@ def test_sec73_scoring_cost_wt(wt_bench, wt_thetis, benchmark):
 
 
 def test_sec73_scoring_cost_gittables(git_bench, benchmark):
-    thetis = Thetis(git_bench.lake, git_bench.graph, git_bench.mapping)
+    thetis = Thetis(git_bench.lake, git_bench.graph, git_bench.mapping,
+                    engine_kind="scalar")
 
     def run():
         print_header("Section 7.3 - per-table scoring cost (GitTables "

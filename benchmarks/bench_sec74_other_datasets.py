@@ -33,7 +33,7 @@ def _ndcg(bench, thetis, query_ids, truths):
 def test_sec74_wt2019_low_coverage(wt_bench, wt_thetis, wt_ground_truths,
                                    wt2019_bench, benchmark):
     thetis_2019 = Thetis(wt2019_bench.lake, wt2019_bench.graph,
-                         wt2019_bench.mapping)
+                         wt2019_bench.mapping, engine_kind="scalar")
     truths_2019 = wt2019_bench.ground_truths()
 
     def run():
@@ -59,7 +59,8 @@ def test_sec74_wt2019_low_coverage(wt_bench, wt_thetis, wt_ground_truths,
 
 
 def test_sec74_gittables_runtime(git_bench, benchmark):
-    thetis = Thetis(git_bench.lake, git_bench.graph, git_bench.mapping)
+    thetis = Thetis(git_bench.lake, git_bench.graph, git_bench.mapping,
+                    engine_kind="scalar")
     prefilter = thetis.prefilter("types", RECOMMENDED_CONFIG)
 
     def run():

@@ -33,7 +33,8 @@ def test_sec74_scaling(wt_bench, benchmark):
                 num_new_tables=size - len(wt_bench.lake),
                 seed=31,
             )
-            thetis = Thetis(lake, wt_bench.graph, mapping)
+            thetis = Thetis(lake, wt_bench.graph, mapping,
+                            engine_kind="scalar")
             prefilter = thetis.prefilter("types", RECOMMENDED_CONFIG)
             start = time.perf_counter()
             reductions = []

@@ -34,7 +34,8 @@ def test_sec75_noisy_linking(wt_bench, wt_thetis, wt_ground_truths,
                              seed=3)
         noisy_mapping = linker.corrupt(wt_bench.mapping)
         f1 = linker.f1(wt_bench.mapping, noisy_mapping)
-        noisy_thetis = Thetis(wt_bench.lake, wt_bench.graph, noisy_mapping)
+        noisy_thetis = Thetis(wt_bench.lake, wt_bench.graph, noisy_mapping,
+                              engine_kind="scalar")
         rows = {}
         for subset in ("one_tuple", "five_tuple"):
             gold = _mean_ndcg(wt_bench, wt_thetis, wt_ground_truths, subset)

@@ -72,8 +72,9 @@ def wt_bench(request):
 
 @pytest.fixture(scope="session")
 def wt_thetis(wt_bench):
-    """Thetis over the primary corpus with trained embeddings."""
-    system = Thetis(wt_bench.lake, wt_bench.graph, wt_bench.mapping)
+    """Scalar Thetis over the primary corpus with trained embeddings."""
+    system = Thetis(wt_bench.lake, wt_bench.graph, wt_bench.mapping,
+                    engine_kind="scalar")
     system.train_embeddings(
         dimensions=32, epochs=3, walks_per_entity=10, walk_length=4, seed=0
     )

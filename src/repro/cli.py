@@ -535,8 +535,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--cache-size", type=int,
                        default=DEFAULT_SIMILARITY_CACHE_SIZE,
                        help="similarity-cache entry bound")
-    bench.add_argument("--engine", choices=ENGINE_KINDS, default="scalar",
-                       help="scoring engine implementation")
+    bench.add_argument("--engine", choices=ENGINE_KINDS,
+                       default="vectorized",
+                       help="scoring engine (scalar = the per-cell "
+                            "Algorithm 1 reference)")
     bench.set_defaults(func=_cmd_bench)
 
     serve = sub.add_parser(
@@ -554,12 +556,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="embedding width when --method embeddings")
     serve.add_argument("--cache-size", type=int,
                        default=DEFAULT_SIMILARITY_CACHE_SIZE)
-    serve.add_argument("--engine", choices=ENGINE_KINDS,
+    serve.add_argument("--engine", choices=["vectorized"],
                        default="vectorized",
-                       help="scoring engine implementation (vectorized = "
-                            "batched numpy kernel over a compiled corpus "
-                            "index; scalar = the per-cell reference, "
-                            "seconds per query on a large lake)")
+                       help="scoring engine: the batched numpy kernel "
+                            "over a compiled corpus index")
     serve.add_argument("--max-batch", type=int, default=8,
                        help="queries coalesced per engine pass")
     serve.add_argument("--queue-depth", type=int, default=64,
@@ -571,8 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--index", default=None, metavar="DIR",
                        help="persisted index directory (built with "
                             "'thetis index build'); memmapped for a "
-                            "zero-copy cold start — requires --engine "
-                            "vectorized")
+                            "zero-copy cold start")
     serve.add_argument("--guardrail-every", type=int, default=0,
                        metavar="N",
                        help="cross-check every Nth prefilter-mode query "
@@ -611,10 +610,12 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--cache-size", type=int,
                         default=DEFAULT_SIMILARITY_CACHE_SIZE,
                         help="similarity-cache entry bound")
-    search.add_argument("--engine", choices=ENGINE_KINDS, default="scalar",
-                        help="scoring engine implementation (vectorized = "
-                             "batched numpy kernel over a compiled corpus "
-                             "index; identical rankings)")
+    search.add_argument("--engine", choices=ENGINE_KINDS,
+                        default="vectorized",
+                        help="scoring engine (vectorized = batched numpy "
+                             "kernel over a compiled corpus index; scalar "
+                             "= the per-cell Algorithm 1 reference; "
+                             "identical rankings)")
     search.add_argument("--index", default=None, metavar="DIR",
                         help="persisted index directory (built with "
                              "'thetis index build'); memmapped for a "
@@ -729,15 +730,14 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_worker.add_argument("--method",
                                 choices=["types", "embeddings"],
                                 default="types")
-    cluster_worker.add_argument("--engine", choices=ENGINE_KINDS,
+    cluster_worker.add_argument("--engine", choices=["vectorized"],
                                 default="vectorized",
-                                help="scoring engine; 'vectorized' "
-                                     "memmaps --index for a zero-copy "
-                                     "cold start")
+                                help="scoring engine: the batched numpy "
+                                     "kernel, which memmaps --index for "
+                                     "a zero-copy cold start")
     cluster_worker.add_argument("--index", default=None, metavar="DIR",
                                 help="persisted index directory (built "
-                                     "with 'thetis index build'); "
-                                     "requires --engine vectorized")
+                                     "with 'thetis index build')")
     cluster_worker.add_argument("--cache-size", type=int,
                                 default=DEFAULT_SIMILARITY_CACHE_SIZE)
     cluster_worker.add_argument("--no-warm", action="store_true",

@@ -7,13 +7,13 @@ The package has two halves:
   grids, type bitmaps for popcount Jaccard, stacked unit embeddings for
   matmul cosine, memoized similarity rows);
 * :mod:`repro.core.kernel.engine` — the
-  :class:`VectorizedTableSearchEngine`, a drop-in scalar-engine
-  replacement evaluating Algorithm 1 with array reductions, score-parity
-  to <= 1e-9.
+  :class:`VectorizedTableSearchEngine`, evaluating Algorithm 1 with
+  array reductions at score-parity <= 1e-9 with the scalar engine.
 
-Select it with ``Thetis(..., engine_kind="vectorized")`` or
-``--engine vectorized`` on the CLI; see ``docs/performance.md`` for the
-memory layout and when each engine wins.
+It is the engine ``Thetis`` and every CLI command build by default;
+``engine_kind="scalar"`` (``--engine scalar`` on ``search`` and
+``bench``) selects the per-cell reference the parity tests check it
+against.  See ``docs/performance.md`` for the memory layout.
 """
 
 from repro.core.kernel.batchstats import BatchStats

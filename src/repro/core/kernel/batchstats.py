@@ -1,12 +1,10 @@
 """Serve-side accounting for the multi-query batched scoring path.
 
 :class:`BatchStats` is the single mutable object shared by the facade,
-the serve loop, and ``/metrics``: every ``search_many`` dispatch records
-whether the micro-batch rode one fused kernel pass
-(:meth:`~repro.core.kernel.engine.VectorizedTableSearchEngine.
-search_batch`) or fell back to the per-query loop, plus how many
-duplicate queries the canonical-key dedup collapsed.  Snapshot swaps
-hand the same instance to the replacement generation (see
+the serve loop, and ``/metrics``: every ``search_batch`` dispatch
+records one pass over the micro-batch, plus how many duplicate queries
+the canonical-key dedup collapsed.  Snapshot swaps hand the same
+instance to the replacement generation (see
 ``Thetis.seed_engines_from``), so the serving counters survive
 copy-and-swap mutations instead of resetting every swap.
 """
@@ -18,17 +16,12 @@ from typing import Dict
 
 
 class BatchStats:
-    """Thread-safe counters for batched vs. looped query dispatch.
+    """Thread-safe counters for batched query dispatch.
 
-    Two record points, one per dispatch outcome:
-
-    * :meth:`record_batched` — the batch rode one fused kernel pass;
-      ``unique`` is the job count after canonical-query dedup, so
-      ``queries - unique`` queries were answered from a duplicate's
-      ranking without touching the kernel;
-    * :meth:`record_looped` — the batch fell back to sequential
-      per-query scoring (scalar engine, unmirrorable index, or a
-      single-query dispatch not worth stacking).
+    One record point, :meth:`record_batched`: one pass over a batch,
+    where ``unique`` is the job count after canonical-query dedup, so
+    ``queries - unique`` queries were answered from a duplicate's
+    ranking without being scored again.
 
     All readers go through :meth:`as_dict`, which derives the rates the
     ``/metrics`` endpoint publishes.
@@ -39,24 +32,16 @@ class BatchStats:
         self._batched_passes = 0
         self._batched_queries = 0
         self._deduped_queries = 0
-        self._looped_passes = 0
-        self._looped_queries = 0
 
     # ------------------------------------------------------------------
     def record_batched(self, queries: int, unique: int) -> None:
-        """One fused kernel pass covering ``queries`` micro-batch slots."""
+        """One pass covering ``queries`` micro-batch slots."""
         queries = max(0, int(queries))
         unique = max(0, min(int(unique), queries))
         with self._lock:
             self._batched_passes += 1
             self._batched_queries += queries
             self._deduped_queries += queries - unique
-
-    def record_looped(self, queries: int) -> None:
-        """One sequential per-query dispatch of ``queries`` queries."""
-        with self._lock:
-            self._looped_passes += 1
-            self._looped_queries += max(0, int(queries))
 
     # ------------------------------------------------------------------
     def as_dict(self) -> Dict[str, object]:
@@ -68,8 +53,6 @@ class BatchStats:
                 "batched_passes": batched_passes,
                 "batched_queries": batched_queries,
                 "deduped_queries": self._deduped_queries,
-                "looped_passes": self._looped_passes,
-                "looped_queries": self._looped_queries,
                 "queries_per_batched_pass": (
                     batched_queries / batched_passes
                     if batched_passes else 0.0
@@ -97,8 +80,6 @@ class BatchStats:
             self._batched_passes += _count("batched_passes")
             self._batched_queries += _count("batched_queries")
             self._deduped_queries += _count("deduped_queries")
-            self._looped_passes += _count("looped_passes")
-            self._looped_queries += _count("looped_queries")
 
 
 __all__ = ["BatchStats"]

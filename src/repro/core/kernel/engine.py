@@ -402,9 +402,6 @@ class VectorizedTableSearchEngine(SegmentedEngine, TableSearchEngine):
     next search or ``score_table`` reads it.
     """
 
-    #: Engine selector name (the ``--engine`` CLI value).
-    kind = "vectorized"
-
     def __init__(self, *args, row_cache_size: int = DEFAULT_ROW_CACHE_SIZE,
                  index_dir: Optional[str] = None, **kwargs):
         TableSearchEngine.__init__(self, *args, **kwargs)

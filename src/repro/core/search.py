@@ -451,15 +451,6 @@ class TableSearchEngine:
             results = results.top(k)
         return results
 
-    def record_dispatch(self, batch_stats, queries: int, unique: int) -> None:
-        """Tally one :meth:`search_batch` dispatch of ``queries`` queries.
-
-        The scalar engine loops per query, so ``unique`` (the job count
-        after dedup, which a fused pass reports) is not recorded.
-        """
-        if batch_stats is not None:
-            batch_stats.record_looped(queries)
-
     def search_batch(
         self,
         queries: Sequence[Query],
@@ -494,13 +485,12 @@ class TableSearchEngine:
             scored, and no cut-off ever fires.
         batch_stats:
             Optional :class:`~repro.core.kernel.batchstats.BatchStats`
-            told how the batch was dispatched.
+            fed one pass over the batch's distinct queries.
         """
         queries = list(queries)
         cand_lists = aligned_candidates(queries, candidates)
         if not queries:
             return []
-        self.record_dispatch(batch_stats, len(queries), len(queries))
         memo: Dict[Tuple, ResultSet] = {}
         rankings: List[ResultSet] = []
         for query, cands in zip(queries, cand_lists):
@@ -522,4 +512,6 @@ class TableSearchEngine:
                 )
                 memo[key] = ranking
             rankings.append(ranking)
+        if batch_stats is not None:
+            batch_stats.record_batched(len(queries), len(memo))
         return rankings

@@ -262,9 +262,9 @@ class ServerMetrics:
                 for name, stats in cache_stats.items()
             }
         if index_stats is not None:
-            # Segment/tombstone/compaction gauges of the vectorized
-            # engine's segmented corpus index (absent on scalar engines
-            # and before the first query builds the index).
+            # Segment/tombstone/compaction gauges of the engine's
+            # segmented corpus index (absent before warm-up or the
+            # first query builds the index).
             payload["index"] = dict(index_stats)
         if prefilter_stats is not None:
             # Candidate-generation counters of the prefilter serve
@@ -281,7 +281,7 @@ class ServerMetrics:
         if batch_stats is not None:
             # Multi-query batched scoring counters: the micro-batch
             # occupancy histogram (batch size -> batches observed) plus
-            # the engine-side batched-vs-looped kernel dispatch tallies
+            # the engine-side pass and dedup tallies
             # (see repro.core.kernel.batchstats.BatchStats).
             payload["batch"] = {
                 "occupancy": {

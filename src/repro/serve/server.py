@@ -88,8 +88,6 @@ class ServeConfig:
     request_timeout: float = DEFAULT_REQUEST_TIMEOUT
     #: Warm the engine (see ``Thetis.warm``) before flipping /readyz.
     warm_on_start: bool = True
-    #: Re-warm a freshly built snapshot before swapping it in.
-    warm_on_swap: bool = True
     #: Seconds shutdown waits for open connections before cancelling.
     drain_timeout: float = 10.0
     #: Recall guardrail sampling: every Nth prefilter-mode query is
@@ -125,8 +123,7 @@ class ThetisServer:
         self.metrics = ServerMetrics()
         self.snapshots = SnapshotManager(
             thetis,
-            warm_method=(self.config.default_method
-                         if self.config.warm_on_swap else None),
+            warm_method=self.config.default_method,
             on_swap=lambda _version: self.metrics.snapshot_swapped(),
         )
         self.batcher = MicroBatcher(

@@ -81,12 +81,12 @@ class Thetis:
         Entry bound of each engine's persistent pairwise-similarity
         cache.
     engine_kind:
-        Scoring engine implementation: ``"scalar"`` (the per-cell
-        Algorithm 1 loop) or ``"vectorized"`` (the batched kernel of
-        :mod:`repro.core.kernel` over a compiled corpus index;
-        score-parity to <= 1e-9, substantially faster on every
-        built-in similarity).  Also reachable as ``--engine`` on the
-        CLI.
+        Scoring engine implementation: ``"vectorized"`` (the default:
+        the batched kernel of :mod:`repro.core.kernel` over a compiled
+        corpus index) or ``"scalar"`` (the per-cell Algorithm 1 loop,
+        kept as the reference the kernel is checked against at
+        score-parity <= 1e-9).  Also reachable as ``--engine`` on
+        ``thetis search`` and ``thetis bench``.
     index_dir:
         Optional directory holding a persisted segmented index (built
         with ``thetis index build``).  Vectorized engines memmap it on
@@ -139,7 +139,7 @@ class Thetis:
         row_aggregation: RowAggregation = RowAggregation.MAX,
         query_aggregation: QueryAggregation = QueryAggregation.MEAN,
         cache_size: int = DEFAULT_SIMILARITY_CACHE_SIZE,
-        engine_kind: str = "scalar",
+        engine_kind: str = "vectorized",
         index_dir: Optional[str] = None,
     ):
         if engine_kind not in ENGINE_KINDS:
@@ -180,7 +180,7 @@ class Thetis:
         # synchronized, and shared across snapshot generations by
         # seed_engines_from so /metrics survives copy-and-swap.
         self.prefilter_stats = PrefilterStats()
-        # Batched-vs-looped dispatch counters for search_many and
+        # Pass and dedup counters for search_many and
         # search_shard_batch; same sharing discipline as
         # prefilter_stats.
         self.batch_stats = BatchStats()
@@ -718,8 +718,8 @@ class Thetis:
         candidate list sharing the bound pass — while every ranking
         stays bit-identical to a sequential :meth:`search`.
         ``mode="prefilter"`` generates each query's LSH shortlist and
-        scans that instead of the lake.  Scalar engines loop per query;
-        both outcomes are tallied in :attr:`batch_stats`.  Non-entity
+        scans that instead of the lake.  Every engine tallies the batch
+        as one pass in :attr:`batch_stats`.  Non-entity
         ``task`` batches ride the task engines' lane-stacked
         ``search_batch``.
         """

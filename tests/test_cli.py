@@ -48,16 +48,29 @@ class TestParser:
         assert args.engine == "vectorized"
 
     def test_serve_engine_choices(self):
-        base = ["serve", "--graph", "g", "--lake", "l", "--mapping", "m"]
-        for kind in ("scalar", "vectorized"):
-            args = build_parser().parse_args(base + ["--engine", kind])
-            assert args.engine == kind
-        worker = build_parser().parse_args([
-            "cluster", "worker", "--graph", "g", "--lake", "l",
-            "--mapping", "m", "--worker-id", "w0",
-            "--coordinator-host", "127.0.0.1", "--coordinator-port", "1",
-        ])
-        assert worker.engine == "vectorized"
+        files = ["--graph", "g", "--lake", "l", "--mapping", "m"]
+        served = {
+            "serve": ["serve", *files],
+            "worker": [
+                "cluster", "worker", *files, "--worker-id", "w0",
+                "--coordinator-host", "127.0.0.1",
+                "--coordinator-port", "1",
+            ],
+        }
+        for base in served.values():
+            assert build_parser().parse_args(base).engine == "vectorized"
+            args = build_parser().parse_args(base + ["--engine=vectorized"])
+            assert args.engine == "vectorized"
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(base + ["--engine", "scalar"])
+        offline = {
+            "search": ["search", *files, "--tuple", "kg:a"],
+            "bench": ["bench", *files, "--queries", "q", "--out", "o"],
+        }
+        for base in offline.values():
+            assert build_parser().parse_args(base).engine == "vectorized"
+            args = build_parser().parse_args(base + ["--engine", "scalar"])
+            assert args.engine == "scalar"
 
     def test_serve_custom_knobs(self):
         args = build_parser().parse_args([

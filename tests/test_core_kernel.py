@@ -641,12 +641,12 @@ class TestEngineLifecycle:
 class TestThetisIntegration:
     def test_engine_kind_selection(self, sports_lake, sports_graph,
                                    sports_mapping):
-        thetis = Thetis(sports_lake, sports_graph, sports_mapping,
-                        engine_kind="vectorized")
-        assert isinstance(thetis.engine("types"),
-                          VectorizedTableSearchEngine)
         default = Thetis(sports_lake, sports_graph, sports_mapping)
-        assert type(default.engine("types")) is TableSearchEngine
+        assert isinstance(default.engine("types"),
+                          VectorizedTableSearchEngine)
+        scalar = Thetis(sports_lake, sports_graph, sports_mapping,
+                        engine_kind="scalar")
+        assert type(scalar.engine("types")) is TableSearchEngine
         with pytest.raises(ConfigurationError):
             Thetis(sports_lake, sports_graph, sports_mapping,
                    engine_kind="quantum")
@@ -724,7 +724,8 @@ class TestThetisIntegration:
     def test_vectorized_warm_builds_no_scalar_views(
         self, sports_lake, sports_graph, sports_mapping
     ):
-        reference = Thetis(sports_lake, sports_graph, sports_mapping)
+        reference = Thetis(sports_lake, sports_graph, sports_mapping,
+                           engine_kind="scalar")
         lake, mapping = reference.snapshot_inputs()
         thetis = Thetis(lake, sports_graph, mapping, engine_kind="vectorized")
         manager = SnapshotManager(thetis, warm_method="types")

@@ -155,6 +155,36 @@ class TestDedupFanout:
             _pairs(engine.search_candidates(query, backward, k=K))
 
 
+class TestOneRecordPoint:
+    """Every engine's ``search_batch`` records through ``record_batched``."""
+
+    def test_scalar_batch_records_one_pass(self, sports_lake, sports_graph,
+                                           sports_mapping):
+        from repro.serve.metrics import ServerMetrics
+
+        with Thetis(sports_lake, sports_graph, sports_mapping,
+                    engine_kind="scalar") as scalar:
+            engine = scalar.engine("types")
+            first = Query.single("kg:player0", "kg:team0")
+            second = Query.single("kg:player5")
+            stats = BatchStats()
+            engine.search_batch([first, second, first], k=K,
+                                batch_stats=stats)
+        counts = stats.as_dict()
+        assert counts["batched_passes"] == 1
+        assert counts["batched_queries"] == 3
+        assert counts["deduped_queries"] == 1
+        block = ServerMetrics().to_json(batch_stats=counts)["batch"]
+        assert not [key for key in block if key.startswith("looped")]
+        fleet = BatchStats()
+        fleet.merge_counts(counts)
+        fleet.merge_counts(counts)
+        merged = fleet.as_dict()
+        assert merged["batched_passes"] == 2
+        assert merged["batched_queries"] == 6
+        assert merged["deduped_queries"] == 2
+
+
 class TestMutationBetweenBatches:
     def _fresh_thetis(self):
         from tests.conftest import make_sports_graph, make_sports_lake

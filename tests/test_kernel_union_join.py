@@ -728,7 +728,8 @@ class TestServeRoundTrip:
 
     @pytest.fixture()
     def reference(self, sports_lake, sports_graph, sports_mapping):
-        with Thetis(sports_lake, sports_graph, sports_mapping) as thetis:
+        with Thetis(sports_lake, sports_graph, sports_mapping,
+                    engine_kind="scalar") as thetis:
             yield thetis
 
     def test_union_and_join_round_trip(self, server, reference):

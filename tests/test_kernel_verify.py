@@ -507,7 +507,7 @@ def test_wide_tied_lake_stays_inside_the_element_budget():
     per-pair ceiling; over it they go to the solver instead."""
     graph, lake, mapping = tied_wide_lake(32, 160)
     query = Query([["kg:p0", "kg:p1", "kg:p2"]])
-    with Thetis(lake, graph, mapping) as scalar:
+    with Thetis(lake, graph, mapping, engine_kind="scalar") as scalar:
         want = [(s.score, s.table_id) for s in scalar.search(query, k=10)]
     with Thetis(lake, graph, mapping, engine_kind="vectorized") as fast:
         fast.warm()

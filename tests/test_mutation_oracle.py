@@ -246,7 +246,8 @@ class Harness:
                 embeddings=self.store, engine_kind="vectorized",
             )
             expected = self._search_everything(cold, query)
-            with Thetis(lake, self.graph, mapping) as scalar:
+            with Thetis(lake, self.graph, mapping,
+                        engine_kind="scalar") as scalar:
                 expected.update(self._search_entity(scalar, query))
             direct = self._search_everything(self.direct, query)
             swapped = self._search_everything(served, query)

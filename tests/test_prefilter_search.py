@@ -118,7 +118,8 @@ class TestScalarPrefilterIsBruteForce:
     def test_matches_brute_force_over_shortlist(self, sports_lake,
                                                 sports_graph,
                                                 sports_mapping):
-        thetis = Thetis(sports_lake, sports_graph, sports_mapping)
+        thetis = Thetis(sports_lake, sports_graph, sports_mapping,
+                        engine_kind="scalar")
         engine = thetis.engine("types")
         prefilter = thetis.prefilter("types", CONFIG)
         shortlisted = 0

@@ -76,7 +76,8 @@ def server(sports_lake, sports_graph, sports_mapping):
 
 @pytest.fixture()
 def reference(sports_lake, sports_graph, sports_mapping):
-    return Thetis(sports_lake, sports_graph, sports_mapping)
+    return Thetis(sports_lake, sports_graph, sports_mapping,
+                  engine_kind="scalar")
 
 
 def expected_results(reference, tuples, k=10, method="types"):
@@ -243,9 +244,9 @@ class TestSearchParity:
             release.set()
             handle.stop()
         assert metrics["batches_total"] == 1
-        # One search_many dispatch (the scalar engine loops) carried both.
-        assert metrics["batch"]["looped_passes"] == 1
-        assert metrics["batch"]["looped_queries"] == 2
+        # One search_many dispatch carried both.
+        assert metrics["batch"]["batched_passes"] == 1
+        assert metrics["batch"]["batched_queries"] == 2
 
     def test_concurrent_batched_queries_identical_to_sequential(
             self, server, reference):

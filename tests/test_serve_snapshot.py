@@ -1,5 +1,6 @@
 """Tests for versioned engine snapshots and copy-and-swap updates."""
 
+import contextlib
 import threading
 
 import pytest
@@ -20,7 +21,8 @@ class FakeEngine:
         self.closed = True
 
 
-def fresh_thetis(sports_lake, sports_graph, sports_mapping) -> Thetis:
+def fresh_thetis(sports_lake, sports_graph, sports_mapping,
+                 engine_kind="vectorized") -> Thetis:
     """A private Thetis over copies of the session fixtures.
 
     Snapshot managers take ownership and close their engine, and
@@ -28,7 +30,7 @@ def fresh_thetis(sports_lake, sports_graph, sports_mapping) -> Thetis:
     """
     reference = Thetis(sports_lake, sports_graph, sports_mapping)
     lake, mapping = reference.snapshot_inputs()
-    return Thetis(lake, sports_graph, mapping)
+    return Thetis(lake, sports_graph, mapping, engine_kind=engine_kind)
 
 
 def extra_table(table_id: str = "TX") -> Table:
@@ -212,20 +214,30 @@ class TestSnapshotManager:
 
     def test_warm_on_swap(self, sports_lake, sports_graph,
                           sports_mapping):
-        manager = SnapshotManager(
-            fresh_thetis(sports_lake, sports_graph, sports_mapping),
-            warm_method="types",
-        )
-        try:
-            manager.apply(
-                lambda thetis: thetis.add_table(extra_table(), link=True)
+        @contextlib.contextmanager
+        def swapped_engine(engine_kind):
+            manager = SnapshotManager(
+                fresh_thetis(sports_lake, sports_graph, sports_mapping,
+                             engine_kind=engine_kind),
+                warm_method="types",
             )
-            engine = manager.current.thetis.engine("types")
+            try:
+                manager.apply(
+                    lambda thetis: thetis.add_table(extra_table(), link=True)
+                )
+                yield manager.current.thetis.engine("types")
+            finally:
+                manager.close()
+
+        with swapped_engine("scalar") as engine:
             # warm() pre-built the per-table views, TX included.
             assert "TX" in engine._column_counts
-        finally:
-            manager.close()
-
+        with swapped_engine("vectorized") as engine:
+            # warm() compiled the index, TX included, before apply
+            # returned.
+            index = engine.export_index()
+            assert index is not None
+            assert "TX" in index
 
     def test_informativeness_is_computed_once_per_swap(
             self, sports_lake, sports_graph, sports_mapping, monkeypatch):
