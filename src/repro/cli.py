@@ -200,10 +200,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     lake = load_lake(args.lake)
     mapping = load_mapping(args.mapping)
     thetis = Thetis(
-        lake, graph, mapping,
-        cache_size=args.cache_size,
-        engine_kind=args.engine,
-        index_dir=args.index,
+        lake, graph, mapping, engine_kind=args.engine, index_dir=args.index,
     )
     if args.method == "embeddings":
         thetis.train_embeddings(dimensions=args.dimensions, seed=args.seed)
@@ -349,10 +346,7 @@ def _cmd_cluster_worker(args: argparse.Namespace) -> int:
     lake = load_lake(args.lake)
     mapping = load_mapping(args.mapping)
     thetis = Thetis(
-        lake, graph, mapping,
-        cache_size=args.cache_size,
-        engine_kind=args.engine,
-        index_dir=args.index,
+        lake, graph, mapping, engine_kind=args.engine, index_dir=args.index,
     )
     config = WorkerConfig(
         worker_id=args.worker_id,
@@ -534,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("-k", type=int, default=10)
     bench.add_argument("--cache-size", type=int,
                        default=DEFAULT_SIMILARITY_CACHE_SIZE,
-                       help="similarity-cache entry bound")
+                       help="the scalar engine's similarity-cache entry "
+                            "bound (--engine scalar)")
     bench.add_argument("--engine", choices=ENGINE_KINDS,
                        default="vectorized",
                        help="scoring engine (scalar = the per-cell "
@@ -554,8 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="types")
     serve.add_argument("--dimensions", type=int, default=32,
                        help="embedding width when --method embeddings")
-    serve.add_argument("--cache-size", type=int,
-                       default=DEFAULT_SIMILARITY_CACHE_SIZE)
     serve.add_argument("--engine", choices=["vectorized"],
                        default="vectorized",
                        help="scoring engine: the batched numpy kernel "
@@ -609,7 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "bound-based early termination")
     search.add_argument("--cache-size", type=int,
                         default=DEFAULT_SIMILARITY_CACHE_SIZE,
-                        help="similarity-cache entry bound")
+                        help="the scalar engine's similarity-cache entry "
+                             "bound (--engine scalar, --explain)")
     search.add_argument("--engine", choices=ENGINE_KINDS,
                         default="vectorized",
                         help="scoring engine (vectorized = batched numpy "
@@ -738,8 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_worker.add_argument("--index", default=None, metavar="DIR",
                                 help="persisted index directory (built "
                                      "with 'thetis index build')")
-    cluster_worker.add_argument("--cache-size", type=int,
-                                default=DEFAULT_SIMILARITY_CACHE_SIZE)
     cluster_worker.add_argument("--no-warm", action="store_true",
                                 help="skip engine warm-up before "
                                      "registering")

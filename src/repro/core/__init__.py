@@ -24,7 +24,6 @@ from repro.core.kernel import (
     ENGINE_KINDS,
     CorpusIndex,
     VectorizedTableSearchEngine,
-    engine_class,
 )
 from repro.core.mappings import MappingKind, RelevantMapping, best_mapping
 from repro.core.parallel import merge_topk
@@ -44,7 +43,6 @@ __all__ = [
     "VectorizedTableSearchEngine",
     "CorpusIndex",
     "ENGINE_KINDS",
-    "engine_class",
     "merge_topk",
     "LRUCache",
     "SimilarityCache",

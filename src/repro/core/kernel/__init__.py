@@ -7,20 +7,21 @@ The package has two halves:
   grids, type bitmaps for popcount Jaccard, stacked unit embeddings for
   matmul cosine, memoized similarity rows);
 * :mod:`repro.core.kernel.engine` — the
-  :class:`VectorizedTableSearchEngine`, evaluating Algorithm 1 with
-  array reductions at score-parity <= 1e-9 with the scalar engine.
+  :class:`VectorizedTableSearchEngine`, a stand-alone engine (no
+  scalar base class) evaluating Algorithm 1 with array reductions at
+  score-parity <= 1e-9 with the scalar engine.
 
 It is the engine ``Thetis`` and every CLI command build by default;
 ``engine_kind="scalar"`` (``--engine scalar`` on ``search`` and
 ``bench``) selects the per-cell reference the parity tests check it
-against.  See ``docs/performance.md`` for the memory layout.
+against, and ``Thetis.explain`` always runs that reference.  See
+``docs/performance.md`` for the memory layout.
 """
 
 from repro.core.kernel.batchstats import BatchStats
 from repro.core.kernel.engine import (
     ENGINE_KINDS,
     VectorizedTableSearchEngine,
-    engine_class,
 )
 from repro.core.kernel.index import (
     DEFAULT_ROW_CACHE_SIZE,
@@ -68,7 +69,6 @@ __all__ = [
     "compile_kernel",
     "compile_join_index",
     "compile_union_index",
-    "engine_class",
     "inspect_index",
     "load_index",
     "save_index",

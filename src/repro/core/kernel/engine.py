@@ -1,9 +1,10 @@
 """The vectorized scoring engine: Algorithm 1 as array programs.
 
-:class:`VectorizedTableSearchEngine` keeps the scalar engine's entire
-contract — same constructor, same ``search`` / ``search_batch`` /
-``score_table`` semantics, same caches and profile — but replaces the
-per-cell Python hot loop with batched numpy passes over a compiled
+:class:`VectorizedTableSearchEngine` computes the scores of the scalar
+:class:`~repro.core.search.TableSearchEngine` — same scoring settings,
+same ``search`` / ``search_batch`` / ``score_table`` semantics, same
+profile — but shares no code with it: it replaces the per-cell Python
+loop with batched numpy passes over a compiled
 :class:`~repro.core.kernel.index.CorpusIndex`:
 
 1. per query entity, one kernel pass yields its similarity against
@@ -49,18 +50,17 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.aggregation import RowAggregation, TupleSemantics
+from repro.core.aggregation import (
+    QueryAggregation,
+    RowAggregation,
+    TupleSemantics,
+)
 from repro.core.assignment import (
     enumerate_assignments,
     enumeration_chunks,
     max_assignment,
 )
-from repro.core.cache import (
-    DEFAULT_SIMILARITY_CACHE_SIZE,
-    DEFAULT_VIEW_CACHE_SIZE,
-    CacheStats,
-    LRUCache,
-)
+from repro.core.cache import CacheStats, LRUCache
 from repro.core.kernel.index import (
     DEFAULT_ROW_CACHE_SIZE,
     CorpusIndex,
@@ -70,16 +70,15 @@ from repro.core.kernel.segments import (
     SegmentedCorpusIndex,
     SegmentedEngine,
 )
-from repro.core.aggregation import QueryAggregation
 from repro.core.query import Query
 from repro.core.result import ResultSet, ScoredTable
-from repro.core.search import (
-    ScoringProfile,
-    TableScore,
-    TableSearchEngine,
-)
+from repro.core.search import ScoringProfile, TableScore
+from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
 from repro.exceptions import IndexStorageError
+from repro.linking.mapping import EntityMapping
+from repro.similarity.base import EntitySimilarity
+from repro.similarity.informativeness import UniformInformativeness
 
 #: Widths the batched search solves by exhaustive enumeration (the
 #: tensor has up to ``(columns + 1) ** width`` cells; beyond 3 the
@@ -373,12 +372,15 @@ def _assign_pairs(
     return assignment
 
 
-class VectorizedTableSearchEngine(SegmentedEngine, TableSearchEngine):
-    """Drop-in :class:`~repro.core.search.TableSearchEngine` with a
-    batched scoring kernel.
+class VectorizedTableSearchEngine(SegmentedEngine):
+    """Algorithm 1 as a batched scoring kernel over a segmented index.
 
-    Additional parameters
-    ---------------------
+    Parameters
+    ----------
+    lake, mapping, sigma, informativeness, row_aggregation,
+    query_aggregation, tuple_semantics, drop_irrelevant:
+        The scoring settings, as on
+        :class:`~repro.core.search.TableSearchEngine`.
     row_cache_size:
         Entry bound of the per-query-entity similarity-row memo held
         by each compiled segment.
@@ -394,20 +396,40 @@ class VectorizedTableSearchEngine(SegmentedEngine, TableSearchEngine):
     Notes
     -----
     Every score — ``search``, ``search_batch`` and ``score_table`` —
-    comes from one kernel pass, :meth:`_segment_tuples`.  The inherited
-    scalar machinery is reached only by ``explain``, which re-runs the
-    pairwise path (and its :class:`~repro.core.cache.SimilarityCache`)
-    for the one table it explains.  A lake mutated without
-    invalidation is reconciled into the index incrementally before the
-    next search or ``score_table`` reads it.
+    comes from one kernel pass, :meth:`_segment_tuples`.  Its only
+    caches are the segments' similarity-row and tuple memos.  A lake
+    mutated without invalidation is reconciled into the index
+    incrementally before the next search or ``score_table`` reads it.
     """
 
-    def __init__(self, *args, row_cache_size: int = DEFAULT_ROW_CACHE_SIZE,
-                 index_dir: Optional[str] = None, **kwargs):
-        TableSearchEngine.__init__(self, *args, **kwargs)
-        SegmentedEngine.__init__(self)
+    def __init__(
+        self,
+        lake: DataLake,
+        mapping: EntityMapping,
+        sigma: EntitySimilarity,
+        informativeness=None,
+        row_aggregation: RowAggregation = RowAggregation.MAX,
+        query_aggregation: QueryAggregation = QueryAggregation.MEAN,
+        tuple_semantics: TupleSemantics = TupleSemantics.PER_ENTITY,
+        drop_irrelevant: bool = True,
+        row_cache_size: int = DEFAULT_ROW_CACHE_SIZE,
+        index_dir: Optional[str] = None,
+    ):
+        super().__init__()
+        self.lake = lake
+        self.mapping = mapping
+        self.sigma = sigma
+        self.informativeness = (
+            informativeness if informativeness is not None
+            else UniformInformativeness()
+        )
+        self.row_aggregation = row_aggregation
+        self.query_aggregation = query_aggregation
+        self.tuple_semantics = tuple_semantics
+        self.drop_irrelevant = drop_irrelevant
         self.row_cache_size = row_cache_size
         self.index_dir = index_dir
+        self.profile = ScoringProfile()
         # Informativeness weights per query tuple; entries carry the
         # informativeness object they were computed from, so swapping
         # the weight function (Thetis does on lake mutations) never
@@ -459,26 +481,10 @@ class VectorizedTableSearchEngine(SegmentedEngine, TableSearchEngine):
             ordinals=self.lake.ordinals,
         )
 
-    def _invalidate_index(self) -> None:
+    def invalidate_cache(self) -> None:
+        """Full reset: drops the compiled index for a from-scratch build."""
         with self._index_lock:
             self._index = None
-
-    def invalidate_cache(self, include_similarities: bool = False) -> None:
-        """Full reset: drops the compiled index for a from-scratch build."""
-        super().invalidate_cache(include_similarities)
-        self._invalidate_index()
-
-    def invalidate_table(self, table_id: str) -> None:
-        """Drop the table's scalar views, then apply it to the index.
-
-        If the table is (still) in the lake its old segment entry is
-        tombstoned and a fresh single-table segment is compiled; if it
-        left the lake only a tombstone is written.  The untouched
-        segments — arrays, kernels, and warm similarity-row memos — are
-        shared by reference into the successor index.
-        """
-        TableSearchEngine.invalidate_table(self, table_id)
-        SegmentedEngine.invalidate_table(self, table_id)
 
     def _derived(
         self,
@@ -510,8 +516,8 @@ class VectorizedTableSearchEngine(SegmentedEngine, TableSearchEngine):
                 == (self.lake.find(table_id) is not None)):
             self._mirrored = (successor, version)
 
-    def seed_views_from(self, source: TableSearchEngine) -> None:
-        """Share the source's caches *and* its compiled index.
+    def seed_views_from(self, source: VectorizedTableSearchEngine) -> None:
+        """Share the source's compiled index.
 
         The source's verified mirror travels too: the clone's lake holds
         the source lake's tables (the :meth:`~repro.system.Thetis.
@@ -519,24 +525,24 @@ class VectorizedTableSearchEngine(SegmentedEngine, TableSearchEngine):
         index against its lake as it stands, the adopted index mirrors
         this lake and the first read lists nothing.
         """
-        TableSearchEngine.seed_views_from(self, source)
-        if isinstance(source, VectorizedTableSearchEngine):
-            index = source.export_index()
-            if index is not None:
-                self.adopt_index(index)
-                mirrored_index, version = source._mirrored
-                if mirrored_index is index and version == source.lake.version:
-                    self._mirrored = (self.export_index(), self.lake.version)
+        index = source.export_index()
+        if index is not None:
+            self.adopt_index(index)
+            mirrored_index, version = source._mirrored
+            if mirrored_index is index and version == source.lake.version:
+                self._mirrored = (self.export_index(), self.lake.version)
 
     def cache_stats(self) -> Dict[str, CacheStats]:
-        stats = super().cache_stats()
+        """The segments' row and tuple memos (empty while cold)."""
         # Stats reporting must not serialize against an in-flight index
         # build; None just means "cold".
         index = self.export_index()
-        if index is not None:
-            stats["kernel_rows"] = index.row_cache_stats()
-            stats["kernel_tuples"] = index.tuple_cache_stats()
-        return stats
+        if index is None:
+            return {}
+        return {
+            "kernel_rows": index.row_cache_stats(),
+            "kernel_tuples": index.tuple_cache_stats(),
+        }
 
     # ------------------------------------------------------------------
     # Vectorized Algorithm 1
@@ -875,7 +881,7 @@ class VectorizedTableSearchEngine(SegmentedEngine, TableSearchEngine):
     ) -> ResultSet:
         """:meth:`search_batch` of one over an explicit candidate set.
 
-        Same results as the inherited ``search(query, k=k,
+        Same results as ``search(query, k=k,
         candidates=candidates)`` — deduplication, lake membership, the
         drop-irrelevant rule, and the ``(-score, table_id)`` ranking
         all match.  ``stats`` (a :class:`~repro.core.kernel.prefilter.
@@ -1267,28 +1273,13 @@ class VectorizedTableSearchEngine(SegmentedEngine, TableSearchEngine):
         )
 
 
-#: Engine-kind registry used by the system facade and the CLI.
+#: Engine kinds ``Thetis`` builds and the CLI offers: the scalar
+#: oracle and this kernel.
 ENGINE_KINDS = ("scalar", "vectorized")
-
-
-def engine_class(kind: str):
-    """Map an ``--engine`` value to the engine class implementing it."""
-    from repro.exceptions import ConfigurationError
-
-    if kind == "scalar":
-        return TableSearchEngine
-    if kind == "vectorized":
-        return VectorizedTableSearchEngine
-    raise ConfigurationError(
-        f"unknown engine kind {kind!r}: use one of {ENGINE_KINDS}"
-    )
 
 
 __all__ = [
     "ENGINE_KINDS",
     "VectorizedTableSearchEngine",
-    "engine_class",
     "DEFAULT_ROW_CACHE_SIZE",
-    "DEFAULT_SIMILARITY_CACHE_SIZE",
-    "DEFAULT_VIEW_CACHE_SIZE",
 ]

@@ -505,11 +505,7 @@ class TableSearchEngine:
                 if key[1] is not None and stats is not None:
                     size = sum(tid in self.lake for tid in key[1])
                     stats.record_scoring(size, size, False)
-                # The scalar loop by name: subclasses route their own
-                # ``search`` through ``search_batch``.
-                ranking = TableSearchEngine.search(
-                    self, query, k=k, candidates=cands
-                )
+                ranking = self.search(query, k=k, candidates=cands)
                 memo[key] = ranking
             rankings.append(ranking)
         if batch_stats is not None:

@@ -12,8 +12,9 @@ threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from repro.core.kernel import VectorizedTableSearchEngine
 from repro.core.query import Query
 from repro.core.search import TableSearchEngine
 from repro.eval.metrics import ndcg_at_k, summarize
@@ -49,7 +50,9 @@ class LSHTuner:
     Parameters
     ----------
     engine:
-        The exact engine providing brute-force reference rankings.
+        The exact engine providing the unfiltered reference rankings:
+        the scalar one or the kernel (``thetis tune`` passes the
+        kernel).
     scheme_factory:
         ``num_vectors -> SignatureScheme`` (each configuration needs a
         signature of its own width).
@@ -59,7 +62,7 @@ class LSHTuner:
 
     def __init__(
         self,
-        engine: TableSearchEngine,
+        engine: Union[TableSearchEngine, VectorizedTableSearchEngine],
         scheme_factory: SchemeFactory,
         k: int = 10,
     ):

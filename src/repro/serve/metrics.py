@@ -168,10 +168,6 @@ class ServerMetrics:
         with self._lock:
             self._tasks[task] = self._tasks.get(task, 0) + int(queries)
 
-    def task_counts(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(sorted(self._tasks.items()))
-
     def snapshot_swapped(self) -> None:
         with self._lock:
             self.snapshot_swaps_total += 1

@@ -178,10 +178,11 @@ class SnapshotManager:
             cache_size=current.cache_size,
             engine_kind=current.engine_kind,
         )
-        # Hand the clone the warm state: materialized views, the shared
-        # similarity cache, every compiled index (by reference: they
-        # are immutable) and a fork of the prefilter, so the subsequent
-        # mutate + warm costs O(delta) instead of a corpus recompile.
+        # Hand the clone the warm state: every compiled index (by
+        # reference: they are immutable) and a fork of the prefilter —
+        # or, under the scalar engine, its views and similarity cache —
+        # so the subsequent mutate + warm costs O(delta) instead of a
+        # corpus recompile.
         replacement.seed_engines_from(current)
         return replacement
 

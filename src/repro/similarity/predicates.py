@@ -58,10 +58,6 @@ class PredicateJaccardSimilarity(EntitySimilarity):
             for entity in graph.entities()
         }
 
-    def signature_of(self, uri: str) -> FrozenSet[str]:
-        """Return the cached predicate signature (empty when unknown)."""
-        return self._signatures.get(uri, frozenset())
-
     def similarity(self, a: str, b: str) -> float:
         if a == b:
             return 1.0

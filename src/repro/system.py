@@ -19,7 +19,7 @@ from repro.core.kernel import (
     ENGINE_KINDS,
     BatchStats,
     PrefilterStats,
-    engine_class,
+    VectorizedTableSearchEngine,
 )
 from repro.core.query import Query
 from repro.core.result import ResultSet
@@ -78,7 +78,9 @@ class Thetis:
         Optional pre-trained entity embeddings; required for the
         ``"embeddings"`` method (train with :meth:`train_embeddings`).
     cache_size:
-        Entry bound of each engine's persistent pairwise-similarity
+        Entry bound of the scalar engine's pairwise-similarity cache:
+        the persistent one of ``engine_kind="scalar"``, and the
+        per-call one :meth:`explain` builds.  The kernel has no such
         cache.
     engine_kind:
         Scoring engine implementation: ``"vectorized"`` (the default:
@@ -237,8 +239,10 @@ class Thetis:
         return self.embeddings
 
     # ------------------------------------------------------------------
-    def engine(self, method: str = "types") -> TableSearchEngine:
-        """Return (and cache) the exact search engine for ``method``."""
+    def engine(
+        self, method: str = "types"
+    ) -> Union[TableSearchEngine, VectorizedTableSearchEngine]:
+        """Return (and cache) the ``engine_kind`` engine for ``method``."""
         return self._engine("entity", method)
 
     def union_engine(self, method: str = "types"):
@@ -311,12 +315,21 @@ class Thetis:
                 TypeJaccardSimilarity(self.graph) if method == "types"
                 else EmbeddingCosineSimilarity(self.embeddings)
             )
-        extra = {}
-        if self.index_dir is not None:
-            # Constructor validation pinned index_dir to the
-            # vectorized kind, whose engines accept the keyword.
-            extra["index_dir"] = self.index_dir
-        return engine_class(self.engine_kind)(
+        if self.engine_kind == "scalar":
+            return self._scalar_engine(sigma)
+        return VectorizedTableSearchEngine(
+            self.lake,
+            self.mapping,
+            sigma,
+            informativeness=self.informativeness,
+            row_aggregation=self.row_aggregation,
+            query_aggregation=self.query_aggregation,
+            index_dir=self.index_dir,
+        )
+
+    def _scalar_engine(self, sigma: EntitySimilarity) -> TableSearchEngine:
+        """The per-cell oracle over ``sigma`` with this instance's settings."""
+        return TableSearchEngine(
             self.lake,
             self.mapping,
             sigma,
@@ -324,7 +337,6 @@ class Thetis:
             row_aggregation=self.row_aggregation,
             query_aggregation=self.query_aggregation,
             cache_size=self.cache_size,
-            **extra,
         )
 
     def _check_request(self, mode: str, task: str) -> None:
@@ -379,12 +391,12 @@ class Thetis:
         here costs O(delta) for every task, and the next read finds
         nothing left to rebuild:
 
-        * every engine adopts the source's segmented index (immutable
-          segments, shared by reference) with its table layout; the
-          mutation derives its successor.  Entity engines also get the
-          source's similarity object, its materialized views, shared
-          similarity cache and — vectorized — the verified index/lake
-          mirror;
+        * every kernel engine adopts the source's segmented index
+          (immutable segments, shared by reference) with its table
+          layout — the entity kernel with its verified index/lake
+          mirror; the mutation derives its successor.  Entity engines
+          also get the source's similarity object, and a scalar one
+          its materialized views and shared similarity cache;
         * each LSEI prefilter is forked (copy-on-write) onto this
           instance's mapping, so the incremental ``add_table`` /
           ``remove_table`` maintenance runs here.  A fork keeps the
@@ -400,7 +412,8 @@ class Thetis:
           refreshes them, and so is the label linker (a function of
           the graph alone).
 
-        Returns the number of engines seeded.
+        An engine of another ``engine_kind`` than its source's is not
+        seeded.  Returns the number of engines seeded.
         """
         self._check_open("seed_engines_from")
         with other._lock:
@@ -418,6 +431,8 @@ class Thetis:
             except ConfigurationError:
                 # e.g. the clone has no embeddings attached (yet).
                 continue
+            if type(engine) is not type(source):
+                continue  # another engine_kind: no state in common
             engine.seed_views_from(source)
             seeded += 1
         forks = {
@@ -797,11 +812,15 @@ class Thetis:
         """Explain a table's score: column mapping, rows, weights.
 
         Returns a :class:`~repro.core.explain.TableExplanation`; call
-        its ``render(self.graph)`` for a text report.
+        its ``render(self.graph)`` for a text report.  Whatever the
+        ``engine_kind``, the trail is the scalar oracle's, run on a
+        throwaway :class:`~repro.core.search.TableSearchEngine` over the
+        served engine's similarity, so no memo outlives the call.
         """
         from repro.core.explain import explain_table
 
         self._check_open("explain")
         return explain_table(
-            self.engine(method), query, self.lake.get(table_id)
+            self._scalar_engine(self.engine(method).sigma),
+            query, self.lake.get(table_id),
         )

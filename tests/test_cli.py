@@ -63,6 +63,9 @@ class TestParser:
             assert args.engine == "vectorized"
             with pytest.raises(SystemExit):
                 build_parser().parse_args(base + ["--engine", "scalar"])
+            # The kernel has no pairwise-similarity cache to bound.
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(base + ["--cache-size", "5"])
         offline = {
             "search": ["search", *files, "--tuple", "kg:a"],
             "bench": ["bench", *files, "--queries", "q", "--out", "o"],
@@ -71,6 +74,8 @@ class TestParser:
             assert build_parser().parse_args(base).engine == "vectorized"
             args = build_parser().parse_args(base + ["--engine", "scalar"])
             assert args.engine == "scalar"
+            args = build_parser().parse_args(base + ["--cache-size", "5"])
+            assert args.cache_size == 5
 
     def test_serve_custom_knobs(self):
         args = build_parser().parse_args([

@@ -24,7 +24,6 @@ from repro.core.kernel import (
     SegmentedCorpusIndex,
     VectorizedTableSearchEngine,
     compile_kernel,
-    engine_class,
 )
 from repro.core.kernel.index import (
     EmbeddingMatmulKernel,
@@ -481,13 +480,6 @@ class TestKernels:
 # Engine lifecycle: invalidation, pickling, sharding, serving
 # ----------------------------------------------------------------------
 class TestEngineLifecycle:
-    def test_engine_class_registry(self):
-        assert engine_class("scalar") is TableSearchEngine
-        assert engine_class("vectorized") is VectorizedTableSearchEngine
-        assert set(ENGINE_KINDS) == {"scalar", "vectorized"}
-        with pytest.raises(ConfigurationError):
-            engine_class("quantum")
-
     def test_prepare_and_cache_stats(self):
         rng = random.Random(71)
         lake, mapping = make_lake(rng)
@@ -641,6 +633,7 @@ class TestEngineLifecycle:
 class TestThetisIntegration:
     def test_engine_kind_selection(self, sports_lake, sports_graph,
                                    sports_mapping):
+        assert set(ENGINE_KINDS) == {"scalar", "vectorized"}
         default = Thetis(sports_lake, sports_graph, sports_mapping)
         assert isinstance(default.engine("types"),
                           VectorizedTableSearchEngine)
@@ -650,6 +643,40 @@ class TestThetisIntegration:
         with pytest.raises(ConfigurationError):
             Thetis(sports_lake, sports_graph, sports_mapping,
                    engine_kind="quantum")
+
+    def test_kernel_is_not_a_scalar_engine(self):
+        assert not issubclass(VectorizedTableSearchEngine, TableSearchEngine)
+
+    def test_explain_is_the_oracle_trail_under_both_kinds(
+        self, sports_lake, sports_graph, sports_mapping, sports_embeddings
+    ):
+        systems = {
+            kind: Thetis(sports_lake, sports_graph, sports_mapping,
+                         embeddings=sports_embeddings, engine_kind=kind)
+            for kind in ENGINE_KINDS
+        }
+        queries = [
+            Query.single("kg:player0", "kg:team0"),
+            # Wider than the sports tables' entity columns: some query
+            # entity maps to no column.
+            Query.single("kg:player0", "kg:player1", "kg:player2",
+                         "kg:player3", "kg:player4"),
+        ]
+        unmapped = 0
+        for method in ("types", "embeddings"):
+            for query in queries:
+                for table_id in ("T00", "T03"):
+                    got = systems["vectorized"].explain(
+                        query, table_id, method=method
+                    )
+                    assert got == systems["scalar"].explain(
+                        query, table_id, method=method
+                    )
+                    unmapped += sum(
+                        entity.column == -1
+                        for tup in got.tuples for entity in tup.entities
+                    )
+        assert unmapped > 0
 
     def test_search_parity_through_facade(self, sports_lake, sports_graph,
                                           sports_mapping, sports_embeddings):
@@ -732,7 +759,7 @@ class TestThetisIntegration:
 
         def assert_index_only(system):
             stats = system.cache_stats("types")
-            assert stats["grids"].size == stats["column_counts"].size == 0
+            assert set(stats) == {"kernel_rows", "kernel_tuples"}
             engine = system.engine("types")
             assert engine.index_stats().live_tables == len(system.lake)
             index = engine.export_index()
@@ -746,8 +773,8 @@ class TestThetisIntegration:
             )))
             current = manager.current.thetis
             assert_index_only(current)
-            # explain is the one scalar-path reader left: it builds the
-            # view of the table it explains and agrees with the oracle.
+            # explain runs the oracle's trail on a throwaway scalar
+            # engine, so it agrees with the oracle.
             query = Query.single("kg:player0", "kg:team0")
             got = current.explain(query, "T00").score
             assert abs(got - reference.explain(query, "T00").score) \

@@ -117,8 +117,9 @@ class TestControlPlane:
         assert "/search" in body["latency"]
         assert body["latency"]["/search"]["count"] == 1
         # Cache stats from the engine are included with hit rates.
-        assert "similarity" in body["cache"]
-        assert 0.0 <= body["cache"]["similarity"]["hit_rate"] <= 1.0
+        for name in ("kernel_rows", "kernel_tuples"):
+            assert name in body["cache"]
+            assert 0.0 <= body["cache"][name]["hit_rate"] <= 1.0
 
     def test_unknown_endpoint_404(self, server):
         status, body = http_request(server.port, "GET", "/nope")
