@@ -39,8 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.cluster.client import DEFAULT_POOL_SIZE, WorkerLink
-from repro.cluster.hashring import DEFAULT_VNODES
+from repro.cluster.client import WorkerLink
 from repro.cluster.protocol import (
     RoutingTable,
     expect_endpoint,
@@ -84,8 +83,6 @@ class ClusterConfig:
     control_port: int = 0
     #: Owners per table; replicas serve only after primaries die.
     replication: int = 2
-    #: Ring geometry; must match the workers'.
-    vnodes: int = DEFAULT_VNODES
     #: Seconds between heartbeat rounds.
     heartbeat_interval: float = 0.5
     #: Consecutive failures (pings + query-path transport errors)
@@ -93,9 +90,6 @@ class ClusterConfig:
     dead_after: int = 3
     #: Per-shard RPC deadline within one query.
     shard_timeout: float = 10.0
-    #: Dial deadline and pool size of each worker link.
-    connect_timeout: float = 2.0
-    pool_size: int = DEFAULT_POOL_SIZE
     #: ``/readyz`` flips once this many workers are live.
     min_workers: int = 1
     #: Micro-batch coalescing of the ``/search`` front door: concurrent
@@ -319,11 +313,7 @@ class ClusterCoordinator:
                 worker_id=worker_id,
                 host=host,
                 port=port,
-                link=WorkerLink(
-                    host, port,
-                    pool_size=self.config.pool_size,
-                    connect_timeout=self.config.connect_timeout,
-                ),
+                link=WorkerLink(host, port),
                 last_seen=time.monotonic(),
             )
             epoch = self._flip_epoch_locked()
@@ -394,7 +384,7 @@ class ClusterCoordinator:
     ) -> None:
         try:
             await handle.link.request(
-                message, timeout=self.config.connect_timeout
+                message, timeout=handle.link.connect_timeout
             )
         except ClusterError:
             # The heartbeat loop will confirm and demote; a worker that

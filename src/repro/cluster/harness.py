@@ -1,12 +1,13 @@
 """Thread harnesses running cluster nodes in-process.
 
-Mirrors :class:`repro.serve.server.ServerThread`: each node gets its
-own event-loop thread with a synchronous start/stop surface, so tests
-and benchmarks can stand up a whole fleet — N workers plus a
-coordinator on ephemeral ports — inside one process and
-drive it over real sockets.  The production deployment runs the same
-classes as separate processes via ``thetis cluster worker|serve``;
-nothing in the protocol knows the difference.
+Each node is a :class:`repro.serve.server.LoopThread`, the base of
+:class:`~repro.serve.server.ServerThread` too: its own event-loop
+thread with a synchronous start/stop surface, so tests and benchmarks
+can stand up a whole fleet — N workers plus a coordinator on ephemeral
+ports — inside one process and drive it over real sockets.  The
+production deployment runs the same classes as separate processes via
+``thetis cluster worker|serve``; nothing in the protocol knows the
+difference.
 
 :meth:`WorkerThread.crash` kills a worker the way the coordinator
 would observe a dead process — listening socket closed, in-flight
@@ -17,79 +18,16 @@ and the kill-a-worker benchmark are about.
 from __future__ import annotations
 
 import asyncio
-import threading
 from typing import Callable, List, Optional
 
 from repro.cluster.coordinator import ClusterConfig, ClusterCoordinator
 from repro.cluster.worker import ClusterWorker, WorkerConfig
 from repro.exceptions import ClusterError
+from repro.serve.server import LoopThread
 from repro.system import Thetis
 
 
-class _LoopThread:
-    """One event loop on a dedicated thread with sync start/stop."""
-
-    def __init__(self, name: str):
-        self._thread = threading.Thread(
-            target=self._run, name=name, daemon=True
-        )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._listening = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    async def _start_node(self) -> None:
-        raise NotImplementedError
-
-    async def _stop_node(self) -> None:
-        raise NotImplementedError
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(self._start_node())
-        except BaseException as exc:
-            self._startup_error = exc
-            self._listening.set()
-            loop.close()
-            return
-        self._listening.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.close()
-
-    def start(self, timeout: float = 60.0) -> "_LoopThread":
-        self._thread.start()
-        if not self._listening.wait(timeout):
-            raise ClusterError(
-                f"{self._thread.name} did not start listening in time"
-            )
-        if self._startup_error is not None:
-            raise ClusterError(
-                f"{self._thread.name} failed to start: {self._startup_error}"
-            )
-        return self
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._loop is None or not self._thread.is_alive():
-            return
-        future = asyncio.run_coroutine_threadsafe(
-            self._stop_node(), self._loop
-        )
-        future.result(timeout)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout)
-
-    def __enter__(self) -> "_LoopThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-class WorkerThread(_LoopThread):
+class WorkerThread(LoopThread):
     """Run a :class:`ClusterWorker` on a dedicated event-loop thread."""
 
     def __init__(self, thetis: Thetis, config: WorkerConfig):
@@ -118,7 +56,7 @@ class WorkerThread(_LoopThread):
         self._thread.join(timeout)
 
 
-class CoordinatorThread(_LoopThread):
+class CoordinatorThread(LoopThread):
     """Run a :class:`ClusterCoordinator` on a dedicated event-loop thread."""
 
     def __init__(self, config: Optional[ClusterConfig] = None):

@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.cluster.hashring import DEFAULT_VNODES, HashRing
+from repro.cluster.hashring import HashRing
 from repro.cluster.protocol import (
     RoutingTable,
     expect_epoch,
@@ -64,6 +64,11 @@ ROUTING_HISTORY = 8
 #: partition (and converts it to ordinals) once.
 SHARD_CACHE_LIMIT = 64
 
+#: Registration retry budget and the pause between attempts (the
+#: coordinator may bind later than its workers start).
+REGISTER_ATTEMPTS = 20
+REGISTER_BACKOFF = 0.25
+
 
 @dataclass
 class WorkerConfig:
@@ -82,11 +87,6 @@ class WorkerConfig:
     method: str = "types"
     #: Warm the engine (see ``Thetis.warm``) before accepting shards.
     warm_on_start: bool = True
-    #: Registration retry budget (the coordinator may bind later).
-    register_attempts: int = 20
-    register_backoff: float = 0.25
-    #: Ring geometry; must match the coordinator's.
-    vnodes: int = DEFAULT_VNODES
 
 
 class ClusterWorker:
@@ -190,14 +190,14 @@ class ClusterWorker:
             "port": self.port,
         }
         last_error: Optional[Exception] = None
-        for _attempt in range(max(1, self.config.register_attempts)):
+        for _attempt in range(REGISTER_ATTEMPTS):
             try:
                 reader, writer = await asyncio.open_connection(
                     self.config.coordinator_host, self.config.coordinator_port
                 )
             except OSError as exc:
                 last_error = exc
-                await asyncio.sleep(self.config.register_backoff)
+                await asyncio.sleep(REGISTER_BACKOFF)
                 continue
             try:
                 await write_frame(writer, message)
@@ -458,11 +458,7 @@ class ClusterWorker:
                 return cached
             ring = self._rings.get(epoch)
             if ring is None:
-                ring = HashRing(
-                    table.workers,
-                    replication=table.replication,
-                    vnodes=self.config.vnodes,
-                )
+                ring = HashRing(table.workers, replication=table.replication)
                 self._rings[epoch] = ring
             table_ids = self.thetis.lake.table_ids()
             if prev_live is None:

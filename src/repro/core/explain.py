@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.core.aggregation import TupleSemantics
 from repro.core.query import Query
 from repro.core.search import TableSearchEngine
 from repro.core.semrel import semrel_tuple_score, weighted_distance
@@ -94,9 +95,13 @@ def explain_table(
 
     Produces exactly the same final score as
     :meth:`TableSearchEngine.score_table` (asserted in the test suite)
-    while exposing the full decision trail.
+    while exposing the full decision trail — including its relevance
+    rule: under ``drop_irrelevant`` a table with no positive similarity
+    signal scores 0.0, as search drops it.
     """
     grid = engine._entity_grid(table)
+    per_row_semantics = engine.tuple_semantics is TupleSemantics.PER_ROW
+    any_signal = False
     tuple_explanations: List[TupleExplanation] = []
     for query_tuple in query:
         assignment = engine.column_mapping(query_tuple, table)
@@ -119,6 +124,10 @@ def explain_table(
                     )
             coordinate = engine.row_aggregation.aggregate(per_row)
             coordinates.append(coordinate)
+            if per_row_semantics:
+                any_signal |= any(score > 0.0 for score in per_row)
+            else:
+                any_signal |= coordinate > 0.0
             entities.append(
                 EntityExplanation(
                     entity=query_entity,
@@ -152,6 +161,8 @@ def explain_table(
     final = engine.query_aggregation.aggregate(
         [t.score for t in tuple_explanations]
     )
+    if engine.drop_irrelevant and not any_signal:
+        final = 0.0
     return TableExplanation(
         table_id=table.table_id, score=final, tuples=tuple_explanations
     )

@@ -38,9 +38,11 @@ mutations apply O(delta) — ``invalidate_table`` compiles one
 single-table segment (add/replace) or writes a tombstone (remove)
 instead of discarding the whole compilation, and size-tiered
 compaction merges small segments during :meth:`warm` — off the request
-path, where serving snapshots already run it before the swap.  A
-disk-backed index (``index_dir``) is opened zero-copy via ``np.memmap``
-from :mod:`repro.core.kernel.storage`.
+path, where serving snapshots already run it before the swap.  That
+lifecycle, with the check that the index mirrors the lake, is
+:class:`~repro.core.kernel.segments.SegmentedEngine`, shared with the
+union and join kernels.  A disk-backed index (``index_dir``) is opened
+zero-copy via ``np.memmap`` from :mod:`repro.core.kernel.storage`.
 """
 
 from __future__ import annotations
@@ -61,14 +63,11 @@ from repro.core.assignment import (
     max_assignment,
 )
 from repro.core.cache import CacheStats, LRUCache
-from repro.core.kernel.index import (
-    DEFAULT_ROW_CACHE_SIZE,
-    CorpusIndex,
-    EntityPostings,
-)
+from repro.core.kernel.index import CorpusIndex, EntityPostings
 from repro.core.kernel.segments import (
     SegmentedCorpusIndex,
     SegmentedEngine,
+    SegmentedIndexStats,
 )
 from repro.core.query import Query
 from repro.core.result import ResultSet, ScoredTable
@@ -381,9 +380,6 @@ class VectorizedTableSearchEngine(SegmentedEngine):
     query_aggregation, tuple_semantics, drop_irrelevant:
         The scoring settings, as on
         :class:`~repro.core.search.TableSearchEngine`.
-    row_cache_size:
-        Entry bound of the per-query-entity similarity-row memo held
-        by each compiled segment.
     index_dir:
         Optional directory holding a persisted index
         (:mod:`repro.core.kernel.storage`).  When set, the first
@@ -397,9 +393,12 @@ class VectorizedTableSearchEngine(SegmentedEngine):
     -----
     Every score — ``search``, ``search_batch`` and ``score_table`` —
     comes from one kernel pass, :meth:`_segment_tuples`.  Its only
-    caches are the segments' similarity-row and tuple memos.  A lake
-    mutated without invalidation is reconciled into the index
-    incrementally before the next search or ``score_table`` reads it.
+    caches are the segments' similarity-row and tuple memos, bounded
+    by :data:`~repro.core.kernel.index.DEFAULT_ROW_CACHE_SIZE`.  The
+    index lifecycle, its mirror of the lake included, is
+    :class:`~repro.core.kernel.segments.SegmentedEngine`'s; this class
+    adds the ``index_dir`` load, the postings built after a
+    compaction, and the scoring.
     """
 
     def __init__(
@@ -412,7 +411,6 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         query_aggregation: QueryAggregation = QueryAggregation.MEAN,
         tuple_semantics: TupleSemantics = TupleSemantics.PER_ENTITY,
         drop_irrelevant: bool = True,
-        row_cache_size: int = DEFAULT_ROW_CACHE_SIZE,
         index_dir: Optional[str] = None,
     ):
         super().__init__()
@@ -427,7 +425,6 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         self.query_aggregation = query_aggregation
         self.tuple_semantics = tuple_semantics
         self.drop_irrelevant = drop_irrelevant
-        self.row_cache_size = row_cache_size
         self.index_dir = index_dir
         self.profile = ScoringProfile()
         # Informativeness weights per query tuple; entries carry the
@@ -435,20 +432,12 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         # the weight function (Thetis does on lake mutations) never
         # serves stale weights.
         self._tuple_weights_cache = LRUCache(256)
-        # The (index instance, lake version) last verified to mirror
-        # each other (see _mirrors_lake).
-        self._mirrored: Tuple[Optional[SegmentedCorpusIndex], int] = (
-            None, -1
-        )
 
     # ------------------------------------------------------------------
-    # Index lifecycle (SegmentedEngine, plus the disk index and mirror)
+    # Index lifecycle (SegmentedEngine, plus the disk index)
     # ------------------------------------------------------------------
     def _compile_segment(self, tables: Sequence[Table]) -> CorpusIndex:
-        return CorpusIndex(
-            tables, self.mapping, self.sigma,
-            row_cache_size=self.row_cache_size,
-        )
+        return CorpusIndex(tables, self.mapping, self.sigma)
 
     def _build_index(self) -> SegmentedCorpusIndex:
         """Load from disk when possible, else compile from the lake.
@@ -462,23 +451,17 @@ class VectorizedTableSearchEngine(SegmentedEngine):
             from repro.core.kernel.storage import load_index
 
             try:
-                loaded = load_index(
-                    self.index_dir, self.sigma, self.mapping,
-                    row_cache_size=self.row_cache_size,
-                )
+                loaded = load_index(self.index_dir, self.sigma, self.mapping)
             except IndexStorageError:
                 loaded = None
             if loaded is not None and loaded.mirrors(
                 [table.table_id for table in self.lake]
             ):
                 return loaded.rebound(
-                    ordinals=self.lake.ordinals,
-                    compile_segment=self._compile_segment,
+                    self._compile_segment, ordinals=self.lake.ordinals
                 )
         return SegmentedCorpusIndex.compile(
-            self.lake, self.mapping, self.sigma,
-            row_cache_size=self.row_cache_size,
-            ordinals=self.lake.ordinals,
+            self.lake, self.mapping, self.sigma, ordinals=self.lake.ordinals
         )
 
     def invalidate_cache(self) -> None:
@@ -486,51 +469,14 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         with self._index_lock:
             self._index = None
 
-    def _derived(
-        self,
-        parent: SegmentedCorpusIndex,
-        successor: SegmentedCorpusIndex,
-        table_id: Optional[str] = None,
-    ) -> None:
-        """Carry a verified index/lake mirror over to ``successor``.
-
-        Compaction keeps the live table set, so a mirror of the lake as
-        it stands still holds (and the compacted instance's segments
-        build their postings here, off the request path).  After one
-        table's change, a mirror one lake version back still holds if
-        that mutation was this table: the sizes pin it down — one add
-        grows both by one only if the added table is the one applied,
-        one remove shrinks both only if the removed table is.
-        """
-        version = self.lake.version
-        mirrored_index, mirrored_version = self._mirrored
-        if table_id is None:
-            if mirrored_index is parent and mirrored_version == version:
-                self._mirrored = (successor, version)
-            for segment in successor.segments:
-                segment.postings()
-        elif (mirrored_index is parent
-                and version == mirrored_version + 1
-                and len(successor) == len(self.lake)
-                and (table_id in successor)
-                == (self.lake.find(table_id) is not None)):
-            self._mirrored = (successor, version)
-
-    def seed_views_from(self, source: VectorizedTableSearchEngine) -> None:
-        """Share the source's compiled index.
-
-        The source's verified mirror travels too: the clone's lake holds
-        the source lake's tables (the :meth:`~repro.system.Thetis.
-        seed_engines_from` contract), so if the source had checked its
-        index against its lake as it stands, the adopted index mirrors
-        this lake and the first read lists nothing.
-        """
-        index = source.export_index()
-        if index is not None:
-            self.adopt_index(index)
-            mirrored_index, version = source._mirrored
-            if mirrored_index is index and version == source.lake.version:
-                self._mirrored = (self.export_index(), self.lake.version)
+    def compact(self) -> SegmentedIndexStats:
+        """:meth:`SegmentedEngine.compact`, then the postings of the
+        compacted segments, so no read builds them on the request
+        path."""
+        stats = super().compact()
+        for segment in self.export_index().segments:
+            segment.postings()
+        return stats
 
     def cache_stats(self) -> Dict[str, CacheStats]:
         """The segments' row and tuple memos (empty while cold)."""
@@ -563,53 +509,6 @@ class VectorizedTableSearchEngine(SegmentedEngine):
     # ------------------------------------------------------------------
     # Batched scoring kernel
     # ------------------------------------------------------------------
-    def _reconcile_index(self) -> SegmentedCorpusIndex:
-        """Diff the index's live tables against the lake, apply O(delta).
-
-        Used when a search notices the lake mutated behind the engine's
-        back (no ``invalidate_table`` was issued): removed ids are
-        tombstoned, new ids get single-table segments, and the result
-        is compacted if due — never a full recompile unless the index
-        was not built at all.
-        """
-        with self._index_lock:
-            index = self._index
-            if index is None:
-                index = self._build_index()
-            live = set(index.live_table_ids())
-            lake_ids = [table.table_id for table in self.lake]
-            lake_set = set(lake_ids)
-            for table_id in sorted(live - lake_set):
-                index = index.without_table(table_id)
-            for table_id in lake_ids:
-                if table_id not in live:
-                    table = self.lake.find(table_id)
-                    if table is not None:
-                        index = index.with_table(table)
-            index = index.maybe_compacted(self.lake.get)
-            self._index = index
-            return index
-
-    def _mirrors_lake(self, index: SegmentedCorpusIndex) -> bool:
-        """Whether ``index`` holds exactly the lake's tables.
-
-        The check is O(lake), so a pass is remembered as the ``(index
-        instance, lake version)`` pair it held for: every
-        ``DataLake.add`` / ``remove`` bumps the version, so an unchanged
-        lake at an unchanged index is answered in O(1) and a lake
-        mutated behind the engine's back is still re-checked.  The
-        version is read before the ids, so a racing mutation can only
-        make the memo miss, never vouch for a state it did not check.
-        """
-        version = self.lake.version
-        mirrored_index, mirrored_version = self._mirrored
-        if mirrored_index is index and mirrored_version == version:
-            return True
-        if not index.mirrors([table.table_id for table in self.lake]):
-            return False
-        self._mirrored = (index, version)
-        return True
-
     def _segment_tuples(
         self,
         segment: CorpusIndex,
@@ -892,15 +791,6 @@ class VectorizedTableSearchEngine(SegmentedEngine):
             [query], k=k, candidates=[candidates], stats=stats
         )[0]
 
-    def search(
-        self,
-        query: Query,
-        k: Optional[int] = None,
-        candidates: Optional[Iterable[str]] = None,
-    ) -> ResultSet:
-        """:meth:`search_batch` of one (same results as the scalar loop)."""
-        return self.search_batch([query], k=k, candidates=[candidates])[0]
-
     def search_batch(
         self,
         queries: Sequence[Query],
@@ -961,11 +851,7 @@ class VectorizedTableSearchEngine(SegmentedEngine):
                     if cands is not None:
                         stats.record_scoring(0, 0, False)
             return [ResultSet([]) for _ in fanout]
-        index = self.index()
-        if not self._mirrors_lake(index):
-            # The lake changed behind the engine's back; the reconciled
-            # index holds exactly the tables it listed.
-            index = self._reconcile_index()
+        index = self._read_index()
         start = time.perf_counter()
         if k is None:
             job_results = self._full_rankings(index, jobs, stats, profile)
@@ -1241,17 +1127,16 @@ class VectorizedTableSearchEngine(SegmentedEngine):
 
         One :meth:`_segment_tuples` pass selecting just ``table``, so
         the score is bit-identical to the one :meth:`search` gives it.
-        A table the index does not hold triggers one reconciliation
-        with the lake; a table still unknown after it (one outside the
-        lake) is compiled into a throwaway single-table segment, the
-        compile :meth:`SegmentedCorpusIndex.with_table` performs when
-        the table joins the lake.
+        The index is read as every search reads it, reconciled with the
+        lake if it changed behind the engine's back; a table it does
+        not hold (one outside the lake) is compiled into a throwaway
+        single-table segment, the compile
+        :meth:`SegmentedCorpusIndex.with_table` performs when the table
+        joins the lake.
         """
         profile = self.profile
         start = time.perf_counter()
-        index = self.index()
-        if table.table_id not in index:
-            index = self._reconcile_index()
+        index = self._read_index()
         if table.table_id in index:
             seg_index, position = index.locate_position(table.table_id)
             segment = index.segments[seg_index]
@@ -1281,5 +1166,4 @@ ENGINE_KINDS = ("scalar", "vectorized")
 __all__ = [
     "ENGINE_KINDS",
     "VectorizedTableSearchEngine",
-    "DEFAULT_ROW_CACHE_SIZE",
 ]

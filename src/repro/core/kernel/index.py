@@ -347,7 +347,6 @@ class CorpusIndex:
         tables: Iterable[Table],
         mapping: EntityMapping,
         sigma: EntitySimilarity,
-        row_cache_size: int = DEFAULT_ROW_CACHE_SIZE,
     ):
         grids = []
         uri_set = set()
@@ -367,8 +366,8 @@ class CorpusIndex:
         }
         self._postings: Optional[EntityPostings] = None
         self.kernel = compile_kernel(sigma, self.uris, self.id_of)
-        self._rows = LRUCache(row_cache_size)
-        self._tuples = LRUCache(max(1, row_cache_size // 8))
+        self._rows = LRUCache(DEFAULT_ROW_CACHE_SIZE)
+        self._tuples = LRUCache(DEFAULT_ROW_CACHE_SIZE // 8)
         self._compile_corpus(grids)
 
     def _compile_corpus(self, grids) -> None:
@@ -516,7 +515,6 @@ class CorpusIndex:
         uris: List[str],
         kernel: "SimilarityKernel",
         arrays: Mapping[str, np.ndarray],
-        row_cache_size: int = DEFAULT_ROW_CACHE_SIZE,
     ) -> "CorpusIndex":
         """Reassemble an index from persisted arrays without compiling.
 
@@ -530,8 +528,8 @@ class CorpusIndex:
         index.uris = list(uris)
         index.id_of = {uri: i for i, uri in enumerate(index.uris)}
         index.kernel = kernel
-        index._rows = LRUCache(row_cache_size)
-        index._tuples = LRUCache(max(1, row_cache_size // 8))
+        index._rows = LRUCache(DEFAULT_ROW_CACHE_SIZE)
+        index._tuples = LRUCache(DEFAULT_ROW_CACHE_SIZE // 8)
         index.table_ids = list(table_ids)
         index._table_pos = {
             table_id: position

@@ -262,15 +262,6 @@ class VectorizedJoinSearchEngine(SegmentedEngine):
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def search(
-        self,
-        query: Query,
-        k: Optional[int] = None,
-        candidates: Optional[Iterable[str]] = None,
-    ) -> ResultSet:
-        """Rank tables by their best query-column overlap."""
-        return self.search_batch([query], k=k, candidates=[candidates])[0]
-
     def search_batch(
         self,
         queries: Sequence[Query],
@@ -291,6 +282,7 @@ class VectorizedJoinSearchEngine(SegmentedEngine):
         entries are table ids or sorted table ordinals of the lake.
         """
         jobs, fanout = self._jobs(queries, candidates, batch_stats)
+        index = self._read_index()
         job_columns = [
             [
                 column
@@ -318,7 +310,6 @@ class VectorizedJoinSearchEngine(SegmentedEngine):
         value_lane = np.repeat(
             np.arange(len(lanes), dtype=np.int64), lane_sizes
         )
-        index = self.index()
         layout = index.layout()
         best = np.zeros(
             (len(scored), int(layout.seg_base[-1])), dtype=np.float64

@@ -65,6 +65,8 @@ import numpy as np
 from repro.core.cache import CacheStats, LRUCache
 from repro.exceptions import ConfigurationError
 from repro.core.kernel.index import DEFAULT_ROW_CACHE_SIZE, CorpusIndex
+from repro.core.query import Query
+from repro.core.result import ResultSet
 from repro.core.search import aligned_candidates
 from repro.datalake.lake import TableOrdinals
 from repro.datalake.table import Table
@@ -321,18 +323,6 @@ class SegmentedIndexStats:
         }
 
 
-def _entity_segments(
-    mapping: EntityMapping,
-    sigma: EntitySimilarity,
-    row_cache_size: int = DEFAULT_ROW_CACHE_SIZE,
-) -> Callable[[Sequence[Table]], CorpusIndex]:
-    """The entity segment kind: ``tables -> CorpusIndex``."""
-    return partial(
-        CorpusIndex, mapping=mapping, sigma=sigma,
-        row_cache_size=row_cache_size,
-    )
-
-
 class SegmentedCorpusIndex:
     """An immutable sequence of compiled segments plus tombstones.
 
@@ -349,22 +339,18 @@ class SegmentedCorpusIndex:
 
     ``compile_segment`` (``tables -> segment``) is the segment kind:
     every single-table segment and every compaction merge comes from
-    it.  Without one, ``mapping`` and ``sigma`` make an entity index
-    (:func:`_entity_segments`).
+    it.
     """
 
     def __init__(
         self,
         segments: Iterable[Any],
         dead: Iterable[FrozenSet[str]],
-        mapping: Optional[EntityMapping] = None,
-        sigma: Optional[EntitySimilarity] = None,
-        row_cache_size: int = DEFAULT_ROW_CACHE_SIZE,
+        compile_segment: Callable[[Sequence[Table]], Any],
         compactions: int = 0,
         owner: Optional[Dict[str, Tuple[int, int]]] = None,
         ordinals: Optional[TableOrdinals] = None,
         layout: Optional[LakeLayout] = None,
-        compile_segment: Optional[Callable[[Sequence[Table]], Any]] = None,
     ):
         self.segments: Tuple[Any, ...] = tuple(segments)
         self.dead: Tuple[FrozenSet[str], ...] = tuple(
@@ -375,10 +361,7 @@ class SegmentedCorpusIndex:
                 "segments and tombstone sets must align: "
                 f"{len(self.segments)} != {len(self.dead)}"
             )
-        if compile_segment is None:
-            compile_segment = _entity_segments(mapping, sigma, row_cache_size)
         self.compile_segment = compile_segment
-        self.row_cache_size = row_cache_size
         self.compactions = compactions
         # Live table id -> (segment index, position), in scan order (the
         # merge in _merged relies on it).  A successor passes the map it
@@ -400,7 +383,7 @@ class SegmentedCorpusIndex:
         # Finished top-k rankings of whole-lake queries (see
         # cached_result).  Per instance, so a mutation — which always
         # yields a new instance — starts from an empty memo.
-        self._results = LRUCache(max(1, row_cache_size // 8))
+        self._results = LRUCache(DEFAULT_ROW_CACHE_SIZE // 8)
 
     # ------------------------------------------------------------------
     # Construction
@@ -412,7 +395,6 @@ class SegmentedCorpusIndex:
         compile_segment: Callable[[Sequence[Table]], Any],
         segment_tables: int = 0,
         ordinals: Optional[TableOrdinals] = None,
-        row_cache_size: int = DEFAULT_ROW_CACHE_SIZE,
     ) -> "SegmentedCorpusIndex":
         """Compile tables from scratch into a fresh segmented index.
 
@@ -433,11 +415,8 @@ class SegmentedCorpusIndex:
             chunks = [table_list] if table_list else []
         segments = [compile_segment(chunk) for chunk in chunks]
         return cls(
-            segments,
-            [frozenset()] * len(segments),
-            row_cache_size=row_cache_size,
+            segments, [frozenset()] * len(segments), compile_segment,
             ordinals=ordinals,
-            compile_segment=compile_segment,
         )
 
     @classmethod
@@ -446,15 +425,13 @@ class SegmentedCorpusIndex:
         tables: Iterable[Table],
         mapping: EntityMapping,
         sigma: EntitySimilarity,
-        row_cache_size: int = DEFAULT_ROW_CACHE_SIZE,
         segment_tables: int = 0,
         ordinals: Optional[TableOrdinals] = None,
     ) -> "SegmentedCorpusIndex":
         """:meth:`build` of an entity index over ``(mapping, sigma)``."""
         return cls.build(
-            tables, _entity_segments(mapping, sigma, row_cache_size),
+            tables, partial(CorpusIndex, mapping=mapping, sigma=sigma),
             segment_tables=segment_tables, ordinals=ordinals,
-            row_cache_size=row_cache_size,
         )
 
     def _replace(
@@ -515,20 +492,17 @@ class SegmentedCorpusIndex:
         return SegmentedCorpusIndex(
             successors,
             [dead_set for dead_set, keep in zip(dead, kept) if keep],
-            row_cache_size=self.row_cache_size,
+            self.compile_segment,
             compactions=compactions,
             owner=owner,
             ordinals=self.ordinals,
             layout=layout,
-            compile_segment=self.compile_segment,
         )
 
     def rebound(
         self,
-        mapping: Optional[EntityMapping] = None,
-        sigma: Optional[EntitySimilarity] = None,
+        compile_segment: Callable[[Sequence[Table]], Any],
         ordinals: Optional[TableOrdinals] = None,
-        compile_segment: Optional[Callable[[Sequence[Table]], Any]] = None,
     ) -> "SegmentedCorpusIndex":
         """The same segments bound to another compile callable.
 
@@ -536,27 +510,20 @@ class SegmentedCorpusIndex:
         previous generation's index must rebind it so that future
         incremental compiles read the clone's links, not the retired
         generation's.  Segment contents are shared untouched (the copy
-        preserves link content, so they remain valid verbatim).  The
-        callable is ``compile_segment``, or the entity kind over
-        ``(mapping, sigma)``.  ``ordinals`` rebinds the table id space
-        too (default: keep this one); the layout is carried over unless
-        it changes.
+        preserves link content, so they remain valid verbatim).
+        ``ordinals`` rebinds the table id space too (default: keep this
+        one); the layout is carried over unless it changes.
         """
         if ordinals is None:
             ordinals = self.ordinals
-        if compile_segment is None:
-            compile_segment = _entity_segments(
-                mapping, sigma, self.row_cache_size
-            )
         return SegmentedCorpusIndex(
             self.segments,
             self.dead,
-            row_cache_size=self.row_cache_size,
+            compile_segment,
             compactions=self.compactions,
             owner=self._owner,
             ordinals=ordinals,
             layout=self._layout if ordinals is self.ordinals else None,
-            compile_segment=compile_segment,
         )
 
     # ------------------------------------------------------------------
@@ -836,14 +803,24 @@ class SegmentedEngine:
 
     * :meth:`index` — built on first use under a lock, then read
       lock-free (an index instance is immutable);
+    * :meth:`_read_index` — the index every read scores, checked to
+      mirror the lake (:meth:`_mirrors_lake`) and reconciled with it
+      (:meth:`_reconcile_index`) when a table joined or left the lake
+      behind the engine's back;
     * :meth:`invalidate_table` — a table in the lake gets a one-table
       segment (tombstoning any older copy), a table that left it a
       tombstone; every other segment is shared;
-    * :meth:`export_index` / :meth:`adopt_index` — a snapshot clone
-      takes the live generation's index by reference, rebound to its
-      own compile callable (its own mapping) and table id space;
+    * :meth:`export_index` / :meth:`adopt_index` /
+      :meth:`seed_views_from` — a snapshot clone takes the live
+      generation's index by reference, rebound to its own compile
+      callable (its own mapping) and table id space, with its verified
+      mirror;
     * :meth:`compact` / :meth:`warm` — size-tiered compaction, off the
-      request path.
+      request path;
+    * :meth:`search` — one query as a micro-batch of one.
+
+    The mirror compares table id sets, so a table replaced in place
+    under the same id still needs :meth:`invalidate_table`.
 
     A subclass sets ``lake`` and calls ``SegmentedEngine.__init__``.
     """
@@ -851,6 +828,11 @@ class SegmentedEngine:
     def __init__(self) -> None:
         self._index_lock = threading.RLock()
         self._index: Optional[SegmentedCorpusIndex] = None  # guarded-by: _index_lock
+        # The (index instance, lake version) last verified to mirror
+        # each other (see _mirrors_lake).
+        self._mirrored: Tuple[Optional[SegmentedCorpusIndex], int] = (
+            None, -1
+        )
 
     def _compile_segment(self, tables: Sequence[Table]) -> Any:
         """One segment of this engine's kind over ``tables``."""
@@ -861,15 +843,6 @@ class SegmentedEngine:
         return SegmentedCorpusIndex.build(
             self.lake, self._compile_segment, ordinals=self.lake.ordinals
         )
-
-    def _derived(
-        self,
-        parent: SegmentedCorpusIndex,
-        successor: SegmentedCorpusIndex,
-        table_id: Optional[str] = None,
-    ) -> None:
-        """Hook: ``successor`` replaced ``parent`` by one table's change
-        (``table_id``) or by compaction (``None``); lock held."""
 
     def index(self) -> SegmentedCorpusIndex:
         """The segmented index, built on first use."""
@@ -887,6 +860,99 @@ class SegmentedEngine:
         """Build the index now if it never was (server warm-up)."""
         self.index()
 
+    # ------------------------------------------------------------------
+    # The index/lake mirror
+    # ------------------------------------------------------------------
+    def _read_index(self) -> SegmentedCorpusIndex:
+        """The index a read scores: :meth:`index`, reconciled with the
+        lake when it no longer holds exactly the lake's tables."""
+        index = self.index()
+        if not self._mirrors_lake(index):
+            # The lake changed behind the engine's back; the reconciled
+            # index holds exactly the tables it listed.
+            index = self._reconcile_index()
+        return index
+
+    def _mirrors_lake(self, index: SegmentedCorpusIndex) -> bool:
+        """Whether ``index`` holds exactly the lake's tables.
+
+        The check is O(lake), so a pass is remembered as the ``(index
+        instance, lake version)`` pair it held for: every
+        ``DataLake.add`` / ``remove`` bumps the version, so an unchanged
+        lake at an unchanged index is answered in O(1) and a lake
+        mutated behind the engine's back is still re-checked.  The
+        version is read before the ids, so a racing mutation can only
+        make the memo miss, never vouch for a state it did not check.
+        """
+        version = self.lake.version
+        mirrored_index, mirrored_version = self._mirrored
+        if mirrored_index is index and mirrored_version == version:
+            return True
+        if not index.mirrors([table.table_id for table in self.lake]):
+            return False
+        self._mirrored = (index, version)
+        return True
+
+    def _reconcile_index(self) -> SegmentedCorpusIndex:
+        """Diff the index's live tables against the lake, apply O(delta).
+
+        Used when a read notices the lake mutated behind the engine's
+        back (no ``invalidate_table`` was issued): removed ids are
+        tombstoned, new ids get single-table segments, and the result
+        is compacted if due — never a full recompile unless the index
+        was not built at all.
+        """
+        with self._index_lock:
+            index = self._index
+            if index is None:
+                index = self._build_index()
+            live = set(index.live_table_ids())
+            lake_ids = [table.table_id for table in self.lake]
+            lake_set = set(lake_ids)
+            for table_id in sorted(live - lake_set):
+                index = index.without_table(table_id)
+            for table_id in lake_ids:
+                if table_id not in live:
+                    table = self.lake.find(table_id)
+                    if table is not None:
+                        index = index.with_table(table)
+            index = index.maybe_compacted(self.lake.get)
+            self._index = index
+            return index
+
+    def _carry_mirror(
+        self,
+        parent: SegmentedCorpusIndex,
+        successor: SegmentedCorpusIndex,
+        table_id: Optional[str] = None,
+    ) -> None:
+        """Carry a verified mirror from ``parent`` to ``successor``.
+
+        ``successor`` replaced ``parent`` by one table's change
+        (``table_id``) or by compaction (``None``); lock held.
+        Compaction keeps the live table set, so a mirror of the lake as
+        it stands still holds.  After one table's change, a mirror one
+        lake version back still holds if that mutation was this table:
+        the sizes pin it down — one add grows both by one only if the
+        added table is the one applied, one remove shrinks both only if
+        the removed table is.
+        """
+        version = self.lake.version
+        mirrored_index, mirrored_version = self._mirrored
+        if mirrored_index is not parent:
+            return
+        if table_id is None:
+            if mirrored_version == version:
+                self._mirrored = (successor, version)
+        elif (version == mirrored_version + 1
+                and len(successor) == len(self.lake)
+                and (table_id in successor)
+                == (self.lake.find(table_id) is not None)):
+            self._mirrored = (successor, version)
+
+    # ------------------------------------------------------------------
+    # Mutation, compaction and snapshot hand-over
+    # ------------------------------------------------------------------
     def invalidate_table(self, table_id: str) -> None:
         """Apply one table's change to the index in O(delta).
 
@@ -901,7 +967,7 @@ class SegmentedEngine:
                 parent.without_table(table_id) if table is None
                 else parent.with_table(table)
             )
-            self._derived(parent, self._index, table_id)
+            self._carry_mirror(parent, self._index, table_id)
 
     def compact(self) -> SegmentedIndexStats:
         """Run the size-tiered compaction policy; returns fresh stats.
@@ -916,7 +982,7 @@ class SegmentedEngine:
                 self._index = self._build_index()
             parent = self._index
             self._index = parent.maybe_compacted(self.lake.get)
-            self._derived(parent, self._index)
+            self._carry_mirror(parent, self._index)
             self._index.layout()
             return self._index.stats()
 
@@ -940,8 +1006,7 @@ class SegmentedEngine:
         """
         with self._index_lock:
             self._index = index.rebound(
-                ordinals=self.lake.ordinals,
-                compile_segment=self._compile_segment,
+                self._compile_segment, ordinals=self.lake.ordinals
             )
 
     def export_index(self) -> Optional[SegmentedCorpusIndex]:
@@ -955,11 +1020,33 @@ class SegmentedEngine:
         index = self.export_index()
         return index.stats() if index is not None else None
 
-    def seed_views_from(self, source: Any) -> None:
-        """Adopt the source engine's index, if it built one."""
+    def seed_views_from(self, source: "SegmentedEngine") -> None:
+        """Adopt the source engine's index, if it built one.
+
+        The source's verified mirror travels too: the clone's lake holds
+        the source lake's tables (the :meth:`~repro.system.Thetis.
+        seed_engines_from` contract), so if the source had checked its
+        index against its lake as it stands, the adopted index mirrors
+        this lake and the first read lists nothing.
+        """
         index = source.export_index()
         if index is not None:
             self.adopt_index(index)
+            mirrored_index, version = source._mirrored
+            if mirrored_index is index and version == source.lake.version:
+                self._mirrored = (self.export_index(), self.lake.version)
+
+    # ------------------------------------------------------------------
+    # Reads
+    # ------------------------------------------------------------------
+    def search(
+        self,
+        query: Query,
+        k: Optional[int] = None,
+        candidates: Optional[Iterable[str]] = None,
+    ) -> ResultSet:
+        """:meth:`search_batch` of one query."""
+        return self.search_batch([query], k=k, candidates=[candidates])[0]
 
     def _jobs(
         self,

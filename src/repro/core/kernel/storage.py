@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
 from typing import Any, Dict, IO, List, Optional
 
 import numpy as np
 
 from repro.core.kernel.index import (
-    DEFAULT_ROW_CACHE_SIZE,
     CombinationKernel,
     CorpusIndex,
     EmbeddingMatmulKernel,
@@ -312,7 +312,6 @@ def save_index(index: SegmentedCorpusIndex, path: str) -> Dict[str, Any]:
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "alignment": ALIGNMENT,
-        "row_cache_size": index.row_cache_size,
         "compactions": index.compactions,
         "array_bytes": array_bytes,
         "segments": segments,
@@ -388,7 +387,6 @@ def load_index(
     path: str,
     sigma: EntitySimilarity,
     mapping: EntityMapping,
-    row_cache_size: Optional[int] = None,
 ) -> SegmentedCorpusIndex:
     """Load a segmented index from ``path`` without compiling anything.
 
@@ -397,15 +395,13 @@ def load_index(
     arrays are served as-is).  The stored kernel spec is validated
     against ``sigma`` — a mismatch raises :class:`IndexStorageError`
     rather than returning an index that scores with the wrong
-    similarity.
+    similarity.  Header fields this build does not read are ignored,
+    such as the memo bound older writers stored: the bounds are
+    constants now.
     """
     directory = os.fspath(path)
     header = _load_header(directory)
     base = _map_arrays(directory, header)
-    if row_cache_size is None:
-        row_cache_size = int(
-            header.get("row_cache_size", DEFAULT_ROW_CACHE_SIZE)
-        )
     segments: List[CorpusIndex] = []
     dead: List[frozenset] = []
     for segment_spec in header.get("segments", []):
@@ -427,10 +423,7 @@ def load_index(
                 f"segment header is missing array {error}"
             ) from error
         segments.append(
-            CorpusIndex.from_arrays(
-                table_ids, uris, kernel, arrays,
-                row_cache_size=row_cache_size,
-            )
+            CorpusIndex.from_arrays(table_ids, uris, kernel, arrays)
         )
         dead.append(frozenset(
             str(table_id) for table_id in segment_spec.get("dead", [])
@@ -438,9 +431,7 @@ def load_index(
     return SegmentedCorpusIndex(
         segments,
         dead,
-        mapping,
-        sigma,
-        row_cache_size=row_cache_size,
+        partial(CorpusIndex, mapping=mapping, sigma=sigma),
         compactions=int(header.get("compactions", 0)),
     )
 

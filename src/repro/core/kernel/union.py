@@ -486,15 +486,6 @@ class VectorizedUnionSearchEngine(SegmentedEngine):
             for score, position in zip(scores.tolist(), top.tolist())
         )
 
-    def search(
-        self,
-        query: Query,
-        k: Optional[int] = None,
-        candidates: Optional[Iterable[str]] = None,
-    ) -> ResultSet:
-        """Rank tables by unionability; parity with the scalar baseline."""
-        return self.search_batch([query], k=k, candidates=[candidates])[0]
-
     def search_batch(
         self,
         queries: Sequence[Query],
@@ -519,11 +510,11 @@ class VectorizedUnionSearchEngine(SegmentedEngine):
         record per scanned job.
         """
         jobs, fanout = self._jobs(queries, candidates, batch_stats)
+        index = self._read_index()
         resolved = [ResultSet([]) for _ in jobs]
         encoded = [self._encode_query(query) for query, _ in jobs]
         if (k is not None and k < 1) or not any(encoded):
             return [resolved[slot] for slot in fanout]
-        index = self.index()
         if not len(index):
             return [resolved[slot] for slot in fanout]
         layout = index.layout()

@@ -71,6 +71,9 @@ from repro.serve.protocol import (
 from repro.serve.snapshot import SnapshotManager
 from repro.system import Thetis
 
+#: Seconds shutdown waits for open connections before cancelling.
+DRAIN_TIMEOUT = 10.0
+
 
 @dataclass
 class ServeConfig:
@@ -88,8 +91,6 @@ class ServeConfig:
     request_timeout: float = DEFAULT_REQUEST_TIMEOUT
     #: Warm the engine (see ``Thetis.warm``) before flipping /readyz.
     warm_on_start: bool = True
-    #: Seconds shutdown waits for open connections before cancelling.
-    drain_timeout: float = 10.0
     #: Recall guardrail sampling: every Nth prefilter-mode query is
     #: additionally cross-checked against the exact ranking and its
     #: recall@k recorded into the ``/metrics`` prefilter block
@@ -221,7 +222,7 @@ class ThetisServer:
             return
         self._shut_down = True
         self._ready.clear()
-        await self._http.close(self.config.drain_timeout)
+        await self._http.close(DRAIN_TIMEOUT)
         if self._warmup_task is not None:
             try:
                 await self._warmup_task
@@ -467,7 +468,80 @@ class ThetisServer:
         })
 
 
-class ServerThread:
+class LoopThread:
+    """One asyncio node on a dedicated event-loop thread.
+
+    The synchronous start/stop surface the tests and benchmarks drive
+    in-process nodes through: :meth:`start` runs the subclass's
+    ``_start_node`` coroutine on a fresh loop and returns once it is
+    listening (raising :class:`~repro.exceptions.ServeError` if it
+    failed or timed out); :meth:`stop` runs ``_stop_node`` there, then
+    stops and joins the loop thread.  :class:`ServerThread` and the
+    cluster harness's worker and coordinator threads subclass it.
+    """
+
+    def __init__(self, name: str):
+        self._thread = threading.Thread(
+            target=self._run, name=name, daemon=True
+        )
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._listening = threading.Event()
+        self._startup_error: Optional[BaseException] = None
+
+    async def _start_node(self) -> None:
+        raise NotImplementedError
+
+    async def _stop_node(self) -> None:
+        raise NotImplementedError
+
+    def _run(self) -> None:
+        loop = asyncio.new_event_loop()
+        self._loop = loop
+        asyncio.set_event_loop(loop)
+        try:
+            loop.run_until_complete(self._start_node())
+        except BaseException as exc:
+            self._startup_error = exc
+            self._listening.set()
+            loop.close()
+            return
+        self._listening.set()
+        try:
+            loop.run_forever()
+        finally:
+            loop.close()
+
+    def start(self, timeout: float = 60.0) -> "LoopThread":
+        self._thread.start()
+        if not self._listening.wait(timeout):
+            raise ServeError(
+                f"{self._thread.name} did not start listening in time"
+            )
+        if self._startup_error is not None:
+            raise ServeError(
+                f"{self._thread.name} failed to start: {self._startup_error}"
+            )
+        return self
+
+    def stop(self, timeout: float = 30.0) -> None:
+        """Graceful shutdown, then stop and join the loop thread."""
+        if self._loop is None or not self._thread.is_alive():
+            return
+        future = asyncio.run_coroutine_threadsafe(
+            self._stop_node(), self._loop
+        )
+        future.result(timeout)
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout)
+
+    def __enter__(self) -> "LoopThread":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+
+class ServerThread(LoopThread):
     """Run a :class:`ThetisServer` on a dedicated event-loop thread.
 
     The synchronous harness the tests and the latency benchmark
@@ -480,41 +554,14 @@ class ServerThread:
     """
 
     def __init__(self, thetis: Thetis, config: Optional[ServeConfig] = None):
+        super().__init__(name="thetis-serve")
         self.server = ThetisServer(thetis, config or ServeConfig(port=0))
-        self._thread = threading.Thread(
-            target=self._run, name="thetis-serve", daemon=True
-        )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._listening = threading.Event()
-        self._startup_error: Optional[BaseException] = None
 
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(self.server.start())
-        except BaseException as exc:
-            self._startup_error = exc
-            self._listening.set()
-            loop.close()
-            return
-        self._listening.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.close()
+    async def _start_node(self) -> None:
+        await self.server.start()
 
-    # ------------------------------------------------------------------
-    def start(self, timeout: float = 30.0) -> "ServerThread":
-        self._thread.start()
-        if not self._listening.wait(timeout):
-            raise ServeError("server did not start listening in time")
-        if self._startup_error is not None:
-            raise ServeError(
-                f"server failed to start: {self._startup_error}"
-            )
-        return self
+    async def _stop_node(self) -> None:
+        await self.server.shutdown()
 
     @property
     def port(self) -> int:
@@ -525,20 +572,3 @@ class ServerThread:
         if not self.server._ready.wait(timeout):
             raise ServeError("server did not become ready in time")
         return self
-
-    def stop(self, timeout: float = 30.0) -> None:
-        """Graceful shutdown, then stop and join the loop thread."""
-        if self._loop is None or not self._thread.is_alive():
-            return
-        future = asyncio.run_coroutine_threadsafe(
-            self.server.shutdown(), self._loop
-        )
-        future.result(timeout)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout)
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

@@ -393,8 +393,8 @@ class Thetis:
 
         * every kernel engine adopts the source's segmented index
           (immutable segments, shared by reference) with its table
-          layout — the entity kernel with its verified index/lake
-          mirror; the mutation derives its successor.  Entity engines
+          layout and its verified index/lake mirror; the mutation
+          derives its successor.  Entity engines
           also get the source's similarity object, and a scalar one
           its materialized views and shared similarity cache;
         * each LSEI prefilter is forked (copy-on-write) onto this

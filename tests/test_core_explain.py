@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Query, TableSearchEngine, explain_table
+from repro.datalake import Table
 from repro.similarity import Informativeness, TypeJaccardSimilarity
 
 
@@ -20,13 +21,19 @@ def engine(sports_lake, sports_mapping, sports_graph):
 
 class TestExplainTable:
     def test_score_matches_engine(self, engine, sports_lake):
-        """The explanation must reproduce Algorithm 1's score exactly."""
-        query = Query.single("kg:player0", "kg:team0", "kg:city0")
-        for table_id in ("T00", "T03", "T07"):
-            table = sports_lake.get(table_id)
-            explanation = explain_table(engine, query, table)
-            expected = engine.score_table(query, table).score
-            assert explanation.score == pytest.approx(expected)
+        """The explanation must reproduce Algorithm 1's score exactly,
+        the relevance rule included: ``TX`` links nothing, so search
+        drops it and its score is 0.0."""
+        unlinked = Table("TX", ["Who", "What"], [["nobody", "nothing"]])
+        tables = list(sports_lake) + [unlinked]
+        for query in (
+            Query.single("kg:player0", "kg:team0", "kg:city0"),
+            Query.single("kg:player0", "kg:team0"),
+        ):
+            for table in tables:
+                explanation = explain_table(engine, query, table)
+                expected = engine.score_table(query, table).score
+                assert explanation.score == pytest.approx(expected)
 
     def test_multi_tuple_breakdown(self, engine, sports_lake):
         query = Query([("kg:player0", "kg:team0"), ("kg:player9",)])

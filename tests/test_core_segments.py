@@ -228,12 +228,13 @@ class TestTombstones:
             lambda ix: ix.without_table("T1"),  # segment 0 leaves
             lambda ix: ix.with_table(make_table(rng, "N1")),
             lambda ix: ix.without_table("T2"),  # the old segment 1 leaves
-            lambda ix: ix.rebound(mapping, sigma),
+            lambda ix: ix.rebound(compile_segment=ix.compile_segment),
         ]
         for step in steps:
             index = step(index)
             walked = SegmentedCorpusIndex(
-                index.segments, index.dead, mapping, sigma
+                index.segments, index.dead,
+                compile_segment=index.compile_segment,
             )
             assert [
                 (table_id, index.locate_position(table_id))
@@ -286,7 +287,8 @@ class TestTombstones:
             # The owner map, merges included, is a fresh walk's, in
             # scan order.
             walked = SegmentedCorpusIndex(
-                index.segments, index.dead, mapping, sigma
+                index.segments, index.dead,
+                compile_segment=index.compile_segment,
             )
             assert list(index._owner.items()) == list(walked._owner.items())
         assert derived > 20
@@ -386,7 +388,7 @@ class TestLakeLayout:
         for successor in (
             index.without_table("T0"),
             index.with_table(lake.get("T0")),
-            index.rebound(mapping, sigma),
+            index.rebound(compile_segment=index.compile_segment),
             index.without_table("T0").compacted(lake.get),
         ):
             assert successor is not index

@@ -7,11 +7,17 @@ scores every segment and ranks on the layout's flat table axis.  Two
 contracts are pinned here:
 
 * a Hypothesis property over random interleavings of add / remove /
-  re-add / compact: after every step, union (``types`` and
-  ``embeddings``) and join (``containment`` and ``jaccard``) rank like a
-  cold single-segment compile — ids and score bytes — and like the
-  scalar baselines (bit-exact, <= 1e-9 for embeddings), over the whole
-  lake and over restricted reads given both as ids and as ordinals;
+  re-add / compact / unannounced: after every step, union (``types``
+  and ``embeddings``) and join (``containment`` and ``jaccard``) rank
+  like a cold single-segment compile — ids and score bytes — and like
+  the scalar baselines (bit-exact, <= 1e-9 for embeddings), over the
+  whole lake and over restricted reads given both as ids and as
+  ordinals.  An *unannounced* step adds a table under a new id or
+  removes one without ``invalidate_table``: the next read notices that
+  the index no longer mirrors the lake and reconciles it.  The mirror
+  compares table id sets, as the entity engine's always has, so a
+  table replaced in place under the same id still needs
+  ``invalidate_table`` (the re-add step issues it);
 * a structural test: a mutation compiles only the mutated table and
   shares every other segment of the predecessor by identity.
 """
@@ -85,6 +91,7 @@ class Lake:
 
     def __init__(self, rng, tables):
         self.rng = rng
+        self.unannounced = 0
         self.lake = make_random_lake(rng, tables=tables)
         self.mapping = LabelLinker(GRAPH).link_lake(self.lake)
         self.engines = {
@@ -118,6 +125,17 @@ class Lake:
             self.put(fresh_content(self.rng, ids[pick % len(ids)]))
         elif op == "remove" and ids:
             self.drop(ids[pick % len(ids)])
+        elif op == "unannounced":
+            # Behind the engines' back: no invalidate_table.
+            if pick % 2 and ids:
+                victim = ids[pick % len(ids)]
+                self.lake.remove(victim)
+                self.mapping.unlink_table(victim)
+            else:
+                self.unannounced += 1
+                table = fresh_content(self.rng, f"U{self.unannounced}")
+                self.lake.add(table)
+                LabelLinker(GRAPH).link_table(table, self.mapping)
         elif op == "compact":
             for engine in self.engines.values():
                 if pick % 2:
@@ -164,7 +182,9 @@ class Lake:
     tables=st.integers(0, 8),
     steps=st.lists(
         st.tuples(
-            st.sampled_from(["add", "remove", "readd", "compact"]),
+            st.sampled_from(
+                ["add", "remove", "readd", "compact", "unannounced"]
+            ),
             st.integers(0, 50),
         ),
         min_size=1, max_size=10,

@@ -362,6 +362,36 @@ class TestSwapCarriesState:
             ]
 
     @staticmethod
+    def read_tasks(manager):
+        """Union and join rankings of the current generation."""
+        with manager.checkout() as snapshot:
+            return [
+                [(s.table_id, s.score) for s in snapshot.thetis.search_many(
+                    {"q": QUERY}, k=5, task=task
+                )["q"]]
+                for task in ("union", "join")
+            ]
+
+    @staticmethod
+    def tasks_reference(manager):
+        """The scalar union and join baselines over the current
+        generation (they keep no index, so they list nothing)."""
+        from repro.baselines import JoinTableSearch, UnionTableSearch
+
+        thetis = manager.current.thetis
+        return [
+            [(s.table_id, s.score) for s in ranking]
+            for ranking in (
+                UnionTableSearch(
+                    thetis.lake, thetis.mapping, graph=thetis.graph
+                ).search(QUERY, k=5),
+                JoinTableSearch(thetis.lake).search(
+                    QUERY, thetis.graph, k=5
+                ),
+            )
+        ]
+
+    @staticmethod
     def reference(manager):
         """The scalar oracle over a fresh copy of the current generation."""
         thetis = manager.current.thetis
@@ -394,16 +424,21 @@ class TestSwapCarriesState:
         )
         try:
             self.read(manager)  # the first generation checks its lake once
+            self.read_tasks(manager)  # once per task engine too
             listed.clear()
             manager.apply(
                 lambda thetis: thetis.add_table(extra_table(), link=True)
             )
             added = self.read(manager)
             assert added == self.reference(manager)
+            added_tasks = self.read_tasks(manager)
+            assert added_tasks == self.tasks_reference(manager)
             manager.apply(lambda thetis: thetis.remove_table("TX"))
             removed = self.read(manager)
             assert removed == self.reference(manager)
+            removed_tasks = self.read_tasks(manager)
             assert listed == []
+            assert removed_tasks == self.tasks_reference(manager)
             # A lake changed behind the engine's back is still listed.
             thetis = manager.current.thetis
             thetis.lake.add(extra_table("TY"))
