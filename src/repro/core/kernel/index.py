@@ -34,6 +34,7 @@ recompiling, concurrent batches share instances read-only, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple,
 )
@@ -58,6 +59,11 @@ from repro.similarity.types import (
 #: float64 per corpus entity, so the default keeps even large corpora
 #: within tens of megabytes.
 DEFAULT_ROW_CACHE_SIZE = 4096
+
+#: Tables compiled per numpy pass by :class:`CorpusIndex`: large enough
+#: that the per-pass overhead vanishes, small enough that the pass's
+#: temporaries do not raise a cold start's memory high-water mark.
+COMPILE_CHUNK_TABLES = 256
 
 if hasattr(np, "bitwise_count"):
     def _popcount(words: np.ndarray) -> np.ndarray:
@@ -348,30 +354,17 @@ class CorpusIndex:
         mapping: EntityMapping,
         sigma: EntitySimilarity,
     ):
-        grids = []
-        uri_set = set()
-        for table in tables:
-            grid = [
-                mapping.entity_row(table.table_id, row, table.num_columns)
-                for row in range(table.num_rows)
-            ]
-            grids.append((table, grid))
-            for row in grid:
-                for uri in row:
-                    if uri is not None:
-                        uri_set.add(uri)
-        self.uris: List[str] = sorted(uri_set)
-        self.id_of: Dict[str, int] = {
-            uri: index for index, uri in enumerate(self.uris)
-        }
+        tables = list(tables)
         self._postings: Optional[EntityPostings] = None
-        self.kernel = compile_kernel(sigma, self.uris, self.id_of)
         self._rows = LRUCache(DEFAULT_ROW_CACHE_SIZE)
         self._tuples = LRUCache(DEFAULT_ROW_CACHE_SIZE // 8)
-        self._compile_corpus(grids)
+        self._compile_corpus(tables, mapping)
+        self.kernel = compile_kernel(sigma, self.uris, self.id_of)
 
-    def _compile_corpus(self, grids) -> None:
-        """Compile ``(table, grid)`` pairs into corpus-wide arrays.
+    def _compile_corpus(
+        self, tables: List[Table], mapping: EntityMapping
+    ) -> None:
+        """Compile the tables' linked cells into corpus-wide arrays.
 
         These power the engine's batched kernel: one global column
         space (table ``t``'s column ``c`` is global column
@@ -380,20 +373,25 @@ class CorpusIndex:
         tables with a few fancy indexes and build all their
         column-relevance matrices with one ``bincount``, and the
         column-major ``flat_ids``/``col_start`` pair lets one fancy
-        index gather every assigned column of every table.  The nnz
-        triples keep each table's per-column order, so the fused
-        reduction accumulates in the scalar engine's IEEE order.
+        index gather every assigned column of every table.
+
+        Python touches only the linked cells, read through
+        :meth:`~repro.linking.mapping.EntityMapping.table_cells`, in
+        chunks of :data:`COMPILE_CHUNK_TABLES` tables so the numpy
+        temporaries stay small.  A link outside its table's grid is
+        skipped.  Entities get provisional ids in order of appearance,
+        renumbered into sorted-URI order once every chunk is read.
         """
-        self.table_ids: List[str] = [table.table_id for table, _ in grids]
+        self.table_ids: List[str] = [table.table_id for table in tables]
         self._table_pos: Dict[str, int] = {
             table_id: position
             for position, table_id in enumerate(self.table_ids)
         }
         self.table_rows = np.array(
-            [table.num_rows for table, _ in grids], dtype=np.int64
+            [table.num_rows for table in tables], dtype=np.int64
         )
         self.table_columns = np.array(
-            [table.num_columns for table, _ in grids], dtype=np.int64
+            [table.num_columns for table in tables], dtype=np.int64
         )
         self.col_offset = np.concatenate(
             ([0], np.cumsum(self.table_columns))
@@ -406,18 +404,42 @@ class CorpusIndex:
         self.col_start = np.concatenate(
             ([0], np.cumsum(np.repeat(self.table_rows, self.table_columns)))
         ).astype(np.int64)
-        flat_ids: List[int] = []
-        nnz: Tuple[List[int], List[int], List[int]] = ([], [], [])
+        provisional: Dict[str, int] = {}
+        flat_ids = np.full(int(self.col_start[-1]), -1, dtype=np.int32)
+        # One (columns, provisional ids, counts) triple per chunk, after
+        # an empty one that fixes the dtypes of an empty selection.
+        nnz: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = [(
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.float64),
+        )]
+        for start in range(0, len(tables), COMPILE_CHUNK_TABLES):
+            cells = [
+                mapping.table_cells(table.table_id)
+                for table in tables[start:start + COMPILE_CHUNK_TABLES]
+            ]
+            nnz.append(
+                self._compile_chunk(start, cells, provisional, flat_ids)
+            )
+        self.uris: List[str] = sorted(provisional)
+        self.id_of: Dict[str, int] = {
+            uri: index for index, uri in enumerate(self.uris)
+        }
+        # final[p] is the sorted-order id of provisional id p; the
+        # trailing -1 maps an unlinked cell's -1 to itself.
+        final = np.full(len(provisional) + 1, -1, dtype=np.int32)
+        final[:-1] = np.fromiter(
+            map(self.id_of.__getitem__, provisional), dtype=np.int32,
+            count=len(provisional),
+        )
+        self.flat_ids = final[flat_ids]
+        self.nnz_gcolumns, nnz_ids, self.nnz_gcounts = map(
+            np.concatenate, zip(*nnz)
+        )
+        self.nnz_gids = final[nnz_ids]
         # Table t's nnz triples live in [nnz_toffset[t], nnz_toffset[t+1]).
-        nnz_toffset = [0]
-        for (table, grid), first_column in zip(grids, self.col_offset):
-            self._compile_table(table, grid, int(first_column), flat_ids, nnz)
-            nnz_toffset.append(len(nnz[0]))
-        self.flat_ids = np.asarray(flat_ids, dtype=np.int32)
-        self.nnz_gcolumns = np.asarray(nnz[0], dtype=np.int64)
-        self.nnz_gids = np.asarray(nnz[1], dtype=np.int32)
-        self.nnz_gcounts = np.asarray(nnz[2], dtype=np.float64)
-        self.nnz_toffset = np.asarray(nnz_toffset, dtype=np.int64)
+        self.nnz_toffset = np.searchsorted(
+            self.nnz_gcolumns, self.col_offset
+        ).astype(np.int64)
         for array in (
             self.table_rows, self.table_columns, self.col_offset,
             self.row_offset, self.flat_ids, self.col_start,
@@ -426,32 +448,72 @@ class CorpusIndex:
         ):
             array.setflags(write=False)
 
-    def _compile_table(self, table, grid, first_column, flat_ids, nnz) -> None:
-        """Append one table's cells and column multisets to the corpus.
+    def _compile_chunk(
+        self,
+        start: int,
+        cells: List[Mapping[Tuple[int, int], str]],
+        provisional: Dict[str, int],
+        flat_ids: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Compile the chunk of tables from position ``start`` on.
 
-        ``flat_ids`` gets the id grid column by column (``-1`` marks a
-        null or unlinked cell).  ``nnz`` gets one (global column, entity
-        id, count) triple per distinct entity of each column, in
-        first-occurrence order down the column: the scalar engine's
-        ``_column_entity_counts`` insertion order, so the ``bincount``
-        reduction adds terms in the scalar sum's order and the
-        column-relevance matrix stays bit-equal.
+        ``cells`` holds each table's links; an entity not yet in
+        ``provisional`` gets the next provisional id there.  Scatters
+        the chunk's provisional entity ids into ``flat_ids``
+        (``-1`` stays on null and unlinked cells) and returns its nnz
+        triples: one (global column, provisional id, count) per
+        distinct entity of each column, columns ascending and, within a
+        column, in first-occurrence order down the rows.  That is the
+        scalar engine's ``_column_entity_counts`` insertion order, so
+        the ``bincount`` reduction adds terms in the scalar sum's order
+        and the column-relevance matrix stays bit-equal.
         """
-        id_of = self.id_of
-        nnz_columns, nnz_ids, nnz_counts = nnz
-        for column in range(table.num_columns):
-            counter: Dict[int, int] = {}
-            for row in grid:
-                uri = row[column]
-                if uri is None:
-                    flat_ids.append(-1)
-                    continue
-                entity_id = id_of[uri]
-                flat_ids.append(entity_id)
-                counter[entity_id] = counter.get(entity_id, 0) + 1
-            nnz_columns.extend([first_column + column] * len(counter))
-            nnz_ids.extend(counter)
-            nnz_counts.extend(counter.values())
+        links = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+        total = int(links.sum())
+        coords = np.fromiter(
+            chain.from_iterable(chain.from_iterable(
+                table_cells.keys() for table_cells in cells
+            )),
+            dtype=np.int64, count=2 * total,
+        ).reshape(total, 2)
+        table = np.repeat(np.arange(start, start + len(cells)), links)
+        rows, columns = coords[:, 0], coords[:, 1]
+        uris: Iterable[str] = chain.from_iterable(
+            table_cells.values() for table_cells in cells
+        )
+        inside = (
+            (rows < self.table_rows[table])
+            & (columns < self.table_columns[table])
+        )
+        if not inside.all():
+            uris = compress(uris, inside.tolist())
+            rows, columns, table = rows[inside], columns[inside], table[inside]
+        uris = list(uris)
+        chunk_ids = dict.fromkeys(uris)
+        for uri in chunk_ids:
+            chunk_ids[uri] = provisional.setdefault(uri, len(provisional))
+        ids = np.fromiter(
+            map(chunk_ids.__getitem__, uris), dtype=np.int64, count=len(uris)
+        )
+        gcolumns = self.col_offset[table] + columns
+        positions = self.col_start[gcolumns] + rows
+        flat_ids[positions] = ids
+        # Cells are distinct, so sorting by position is column-major
+        # order.  A stable sort on (column, entity) then puts each
+        # group's first occurrence at its head.
+        order = np.argsort(positions)
+        gcolumns, ids = gcolumns[order], ids[order]
+        pairs = gcolumns * len(provisional) + ids
+        by_pair = np.argsort(pairs, kind="stable")
+        pairs = pairs[by_pair]
+        head = np.ones(len(pairs), dtype=bool)
+        head[1:] = pairs[1:] != pairs[:-1]
+        heads = np.flatnonzero(head)
+        counts = np.diff(np.append(heads, len(pairs)))
+        first = by_pair[heads]
+        emit = np.argsort(first)
+        first = first[emit]
+        return gcolumns[first], ids[first], counts[emit].astype(np.float64)
 
     # ------------------------------------------------------------------
     @property

@@ -30,10 +30,7 @@ def mapping_to_dict(mapping: EntityMapping) -> dict:
 
 def mapping_from_dict(payload: dict) -> EntityMapping:
     """Rebuild an :class:`EntityMapping` from :func:`mapping_to_dict`."""
-    mapping = EntityMapping()
-    for table_id, row, column, uri in payload.get("links", []):
-        mapping.link(table_id, int(row), int(column), uri)
-    return mapping
+    return EntityMapping.from_links(payload.get("links", []))
 
 
 def save_mapping(mapping: EntityMapping, path: PathLike) -> None:

@@ -10,8 +10,13 @@ required to behave well at any coverage level (Section 7.5).
 
 from __future__ import annotations
 
+from itertools import groupby, islice
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence,
+    Set, Tuple,
+)
 
 from repro.cow import CopyOnWriteDict
 from repro.exceptions import LinkingError
@@ -19,6 +24,15 @@ from repro.exceptions import LinkingError
 CellRef = Tuple[str, int, int]  # (table_id, row index, column index)
 
 _NO_CELLS = MappingProxyType({})
+
+
+def _relink_error(
+    table_id: str, row: int, column: int, existing: str, uri: str
+) -> LinkingError:
+    return LinkingError(
+        f"cell {(table_id, row, column)} already linked to {existing!r}, "
+        f"cannot relink to {uri!r}"
+    )
 
 
 class EntityMapping:
@@ -49,6 +63,22 @@ class EntityMapping:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
+    @classmethod
+    def from_links(cls, links: Iterable[Sequence]) -> "EntityMapping":
+        """A mapping of ``(table_id, row, column, uri)`` entries, in bulk.
+
+        Equal to calling :meth:`link` on every entry in order: the same
+        cells, counts, iteration orders and errors.  Each run of one
+        table's consecutive entries is linked by one :meth:`_link_run`
+        (a mapping file keeps a table's links together), so the cost is
+        a dict pass over the links rather than a method call per link;
+        :meth:`link` stays the one-cell form for incremental linking.
+        """
+        mapping = cls()
+        for table_id, run in groupby(links, key=itemgetter(0)):
+            mapping._link_run(table_id, run)
+        return mapping
+
     def link(self, table_id: str, row: int, column: int, uri: str) -> None:
         """Record that cell ``(row, column)`` of ``table_id`` mentions ``uri``.
 
@@ -60,10 +90,7 @@ class EntityMapping:
         existing = self.entity_at(table_id, row, column)
         if existing is not None:
             if existing != uri:
-                raise LinkingError(
-                    f"cell {(table_id, row, column)} already linked to "
-                    f"{existing!r}, cannot relink to {uri!r}"
-                )
+                raise _relink_error(table_id, row, column, existing, uri)
             return
         self._cells.writable(table_id)[(row, column)] = uri
         counts = self._counts.writable(table_id)
@@ -72,6 +99,33 @@ class EntityMapping:
         if not count:
             self._frequency[uri] = self._frequency.get(uri, 0) + 1
         self._size += 1
+
+    def _link_run(self, table_id: str, run: Iterable[Sequence]) -> None:
+        """Link ``(table_id, row, column, uri)`` entries of one table.
+
+        Writes the table's containers through the copy-on-write
+        ownership record once, and moves each entity's table frequency
+        once, however many of the run's cells link it.
+        """
+        cells = self._cells.writable(table_id)
+        counts = self._counts.writable(table_id)
+        linked, known = len(cells), len(counts)
+        for _table, row, column, uri in run:
+            row, column = int(row), int(column)
+            if row < 0 or column < 0:
+                raise LinkingError("cell coordinates must be non-negative")
+            existing = cells.get((row, column))
+            if existing is None:
+                cells[row, column] = uri
+                counts[uri] = counts.get(uri, 0) + 1
+            elif existing != uri:
+                raise _relink_error(table_id, row, column, existing, uri)
+        # The entities this run brought to the table come last in its
+        # counts, in the order a per-link replay would have met them.
+        frequency = self._frequency
+        for uri in islice(counts, known, None):
+            frequency[uri] = frequency.get(uri, 0) + 1
+        self._size += len(cells) - linked
 
     def unlink(self, table_id: str, row: int, column: int) -> Optional[str]:
         """Remove the link of a cell; returns the URI it pointed to, if any."""
@@ -121,6 +175,15 @@ class EntityMapping:
     def entity_at(self, table_id: str, row: int, column: int) -> Optional[str]:
         """Return the entity URI linked at a cell, or ``None``."""
         return self._cells.get(table_id, _NO_CELLS).get((row, column))
+
+    def table_cells(self, table_id: str) -> Mapping[Tuple[int, int], str]:
+        """A read-only view of one table's links, ``(row, column) -> uri``.
+
+        Live: a later write to this mapping's links of ``table_id`` shows
+        through.  Empty for a table without links.
+        """
+        cells = self._cells.get(table_id)
+        return _NO_CELLS if cells is None else MappingProxyType(cells)
 
     def entity_row(self, table_id: str, row: int, num_columns: int) -> List[Optional[str]]:
         """Return the row's per-column entity URIs (``None`` where unlinked).

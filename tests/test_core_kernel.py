@@ -9,9 +9,12 @@ swaps, parallel sharding, and pickling.
 """
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.aggregation import (
     QueryAggregation,
@@ -25,6 +28,7 @@ from repro.core.kernel import (
     VectorizedTableSearchEngine,
     compile_kernel,
 )
+from repro.core.kernel import index as index_module
 from repro.core.kernel.index import (
     EmbeddingMatmulKernel,
     ScalarLoopKernel,
@@ -422,6 +426,123 @@ class TestCorpusIndex:
         index.sims_row(ENTITIES[1], profile)  # memo hit: calls only
         assert profile.similarity_calls == 2 * index.num_entities
         assert profile.similarity_misses == index.num_entities
+
+
+# ----------------------------------------------------------------------
+# The numpy compile against the grid walk it replaced
+# ----------------------------------------------------------------------
+COMPILED_ARRAYS = (
+    "table_rows", "table_columns", "col_offset", "row_offset", "flat_ids",
+    "col_start", "nnz_gcolumns", "nnz_gids", "nnz_gcounts", "nnz_toffset",
+)
+
+
+def grid_walk_compile(tables, mapping):
+    """Reference compile: read every cell of every table through
+    ``entity_row`` and count each column's entities in first-occurrence
+    order, as ``CorpusIndex`` compiled before it read only the links."""
+    grids = [
+        (table, [mapping.entity_row(table.table_id, row, table.num_columns)
+                 for row in range(table.num_rows)])
+        for table in tables
+    ]
+    uris = sorted({
+        uri for _, grid in grids for row in grid for uri in row
+        if uri is not None
+    })
+    id_of = {uri: index for index, uri in enumerate(uris)}
+    table_rows = np.array([t.num_rows for t in tables], dtype=np.int64)
+    table_columns = np.array([t.num_columns for t in tables], dtype=np.int64)
+    col_offset = np.concatenate(
+        ([0], np.cumsum(table_columns))).astype(np.int64)
+    flat_ids, nnz_gcolumns, nnz_gids, nnz_gcounts = [], [], [], []
+    nnz_toffset = [0]
+    for (table, grid), first in zip(grids, col_offset):
+        for column in range(table.num_columns):
+            counter = {}
+            for row in grid:
+                uri = row[column]
+                flat_ids.append(-1 if uri is None else id_of[uri])
+                if uri is not None:
+                    counter[id_of[uri]] = counter.get(id_of[uri], 0) + 1
+            nnz_gcolumns.extend([int(first) + column] * len(counter))
+            nnz_gids.extend(counter)
+            nnz_gcounts.extend(counter.values())
+        nnz_toffset.append(len(nnz_gcolumns))
+    arrays = {
+        "table_rows": table_rows,
+        "table_columns": table_columns,
+        "col_offset": col_offset,
+        "row_offset": np.concatenate(
+            ([0], np.cumsum(table_rows))).astype(np.int64),
+        "flat_ids": np.asarray(flat_ids, dtype=np.int32),
+        "col_start": np.concatenate(
+            ([0], np.cumsum(np.repeat(table_rows, table_columns)))
+        ).astype(np.int64),
+        "nnz_gcolumns": np.asarray(nnz_gcolumns, dtype=np.int64),
+        "nnz_gids": np.asarray(nnz_gids, dtype=np.int32),
+        "nnz_gcounts": np.asarray(nnz_gcounts, dtype=np.float64),
+        "nnz_toffset": np.asarray(nnz_toffset, dtype=np.int64),
+    }
+    return arrays, uris, [table.table_id for table in tables]
+
+
+def assert_compiles_like_the_grid_walk(tables, mapping):
+    expected, uris, table_ids = grid_walk_compile(tables, mapping)
+    index = CorpusIndex(tables, mapping, ExactMatchSimilarity())
+    for name in COMPILED_ARRAYS:
+        got = getattr(index, name)
+        assert got.dtype == expected[name].dtype, name
+        np.testing.assert_array_equal(got, expected[name], err_msg=name)
+    assert index.uris == uris
+    assert index.table_ids == table_ids
+
+
+@st.composite
+def linked_lakes(draw):
+    """Small lakes with nulls, zero-row and linkless tables, an entity
+    repeated down and across columns, and links outside the grid."""
+    entities = [f"kg:e{i}" for i in range(draw(st.integers(1, 4)))]
+    tables, mapping = [], EntityMapping()
+    for t in range(draw(st.integers(1, 7))):
+        columns = draw(st.integers(1, 4))
+        num_rows = draw(st.integers(0, 5))
+        rows = [
+            [None if draw(st.booleans()) else f"v{r}.{c}"
+             for c in range(columns)]
+            for r in range(num_rows)
+        ]
+        tables.append(Table(f"T{t}", [f"a{c}" for c in range(columns)], rows))
+        # Coordinates up to two past the grid: those links are skipped.
+        cells = draw(st.dictionaries(
+            st.tuples(st.integers(0, num_rows + 1),
+                      st.integers(0, columns + 1)),
+            st.sampled_from(entities), max_size=12,
+        ))
+        for (row, column), uri in cells.items():
+            mapping.link(f"T{t}", row, column, uri)
+    return tables, mapping
+
+
+class TestCompileParity:
+    @settings(max_examples=60, deadline=None)
+    @given(lake=linked_lakes(), chunk=st.sampled_from([1, 2, 3, 256]))
+    def test_arrays_equal_the_grid_walk(self, lake, chunk):
+        tables, mapping = lake
+        with mock.patch.object(index_module, "COMPILE_CHUNK_TABLES", chunk):
+            assert_compiles_like_the_grid_walk(tables, mapping)
+            for table in tables:
+                assert_compiles_like_the_grid_walk([table], mapping)
+            assert_compiles_like_the_grid_walk(tables[1:], mapping)
+            assert_compiles_like_the_grid_walk([], mapping)
+
+    def test_selection_straddling_the_default_chunk(self):
+        rng = random.Random(53)
+        lake, mapping = make_lake(
+            rng, num_tables=index_module.COMPILE_CHUNK_TABLES + 9)
+        tables = list(lake)
+        assert_compiles_like_the_grid_walk(tables, mapping)
+        assert_compiles_like_the_grid_walk(tables[3:260], mapping)
 
 
 class TestKernels:

@@ -1,9 +1,11 @@
 """Unit tests for the bidirectional entity mapping Phi."""
 
+import random
+
 import pytest
 
 from repro.exceptions import LinkingError
-from repro.linking import EntityMapping
+from repro.linking import EntityMapping, mapping_from_dict, mapping_to_dict
 
 
 @pytest.fixture()
@@ -99,3 +101,93 @@ class TestMutation:
         assert ("T1", 9, 9) not in mapping
         assert set(mapping.all_entities()) == {"kg:a", "kg:b"}
         assert len(list(mapping.all_links())) == 4
+
+
+def replayed(links):
+    """The reference load: one ``link()`` call per entry, in order."""
+    mapping = EntityMapping()
+    for table_id, row, column, uri in links:
+        mapping.link(table_id, row, column, uri)
+    return mapping
+
+
+def assert_same_mapping(got, expected):
+    assert len(got) == len(expected)
+    assert list(got.all_links()) == list(expected.all_links())
+    assert list(got.table_frequencies().items()) == list(
+        expected.table_frequencies().items()
+    )
+    tables = {cell[0] for cell, _uri in expected.all_links()}
+    for table_id in tables:
+        assert list(got.table_cells(table_id).items()) == list(
+            expected.table_cells(table_id).items()
+        )
+        assert got.entities_by_column(table_id) == (
+            expected.entities_by_column(table_id)
+        )
+
+
+class TestBulkLoad:
+    def test_equals_link_replay_on_the_sports_mapping(self, sports_mapping):
+        links = mapping_to_dict(sports_mapping)["links"]
+        assert_same_mapping(mapping_from_dict({"links": links}),
+                            replayed(links))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_link_replay_on_a_shuffled_payload(
+        self, sports_mapping, seed
+    ):
+        links = mapping_to_dict(sports_mapping)["links"]
+        random.Random(seed).shuffle(links)
+        # Shuffled, a table's links are no longer contiguous.
+        firsts = [entry[0] for entry in links]
+        assert any(
+            firsts[i] != firsts[i + 1] and firsts[i] in firsts[i + 2:]
+            for i in range(len(firsts) - 2)
+        )
+        loaded = mapping_from_dict({"links": links})
+        assert_same_mapping(loaded, replayed(links))
+        assert dict(loaded.all_links()) == dict(sports_mapping.all_links())
+
+    def test_identical_duplicate_is_ignored(self):
+        links = [["T1", 0, 0, "kg:a"], ["T2", 1, 0, "kg:a"],
+                 ["T1", 0, 0, "kg:a"], ["T1", 2, 1, "kg:b"]]
+        loaded = mapping_from_dict({"links": links})
+        assert len(loaded) == 3
+        assert loaded.table_frequency("kg:a") == 2
+        assert_same_mapping(loaded, replayed(links))
+
+    @pytest.mark.parametrize("links", [
+        [["T1", 0, 0, "kg:a"], ["T1", -1, 0, "kg:b"]],
+        [["T1", 0, 0, "kg:a"], ["T2", 0, -3, "kg:b"]],
+    ])
+    def test_negative_coordinate_rejected(self, links):
+        with pytest.raises(LinkingError, match="non-negative"):
+            mapping_from_dict({"links": links})
+
+    @pytest.mark.parametrize("links", [
+        [["T1", 0, 0, "kg:a"], ["T1", 0, 0, "kg:b"]],
+        [["T1", 0, 0, "kg:a"], ["T2", 0, 0, "kg:c"], ["T1", 0, 0, "kg:b"]],
+    ])
+    def test_relink_conflict_rejected_like_link(self, links):
+        with pytest.raises(LinkingError) as replay_error:
+            replayed(links)
+        with pytest.raises(LinkingError) as bulk_error:
+            mapping_from_dict({"links": links})
+        assert str(bulk_error.value) == str(replay_error.value)
+
+    def test_write_to_a_copy_leaves_the_loaded_mapping(self, sports_mapping):
+        loaded = mapping_from_dict(mapping_to_dict(sports_mapping))
+        before = list(loaded.all_links())
+        frequencies = loaded.table_frequencies()
+        (table_id, row, column), uri = before[0]
+        clone = loaded.copy()
+        clone.unlink(table_id, row, column)
+        clone.link(table_id, 999, 0, "kg:new")
+        clone.unlink_table(before[-1][0][0])
+        assert list(loaded.all_links()) == before
+        assert loaded.table_frequencies() == frequencies
+        assert loaded.entity_at(table_id, 999, 0) is None
+        # And the other way round: the loaded side writes privately too.
+        loaded.link(table_id, 998, 0, "kg:other")
+        assert clone.entity_at(table_id, 998, 0) is None
