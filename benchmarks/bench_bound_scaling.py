@@ -144,8 +144,7 @@ def _measure(tables):
         )
         profile = engine.profile
         for tuples in queries:
-            for query_tuple in tuples:
-                segment.tuple_rows(query_tuple, profile)
+            segment.lane_rows(tuples, profile)
             bounds, signals = engine._candidate_bounds(
                 segment, tuples, positions, profile
             )

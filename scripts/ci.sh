@@ -79,6 +79,12 @@ stage "prefilter smoke: candidate reduction + recall gate" \
     --quick \
     --benchmark-disable
 
+stage "bound smoke: postings bound pass vs the dense reference" \
+    python -m pytest -x -q -s \
+    "benchmarks/bench_bound_scaling.py" \
+    --quick \
+    --benchmark-disable
+
 stage "union/join smoke: task kernels parity + speedup + served tasks" \
     python -m pytest -x -q -s \
     "benchmarks/bench_union_join.py" \

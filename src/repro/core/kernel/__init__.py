@@ -5,7 +5,7 @@ The package has two halves:
 * :mod:`repro.core.kernel.index` — the compiled, read-only
   :class:`CorpusIndex` (interned entity ids, columnar per-table entity
   grids, type bitmaps for popcount Jaccard, stacked unit embeddings for
-  matmul cosine, memoized similarity rows);
+  matmul cosine, similarity rows memoized within a byte budget);
 * :mod:`repro.core.kernel.engine` — the
   :class:`VectorizedTableSearchEngine`, a stand-alone engine (no
   scalar base class) evaluating Algorithm 1 with array reductions at
@@ -24,7 +24,7 @@ from repro.core.kernel.engine import (
     VectorizedTableSearchEngine,
 )
 from repro.core.kernel.index import (
-    DEFAULT_ROW_CACHE_SIZE,
+    ROW_MEMO_BYTES,
     CorpusIndex,
     SimilarityKernel,
     compile_kernel,
@@ -55,9 +55,9 @@ __all__ = [
     "ENGINE_KINDS",
     "BatchStats",
     "CorpusIndex",
-    "DEFAULT_ROW_CACHE_SIZE",
     "JoinCorpusIndex",
     "PrefilterStats",
+    "ROW_MEMO_BYTES",
     "SegmentedCorpusIndex",
     "SegmentedIndexStats",
     "SimilarityKernel",

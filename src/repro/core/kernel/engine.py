@@ -62,7 +62,7 @@ from repro.core.assignment import (
     enumeration_chunks,
     max_assignment,
 )
-from repro.core.cache import CacheStats, LRUCache
+from repro.core.cache import CacheStats
 from repro.core.kernel.index import CorpusIndex, EntityPostings
 from repro.core.kernel.segments import (
     SegmentedCorpusIndex,
@@ -393,8 +393,8 @@ class VectorizedTableSearchEngine(SegmentedEngine):
     -----
     Every score — ``search``, ``search_batch`` and ``score_table`` —
     comes from one kernel pass, :meth:`_segment_tuples`.  Its only
-    caches are the segments' similarity-row and tuple memos, bounded
-    by :data:`~repro.core.kernel.index.DEFAULT_ROW_CACHE_SIZE`.  The
+    cache is each segment's similarity-row memo, bounded in bytes by
+    :data:`~repro.core.kernel.index.ROW_MEMO_BYTES`.  The
     index lifecycle, its mirror of the lake included, is
     :class:`~repro.core.kernel.segments.SegmentedEngine`'s; this class
     adds the ``index_dir`` load, the postings built after a
@@ -427,11 +427,6 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         self.drop_irrelevant = drop_irrelevant
         self.index_dir = index_dir
         self.profile = ScoringProfile()
-        # Informativeness weights per query tuple; entries carry the
-        # informativeness object they were computed from, so swapping
-        # the weight function (Thetis does on lake mutations) never
-        # serves stale weights.
-        self._tuple_weights_cache = LRUCache(256)
 
     # ------------------------------------------------------------------
     # Index lifecycle (SegmentedEngine, plus the disk index)
@@ -479,32 +474,24 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         return stats
 
     def cache_stats(self) -> Dict[str, CacheStats]:
-        """The segments' row and tuple memos (empty while cold)."""
+        """The segments' row memos, sized in bytes (empty while cold)."""
         # Stats reporting must not serialize against an in-flight index
         # build; None just means "cold".
         index = self.export_index()
         if index is None:
             return {}
-        return {
-            "kernel_rows": index.row_cache_stats(),
-            "kernel_tuples": index.tuple_cache_stats(),
-        }
+        return {"kernel_rows": index.row_cache_stats()}
 
     # ------------------------------------------------------------------
     # Vectorized Algorithm 1
     # ------------------------------------------------------------------
-    def _tuple_weights(self, query_tuple) -> np.ndarray:
-        """Informativeness weights of a tuple, memoized per tuple."""
-        entry = self._tuple_weights_cache.get(query_tuple)
-        if entry is not None and entry[0] is self.informativeness:
-            return entry[1]
-        weights = np.array(
-            [self.informativeness(uri) for uri in query_tuple]
+    def _lane_weights(self, tuples) -> np.ndarray:
+        """Informativeness weight of every lane of ``tuples``, in order."""
+        return np.array(
+            [self.informativeness(uri) for query_tuple in tuples
+             for uri in query_tuple],
+            dtype=np.float64,
         )
-        self._tuple_weights_cache.put(
-            query_tuple, (self.informativeness, weights)
-        )
-        return weights
 
     # ------------------------------------------------------------------
     # Batched scoring kernel
@@ -573,9 +560,7 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         # (tuples, widest): each tuple position's lane (0 at padding).
         lanes = _lane_pad(np.arange(stack), widths)
         valid = _lane_pad(np.ones(stack, dtype=bool), widths)
-        sims_stack = np.concatenate([
-            segment.tuple_rows(query_tuple, profile) for query_tuple in tuples
-        ])
+        sims_stack = segment.lane_rows(tuples, profile)
         map_start = time.perf_counter()
         lane_sims = sims_stack[:, segment.nnz_gids[entries]]
         keys = nnz_columns + (np.arange(stack) * total_columns)[:, None]
@@ -590,9 +575,7 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         profile.mapping_seconds += time.perf_counter() - map_start
         # (tuples, tables, widest): assigned positions of tables with rows.
         active = (assignment >= 0) & (table_rows > 0)[:, None]
-        weights = _lane_pad(np.concatenate([
-            self._tuple_weights(query_tuple) for query_tuple in tuples
-        ]), widths)
+        weights = _lane_pad(self._lane_weights(tuples), widths)
         if row_agg_max and not per_row_semantics:
             column_nnz = np.bincount(nnz_columns, minlength=total_columns)
             filled = np.flatnonzero(column_nnz)
@@ -714,9 +697,7 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         """
         postings = segment.postings()
         num_entities = segment.num_entities
-        stack = np.concatenate([
-            segment.tuple_rows(query_tuple, profile) for query_tuple in tuples
-        ])
+        stack = segment.lane_rows(tuples, profile)
         lanes = np.arange(len(stack))
         m = min(BOUND_TOP_M if top_m is None else top_m, num_entities)
         if m < num_entities:
@@ -753,9 +734,9 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         )
         coordinates = coordinates.reshape(len(stack), columns)
         widths = [len(query_tuple) for query_tuple in tuples]
-        column_bounds = lane_bounds(coordinates, np.concatenate([
-            self._tuple_weights(query_tuple) for query_tuple in tuples
-        ]), widths)
+        column_bounds = lane_bounds(
+            coordinates, self._lane_weights(tuples), widths
+        )
         bounds = np.repeat(column_bounds[:, -1:], len(positions), axis=1)
         bounds[:, touched] = column_bounds[:, :-1]
         # Per tuple, an OR over its lanes: a zero-padded stack's ``any``.

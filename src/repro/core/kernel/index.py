@@ -19,9 +19,12 @@ is one batched kernel pass instead of thousands of scalar calls:
   adjusted Jaccard of Equation 4 with bitwise AND + popcount, and unit
   embeddings stacked into one matrix answer clamped cosine with a
   single matrix-vector product;
-* computed similarity rows are memoized in a bounded
-  :class:`~repro.core.cache.LRUCache` (the batched analogue of the
-  scalar engine's :class:`~repro.core.cache.SimilarityCache`).
+* computed similarity rows are memoized in an
+  :class:`~repro.core.cache.LRUCache` bounded in bytes by
+  :data:`ROW_MEMO_BYTES` (the batched analogue of the scalar engine's
+  :class:`~repro.core.cache.SimilarityCache`).  A row is held once:
+  :meth:`CorpusIndex.lane_rows` stacks a batch's lanes from it, and the
+  index keeps no other per-entity memo.
 
 The index is immutable once compiled.  It is the *segment* unit of the
 incremental :class:`~repro.core.kernel.segments.SegmentedCorpusIndex`:
@@ -55,10 +58,14 @@ from repro.similarity.types import (
     TypeJaccardSimilarity,
 )
 
-#: Bound of the per-query-entity similarity-row memo.  Each entry is one
-#: float64 per corpus entity, so the default keeps even large corpora
-#: within tens of megabytes.
-DEFAULT_ROW_CACHE_SIZE = 4096
+#: Byte budget of one segment's similarity-row memo.  A row is one
+#: float64 per entity of the segment, so the memo holds
+#: ``ROW_MEMO_BYTES // (8 * entities)`` rows, and at least one.  The
+#: budget is per segment: segments are shared by reference across index
+#: instances, so their memos survive mutations.  An index's memos
+#: together hold at most live segments x ``ROW_MEMO_BYTES`` (plus one
+#: row per segment whose single row is larger than the budget).
+ROW_MEMO_BYTES = 64 * 1024 * 1024
 
 #: Tables compiled per numpy pass by :class:`CorpusIndex`: large enough
 #: that the per-pass overhead vanishes, small enough that the pass's
@@ -356,9 +363,8 @@ class CorpusIndex:
     ):
         tables = list(tables)
         self._postings: Optional[EntityPostings] = None
-        self._rows = LRUCache(DEFAULT_ROW_CACHE_SIZE)
-        self._tuples = LRUCache(DEFAULT_ROW_CACHE_SIZE // 8)
         self._compile_corpus(tables, mapping)
+        self._rows = self._row_memo()
         self.kernel = compile_kernel(sigma, self.uris, self.id_of)
 
     def _compile_corpus(
@@ -590,8 +596,7 @@ class CorpusIndex:
         index.uris = list(uris)
         index.id_of = {uri: i for i, uri in enumerate(index.uris)}
         index.kernel = kernel
-        index._rows = LRUCache(DEFAULT_ROW_CACHE_SIZE)
-        index._tuples = LRUCache(DEFAULT_ROW_CACHE_SIZE // 8)
+        index._rows = index._row_memo()
         index.table_ids = list(table_ids)
         index._table_pos = {
             table_id: position
@@ -610,28 +615,24 @@ class CorpusIndex:
         index.nnz_toffset = arrays["nnz_toffset"]
         return index
 
-    def tuple_rows(self, query_tuple, profile=None) -> np.ndarray:
-        """Stacked similarity rows for a whole query tuple, memoized.
+    def _row_memo(self) -> LRUCache:
+        """An empty row memo holding :data:`ROW_MEMO_BYTES` of rows."""
+        return LRUCache(
+            max(1, ROW_MEMO_BYTES // (8 * max(1, self.num_entities)))
+        )
 
-        Returns a read-only ``(len(query_tuple), num_entities)`` matrix
-        whose row ``p`` is :meth:`sims_row` of the tuple's ``p``-th
-        entity.  Queries repeat tuples across every candidate table, so
-        memoizing the stacked (C-contiguous) matrix removes one row
-        lookup + stack per table from the hot path.  Profile accounting
-        matches :meth:`sims_row`: a memo hit counts one similarity call
-        per corpus entity per tuple position.
+    def lane_rows(self, tuples, profile=None) -> np.ndarray:
+        """The similarity rows of every lane of ``tuples``, stacked.
+
+        A *lane* is one query entity of one tuple.  Returns a
+        ``(lanes, num_entities)`` matrix whose row ``p`` is
+        :meth:`sims_row` of the ``p``-th lane in tuple order, so the
+        profile counts each lane as :meth:`sims_row` does.
         """
-        matrix = self._tuples.get(query_tuple)
-        if matrix is None:
-            matrix = np.ascontiguousarray(
-                np.stack([self.sims_row(uri, profile)
-                          for uri in query_tuple])
-            )
-            matrix.setflags(write=False)
-            self._tuples.put(query_tuple, matrix)
-        elif profile is not None:
-            profile.similarity_calls += len(self.uris) * len(query_tuple)
-        return matrix
+        return np.stack([
+            self.sims_row(uri, profile)
+            for query_tuple in tuples for uri in query_tuple
+        ])
 
     def sims_row(self, uri: str, profile=None) -> np.ndarray:
         """``sigma(uri, e)`` for every corpus entity, memoized.
@@ -657,9 +658,16 @@ class CorpusIndex:
         return sims
 
     def row_cache_stats(self) -> CacheStats:
-        """Hit/miss counters of the similarity-row memo."""
-        return self._rows.stats()
+        """Counters of the similarity-row memo, its sizes in bytes.
 
-    def tuple_cache_stats(self) -> CacheStats:
-        """Hit/miss counters of the stacked tuple-matrix memo."""
-        return self._tuples.stats()
+        ``size`` is the bytes of the rows held and ``maxsize`` is
+        :data:`ROW_MEMO_BYTES`; hits, misses and evictions count rows.
+        """
+        stats = self._rows.stats()
+        return CacheStats(
+            hits=stats.hits,
+            misses=stats.misses,
+            evictions=stats.evictions,
+            size=stats.size * 8 * self.num_entities,
+            maxsize=ROW_MEMO_BYTES,
+        )

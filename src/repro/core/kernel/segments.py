@@ -64,7 +64,7 @@ import numpy as np
 
 from repro.core.cache import CacheStats, LRUCache
 from repro.exceptions import ConfigurationError
-from repro.core.kernel.index import DEFAULT_ROW_CACHE_SIZE, CorpusIndex
+from repro.core.kernel.index import CorpusIndex
 from repro.core.query import Query
 from repro.core.result import ResultSet
 from repro.core.search import aligned_candidates
@@ -86,6 +86,10 @@ COMPACTION_FANOUT = 4
 #: exists so a pathological mutation burst cannot degrade scoring into
 #: thousands of tiny segment passes.
 MAX_SEGMENTS = 32
+
+#: Bound of an index instance's memo of finished top-k rankings (see
+#: :meth:`SegmentedCorpusIndex.cached_result`).
+RESULT_MEMO_SIZE = 512
 
 
 def _tier_of(live_count: int) -> int:
@@ -383,7 +387,7 @@ class SegmentedCorpusIndex:
         # Finished top-k rankings of whole-lake queries (see
         # cached_result).  Per instance, so a mutation — which always
         # yields a new instance — starts from an empty memo.
-        self._results = LRUCache(DEFAULT_ROW_CACHE_SIZE // 8)
+        self._results = LRUCache(RESULT_MEMO_SIZE)
 
     # ------------------------------------------------------------------
     # Construction
@@ -783,15 +787,13 @@ class SegmentedCorpusIndex:
         )
 
     def row_cache_stats(self) -> CacheStats:
-        """Aggregated similarity-row memo counters across segments."""
+        """Similarity-row memo counters summed across segments.
+
+        ``size`` and ``maxsize`` are bytes, so the sums are the rows
+        held by every segment and their combined ceiling.
+        """
         return _merge_cache_stats(
             [segment.row_cache_stats() for segment in self.segments]
-        )
-
-    def tuple_cache_stats(self) -> CacheStats:
-        """Aggregated tuple-matrix memo counters across segments."""
-        return _merge_cache_stats(
-            [segment.tuple_cache_stats() for segment in self.segments]
         )
 
 

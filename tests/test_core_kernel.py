@@ -880,7 +880,7 @@ class TestThetisIntegration:
 
         def assert_index_only(system):
             stats = system.cache_stats("types")
-            assert set(stats) == {"kernel_rows", "kernel_tuples"}
+            assert set(stats) == {"kernel_rows"}
             engine = system.engine("types")
             assert engine.index_stats().live_tables == len(system.lake)
             index = engine.export_index()
@@ -922,5 +922,5 @@ class TestThetisIntegration:
         assert profile.similarity_misses == misses
         assert 0.0 < profile.similarity_hit_rate <= 1.0
         stats = engine.cache_stats()
-        assert stats["kernel_tuples"].hits > 0
+        assert stats["kernel_rows"].hits > 0
         assert stats["kernel_rows"].misses > 0

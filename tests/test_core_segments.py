@@ -574,7 +574,7 @@ class TestIncrementalCost:
         """Satellite: remove_table drops nothing an alive table needs.
 
         The pairwise similarity cache is keyed by URI pairs (table
-        independent), and the per-segment row/tuple memos live on
+        independent), and the per-segment row memos live on
         segments that removal shares untouched — so re-running the same
         queries after a removal must add *zero* new memo misses while
         the hit counters keep climbing.
@@ -591,7 +591,6 @@ class TestIncrementalCost:
         assert scalar_cache_len > 0
         index = vector.index()
         row_before = index.row_cache_stats()
-        tuple_before = index.tuple_cache_stats()
 
         lake.remove("T4")
         mapping.unlink_table("T4")
@@ -604,13 +603,10 @@ class TestIncrementalCost:
         # removed table, so none was dropped and none re-computed.
         assert len(scalar.similarity_cache) == scalar_cache_len
         row_after = vector.index().row_cache_stats()
-        tuple_after = vector.index().tuple_cache_stats()
         assert row_after.misses == row_before.misses
-        assert tuple_after.misses == tuple_before.misses
-        # The batched path memoizes per query tuple: re-running the
-        # same queries over the shared segments must be pure hits.
-        assert tuple_after.hits > tuple_before.hits
-        assert row_after.hits >= row_before.hits
+        # Re-running the same queries over the shared segments must be
+        # pure row-memo hits.
+        assert row_after.hits > row_before.hits
 
 
 # ----------------------------------------------------------------------

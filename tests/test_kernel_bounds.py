@@ -61,7 +61,7 @@ def dense_coordinates(segment, tuples, positions):
         starts = segment.nnz_toffset[positions]
         lengths = segment.nnz_toffset[positions + 1] - starts
         ids = segment.nnz_gids[_concat_ranges(starts, lengths)]
-    stack = np.concatenate([segment.tuple_rows(t) for t in tuples])
+    stack = segment.lane_rows(tuples)
     best = np.zeros((len(stack), len(lengths)), dtype=np.float64)
     nonempty = np.flatnonzero(lengths > 0)
     if nonempty.size:
@@ -77,7 +77,7 @@ def through_residual(engine, tuples, coordinates):
     """``(bounds, signals)`` of per-lane coordinates, as the engine forms them."""
     widths = [len(t) for t in tuples]
     firsts = np.cumsum([0] + widths)[:-1]
-    weights = np.concatenate([engine._tuple_weights(t) for t in tuples])
+    weights = engine._lane_weights(tuples)
     return (
         lane_bounds(coordinates, weights, widths),
         np.logical_or.reduceat(coordinates > 0.0, firsts, axis=0),
@@ -93,7 +93,7 @@ def dense_bounds(engine, segment, tuples, positions):
 
 def ceilings(segment, tuples, top_m):
     """Each lane's ``(m + 1)``-th similarity clamped at zero (0 past it)."""
-    stack = np.concatenate([segment.tuple_rows(t) for t in tuples])
+    stack = segment.lane_rows(tuples)
     if top_m >= stack.shape[1]:
         return np.zeros(len(stack))
     return np.maximum(-np.sort(-stack, axis=1)[:, top_m], 0.0)

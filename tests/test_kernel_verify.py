@@ -187,7 +187,7 @@ def reference_segment_tuples(engine, segment, tuples, selection):
     outputs = []
     for query_tuple in tuples:
         width = len(query_tuple)
-        sims = segment.tuple_rows(query_tuple)
+        sims = segment.lane_rows([query_tuple])
         relevance = np.zeros((width, total_columns), dtype=np.float64)
         if nnz_ids.size:
             keys = nnz_columns + (np.arange(width) * total_columns)[:, None]
@@ -205,7 +205,7 @@ def reference_segment_tuples(engine, segment, tuples, selection):
         lengths = table_rows[sel_table]
         seg_starts = np.cumsum(lengths) - lengths
         total = int(lengths.sum())
-        weights = engine._tuple_weights(query_tuple)
+        weights = engine._lane_weights([query_tuple])
         if total:
             within = np.arange(total) - np.repeat(seg_starts, lengths)
             ids = segment.flat_ids[np.repeat(segment.col_start[

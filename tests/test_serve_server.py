@@ -117,7 +117,7 @@ class TestControlPlane:
         assert "/search" in body["latency"]
         assert body["latency"]["/search"]["count"] == 1
         # Cache stats from the engine are included with hit rates.
-        for name in ("kernel_rows", "kernel_tuples"):
+        for name in ("kernel_rows",):
             assert name in body["cache"]
             assert 0.0 <= body["cache"][name]["hit_rate"] <= 1.0
 
