@@ -3,10 +3,12 @@
 
 A lint stage that silently stopped finding anything would pass CI
 forever, so this script proves the flow passes still bite: it writes a
-scratch tree containing one synthetic AB/BA lock-order cycle and one
-wire-to-engine taint bypass, runs ``python -m repro.analysis`` over it
+scratch tree containing one synthetic AB/BA lock-order cycle, one
+wire-to-engine taint bypass and one lazy package ``__init__`` whose
+``__all__`` exports a name that neither its ``TYPE_CHECKING`` block
+nor its lazy table provides, runs ``python -m repro.analysis`` over it
 exactly the way the CI lint stage runs over ``src/repro``, and fails
-unless the run (a) exits non-zero and (b) reports both expected rules.
+unless the run (a) exits non-zero and (b) reports every expected rule.
 
 Run from the repository root (ci.sh does)::
 
@@ -65,6 +67,20 @@ async def handle(reader, searcher: Searcher):
 """
 
 
+LAZY_INIT = """\
+from typing import TYPE_CHECKING
+
+from repro.startup import lazy_exports
+
+if TYPE_CHECKING:
+    from lazypkg.heavy import Heavy
+
+__all__ = ["Heavy", "Missing"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {".heavy": ("Heavy",)})
+"""
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="lint-selfcheck-") as scratch:
         root = Path(scratch)
@@ -73,6 +89,10 @@ def main() -> int:
         )
         (root / "taint_bypass.py").write_text(
             textwrap.dedent(TAINT_BYPASS), encoding="utf-8"
+        )
+        (root / "lazypkg").mkdir()
+        (root / "lazypkg" / "__init__.py").write_text(
+            LAZY_INIT, encoding="utf-8"
         )
         result = subprocess.run(
             [sys.executable, "-m", "repro.analysis", str(root),
@@ -93,7 +113,7 @@ def main() -> int:
             print(result.stderr, file=sys.stderr)
             return 1
         rules = {finding["rule"] for finding in document["findings"]}
-        missing = {"lock-order", "wire-taint"} - rules
+        missing = {"lock-order", "wire-taint", "all-mismatch"} - rules
         if missing:
             print(f"lint_selfcheck: FAIL — expected rules {sorted(missing)} "
                   f"did not fire (got {sorted(rules)})", file=sys.stderr)
@@ -103,9 +123,9 @@ def main() -> int:
             print("lint_selfcheck: FAIL — lock-order artifacts report no "
                   "cycle for the injected AB/BA pair", file=sys.stderr)
             return 1
-        print("lint_selfcheck: ok — injected lock-order cycle and taint "
-              f"bypass both detected ({len(document['findings'])} "
-              "finding(s))")
+        print("lint_selfcheck: ok — injected lock-order cycle, taint "
+              "bypass and lazy-export mismatch all detected "
+              f"({len(document['findings'])} finding(s))")
         return 0
 
 

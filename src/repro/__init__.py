@@ -15,15 +15,20 @@ in Semantic Data Lakes" (EDBT 2025).  The package exposes:
   evaluation (Section 7).
 """
 
-from repro.core.query import Query
-from repro.core.result import ResultSet, ScoredTable
-from repro.core.search import TableSearchEngine
-from repro.datalake.lake import DataLake
-from repro.datalake.table import Table
-from repro.kg.entity import Entity
-from repro.kg.graph import KnowledgeGraph
-from repro.linking.mapping import EntityMapping
-from repro.system import Thetis
+from typing import TYPE_CHECKING
+
+from repro.startup import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.query import Query
+    from repro.core.result import ResultSet, ScoredTable
+    from repro.core.search import TableSearchEngine
+    from repro.datalake.lake import DataLake
+    from repro.datalake.table import Table
+    from repro.kg.entity import Entity
+    from repro.kg.graph import KnowledgeGraph
+    from repro.linking.mapping import EntityMapping
+    from repro.system import Thetis
 
 __version__ = "1.0.0"
 
@@ -40,3 +45,15 @@ __all__ = [
     "EntityMapping",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core.query": ("Query",),
+    ".core.result": ("ResultSet", "ScoredTable"),
+    ".core.search": ("TableSearchEngine",),
+    ".datalake.lake": ("DataLake",),
+    ".datalake.table": ("Table",),
+    ".kg.entity": ("Entity",),
+    ".kg.graph": ("KnowledgeGraph",),
+    ".linking.mapping": ("EntityMapping",),
+    ".system": ("Thetis",),
+})

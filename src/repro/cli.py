@@ -30,21 +30,23 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
-from repro.benchgen import PROFILES, build_benchmark
 from repro.core.cache import DEFAULT_SIMILARITY_CACHE_SIZE
 from repro.core.kernel import ENGINE_KINDS
 from repro.core.query import Query
 from repro.datalake.io import load_lake, save_lake
-from repro.datalake.stats import corpus_statistics
 from repro.kg.io import load_graph, save_graph
 from repro.linking.io import load_mapping, save_mapping
-from repro.linking.linker import LabelLinker
-from repro.system import Thetis
+
+if TYPE_CHECKING:
+    from repro.system import Thetis
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.benchgen import PROFILES, build_benchmark
+    from repro.benchgen.io import save_queries
+
     profile = PROFILES[args.profile]
     bench = build_benchmark(
         profile,
@@ -57,8 +59,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     save_graph(bench.graph, out / "graph.json")
     save_lake(bench.lake, out / "lake.json")
     save_mapping(bench.mapping, out / "mapping.json")
-    from repro.benchgen.io import save_queries
-
     save_queries(bench.queries, out / "queries.json")
     stats = bench.statistics()
     print(stats.format_row(profile.name))
@@ -74,6 +74,8 @@ def _cmd_link(args: argparse.Namespace) -> int:
 
         mapping = ContextualLinker(graph).link_lake(lake)
     else:
+        from repro.linking.linker import LabelLinker
+
         linker = LabelLinker(graph, fuzzy=not args.exact_only)
         mapping = linker.link_lake(lake)
     save_mapping(mapping, args.out)
@@ -83,6 +85,8 @@ def _cmd_link(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from repro.datalake.stats import corpus_statistics
+
     lake = load_lake(args.lake)
     mapping = load_mapping(args.mapping) if args.mapping else None
     stats = corpus_statistics(lake, mapping)
@@ -120,6 +124,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.benchgen.io import load_queries
     from repro.lsh import LSHConfig, LSHTuner, TypeSignatureScheme, \
         frequent_types
+    from repro.system import Thetis
 
     graph = load_graph(args.graph)
     lake = load_lake(args.lake)
@@ -157,6 +162,8 @@ def _parse_tuples(raw_tuples: Sequence[str]) -> Query:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from repro.system import Thetis
+
     graph = load_graph(args.graph)
     lake = load_lake(args.lake)
     mapping = load_mapping(args.mapping)
@@ -195,6 +202,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServeConfig, ThetisServer
+    from repro.system import Thetis
 
     graph = load_graph(args.graph)
     lake = load_lake(args.lake)
@@ -232,6 +240,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         compare_systems,
         write_markdown_report,
     )
+    from repro.system import Thetis
 
     graph = load_graph(args.graph)
     lake = load_lake(args.lake)
@@ -341,6 +350,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
 
 def _cmd_cluster_worker(args: argparse.Namespace) -> int:
     from repro.cluster import ClusterWorker, WorkerConfig
+    from repro.system import Thetis
 
     graph = load_graph(args.graph)
     lake = load_lake(args.lake)
@@ -402,6 +412,7 @@ def _index_sigma(args: argparse.Namespace, thetis: Thetis):
 
 def _cmd_index_build(args: argparse.Namespace) -> int:
     from repro.core.kernel import SegmentedCorpusIndex, save_index
+    from repro.system import Thetis
 
     graph = load_graph(args.graph)
     lake = load_lake(args.lake)
@@ -422,6 +433,7 @@ def _cmd_index_load(args: argparse.Namespace) -> int:
     import time
 
     from repro.core.kernel import SegmentedCorpusIndex, load_index
+    from repro.system import Thetis
 
     graph = load_graph(args.graph)
     lake = load_lake(args.lake)
@@ -454,9 +466,41 @@ def _cmd_index_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that can add options on its first parse.
+
+    ``generate`` and ``lint`` take option choices from
+    ``repro.benchgen`` and ``repro.analysis``, which no serving command
+    uses.  Their ``deferred`` callback imports them and adds those
+    options only when the subcommand's arguments are parsed (its
+    ``--help`` included), so ``thetis serve`` imports neither.
+    """
+
+    deferred: Optional[Callable[[argparse.ArgumentParser], None]] = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.deferred is not None:
+            install, self.deferred = self.deferred, None
+            install(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _profile_argument(parser: argparse.ArgumentParser) -> None:
+    from repro.benchgen import PROFILES
+
+    parser.add_argument("--profile", choices=sorted(PROFILES),
+                        default="wt2015")
+
+
+def _lint_arguments(parser: argparse.ArgumentParser) -> None:
+    from repro.analysis.cli import add_lint_arguments
+
+    add_lint_arguments(parser)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser (exposed for tests)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thetis",
         description="Semantic table search in semantic data lakes",
     )
@@ -466,8 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
         "generate", help="generate a synthetic benchmark corpus"
     )
     generate.add_argument("--out", required=True, help="output directory")
-    generate.add_argument("--profile", choices=sorted(PROFILES),
-                          default="wt2015")
+    generate.deferred = _profile_argument
     generate.add_argument("--tables", type=int, default=500)
     generate.add_argument("--queries", type=int, default=10,
                           help="number of 1-/5-tuple query pairs")
@@ -749,9 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint", help="run the repro.analysis static analyzer"
     )
-    from repro.analysis.cli import add_lint_arguments
-
-    add_lint_arguments(lint)
+    lint.deferred = _lint_arguments
     lint.set_defaults(func=_cmd_lint)
     return parser
 

@@ -20,26 +20,31 @@ See ``docs/cluster.md`` for topology, fail-over semantics, and the
 rebalance runbook.
 """
 
-from repro.cluster.client import WorkerLink
-from repro.cluster.coordinator import (
-    ClusterConfig,
-    ClusterCoordinator,
-    ClusterMetrics,
-)
-from repro.cluster.harness import (
-    ClusterHarness,
-    CoordinatorThread,
-    WorkerThread,
-)
-from repro.cluster.hashring import HashRing
-from repro.cluster.protocol import (
-    MAX_FRAME_BYTES,
-    RoutingTable,
-    encode_frame,
-    read_frame,
-    write_frame,
-)
-from repro.cluster.worker import ClusterWorker, WorkerConfig
+from typing import TYPE_CHECKING
+
+from repro.startup import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.cluster.client import WorkerLink
+    from repro.cluster.coordinator import (
+        ClusterConfig,
+        ClusterCoordinator,
+        ClusterMetrics,
+    )
+    from repro.cluster.harness import (
+        ClusterHarness,
+        CoordinatorThread,
+        WorkerThread,
+    )
+    from repro.cluster.hashring import HashRing
+    from repro.cluster.protocol import (
+        MAX_FRAME_BYTES,
+        RoutingTable,
+        encode_frame,
+        read_frame,
+        write_frame,
+    )
+    from repro.cluster.worker import ClusterWorker, WorkerConfig
 
 __all__ = [
     "ClusterConfig",
@@ -58,3 +63,15 @@ __all__ = [
     "read_frame",
     "write_frame",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".client": ("WorkerLink",),
+    ".coordinator": ("ClusterConfig", "ClusterCoordinator", "ClusterMetrics"),
+    ".harness": ("ClusterHarness", "CoordinatorThread", "WorkerThread"),
+    ".hashring": ("HashRing",),
+    ".protocol": (
+        "MAX_FRAME_BYTES", "RoutingTable", "encode_frame", "read_frame",
+        "write_frame",
+    ),
+    ".worker": ("ClusterWorker", "WorkerConfig"),
+})

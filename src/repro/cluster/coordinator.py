@@ -48,7 +48,7 @@ from repro.cluster.protocol import (
     read_frame,
     write_frame,
 )
-from repro.core.kernel import BatchStats
+from repro.core.kernel.batchstats import BatchStats
 from repro.core.parallel import merge_topk
 from repro.core.result import ResultSet, ScoredTable
 from repro.exceptions import (

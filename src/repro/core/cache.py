@@ -118,6 +118,11 @@ class LRUCache:
             self._hits += 1
             return value
 
+    def record_hits(self, count: int) -> None:
+        """Count ``count`` hits served from a copy of cached values."""
+        with self._lock:
+            self._hits += count
+
     def peek(self, key: Hashable, default: Any = None) -> Any:
         """Return the cached value without touching recency or counters."""
         with self._lock:

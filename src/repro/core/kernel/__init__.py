@@ -18,38 +18,44 @@ against, and ``Thetis.explain`` always runs that reference.  See
 ``docs/performance.md`` for the memory layout.
 """
 
-from repro.core.kernel.batchstats import BatchStats
-from repro.core.kernel.engine import (
-    ENGINE_KINDS,
-    VectorizedTableSearchEngine,
-)
-from repro.core.kernel.index import (
-    ROW_MEMO_BYTES,
-    CorpusIndex,
-    SimilarityKernel,
-    compile_kernel,
-)
-from repro.core.kernel.join import (
-    JoinCorpusIndex,
-    VectorizedJoinSearchEngine,
-    compile_join_index,
-)
-from repro.core.kernel.prefilter import PrefilterStats
-from repro.core.kernel.segments import (
-    SegmentedCorpusIndex,
-    SegmentedIndexStats,
-)
-from repro.core.kernel.storage import (
-    inspect_index,
-    load_index,
-    save_index,
-)
-from repro.core.kernel.union import (
-    UNION_ENCODERS,
-    UnionCorpusIndex,
-    VectorizedUnionSearchEngine,
-    compile_union_index,
-)
+from typing import TYPE_CHECKING
+
+from repro.startup import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.kernel.batchstats import BatchStats
+    from repro.core.kernel.engine import VectorizedTableSearchEngine
+    from repro.core.kernel.index import (
+        ROW_MEMO_BYTES,
+        CorpusIndex,
+        SimilarityKernel,
+        compile_kernel,
+    )
+    from repro.core.kernel.join import (
+        JoinCorpusIndex,
+        VectorizedJoinSearchEngine,
+        compile_join_index,
+    )
+    from repro.core.kernel.prefilter import PrefilterStats
+    from repro.core.kernel.segments import (
+        SegmentedCorpusIndex,
+        SegmentedIndexStats,
+    )
+    from repro.core.kernel.storage import (
+        inspect_index,
+        load_index,
+        save_index,
+    )
+    from repro.core.kernel.union import (
+        UNION_ENCODERS,
+        UnionCorpusIndex,
+        VectorizedUnionSearchEngine,
+        compile_union_index,
+    )
+
+#: Engine kinds ``Thetis`` builds and the CLI offers: the scalar
+#: oracle and this kernel.
+ENGINE_KINDS = ("scalar", "vectorized")
 
 __all__ = [
     "ENGINE_KINDS",
@@ -73,3 +79,21 @@ __all__ = [
     "load_index",
     "save_index",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".batchstats": ("BatchStats",),
+    ".engine": ("VectorizedTableSearchEngine",),
+    ".index": (
+        "ROW_MEMO_BYTES", "CorpusIndex", "SimilarityKernel", "compile_kernel",
+    ),
+    ".join": (
+        "JoinCorpusIndex", "VectorizedJoinSearchEngine", "compile_join_index",
+    ),
+    ".prefilter": ("PrefilterStats",),
+    ".segments": ("SegmentedCorpusIndex", "SegmentedIndexStats"),
+    ".storage": ("inspect_index", "load_index", "save_index"),
+    ".union": (
+        "UNION_ENCODERS", "UnionCorpusIndex", "VectorizedUnionSearchEngine",
+        "compile_union_index",
+    ),
+})

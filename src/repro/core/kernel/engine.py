@@ -160,6 +160,40 @@ def _lane_pad(values: np.ndarray, widths: Sequence[int]) -> np.ndarray:
     return padded
 
 
+class _LaneStacks:
+    """The lane rows of one tuple list, stacked at most once per segment.
+
+    ``stacks(seg_index)`` is ``lane_rows(tuples, profile)`` of that
+    segment, built on first use.  A scan reads a query's lanes in its
+    bound pass, in every verify chunk and in every refine pass; all of
+    them read this stack instead of re-stacking the row memo.  Each
+    read after the first counts its lanes as row-memo hits
+    (:meth:`~repro.core.kernel.index.CorpusIndex.reused_rows`), as the
+    re-stack it replaces did, so the counters keep their meaning.
+    """
+
+    def __init__(
+        self,
+        index: SegmentedCorpusIndex,
+        tuples: List[Tuple[str, ...]],
+        profile: ScoringProfile,
+    ):
+        self.tuples = tuples
+        self._index = index
+        self._profile = profile
+        self._stacks: Dict[int, np.ndarray] = {}
+
+    def __call__(self, seg_index: int) -> np.ndarray:
+        segment = self._index.segments[seg_index]
+        stack = self._stacks.get(seg_index)
+        if stack is None:
+            stack = segment.lane_rows(self.tuples, self._profile)
+            self._stacks[seg_index] = stack
+        else:
+            segment.reused_rows(len(stack), self._profile)
+        return stack
+
+
 def lane_bounds(
     coordinates: np.ndarray, weights: np.ndarray, widths: Sequence[int]
 ) -> np.ndarray:
@@ -502,6 +536,7 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         tuples: Sequence[Tuple[str, ...]],
         profile: ScoringProfile,
         selection: Optional[np.ndarray] = None,
+        sims_stack: Optional[np.ndarray] = None,
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Fused scoring of selected segment tables against query tuples.
 
@@ -535,6 +570,9 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         ``reduceat`` segments span one column or one (lane, table,
         position) block; and the tail is :func:`weighted_distances`,
         elementwise, never a shape-dependent BLAS product.
+
+        ``sims_stack`` is ``segment.lane_rows(tuples, profile)`` when
+        the caller already holds it (see :class:`_LaneStacks`).
         """
         if not tuples:
             return []
@@ -560,7 +598,8 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         # (tuples, widest): each tuple position's lane (0 at padding).
         lanes = _lane_pad(np.arange(stack), widths)
         valid = _lane_pad(np.ones(stack, dtype=bool), widths)
-        sims_stack = segment.lane_rows(tuples, profile)
+        if sims_stack is None:
+            sims_stack = segment.lane_rows(tuples, profile)
         map_start = time.perf_counter()
         lane_sims = sims_stack[:, segment.nnz_gids[entries]]
         keys = nnz_columns + (np.arange(stack) * total_columns)[:, None]
@@ -662,6 +701,7 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         positions: np.ndarray,
         profile: ScoringProfile,
         top_m: Optional[int] = None,
+        sims_stack: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Postings-driven SemRel upper bounds of segment tables, per tuple.
 
@@ -694,10 +734,15 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         so it is dropped before scoring.  A lane whose ceiling is zero
         has every positive entity in its top m, so the touched tables
         decide.  For the other lanes, see :func:`_holds_any`.
+        ``sims_stack``, if given, is ``segment.lane_rows(tuples,
+        profile)``.
         """
         postings = segment.postings()
         num_entities = segment.num_entities
-        stack = segment.lane_rows(tuples, profile)
+        stack = (
+            segment.lane_rows(tuples, profile) if sims_stack is None
+            else sims_stack
+        )
         lanes = np.arange(len(stack))
         m = min(BOUND_TOP_M if top_m is None else top_m, num_entities)
         if m < num_entities:
@@ -867,16 +912,19 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         query: Query,
         selection: np.ndarray,
         profile: ScoringProfile,
+        sims_stack: Optional[np.ndarray] = None,
     ) -> Tuple[List[np.ndarray], np.ndarray]:
         """One :meth:`_segment_tuples` pass over a query's distinct tuples.
 
         Returns the per-tuple score columns in query order (repeated
         tuples repeat their column) and whether any tuple has a
         positive coordinate, both aligned with ``selection``.
+        ``sims_stack`` is the distinct tuples' lane rows, if held.
         """
         tuples = list(dict.fromkeys(query.tuples))
         outputs = self._segment_tuples(
-            segment, tuples, profile, selection=selection
+            segment, tuples, profile, selection=selection,
+            sims_stack=sims_stack,
         )
         columns = [
             outputs[tuples.index(query_tuple)][0]
@@ -892,16 +940,23 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         query: Query,
         positions: np.ndarray,
         profile: ScoringProfile,
+        stacks: Optional[_LaneStacks] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Exact scores of one query at sorted flat ``positions``.
 
         One :meth:`_query_columns` pass per owning segment, restricted
         to the positions it owns — bit-identical per table whatever the
-        selection, as :meth:`_segment_tuples` proves.  Returns
+        selection, as :meth:`_segment_tuples` proves.  ``stacks`` holds
+        the query's distinct tuples' lane rows across calls (a scan's
+        chunks); by default they are stacked here.  Returns
         ``(score, returnable)`` aligned with ``positions``;
         ``returnable`` applies the positive-score and drop-irrelevant
         rules.
         """
+        if stacks is None:
+            stacks = _LaneStacks(
+                index, list(dict.fromkeys(query.tuples)), profile
+            )
         layout = index.layout()
         score = np.empty(len(positions), dtype=np.float64)
         signal = np.empty(len(positions), dtype=bool)
@@ -909,6 +964,7 @@ class VectorizedTableSearchEngine(SegmentedEngine):
             columns, signal[lo:hi] = self._query_columns(
                 index.segments[seg_index], query,
                 positions[lo:hi] - layout.seg_base[seg_index], profile,
+                sims_stack=stacks(seg_index),
             )
             score[lo:hi] = self._aggregate_tuples(columns)
         returnable = score > 0.0
@@ -938,7 +994,9 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         Whole-lake jobs are answered from the index instance's result
         memo when they repeat.  Jobs sharing a candidate list (every
         whole-lake job; every job of a cluster shard) share one
-        lane-stacked bound pass per segment.
+        lane-stacked bound pass per segment; each job then stacks its
+        own lanes once per segment for its verify and refine passes
+        (:class:`_LaneStacks`).
         """
         layout = index.layout()
         drop = self.drop_irrelevant
@@ -965,15 +1023,16 @@ class VectorizedTableSearchEngine(SegmentedEngine):
                 for slot in slots
                 for query_tuple in jobs[slot][0].tuples
             ))
+            stacks = _LaneStacks(index, tuples, profile)
             bounds, signals = self._lake_bounds(
-                index, tuples, positions, profile
+                index, stacks, positions, profile
             )
             for slot in slots:
                 query = jobs[slot][0]
                 rows = [tuples.index(entry) for entry in query.tuples]
                 result, shortlisted, scored, terminated = self._scan(
                     index, query, positions, bounds[rows], signals[rows],
-                    k, profile,
+                    k, profile, stacks,
                 )
                 results[slot] = result
                 if cands is None:
@@ -985,12 +1044,14 @@ class VectorizedTableSearchEngine(SegmentedEngine):
     def _lake_bounds(
         self,
         index: SegmentedCorpusIndex,
-        tuples: Sequence[Tuple[str, ...]],
+        stacks: _LaneStacks,
         positions: np.ndarray,
         profile: ScoringProfile,
         top_m: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`_candidate_bounds` at sorted flat ``positions``."""
+        """:meth:`_candidate_bounds` of ``stacks.tuples`` at sorted flat
+        ``positions``."""
+        tuples = stacks.tuples
         layout = index.layout()
         bounds = np.empty((len(tuples), len(positions)), dtype=np.float64)
         signals = np.empty((len(tuples), len(positions)), dtype=bool)
@@ -998,7 +1059,7 @@ class VectorizedTableSearchEngine(SegmentedEngine):
             bounds[:, lo:hi], signals[:, lo:hi] = self._candidate_bounds(
                 index.segments[seg_index], tuples,
                 positions[lo:hi] - layout.seg_base[seg_index], profile,
-                top_m=top_m,
+                top_m=top_m, sims_stack=stacks(seg_index),
             )
         return bounds, signals
 
@@ -1017,12 +1078,15 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         signals: np.ndarray,
         k: int,
         profile: ScoringProfile,
+        stacks: _LaneStacks,
     ) -> Tuple[ResultSet, int, int, bool]:
         """One job of :meth:`_scan_rankings`, by :func:`pruned_topk`.
 
         ``bounds`` / ``signals`` hold one row per tuple of the query,
         aligned with the candidate ``positions``, from a
-        :data:`BOUND_TOP_M` bound pass.  Whenever a chunk leaves the
+        :data:`BOUND_TOP_M` bound pass over ``stacks``, which the
+        verify and refine passes reuse when the job is its group's
+        only one.  Whenever a chunk leaves the
         scan going, the tables left are re-bounded with twice the top m
         before the next chunk: a ceiling the k-th score has not cleared
         drops, and the threshold algorithm reads deeper postings only
@@ -1045,9 +1109,14 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         )
         tuples = list(dict.fromkeys(query.tuples))
         rows = [tuples.index(query_tuple) for query_tuple in query.tuples]
+        if tuples != stacks.tuples:
+            # Not the only job of its group: its own lanes, once.
+            stacks = _LaneStacks(index, tuples, profile)
 
         def verify(chunk: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            return self._score_positions(index, query, chunk, profile)
+            return self._score_positions(
+                index, query, chunk, profile, stacks
+            )
 
         def refine(rest: np.ndarray) -> Optional[np.ndarray]:
             # The scan goes on: lower the ceilings of what is left.
@@ -1056,7 +1125,7 @@ class VectorizedTableSearchEngine(SegmentedEngine):
                 return None
             top_m *= 2
             return self._job_bound(self._lake_bounds(
-                index, tuples, rest, profile, top_m=top_m
+                index, stacks, rest, profile, top_m=top_m
             )[0][rows])
 
         top, scores, scored = pruned_topk(
@@ -1139,12 +1208,6 @@ class VectorizedTableSearchEngine(SegmentedEngine):
         )
 
 
-#: Engine kinds ``Thetis`` builds and the CLI offers: the scalar
-#: oracle and this kernel.
-ENGINE_KINDS = ("scalar", "vectorized")
-
-
 __all__ = [
-    "ENGINE_KINDS",
     "VectorizedTableSearchEngine",
 ]

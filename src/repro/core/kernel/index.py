@@ -657,6 +657,18 @@ class CorpusIndex:
             profile.similarity_calls += len(self.uris)
         return sims
 
+    def reused_rows(self, lanes: int, profile=None) -> None:
+        """Count ``lanes`` rows a caller read again from its own stack.
+
+        The engine stacks a scan's lanes once per segment and reuses
+        the stack in later passes.  Each reuse counts as the memo hits
+        (and the profile's ``similarity_calls``) that re-stacking the
+        lanes with :meth:`lane_rows` would have counted.
+        """
+        self._rows.record_hits(lanes)
+        if profile is not None:
+            profile.similarity_calls += lanes * len(self.uris)
+
     def row_cache_stats(self) -> CacheStats:
         """Counters of the similarity-row memo, its sizes in bytes.
 

@@ -17,6 +17,22 @@ from repro.kg.graph import KnowledgeGraph
 
 EntityTuple = Tuple[str, ...]
 
+#: Retrieval modes accepted by :meth:`~repro.system.Thetis.search`:
+#: ``"exact"`` ranks the whole lake (bit-compatible with the historical
+#: default), while ``"prefilter"`` generates an LSH candidate set first
+#: and ranks only the shortlist (Section 6).
+SEARCH_MODES = ("exact", "prefilter")
+
+#: Search workloads accepted by :meth:`~repro.system.Thetis.search`:
+#: ``"entity"`` is the paper's entity-tuple SemRel ranking, ``"union"``
+#: the SANTOS-like / Starmie-like table-union ranking, ``"join"`` the
+#: D3L/JOSIE-like joinability ranking.  Union and join run on the
+#: vectorized kernels of :mod:`repro.core.kernel.union` /
+#: :mod:`repro.core.kernel.join` (scalar-baseline parity <= 1e-9) and
+#: are served through the same micro-batch, snapshot, and cluster
+#: scatter paths as ``"entity"``.
+SEARCH_TASKS = ("entity", "union", "join")
+
 
 class Query:
     """An immutable set of entity tuples used as search input."""

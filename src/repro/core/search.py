@@ -69,7 +69,11 @@ class ScoringProfile:
     corpus entity (and, on a row-memo miss, one miss per corpus
     entity), so the call/miss split and ``--cache-stats`` stay
     meaningful under ``--engine vectorized`` even though no per-pair
-    ``sigma`` call runs on the hot path.
+    ``sigma`` call runs on the hot path.  A top-k scan stacks each
+    lane's row once per segment and reuses that stack in its verify
+    and refine passes; every reuse counts as the hit the re-read it
+    replaced counted, so the totals match a scan that re-reads the
+    row memo on every pass.
     """
 
     mapping_seconds: float = 0.0

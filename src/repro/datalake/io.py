@@ -15,6 +15,7 @@ from typing import List, Optional, Union
 
 from repro.datalake.lake import DataLake
 from repro.datalake.table import CellValue, Table
+from repro.startup import gc_paused
 
 PathLike = Union[str, Path]
 
@@ -104,9 +105,14 @@ def save_lake(lake: DataLake, path: PathLike) -> None:
 
 
 def load_lake(path: PathLike) -> DataLake:
-    """Load a lake previously written by :func:`save_lake`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return lake_from_dict(payload)
+    """Load a lake previously written by :func:`save_lake`.
+
+    Decoded and built with the cyclic GC paused
+    (:func:`~repro.startup.gc_paused`).
+    """
+    with gc_paused():
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        return lake_from_dict(payload)
 
 
 def save_lake_csv_dir(lake: DataLake, directory: PathLike) -> None:

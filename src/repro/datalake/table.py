@@ -49,15 +49,17 @@ class Table:
         attrs = tuple(attributes)
         if len(set(attrs)) != len(attrs):
             raise DataLakeError(f"table {table_id!r} has duplicate attribute names")
-        materialized: List[Tuple[CellValue, ...]] = []
-        for index, row in enumerate(rows):
-            row_tuple = tuple(row)
-            if len(row_tuple) != len(attrs):
-                raise DataLakeError(
-                    f"table {table_id!r} row {index} has {len(row_tuple)} "
-                    f"values, expected {len(attrs)}"
-                )
-            materialized.append(row_tuple)
+        materialized: List[Tuple[CellValue, ...]] = list(map(tuple, rows))
+        width = len(attrs)
+        if set(map(len, materialized)) - {width}:
+            bad = next(
+                index for index, row in enumerate(materialized)
+                if len(row) != width
+            )
+            raise DataLakeError(
+                f"table {table_id!r} row {bad} has "
+                f"{len(materialized[bad])} values, expected {width}"
+            )
         self.table_id = table_id
         self.attributes = attrs
         self.rows = materialized

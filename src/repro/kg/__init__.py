@@ -1,18 +1,28 @@
 """Knowledge-graph substrate: entities, taxonomy, graph, walks, IO."""
 
-from repro.kg.analytics import (
-    GraphProfile,
-    connected_components,
-    degree_histogram,
-    profile_graph,
-    top_types,
-    type_frequencies,
-)
-from repro.kg.entity import Entity, EntityType, Predicate
-from repro.kg.graph import KnowledgeGraph
-from repro.kg.io import graph_from_dict, graph_to_dict, load_graph, save_graph
-from repro.kg.taxonomy import TypeTaxonomy
-from repro.kg.walks import RandomWalker
+from typing import TYPE_CHECKING
+
+from repro.startup import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.kg.analytics import (
+        GraphProfile,
+        connected_components,
+        degree_histogram,
+        profile_graph,
+        top_types,
+        type_frequencies,
+    )
+    from repro.kg.entity import Entity, EntityType, Predicate
+    from repro.kg.graph import KnowledgeGraph
+    from repro.kg.io import (
+        graph_from_dict,
+        graph_to_dict,
+        load_graph,
+        save_graph,
+    )
+    from repro.kg.taxonomy import TypeTaxonomy
+    from repro.kg.walks import RandomWalker
 
 __all__ = [
     "Entity",
@@ -32,3 +42,15 @@ __all__ = [
     "connected_components",
     "top_types",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".analytics": (
+        "GraphProfile", "connected_components", "degree_histogram",
+        "profile_graph", "top_types", "type_frequencies",
+    ),
+    ".entity": ("Entity", "EntityType", "Predicate"),
+    ".graph": ("KnowledgeGraph",),
+    ".io": ("graph_from_dict", "graph_to_dict", "load_graph", "save_graph"),
+    ".taxonomy": ("TypeTaxonomy",),
+    ".walks": ("RandomWalker",),
+})

@@ -14,6 +14,7 @@ from typing import Union
 from repro.kg.entity import Entity
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.taxonomy import TypeTaxonomy
+from repro.startup import gc_paused
 
 PathLike = Union[str, Path]
 
@@ -76,6 +77,11 @@ def save_graph(graph: KnowledgeGraph, path: PathLike) -> None:
 
 
 def load_graph(path: PathLike) -> KnowledgeGraph:
-    """Load a knowledge graph previously written by :func:`save_graph`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return graph_from_dict(payload)
+    """Load a knowledge graph previously written by :func:`save_graph`.
+
+    Decoded and built with the cyclic GC paused
+    (:func:`~repro.startup.gc_paused`).
+    """
+    with gc_paused():
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        return graph_from_dict(payload)

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Union
 
 from repro.linking.mapping import EntityMapping
+from repro.startup import gc_paused
 
 PathLike = Union[str, Path]
 
@@ -40,6 +41,11 @@ def save_mapping(mapping: EntityMapping, path: PathLike) -> None:
 
 
 def load_mapping(path: PathLike) -> EntityMapping:
-    """Load a mapping previously written by :func:`save_mapping`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return mapping_from_dict(payload)
+    """Load a mapping previously written by :func:`save_mapping`.
+
+    Decoded and built with the cyclic GC paused
+    (:func:`~repro.startup.gc_paused`).
+    """
+    with gc_paused():
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        return mapping_from_dict(payload)

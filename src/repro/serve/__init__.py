@@ -21,17 +21,22 @@ beside them, in ``benchmarks/serve_loadgen.py``.
 See ``docs/serving.md`` for the wire format and tuning guide.
 """
 
-from repro.serve.batching import MicroBatcher
-from repro.serve.metrics import LatencyHistogram, ServerMetrics
-from repro.serve.protocol import (
-    ExplainRequest,
-    SearchRequest,
-    TableUpsertRequest,
-    error_to_json,
-    result_to_json,
-)
-from repro.serve.server import ServeConfig, ServerThread, ThetisServer
-from repro.serve.snapshot import EngineSnapshot, SnapshotManager
+from typing import TYPE_CHECKING
+
+from repro.startup import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.serve.batching import MicroBatcher
+    from repro.serve.metrics import LatencyHistogram, ServerMetrics
+    from repro.serve.protocol import (
+        ExplainRequest,
+        SearchRequest,
+        TableUpsertRequest,
+        error_to_json,
+        result_to_json,
+    )
+    from repro.serve.server import ServeConfig, ServerThread, ThetisServer
+    from repro.serve.snapshot import EngineSnapshot, SnapshotManager
 
 __all__ = [
     "ThetisServer",
@@ -48,3 +53,14 @@ __all__ = [
     "result_to_json",
     "error_to_json",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".batching": ("MicroBatcher",),
+    ".metrics": ("LatencyHistogram", "ServerMetrics"),
+    ".protocol": (
+        "ExplainRequest", "SearchRequest", "TableUpsertRequest",
+        "error_to_json", "result_to_json",
+    ),
+    ".server": ("ServeConfig", "ServerThread", "ThetisServer"),
+    ".snapshot": ("EngineSnapshot", "SnapshotManager"),
+})

@@ -21,15 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.core.query import Query
+from repro.core.query import SEARCH_MODES, SEARCH_TASKS, Query
 from repro.core.result import ResultSet
 from repro.exceptions import EmptyQueryError, ProtocolError
-from repro.system import SEARCH_MODES, SEARCH_TASKS
 
 #: Search methods the service accepts.
 METHODS = ("types", "embeddings")
 
-#: Mode labels a reply carries, mapped to the :data:`~repro.system.
+#: Mode labels a reply carries, mapped to the :data:`~repro.core.query.
 #: SEARCH_MODES` value they execute as: exact ranking (``"search"``,
 #: and ``"topk"``, the label of ``POST /topk`` replies) or LSH
 #: candidate generation + rescoring (``"prefilter"``, Section 6).
@@ -182,7 +181,7 @@ class SearchRequest:
 
         ``mode`` is the endpoint's mode label (``POST /topk`` passes
         ``"topk"``).  ``POST /search`` bodies may additionally carry a
-        ``"mode"`` field, one of :data:`~repro.system.SEARCH_MODES`
+        ``"mode"`` field, one of :data:`~repro.core.query.SEARCH_MODES`
         (``"exact"``, the default, keeps the ``"search"`` label), and a
         ``"task"`` field routing the query to the entity, union, or
         join engine; both fields are rejected on other endpoints, where

@@ -9,53 +9,43 @@ tuples with or without LSH prefiltering.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.core.aggregation import QueryAggregation, RowAggregation
 from repro.core.cache import DEFAULT_SIMILARITY_CACHE_SIZE, CacheStats
-from repro.core.kernel import (
-    ENGINE_KINDS,
-    BatchStats,
-    PrefilterStats,
-    VectorizedTableSearchEngine,
-)
-from repro.core.query import Query
+from repro.core.kernel import ENGINE_KINDS
+from repro.core.kernel.batchstats import BatchStats
+from repro.core.kernel.engine import VectorizedTableSearchEngine
+from repro.core.kernel.join import VectorizedJoinSearchEngine
+from repro.core.kernel.prefilter import PrefilterStats
+from repro.core.kernel.union import VectorizedUnionSearchEngine
+from repro.core.query import SEARCH_MODES, SEARCH_TASKS, Query
 from repro.core.result import ResultSet
 from repro.core.search import TableSearchEngine
 from repro.datalake.lake import DataLake
-from repro.embeddings.rdf2vec import RDF2VecConfig, RDF2VecTrainer
 from repro.embeddings.store import EmbeddingStore
 from repro.exceptions import ConfigurationError, ThetisClosedError
 from repro.kg.graph import KnowledgeGraph
 from repro.linking.mapping import EntityMapping
 from repro.lsh.config import LSHConfig, RECOMMENDED_CONFIG
-from repro.lsh.index import TablePrefilter
-from repro.lsh.schemes import (
-    EmbeddingSignatureScheme,
-    TypeSignatureScheme,
-    frequent_types,
-)
 from repro.similarity.base import EntitySimilarity
 from repro.similarity.embedding import EmbeddingCosineSimilarity
 from repro.similarity.informativeness import Informativeness
 from repro.similarity.types import TypeJaccardSimilarity
 
-#: Retrieval modes accepted by :meth:`Thetis.search`: ``"exact"`` ranks
-#: the whole lake (bit-compatible with the historical default), while
-#: ``"prefilter"`` generates an LSH candidate set first and ranks only
-#: the shortlist (Section 6).
-SEARCH_MODES = ("exact", "prefilter")
-
-#: Search workloads accepted by :meth:`Thetis.search`: ``"entity"`` is
-#: the paper's entity-tuple SemRel ranking, ``"union"`` the SANTOS-like
-#: / Starmie-like table-union ranking, ``"join"`` the D3L/JOSIE-like
-#: joinability ranking.  Union and join run on the vectorized kernels
-#: of :mod:`repro.core.kernel.union` / :mod:`repro.core.kernel.join`
-#: (scalar-baseline parity <= 1e-9) and are served through the same
-#: micro-batch, snapshot, and cluster scatter paths as ``"entity"``.
-SEARCH_TASKS = ("entity", "union", "join")
+if TYPE_CHECKING:
+    from repro.lsh.index import TablePrefilter
 
 #: A candidate restriction: table ids, or a sorted array of distinct
 #: table ordinals of the lake's :class:`~repro.datalake.lake.
@@ -224,6 +214,8 @@ class Thetis:
         Keyword overrides go to :class:`RDF2VecConfig` (``dimensions``,
         ``epochs``, ...).
         """
+        from repro.embeddings.rdf2vec import RDF2VecConfig, RDF2VecTrainer
+
         self._check_open("train_embeddings")
         config = RDF2VecConfig(**overrides)
         self.embeddings = RDF2VecTrainer(self.graph, config).train()
@@ -291,9 +283,6 @@ class Thetis:
         method: Optional[str],
         sigma: Optional[EntitySimilarity],
     ):
-        from repro.core.kernel.join import VectorizedJoinSearchEngine
-        from repro.core.kernel.union import VectorizedUnionSearchEngine
-
         if task == "join":
             return VectorizedJoinSearchEngine(self.lake, self.graph)
         if method not in ("types", "embeddings"):
@@ -501,6 +490,14 @@ class Thetis:
     def _build_prefilter(
         self, key: Tuple[str, LSHConfig, bool]
     ) -> TablePrefilter:
+        # The LSH index loads on the first prefilter read, not at start.
+        from repro.lsh.index import TablePrefilter
+        from repro.lsh.schemes import (
+            EmbeddingSignatureScheme,
+            TypeSignatureScheme,
+            frequent_types,
+        )
+
         method, config, column_aggregation = key
         if method == "types":
             excluded = frequent_types(

@@ -36,6 +36,12 @@ class TestConstruction:
             Table("T", ["A", "B"], [["x"]])
         assert "row 0" in str(exc.value)
 
+    def test_names_the_first_ragged_row_of_any_iterable(self):
+        with pytest.raises(DataLakeError, match="row 2 has 1 values"):
+            Table("T", ["A", "B"], [["a", "b"], ("c", "d"), ["e"], [1, 2, 3]])
+        table = Table("T", ["A", "B"], iter([["a", "b"], ("c", None)]))
+        assert table.rows == [("a", "b"), ("c", None)]
+
     def test_empty_table_allowed(self):
         table = Table("T", ["A"], [])
         assert table.num_rows == 0

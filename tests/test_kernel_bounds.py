@@ -230,9 +230,10 @@ def test_a_ceiling_the_kth_score_has_not_cleared_doubles_m():
     calls = []
     bound_pass = engine._candidate_bounds
 
-    def spy(segment, tuples, positions, profile, top_m=None):
+    def spy(segment, tuples, positions, profile, top_m=None, sims_stack=None):
         calls.append(top_m)
-        return bound_pass(segment, tuples, positions, profile, top_m=top_m)
+        return bound_pass(segment, tuples, positions, profile, top_m=top_m,
+                          sims_stack=sims_stack)
 
     # Chunks of 2k = 12: the four exact tables plus eight of the least
     # similar ones, so the k-th score does not clear the ceiling.

@@ -255,9 +255,10 @@ def test_tied_bounds_cost_a_logarithmic_number_of_passes(monkeypatch):
     passes = []
     segment_tuples = engine._segment_tuples
 
-    def counting(segment, tuples, profile, selection=None):
+    def counting(segment, tuples, profile, selection=None, sims_stack=None):
         passes.append(len(selection))
-        return segment_tuples(segment, tuples, profile, selection=selection)
+        return segment_tuples(segment, tuples, profile, selection=selection,
+                              sims_stack=sims_stack)
 
     monkeypatch.setattr(engine, "_segment_tuples", counting)
     stats = PrefilterStats()
@@ -271,6 +272,45 @@ def test_tied_bounds_cost_a_logarithmic_number_of_passes(monkeypatch):
     block = stats.as_dict()
     assert block["scored_fraction"] == 1.0
     assert block["early_termination_rate"] == 0.0
+
+
+def test_a_scan_stacks_each_query_lane_once_per_segment(monkeypatch):
+    """Verify chunks and refine passes reuse the bound pass's lane rows;
+    each reuse counts as the row hits a re-read would have counted."""
+    lake, mapping = DataLake(), EntityMapping()
+    for index in range(120):
+        table_id = f"T{index:03d}"
+        lake.add(Table(table_id, ["a", "b"], [["x", "p"], ["y", "q"]]))
+        mapping.link(table_id, 0, 0, "kg:e0")
+        mapping.link(table_id, 1, 0, "kg:e1")
+        mapping.link(table_id, 0, 1, f"kg:e{2 + index % 5}")
+    engine = VectorizedTableSearchEngine(
+        lake, mapping, ExactMatchSimilarity()
+    )
+    query = Query([("kg:e0", "kg:e1"), ("kg:e2",)])
+    full = engine.search(query, k=None)
+    (segment,) = engine.index().segments
+    stacked, reads = [], []
+    lane_rows = type(segment).lane_rows
+    monkeypatch.setattr(
+        type(segment), "lane_rows",
+        lambda self, tuples, profile=None: (
+            stacked.append(len(tuples)) or lane_rows(self, tuples, profile)
+        ),
+    )
+    for name in ("_candidate_bounds", "_segment_tuples"):
+        method = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *args, _m=method, **kw: (
+            reads.append(name) or _m(*args, **kw)
+        ))
+    engine.profile.reset()
+    hits = segment.row_cache_stats().hits
+    got = engine.search_candidates(query, lake.table_ids(), k=10)
+    assert pairs(got) == pairs(full.top(10))
+    assert stacked == [2] and len(reads) > 2
+    lanes = 3 * len(reads)
+    assert engine.profile.similarity_calls == lanes * segment.num_entities
+    assert segment.row_cache_stats().hits - hits == lanes
 
 
 # ----------------------------------------------------------------------

@@ -6,22 +6,18 @@ re-exports are the kind of regression only a dedicated test catches.
 """
 
 import importlib
+import pkgutil
 
 import pytest
 
-PACKAGES = [
-    "repro",
-    "repro.kg",
-    "repro.datalake",
-    "repro.linking",
-    "repro.embeddings",
-    "repro.similarity",
-    "repro.core",
-    "repro.lsh",
-    "repro.baselines",
-    "repro.eval",
-    "repro.benchgen",
-]
+import repro
+
+#: Every package under ``repro``; most export lazily (PEP 562).
+PACKAGES = ["repro"] + sorted(
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if info.ispkg
+)
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)
@@ -30,6 +26,17 @@ def test_all_names_resolve(package_name):
     assert hasattr(package, "__all__"), package_name
     for name in package.__all__:
         assert hasattr(package, name), f"{package_name}.{name} missing"
+        assert name in dir(package), f"{package_name}.{name} not listed"
+
+
+@pytest.mark.parametrize("package_name", PACKAGES)
+def test_star_import_binds_every_export(package_name):
+    namespace: dict = {}
+    exec(f"from {package_name} import *", namespace)
+    missing = set(importlib.import_module(package_name).__all__) - set(
+        namespace
+    )
+    assert not missing, f"{package_name}: {sorted(missing)}"
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)
