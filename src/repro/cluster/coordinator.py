@@ -180,6 +180,8 @@ class ClusterCoordinator:
         self._topology_lock = asyncio.Lock()
         self._workers: Dict[str, _WorkerHandle] = {}
         self._epoch = 0
+        # Shard RPCs awaiting a reply, per worker id (see the heartbeat).
+        self._in_flight: Dict[str, int] = {}
         self._http = HttpShell(
             {
                 ("GET", "/readyz"): self._handle_readyz,
@@ -392,6 +394,16 @@ class ClusterCoordinator:
             pass
 
     async def _heartbeat_loop(self) -> None:
+        """Ping every worker each interval; demote after ``dead_after``.
+
+        Busy is not dead: a worker scores on its event-loop thread, so
+        it cannot answer a ping while a shard pass runs, and a long
+        pass (a k=None batch on a large lake) would outlast
+        ``dead_after`` ping timeouts.  A ping that times out while a
+        shard RPC to that worker is in flight is not counted; that
+        RPC's own ``shard_timeout`` detects a stall, and a crash still
+        shows at once as an EOF or a refused dial.
+        """
         interval = self.config.heartbeat_interval
         timeout = max(interval * 2.0, 1.0)
         while not self._shut_down:
@@ -404,7 +416,12 @@ class ClusterCoordinator:
                     pong = await handle.link.request(
                         {"type": "ping"}, timeout=timeout
                     )
-                except ClusterError:
+                except ClusterError as exc:
+                    timed_out = isinstance(
+                        exc.__cause__, (asyncio.TimeoutError, TimeoutError)
+                    )
+                    if timed_out and self._in_flight.get(handle.worker_id):
+                        continue
                     if await self._note_failure(handle.worker_id):
                         flipped = True
                     continue
@@ -723,6 +740,7 @@ class ClusterCoordinator:
         worker_id: str,
         message: Dict[str, Any],
     ) -> Optional[Dict[str, Any]]:
+        self._in_flight[worker_id] = self._in_flight.get(worker_id, 0) + 1
         try:
             reply = await link.request(
                 dict(message, owner=worker_id),
@@ -735,6 +753,8 @@ class ClusterCoordinator:
             if flipped:
                 self._spawn_push()
             return None
+        finally:
+            self._in_flight[worker_id] -= 1
         if not reply.get("ok"):
             if reply.get("stale_epoch"):
                 # The worker missed a routing push (e.g. it registered

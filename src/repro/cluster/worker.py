@@ -17,16 +17,17 @@ workers on one machine share a single copy of the corpus through the
 OS page cache.  A running worker can likewise *adopt* a newly shipped
 sealed segment directory over the wire (the rebalance path).
 
-Scoring runs on a dedicated executor thread so the event loop stays
-responsive to pings while a shard is being scored.
+Warm-up, ``adopt`` and every shard pass run on the event-loop thread:
+the worker is CPU-bound under the GIL, so a second thread would add
+hand-offs, not overlap.  A ping therefore waits for the running pass;
+the coordinator does not count a ping that times out while it has a
+shard RPC in flight to this worker (see its heartbeat loop).
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -96,11 +97,6 @@ class ClusterWorker:
         self.thetis = thetis
         self.config = config
         self._server: Optional[asyncio.AbstractServer] = None
-        # One thread keeps shard passes ordered.
-        self._executor = ThreadPoolExecutor(
-            max_workers=1,
-            thread_name_prefix=f"thetis-shard-{config.worker_id}",
-        )
         # Routing state; touched only from the event loop, serialized
         # by this lock so a routing install never interleaves with a
         # shard computation reading it.
@@ -132,12 +128,8 @@ class ClusterWorker:
         if self._server is not None:
             raise ClusterError("worker already started")
         self._started_at = time.monotonic()
-        loop = asyncio.get_running_loop()
         if self.config.warm_on_start:
-            await loop.run_in_executor(
-                self._executor,
-                functools.partial(self.thetis.warm, self.config.method),
-            )
+            self.thetis.warm(self.config.method)
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -160,7 +152,6 @@ class ClusterWorker:
             await self._server.wait_closed()
         for writer in list(self._writers):
             writer.close()
-        self._executor.shutdown(wait=True)
         self.thetis.close()
 
     async def abort(self) -> None:
@@ -178,7 +169,6 @@ class ClusterWorker:
             transport = writer.transport
             if transport is not None:
                 transport.abort()
-        self._executor.shutdown(wait=False, cancel_futures=True)
 
     async def _register(self) -> None:
         """Dial the coordinator's control port and join the ring."""
@@ -366,13 +356,8 @@ class ClusterWorker:
         plan = requests[0].batch_key()
         shard, ordinals = await self._shard_for(epoch, live, owner, prev_live)
         if shard:
-            loop = asyncio.get_running_loop()
-            rankings = await loop.run_in_executor(
-                self._executor,
-                functools.partial(
-                    self.thetis.search_shard_batch,
-                    queries, ordinals, **plan._asdict(),
-                ),
+            rankings = self.thetis.search_shard_batch(
+                queries, ordinals, **plan._asdict()
             )
             per_query = [
                 [[scored.score, scored.table_id] for scored in results]
@@ -397,21 +382,10 @@ class ClusterWorker:
     async def _handle_adopt(
         self, message: Dict[str, Any]
     ) -> Dict[str, Any]:
-        path = expect_segment_path(message)
-        loop = asyncio.get_running_loop()
-        tables = await loop.run_in_executor(
-            self._executor, functools.partial(self._adopt_sync, path)
-        )
-        return {
-            "ok": True,
-            "worker_id": self.config.worker_id,
-            "adopted_tables": tables,
-        }
-
-    def _adopt_sync(self, path: str) -> int:
         """Memmap a sealed segment directory into the engine."""
         from repro.core.kernel.storage import load_index
 
+        path = expect_segment_path(message)
         engine = self.thetis.engine(self.config.method)
         adopt = getattr(engine, "adopt_index", None)
         if adopt is None:
@@ -422,7 +396,11 @@ class ClusterWorker:
         index = load_index(path, engine.sigma, engine.mapping)
         adopt(index)
         stats = index.stats()
-        return stats.live_tables if stats is not None else 0
+        return {
+            "ok": True,
+            "worker_id": self.config.worker_id,
+            "adopted_tables": stats.live_tables if stats is not None else 0,
+        }
 
     async def _handle_status(self) -> Dict[str, Any]:
         async with self._state_lock:

@@ -7,8 +7,8 @@ dominant cost every time.  This module provides the persistent
 replacement:
 
 * :class:`LRUCache` — a generic bounded least-recently-used cache with
-  hit/miss/eviction counters, safe under concurrent access (the
-  serving layer's batch threads share one instance);
+  hit/miss/eviction counters, safe under concurrent access (served
+  ``/explain`` calls run on executor threads and may share one);
 * :class:`SimilarityCache` — a bounded memo specialized for pairwise
   entity similarities, tuned for the read-dominated hot path: lock-free
   GIL-atomic reads, locked writes, insertion-order eviction.  When the

@@ -2,21 +2,19 @@
 
 Concurrent clients each submit one query; the batcher takes the first
 waiting item plus whatever else is queued one event-loop turn later (up
-to ``max_batch_size``) and hands the batch to a runner that executes it
-against the warm engine in a worker thread.  It never waits on a timer:
-a lone request is dispatched at once, and batches still form under load
-because arrivals queue while the previous batch runs.  Batching keeps
-the engine's similarity cache hot across neighbouring requests and
-bounds context-switching under load.
+to ``max_batch_size``) and hands the batch to a runner.  It never waits
+on a timer: a lone request is dispatched at once, and batches still
+form under load because arrivals queue while the previous batch runs.
 
 Backpressure is explicit and fast: the admission queue is bounded, and
 a submit against a full queue raises
 :class:`~repro.exceptions.ServerOverloadedError` immediately (the
 server turns that into a 503) instead of queueing unboundedly.  Each
-accepted request carries a deadline; expiry raises
-:class:`~repro.exceptions.RequestTimeoutError` (a 504) and the batcher
-discards the request's result when it eventually materializes, so one
-slow query cannot wedge its neighbours' connections.
+accepted request carries a deadline on the loop clock; expiry raises
+:class:`~repro.exceptions.RequestTimeoutError` (a 504) and the late
+result is dropped.  A runner that computes on the loop thread blocks
+the timer that would fire, so the deadline is checked again when the
+outcome is delivered.
 """
 
 from __future__ import annotations
@@ -39,16 +37,21 @@ _SHUTDOWN = object()
 class _Pending:
     """One enqueued request with its completion future."""
 
-    __slots__ = ("item", "future")
+    __slots__ = ("item", "future", "timeout", "deadline")
 
-    def __init__(self, item: Any, future: "asyncio.Future[Any]"):
+    def __init__(self, item: Any, future: "asyncio.Future[Any]",
+                 timeout: float):
         self.item = item
         self.future = future
+        self.timeout = timeout
+        self.deadline = future.get_loop().time() + timeout
 
     def resolve(self, outcome: Any) -> None:
-        """Deliver ``outcome`` unless the waiter already gave up."""
+        """Deliver ``outcome``, or a timeout once the deadline passed."""
         if self.future.done():
             return  # timed out or cancelled; drop the late result
+        if self.future.get_loop().time() >= self.deadline:
+            outcome = RequestTimeoutError(self.timeout)
         if isinstance(outcome, BaseException):
             self.future.set_exception(outcome)
         else:
@@ -67,8 +70,9 @@ class MicroBatcher:
         ``async`` callable receiving the list of batched items and
         returning one outcome per item, aligned by position.  An
         outcome may be an exception instance, which is raised to that
-        item's submitter only.  (The server's runner dispatches the
-        batch to a thread-pool executor so the event loop stays free.)
+        item's submitter only.  The server's runner scores the batch on
+        the loop thread itself, so nothing else on the loop runs until
+        it returns.
     max_batch_size:
         Hard cap on items per runner call.
     max_queue_depth:
@@ -173,14 +177,14 @@ class MicroBatcher:
         future: "asyncio.Future[Any]" = (
             asyncio.get_running_loop().create_future()
         )
-        pending = _Pending(item, future)
+        deadline = timeout if timeout is not None else self.request_timeout
+        pending = _Pending(item, future, deadline)
         try:
             self._queue.put_nowait(pending)
         except asyncio.QueueFull:
             raise ServerOverloadedError(
                 self._queue.qsize(), self.max_queue_depth
             ) from None
-        deadline = timeout if timeout is not None else self.request_timeout
         try:
             return await asyncio.wait_for(future, deadline)
         except asyncio.TimeoutError:

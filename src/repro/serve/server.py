@@ -3,8 +3,8 @@
 Request path::
 
     connection -> parse -> validate (400) -> admission (503 on full
-    queue) -> micro-batch -> engine pass in a worker thread -> JSON
-    response (504 past the deadline)
+    queue) -> micro-batch -> engine pass on the event-loop thread ->
+    JSON response (504 past the deadline)
 
 Control plane::
 
@@ -18,7 +18,11 @@ Control plane::
     POST /tables       add + entity-link a table (snapshot swap)
     DELETE /tables/ID  remove a table (snapshot swap)
 
-Mutations never touch the engine a query might be reading: the
+Query batches are scored on the loop thread: under the GIL a second
+thread adds hand-offs, not overlap.  Warm-up, ``/explain`` and
+mutations are long, so they run in the default executor and the loop
+keeps answering ``/readyz`` and reads meanwhile.  Mutations never touch
+the engine a query might be reading: the
 :class:`~repro.serve.snapshot.SnapshotManager` builds the next
 generation off the request path and swaps it in atomically; in-flight
 batches finish on the generation they started with.
@@ -32,7 +36,6 @@ from __future__ import annotations
 import asyncio
 import functools
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
 
@@ -133,12 +136,6 @@ class ThetisServer:
             max_queue_depth=self.config.max_queue_depth,
             request_timeout=self.config.request_timeout,
         )
-        # One batch runs at a time (the batcher awaits each before
-        # collecting the next), so one thread executes them all.
-        self._batch_executor = ThreadPoolExecutor(
-            max_workers=1,
-            thread_name_prefix="thetis-serve-batch",
-        )
         self._http = HttpShell(
             {
                 ("GET", "/readyz"): self._handle_readyz,
@@ -158,9 +155,9 @@ class ThetisServer:
         self._warmup_task: Optional["asyncio.Task[None]"] = None
         self._ready = threading.Event()
         self._shut_down = False
-        # Deterministic guardrail sampling.
-        self._guardrail_lock = threading.Lock()
-        self._guardrail_counter = 0  # guarded-by: _guardrail_lock
+        # Deterministic guardrail sampling; only batches touch it, and
+        # they all run on the loop thread.
+        self._guardrail_counter = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -229,7 +226,6 @@ class ThetisServer:
             except Exception:
                 pass
         await self.batcher.stop(drain=True)
-        self._batch_executor.shutdown(wait=True)
         self.snapshots.close()
 
     # ------------------------------------------------------------------
@@ -308,10 +304,7 @@ class ThetisServer:
         )
 
     async def _run_batch(self, jobs: Sequence[_QueryJob]) -> List[Any]:
-        loop = asyncio.get_running_loop()
-        outcomes = await loop.run_in_executor(
-            self._batch_executor, self._run_batch_sync, list(jobs)
-        )
+        outcomes = self._run_batch_sync(list(jobs))
         self.metrics.batch_executed(len(jobs))
         return outcomes
 
@@ -320,9 +313,8 @@ class ThetisServer:
         every = self.config.prefilter_guardrail_every
         if every <= 0:
             return False
-        with self._guardrail_lock:
-            self._guardrail_counter += 1
-            return self._guardrail_counter % every == 0
+        self._guardrail_counter += 1
+        return self._guardrail_counter % every == 0
 
     def _run_batch_sync(self, jobs: List[_QueryJob]) -> List[Any]:
         """Execute one coalesced batch against the pinned snapshot.

@@ -12,6 +12,7 @@ import gc
 import http.client
 import json
 import logging
+import threading
 import time
 
 import pytest
@@ -367,6 +368,104 @@ class TestShutdown:
             record.getMessage() for record in caplog.records
             if "Task was destroyed" in record.getMessage()
         ]
+
+
+def stall_first_pass(harness, index, seconds):
+    """Make worker ``index``'s next shard pass block its loop thread."""
+    thetis = harness.worker_threads[index].worker.thetis
+    search = thetis.search_shard_batch
+    stalled = []
+
+    def stalling_search(*args, **kwargs):
+        if not stalled:
+            stalled.append(True)
+            time.sleep(seconds)
+        return search(*args, **kwargs)
+
+    thetis.search_shard_batch = stalling_search
+
+
+class TestThreadModel:
+    def test_shard_passes_run_on_the_worker_loop_thread(
+            self, cluster_bench, queries):
+        with ClusterHarness(make_factory(cluster_bench), workers=2) as harness:
+            seen = set()
+            for thread in harness.worker_threads:
+                search = thread.worker.thetis.search_shard_batch
+
+                def recording(*args, _search=search, **kwargs):
+                    seen.add(threading.current_thread())
+                    return _search(*args, **kwargs)
+
+                thread.worker.thetis.search_shard_batch = recording
+            status, _ = post_search(harness.port, payload_of(queries[0]))
+            assert status == 200
+            names = [thread.name for thread in threading.enumerate()]
+            loops = {thread._thread for thread in harness.worker_threads}
+        assert seen == loops
+        assert not [name for name in names if name.startswith("thetis-shard-")]
+
+
+class TestBusyWorker:
+    def test_busy_worker_is_not_demoted(self, cluster_bench, reference,
+                                        queries):
+        """A pass longer than the ping timeout blocks the worker's
+        pings, but its shard RPC is in flight, so it stays live."""
+        query = queries[0]
+        expected = [(s.score, s.table_id)
+                    for s in reference.search(query, k=K)]
+        config = ClusterConfig(heartbeat_interval=0.1, dead_after=1)
+        with ClusterHarness(make_factory(cluster_bench), workers=2,
+                            config=config) as harness:
+            wait_until(lambda: all(
+                "tables_total" in w
+                for w in get_json(harness.port, "/cluster/status")[1][
+                    "workers"]
+            ) or None)
+            epoch = get_json(harness.port, "/cluster/status")[1]["epoch"]
+            stall_first_pass(harness, 0, 1.5)  # ping timeout is 1 s
+            status, body = post_search(harness.port, payload_of(query))
+            assert status == 200
+            assert body["degraded"] is False
+            assert ranking(body) == expected
+            _, doc = get_json(harness.port, "/cluster/status")
+            cluster = get_json(harness.port, "/metrics")[1]["cluster"]
+        assert doc["epoch"] == epoch
+        assert {w["state"] for w in doc["workers"]} == {"live"}
+        assert cluster["hedged_retries_total"] == 0
+
+    def test_stalled_worker_is_hedged_and_demoted(self, cluster_bench,
+                                                  reference, queries):
+        """A pass past ``shard_timeout`` still fails its shard: the
+        query hedges to the replica and the worker is demoted."""
+        query = queries[0]
+        expected = [(s.score, s.table_id)
+                    for s in reference.search(query, k=K)]
+        config = ClusterConfig(heartbeat_interval=0.1, dead_after=1,
+                               shard_timeout=0.3)
+        with ClusterHarness(make_factory(cluster_bench), workers=2,
+                            config=config) as harness:
+            stall_first_pass(harness, 0, 2.0)
+            status, body = post_search(harness.port, payload_of(query))
+            assert status == 200
+            assert body["degraded"] is True
+            assert body["cluster"]["hedged_retry"] is True
+            assert body["cluster"]["failed_workers"] == ["worker-0"]
+            assert ranking(body) == expected
+            _, doc = get_json(harness.port, "/cluster/status")
+            cluster = get_json(harness.port, "/metrics")[1]["cluster"]
+
+            def state_of_worker_0():
+                workers = get_json(harness.port, "/cluster/status")[1][
+                    "workers"]
+                return {w["worker_id"]: w["state"] for w in workers}[
+                    "worker-0"]
+
+            # Once the stall ends, the next answered ping revives it.
+            wait_until(lambda: state_of_worker_0() == "live")
+        states = {w["worker_id"]: w["state"] for w in doc["workers"]}
+        assert states["worker-0"] == "dead"
+        assert cluster["hedged_retries_total"] >= 1
 
 
 class TestFailover:

@@ -914,13 +914,20 @@ class TestThetisIntegration:
         assert profile.tables_scored > 0
         assert profile.similarity_calls > 0
         assert 0 < profile.similarity_misses <= profile.similarity_calls
-        # A repeat query is answered from the row memo: calls keep
-        # growing, misses do not.
-        misses = profile.similarity_misses
+        first = engine.cache_stats()["kernel_rows"]
+        assert first.misses == 2  # one row per query entity
+        row_misses = profile.similarity_misses // first.misses
+        # A repeat query is a result-memo hit: it reads no row at all.
+        calls, misses = profile.similarity_calls, profile.similarity_misses
         thetis.search(Query.single("kg:player0", "kg:team0"), k=5)
-        assert profile.similarity_calls > 0
+        assert profile.similarity_calls == calls
         assert profile.similarity_misses == misses
+        # A new query sharing kg:player0 reads that row from the row
+        # memo and materializes only kg:team1's.
+        thetis.search(Query.single("kg:player0", "kg:team1"), k=5)
+        assert profile.similarity_calls > calls
+        assert profile.similarity_misses == misses + row_misses
         assert 0.0 < profile.similarity_hit_rate <= 1.0
         stats = engine.cache_stats()
-        assert stats["kernel_rows"].hits > 0
-        assert stats["kernel_rows"].misses > 0
+        assert stats["kernel_rows"].hits > first.hits > 0
+        assert stats["kernel_rows"].misses == first.misses + 1

@@ -10,6 +10,7 @@ admitted work.
 """
 
 import asyncio
+import time
 
 import pytest
 
@@ -291,6 +292,25 @@ class TestTimeouts:
             try:
                 with pytest.raises(RequestTimeoutError):
                     await batcher.submit(1)
+            finally:
+                await batcher.stop()
+
+        run(body())
+
+    def test_runner_blocking_the_loop_past_deadline_times_out(self):
+        """A runner that computes on the loop thread keeps the deadline
+        timer from firing; the outcome is checked on delivery."""
+        async def body():
+            async def runner(items):
+                time.sleep(0.2)
+                return list(items)
+
+            batcher = MicroBatcher(runner, request_timeout=0.05)
+            await batcher.start()
+            try:
+                with pytest.raises(RequestTimeoutError):
+                    await batcher.submit(1)
+                assert await batcher.submit(2, timeout=5.0) == 2
             finally:
                 await batcher.stop()
 

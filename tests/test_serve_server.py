@@ -205,10 +205,10 @@ class TestSearchParity:
         async def runner(items):
             if items != [hold]:
                 return await serve_batch(items)
-            # Hold the batch thread busy; this batch is not a search.
+            # Hold the batcher busy; this batch is not a search.
             held.set()
             await asyncio.get_running_loop().run_in_executor(
-                handle.server._batch_executor, release.wait
+                None, release.wait
             )
             return [None]
 
@@ -536,6 +536,64 @@ class TestTimeout:
             assert metrics["timeout_total"] >= 1
         finally:
             handle.stop()
+
+    def test_batch_blocking_the_loop_past_its_deadline_is_504(
+            self, sports_lake, sports_graph, sports_mapping):
+        """A batch scored on the loop thread blocks the deadline timer;
+        its late result must still answer 504, not a late 200."""
+        handle = ServerThread(
+            build_served_thetis(sports_lake, sports_graph, sports_mapping),
+            ServeConfig(port=0, request_timeout=0.05),
+        )
+        server = handle.server
+        run_batch_sync = server._run_batch_sync
+
+        def slow_batch(jobs):
+            time.sleep(0.3)
+            return run_batch_sync(jobs)
+
+        server._run_batch_sync = slow_batch
+        handle.start().wait_ready()
+        try:
+            status, body = http_request(
+                handle.port, "POST", "/search",
+                {"tuples": QUERY_TUPLES[0]},
+            )
+            assert status == 504
+            assert "timed out" in body["error"]
+            _, metrics = http_request(handle.port, "GET", "/metrics")
+            assert metrics["timeout_total"] == 1
+        finally:
+            handle.stop()
+
+
+class TestThreadModel:
+    def test_batches_run_on_the_loop_thread(
+            self, sports_lake, sports_graph, sports_mapping):
+        """search_many runs on the event-loop thread; the server starts
+        no batch thread of its own."""
+        served = build_served_thetis(sports_lake, sports_graph,
+                                     sports_mapping)
+        search_many = served.search_many
+        threads = []
+
+        def recording_search_many(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return search_many(*args, **kwargs)
+
+        served.search_many = recording_search_many
+        with ServerThread(served, ServeConfig(port=0)) as handle:
+            handle.wait_ready()
+            for tuples in QUERY_TUPLES:
+                status, _ = http_request(
+                    handle.port, "POST", "/search", {"tuples": tuples}
+                )
+                assert status == 200
+            names = [thread.name for thread in threading.enumerate()]
+        assert threads and set(threads) == {handle._thread}
+        assert not [
+            name for name in names if name.startswith("thetis-serve-batch")
+        ]
 
 
 # ----------------------------------------------------------------------
