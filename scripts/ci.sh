@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: repro.analysis static checks, tier-1 tests, plus quick perf
+# CI gate: repro.analysis static checks, tier-1 tests, a leak check of
+# the serving and cluster suites, plus quick perf
 # smokes of the persistent similarity cache, the vectorized scoring
 # kernel (score parity + speedup floor), and the online serving layer,
 # so regressions in the scoring substrate or the query service surface
@@ -42,6 +43,13 @@ stage "lint self-check: injected violations must fail the stage" \
     python scripts/lint_selfcheck.py
 
 stage "tier-1 test suite" python -m pytest -x -q
+
+# Dev mode reports every socket, transport or task a node leaves behind
+# when it stops; here each of those warnings fails the suite.
+stage "leak check: serving and cluster suites, leaks as errors" \
+    python -X dev -m pytest -q tests/test_serve_*.py tests/test_cluster_*.py \
+    -W error::ResourceWarning \
+    -W error::pytest.PytestUnraisableExceptionWarning
 
 stage "perf smoke: persistent similarity cache" \
     python -m pytest -x -q -s \

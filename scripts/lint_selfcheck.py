@@ -3,12 +3,15 @@
 
 A lint stage that silently stopped finding anything would pass CI
 forever, so this script proves the flow passes still bite: it writes a
-scratch tree containing one synthetic AB/BA lock-order cycle, one
-wire-to-engine taint bypass and one lazy package ``__init__`` whose
+scratch tree containing one synthetic AB/BA lock-order cycle, two
+wire-to-engine taint bypasses (a frame read directly, and a frame
+handed to a handler by ``FrameShell``, which no call site in the tree
+passes one) and one lazy package ``__init__`` whose
 ``__all__`` exports a name that neither its ``TYPE_CHECKING`` block
 nor its lazy table provides, runs ``python -m repro.analysis`` over it
 exactly the way the CI lint stage runs over ``src/repro``, and fails
-unless the run (a) exits non-zero and (b) reports every expected rule.
+unless the run (a) exits non-zero and (b) reports every expected rule,
+the taint rule in both bypasses.
 
 Run from the repository root (ci.sh does)::
 
@@ -66,6 +69,26 @@ async def handle(reader, searcher: Searcher):
     return searcher.search(message.get("query"), k=message.get("k"))
 """
 
+# The shape of a cluster node: the shell calls the handler with each
+# frame it reads, so the sink is reachable only through the callback.
+FRAME_BYPASS = """\
+from repro.cluster.protocol import FrameShell
+
+
+class Searcher:
+    def search(self, query, k=10):
+        return []
+
+
+class Node:
+    def __init__(self, searcher: Searcher):
+        self.searcher = searcher
+        self.shell = FrameShell(self._dispatch)
+
+    async def _dispatch(self, message):
+        return {"ok": True,
+                "results": self.searcher.search(message.get("query"))}
+"""
 
 LAZY_INIT = """\
 from typing import TYPE_CHECKING
@@ -89,6 +112,9 @@ def main() -> int:
         )
         (root / "taint_bypass.py").write_text(
             textwrap.dedent(TAINT_BYPASS), encoding="utf-8"
+        )
+        (root / "frame_bypass.py").write_text(
+            textwrap.dedent(FRAME_BYPASS), encoding="utf-8"
         )
         (root / "lazypkg").mkdir()
         (root / "lazypkg" / "__init__.py").write_text(
@@ -118,13 +144,21 @@ def main() -> int:
             print(f"lint_selfcheck: FAIL — expected rules {sorted(missing)} "
                   f"did not fire (got {sorted(rules)})", file=sys.stderr)
             return 1
+        tainted = {
+            Path(finding["path"]).name for finding in document["findings"]
+            if finding["rule"] == "wire-taint"
+        }
+        if tainted != {"taint_bypass.py", "frame_bypass.py"}:
+            print("lint_selfcheck: FAIL — wire-taint missed a bypass "
+                  f"(fired in {sorted(tainted)})", file=sys.stderr)
+            return 1
         cycles = document["artifacts"]["lock_order"]["cycles"]
         if not cycles:
             print("lint_selfcheck: FAIL — lock-order artifacts report no "
                   "cycle for the injected AB/BA pair", file=sys.stderr)
             return 1
-        print("lint_selfcheck: ok — injected lock-order cycle, taint "
-              "bypass and lazy-export mismatch all detected "
+        print("lint_selfcheck: ok — injected lock-order cycle, both taint "
+              "bypasses and lazy-export mismatch all detected "
               f"({len(document['findings'])} finding(s))")
         return 0
 

@@ -10,7 +10,9 @@ before they reach the engine or the filesystem.  This pass proves it:
   ``repro.serve.http.read_request``; any value derived from an
   :class:`~repro.serve.http.HttpRequest` (attribute reads, ``.json()``)
   is tainted, whether the request came from ``read_request`` or a
-  parameter annotated ``HttpRequest``.
+  parameter annotated ``HttpRequest``; and the first parameter of any
+  frame handler handed to a :class:`~repro.cluster.protocol.FrameShell`
+  (the shell calls it with each frame it reads).
 * **Sanitizers** — the protocol codecs and validators
   (``SearchRequest.from_json`` and friends, ``RoutingTable.from_json``,
   the ``expect_*`` helpers of :mod:`repro.cluster.protocol`,
@@ -95,6 +97,10 @@ SINK_FUNCTIONS = {
     "repro.core.kernel.storage.save_index",
     "repro.core.kernel.storage.inspect_index",
 }
+
+#: Shells that call their first argument with every frame they read:
+#: the handler's first parameter is wire input.
+FRAME_HANDLER_SHELLS = {"repro.cluster.protocol.FrameShell"}
 
 #: Canonical names that are sinks on their *path* argument only.
 PATH_SINKS = {"open": 0, "numpy.memmap": 0, "os.makedirs": 0}
@@ -433,6 +439,14 @@ class _TaintAnalysis:
         if deferred is not None:
             self._check_call(function, env, deferred, propagations,
                              report)
+        if canonical in FRAME_HANDLER_SHELLS and call.args:
+            # The shell calls its handler with every frame it reads.
+            handler = ast.Call(func=call.args[0], args=[], keywords=[])
+            callee = self.project.resolve_call(function, handler)
+            if callee is not None:
+                propagations.append((callee, self._map_args_to_params(
+                    callee, handler, [(None, True)]
+                )))
         # Receiver taint: method calls on tainted objects yield taint.
         receiver_tainted = False
         if isinstance(call.func, ast.Attribute):

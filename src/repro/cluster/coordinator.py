@@ -41,34 +41,29 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.client import WorkerLink
 from repro.cluster.protocol import (
+    Frame,
+    FrameShell,
     RoutingTable,
     expect_endpoint,
     expect_type,
     expect_worker_id,
-    read_frame,
-    write_frame,
 )
 from repro.core.kernel.batchstats import BatchStats
 from repro.core.parallel import merge_topk
 from repro.core.result import ResultSet, ScoredTable
-from repro.exceptions import (
-    ClusterError,
-    ClusterProtocolError,
-    ProtocolError,
-    RequestTimeoutError,
-    ServeError,
-    ServerOverloadedError,
-)
+from repro.exceptions import ClusterError, ClusterProtocolError
 from repro.serve.batching import (
     DEFAULT_MAX_BATCH_SIZE,
     DEFAULT_MAX_QUEUE_DEPTH,
     DEFAULT_REQUEST_TIMEOUT,
     MicroBatcher,
 )
-from repro.serve.http import HttpRequest, HttpResponse, HttpShell
+from repro.serve.http import (
+    HttpRequest, HttpResponse, HttpShell, search_handler,
+)
 from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import (
-    SearchPlan, SearchRequest, error_to_json, result_to_json,
+    SearchOutcome, SearchPlan, SearchRequest, error_to_json,
 )
 
 
@@ -112,6 +107,30 @@ class _WorkerHandle:
     failures: int = 0
     last_seen: float = 0.0
     stats: Dict[str, Any] = field(default_factory=dict)
+
+
+def _well_formed(reply: Dict[str, Any], queries: int) -> bool:
+    """Whether a ``result_batch`` reply can be folded, checked whole.
+
+    One list per query of ``[score, table_id]`` pairs, and integer
+    ``shard_size`` / ``tables_total``.  Nothing is folded before all of
+    it is checked, so a bad reply is one failed shard (it takes the
+    hedged retry), never a half-merged ranking or an error.
+    """
+    rows = reply.get("results")
+    return (
+        isinstance(rows, list) and len(rows) == queries
+        and type(reply.get("shard_size")) is int
+        and type(reply.get("tables_total")) is int
+        and all(isinstance(row, list) and all(map(_is_pair, row))
+                for row in rows)
+    )
+
+
+def _is_pair(entry: Any) -> bool:
+    return (isinstance(entry, list) and len(entry) == 2
+            and type(entry[0]) in (int, float)
+            and isinstance(entry[1], str))
 
 
 class ClusterMetrics:
@@ -170,7 +189,8 @@ class ClusterCoordinator:
         self.metrics = ServerMetrics()
         self.cluster_metrics = ClusterMetrics()
         self.batcher = MicroBatcher(
-            runner=self._run_search_batch,
+            runner=self._scatter_plan,
+            metrics=self.metrics,
             max_batch_size=self.config.max_batch_size,
             max_queue_depth=self.config.max_queue_depth,
             request_timeout=self.config.request_timeout,
@@ -187,11 +207,11 @@ class ClusterCoordinator:
                 ("GET", "/readyz"): self._handle_readyz,
                 ("GET", "/metrics"): self._handle_metrics,
                 ("GET", "/cluster/status"): self._handle_status,
-                ("POST", "/search"): self._handle_search,
+                ("POST", "/search"): search_handler(self.batcher),
             },
             self.metrics,
         )
-        self._control_server: Optional[asyncio.AbstractServer] = None
+        self._control = FrameShell(self._handle_control)
         self._heartbeat_task: Optional["asyncio.Task[None]"] = None
         self._push_tasks: Set["asyncio.Task[None]"] = set()
         self._shut_down = False
@@ -208,16 +228,15 @@ class ClusterCoordinator:
 
     @property
     def control_port(self) -> int:
-        if self._control_server is None or not self._control_server.sockets:
+        port = self._control.port
+        if port is None:
             raise ClusterError("coordinator control port is not listening")
-        return self._control_server.sockets[0].getsockname()[1]
+        return port
 
     async def start(self) -> None:
         if self._http.port is not None:
             raise ClusterError("coordinator already started")
-        self._control_server = await asyncio.start_server(
-            self._handle_control, self.config.host, self.config.control_port
-        )
+        await self._control.start(self.config.host, self.config.control_port)
         await self._http.start(self.config.host, self.config.port)
         loop = asyncio.get_running_loop()
         self._heartbeat_task = loop.create_task(
@@ -226,8 +245,6 @@ class ClusterCoordinator:
         await self.batcher.start()
 
     async def serve_forever(self) -> None:
-        if self._http.port is None:
-            raise ClusterError("call start() first")
         await self._http.serve_forever()
 
     async def shutdown(self) -> None:
@@ -243,10 +260,8 @@ class ClusterCoordinator:
         # Drain before the worker links close so admitted queries still
         # complete their scatter; each is bounded by the request timeout.
         await self._http.close(self.config.request_timeout)
-        await self.batcher.stop(drain=True)
-        if self._control_server is not None:
-            self._control_server.close()
-            await self._control_server.wait_closed()
+        await self.batcher.stop()
+        await self._control.close()
         pushes = list(self._push_tasks)
         for task in pushes:
             task.cancel()
@@ -261,45 +276,16 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     # Control plane: registration + heartbeat
     # ------------------------------------------------------------------
-    async def _handle_control(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            while not self._shut_down:
-                try:
-                    message = await read_frame(reader)
-                except ClusterProtocolError as exc:
-                    await write_frame(
-                        writer, {"ok": False, "error": str(exc)}
-                    )
-                    break
-                if message is None:
-                    break
-                try:
-                    kind = expect_type(message)
-                    if kind == "register":
-                        reply = await self._handle_register(message)
-                    elif kind == "leave":
-                        reply = await self._handle_leave(message)
-                    else:
-                        raise ClusterProtocolError(
-                            f"message type {kind!r} is not served on the "
-                            f"control port"
-                        )
-                except (ClusterError, ProtocolError) as exc:
-                    reply = {"ok": False, "error": str(exc)}
-                await write_frame(writer, reply)
-        except (ConnectionResetError, BrokenPipeError,
-                asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+    async def _handle_control(self, message: Frame) -> Frame:
+        """Answer one control-port frame (``register`` / ``leave``)."""
+        kind = expect_type(message)
+        if kind == "register":
+            return await self._handle_register(message)
+        if kind == "leave":
+            return await self._handle_leave(message)
+        raise ClusterProtocolError(
+            f"message type {kind!r} is not served on the control port"
+        )
 
     async def _handle_register(
         self, message: Dict[str, Any]
@@ -545,82 +531,29 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     # Scatter-gather query path
     # ------------------------------------------------------------------
-    async def _handle_search(self, request: HttpRequest) -> HttpResponse:
-        try:
-            parsed = SearchRequest.from_json(request.json(), mode="search")
-            parsed.query()  # validates; workers materialize their own
-        except ProtocolError as exc:
-            return HttpResponse(400, error_to_json(str(exc), 400))
-        try:
-            return await self.batcher.submit(parsed)
-        except ServerOverloadedError as exc:
-            return HttpResponse(503, error_to_json(str(exc), 503))
-        except RequestTimeoutError as exc:
-            return HttpResponse(504, error_to_json(str(exc), 504))
-        except ServeError as exc:
-            return HttpResponse(503, error_to_json(str(exc), 503))
-
-    async def _run_search_batch(
-        self, jobs: Sequence[SearchRequest]
-    ) -> List[Any]:
-        """Execute one coalesced micro-batch of ``/search`` requests.
-
-        Jobs sharing a :class:`~repro.serve.protocol.SearchPlan` ride one
-        batched scatter: a single ``search_batch`` frame per shard, so
-        every worker scores its whole shard for all queries of the
-        group in one fused kernel pass.  Outcomes are per-request
-        :class:`HttpResponse` objects aligned with ``jobs``.
-        """
-        outcomes: List[Any] = [None] * len(jobs)
-        groups: Dict[Any, List[int]] = {}
-        for index, parsed in enumerate(jobs):
-            groups.setdefault(parsed.batch_key(), []).append(index)
-        for plan, indices in groups.items():
-            group = [jobs[position] for position in indices]
-            try:
-                responses = await self._scatter_group(plan, group)
-            except Exception as exc:  # keep neighbours' outcomes intact
-                responses = [
-                    HttpResponse(
-                        500, error_to_json(f"internal error: {exc}", 500)
-                    )
-                    for _ in group
-                ]
-            for position, response in zip(indices, responses):
-                outcomes[position] = response
-        self.metrics.batch_executed(len(jobs))
-        return outcomes
-
-    async def _scatter_group(
-        self, plan: SearchPlan, group: List[SearchRequest]
-    ) -> List[HttpResponse]:
+    async def _scatter_plan(
+        self, plan: SearchPlan, group: Sequence[SearchRequest]
+    ) -> List[SearchOutcome]:
         """One batched scatter for a group of queries sharing ``plan``.
 
-        Every live worker receives the whole query batch and the plan,
-        and answers one top-k partial per query from its shard;
-        per-query partials are merged with :func:`merge_topk`, so each
-        query's ranking is bit-identical to a solo scatter of that
-        query.
+        Every live worker receives the whole query batch and the plan
+        in one ``search_batch`` frame, scores its shard for all of them
+        in one fused kernel pass, and answers one top-k partial per
+        query; per-query partials are merged with :func:`merge_topk`,
+        so each query's ranking is bit-identical to a solo scatter of
+        that query.
         """
         self.metrics.note_task(plan.task, len(group))
         async with self._topology_lock:
             epoch = self._epoch
-            live = tuple(
-                worker_id
+            links = {
+                worker_id: handle.link
                 for worker_id, handle in self._workers.items()
                 if handle.state == "live"
-            )
-            links = {
-                worker_id: self._workers[worker_id].link
-                for worker_id in live
             }
+        live = tuple(links)
         if not live:
-            return [
-                HttpResponse(
-                    503, error_to_json("no live workers in the ring", 503)
-                )
-                for _ in group
-            ]
+            raise ClusterError("no live workers in the ring")
         base = {
             "type": "search_batch",
             "epoch": epoch,
@@ -640,26 +573,19 @@ class ClusterCoordinator:
         failed: List[str] = []
         shard_requests = len(live)
 
-        def _absorb(reply: Dict[str, Any]) -> bool:
-            """Fold one worker's per-query partials in; False = reject."""
-            rows = reply["results"]
-            if len(rows) != len(group):
-                return False
-            if not all(isinstance(row, list) for row in rows):
-                return False
-            for position, row in enumerate(rows):
-                partials[position].append(
-                    [(score, table_id) for score, table_id in row]
-                )
-            return True
+        def absorb(worker_id: str, reply: Optional[Dict[str, Any]]) -> None:
+            nonlocal covered, tables_total
+            if reply is None or not _well_formed(reply, len(group)):
+                if worker_id not in failed:
+                    failed.append(worker_id)
+                return
+            for position, row in enumerate(reply["results"]):
+                partials[position].append(row)
+            covered += reply["shard_size"]
+            tables_total = max(tables_total, reply["tables_total"])
 
         for worker_id in live:
-            reply = replies[worker_id]
-            if reply is None or not _absorb(reply):
-                failed.append(worker_id)
-                continue
-            covered += int(reply.get("shard_size", 0))
-            tables_total = max(tables_total, int(reply.get("tables_total", 0)))
+            absorb(worker_id, replies[worker_id])
         retried = False
         if failed and len(failed) < len(live):
             # Hedged retry: surviving replicas score exactly the tables
@@ -675,39 +601,21 @@ class ClusterCoordinator:
             )
             retry_replies = await self._scatter(links, retry, survivors)
             for worker_id in survivors:
-                reply = retry_replies[worker_id]
-                if reply is None or not _absorb(reply):
-                    if worker_id not in failed:
-                        failed.append(worker_id)
-                    continue
-                covered += int(reply.get("shard_size", 0))
+                absorb(worker_id, retry_replies[worker_id])
             shard_requests += len(survivors)
         if failed and not any(partials):
             self.cluster_metrics.note_scatter(
                 shard_requests, len(failed), retried, True, tables_total
             )
-            return [
-                HttpResponse(
-                    503, error_to_json("no shard answered the scatter", 503)
-                )
-                for _ in group
-            ]
+            raise ClusterError("no shard answered the scatter")
         uncovered = max(0, tables_total - covered)
         degraded = bool(failed) or uncovered > 0
         self.cluster_metrics.note_scatter(
             shard_requests, len(failed), retried, degraded, uncovered
         )
-        responses: List[HttpResponse] = []
-        for position, parsed in enumerate(group):
-            merged = merge_topk(partials[position], parsed.k)
-            results = ResultSet(
-                ScoredTable(score, table_id) for score, table_id in merged
-            )
-            payload = result_to_json(
-                results, parsed, snapshot_version=epoch
-            )
-            payload["degraded"] = degraded
-            payload["cluster"] = {
+        extra = {
+            "degraded": degraded,
+            "cluster": {
                 "epoch": epoch,
                 "workers_scattered": len(live),
                 "failed_workers": failed,
@@ -715,9 +623,21 @@ class ClusterCoordinator:
                 "covered_tables": covered,
                 "tables_total": tables_total,
                 "uncovered_tables": uncovered,
-            }
-            responses.append(HttpResponse(200, payload))
-        return responses
+            },
+        }
+        return [
+            SearchOutcome(
+                ResultSet(
+                    ScoredTable(score, table_id)
+                    for score, table_id in merge_topk(
+                        partials[position], parsed.k
+                    )
+                ),
+                epoch,
+                extra,
+            )
+            for position, parsed in enumerate(group)
+        ]
 
     async def _scatter(
         self,
@@ -761,8 +681,6 @@ class ClusterCoordinator:
                 # while a push was in flight): re-push asynchronously;
                 # this query treats the shard as failed and hedges.
                 self._spawn_push()
-            return None
-        if not isinstance(reply.get("results"), list):
             return None
         return reply
 

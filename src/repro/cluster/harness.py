@@ -17,7 +17,6 @@ and the kill-a-worker benchmark are about.
 
 from __future__ import annotations
 
-import asyncio
 from typing import Callable, List, Optional
 
 from repro.cluster.coordinator import ClusterConfig, ClusterCoordinator
@@ -46,14 +45,7 @@ class WorkerThread(LoopThread):
 
     def crash(self, timeout: float = 10.0) -> None:
         """Simulate a worker death: abort everything, skip the goodbye."""
-        if self._loop is None or not self._thread.is_alive():
-            return
-        future = asyncio.run_coroutine_threadsafe(
-            self.worker.abort(), self._loop
-        )
-        future.result(timeout)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout)
+        self._finish(self.worker.abort, timeout)
 
 
 class CoordinatorThread(LoopThread):

@@ -12,6 +12,10 @@ magnitude smaller.
 Violations raise :class:`~repro.exceptions.ClusterProtocolError`; a
 clean EOF *between* frames reads as ``None`` so connection pools can
 distinguish "peer closed politely" from "peer died mid-reply".
+
+:class:`FrameShell` is the server side of the wire, as
+:class:`~repro.serve.http.HttpShell` is of HTTP: the worker and the
+coordinator's control port hand it one frame handler each.
 """
 
 from __future__ import annotations
@@ -19,9 +23,12 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
-from repro.exceptions import ClusterProtocolError
+from repro.exceptions import (
+    ClusterProtocolError, ReproError, ServeError, StaleEpochError,
+)
+from repro.serve.http import StreamShell
 
 #: Bytes of the frame-length prefix (big-endian unsigned).
 FRAME_HEADER_BYTES = 4
@@ -42,6 +49,14 @@ MSG_TYPES = (
     "adopt",      # coordinator -> worker: memmap a sealed segment dir
     "status",     # anyone -> worker: introspection
 )
+
+
+#: One decoded frame: an object with a ``type`` (requests) or an ``ok``
+#: flag (replies).
+Frame = Dict[str, Any]
+
+#: Answers one request frame with its reply frame.
+FrameHandler = Callable[[Frame], Awaitable[Frame]]
 
 
 def encode_frame(payload: Dict[str, Any]) -> bytes:
@@ -104,6 +119,77 @@ async def write_frame(
     """Encode and flush one frame."""
     writer.write(encode_frame(payload))
     await writer.drain()
+
+
+def error_frame(exc: ReproError) -> Frame:
+    """The ``{"ok": false}`` reply to a frame that raised ``exc``.
+
+    An engine error is named by its kind; a stale epoch also carries
+    the node's current one, so the coordinator knows to re-push.
+    """
+    if isinstance(exc, ServeError):
+        reply: Frame = {"ok": False, "error": str(exc)}
+    else:
+        reply = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+    if isinstance(exc, StaleEpochError):
+        reply.update(stale_epoch=True, epoch=exc.current)
+    return reply
+
+
+class FrameShell(StreamShell):
+    """Listener and framed connection loop of one cluster node.
+
+    Every frame read on an accepted connection goes to ``handler`` and
+    its reply is written back, in order; a handler's error is answered
+    with its :func:`error_frame`, and a malformed frame gets one such
+    reply before the connection closes.
+    """
+
+    def __init__(self, handler: FrameHandler):
+        super().__init__()
+        self._handler = handler
+
+    async def close(self) -> None:
+        """Stop accepting, end every connection, await its handler task.
+
+        Each connection is closed and its task cancelled at its next
+        await, so no handler (nor its socket) outlives the call.
+        """
+        await self._stop_accepting()
+        tasks = list(self._connections)
+        self._end(tasks)
+        await asyncio.gather(*tasks, return_exceptions=True)
+
+    def abort(self) -> None:
+        """Crash simulation: unbind and drop every connection, no reply."""
+        self._closing = True
+        if self._server is not None:
+            self._server.close()
+        for writer in self._connections.values():
+            if writer.transport is not None:
+                writer.transport.abort()
+
+    async def _serve(self, reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter) -> None:
+        try:
+            while not self._closing:
+                try:
+                    message = await read_frame(reader)
+                except ClusterProtocolError as exc:
+                    await write_frame(writer, error_frame(exc))
+                    break
+                if message is None:
+                    break
+                try:
+                    reply = await self._handler(message)
+                except ReproError as exc:
+                    reply = error_frame(exc)
+                await write_frame(writer, reply)
+        except (ConnectionResetError, BrokenPipeError,
+                asyncio.CancelledError):
+            pass
+        finally:
+            await self._hang_up(writer)
 
 
 def expect_type(payload: Dict[str, Any]) -> str:

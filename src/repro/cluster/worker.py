@@ -29,12 +29,14 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.hashring import HashRing
 from repro.cluster.protocol import (
+    Frame,
+    FrameShell,
     RoutingTable,
     expect_epoch,
     expect_segment_path,
@@ -46,9 +48,6 @@ from repro.cluster.protocol import (
 from repro.exceptions import (
     ClusterError,
     ClusterProtocolError,
-    ProtocolError,
-    ReproError,
-    ServeError,
     StaleEpochError,
 )
 from repro.serve.protocol import SearchPlan, SearchRequest
@@ -96,7 +95,7 @@ class ClusterWorker:
     def __init__(self, thetis: Thetis, config: WorkerConfig):
         self.thetis = thetis
         self.config = config
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._shell = FrameShell(self._dispatch)
         # Routing state; touched only from the event loop, serialized
         # by this lock so a routing install never interleaves with a
         # shard computation reading it.
@@ -105,13 +104,11 @@ class ClusterWorker:
         self._history: Dict[int, RoutingTable] = {}
         self._rings: Dict[int, HashRing] = {}
         self._shards: Dict[Tuple, Tuple[List[str], np.ndarray]] = {}
-        self._writers: Set[asyncio.StreamWriter] = set()
         self._started_at = 0.0
         self._searches_total = 0
         # Per-task query tallies ("entity" | "union" | "join"), folded
         # into the coordinator's fleet metrics via the pong.
         self._task_counts: Dict[str, int] = {}
-        self._closed = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -119,39 +116,30 @@ class ClusterWorker:
     @property
     def port(self) -> int:
         """The bound port (``port=0`` requests an ephemeral one)."""
-        if self._server is None or not self._server.sockets:
+        port = self._shell.port
+        if port is None:
             raise ClusterError("worker is not listening")
-        return self._server.sockets[0].getsockname()[1]
+        return port
 
     async def start(self) -> None:
         """Warm the engine, bind, and register with the coordinator."""
-        if self._server is not None:
+        if self._shell.port is not None:
             raise ClusterError("worker already started")
         self._started_at = time.monotonic()
         if self.config.warm_on_start:
             self.thetis.warm(self.config.method)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
+        await self._shell.start(self.config.host, self.config.port)
         if (self.config.coordinator_host is not None
                 and self.config.coordinator_port is not None):
             await self._register()
 
     async def serve_forever(self) -> None:
-        if self._server is None:
-            raise ClusterError("call start() first")
-        await self._server.serve_forever()
+        await self._shell.serve_forever()
 
     async def shutdown(self) -> None:
-        """Graceful stop: unbind, close connections, release the engine."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for writer in list(self._writers):
-            writer.close()
+        """Graceful stop: unbind, end every connection (awaiting its
+        handler task), release the engine; idempotent."""
+        await self._shell.close()
         self.thetis.close()
 
     async def abort(self) -> None:
@@ -162,13 +150,7 @@ class ClusterWorker:
         exactly what a dead process looks like: refused dials and EOFs
         on pooled connections.
         """
-        self._closed = True
-        if self._server is not None:
-            self._server.close()
-        for writer in list(self._writers):
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
+        self._shell.abort()
 
     async def _register(self) -> None:
         """Dial the coordinator's control port and join the ring."""
@@ -206,68 +188,26 @@ class ClusterWorker:
         )
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Dispatch
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self._writers.add(writer)
-        try:
-            while not self._closed:
-                try:
-                    message = await read_frame(reader)
-                except ClusterProtocolError as exc:
-                    await write_frame(
-                        writer, {"ok": False, "error": str(exc)}
-                    )
-                    break
-                if message is None:
-                    break
-                reply = await self._dispatch(message)
-                await write_frame(writer, reply)
-        except (ConnectionResetError, BrokenPipeError,
-                asyncio.CancelledError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        try:
-            # Compared, never forwarded: any type without a handler
-            # here (the coordinator's own, the retired single-query
-            # "search", garbage) gets the refusal below.
-            kind = message.get("type")
-            if kind == "ping":
-                return await self._handle_ping()
-            if kind == "routing":
-                return await self._handle_routing(message)
-            if kind == "search_batch":
-                return await self._handle_search_batch(message)
-            if kind == "adopt":
-                return await self._handle_adopt(message)
-            if kind == "status":
-                return await self._handle_status()
-            raise ClusterProtocolError(
-                f"message type {kind!r} is not served by workers"
-            )
-        except StaleEpochError as exc:
-            return {
-                "ok": False,
-                "error": str(exc),
-                "stale_epoch": True,
-                "epoch": exc.current,
-            }
-        except (ClusterError, ProtocolError, ServeError) as exc:
-            return {"ok": False, "error": str(exc)}
-        except ReproError as exc:
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+    async def _dispatch(self, message: Frame) -> Frame:
+        # Compared, never forwarded: any type without a handler here
+        # (the coordinator's own, the retired single-query "search",
+        # garbage) gets the refusal below.
+        kind = message.get("type")
+        if kind == "ping":
+            return await self._handle_ping()
+        if kind == "routing":
+            return await self._handle_routing(message)
+        if kind == "search_batch":
+            return await self._handle_search_batch(message)
+        if kind == "adopt":
+            return await self._handle_adopt(message)
+        if kind == "status":
+            return await self._handle_status()
+        raise ClusterProtocolError(
+            f"message type {kind!r} is not served by workers"
+        )
 
     # ------------------------------------------------------------------
     # Handlers

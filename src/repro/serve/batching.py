@@ -2,9 +2,11 @@
 
 Concurrent clients each submit one query; the batcher takes the first
 waiting item plus whatever else is queued one event-loop turn later (up
-to ``max_batch_size``) and hands the batch to a runner.  It never waits
-on a timer: a lone request is dispatched at once, and batches still
-form under load because arrivals queue while the previous batch runs.
+to ``max_batch_size``), splits that batch by each item's
+``batch_key()`` (a :class:`~repro.serve.protocol.SearchPlan`), and
+hands each group to the runner.  It never waits on a timer: a lone
+request is dispatched at once, and batches still form under load
+because arrivals queue while the previous batch runs.
 
 Backpressure is explicit and fast: the admission queue is bounded, and
 a submit against a full queue raises
@@ -14,37 +16,52 @@ accepted request carries a deadline on the loop clock; expiry raises
 :class:`~repro.exceptions.RequestTimeoutError` (a 504) and the late
 result is dropped.  A runner that computes on the loop thread blocks
 the timer that would fire, so the deadline is checked again when the
-outcome is delivered.
+outcome is delivered, and a request whose waiter already gave up is
+never handed to the runner.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, List, Optional, Sequence
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence
 
 from repro.exceptions import RequestTimeoutError, ServeError, \
     ServerOverloadedError
+from repro.serve.metrics import ServerMetrics
 
 #: Defaults tuned for an interactive service.
 DEFAULT_MAX_BATCH_SIZE = 8
 DEFAULT_MAX_QUEUE_DEPTH = 64
 DEFAULT_REQUEST_TIMEOUT = 30.0
 
-#: Sentinel that asks the worker loop to finish draining and exit.
+#: Sentinel that asks the worker loop to exit once the requests ahead
+#: of it have run.
 _SHUTDOWN = object()
 
 
 class _Pending:
     """One enqueued request with its completion future."""
 
-    __slots__ = ("item", "future", "timeout", "deadline")
+    __slots__ = ("item", "plan", "future", "timeout", "deadline")
 
     def __init__(self, item: Any, future: "asyncio.Future[Any]",
                  timeout: float):
         self.item = item
+        self.plan = item.batch_key()
         self.future = future
         self.timeout = timeout
         self.deadline = future.get_loop().time() + timeout
+
+    def gave_up(self) -> bool:
+        """Whether no one waits for this outcome any more.
+
+        Past its deadline the request is answered with the timeout here
+        and now: a batch that blocked the loop kept the deadline timer
+        from firing, so the waiter may not have noticed yet.
+        """
+        if self.future.get_loop().time() >= self.deadline:
+            self.resolve(None)
+        return self.future.done()
 
     def resolve(self, outcome: Any) -> None:
         """Deliver ``outcome``, or a timeout once the deadline passed."""
@@ -58,7 +75,8 @@ class _Pending:
             self.future.set_result(outcome)
 
 
-BatchRunner = Callable[[Sequence[Any]], Awaitable[List[Any]]]
+#: ``runner(plan, items)``: one outcome per item of one plan group.
+BatchRunner = Callable[[Any, Sequence[Any]], Awaitable[List[Any]]]
 
 
 class MicroBatcher:
@@ -67,12 +85,17 @@ class MicroBatcher:
     Parameters
     ----------
     runner:
-        ``async`` callable receiving the list of batched items and
-        returning one outcome per item, aligned by position.  An
-        outcome may be an exception instance, which is raised to that
-        item's submitter only.  The server's runner scores the batch on
-        the loop thread itself, so nothing else on the loop runs until
-        it returns.
+        ``async`` callable receiving one plan group, ``(plan, items)``
+        where every item's ``batch_key()`` is ``plan``, and returning
+        one outcome per item, aligned by position.  An outcome may be
+        an exception instance, which is raised to that item's submitter
+        only; a runner that raises fails its group only.  The server's
+        runner scores the group on the loop thread itself, so nothing
+        else on the loop runs until it returns.
+    metrics:
+        The node's counters; each coalesced batch is counted once (one
+        :meth:`~repro.serve.metrics.ServerMetrics.batch_executed` over
+        the items that ran, however many groups it split into).
     max_batch_size:
         Hard cap on items per runner call.
     max_queue_depth:
@@ -86,6 +109,7 @@ class MicroBatcher:
     def __init__(
         self,
         runner: BatchRunner,
+        metrics: ServerMetrics,
         max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
         max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
@@ -95,14 +119,13 @@ class MicroBatcher:
         if max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
         self.runner = runner
+        self.metrics = metrics
         self.max_batch_size = max_batch_size
         self.max_queue_depth = max_queue_depth
         self.request_timeout = request_timeout
         self._queue: Optional["asyncio.Queue[Any]"] = None
         self._worker: Optional["asyncio.Task[None]"] = None
         self._accepting = False
-        self.batches_executed = 0
-        self.items_executed = 0
 
     # ------------------------------------------------------------------
     @property
@@ -212,23 +235,44 @@ class MicroBatcher:
         return batch, False
 
     async def _run_batch(self, batch: List[_Pending]) -> None:
-        try:
-            outcomes = await self.runner([p.item for p in batch])
-            if len(outcomes) != len(batch):
-                raise ServeError(
-                    f"batch runner returned {len(outcomes)} outcomes "
-                    f"for {len(batch)} items"
+        """Run one coalesced batch, one runner call per plan group.
+
+        Just before its group runs, each request whose waiter gave up
+        (timed out or cancelled) is dropped: its answer could reach no
+        one, and an earlier group may have blocked the loop past its
+        deadline.  The batch is counted once, over the items that ran.
+        """
+        groups: Dict[Any, List[_Pending]] = {}
+        for pending in batch:
+            groups.setdefault(pending.plan, []).append(pending)
+        ran = 0
+        for plan, group in groups.items():
+            group = [pending for pending in group if not pending.gave_up()]
+            if not group:
+                continue
+            ran += len(group)
+            try:
+                outcomes = await self.runner(
+                    plan, [pending.item for pending in group]
                 )
-        except Exception as exc:  # runner blew up: fail the whole batch
-            for pending in batch:
-                pending.resolve(exc)
-            return
-        self.batches_executed += 1
-        self.items_executed += len(batch)
-        for pending, outcome in zip(batch, outcomes):
-            pending.resolve(outcome)
+                if len(outcomes) != len(group):
+                    raise ServeError(
+                        f"batch runner returned {len(outcomes)} outcomes "
+                        f"for {len(group)} items"
+                    )
+            except Exception as exc:  # confined to this plan's group
+                outcomes = [exc] * len(group)
+            for pending, outcome in zip(group, outcomes):
+                pending.resolve(outcome)
+        if ran:
+            self.metrics.batch_executed(ran)
 
     async def _worker_loop(self) -> None:
+        """Run batches until the shutdown sentinel.
+
+        :meth:`stop` closes admissions before it enqueues the sentinel,
+        so everything admitted is ahead of it and runs first.
+        """
         assert self._queue is not None
         shutdown = False
         while not shutdown:
@@ -237,16 +281,3 @@ class MicroBatcher:
                 break
             batch, shutdown = await self._collect_batch(first)
             await self._run_batch(batch)
-        # Drain whatever was admitted before the sentinel.
-        remainder: List[_Pending] = []
-        while True:
-            try:
-                pending = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if pending is not _SHUTDOWN:
-                remainder.append(pending)
-        for start in range(0, len(remainder), self.max_batch_size):
-            await self._run_batch(
-                remainder[start:start + self.max_batch_size]
-            )

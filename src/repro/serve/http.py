@@ -11,7 +11,10 @@ guessed at.
 :class:`HttpShell` is the one front door built on that plumbing: the
 single-process server and the cluster coordinator both hand it a route
 table and get the listener, the keep-alive connection loop, graceful
-drain, the metrics/500 envelope, and ``GET /healthz``.
+drain, the metrics/500 envelope, and ``GET /healthz``.  Both route
+``POST /search`` to :func:`search_handler` over their own
+:class:`~repro.serve.batching.MicroBatcher`; only the per-plan runner
+behind the batcher differs.
 """
 
 from __future__ import annotations
@@ -20,11 +23,25 @@ import asyncio
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, Optional, Set, Tuple
+from typing import (
+    Any, Awaitable, Callable, Dict, Iterable, Optional, Set, Tuple,
+)
 
-from repro.exceptions import BadRequestError, ProtocolError
+from repro.exceptions import (
+    BadRequestError,
+    DataLakeError,
+    DuplicateTableError,
+    ProtocolError,
+    ReproError,
+    RequestTimeoutError,
+    ServeError,
+    ThetisClosedError,
+)
+from repro.serve.batching import MicroBatcher
 from repro.serve.metrics import ServerMetrics
-from repro.serve.protocol import error_to_json
+from repro.serve.protocol import (
+    SearchRequest, error_to_json, result_to_json,
+)
 
 #: Hard limits keeping one client from exhausting server memory.
 MAX_HEADER_BYTES = 16 * 1024
@@ -170,6 +187,27 @@ def split_path(path: str) -> Tuple[str, ...]:
     return tuple(segment for segment in path.split("/") if segment)
 
 
+#: Status of an error a handler raises; the first row whose class
+#: matches wins.  Anything else is a bug, answered 500.
+ERROR_STATUS: Tuple[Tuple[type, int], ...] = (
+    (ProtocolError, 400),        # malformed request
+    (RequestTimeoutError, 504),  # deadline passed
+    (ServeError, 503),           # overload, stopping, no shard answered
+    (ThetisClosedError, 503),    # engine closed under the request
+    (DuplicateTableError, 400),
+    (DataLakeError, 404),        # no such table
+    (ReproError, 400),           # the engine refused the request
+)
+
+
+def error_response(exc: Exception) -> HttpResponse:
+    """The error envelope of ``exc``, its status from :data:`ERROR_STATUS`."""
+    for kind, status in ERROR_STATUS:
+        if isinstance(exc, kind):
+            return HttpResponse(status, error_to_json(str(exc), status))
+    return HttpResponse(500, error_to_json(f"internal error: {exc}", 500))
+
+
 #: ``/metrics`` label of every request whose path matches no route, so
 #: client-chosen URLs never become metric keys.
 UNMATCHED_ENDPOINT = "unmatched"
@@ -177,13 +215,90 @@ UNMATCHED_ENDPOINT = "unmatched"
 Handler = Callable[[HttpRequest], Awaitable[HttpResponse]]
 
 
-class HttpShell:
+class StreamShell:
+    """A TCP listener whose connections are tracked from the moment
+    each is made; a subclass serves one connection in ``_serve``.
+
+    The base of :class:`HttpShell` and of the cluster's framed
+    :class:`~repro.cluster.protocol.FrameShell`.
+    """
+
+    def __init__(self) -> None:
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: Dict[
+            "asyncio.Task[None]", asyncio.StreamWriter
+        ] = {}
+        self._closing = False
+
+    @property
+    def port(self) -> Optional[int]:
+        """The bound port, or ``None`` while not listening."""
+        if self._server is None or not self._server.sockets:
+            return None
+        return self._server.sockets[0].getsockname()[1]
+
+    async def start(self, host: str, port: int) -> None:
+        self._server = await asyncio.start_server(self._accept, host, port)
+
+    async def serve_forever(self) -> None:
+        if self._server is None or self.port is None:
+            raise ServeError("call start() first")
+        await self._server.serve_forever()
+
+    async def _stop_accepting(self) -> None:
+        """Close the listener; every connection is tracked from here on.
+
+        asyncio sets a connection up over two loop turns: the accepted
+        socket attaches to the listener on the next turn, and the
+        connection is made (and tracked) on the turn after.  Closing
+        the listener before the attach leaks the socket (asyncio fails
+        the attach), hence one turn before the close and one after.
+        """
+        self._closing = True
+        if self._server is not None:
+            await asyncio.sleep(0)
+            self._server.close()
+            await asyncio.sleep(0)
+
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> None:
+        task = asyncio.get_running_loop().create_task(
+            self._serve(reader, writer)
+        )
+        self._connections[task] = writer
+        task.add_done_callback(self._connections.pop)
+
+    async def _serve(self, reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter) -> None:
+        raise NotImplementedError
+
+    def _end(self, tasks: Iterable["asyncio.Task[None]"]) -> None:
+        """Close each task's connection and cancel it at its next await.
+
+        The close is not left to the task: one cancelled before its
+        first step never runs its own ``finally``.
+        """
+        for task in list(tasks):
+            self._connections[task].close()
+            task.cancel()
+
+    @staticmethod
+    async def _hang_up(writer: asyncio.StreamWriter) -> None:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+
+
+class HttpShell(StreamShell):
     """Listener, connection loop, envelope and route table of one service.
 
     ``routes`` maps ``(method, path)`` to an async handler; a path
     segment ``*`` matches any one segment.  A path no route matches
     answers 404, a matched path without the request's method 405, and
-    a handler that raises 500 — the shell never leaks an exception.
+    a handler that raises answers :func:`error_response` — the shell
+    never leaks an exception.
     Requests are counted in ``metrics`` under their route's literal
     segments (``/tables/*`` counts as ``/tables``) or
     :data:`UNMATCHED_ENDPOINT`, never under the client-supplied path;
@@ -204,10 +319,8 @@ class HttpShell:
             pattern = split_path(path)
             label = "/" + "/".join(part for part in pattern if part != "*")
             self._routes.setdefault(pattern, (label, {}))[1][method] = handler
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Set["asyncio.Task[None]"] = set()
+        super().__init__()
         self._busy: Set["asyncio.Task[None]"] = set()
-        self._closing = False
         self._started_at = 0.0
 
     @property
@@ -220,22 +333,9 @@ class HttpShell:
             "status": "ok", "uptime_seconds": self.uptime_seconds,
         })
 
-    @property
-    def port(self) -> Optional[int]:
-        """The bound port, or ``None`` while not listening."""
-        if self._server is None or not self._server.sockets:
-            return None
-        return self._server.sockets[0].getsockname()[1]
-
     async def start(self, host: str, port: int) -> None:
         self._started_at = time.monotonic()
-        self._server = await asyncio.start_server(
-            self._handle_connection, host, port
-        )
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
+        await super().start(host, port)
 
     async def close(self, drain_timeout: float) -> None:
         """Stop accepting, then drain the open connections.
@@ -245,30 +345,20 @@ class HttpShell:
         connections with a request mid-flight get the drain window.
         Every connection task is awaited, so none outlives the loop.
         """
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for task in list(self._connections - self._busy):
-            task.cancel()
+        await self._stop_accepting()
+        self._end(self._connections.keys() - self._busy)
         if self._busy:
             _done, pending = await asyncio.wait(
                 set(self._busy), timeout=drain_timeout
             )
-            for task in pending:
-                task.cancel()
+            self._end(pending)
         if self._connections:
             await asyncio.wait(set(self._connections), timeout=1.0)
 
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    async def _serve(self, reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
         assert task is not None
-        self._connections.add(task)
-        task.add_done_callback(self._connections.discard)
         try:
             while not self._closing:
                 try:
@@ -295,11 +385,7 @@ class HttpShell:
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+            await self._hang_up(writer)
 
     async def _dispatch(self, request: HttpRequest) -> HttpResponse:
         segments = split_path(request.path)
@@ -326,12 +412,27 @@ class HttpShell:
             try:
                 response = await handlers[request.method](request)
             except Exception as exc:  # the handler itself must never leak
-                response = HttpResponse(
-                    500, error_to_json(f"internal error: {exc}", 500)
-                )
+                response = error_response(exc)
         elapsed = time.perf_counter() - start
         self.metrics.request_finished(
             endpoint, response.status,
             elapsed if request.method != "GET" else None,
         )
         return response
+
+
+def search_handler(batcher: MicroBatcher, mode: str = "search") -> Handler:
+    """The ``POST /search`` (and ``/topk``) handler over ``batcher``:
+    parse, submit, answer the runner's
+    :class:`~repro.serve.protocol.SearchOutcome` (errors: see
+    :data:`ERROR_STATUS`)."""
+
+    async def handle(request: HttpRequest) -> HttpResponse:
+        parsed = SearchRequest.from_json(request.json(), mode=mode)
+        outcome = await batcher.submit(parsed)
+        payload = result_to_json(outcome.results, parsed,
+                                 snapshot_version=outcome.snapshot_version)
+        payload.update(outcome.extra or {})
+        return HttpResponse(200, payload)
+
+    return handle

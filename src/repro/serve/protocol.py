@@ -354,6 +354,18 @@ def result_to_json(
     return payload
 
 
+class SearchOutcome(NamedTuple):
+    """One query's answer, as a node's per-plan runner returns it.
+
+    ``extra`` holds the reply fields only the cluster has (its
+    ``degraded`` flag and ``cluster`` block).
+    """
+
+    results: ResultSet
+    snapshot_version: int
+    extra: Optional[Dict[str, Any]] = None
+
+
 def error_to_json(message: str, status: int) -> Dict[str, Any]:
     """Uniform error envelope for non-200 responses."""
     return {"error": message, "status": status}

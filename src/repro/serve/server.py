@@ -3,8 +3,13 @@
 Request path::
 
     connection -> parse -> validate (400) -> admission (503 on full
-    queue) -> micro-batch -> engine pass on the event-loop thread ->
-    JSON response (504 past the deadline)
+    queue) -> micro-batch, split by SearchPlan -> one search_many pass
+    per plan on the event-loop thread -> JSON response (504 past the
+    deadline)
+
+The cluster coordinator shares every step but the per-plan pass (its
+runner scatters to workers instead); see
+:func:`repro.serve.http.search_handler`.
 
 Control plane::
 
@@ -34,22 +39,11 @@ admitted queue, then close the engine.
 from __future__ import annotations
 
 import asyncio
-import functools
 import threading
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Awaitable, Callable, List, Optional, Sequence
 
-from repro.core.query import Query
-from repro.exceptions import (
-    DataLakeError,
-    DuplicateTableError,
-    ProtocolError,
-    ReproError,
-    RequestTimeoutError,
-    ServeError,
-    ServerOverloadedError,
-    ThetisClosedError,
-)
+from repro.exceptions import ReproError, RequestTimeoutError, ServeError
 from repro.serve.batching import (
     DEFAULT_MAX_BATCH_SIZE,
     DEFAULT_MAX_QUEUE_DEPTH,
@@ -60,16 +54,18 @@ from repro.serve.http import (
     HttpRequest,
     HttpResponse,
     HttpShell,
+    search_handler,
     split_path,
 )
 from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import (
     ExplainRequest,
+    SearchOutcome,
+    SearchPlan,
     SearchRequest,
     TableUpsertRequest,
     error_to_json,
     parse_table_id,
-    result_to_json,
 )
 from repro.serve.snapshot import SnapshotManager
 from repro.system import Thetis
@@ -103,22 +99,6 @@ class ServeConfig:
     prefilter_guardrail_every: int = 0
 
 
-@dataclass
-class _QueryJob:
-    """One admitted query: the parsed request plus materialized query."""
-
-    request: SearchRequest
-    query: Query
-
-
-@dataclass
-class _QueryOutcome:
-    """A successful batched result with its snapshot generation."""
-
-    results: Any
-    snapshot_version: int
-
-
 class ThetisServer:
     """HTTP/JSON search service over hot-swappable engine snapshots."""
 
@@ -131,7 +111,8 @@ class ThetisServer:
             on_swap=lambda _version: self.metrics.snapshot_swapped(),
         )
         self.batcher = MicroBatcher(
-            runner=self._run_batch,
+            runner=self._run_plan,
+            metrics=self.metrics,
             max_batch_size=self.config.max_batch_size,
             max_queue_depth=self.config.max_queue_depth,
             request_timeout=self.config.request_timeout,
@@ -140,12 +121,8 @@ class ThetisServer:
             {
                 ("GET", "/readyz"): self._handle_readyz,
                 ("GET", "/metrics"): self._handle_metrics,
-                ("POST", "/search"): functools.partial(
-                    self._handle_query, mode="search"
-                ),
-                ("POST", "/topk"): functools.partial(
-                    self._handle_query, mode="topk"
-                ),
+                ("POST", "/search"): search_handler(self.batcher),
+                ("POST", "/topk"): search_handler(self.batcher, "topk"),
                 ("POST", "/explain"): self._handle_explain,
                 ("POST", "/tables"): self._handle_add_table,
                 ("DELETE", "/tables/*"): self._handle_remove_table,
@@ -201,8 +178,6 @@ class ThetisServer:
 
     async def serve_forever(self) -> None:
         """Serve until cancelled (the CLI wraps this with signal handling)."""
-        if self._http.port is None:
-            raise ServeError("call start() first")
         await self._http.serve_forever()
 
     async def shutdown(self) -> None:
@@ -225,7 +200,7 @@ class ThetisServer:
                 await self._warmup_task
             except Exception:
                 pass
-        await self.batcher.stop(drain=True)
+        await self.batcher.stop()
         self.snapshots.close()
 
     # ------------------------------------------------------------------
@@ -274,40 +249,6 @@ class ThetisServer:
     # ------------------------------------------------------------------
     # Query path
     # ------------------------------------------------------------------
-    async def _handle_query(self, request: HttpRequest,
-                            mode: str) -> HttpResponse:
-        try:
-            parsed = SearchRequest.from_json(request.json(), mode=mode)
-            job = _QueryJob(parsed, parsed.query())
-        except ProtocolError as exc:
-            return HttpResponse(400, error_to_json(str(exc), 400))
-        try:
-            outcome = await self.batcher.submit(
-                job, timeout=self.config.request_timeout
-            )
-        except ServerOverloadedError as exc:
-            return HttpResponse(503, error_to_json(str(exc), 503))
-        except RequestTimeoutError as exc:
-            return HttpResponse(504, error_to_json(str(exc), 504))
-        except ThetisClosedError as exc:
-            return HttpResponse(503, error_to_json(str(exc), 503))
-        except ServeError as exc:
-            return HttpResponse(503, error_to_json(str(exc), 503))
-        except ReproError as exc:
-            return HttpResponse(400, error_to_json(str(exc), 400))
-        return HttpResponse(
-            200,
-            result_to_json(
-                outcome.results, parsed,
-                snapshot_version=outcome.snapshot_version,
-            ),
-        )
-
-    async def _run_batch(self, jobs: Sequence[_QueryJob]) -> List[Any]:
-        outcomes = self._run_batch_sync(list(jobs))
-        self.metrics.batch_executed(len(jobs))
-        return outcomes
-
     def _guardrail_due(self) -> bool:
         """Whether this prefilter query is a sampled guardrail check."""
         every = self.config.prefilter_guardrail_every
@@ -316,67 +257,51 @@ class ThetisServer:
         self._guardrail_counter += 1
         return self._guardrail_counter % every == 0
 
-    def _run_batch_sync(self, jobs: List[_QueryJob]) -> List[Any]:
-        """Execute one coalesced batch against the pinned snapshot.
+    async def _run_plan(self, plan: SearchPlan,
+                        requests: Sequence[SearchRequest]
+                        ) -> List[SearchOutcome]:
+        """Answer one plan group of a batch against the pinned snapshot.
 
-        Jobs sharing a :class:`~repro.serve.protocol.SearchPlan` run
-        through one ``search_many`` pass — with a vectorized engine
-        that is a single fused multi-query kernel pass over the corpus,
-        in both exact and prefilter mode; rankings are bit-identical to
-        per-request ``Thetis.search`` calls (property-tested).
-        Non-entity tasks dispatch to the union/join kernels through the
-        same ``search_many`` entry point (their lane-stacked
-        ``search_batch``); the task splits the batch key, so entity,
-        union, and join jobs never share an engine pass.
-        Prefilter-mode jobs generate their LSH shortlists per query
-        (with every Nth one, ``prefilter_guardrail_every``,
-        cross-checked against the exact ranking), then rescore all
-        shortlists in one batched pass.  An exception is confined to
-        the jobs of its group.
+        The group runs through one ``search_many`` pass — with a
+        vectorized engine that is a single fused multi-query kernel
+        pass over the corpus, in exact and prefilter mode alike, and
+        for union and join tasks their lane-stacked ``search_batch``;
+        rankings are bit-identical to per-request ``Thetis.search``
+        calls (property-tested).  Prefilter-mode groups generate their
+        LSH shortlists per query (with every Nth one,
+        ``prefilter_guardrail_every``, cross-checked against the exact
+        ranking), then rescore all shortlists in one batched pass.
         """
-        outcomes: List[Any] = [None] * len(jobs)
+        self.metrics.note_task(plan.task, len(requests))
+        queries = [request.query() for request in requests]
         with self.snapshots.checkout() as snapshot:
             thetis = snapshot.thetis
-            groups: dict = {}
-            for index, job in enumerate(jobs):
-                groups.setdefault(job.request.batch_key(), []).append(index)
-            for plan, indices in groups.items():
-                self.metrics.note_task(plan.task, len(indices))
-                try:
-                    if plan.mode == "prefilter":
-                        for index in indices:
-                            if self._guardrail_due():
-                                # Runs both rankings and records the
-                                # recall sample, but still answers from
-                                # the prefiltered one (the guardrail
-                                # observes, it does not rewrite).
-                                thetis.prefilter_recall(
-                                    jobs[index].query, k=plan.k,
-                                    method=plan.method, votes=plan.votes,
-                                )
-                    results = thetis.search_many(
-                        {str(i): jobs[i].query for i in indices},
-                        **plan._asdict(),
-                    )
-                    for index in indices:
-                        outcomes[index] = _QueryOutcome(
-                            results[str(index)], snapshot.version
+            if plan.mode == "prefilter":
+                for query in queries:
+                    if self._guardrail_due():
+                        # Runs both rankings and records the recall
+                        # sample, but still answers from the prefiltered
+                        # one (the guardrail observes, it does not
+                        # rewrite).
+                        thetis.prefilter_recall(
+                            query, k=plan.k, method=plan.method,
+                            votes=plan.votes,
                         )
-                except Exception as exc:
-                    for index in indices:
-                        if outcomes[index] is None:
-                            outcomes[index] = exc
-        return outcomes
+            results = thetis.search_many(
+                {str(i): query for i, query in enumerate(queries)},
+                **plan._asdict(),
+            )
+            return [
+                SearchOutcome(results[str(i)], snapshot.version)
+                for i in range(len(queries))
+            ]
 
     # ------------------------------------------------------------------
     # Explain
     # ------------------------------------------------------------------
     async def _handle_explain(self, request: HttpRequest) -> HttpResponse:
-        try:
-            parsed = ExplainRequest.from_json(request.json())
-            query = parsed.query()
-        except ProtocolError as exc:
-            return HttpResponse(400, error_to_json(str(exc), 400))
+        parsed = ExplainRequest.from_json(request.json())
+        query = parsed.query()
 
         def run() -> dict:
             with self.snapshots.checkout() as snapshot:
@@ -399,40 +324,21 @@ class ThetisServer:
                 self.config.request_timeout,
             )
         except asyncio.TimeoutError:
-            return HttpResponse(
-                504,
-                error_to_json(
-                    str(RequestTimeoutError(self.config.request_timeout)),
-                    504,
-                ),
-            )
-        except DataLakeError as exc:
-            return HttpResponse(404, error_to_json(str(exc), 404))
-        except ReproError as exc:
-            return HttpResponse(400, error_to_json(str(exc), 400))
+            raise RequestTimeoutError(self.config.request_timeout) from None
         return HttpResponse(200, payload)
 
     # ------------------------------------------------------------------
     # Mutations (snapshot swaps)
     # ------------------------------------------------------------------
     async def _handle_add_table(self, request: HttpRequest) -> HttpResponse:
-        try:
-            parsed = TableUpsertRequest.from_json(request.json())
-            table = parsed.table()
-        except ProtocolError as exc:
-            return HttpResponse(400, error_to_json(str(exc), 400))
-        loop = asyncio.get_running_loop()
-        try:
-            links = await loop.run_in_executor(
-                None,
-                lambda: self.snapshots.apply(
-                    lambda thetis: thetis.add_table(table, link=parsed.link)
-                ),
-            )
-        except DuplicateTableError as exc:
-            return HttpResponse(400, error_to_json(str(exc), 400))
-        except ReproError as exc:
-            return HttpResponse(400, error_to_json(str(exc), 400))
+        parsed = TableUpsertRequest.from_json(request.json())
+        table = parsed.table()
+        links = await asyncio.get_running_loop().run_in_executor(
+            None,
+            lambda: self.snapshots.apply(
+                lambda thetis: thetis.add_table(table, link=parsed.link)
+            ),
+        )
         return HttpResponse(200, {
             "table_id": parsed.table_id,
             "links_created": links,
@@ -440,19 +346,13 @@ class ThetisServer:
         })
 
     async def _handle_remove_table(self, request: HttpRequest) -> HttpResponse:
-        loop = asyncio.get_running_loop()
-        try:
-            table_id = parse_table_id(split_path(request.path)[1])
-            await loop.run_in_executor(
-                None,
-                lambda: self.snapshots.apply(
-                    lambda thetis: thetis.remove_table(table_id)
-                ),
-            )
-        except DataLakeError as exc:
-            return HttpResponse(404, error_to_json(str(exc), 404))
-        except ReproError as exc:
-            return HttpResponse(400, error_to_json(str(exc), 400))
+        table_id = parse_table_id(split_path(request.path)[1])
+        await asyncio.get_running_loop().run_in_executor(
+            None,
+            lambda: self.snapshots.apply(
+                lambda thetis: thetis.remove_table(table_id)
+            ),
+        )
         return HttpResponse(200, {
             "table_id": table_id,
             "removed": True,
@@ -517,11 +417,14 @@ class LoopThread:
 
     def stop(self, timeout: float = 30.0) -> None:
         """Graceful shutdown, then stop and join the loop thread."""
+        self._finish(self._stop_node, timeout)
+
+    def _finish(self, stop_node: Callable[[], Awaitable[None]],
+                timeout: float) -> None:
+        """Run ``stop_node()`` on the loop, then stop and join it."""
         if self._loop is None or not self._thread.is_alive():
             return
-        future = asyncio.run_coroutine_threadsafe(
-            self._stop_node(), self._loop
-        )
+        future = asyncio.run_coroutine_threadsafe(stop_node(), self._loop)
         future.result(timeout)
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout)

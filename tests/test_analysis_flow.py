@@ -288,6 +288,29 @@ def test_wire_taint_crosses_function_boundaries(tmp_path):
     assert "sink 'search'" in findings[0].message
 
 
+def test_wire_taint_follows_frames_into_frame_shell_handlers(tmp_path):
+    # No call site passes the handler a frame: the shell does, so the
+    # handler's first parameter is wire input; a sanitized field is not.
+    findings = lint(
+        tmp_path, "mod.py", """\
+        from repro.cluster.protocol import FrameShell, expect_worker_id
+
+
+        class Node:
+            def __init__(self, searcher):
+                self.searcher = searcher
+                self.shell = FrameShell(self._dispatch)
+
+            async def _dispatch(self, message):
+                self.searcher.search(expect_worker_id(message))
+                return {"results": self.searcher.search(message["query"])}
+        """,
+        rules=["wire-taint"],
+    )
+    assert [finding.line for finding in findings] == [11]
+    assert "sink 'search'" in findings[0].message
+
+
 def test_wire_taint_flags_tainted_filesystem_path(tmp_path):
     findings = lint(
         tmp_path, "mod.py", """\

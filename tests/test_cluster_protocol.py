@@ -16,7 +16,9 @@ from repro.cluster.hashring import DEFAULT_VNODES
 from repro.cluster.protocol import (
     FRAME_HEADER_BYTES,
     MAX_FRAME_BYTES,
+    FrameShell,
     expect_type,
+    write_frame,
 )
 from repro.exceptions import ClusterProtocolError, ConfigurationError
 
@@ -105,6 +107,63 @@ class TestFraming:
             expect_type({"type": "search"})
         with pytest.raises(ClusterProtocolError):
             expect_type({})
+
+
+class TestFrameShell:
+    def test_replies_in_order_and_refuses_a_malformed_frame(self):
+        async def run():
+            async def echo(message):
+                return {"ok": True, "echo": message["n"]}
+
+            shell = FrameShell(echo)
+            await shell.start("127.0.0.1", 0)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", shell.port
+            )
+            for n in range(3):
+                await write_frame(writer, {"type": "ping", "n": n})
+            replies = [await read_frame(reader) for _ in range(3)]
+            writer.write((3).to_bytes(FRAME_HEADER_BYTES, "big") + b"{{{")
+            refused = await read_frame(reader)
+            closed = await read_frame(reader)
+            writer.close()
+            await writer.wait_closed()
+            await shell.close()
+            return replies, refused, closed
+
+        replies, refused, closed = asyncio.run(run())
+        assert [reply["echo"] for reply in replies] == [0, 1, 2]
+        assert refused["ok"] is False and "JSON" in refused["error"]
+        assert closed is None  # the shell hung up after refusing
+
+    def test_close_awaits_idle_and_busy_connections(self):
+        """``close()`` returns only once every handler task is done: a
+        connection parked between frames and one stuck mid-request."""
+        async def run():
+            entered = asyncio.Event()
+
+            async def stuck(message):
+                entered.set()
+                await asyncio.Event().wait()  # never answers
+
+            shell = FrameShell(stuck)
+            await shell.start("127.0.0.1", 0)
+            idle = await asyncio.open_connection("127.0.0.1", shell.port)
+            busy = await asyncio.open_connection("127.0.0.1", shell.port)
+            await write_frame(busy[1], {"type": "ping"})
+            await entered.wait()
+            tasks = set(shell._connections)
+            await asyncio.wait_for(shell.close(), 5.0)
+            after = await read_frame(busy[0])
+            for _reader, writer in (idle, busy):
+                writer.close()
+                await writer.wait_closed()
+            return tasks, shell, after
+
+        tasks, shell, after = asyncio.run(run())
+        assert len(tasks) == 2 and all(task.done() for task in tasks)
+        assert not shell._connections and shell.port is None
+        assert after is None
 
 
 class TestRoutingTableCodec:

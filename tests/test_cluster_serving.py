@@ -14,6 +14,7 @@ import json
 import logging
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -369,6 +370,36 @@ class TestShutdown:
             if "Task was destroyed" in record.getMessage()
         ]
 
+    def test_stop_mid_request_leaks_no_socket(self, cluster_bench, queries,
+                                              caplog):
+        """Stop the fleet while a worker is still inside a shard pass
+        that outlived ``shard_timeout``: every connection handler is
+        awaited, so no socket or transport is left unclosed."""
+        config = ClusterConfig(heartbeat_interval=0.1, dead_after=1,
+                               shard_timeout=0.3)
+        with warnings.catch_warnings(record=True) as caught, \
+                caplog.at_level(logging.ERROR, logger="asyncio"):
+            warnings.simplefilter("always", ResourceWarning)
+            harness = ClusterHarness(
+                make_factory(cluster_bench), workers=2, config=config
+            ).start()
+            try:
+                stall_first_pass(harness, 0, 1.0)
+                status, body = post_search(harness.port,
+                                           payload_of(queries[0]))
+                assert status == 200 and body["degraded"] is True
+            finally:
+                harness.stop()  # worker-0 is still stalled here
+            gc.collect()
+        assert not [
+            str(warning.message) for warning in caught
+            if issubclass(warning.category, ResourceWarning)
+        ]
+        assert not [
+            record.getMessage() for record in caplog.records
+            if "Task was destroyed" in record.getMessage()
+        ]
+
 
 def stall_first_pass(harness, index, seconds):
     """Make worker ``index``'s next shard pass block its loop thread."""
@@ -466,6 +497,50 @@ class TestBusyWorker:
         states = {w["worker_id"]: w["state"] for w in doc["workers"]}
         assert states["worker-0"] == "dead"
         assert cluster["hedged_retries_total"] >= 1
+
+
+def corrupt_first_reply(harness, index, corrupt):
+    """Make worker ``index``'s next ``search_batch`` reply malformed."""
+    worker = harness.worker_threads[index].worker
+    handle = worker._handle_search_batch
+    corrupted = []
+
+    async def corrupting(message):
+        reply = await handle(message)
+        if not corrupted:
+            corrupted.append(True)
+            corrupt(reply)
+        return reply
+
+    worker._handle_search_batch = corrupting
+
+
+class TestMalformedReply:
+    @pytest.mark.parametrize("corrupt", [
+        lambda reply: reply["results"].__setitem__(0, [["bad"]]),
+        lambda reply: reply["results"][0].append([True, "T0"]),
+        lambda reply: reply["results"].append([]),
+        lambda reply: reply.__setitem__("shard_size", "12"),
+        lambda reply: reply.pop("tables_total"),
+    ], ids=["short-pair", "bool-score", "extra-row", "str-shard-size",
+            "no-tables-total"])
+    def test_malformed_reply_is_a_failed_shard_not_a_500(
+            self, cluster_bench, reference, queries, corrupt):
+        """A worker reply that does not check out is a failed shard:
+        the query hedges to the replica and answers 200, degraded, with
+        the exact ranking."""
+        query = queries[0]
+        expected = [(s.score, s.table_id)
+                    for s in reference.search(query, k=K)]
+        with ClusterHarness(make_factory(cluster_bench),
+                            workers=2) as harness:
+            corrupt_first_reply(harness, 0, corrupt)
+            status, body = post_search(harness.port, payload_of(query))
+        assert status == 200
+        assert body["degraded"] is True
+        assert body["cluster"]["hedged_retry"] is True
+        assert body["cluster"]["failed_workers"] == ["worker-0"]
+        assert ranking(body) == expected
 
 
 class TestFailover:

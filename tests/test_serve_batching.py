@@ -3,10 +3,12 @@
 These drive :class:`~repro.serve.batching.MicroBatcher` directly with
 synthetic runners (no HTTP, no engine) so each property is isolated:
 a lone request is dispatched without waiting on a timer, arrivals
-during a batch coalesce into the next one, batched outcomes align with
-submissions, a full queue fast-fails with 503 semantics instead of
-hanging, deadlines expire into 504 semantics, and shutdown drains
-admitted work.
+during a batch coalesce into the next one, a batch splits into one
+runner call per plan and a failure stays in its plan's group, batched
+outcomes align with submissions, a full queue fast-fails with 503
+semantics instead of hanging, deadlines expire into 504 semantics, a
+request whose waiter gave up is never run, and shutdown drains
+admitted work or fails it fast.
 """
 
 import asyncio
@@ -20,6 +22,7 @@ from repro.exceptions import (
     ServerOverloadedError,
 )
 from repro.serve.batching import MicroBatcher
+from repro.serve.metrics import ServerMetrics
 
 
 def run(coro):
@@ -27,16 +30,29 @@ def run(coro):
     return asyncio.run(coro)
 
 
+class Job(int):
+    """An int batch item; ``plan`` stands in for a ``SearchPlan``."""
+
+    plan = "plan"
+
+    def batch_key(self):
+        return self.plan
+
+
+class OtherJob(Job):
+    plan = "other"
+
+
 class TestBatchingCorrectness:
     def test_single_item_roundtrip(self):
         async def body():
-            async def runner(items):
+            async def runner(plan, items):
                 return [item * 2 for item in items]
 
-            batcher = MicroBatcher(runner)
+            batcher = MicroBatcher(runner, ServerMetrics())
             await batcher.start()
             try:
-                assert await batcher.submit(21) == 42
+                assert await batcher.submit(Job(21)) == 42
             finally:
                 await batcher.stop()
 
@@ -48,15 +64,15 @@ class TestBatchingCorrectness:
         async def body():
             sizes = []
 
-            async def runner(items):
+            async def runner(plan, items):
                 sizes.append(len(items))
                 return [item + 100 for item in items]
 
-            batcher = MicroBatcher(runner, max_batch_size=8)
+            batcher = MicroBatcher(runner, ServerMetrics(), max_batch_size=8)
             await batcher.start()
             try:
                 results = await asyncio.gather(
-                    *(batcher.submit(i) for i in range(8))
+                    *(batcher.submit(Job(i)) for i in range(8))
                 )
             finally:
                 await batcher.stop()
@@ -66,7 +82,8 @@ class TestBatchingCorrectness:
             assert sum(sizes) == 8
             assert len(sizes) < 8
             assert max(sizes) >= 2
-            assert batcher.items_executed == 8
+            assert batcher.metrics.batched_queries_total == 8
+            assert batcher.metrics.batches_total == len(sizes)
 
         run(body())
 
@@ -76,18 +93,18 @@ class TestBatchingCorrectness:
         async def body():
             seen = []
 
-            async def runner(items):
+            async def runner(plan, items):
                 seen.extend(items)
                 return list(items)
 
-            batcher = MicroBatcher(runner)
+            batcher = MicroBatcher(runner, ServerMetrics())
             await batcher.start()
             try:
-                pending = asyncio.ensure_future(batcher.submit("lone"))
+                pending = asyncio.ensure_future(batcher.submit(Job(7)))
                 for _ in range(20):
                     await asyncio.sleep(0)
-                assert seen == ["lone"]
-                assert await pending == "lone"
+                assert seen == [7]
+                assert await pending == 7
             finally:
                 await batcher.stop()
 
@@ -100,20 +117,20 @@ class TestBatchingCorrectness:
             gate = asyncio.Event()
             batches = []
 
-            async def runner(items):
+            async def runner(plan, items):
                 batches.append(list(items))
                 if len(batches) == 1:
                     await gate.wait()
                 return list(items)
 
-            batcher = MicroBatcher(runner, max_batch_size=3)
+            batcher = MicroBatcher(runner, ServerMetrics(), max_batch_size=3)
             await batcher.start()
             try:
-                first = asyncio.ensure_future(batcher.submit(0))
+                first = asyncio.ensure_future(batcher.submit(Job(0)))
                 while not batches:
                     await asyncio.sleep(0)
                 rest = [
-                    asyncio.ensure_future(batcher.submit(i))
+                    asyncio.ensure_future(batcher.submit(Job(i)))
                     for i in range(1, 6)
                 ]
                 while batcher.queue_depth < 5:
@@ -131,15 +148,15 @@ class TestBatchingCorrectness:
         async def body():
             sizes = []
 
-            async def runner(items):
+            async def runner(plan, items):
                 sizes.append(len(items))
                 return list(items)
 
-            batcher = MicroBatcher(runner, max_batch_size=3)
+            batcher = MicroBatcher(runner, ServerMetrics(), max_batch_size=3)
             await batcher.start()
             try:
                 await asyncio.gather(
-                    *(batcher.submit(i) for i in range(10))
+                    *(batcher.submit(Job(i)) for i in range(10))
                 )
             finally:
                 await batcher.stop()
@@ -150,17 +167,17 @@ class TestBatchingCorrectness:
     def test_per_item_exception_outcomes(self):
         """An exception outcome fails only its own submitter."""
         async def body():
-            async def runner(items):
+            async def runner(plan, items):
                 return [
                     ValueError("odd") if item % 2 else item
                     for item in items
                 ]
 
-            batcher = MicroBatcher(runner, max_batch_size=4)
+            batcher = MicroBatcher(runner, ServerMetrics(), max_batch_size=4)
             await batcher.start()
             try:
                 outcomes = await asyncio.gather(
-                    *(batcher.submit(i) for i in range(4)),
+                    *(batcher.submit(Job(i)) for i in range(4)),
                     return_exceptions=True,
                 )
             finally:
@@ -174,29 +191,61 @@ class TestBatchingCorrectness:
 
     def test_runner_failure_fails_whole_batch(self):
         async def body():
-            async def runner(items):
+            async def runner(plan, items):
                 raise RuntimeError("engine exploded")
 
-            batcher = MicroBatcher(runner)
+            batcher = MicroBatcher(runner, ServerMetrics())
             await batcher.start()
             try:
                 with pytest.raises(RuntimeError, match="engine exploded"):
-                    await batcher.submit(1)
+                    await batcher.submit(Job(1))
             finally:
                 await batcher.stop()
 
         run(body())
 
+    def test_batch_splits_by_plan_and_confines_failures(self):
+        """One coalesced batch is one runner call per plan; a runner
+        that raises fails its own group only, and the batch is counted
+        once, not once per group."""
+        async def body():
+            calls = []
+
+            async def runner(plan, items):
+                calls.append((plan, sorted(items)))
+                if plan == "other":
+                    raise RuntimeError("other plan exploded")
+                return [item * 10 for item in items]
+
+            batcher = MicroBatcher(runner, ServerMetrics(), max_batch_size=8)
+            await batcher.start()
+            try:
+                outcomes = await asyncio.gather(
+                    *(batcher.submit(Job(i) if i % 2 else OtherJob(i))
+                      for i in range(6)),
+                    return_exceptions=True,
+                )
+            finally:
+                await batcher.stop()
+            assert sorted(calls) == [("other", [0, 2, 4]),
+                                     ("plan", [1, 3, 5])]
+            assert outcomes[1::2] == [10, 30, 50]
+            assert all(isinstance(o, RuntimeError) for o in outcomes[::2])
+            assert batcher.metrics.batches_total == 1
+            assert batcher.metrics.batched_queries_total == 6
+
+        run(body())
+
     def test_misaligned_runner_output_rejected(self):
         async def body():
-            async def runner(items):
+            async def runner(plan, items):
                 return []  # wrong length
 
-            batcher = MicroBatcher(runner)
+            batcher = MicroBatcher(runner, ServerMetrics())
             await batcher.start()
             try:
                 with pytest.raises(ServeError, match="outcomes"):
-                    await batcher.submit(1)
+                    await batcher.submit(Job(1))
             finally:
                 await batcher.stop()
 
@@ -210,31 +259,31 @@ class TestBackpressure:
         async def body():
             gate = asyncio.Event()
 
-            async def runner(items):
+            async def runner(plan, items):
                 await gate.wait()
                 return list(items)
 
             batcher = MicroBatcher(
-                runner, max_batch_size=1, max_queue_depth=2,
+                runner, ServerMetrics(), max_batch_size=1, max_queue_depth=2,
                 request_timeout=5.0,
             )
             await batcher.start()
             # First submission is picked up by the worker and blocks
             # on the gate; the next two fill the admission queue.
-            inflight = asyncio.ensure_future(batcher.submit("a"))
+            inflight = asyncio.ensure_future(batcher.submit(Job(1)))
             await asyncio.sleep(0.02)
             queued = [
-                asyncio.ensure_future(batcher.submit(x))
-                for x in ("b", "c")
+                asyncio.ensure_future(batcher.submit(Job(x)))
+                for x in (2, 3)
             ]
             await asyncio.sleep(0.02)
             with pytest.raises(ServerOverloadedError):
-                await batcher.submit("overflow")
+                await batcher.submit(Job(99))
             # Release the gate: everything admitted still completes —
             # overload rejects new work without dropping accepted work.
             gate.set()
-            assert await inflight == "a"
-            assert await asyncio.gather(*queued) == ["b", "c"]
+            assert await inflight == 1
+            assert await asyncio.gather(*queued) == [2, 3]
             await batcher.stop()
 
         run(body())
@@ -243,20 +292,21 @@ class TestBackpressure:
         async def body():
             gate = asyncio.Event()
 
-            async def runner(items):
+            async def runner(plan, items):
                 await gate.wait()
                 return list(items)
 
-            batcher = MicroBatcher(runner, max_batch_size=1, max_queue_depth=1)
+            batcher = MicroBatcher(runner, ServerMetrics(), max_batch_size=1,
+                                   max_queue_depth=1)
             await batcher.start()
-            inflight = asyncio.ensure_future(batcher.submit("a"))
+            inflight = asyncio.ensure_future(batcher.submit(Job(1)))
             await asyncio.sleep(0.02)
-            queued = asyncio.ensure_future(batcher.submit("b"))
+            queued = asyncio.ensure_future(batcher.submit(Job(2)))
             await asyncio.sleep(0.02)
             loop = asyncio.get_running_loop()
             started = loop.time()
             with pytest.raises(ServerOverloadedError):
-                await batcher.submit("overflow")
+                await batcher.submit(Job(99))
             # The rejection must not wait out the request timeout.
             assert loop.time() - started < 1.0
             gate.set()
@@ -268,14 +318,14 @@ class TestBackpressure:
 
     def test_submit_after_stop_rejected(self):
         async def body():
-            async def runner(items):
+            async def runner(plan, items):
                 return list(items)
 
-            batcher = MicroBatcher(runner)
+            batcher = MicroBatcher(runner, ServerMetrics())
             await batcher.start()
             await batcher.stop()
             with pytest.raises(ServeError):
-                await batcher.submit(1)
+                await batcher.submit(Job(1))
 
         run(body())
 
@@ -283,15 +333,16 @@ class TestBackpressure:
 class TestTimeouts:
     def test_slow_batch_times_out(self):
         async def body():
-            async def runner(items):
+            async def runner(plan, items):
                 await asyncio.sleep(0.5)
                 return list(items)
 
-            batcher = MicroBatcher(runner, request_timeout=0.05)
+            batcher = MicroBatcher(runner, ServerMetrics(),
+                                   request_timeout=0.05)
             await batcher.start()
             try:
                 with pytest.raises(RequestTimeoutError):
-                    await batcher.submit(1)
+                    await batcher.submit(Job(1))
             finally:
                 await batcher.stop()
 
@@ -301,16 +352,17 @@ class TestTimeouts:
         """A runner that computes on the loop thread keeps the deadline
         timer from firing; the outcome is checked on delivery."""
         async def body():
-            async def runner(items):
+            async def runner(plan, items):
                 time.sleep(0.2)
                 return list(items)
 
-            batcher = MicroBatcher(runner, request_timeout=0.05)
+            batcher = MicroBatcher(runner, ServerMetrics(),
+                                   request_timeout=0.05)
             await batcher.start()
             try:
                 with pytest.raises(RequestTimeoutError):
-                    await batcher.submit(1)
-                assert await batcher.submit(2, timeout=5.0) == 2
+                    await batcher.submit(Job(1))
+                assert await batcher.submit(Job(2), timeout=5.0) == 2
             finally:
                 await batcher.stop()
 
@@ -320,33 +372,92 @@ class TestTimeouts:
         """After a timeout the batch still finishes; its late result is
         discarded silently and the batcher keeps serving."""
         async def body():
-            async def runner(items):
+            async def runner(plan, items):
                 await asyncio.sleep(0.1)
                 return [item * 2 for item in items]
 
-            batcher = MicroBatcher(runner, request_timeout=0.02)
+            batcher = MicroBatcher(runner, ServerMetrics(),
+                                   request_timeout=0.02)
             await batcher.start()
             try:
                 with pytest.raises(RequestTimeoutError):
-                    await batcher.submit(1)
+                    await batcher.submit(Job(1))
                 # A generous per-call timeout shows the worker survived.
-                assert await batcher.submit(2, timeout=5.0) == 4
+                assert await batcher.submit(Job(2), timeout=5.0) == 4
             finally:
                 await batcher.stop()
 
         run(body())
 
+    def test_requests_whose_waiter_timed_out_are_not_run(self):
+        """A runner blocking the loop past every queued deadline: the
+        queued requests answer 504 without reaching the runner."""
+        async def body():
+            seen = []
+
+            async def runner(plan, items):
+                seen.append(list(items))
+                time.sleep(0.2)
+                return list(items)
+
+            batcher = MicroBatcher(runner, ServerMetrics(), max_batch_size=1,
+                                   request_timeout=0.05)
+            await batcher.start()
+            try:
+                outcomes = await asyncio.gather(
+                    *(batcher.submit(Job(i)) for i in range(4)),
+                    return_exceptions=True,
+                )
+            finally:
+                await batcher.stop()
+            assert all(isinstance(o, RequestTimeoutError) for o in outcomes)
+            assert seen in ([], [[0]])
+
+        run(body())
+
+    def test_later_plan_group_past_its_deadline_is_not_run(self):
+        """One batch, two plans: the first group blocks the loop past
+        the second group's deadline, so the second group answers 504
+        without reaching the runner and the batch counts one item."""
+        async def body():
+            seen = []
+
+            async def runner(plan, items):
+                seen.append((plan, list(items)))
+                time.sleep(0.2)
+                return list(items)
+
+            batcher = MicroBatcher(runner, ServerMetrics(),
+                                   request_timeout=0.05)
+            await batcher.start()
+            try:
+                first, second = await asyncio.gather(
+                    batcher.submit(Job(0), timeout=5.0),
+                    batcher.submit(OtherJob(1)),
+                    return_exceptions=True,
+                )
+            finally:
+                await batcher.stop()
+            assert first == 0
+            assert isinstance(second, RequestTimeoutError)
+            assert seen == [("plan", [0])]
+            assert batcher.metrics.batches_total == 1
+            assert batcher.metrics.batched_queries_total == 1
+
+        run(body())
+
     def test_per_submit_timeout_overrides_default(self):
         async def body():
-            async def runner(items):
+            async def runner(plan, items):
                 await asyncio.sleep(0.2)
                 return list(items)
 
-            batcher = MicroBatcher(runner, request_timeout=10.0)
+            batcher = MicroBatcher(runner, ServerMetrics(),
+                                   request_timeout=10.0)
             await batcher.start()
             try:
                 with pytest.raises(RequestTimeoutError):
-                    await batcher.submit(1, timeout=0.02)
+                    await batcher.submit(Job(1), timeout=0.02)
             finally:
                 await batcher.stop()
 
@@ -356,14 +467,14 @@ class TestTimeouts:
 class TestShutdown:
     def test_stop_drains_admitted_work(self):
         async def body():
-            async def runner(items):
+            async def runner(plan, items):
                 await asyncio.sleep(0.02)
                 return [item + 1 for item in items]
 
-            batcher = MicroBatcher(runner, max_batch_size=4)
+            batcher = MicroBatcher(runner, ServerMetrics(), max_batch_size=4)
             await batcher.start()
             tasks = [
-                asyncio.ensure_future(batcher.submit(i))
+                asyncio.ensure_future(batcher.submit(Job(i)))
                 for i in range(10)
             ]
             await asyncio.sleep(0)  # let the submissions enqueue
@@ -377,17 +488,18 @@ class TestShutdown:
         async def body():
             gate = asyncio.Event()
 
-            async def runner(items):
+            async def runner(plan, items):
                 await gate.wait()
                 return list(items)
 
-            batcher = MicroBatcher(runner, max_batch_size=1, max_queue_depth=8)
+            batcher = MicroBatcher(runner, ServerMetrics(), max_batch_size=1,
+                                   max_queue_depth=8)
             await batcher.start()
-            inflight = asyncio.ensure_future(batcher.submit("a"))
+            inflight = asyncio.ensure_future(batcher.submit(Job(1)))
             await asyncio.sleep(0.02)
             queued = [
-                asyncio.ensure_future(batcher.submit(x))
-                for x in ("b", "c")
+                asyncio.ensure_future(batcher.submit(Job(x)))
+                for x in (2, 3)
             ]
             await asyncio.sleep(0.02)
             stopper = asyncio.ensure_future(batcher.stop(drain=False))
@@ -395,7 +507,7 @@ class TestShutdown:
             gate.set()
             await stopper
             # The in-flight item finishes; queued ones are failed fast.
-            assert await inflight == "a"
+            assert await inflight == 1
             outcomes = await asyncio.gather(
                 *queued, return_exceptions=True
             )
@@ -407,10 +519,10 @@ class TestShutdown:
 
     def test_stop_idempotent(self):
         async def body():
-            async def runner(items):
+            async def runner(plan, items):
                 return list(items)
 
-            batcher = MicroBatcher(runner)
+            batcher = MicroBatcher(runner, ServerMetrics())
             await batcher.start()
             await batcher.stop()
             await batcher.stop()  # second stop is a no-op
@@ -419,11 +531,30 @@ class TestShutdown:
 
 
 class TestValidation:
+    def test_item_without_a_plan_fails_its_submit_only(self):
+        """The plan is read at admission: an item without one fails its
+        own submit and the batcher keeps serving."""
+        async def body():
+            async def runner(plan, items):
+                return list(items)
+
+            batcher = MicroBatcher(runner, ServerMetrics(),
+                                   request_timeout=5.0)
+            await batcher.start()
+            try:
+                with pytest.raises(AttributeError):
+                    await batcher.submit(object())
+                assert await batcher.submit(Job(3)) == 3
+            finally:
+                await batcher.stop()
+
+        run(body())
+
     def test_bad_parameters_rejected(self):
-        async def runner(items):
+        async def runner(plan, items):
             return list(items)
 
         with pytest.raises(ValueError):
-            MicroBatcher(runner, max_batch_size=0)
+            MicroBatcher(runner, ServerMetrics(), max_batch_size=0)
         with pytest.raises(ValueError):
-            MicroBatcher(runner, max_queue_depth=0)
+            MicroBatcher(runner, ServerMetrics(), max_queue_depth=0)

@@ -198,13 +198,18 @@ class TestSearchParity:
         )
         handle.start().wait_ready()
         batcher = handle.server.batcher
-        serve_batch = batcher.runner
+        serve_plan = batcher.runner
         held, release = threading.Event(), threading.Event()
-        hold = object()
 
-        async def runner(items):
-            if items != [hold]:
-                return await serve_batch(items)
+        class Hold:
+            def batch_key(self):
+                return "hold"
+
+        hold = Hold()
+
+        async def runner(plan, items):
+            if plan != "hold":
+                return await serve_plan(plan, items)
             # Hold the batcher busy; this batch is not a search.
             held.set()
             await asyncio.get_running_loop().run_in_executor(
@@ -244,8 +249,9 @@ class TestSearchParity:
         finally:
             release.set()
             handle.stop()
-        assert metrics["batches_total"] == 1
-        # One search_many dispatch carried both.
+        # The hold, then one batch carrying both queries...
+        assert metrics["batches_total"] == 2
+        # ...in one search_many dispatch.
         assert metrics["batch"]["batched_passes"] == 1
         assert metrics["batch"]["batched_queries"] == 2
 
@@ -441,6 +447,24 @@ class TestExplain:
         )
         assert status == 404
 
+    def test_closed_engine_is_503_on_every_route(self, server):
+        """A closed engine or snapshot manager is unavailability, not a
+        bad request: every route answers 503, as ``/search`` always
+        did."""
+        search = ("POST", "/search", {"tuples": QUERY_TUPLES[0]})
+        explain = ("POST", "/explain",
+                   {"tuples": QUERY_TUPLES[0], "table_id": "T00"})
+        remove = ("DELETE", "/tables/T00", None)
+        with server.server.snapshots.checkout() as snapshot:
+            snapshot.thetis.close()
+        for method, path, payload in (search, explain):
+            status, body = http_request(server.port, method, path, payload)
+            assert status == 503, (path, body)
+        server.server.snapshots.close()
+        for method, path, payload in (search, explain, remove):
+            status, body = http_request(server.port, method, path, payload)
+            assert status == 503, (path, body)
+
 
 # ----------------------------------------------------------------------
 # Backpressure and deadlines over the wire
@@ -449,9 +473,9 @@ def _slowed(handle, delay):
     """Wrap the server's batch runner with an artificial delay."""
     original = handle.server.batcher.runner
 
-    async def slow_runner(items):
+    async def slow_runner(plan, items):
         await asyncio.sleep(delay)
-        return await original(items)
+        return await original(plan, items)
 
     handle.server.batcher.runner = slow_runner
     return handle
@@ -545,14 +569,14 @@ class TestTimeout:
             build_served_thetis(sports_lake, sports_graph, sports_mapping),
             ServeConfig(port=0, request_timeout=0.05),
         )
-        server = handle.server
-        run_batch_sync = server._run_batch_sync
+        batcher = handle.server.batcher
+        run_plan = batcher.runner
 
-        def slow_batch(jobs):
+        async def slow_plan(plan, requests):
             time.sleep(0.3)
-            return run_batch_sync(jobs)
+            return await run_plan(plan, requests)
 
-        server._run_batch_sync = slow_batch
+        batcher.runner = slow_plan
         handle.start().wait_ready()
         try:
             status, body = http_request(
