@@ -39,10 +39,10 @@ from benchmarks.bench_kernel_speedup import (
     VectorizedTableSearchEngine,
     _build,
     _max_delta,
-    _merge_report,
     _queries,
 )
 from benchmarks.conftest import print_header
+from benchmarks.serve_loadgen import record
 from repro.benchgen import QueryGenerator
 from repro.core.kernel import BatchStats, PrefilterStats
 from repro.core.kernel import engine as engine_module
@@ -130,8 +130,7 @@ def test_batch_dedup(wt_bench, wt_thetis, benchmark):
           f"  (2 distinct of {BATCH_SIZE})")
     print(f"  max score delta {report['max_score_delta']:.3e}")
 
-    _merge_report("batch", report)
-    print(f"  report -> {REPORT_PATH} (batch)")
+    record(REPORT_PATH, "batch", report)
 
     # The contract is bit-identity, not a tolerance: a batched job is
     # the same arithmetic in the same order.
@@ -273,8 +272,7 @@ def test_exact_scan_speedup(wt_bench, wt_thetis, benchmark):
           f"assignment {split['assignment']:.2f}, "
           f"tail {split['tail']:.2f})")
 
-    _merge_report("scan", report)
-    print(f"  report -> {REPORT_PATH} (scan)")
+    record(REPORT_PATH, "scan", report)
 
     assert report["bit_identical"], "scan ranking diverged from full pass"
     assert report["scan_speedup"] >= REQUIRED_SCAN_SPEEDUP, (

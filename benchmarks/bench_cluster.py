@@ -20,17 +20,23 @@ corpus — and measures:
 Results land in ``BENCH_serve.json`` under ``"cluster"``.
 """
 
-import http.client
-import json
 import os
-import threading
 import time
 
 from benchmarks.conftest import print_header
-from benchmarks.serve_loadgen import LoadGenerator
+from benchmarks.perf.loadgen import ask, well_formed
+from benchmarks.perf.metrics import percentile
+from benchmarks.serve_loadgen import (
+    Background,
+    assert_parity,
+    closed_loop,
+    query_payloads,
+    record,
+    requests_for,
+    summary,
+)
 from repro import Thetis
 from repro.cluster import ClusterConfig, ClusterHarness
-from repro.serve.metrics import percentile_of
 
 #: Closed-loop request volume per fleet size (full / --quick).
 TOTAL_REQUESTS = 120
@@ -51,17 +57,6 @@ FAILOVER_TAIL_SECONDS = 1.0
 REPORT_PATH = "BENCH_serve.json"
 
 
-def _query_payloads(bench, k=10):
-    payloads = []
-    for queries in (bench.queries.one_tuple, bench.queries.five_tuple):
-        for query in queries.values():
-            payloads.append({
-                "tuples": [list(t) for t in query.tuples],
-                "k": k,
-            })
-    return payloads
-
-
 def _make_factory(bench):
     def factory(index):
         return Thetis(
@@ -70,36 +65,6 @@ def _make_factory(bench):
         )
 
     return factory
-
-
-def _post_search(port, payload, timeout=120.0):
-    connection = http.client.HTTPConnection("127.0.0.1", port,
-                                            timeout=timeout)
-    try:
-        connection.request(
-            "POST", "/search", body=json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
-        response = connection.getresponse()
-        return response.status, json.loads(response.read())
-    finally:
-        connection.close()
-
-
-def _assert_parity(port, reference, payloads):
-    """Coordinator responses must equal direct search bit-for-bit."""
-    from repro.core.query import Query
-
-    for payload in payloads[:3]:
-        status, body = _post_search(port, payload)
-        assert status == 200, (status, body)
-        query = Query(tuple(tuple(t) for t in payload["tuples"]))
-        direct = reference.search(query, k=payload["k"])
-        served = [(r["table_id"], r["score"]) for r in body["results"]]
-        expected = [(s.table_id, s.score) for s in direct]
-        assert served == expected, (
-            f"cluster ranking diverged: {served[:3]} vs {expected[:3]}"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -113,7 +78,8 @@ def test_cluster_scaling(wt_bench, benchmark, request):
         wt_bench.lake, wt_bench.graph, wt_bench.mapping,
         engine_kind="vectorized",
     )
-    payloads = _query_payloads(wt_bench)
+    payloads = query_payloads(wt_bench)
+    searches = requests_for(payloads)
     factory = _make_factory(wt_bench)
     config = ClusterConfig(heartbeat_interval=0.5)
 
@@ -122,21 +88,18 @@ def test_cluster_scaling(wt_bench, benchmark, request):
         for fleet_size in FLEET_SIZES:
             with ClusterHarness(factory, workers=fleet_size,
                                 config=config) as fleet:
-                _assert_parity(fleet.port, reference, payloads)
-                generator = LoadGenerator(
-                    "127.0.0.1", fleet.port, payloads, timeout=120
-                )
-                reports[fleet_size] = generator.run_closed(
-                    concurrency=CONCURRENCY, total_requests=total
-                )
+                assert_parity(fleet.port, reference, payloads[:3])
+                reports[fleet_size] = summary(closed_loop(
+                    fleet.port, searches, CONCURRENCY, total), "closed")
         return reports
 
     reports = benchmark.pedantic(run, rounds=1, iterations=1)
     reference.close()
 
-    base = reports[FLEET_SIZES[0]].throughput
+    base = reports[FLEET_SIZES[0]]["throughput_rps"]
     speedups = {
-        fleet_size: (reports[fleet_size].throughput / base if base else 0.0)
+        fleet_size: (reports[fleet_size]["throughput_rps"] / base
+                     if base else 0.0)
         for fleet_size in FLEET_SIZES
     }
     cores = os.cpu_count() or 1
@@ -148,18 +111,18 @@ def test_cluster_scaling(wt_bench, benchmark, request):
     for fleet_size in FLEET_SIZES:
         report = reports[fleet_size]
         print(f"  {fleet_size} worker(s): "
-              f"{report.throughput:8.1f} req/s   "
-              f"p95 {report.percentile_ms(0.95):8.1f} ms   "
+              f"{report['throughput_rps']:8.1f} req/s   "
+              f"p95 {report['latency_ms']['p95']:8.1f} ms   "
               f"({speedups[fleet_size]:.2f}x vs 1 worker)")
 
     scaling = {
         str(fleet_size): dict(
-            reports[fleet_size].to_json(),
+            reports[fleet_size],
             speedup_vs_one_worker=speedups[fleet_size],
         )
         for fleet_size in FLEET_SIZES
     }
-    _merge_report("scaling", {
+    record(REPORT_PATH, "cluster.scaling", {
         "corpus_tables": len(wt_bench.lake),
         "concurrency": CONCURRENCY,
         "requests_per_fleet": total,
@@ -172,9 +135,9 @@ def test_cluster_scaling(wt_bench, benchmark, request):
     # the parity pre-check already proved responses are clean).
     for fleet_size in FLEET_SIZES:
         report = reports[fleet_size]
-        assert report.sent == total, report.to_json()
-        assert report.ok == total, (
-            f"{fleet_size}-worker fleet lost requests: {report.to_json()}"
+        assert report["sent"] == total, report
+        assert report["ok"] == total, (
+            f"{fleet_size}-worker fleet lost requests: {report}"
         )
     # Scaling floors only where the host can physically run the fleet
     # in parallel (CI containers are often single-core; the numbers
@@ -193,120 +156,60 @@ def test_cluster_scaling(wt_bench, benchmark, request):
 # ----------------------------------------------------------------------
 # Kill-a-worker fail-over
 # ----------------------------------------------------------------------
-def _drive(port, payloads, stop, out):
-    """Closed-loop driver recording (status, degraded, seconds)."""
-    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
-    samples = []
-    index = 0
-    try:
-        while not stop.is_set():
-            payload = payloads[index % len(payloads)]
-            index += 1
-            start = time.perf_counter()
-            try:
-                connection.request(
-                    "POST", "/search",
-                    body=json.dumps(payload).encode("utf-8"),
-                    headers={"Content-Type": "application/json"},
-                )
-                response = connection.getresponse()
-                body = json.loads(response.read())
-            except (OSError, http.client.HTTPException):
-                connection.close()
-                connection = http.client.HTTPConnection(
-                    "127.0.0.1", port, timeout=120
-                )
-                continue
-            samples.append((
-                response.status,
-                bool(body.get("degraded")),
-                time.perf_counter() - start,
-            ))
-    finally:
-        connection.close()
-    out.append(samples)
-
-
 def test_cluster_failover(wt_bench, benchmark, request):
-    payloads = _query_payloads(wt_bench)
+    searches = requests_for(query_payloads(wt_bench))
+    probe = searches[0]
     factory = _make_factory(wt_bench)
     config = ClusterConfig(heartbeat_interval=0.2, dead_after=2)
 
     def run():
-        stop = threading.Event()
-        collected = []
         with ClusterHarness(factory, workers=3, config=config) as fleet:
-            drivers = [
-                threading.Thread(
-                    target=_drive,
-                    args=(fleet.port, payloads, stop, collected),
-                    daemon=True,
-                )
-                for _ in range(FAILOVER_THREADS)
-            ]
-            for driver in drivers:
-                driver.start()
-            time.sleep(FAILOVER_TAIL_SECONDS)  # steady state
-            fleet.crash_worker(0)
-            # Wait until the fleet answers clean again (replica
-            # promotion), then keep load running a little longer.
-            deadline = time.monotonic() + 60
-            recovered = False
-            while time.monotonic() < deadline:
-                status, body = _post_search(fleet.port, payloads[0])
-                if status == 200 and not body["degraded"]:
-                    recovered = True
-                    break
-                time.sleep(0.1)
-            time.sleep(FAILOVER_TAIL_SECONDS)
-            stop.set()
-            for driver in drivers:
-                driver.join(timeout=120)
-        return collected, recovered
+            with Background(fleet.port, searches, FAILOVER_THREADS) as load:
+                time.sleep(FAILOVER_TAIL_SECONDS)  # steady state
+                fleet.crash_worker(0)
+                # Wait until the fleet answers clean again (replica
+                # promotion), then keep load running a little longer.
+                deadline = time.monotonic() + 60
+                recovered = False
+                while time.monotonic() < deadline:
+                    if well_formed(probe, *ask(fleet.port, probe)):
+                        recovered = True
+                        break
+                    time.sleep(0.1)
+                time.sleep(FAILOVER_TAIL_SECONDS)
+        return load.window, recovered
 
-    collected, recovered = benchmark.pedantic(run, rounds=1, iterations=1)
+    window, recovered = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    samples = [sample for batch in collected for sample in batch]
-    statuses = [status for status, _, _ in samples]
-    degraded = sum(1 for _, flag, _ in samples if flag)
-    latencies = [seconds for status, _, seconds in samples if status == 200]
-    non_ok = [status for status in statuses if status != 200]
+    # A transport error is not a reply: the contract is on what the
+    # front door answered.
+    replies = [sample for sample in window.samples if sample.status]
+    degraded = sum(1 for s in replies if s.status == 200 and not s.ok)
+    latencies = [s.latency_ms for s in replies if s.status == 200]
+    non_ok = [s.status for s in replies if s.status != 200]
 
     print_header(
         f"Cluster fail-over ({FAILOVER_THREADS} drivers, kill 1 of 3 "
         f"workers mid-load)"
     )
-    print(f"  responses     {len(samples)} "
+    print(f"  responses     {len(replies)} "
           f"(degraded: {degraded}, non-200: {len(non_ok)})")
-    print(f"  p50           {percentile_of(latencies, 0.50) * 1e3:8.1f} ms")
-    print(f"  p95           {percentile_of(latencies, 0.95) * 1e3:8.1f} ms")
+    print(f"  p50           {percentile(latencies, 0.50):8.1f} ms")
+    print(f"  p95           {percentile(latencies, 0.95):8.1f} ms")
     print(f"  recovered     {recovered}")
 
-    _merge_report("failover", {
+    record(REPORT_PATH, "cluster.failover", {
         "drivers": FAILOVER_THREADS,
-        "responses": len(samples),
+        "responses": len(replies),
         "degraded_responses": degraded,
         "non_200": len(non_ok),
-        "p50_ms": percentile_of(latencies, 0.50) * 1e3,
-        "p95_ms": percentile_of(latencies, 0.95) * 1e3,
+        "p50_ms": percentile(latencies, 0.50),
+        "p95_ms": percentile(latencies, 0.95),
         "recovered": recovered,
     })
 
-    assert samples, "no load completed"
+    assert replies, "no load completed"
     # The fail-over contract: the front door never 500s; the crash
     # window is visible as explicit degraded 200s instead.
     assert not non_ok, f"non-200 responses during fail-over: {non_ok[:5]}"
     assert recovered, "fleet never converged back to clean responses"
-
-
-def _merge_report(key, payload):
-    """Read-modify-write ``BENCH_serve.json``'s ``cluster`` block."""
-    try:
-        with open(REPORT_PATH, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        document = {}
-    document.setdefault("cluster", {})[key] = payload
-    with open(REPORT_PATH, "w", encoding="utf-8") as out:
-        json.dump(document, out, indent=2)
-    print(f"  report -> {REPORT_PATH} (cluster.{key})")

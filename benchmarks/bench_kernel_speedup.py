@@ -15,16 +15,16 @@ brute-force search, and reports:
 * the max per-table score delta between the two engines across every
   query (must stay within the 1e-9 parity budget).
 
-The report is written to ``BENCH_kernel.json`` in the working
+The report is folded into ``BENCH_kernel.json`` in the working
 directory (scripts/ci.sh runs this with ``--quick``).
 """
 
-import json
 import time
 
 import pytest
 
 from benchmarks.conftest import print_header
+from benchmarks.serve_loadgen import record
 from repro.core.kernel import VectorizedTableSearchEngine
 from repro.core.search import TableSearchEngine
 
@@ -125,15 +125,11 @@ def test_kernel_speedup(wt_bench, wt_thetis, benchmark):
               f"   -> {row['warm_speedup']:6.1f}x")
         print(f"    max score delta {row['max_score_delta']:.3e}")
 
-    payload = {
-        "corpus_tables": len(wt_bench.lake),
-        "queries": len(queries),
-        "tolerance": TOLERANCE,
-        "methods": report,
-    }
-    with open(REPORT_PATH, "w", encoding="utf-8") as out:
-        json.dump(payload, out, indent=2)
-    print(f"  report -> {REPORT_PATH}")
+    for key, block in (("corpus_tables", len(wt_bench.lake)),
+                       ("queries", len(queries)),
+                       ("tolerance", TOLERANCE),
+                       ("methods", report)):
+        record(REPORT_PATH, key, block)
 
     for method, row in report.items():
         # Parity is the contract: the kernel is an optimization, not an
@@ -151,18 +147,6 @@ def test_kernel_speedup(wt_bench, wt_thetis, benchmark):
         assert row["warm_speedup"] >= 1.0, (
             f"{method}: warm regression {row['warm_speedup']:.2f}x"
         )
-
-
-def _merge_report(key, section):
-    """Fold ``section`` into BENCH_kernel.json without clobbering it."""
-    try:
-        with open(REPORT_PATH, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        payload = {}
-    payload[key] = section
-    with open(REPORT_PATH, "w", encoding="utf-8") as out:
-        json.dump(payload, out, indent=2)
 
 
 def test_incremental_index_speedup(wt_bench, wt_thetis, benchmark,
@@ -249,8 +233,7 @@ def test_incremental_index_speedup(wt_bench, wt_thetis, benchmark,
           f"   -> {report['load_speedup']:7.1f}x")
     print(f"  max score delta {report['max_score_delta']:.3e}")
 
-    _merge_report("incremental", report)
-    print(f"  report -> {REPORT_PATH} (incremental)")
+    record(REPORT_PATH, "incremental", report)
 
     assert report["max_score_delta"] == 0.0, (
         f"persisted-index parity broken ({report['max_score_delta']:.3e})"

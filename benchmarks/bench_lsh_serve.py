@@ -20,16 +20,17 @@ once no remaining candidate can enter the top-k.  Reports — and gates
   to shortcut is a losing path.
 
 A short served section drives the same pipeline through a real
-``ServerThread`` with ``{"mode": "prefilter"}`` bodies and scrapes the
+``ServerThread`` with ``{"mode": "prefilter"}`` bodies, checks every
+served ranking against the direct prefiltered search, and scrapes the
 ``/metrics`` prefilter block.  Everything lands in ``BENCH_serve.json``
 under ``"prefilter"`` (scripts/ci.sh runs this with ``--quick``).
 """
 
-import http.client
-import json
 import time
 
 from benchmarks.conftest import print_header
+from benchmarks.perf.loadgen import get_json
+from benchmarks.serve_loadgen import assert_parity, query_payloads, record
 from repro import Thetis
 from repro.core.kernel import PrefilterStats
 from repro.eval.metrics import ndcg_at_k, recall_at_k, summarize
@@ -58,21 +59,12 @@ def _bench_queries(bench):
     return queries
 
 
-def _merge_report(block):
-    """Read-modify-write the shared serve report."""
-    try:
-        with open(REPORT_PATH, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        payload = {}
-    payload["prefilter"] = block
-    with open(REPORT_PATH, "w", encoding="utf-8") as out:
-        json.dump(payload, out, indent=2)
-    print(f"  report -> {REPORT_PATH} (prefilter)")
+def _served_section(bench, reference):
+    """Drive mode=prefilter through HTTP; return the /metrics block.
 
-
-def _served_section(bench, queries):
-    """Drive mode=prefilter through HTTP; return the /metrics block."""
+    Every served ranking must equal ``reference``'s direct prefiltered
+    search of the same query.
+    """
     lake, mapping = Thetis(
         bench.lake, bench.graph, bench.mapping
     ).snapshot_inputs()
@@ -84,29 +76,10 @@ def _served_section(bench, queries):
     )
     handle.start().wait_ready(timeout=300)
     try:
-        connection = http.client.HTTPConnection(
-            "127.0.0.1", handle.port, timeout=120
-        )
-        try:
-            for query in queries.values():
-                body = json.dumps({
-                    "tuples": [list(t) for t in query.tuples],
-                    "k": K,
-                    "mode": "prefilter",
-                }).encode("utf-8")
-                connection.request(
-                    "POST", "/search", body=body,
-                    headers={"Content-Type": "application/json"},
-                )
-                response = connection.getresponse()
-                payload = json.loads(response.read())
-                assert response.status == 200, payload
-                assert payload["mode"] == "prefilter"
-            connection.request("GET", "/metrics")
-            response = connection.getresponse()
-            metrics = json.loads(response.read())
-        finally:
-            connection.close()
+        assert_parity(handle.port, reference, query_payloads(bench, k=K),
+                      mode="prefilter")
+        status, metrics = get_json(handle.port, "/metrics")
+        assert status == 200, metrics
     finally:
         handle.stop(timeout=120)
     return metrics["prefilter"]
@@ -168,7 +141,7 @@ def test_lsh_serve_pipeline(wt_bench, benchmark):
     speedup = (exact_seconds / prefilter_seconds) if prefilter_seconds \
         else float("inf")
 
-    served_block = _served_section(wt_bench, queries)
+    served_block = _served_section(wt_bench, thetis)
 
     block = {
         "corpus_tables": total,
@@ -211,7 +184,7 @@ def test_lsh_serve_pipeline(wt_bench, benchmark):
     print(f"  served guardrail    checks {served_block['guardrail']['checks']}"
           f"  min recall {served_block['guardrail']['min_recall']:.3f}")
 
-    _merge_report(block)
+    record(REPORT_PATH, "prefilter", block)
 
     assert prefilter_seconds <= MAX_PREFILTER_OVER_EXACT * exact_seconds, (
         f"prefiltered reads cost {1 / speedup:.2f}x the exact ones "

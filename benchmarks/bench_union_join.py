@@ -53,12 +53,18 @@ Results land in ``BENCH_serve.json`` under ``"union_join"``
 (scripts/ci.sh runs them all with ``--quick``).
 """
 
-import json
 import time
 
 from benchmarks.bench_bound_scaling import QUICK_SIZES, SIZES
 from benchmarks.conftest import SEED, print_header
-from benchmarks.serve_loadgen import LoadGenerator
+from benchmarks.serve_loadgen import (
+    assert_parity,
+    closed_loop,
+    query_payloads,
+    record,
+    requests_for,
+    summary,
+)
 from repro.baselines import JoinTableSearch, UnionTableSearch
 from repro.benchgen import WT2015_PROFILE, build_benchmark
 from repro.core.kernel import (
@@ -67,7 +73,6 @@ from repro.core.kernel import (
     VectorizedJoinSearchEngine,
     VectorizedUnionSearchEngine,
 )
-from repro.core.query import Query
 from repro.serve import ServeConfig, ServerThread
 from repro.system import Thetis
 
@@ -118,19 +123,6 @@ def _max_delta(scalar_rankings, vector_rankings):
                 worst, abs(scalar_entry.score - vector_entry.score)
             )
     return worst
-
-
-def _merge_report(key, payload):
-    """Read-modify-write ``BENCH_serve.json``'s ``union_join`` block."""
-    try:
-        with open(REPORT_PATH, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        document = {}
-    document.setdefault("union_join", {})[key] = payload
-    with open(REPORT_PATH, "w", encoding="utf-8") as out:
-        json.dump(document, out, indent=2)
-    print(f"  report -> {REPORT_PATH} (union_join.{key})")
 
 
 def _scan_report(vector, queries, full_rankings, tables):
@@ -270,7 +262,7 @@ def test_union_join_kernel_speedup(wt_bench, wt_thetis, benchmark, request):
                   f" of the lake per query, bit-equal to the full "
                   f"ranking: {row['scan_bit_equal']}")
 
-    _merge_report("kernel", {
+    record(REPORT_PATH, "union_join.kernel", {
         "corpus_tables": len(wt_bench.lake),
         "queries": len(queries),
         "k": K_SERVE,
@@ -381,7 +373,7 @@ def test_union_join_derive_speedup(wt_bench, wt_thetis, benchmark):
         print(f"    index size      {row['index_bytes']/1e6:8.2f} MB")
         print(f"    max score delta {row['max_score_delta']:.3e}")
 
-    _merge_report("derive", {
+    record(REPORT_PATH, "union_join.derive", {
         "corpus_tables": len(lake),
         "required_derive_speedup": REQUIRED_DERIVE_SPEEDUP,
         "variants": report,
@@ -469,45 +461,7 @@ def test_union_join_segment_costs(request, benchmark):
         print(f"  {name}: derive pair {row['derive_pair_ms']:6.2f} ms   "
               f"read {row['read_ms_1_segment']:6.3f} ms (1 segment)  "
               f"{row['read_ms_7_segments']:6.3f} ms (7 segments)")
-    _merge_report("segments", report)
-
-
-def _task_payloads(bench, k=K_SERVE):
-    return [
-        {"tuples": [list(t) for t in query.tuples], "k": k}
-        for query in _queries(bench)
-    ]
-
-
-def _assert_task_parity(port, reference, payloads, task):
-    """POST /search {"task": ...} must match direct Thetis.search."""
-    import http.client
-
-    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
-    try:
-        for payload in payloads[:4]:
-            body = dict(payload, task=task)
-            connection.request(
-                "POST", "/search",
-                body=json.dumps(body).encode("utf-8"),
-                headers={"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            decoded = json.loads(response.read())
-            assert response.status == 200, decoded
-            assert decoded["task"] == task
-            query = Query(tuple(tuple(t) for t in payload["tuples"]))
-            direct = reference.search(query, k=payload["k"], task=task)
-            served = [
-                (r["table_id"], r["score"]) for r in decoded["results"]
-            ]
-            expected = [(s.table_id, s.score) for s in direct]
-            assert served == expected, (
-                f"served {task} ranking diverged: "
-                f"{served[:3]} vs {expected[:3]}"
-            )
-    finally:
-        connection.close()
+    record(REPORT_PATH, "union_join.segments", report)
 
 
 def test_union_join_served_throughput(wt_bench, benchmark, request):
@@ -517,7 +471,7 @@ def test_union_join_served_throughput(wt_bench, benchmark, request):
     reference = Thetis(wt_bench.lake, wt_bench.graph, wt_bench.mapping)
     lake, mapping = reference.snapshot_inputs()
     served = Thetis(lake, wt_bench.graph, mapping)
-    payloads = _task_payloads(wt_bench)
+    payloads = query_payloads(wt_bench, k=K_SERVE)
 
     handle = ServerThread(
         served,
@@ -528,16 +482,11 @@ def test_union_join_served_throughput(wt_bench, benchmark, request):
         def run():
             reports = {}
             for task in ("union", "join"):
-                _assert_task_parity(
-                    handle.port, reference, payloads, task
-                )
-                generator = LoadGenerator(
-                    "127.0.0.1", handle.port, payloads,
-                    timeout=120, task=task,
-                )
-                reports[task] = generator.run_closed(
-                    concurrency=CONCURRENCY, total_requests=total
-                )
+                assert_parity(handle.port, reference, payloads[:4],
+                              task=task)
+                reports[task] = summary(closed_loop(
+                    handle.port, requests_for(payloads, task=task),
+                    CONCURRENCY, total), "closed")
             return reports
 
         reports = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -549,21 +498,20 @@ def test_union_join_served_throughput(wt_bench, benchmark, request):
         f"Served union/join throughput (closed loop, "
         f"concurrency={CONCURRENCY}, {total} requests per task)"
     )
-    section = {}
     for task, report in reports.items():
         print(f"  {task}:")
-        print(f"    throughput  {report.throughput:8.1f} req/s")
-        print(f"    p50         {report.percentile_ms(0.50):8.1f} ms")
-        print(f"    p95         {report.percentile_ms(0.95):8.1f} ms")
-        print(f"    ok/sent     {report.ok}/{report.sent}")
-        section[task] = report.to_json()
-        assert report.ok == total, (
-            f"{task}: {report.errors} errors, {report.rejected} rejects, "
-            f"{report.timeouts} timeouts"
+        print(f"    throughput  {report['throughput_rps']:8.1f} req/s")
+        print(f"    p50         {report['latency_ms']['p50']:8.1f} ms")
+        print(f"    p95         {report['latency_ms']['p95']:8.1f} ms")
+        print(f"    ok/sent     {report['ok']}/{report['sent']}")
+        assert report["ok"] == total, (
+            f"{task}: {report['errors']} errors, "
+            f"{report['rejected_503']} rejects, "
+            f"{report['timeouts_504']} timeouts"
         )
 
-    _merge_report("served", {
+    record(REPORT_PATH, "union_join.served", {
         "concurrency": CONCURRENCY,
         "requests_per_task": total,
-        "tasks": section,
+        "tasks": reports,
     })

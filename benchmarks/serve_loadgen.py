@@ -1,270 +1,219 @@
-"""Closed- and open-loop load generation against a running server.
+"""What the serving benches share: load runs, a parity check, one report writer.
 
-Two canonical load models:
+Every request goes through :mod:`benchmarks.perf.loadgen`, the
+benchmark's own generator, in one of two load models:
 
-* **closed loop** — ``concurrency`` workers each issue the next request
-  the moment the previous response lands.  Offered load adapts to the
-  server (classic think-time-zero benchmark); measures best-case
-  throughput and in-service latency.
-* **open loop** — requests arrive on a fixed schedule at ``rate``
-  requests/second regardless of completions, the model matching real
-  user traffic.  Latency is measured from the *scheduled* arrival, so
-  queueing delay (and coordinated omission) is captured, and overload
-  shows up as 503s rather than silently slowing the generator.
+* **closed loop** — ``concurrency`` lanes share one :class:`Feed`; each
+  lane sends its next request the moment the previous reply lands.
+  Offered load adapts to the server; measures best-case throughput and
+  in-service latency.
+* **open loop** — ``Feed(requests, rate)``: requests fall due on a fixed
+  schedule at ``rate`` per second regardless of completions, the model
+  matching real user traffic.  Latency is measured from the *scheduled*
+  send, so queueing delay (and coordinated omission) is captured, and
+  overload shows up as 503s rather than silently slowing the generator.
 
-Pure stdlib (``http.client`` + threads) so the generator runs anywhere
-the repo does; also usable as a module CLI from the repository root::
+:func:`summary` turns a run's :class:`Window` into the report fields;
+:func:`assert_parity` checks served rankings against direct
+``Thetis.search``; :func:`record` folds one block into a JSON report
+without dropping the blocks other benches wrote.  The module is also a
+CLI, from the repository root::
 
     PYTHONPATH=src python -m benchmarks.serve_loadgen --port 8080 \\
         --payload-file q.json \\
-        --loop closed --concurrency 4 --requests 200 --out BENCH_serve.json
+        --loop closed --concurrency 4 --requests 200 --out loadgen.json
 
-``--mode exact|prefilter`` stamps the wire ``"mode"`` field onto every
-payload, so the same query file can drive the exact path, the Section 6
-prefilter path, or the cluster front door — the generator itself is
-endpoint-agnostic.
+``--mode exact|prefilter`` and ``--task entity|union|join`` stamp the
+wire ``"mode"`` / ``"task"`` fields onto every payload, so the same
+query file can drive the exact path, the Section 6 prefilter path, any
+search task, or the cluster front door.
 """
 
 from __future__ import annotations
 
 import argparse
-import http.client
+import itertools
 import json
 import threading
-import time
-from dataclasses import dataclass, field
+from collections import Counter
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence
+from unittest import mock
 
-from repro.serve.metrics import percentile_of
+from benchmarks.perf import loadgen
+from benchmarks.perf.loadgen import Feed, Lane, Window, ask, drive
+from benchmarks.perf.metrics import percentile
+from benchmarks.perf.streams import K, Request
+from repro.core.query import Query
 
-#: Wire search modes the generator can stamp onto payloads (the
-#: ``"mode"`` body field of ``POST /search``).
+#: Wire search modes the CLI can stamp onto payloads (the ``"mode"``
+#: body field of ``POST /search``).
 SEARCH_MODES = ("exact", "prefilter")
 
-#: Search tasks the generator can stamp onto payloads (the ``"task"``
-#: body field of ``POST /search``).
+#: Search tasks the CLI can stamp onto payloads (the ``"task"`` body
+#: field of ``POST /search``).
 SEARCH_TASKS = ("entity", "union", "join")
 
 
-@dataclass
-class LoadReport:
-    """Aggregated outcome of one load run."""
-
-    mode: str
-    duration_seconds: float
-    sent: int = 0
-    ok: int = 0
-    rejected: int = 0        # 503s: admission control doing its job
-    timeouts: int = 0        # 504s
-    errors: int = 0          # everything else non-2xx or transport
-    latencies: List[float] = field(default_factory=list)
-
-    @property
-    def throughput(self) -> float:
-        """Completed-OK requests per second."""
-        if self.duration_seconds <= 0:
-            return 0.0
-        return self.ok / self.duration_seconds
-
-    def percentile_ms(self, p: float) -> float:
-        return percentile_of(self.latencies, p) * 1000.0
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "mode": self.mode,
-            "duration_seconds": self.duration_seconds,
-            "sent": self.sent,
-            "ok": self.ok,
-            "rejected_503": self.rejected,
-            "timeouts_504": self.timeouts,
-            "errors": self.errors,
-            "throughput_rps": self.throughput,
-            "latency_ms": {
-                "p50": self.percentile_ms(0.50),
-                "p95": self.percentile_ms(0.95),
-                "p99": self.percentile_ms(0.99),
-                "mean": (
-                    sum(self.latencies) / len(self.latencies) * 1000.0
-                    if self.latencies else 0.0
-                ),
-                "max": (max(self.latencies) * 1000.0
-                        if self.latencies else 0.0),
-            },
-        }
-
-    def format_report(self) -> str:
-        lines = [
-            f"  mode        {self.mode}",
-            f"  duration    {self.duration_seconds:8.2f} s",
-            f"  sent        {self.sent}",
-            f"  ok          {self.ok}",
-            f"  rejected    {self.rejected}  (503)",
-            f"  timeouts    {self.timeouts}  (504)",
-            f"  errors      {self.errors}",
-            f"  throughput  {self.throughput:8.1f} req/s",
-            f"  p50         {self.percentile_ms(0.50):8.1f} ms",
-            f"  p95         {self.percentile_ms(0.95):8.1f} ms",
-            f"  p99         {self.percentile_ms(0.99):8.1f} ms",
-        ]
-        return "\n".join(lines)
+def query_payloads(bench: Any, k: int = K) -> List[Dict[str, Any]]:
+    """``/search`` bodies of a generated benchmark's 1- and 5-tuple queries."""
+    return [
+        {"tuples": [list(t) for t in query.tuples], "k": k}
+        for queries in (bench.queries.one_tuple, bench.queries.five_tuple)
+        for query in queries.values()
+    ]
 
 
-class LoadGenerator:
-    """Issue ``POST path`` requests with rotating payloads."""
+def requests_for(payloads: Sequence[Dict[str, Any]], path: str = "/search",
+                 **fields: str) -> List[Request]:
+    """One wire request per payload, with ``fields`` stamped onto each."""
+    requests = []
+    for payload in payloads:
+        body = dict(payload, **fields)
+        requests.append(Request(
+            "search", "POST", path, json.dumps(body).encode("utf-8"),
+            int(body.get("k", K)),   # K is also the server's default k
+        ))
+    return requests
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        payloads: Sequence[Dict[str, Any]],
-        path: str = "/search",
-        timeout: float = 30.0,
-        search_mode: Optional[str] = None,
-        task: Optional[str] = None,
-    ):
-        if not payloads:
-            raise ValueError("need at least one payload")
-        if search_mode is not None and search_mode not in SEARCH_MODES:
-            raise ValueError(
-                f"search_mode must be one of {SEARCH_MODES}, "
-                f"got {search_mode!r}"
-            )
-        if task is not None and task not in SEARCH_TASKS:
-            raise ValueError(
-                f"task must be one of {SEARCH_TASKS}, got {task!r}"
-            )
-        self.host = host
-        self.port = port
-        self.path = path
-        if search_mode is not None:
-            payloads = [dict(p, mode=search_mode) for p in payloads]
-        if task is not None:
-            payloads = [dict(p, task=task) for p in payloads]
-        self.payloads = [json.dumps(p).encode("utf-8") for p in payloads]
-        self.timeout = timeout
-        self.search_mode = search_mode
-        self.task = task
 
-    # ------------------------------------------------------------------
-    def _one_request(self, connection: http.client.HTTPConnection,
-                     body: bytes) -> int:
-        """Send one request; returns the HTTP status (0 = transport error)."""
-        try:
-            connection.request(
-                "POST", self.path, body=body,
-                headers={"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            response.read()  # drain for keep-alive reuse
-            return response.status
-        except (http.client.HTTPException, OSError):
-            connection.close()
-            return 0
+def _rotated(requests: Sequence[Request], total: int) -> List[Request]:
+    return [requests[i % len(requests)] for i in range(total)]
 
-    def _record(self, report: LoadReport, lock: threading.Lock,
-                status: int, latency: float) -> None:
-        with lock:
-            report.sent += 1
-            if status == 200:
-                report.ok += 1
-                report.latencies.append(latency)
-            elif status == 503:
-                report.rejected += 1
-            elif status == 504:
-                report.timeouts += 1
-            else:
-                report.errors += 1
 
-    # ------------------------------------------------------------------
-    def run_closed(self, concurrency: int = 4,
-                   total_requests: int = 100) -> LoadReport:
-        """Closed loop: ``concurrency`` workers, ``total_requests`` total."""
-        report = LoadReport(mode="closed", duration_seconds=0.0)
-        lock = threading.Lock()
-        counter = {"next": 0}
+def closed_loop(port: int, requests: Sequence[Request], concurrency: int,
+                total: int) -> Window:
+    """``total`` requests, rotating ``requests``, over ``concurrency`` lanes."""
+    feed = Feed(_rotated(requests, total))
+    return drive(port, [Lane(feed)] * max(1, concurrency))
 
-        def worker() -> None:
-            connection = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-            try:
-                while True:
-                    with lock:
-                        index = counter["next"]
-                        if index >= total_requests:
-                            return
-                        counter["next"] += 1
-                    body = self.payloads[index % len(self.payloads)]
-                    start = time.perf_counter()
-                    status = self._one_request(connection, body)
-                    latency = time.perf_counter() - start
-                    self._record(report, lock, status, latency)
-            finally:
-                connection.close()
 
-        threads = [
-            threading.Thread(target=worker, name=f"loadgen-{i}", daemon=True)
-            for i in range(max(1, concurrency))
-        ]
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        report.duration_seconds = time.perf_counter() - started
-        return report
+def open_loop(port: int, requests: Sequence[Request], rate: float,
+              duration: float) -> Window:
+    """``rate * duration`` requests on a fixed ``rate`` per second schedule."""
+    if rate <= 0:
+        raise ValueError("rate must be > 0")
+    feed = Feed(_rotated(requests, max(1, int(rate * duration))), rate)
+    return drive(port, [Lane(feed)] * min(32, max(2, int(2 * rate))))
 
-    def run_open(self, rate: float, duration: float,
-                 max_workers: int = 32) -> LoadReport:
-        """Open loop: fixed arrival schedule at ``rate`` req/s.
 
-        Latency is measured from each request's *scheduled* send time,
-        so server-side queueing (and generator lateness) counts against
-        the percentile — the anti-coordinated-omission convention.
-        """
-        if rate <= 0:
-            raise ValueError("rate must be > 0")
-        report = LoadReport(mode="open", duration_seconds=0.0)
-        lock = threading.Lock()
-        interval = 1.0 / rate
-        total = max(1, int(rate * duration))
-        epoch = time.perf_counter()
-        schedule = [epoch + i * interval for i in range(total)]
-        cursor = {"next": 0}
+class Background:
+    """Closed-loop load beside the ``with`` body, cycling ``requests`` on
+    ``connections`` lanes until the block exits; then :attr:`window`."""
 
-        def worker() -> None:
-            connection = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-            try:
-                while True:
-                    with lock:
-                        index = cursor["next"]
-                        if index >= total:
-                            return
-                        cursor["next"] += 1
-                    scheduled = schedule[index]
-                    delay = scheduled - time.perf_counter()
-                    if delay > 0:
-                        time.sleep(delay)
-                    body = self.payloads[index % len(self.payloads)]
-                    status = self._one_request(connection, body)
-                    latency = time.perf_counter() - scheduled
-                    self._record(report, lock, status, latency)
-            finally:
-                connection.close()
+    def __init__(self, port: int, requests: Sequence[Request],
+                 connections: int) -> None:
+        self._requests = itertools.cycle(requests)
+        self._stopped = threading.Event()
+        self._thread = threading.Thread(
+            target=self._run, args=(port, connections), daemon=True)
+        self.window: Optional[Window] = None
 
-        workers = min(max_workers, max(2, int(rate * 2)))
-        threads = [
-            threading.Thread(target=worker, name=f"loadgen-{i}", daemon=True)
-            for i in range(workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        report.duration_seconds = time.perf_counter() - epoch
-        return report
+    def take(self):
+        """The :class:`Feed` interface: the next request, unscheduled."""
+        if self._stopped.is_set():
+            return None
+        return next(self._requests), None
+
+    def _run(self, port: int, connections: int) -> None:
+        self.window = drive(port, [Lane(self)] * connections)
+
+    def __enter__(self) -> "Background":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self._stopped.set()
+        self._thread.join()
+
+
+def summary(window: Window, loop: str) -> Dict[str, Any]:
+    """The report fields of one run, counted by HTTP status.
+
+    A degraded or malformed 200 counts as ``ok`` here: gates that need
+    clean replies read ``Sample.ok`` themselves.
+    """
+    statuses = Counter(sample.status for sample in window.samples)
+    latencies = [sample.latency_ms for sample in window.samples
+                 if sample.status == 200]
+    seconds = window.end - window.start
+    ok = statuses[200]
+    return {
+        "mode": loop,
+        "duration_seconds": seconds,
+        "sent": len(window.samples),
+        "ok": ok,
+        "rejected_503": statuses[503],
+        "timeouts_504": statuses[504],
+        "errors": len(window.samples) - ok - statuses[503] - statuses[504],
+        "throughput_rps": ok / seconds if seconds > 0 else 0.0,
+        "latency_ms": {
+            "p50": percentile(latencies, 0.50),
+            "p95": percentile(latencies, 0.95),
+            "p99": percentile(latencies, 0.99),
+            "mean": sum(latencies) / len(latencies) if latencies else 0.0,
+            "max": max(latencies, default=0.0),
+        },
+    }
+
+
+def describe(report: Dict[str, Any]) -> str:
+    """A :func:`summary` as the aligned lines the benches print."""
+    latency = report["latency_ms"]
+    return "\n".join([
+        f"  mode        {report['mode']}",
+        f"  duration    {report['duration_seconds']:8.2f} s",
+        f"  sent        {report['sent']}",
+        f"  ok          {report['ok']}",
+        f"  rejected    {report['rejected_503']}  (503)",
+        f"  timeouts    {report['timeouts_504']}  (504)",
+        f"  errors      {report['errors']}",
+        f"  throughput  {report['throughput_rps']:8.1f} req/s",
+        f"  p50         {latency['p50']:8.1f} ms",
+        f"  p95         {latency['p95']:8.1f} ms",
+        f"  p99         {latency['p99']:8.1f} ms",
+    ])
+
+
+def assert_parity(port: int, reference: Any,
+                  payloads: Sequence[Dict[str, Any]], **fields: str) -> None:
+    """Each served ranking equals ``reference.search`` bit for bit.
+
+    ``fields`` are wire fields (``task``, ``mode``) stamped onto every
+    payload, echoed by the reply, and passed to the direct search.
+    """
+    for payload, request in zip(payloads, requests_for(payloads, **fields)):
+        status, body = ask(port, request)
+        decoded = json.loads(body) if body else None
+        assert status == 200, (status, decoded)
+        for name, value in fields.items():
+            assert decoded[name] == value, (name, decoded[name])
+        query = Query(tuple(tuple(t) for t in payload["tuples"]))
+        direct = reference.search(query, k=request.k, **fields)
+        served = [(r["table_id"], r["score"]) for r in decoded["results"]]
+        expected = [(s.table_id, s.score) for s in direct]
+        assert served == expected, (
+            f"served ranking {fields or ''} diverged from direct search: "
+            f"{served[:3]} vs {expected[:3]}"
+        )
+
+
+def record(path: str, key: str, block: Any) -> None:
+    """Set ``key`` of the JSON report at ``path`` to ``block``, keeping
+    every other key; a dotted key (``"cluster.scaling"``) nests."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except (OSError, ValueError):
+        document = {}
+    *parents, leaf = key.split(".")
+    node = document
+    for name in parents:
+        node = node.setdefault(name, {})
+    node[leaf] = block
+    with open(path, "w", encoding="utf-8") as out:
+        json.dump(document, out, indent=2)
+    print(f"  report -> {path} ({key})")
 
 
 # ----------------------------------------------------------------------
@@ -308,22 +257,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     with open(args.payload_file, encoding="utf-8") as handle:
         loaded = json.load(handle)
     payloads = loaded if isinstance(loaded, list) else [loaded]
-    generator = LoadGenerator(
-        args.host, args.port, payloads, path=args.path,
-        timeout=args.timeout, search_mode=args.mode, task=args.task,
-    )
-    if args.loop == "closed":
-        report = generator.run_closed(
-            concurrency=args.concurrency, total_requests=args.requests
-        )
-    else:
-        report = generator.run_open(rate=args.rate, duration=args.duration)
-    print(report.format_report())
+    if not payloads:
+        raise SystemExit("need at least one payload")
+    fields = {name: value for name, value in
+              (("mode", args.mode), ("task", args.task)) if value}
+    requests = requests_for(payloads, args.path, **fields)
+    # drive() dials loadgen.HOST with the connection's default timeout.
+    with mock.patch.object(loadgen, "HOST", args.host), \
+            mock.patch.object(loadgen, "Connection", partial(
+                loadgen.Connection, timeout=args.timeout)):
+        if args.loop == "closed":
+            window = closed_loop(args.port, requests, args.concurrency,
+                                 args.requests)
+        else:
+            window = open_loop(args.port, requests, args.rate,
+                               args.duration)
+    report = summary(window, args.loop)
+    print(describe(report))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2)
+            json.dump(report, handle, indent=2)
         print(f"  report -> {args.out}")
-    return 0 if report.ok > 0 else 1
+    return 0 if report["ok"] > 0 else 1
 
 
 if __name__ == "__main__":

@@ -81,6 +81,14 @@ stage "serve perf smoke: throughput + latency percentiles" \
     --quick \
     --benchmark-disable
 
+# The fail-over test only: the scaling sweep's floors need a fleet that
+# runs in parallel, and the in-process harness shares one interpreter.
+stage "cluster fail-over smoke: kill a worker mid-load, no non-200s" \
+    python -m pytest -x -q -s \
+    "benchmarks/bench_cluster.py::test_cluster_failover" \
+    --quick \
+    --benchmark-disable
+
 stage "prefilter smoke: candidate reduction + recall gate" \
     python -m pytest -x -q -s \
     "benchmarks/bench_lsh_serve.py" \

@@ -15,8 +15,9 @@ service (stdlib-only — no framework dependencies):
 * :class:`~repro.serve.metrics.ServerMetrics` — counters, latency
   histograms, queue depth, cache hit rates for ``/metrics``.
 
-The closed-/open-loop load generator the serving benches drive lives
-beside them, in ``benchmarks/serve_loadgen.py``.
+The serving benches load a server through the benchmark's own
+closed-/open-loop generator, ``benchmarks/perf/loadgen.py``;
+``benchmarks/serve_loadgen.py`` is its CLI.
 
 See ``docs/serving.md`` for the wire format and tuning guide.
 """

@@ -148,28 +148,11 @@ class MicroBatcher:
         )
         self._accepting = True
 
-    async def stop(self, drain: bool = True) -> None:
-        """Stop admissions, flush or fail queued work, join the worker.
-
-        With ``drain`` (the graceful path) everything already admitted
-        is still executed; without it, queued requests fail with
-        :class:`ServerOverloadedError`.
-        """
+    async def stop(self) -> None:
+        """Stop admissions, run everything already admitted, join the worker."""
         if self._queue is None:
             return
         self._accepting = False
-        if not drain:
-            while True:
-                try:
-                    pending = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if pending is not _SHUTDOWN:
-                    pending.resolve(
-                        ServerOverloadedError(
-                            self.queue_depth, self.max_queue_depth
-                        )
-                    )
         # A full queue must not block shutdown: admissions are closed,
         # so the worker only ever shrinks the queue from here on.
         while True:

@@ -8,10 +8,9 @@ atomically so a scrape never observes a half-updated histogram.
 
 from __future__ import annotations
 
-import math
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 #: Histogram bucket upper bounds in seconds (Prometheus-style ``le``
 #: semantics, +Inf implicit).  Spans sub-millisecond cache hits to
@@ -177,14 +176,6 @@ class ServerMetrics:
         with self._lock:
             return self._in_flight
 
-    def requests_by_status(self) -> Dict[str, int]:
-        """``"endpoint:status" -> count`` (stable keys for JSON)."""
-        with self._lock:
-            return {
-                f"{endpoint}:{status}": count
-                for (endpoint, status), count in sorted(self._requests.items())
-            }
-
     def total_requests(self) -> int:
         with self._lock:
             return sum(self._requests.values())
@@ -287,13 +278,3 @@ class ServerMetrics:
             }
         return payload
 
-
-def percentile_of(latencies: List[float], p: float) -> float:
-    """Exact percentile of raw samples (nearest-rank, for the loadgen)."""
-    if not latencies:
-        return 0.0
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
-    ordered = sorted(latencies)
-    rank = math.ceil(p * len(ordered)) - 1
-    return ordered[min(max(rank, 0), len(ordered) - 1)]

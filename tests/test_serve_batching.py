@@ -478,42 +478,9 @@ class TestShutdown:
                 for i in range(10)
             ]
             await asyncio.sleep(0)  # let the submissions enqueue
-            await batcher.stop(drain=True)
+            await batcher.stop()
             assert await asyncio.gather(*tasks) == list(range(1, 11))
             assert not batcher.running
-
-        run(body())
-
-    def test_stop_without_drain_fails_queued(self):
-        async def body():
-            gate = asyncio.Event()
-
-            async def runner(plan, items):
-                await gate.wait()
-                return list(items)
-
-            batcher = MicroBatcher(runner, ServerMetrics(), max_batch_size=1,
-                                   max_queue_depth=8)
-            await batcher.start()
-            inflight = asyncio.ensure_future(batcher.submit(Job(1)))
-            await asyncio.sleep(0.02)
-            queued = [
-                asyncio.ensure_future(batcher.submit(Job(x)))
-                for x in (2, 3)
-            ]
-            await asyncio.sleep(0.02)
-            stopper = asyncio.ensure_future(batcher.stop(drain=False))
-            await asyncio.sleep(0.02)
-            gate.set()
-            await stopper
-            # The in-flight item finishes; queued ones are failed fast.
-            assert await inflight == 1
-            outcomes = await asyncio.gather(
-                *queued, return_exceptions=True
-            )
-            assert all(
-                isinstance(o, ServerOverloadedError) for o in outcomes
-            )
 
         run(body())
 

@@ -6,7 +6,6 @@ from repro.serve.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     LatencyHistogram,
     ServerMetrics,
-    percentile_of,
 )
 
 
@@ -72,7 +71,7 @@ class TestServerMetrics:
         metrics.request_finished("/search", 200, seconds=0.01)
         assert metrics.in_flight == 0
         assert metrics.total_requests() == 1
-        assert metrics.requests_by_status() == {"/search:200": 1}
+        assert metrics.to_json()["requests"] == {"/search:200": 1}
         assert metrics.latency("/search").count == 1
 
     def test_rejections_tracked_on_query_paths_only(self):
@@ -109,25 +108,3 @@ class TestServerMetrics:
         doc = metrics.to_json(cache_stats={"types": _Stats()})
         assert doc["cache"]["types"]["hit_rate"] == pytest.approx(0.7)
         assert doc["cache"]["types"]["size"] == 3
-
-
-class TestPercentileOf:
-    def test_empty(self):
-        assert percentile_of([], 0.5) == 0.0
-
-    def test_nearest_rank(self):
-        values = [float(i) for i in range(1, 101)]  # 1..100
-        assert percentile_of(values, 0.50) == 50.0
-        assert percentile_of(values, 0.95) == 95.0
-        assert percentile_of(values, 0.99) == 99.0
-        assert percentile_of(values, 1.00) == 100.0
-
-    def test_single_sample(self):
-        assert percentile_of([0.25], 0.99) == 0.25
-
-    def test_unsorted_input(self):
-        assert percentile_of([3.0, 1.0, 2.0], 0.5) == 2.0
-
-    def test_bad_p(self):
-        with pytest.raises(ValueError):
-            percentile_of([1.0], 0.0)

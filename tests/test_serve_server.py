@@ -17,7 +17,13 @@ import time
 
 import pytest
 
-from benchmarks.serve_loadgen import LoadGenerator
+from benchmarks import serve_loadgen
+from benchmarks.serve_loadgen import (
+    closed_loop,
+    open_loop,
+    requests_for,
+    summary,
+)
 from repro import Query, Thetis
 from repro.serve import ServeConfig, ServerThread
 
@@ -761,26 +767,54 @@ class TestShutdown:
 # ----------------------------------------------------------------------
 class TestLoadGenerator:
     def test_closed_loop_run(self, server):
-        generator = LoadGenerator(
-            "127.0.0.1", server.port,
-            payloads=[{"tuples": t} for t in QUERY_TUPLES],
-        )
-        report = generator.run_closed(concurrency=4, total_requests=24)
-        assert report.sent == 24
-        assert report.ok == 24
-        assert report.rejected == 0
-        assert report.throughput > 0
-        assert report.percentile_ms(0.50) <= report.percentile_ms(0.99)
-        doc = report.to_json()
-        assert doc["ok"] == 24
-        assert doc["latency_ms"]["p99"] >= doc["latency_ms"]["p50"]
+        requests = requests_for([{"tuples": t} for t in QUERY_TUPLES])
+        report = summary(closed_loop(server.port, requests, 4, 24), "closed")
+        assert report["sent"] == 24
+        assert report["ok"] == 24
+        assert report["rejected_503"] == 0
+        assert report["throughput_rps"] > 0
+        assert report["latency_ms"]["p50"] <= report["latency_ms"]["p99"]
 
     def test_open_loop_run(self, server):
-        generator = LoadGenerator(
-            "127.0.0.1", server.port,
-            payloads=[{"tuples": QUERY_TUPLES[0]}],
-        )
-        report = generator.run_open(rate=40.0, duration=0.5)
-        assert report.mode == "open"
-        assert report.sent >= 1
-        assert report.ok >= 1
+        requests = requests_for([{"tuples": QUERY_TUPLES[0]}])
+        report = summary(open_loop(server.port, requests, 40.0, 0.5), "open")
+        assert report["mode"] == "open"
+        assert report["sent"] >= 1
+        assert report["ok"] >= 1
+
+    def test_cli_writes_the_report(self, server, tmp_path, capsys):
+        payload_file = tmp_path / "queries.json"
+        payload_file.write_text(json.dumps(
+            [{"tuples": t, "k": 3} for t in QUERY_TUPLES]))
+        out = tmp_path / "report.json"
+        code = serve_loadgen.main([
+            "--port", str(server.port), "--payload-file", str(payload_file),
+            "--loop", "closed", "--concurrency", "2", "--requests", "8",
+            "--mode", "exact", "--timeout", "30", "--out", str(out),
+        ])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert set(report) == {
+            "mode", "duration_seconds", "sent", "ok", "rejected_503",
+            "timeouts_504", "errors", "throughput_rps", "latency_ms",
+        }
+        assert set(report["latency_ms"]) == {"p50", "p95", "p99", "mean",
+                                             "max"}
+        assert (report["mode"], report["sent"], report["ok"]) == \
+            ("closed", 8, 8)
+        assert "throughput" in capsys.readouterr().out
+
+    def test_parity_helper_checks_each_wire_field(self, server, reference):
+        payloads = [{"tuples": t, "k": 5} for t in QUERY_TUPLES]
+        serve_loadgen.assert_parity(server.port, reference, payloads)
+        serve_loadgen.assert_parity(server.port, reference, payloads,
+                                    task="union")
+
+    def test_parity_helper_catches_a_diverged_ranking(self, server):
+        class Empty:
+            def search(self, query, k, **fields):
+                return []
+
+        with pytest.raises(AssertionError, match="diverged"):
+            serve_loadgen.assert_parity(
+                server.port, Empty(), [{"tuples": QUERY_TUPLES[0]}])
